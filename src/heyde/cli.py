@@ -15,8 +15,8 @@ from pathlib import Path
 
 from . import serialize
 from .engine import (
+    _decompose,
     classify_corollary,
-    decompose,
     is_conditionally_symmetric,
     satisfies_heyde_equation,
 )
@@ -69,7 +69,7 @@ def cmd_decompose(args) -> int:
     if not is_conditionally_symmetric(inst):
         _emit({"symmetric": False, "decomposition": None}, args.output)
         return 0
-    dec = decompose(inst)
+    dec = _decompose(inst)
     corollaries = classify_corollary(inst, dec)
     obj = {
         "symmetric": True,

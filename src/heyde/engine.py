@@ -10,12 +10,24 @@ mu2, a Haar convolution factor on (I + alpha)(G), and symmetry of the
 restricted pair.  Strengthened conclusions that hold under extra
 hypotheses (trivial kernel of I + alpha, nonvanishing character sums,
 truncated p-adic components) are checked by the corollary classifier.
+
+The hot loops (the joint symmetry test, the dual-equation loop and the
+canonical shift) run on the CRT codes of GroupSpec, plain ints in Z(N),
+and decode to coordinate tuples only what they report.  Exactness is kept
+without a new argument: the encoding is a bijection; masses are integer
+numerators over a common denominator, which keeps every equality and
+order; character values and their products are still computed and
+compared as canonical cyclotomic elements.  No predicate is decided by
+floating point or modulo a prime.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from math import lcm
 
 from .distributions import (
     Distribution,
@@ -48,66 +60,132 @@ class HeydeInstance:
             raise ValueError("alpha is not an automorphism")
 
 
+def _scaled_masses(mu: Distribution, index: dict[Element, int]) -> list[tuple[int, int]]:
+    """(code, numerator) per support point, all numerators over one denominator."""
+    den = lcm(*(m.denominator for _, m in mu.masses))
+    return [(index[x], m.numerator * (den // m.denominator)) for x, m in mu.masses]
+
+
 def is_conditionally_symmetric(inst: HeydeInstance) -> bool:
-    """Whether (L1, L2) and (L1, -L2) have the same exact joint distribution."""
+    """Whether (L1, L2) and (L1, -L2) have the same exact joint distribution.
+
+    The joint pmf of (x1 + x2, x1 + alpha x2) is kept on CRT codes, keyed
+    by l1 * N + l2, with integer masses over the product of the margins'
+    common denominators; scaling every mass by one positive integer keeps
+    every equality, so the verdict is the exact one.
+    """
     spec = inst.spec
-    alpha = inst.alpha
-    joint: dict[tuple[Element, Element], Fraction] = {}
-    for x1, m1 in inst.mu1.masses:
-        for x2, m2 in inst.mu2.masses:
-            key = (spec.add(x1, x2), spec.add(x1, alpha.apply(x2)))
-            joint[key] = joint.get(key, Fraction(0)) + m1 * m2
-    for (l1, l2), m in joint.items():
-        if joint.get((l1, spec.neg(l2))) != m:
+    n = spec.exponent
+    index = spec.crt_index
+    a = spec.crt(inst.alpha.multipliers)
+    second = [(r, a * r, w) for r, w in _scaled_masses(inst.mu2, index)]
+    joint: dict[int, int] = {}
+    for r1, w1 in _scaled_masses(inst.mu1, index):
+        for r2, ar2, w2 in second:
+            key = (r1 + r2) % n * n + (r1 + ar2) % n
+            joint[key] = joint.get(key, 0) + w1 * w2
+    for key, m in joint.items():
+        l2 = key % n
+        if joint.get(key - l2 + (n - l2) % n) != m:
             return False
     return True
+
+
+def first_equation_violation(
+    spec: GroupSpec,
+    f: Callable[[Element], object],
+    g: Callable[[Element], object],
+    beta: Endomorphism,
+) -> tuple[Element, Element] | None:
+    """First (u, v) with f(u + v) g(u + beta v) != f(u - v) g(u - beta v), or None.
+
+    v runs over element_list and, for each v, u does too; v = 0 and each v
+    whose negation comes earlier are skipped, since (u, -v) states the same
+    identity as (u, v).  The loop runs on CRT codes.  f and g are called
+    lazily, at most once per element each, and their values are interned
+    to small ints, so each value is hashed once.  Products are memoized by
+    id pair and interned too, so two sides agree exactly when their
+    product ids do.  Every product is computed by the values' own
+    multiplication and equality is the values' own equality, so with
+    cyclotomic values (canonical reduced forms) the verdict is exact.
+    """
+    n = spec.exponent
+    elements = spec.crt_elements
+    rank = spec.crt_rank
+    b = spec.crt(beta.multipliers)
+    value_ids: dict = {}
+    values: list = []
+    product_ids: dict = {}
+    products: dict[int, int] = {}
+    f_ids = [-1] * n
+    g_ids = [-1] * n
+    width = 2 * n  # more than the number of distinct values
+
+    def intern(value) -> int:
+        vid = value_ids.get(value)
+        if vid is None:
+            vid = value_ids[value] = len(values)
+            values.append(value)
+        return vid
+
+    def product_id(a_id: int, b_id: int) -> int:
+        value = values[a_id] * values[b_id]
+        return product_ids.setdefault(value, len(product_ids))
+
+    codes = spec.crt_codes
+    for v_rank, v in enumerate(codes):
+        if v == 0 or rank[n - v] < v_rank:
+            continue
+        bv = b * v % n
+        for u in codes:
+            i = (u + v) % n
+            f1 = f_ids[i]
+            if f1 < 0:
+                f1 = f_ids[i] = intern(f(elements[i]))
+            i = (u + bv) % n
+            g1 = g_ids[i]
+            if g1 < 0:
+                g1 = g_ids[i] = intern(g(elements[i]))
+            i = (u - v) % n
+            f2 = f_ids[i]
+            if f2 < 0:
+                f2 = f_ids[i] = intern(f(elements[i]))
+            i = (u - bv) % n
+            g2 = g_ids[i]
+            if g2 < 0:
+                g2 = g_ids[i] = intern(g(elements[i]))
+            if f1 == f2 and g1 == g2:
+                continue
+            key = f1 * width + g1
+            lhs = products.get(key)
+            if lhs is None:
+                lhs = products[key] = product_id(f1, g1)
+            key = f2 * width + g2
+            rhs = products.get(key)
+            if rhs is None:
+                rhs = products[key] = product_id(f2, g2)
+            if lhs != rhs:
+                return elements[u], elements[v]
+    return None
 
 
 def satisfies_heyde_equation(inst: HeydeInstance) -> bool:
     """Exact dual-side check of the functional equation equivalent to symmetry.
 
-    Verifies, in the cyclotomic field, that the product of the two
-    characteristic functions at (u + v, u + adjoint(alpha) v) equals the
-    product at (u - v, u - adjoint(alpha) v) for all dual pairs (u, v).
-    Character values and products are memoized, and (u, v) / (u, -v) state
-    the same identity so only one representative per {v, -v} is visited.
+    Verifies that the product of the two characteristic functions at
+    (u + v, u + adjoint(alpha) v) equals the product at
+    (u - v, u - adjoint(alpha) v) for all dual pairs (u, v).  Character
+    values are exact elements of the cyclotomic field in canonical reduced
+    form and products are computed there, so the verdict is decided by
+    exact equality; see first_equation_violation for the loop.
     """
-    spec = inst.spec
-    adj = inst.alpha.adjoint()
-    tables = ({}, {})
-    mus = (inst.mu1, inst.mu2)
-
-    def chi(j: int, y: Element):
-        table = tables[j]
-        value = table.get(y)
-        if value is None:
-            value = char_fn(mus[j], y)
-            table[y] = value
-        return value
-
-    products: dict[tuple, object] = {}
-
-    def prod(a, b):
-        key = (a, b)
-        value = products.get(key)
-        if value is None:
-            value = a * b
-            products[key] = value
-        return value
-
-    elements = spec.element_list
-    for v in elements:
-        nv = spec.neg(v)
-        if nv <= v:
-            continue  # v = 0 is trivial; -v repeats the identity for v
-        av = adj.apply(v)
-        nav = spec.neg(av)
-        for u in elements:
-            lhs = prod(chi(0, spec.add(u, v)), chi(1, spec.add(u, av)))
-            rhs = prod(chi(0, spec.add(u, nv)), chi(1, spec.add(u, nav)))
-            if lhs != rhs:
-                return False
-    return True
+    violation = first_equation_violation(
+        inst.spec,
+        partial(char_fn, inst.mu1),
+        partial(char_fn, inst.mu2),
+        inst.alpha.adjoint(),
+    )
+    return violation is None
 
 
 @dataclass(frozen=True)
@@ -127,21 +205,26 @@ def _canonical_shift(mu: Distribution, sub: Subgroup) -> tuple[Element, Distribu
     lexicographically smallest shifted distribution (then the smallest
     shift realizing it) removes the translation ambiguity, so both margins
     of a symmetric pair land on the same representative.
+
+    Candidates are compared as sorted (lexicographic rank, mass) lists on
+    CRT codes, where sub is the multiples of d = N / |sub|.  Zero has rank
+    0, so a shift by a support point, which moves that point to zero,
+    beats every other shift; only those are tried, and only the winner is
+    built as a Distribution.
     """
     spec = mu.spec
-    base = mu.masses[0][0]
-    best: tuple | None = None
-    for g in sub.elements():
-        x = spec.add(base, g)
-        shifted = shift(mu, spec.neg(x))
-        if not all(sub.contains(s) for s in shifted.support()):
-            continue
-        key = (shifted.masses, x)
-        if best is None or key < best[:2]:
-            best = (shifted.masses, x, shifted)
-    if best is None:
+    n = spec.exponent
+    rank = spec.crt_rank
+    d = n // sub.order
+    points = _scaled_masses(mu, spec.crt_index)
+    base = points[0][0]
+    if any((r - base) % d for r, _ in points):
         raise VerificationFailure("no valid shift found")
-    return best[1], best[2]
+    _, _, code = min(
+        (sorted((rank[(r - x) % n], w) for r, w in points), rank[x], x) for x, _ in points
+    )
+    x = spec.crt_elements[code]
+    return x, shift(mu, spec.neg(x))
 
 
 def reduce_to_subgroup(inst: HeydeInstance) -> ReducedPair:
@@ -185,6 +268,11 @@ def decompose(inst: HeydeInstance) -> HeydeDecomposition:
     """Full decomposition of a conditionally symmetric pair, with all checks."""
     if not is_conditionally_symmetric(inst):
         raise ValueError("instance is not conditionally symmetric")
+    return _decompose(inst)
+
+
+def _decompose(inst: HeydeInstance) -> HeydeDecomposition:
+    """decompose for a caller that has already found the pair symmetric."""
     red = reduce_to_subgroup(inst)
     if red.lam1 != red.lam2:
         raise VerificationFailure("lambda mismatch: reduced distributions differ")
@@ -355,7 +443,7 @@ def reduce_quasicyclic(p: int, level: int, pmf1, pmf2, unit: PAdicUnit) -> Quasi
         return QuasicyclicReduction(inst, "minus_identity", symmetric, equal, None, None)
     decomposition = corollaries = None
     if symmetric:
-        decomposition = decompose(inst)
+        decomposition = _decompose(inst)
         corollaries = classify_corollary(inst, decomposition)
     return QuasicyclicReduction(inst, "general", symmetric, None, decomposition, corollaries)
 
@@ -431,12 +519,12 @@ def reduce_mixed_product(
     if s == q - 1:
         branch = "minus_identity"
         if symmetric:
-            decomposition = decompose(inst)
+            decomposition = _decompose(inst)
             noncompact = decomposition.subgroup.exponents[-1] == 0
     else:
         branch = "regular"
         if symmetric:
-            decomposition = decompose(inst)
+            decomposition = _decompose(inst)
             reduces = s == 1
             if reduces and decomposition.subgroup.exponents[-1] != level:
                 raise VerificationFailure(

@@ -128,6 +128,49 @@ class GroupSpec:
     def element_list(self) -> tuple[Element, ...]:
         return tuple(self.elements())
 
+    # -- CRT encoding ------------------------------------------------------
+    # The component orders are pairwise coprime, so by the Chinese remainder
+    # theorem x -> crt(x) is an isomorphism onto Z(N): crt(x + y) is
+    # crt(x) + crt(y) mod N, and the endomorphism with multipliers m acts as
+    # multiplication by crt(m).  Hot loops run on these codes and decode
+    # only what they report.
+
+    @cached_property
+    def _crt_basis(self) -> tuple[int, ...]:
+        # e_j = 1 mod q_j and e_j = 0 mod every other component order
+        n = self.exponent
+        return tuple((n // q) * pow(n // q, -1, q) for q in self.orders)
+
+    def crt(self, residues) -> int:
+        """The r in Z(N) with r = residues[j] mod the j-th component order."""
+        return sum(c * e for c, e in zip(residues, self._crt_basis)) % self.exponent
+
+    @cached_property
+    def crt_codes(self) -> tuple[int, ...]:
+        """crt(x) for each x of element_list, in that order."""
+        return tuple(self.crt(x) for x in self.element_list)
+
+    @cached_property
+    def crt_index(self) -> dict[Element, int]:
+        """Element -> code."""
+        return dict(zip(self.element_list, self.crt_codes))
+
+    @cached_property
+    def crt_elements(self) -> tuple[Element, ...]:
+        """Code -> element, the inverse of crt_index."""
+        out: list = [None] * self.exponent
+        for x, r in zip(self.element_list, self.crt_codes):
+            out[r] = x
+        return tuple(out)
+
+    @cached_property
+    def crt_rank(self) -> tuple[int, ...]:
+        """Code -> position of its element in element_list (lexicographic rank)."""
+        out = [0] * self.exponent
+        for i, r in enumerate(self.crt_codes):
+            out[r] = i
+        return tuple(out)
+
     def pair_exponent(self, x: Element, y: Element) -> int:
         """t with (x, y) = zeta_N ** t for the fixed self-duality pairing."""
         t = 0

@@ -15,6 +15,7 @@ from functools import cached_property
 
 from .cyclotomic import CycloElement, one as cyclo_one
 from .distributions import Distribution, char_fn, convolve, reflect
+from .engine import first_equation_violation
 from .groups import Element, GroupSpec
 from .morphisms import Endomorphism, identity, kappa_of
 
@@ -94,35 +95,6 @@ def verify_polynomial_constancy(fn: DualFunction, degree: int) -> bool:
     return all(v == first for _, v in fn.table)
 
 
-def _first_equation_violation(f: DualFunction, g: DualFunction, beta: Endomorphism):
-    """First violating (u, v) of f(u+v) g(u+beta v) = f(u-v) g(u-beta v), or None."""
-    spec = f.spec
-    fv, gv = f.values, g.values
-    products: dict[tuple, object] = {}
-
-    def prod(a, b):
-        key = (a, b)
-        value = products.get(key)
-        if value is None:
-            value = a * b
-            products[key] = value
-        return value
-
-    elements = spec.element_list
-    for v in elements:
-        nv = spec.neg(v)
-        if nv <= v:
-            continue
-        bv = beta.apply(v)
-        nbv = spec.neg(bv)
-        for u in elements:
-            lhs = prod(fv[spec.add(u, v)], gv[spec.add(u, bv)])
-            rhs = prod(fv[spec.add(u, nv)], gv[spec.add(u, nbv)])
-            if lhs != rhs:
-                return (u, v)
-    return None
-
-
 @dataclass(frozen=True)
 class DifferenceLemmaReport:
     hypothesis_ok: bool
@@ -179,7 +151,7 @@ def verify_difference_lemma(
         for fn in (f1, f2)
         for v in fn.values.values()
     )
-    violation = _first_equation_violation(f1, f2, beta) if positive else None
+    violation = first_equation_violation(spec, f1, f2, beta) if positive else None
     hypothesis_ok = positive and violation is None
     if not hypothesis_ok:
         detail = "hypothesis not satisfied"
@@ -306,16 +278,17 @@ def verify_fixed_point_lemma(
 
     For [0, 1]-valued solutions of the dual pair equation with I - beta
     invertible, verifies the two substitution identities obtained from the
-    equation, then for every base point finds its finite orbit under the
-    derived automorphism -4*beta*(I-beta)**-2 and checks the two equalities
-    that the orbit argument forces.
+    equation, then checks at every base point the two equalities that the
+    orbit argument forces.  Every orbit under the derived automorphism
+    kappa = -4*beta*(I-beta)**-2 is finite because the group is, so the
+    orbits need no enumeration; kappa is reported.
     """
     spec = f.spec
     if g.spec != spec or beta.spec != spec:
         raise ValueError("spec mismatch")
     invertible = identity(spec).add(beta.neg()).is_automorphism()
     bounds = all(_within_unit_interval(v) for fn in (f, g) for v in fn.values.values())
-    violation = _first_equation_violation(f, g, beta) if bounds and invertible else None
+    violation = first_equation_violation(spec, f, g, beta) if bounds and invertible else None
     equation_ok = violation is None and bounds and invertible
     if not equation_ok:
         parts = ["hypothesis not satisfied"]
@@ -361,10 +334,6 @@ def verify_fixed_point_lemma(
         if gv[y] != gv[ratio.apply(y)] * fv[to_f.apply(y)]:
             sub_g = False
             note(f"substitution identity for g fails at {y}")
-        # Every point has a finite orbit under the derived automorphism.
-        point = kappa.apply(y)
-        while point != y:
-            point = kappa.apply(point)
         if fv[y] != gv[to_g.apply(y)]:
             fix_f = False
             note(f"fixed-point identity for f fails at {y}")

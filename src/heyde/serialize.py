@@ -51,10 +51,19 @@ def element_to_obj(x) -> list[int]:
     return list(x)
 
 
+def _is_int(value) -> bool:
+    # JSON true/false arrive as bool, a subclass of int; no writer emits them.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_tuple(obj, what: str) -> tuple[int, ...]:
+    if not isinstance(obj, list) or not all(_is_int(c) for c in obj):
+        raise ValueError(f"{what} must be a list of integers, got {obj!r}")
+    return tuple(obj)
+
+
 def element_from_obj(spec: GroupSpec, obj):
-    if not isinstance(obj, list) or not all(isinstance(c, int) for c in obj):
-        raise ValueError(f"element must be a list of integers, got {obj!r}")
-    return spec.reduce(tuple(obj))
+    return spec.reduce(_int_tuple(obj, "element"))
 
 
 def subgroup_to_obj(sub: Subgroup) -> list[int]:
@@ -62,9 +71,7 @@ def subgroup_to_obj(sub: Subgroup) -> list[int]:
 
 
 def subgroup_from_obj(spec: GroupSpec, obj) -> Subgroup:
-    if not isinstance(obj, list) or not all(isinstance(a, int) for a in obj):
-        raise ValueError(f"subgroup must be a list of integers, got {obj!r}")
-    return Subgroup(spec, tuple(obj))
+    return Subgroup(spec, _int_tuple(obj, "subgroup"))
 
 
 def endo_to_obj(endo: Endomorphism) -> list[int]:
@@ -72,9 +79,7 @@ def endo_to_obj(endo: Endomorphism) -> list[int]:
 
 
 def endo_from_obj(spec: GroupSpec, obj) -> Endomorphism:
-    if not isinstance(obj, list) or not all(isinstance(m, int) for m in obj):
-        raise ValueError(f"endomorphism must be a list of integers, got {obj!r}")
-    return Endomorphism(spec, tuple(obj))
+    return Endomorphism(spec, _int_tuple(obj, "endomorphism"))
 
 
 def unit_to_obj(unit: PAdicUnit) -> dict:
@@ -107,7 +112,7 @@ def distribution_from_obj(spec: GroupSpec, obj) -> Distribution:
         if x in masses:
             raise ValueError(f"duplicate support point {entry['x']!r}")
         num, den = entry["num"], entry["den"]
-        if not isinstance(num, int) or not isinstance(den, int) or den <= 0:
+        if not _is_int(num) or not _is_int(den) or den <= 0:
             raise ValueError(f"mass entry {entry!r} must use integer num/den with den > 0")
         if num <= 0:
             raise ValueError("masses must be strictly positive")
@@ -218,7 +223,7 @@ def sweep_config_from_obj(obj) -> SweepConfig:
     specs = tuple(spec_from_obj(s) for s in obj["specs"])
     autos = obj.get("automorphisms")
     if autos is not None and autos != "all":
-        autos = tuple(tuple(int(m) for m in vec) for vec in autos)
+        autos = tuple(_int_tuple(vec, "automorphism") for vec in autos)
     else:
         autos = None
     return SweepConfig(

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .engine import (
+    _decompose,
     HeydeInstance,
     classify_corollary,
-    decompose,
     is_conditionally_symmetric,
     satisfies_heyde_equation,
 )
@@ -86,7 +86,7 @@ def check_instance(inst: HeydeInstance, report: SweepReport) -> None:
         return
     report.symmetric += 1
     try:
-        dec = decompose(inst)
+        dec = _decompose(inst)
     except VerificationFailure as exc:
         report.decomposition_failures += 1
         _record(report, inst, f"decompose failed: {exc}")

@@ -99,3 +99,50 @@ def brute_unit_modulus_points(orders, pmf):
         if all(raw_pair_exponent(orders, x, y) == t0 for x in support):
             out.add(y)
     return out
+
+
+def raw_apply(orders, multipliers, x):
+    return tuple((m * c) % q for m, c, q in zip(multipliers, x, orders))
+
+
+def brute_equation_violation(orders, f, g, multipliers):
+    """First (u, v) with f(u+v) g(u+beta v) != f(u-v) g(u-beta v), or None.
+
+    A plain double loop over lexicographic tuples, v outer and u inner;
+    v = 0 and every v with -v < v are skipped, since (u, -v) states the
+    same identity as (u, v).  Products are memoized by value pair only.
+    """
+    elements = all_elements(orders)
+    products = {}
+
+    def product(a, b):
+        if (a, b) not in products:
+            products[(a, b)] = a * b
+        return products[(a, b)]
+
+    for v in elements:
+        nv = raw_neg(orders, v)
+        if nv <= v:
+            continue
+        bv = raw_apply(orders, multipliers, v)
+        nbv = raw_neg(orders, bv)
+        for u in elements:
+            lhs = product(f(raw_add(orders, u, v)), g(raw_add(orders, u, bv)))
+            rhs = product(f(raw_add(orders, u, nv)), g(raw_add(orders, u, nbv)))
+            if lhs != rhs:
+                return (u, v)
+    return None
+
+
+def brute_canonical_shift(orders, pmf, members):
+    """Smallest (sorted shifted mass list, x) over every x whose shift of pmf
+    by -x lands inside members, or None when no x does."""
+    best = None
+    for x in all_elements(orders):
+        nx = raw_neg(orders, x)
+        shifted = sorted((raw_add(orders, s, nx), m) for s, m in pmf.items())
+        if all(y in members for y, _ in shifted):
+            key = (shifted, x)
+            if best is None or key < best:
+                best = key
+    return best

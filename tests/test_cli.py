@@ -119,6 +119,52 @@ def test_bad_mass_exits_2(tmp_path, capsys):
     assert "total mass" in json.loads(capsys.readouterr().out)["error"]
 
 
+def _exit_2_with(capsys, argv, fragment):
+    code = main(argv)
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert fragment in out["error"]
+
+
+def test_boolean_mass_entry_exits_2(tmp_path, capsys):
+    # true would otherwise read as mass 1 at element 1
+    for entry, fragment in (
+        ({"x": [True], "num": True, "den": True}, "element"),
+        ({"x": [1], "num": True, "den": 1}, "num/den"),
+        ({"x": [1], "num": 1, "den": True}, "num/den"),
+    ):
+        bad = degenerate_instance(3, 1, 2)
+        bad["mu1"] = [entry]
+        path = write(tmp_path, "inst.json", bad)
+        for command in ("check", "decompose", "verify-lemmas"):
+            _exit_2_with(capsys, [command, "--input", path], fragment)
+
+
+def test_boolean_alpha_exits_2(tmp_path, capsys):
+    # [true] would otherwise read as the identity
+    bad = degenerate_instance(3, 1, 2)
+    bad["alpha"] = [True]
+    path = write(tmp_path, "inst.json", bad)
+    _exit_2_with(capsys, ["check", "--input", path], "endomorphism")
+
+
+def test_boolean_construction_fields_exit_2(tmp_path, capsys):
+    base = {"spec": Z9_SPEC, "subgroup": [1], "alpha": [2], "x2": [4]}
+    for key, value, fragment in (
+        ("subgroup", [True], "subgroup"),
+        ("alpha", [True], "endomorphism"),
+        ("x2", [False], "element"),
+    ):
+        path = write(tmp_path, "construction.json", {**base, key: value})
+        _exit_2_with(capsys, ["construct", "--input", path], fragment)
+
+
+def test_boolean_sweep_automorphism_exits_2(tmp_path, capsys):
+    config = {"specs": [Z5_SPEC], "automorphisms": [[True]], "budget": 1}
+    path = write(tmp_path, "sweep.json", config)
+    _exit_2_with(capsys, ["sweep", "--input", path], "automorphism")
+
+
 def test_sweep_exhaustive_small(tmp_path, capsys):
     config = {
         "specs": [{"components": [{"p": 3, "k": 1, "kind": "finite"}]}],

@@ -1,0 +1,228 @@
+"""The CRT encoding of GroupSpec and the kernels that run on it.
+
+The encoding is checked exhaustively on Z(9) x Z(5) x Z(7); the joint
+symmetry test, the dual-equation loop and the canonical shift are checked
+against the brute-force tuple routes of oracles.py on Z(9) x Z(5).
+"""
+
+import itertools
+from fractions import Fraction
+from functools import partial
+
+import pytest
+
+from heyde import (
+    DeterministicStream,
+    HeydeInstance,
+    char_fn,
+    construct_instance,
+    degenerate,
+    enumerate_automorphisms,
+    enumerate_subgroups,
+    from_pmf,
+    full_subgroup,
+    haar,
+    is_conditionally_symmetric,
+    make_endo,
+    minus_identity,
+    random_distribution,
+    reduce_to_subgroup,
+    satisfies_heyde_equation,
+    validate_spec,
+)
+from heyde.engine import _canonical_shift, first_equation_violation
+from heyde.errors import VerificationFailure
+from heyde.fixtures import construction_admissible
+from heyde.morphisms import Endomorphism, identity
+
+import oracles
+
+Z9xZ5 = validate_spec([(3, 2), (5, 1)])
+Z9xZ5xZ7 = validate_spec([(3, 2), (5, 1), (7, 1)])
+
+
+def test_encoding_round_trip_and_rank_order():
+    spec = Z9xZ5xZ7
+    n = spec.exponent
+    assert sorted(spec.crt_codes) == list(range(n))
+    for i, x in enumerate(spec.element_list):
+        r = spec.crt_index[x]
+        assert r == spec.crt(x) == spec.crt_codes[i]
+        assert spec.crt_elements[r] == x
+        assert spec.crt_rank[r] == i
+    by_rank = sorted(range(n), key=spec.crt_rank.__getitem__)
+    assert [spec.crt_elements[r] for r in by_rank] == list(spec.element_list)
+    assert spec.crt_elements[0] == spec.zero() and spec.crt_rank[0] == 0
+
+
+def test_encoding_is_additive():
+    spec = Z9xZ5xZ7
+    n = spec.exponent
+    code = spec.crt_index
+    for x in spec.element_list:
+        assert code[spec.neg(x)] == -code[x] % n
+        for y in spec.element_list:
+            assert code[spec.add(x, y)] == (code[x] + code[y]) % n
+
+
+def test_endomorphisms_act_as_one_multiplier():
+    spec = Z9xZ5xZ7
+    n = spec.exponent
+    code = spec.crt_index
+    for multipliers in itertools.product(*(range(q) for q in spec.orders)):
+        endo = Endomorphism(spec, multipliers)
+        a = spec.crt(endo.multipliers)
+        for x in spec.element_list:
+            assert code[endo.apply(x)] == a * code[x] % n
+
+
+# -- kernels against the brute-force routes -----------------------------------
+
+
+def _chars(mu):
+    table = {}
+
+    def value(y):
+        if y not in table:
+            table[y] = char_fn(mu, y)
+        return table[y]
+
+    return value
+
+
+def _check_against_oracles(inst):
+    spec = inst.spec
+    orders = spec.orders
+    pmf1, pmf2 = inst.mu1.pmf, inst.mu2.pmf
+    symmetric = oracles.brute_symmetric(orders, pmf1, pmf2, inst.alpha.multipliers)
+    assert is_conditionally_symmetric(inst) == symmetric
+
+    f, g = _chars(inst.mu1), _chars(inst.mu2)
+    expected = oracles.brute_equation_violation(orders, f, g, inst.alpha.multipliers)
+    assert first_equation_violation(spec, f, g, inst.alpha) == expected
+    assert satisfies_heyde_equation(inst) == (expected is None) == symmetric
+
+    if symmetric:
+        dual = oracles.brute_unit_modulus_points(orders, pmf1)
+        dual &= oracles.brute_unit_modulus_points(orders, pmf2)
+        members = oracles.brute_annihilator(orders, dual)
+        red = reduce_to_subgroup(inst)
+        assert set(red.subgroup.elements()) == members
+        for pmf, lam, x in ((pmf1, red.lam1, red.shift1), (pmf2, red.lam2, red.shift2)):
+            masses, expected_x = oracles.brute_canonical_shift(orders, pmf, members)
+            assert (list(lam.masses), x) == (masses, expected_x)
+    return symmetric
+
+
+def test_kernels_plus_and_minus_identity():
+    spec = Z9xZ5
+    stream = DeterministicStream(41, label="pm")
+    outcomes = []
+    for i, alpha in enumerate((identity(spec), minus_identity(spec)) * 3):
+        mu = random_distribution(spec, 6, stream.derive(f"a{i}"))
+        nu = mu if i % 4 < 2 else random_distribution(spec, 6, stream.derive(f"b{i}"))
+        outcomes.append(_check_against_oracles(HeydeInstance(spec, mu, nu, alpha)))
+    assert True in outcomes and False in outcomes
+
+
+def test_kernels_point_mass_pairs():
+    spec = Z9xZ5
+    alphas = enumerate_automorphisms(spec)
+    outcomes = []
+    points = itertools.product(((0, 0), (1, 0), (4, 3)), ((0, 0), (2, 1), (8, 4)))
+    for i, (x1, x2) in enumerate(points):
+        alpha = alphas[(5 * i) % len(alphas)]
+        mu1, mu2 = degenerate(spec, x1), degenerate(spec, x2)
+        outcomes.append(_check_against_oracles(HeydeInstance(spec, mu1, mu2, alpha)))
+        matched = spec.neg(alpha.apply(x2))  # x1 = -alpha x2 makes the pair symmetric
+        assert _check_against_oracles(HeydeInstance(spec, degenerate(spec, matched), mu2, alpha))
+    assert False in outcomes
+
+
+def test_kernels_full_support_haar():
+    spec = Z9xZ5
+    full = full_subgroup(spec)
+    uniform = haar(full)
+    outcomes = []
+    for alpha in enumerate_automorphisms(spec)[::2]:
+        # on this group, symmetric exactly when I - alpha is invertible
+        symmetric = _check_against_oracles(HeydeInstance(spec, uniform, uniform, alpha))
+        assert symmetric == construction_admissible(full, alpha)
+        outcomes.append(symmetric)
+    assert True in outcomes and False in outcomes
+
+
+def test_kernels_constructed_symmetric_pairs():
+    spec = Z9xZ5
+    stream = DeterministicStream(43, label="construct")
+    alphas = enumerate_automorphisms(spec)
+    checked = 0
+    for i, sub in enumerate(enumerate_subgroups(spec)):
+        alpha = next(
+            (a for a in alphas[i % 7 :] + alphas[: i % 7] if construction_admissible(sub, a)), None
+        )
+        if alpha is None:
+            continue
+        rho = random_distribution(spec, 4, stream.derive(f"rho{i}"), support=sub)
+        fixture = construct_instance(sub, alpha, rho, spec.element_list[(7 * i) % spec.size])
+        assert _check_against_oracles(fixture.instance)
+        checked += 1
+    assert checked >= 3
+
+
+def test_kernels_random_pairs():
+    spec = Z9xZ5
+    stream = DeterministicStream(47, label="random")
+    alphas = enumerate_automorphisms(spec)
+    for i in range(24):
+        mu1 = random_distribution(spec, 4, stream.derive(f"a{i}"))
+        mu2 = random_distribution(spec, 4, stream.derive(f"b{i}"))
+        _check_against_oracles(HeydeInstance(spec, mu1, mu2, alphas[i]))
+
+
+@pytest.mark.parametrize(
+    "pmf1, pmf2, multipliers, first",
+    [
+        # uniform margins on 3Z(9) x 0 shifted apart: the first fifteen v hold
+        (
+            {(0, 0): Fraction(1, 3), (3, 0): Fraction(1, 3), (6, 0): Fraction(1, 3)},
+            {(1, 0): Fraction(1, 3), (4, 0): Fraction(1, 3), (7, 0): Fraction(1, 3)},
+            (2, 3),
+            ((0, 0), (3, 0)),
+        ),
+        # a margin and its reflection: u = 0 holds for v = (0, 1)
+        (
+            {x: Fraction(1, 4) for x in ((0, 0), (6, 0), (8, 2), (8, 3))},
+            {x: Fraction(1, 4) for x in ((0, 0), (1, 2), (1, 3), (3, 0))},
+            (4, 4),
+            ((1, 1), (0, 1)),
+        ),
+    ],
+)
+def test_first_violation_is_pinned(pmf1, pmf2, multipliers, first):
+    spec = Z9xZ5
+    mu1, mu2 = from_pmf(spec, pmf1), from_pmf(spec, pmf2)
+    alpha = make_endo(spec, multipliers)
+    inst = HeydeInstance(spec, mu1, mu2, alpha)
+    assert not _check_against_oracles(inst)
+    chars1, chars2 = partial(char_fn, mu1), partial(char_fn, mu2)
+    assert first_equation_violation(spec, chars1, chars2, alpha) == first
+
+
+def test_canonical_shift_on_every_subgroup():
+    # supports that leave one coset of the subgroup have no valid shift
+    spec = Z9xZ5
+    stream = DeterministicStream(53, label="shift")
+    raised = 0
+    for i in range(6):
+        mu = random_distribution(spec, 4, stream.derive(str(i)))
+        for sub in enumerate_subgroups(spec):
+            expected = oracles.brute_canonical_shift(spec.orders, mu.pmf, set(sub.elements()))
+            if expected is None:
+                with pytest.raises(VerificationFailure, match="no valid shift"):
+                    _canonical_shift(mu, sub)
+                raised += 1
+            else:
+                x, lam = _canonical_shift(mu, sub)
+                assert (list(lam.masses), x) == expected
+    assert raised

@@ -22,10 +22,13 @@ from heyde import (
 )
 from heyde.lemmas import char_table_function, finite_difference
 
+import oracles
+
 Z3 = validate_spec([(3, 1)])
 Z5 = validate_spec([(5, 1)])
 Z9 = validate_spec([(3, 2)])
 Z27 = validate_spec([(3, 3)])
+Z9xZ5 = validate_spec([(3, 2), (5, 1)])
 
 
 def rational_table(spec, mapping):
@@ -103,14 +106,24 @@ def test_difference_lemma_trivial_tables():
 
 
 def test_difference_lemma_detects_perturbation():
-    fixture = nonvanishing_fixture(Z9, 32, (1,))
+    _check_perturbation_detected(Z9, (1,))
+
+
+def test_difference_lemma_detects_perturbation_on_product_group():
+    _check_perturbation_detected(Z9xZ5, (2, 3))
+
+
+def _check_perturbation_detected(spec, point):
+    fixture = nonvanishing_fixture(spec, 32, point)
     f = squared_modulus_table(fixture.instance.mu1)
     g = squared_modulus_table(fixture.instance.mu2)
     beta = fixture.instance.alpha.adjoint()
-    perturbed = f.with_value((1,), from_rational(9, Fraction(1, 2)))
+    perturbed = f.with_value(point, from_rational(spec.exponent, Fraction(1, 2)))
     report = verify_difference_lemma(perturbed, g, beta)
     assert not report.evaluated
     assert "hypothesis not satisfied" in report.first_violation
+    first = oracles.brute_equation_violation(spec.orders, perturbed, g, beta.multipliers)
+    assert first is not None and report.first_violation.endswith(f"at (u, v) = {first}")
 
 
 def test_difference_lemma_requires_positive_tables():
@@ -159,6 +172,9 @@ def test_fixed_point_lemma_hypothesis_failure():
     report = verify_fixed_point_lemma(f, ones, make_endo(Z5, [2]))
     assert not report.evaluated
     assert "hypothesis not satisfied" in report.first_violation
+    first = oracles.brute_equation_violation(Z5.orders, f, ones, (2,))
+    assert first is not None
+    assert report.first_violation.endswith(f"equation fails at (u, v) = {first}")
 
 
 def test_fixed_point_lemma_bounds_check():
