@@ -62,7 +62,6 @@ from .groups import (
     Component,
     ComponentKind,
     GroupSpec,
-    RootOfUnity,
     Subgroup,
     enumerate_subgroups,
     full_subgroup,

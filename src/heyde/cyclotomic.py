@@ -8,6 +8,11 @@ decided exactly; floating point appears only in the explicitly named
 cross-check helpers (to_complex) and never inside a predicate.  Sign
 decisions for real values use rigorous interval refinement, which
 terminates because a nonzero algebraic number is bounded away from zero.
+
+The hot zero tests skip the power basis: modular_field evaluates
+character sums at a primitive N-th root of unity modulo primes
+p = 1 (mod N), with a modulus large enough that the verdict is exact (see
+_ModField for the proof).
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, prod
 
 from mpmath import iv
 
@@ -105,6 +110,144 @@ def _ring(n: int) -> _Ring:
         ring = _Ring(n)
         _ring_cache[n] = ring
     return ring
+
+
+# -- certified modular evaluation --------------------------------------------
+
+# Miller-Rabin with these bases is deterministic below 3.18e23
+# (Sorenson and Webster, 2015), far above every modulus prime used here.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_CEILING = 1 << 62
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime_factors(n: int) -> list[int]:
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _prime_below(n: int, ceiling: int) -> int:
+    """Largest prime p = 1 (mod n) below ceiling (n odd, so p = 1 (mod 2n))."""
+    p = (ceiling - 2) // (2 * n) * (2 * n) + 1
+    while not _is_prime(p):
+        p -= 2 * n
+        if p <= n:
+            raise ArithmeticError(f"no prime = 1 (mod {n}) below {ceiling}")
+    return p
+
+
+def _root_of_order(n: int, p: int, factors: list[int]) -> int:
+    """An element of order exactly n modulo the prime p = 1 (mod n)."""
+    for base in range(2, p):
+        w = pow(base, (p - 1) // n, p)
+        if pow(w, n, p) == 1 and all(pow(w, n // q, p) != 1 for q in factors):
+            return w
+    raise ArithmeticError(f"no element of order {n} modulo {p}")
+
+
+class _ModField:
+    """Z/MZ, M a product of primes p = 1 (mod N), with omega of order N mod each p.
+
+    Evaluating Z[zeta_N] at omega decides exact zero tests on character
+    sums.  Write c for a unit mod N and sigma_c for the automorphism
+    zeta -> zeta**c, so sigma_c(a) evaluated at omega is a evaluated at
+    omega**c.  Each p is prime to N and = 1 (mod N), so it is unramified
+    and splits completely in Q(zeta_N) (Washington, Introduction to
+    Cyclotomic Fields, ch. 2): the prime ideals above p are the kernels of
+    the phi(N) maps zeta -> omega**c into Z/pZ.
+
+    - If a(omega**c) = 0 (mod p) for every unit c, then a lies in every
+      prime above p, hence in their product pZ[zeta]; the power basis is an
+      integral basis, so p divides every coordinate of a.
+    - An integer combination of powers of zeta whose coefficients have
+      absolute sum at most w reduces to coordinates of absolute value at
+      most w * R, where R = row_bound is the largest |entry| of the
+      reduction rows of _Ring (at least 1).
+    - So if M > w * R and a = 0 (mod M) on every conjugate, a = 0 exactly;
+      a nonzero residue always means a != 0.
+
+    Applied to character sums, with masses a_x / D: sigma_c maps f(y) to
+    f(c y).  One value f(y) has weight D, so f(y) = 0 exactly when its
+    residue vanishes on the whole unit orbit of y (codes y' with
+    gcd(y', N) = gcd(y, N)); that needs M > D * R.  A zero test over a
+    union of unit orbits, such as the complement of a subgroup, needs no
+    more.  For the dual equation, D(u, v) = f(u + v) g(u + beta v) -
+    f(u - v) g(u - beta v) has weight 2 * D1 * D2 once scaled, beta
+    commutes with scalars so sigma_c D(u, v) = D(c u, c v), and
+    D(u, -v) = -D(u, v); the pairs first_equation_violation visits stand
+    for every pair and every unit multiple of it, so with M > 2 * D1 * D2 * R
+    its verdict is exact in both directions.
+
+    modular_field(order, weight) returns a field with M > weight * R,
+    adding primes below 2**62 as needed.
+    """
+
+    def __init__(self, order: int, primes: tuple[int, ...]):
+        self.primes = primes
+        self.modulus = prod(primes)
+        factors = _prime_factors(order)
+        root = 0
+        for p in primes:
+            if p >= 1 << 62 or (p - 1) % order or not _is_prime(p):
+                raise ArithmeticError(f"{p} is not a prime = 1 (mod {order}) below 2**62")
+            rest = self.modulus // p
+            root += _root_of_order(order, p, factors) * rest * pow(rest, -1, p)
+        self.root = root % self.modulus
+        powers = [1]
+        for _ in range(order - 1):
+            powers.append(powers[-1] * self.root % self.modulus)
+        self.powers = powers  # powers[k] = omega**k mod M
+        rows = _ring(order).rows
+        self.row_bound = max([1] + [abs(c) for row in rows for c in row])
+
+
+_field_cache: dict[int, _ModField] = {}
+
+
+def modular_field(order: int, weight: int) -> _ModField:
+    """The cached field for Q(zeta_order), grown until its modulus exceeds weight * R.
+
+    weight bounds the absolute sum of the integer coefficients of whatever
+    is tested for zero; see _ModField for why that makes the test exact.
+    """
+    field = _field_cache.get(order)
+    if field is None:
+        _ring(order)  # validates the order
+        field = _ModField(order, (_prime_below(order, _PRIME_CEILING),))
+    while field.modulus <= weight * field.row_bound:
+        field = _ModField(order, field.primes + (_prime_below(order, field.primes[-1]),))
+    _field_cache[order] = field
+    return field
 
 
 @dataclass(frozen=True)

@@ -5,16 +5,20 @@ strictly positive Fraction masses summing to one.  Equality is structural
 equality of reduced mass lists, so every theorem-level conclusion is an
 exact identity.  The unit-modulus and equals-one predicates are decided
 combinatorially (a character sum has modulus one exactly when the pairing
-is constant on the support); the cyclotomic route is kept as a cross-check
-and as one side of the dual-route Haar-factor test.
+is constant on the support); the cyclotomic route is kept as a cross-check.
+The character-sum zero tests (one side of the dual-route Haar-factor test,
+and the nonvanishing hypothesis of the corollaries) evaluate the sums
+modulo primes that split completely in the cyclotomic field, with a
+modulus certified large enough for the verdict to be exact.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from . import cyclotomic
 from .cyclotomic import CycloElement
@@ -44,6 +48,14 @@ class Distribution:
     @cached_property
     def pmf(self) -> dict[Element, Fraction]:
         return dict(self.masses)
+
+    @cached_property
+    def crt_masses(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """(D, ((code, a), ...)): each mass as a / D over the lcm D of the
+        denominators, its support point as a CRT code."""
+        den = lcm(*(m.denominator for _, m in self.masses))
+        index = self.spec.crt_index
+        return den, tuple((index[x], m.numerator * (den // m.denominator)) for x, m in self.masses)
 
     def support(self) -> tuple[Element, ...]:
         return tuple(x for x, _ in self.masses)
@@ -113,6 +125,44 @@ def char_fn_table(mu: Distribution) -> dict[Element, CycloElement]:
     return {y: char_fn(mu, y) for y in mu.spec.elements()}
 
 
+def char_residues(mu: Distribution, field) -> Callable[[int], int]:
+    """y -> D * char_fn(mu, y) at zeta = field.root, mod field.modulus, on CRT codes.
+
+    With masses a_x / D this is the sum of a_x * omega**(s * x * y mod N),
+    s = spec.crt_pair_unit.  The caller picks the field for the bound its
+    zero test needs (cyclotomic._ModField).
+    """
+    spec = mu.spec
+    n = spec.exponent
+    s = spec.crt_pair_unit
+    terms = [(s * x % n, a) for x, a in mu.crt_masses[1]]
+    powers, modulus = field.powers, field.modulus
+
+    def residue(y: int) -> int:
+        return sum(a * powers[t * y % n] for t, a in terms) % modulus
+
+    return residue
+
+
+def char_fn_zero_classes(mu: Distribution) -> dict[int, bool]:
+    """For each divisor g of N, whether char_fn(mu, y) is zero at the codes y
+    with gcd(y, N) = g.
+
+    Those codes form one unit orbit, on which the sum is zero everywhere or
+    nowhere.  One value scaled by the denominator D has coefficient weight
+    D, so with the field for that weight a class is zero exactly when every
+    residue in it is (cyclotomic._ModField).
+    """
+    n = mu.spec.exponent
+    residue = char_residues(mu, cyclotomic.modular_field(n, mu.crt_masses[0]))
+    zero: dict[int, bool] = {}
+    for y in range(n):
+        g = gcd(y, n)
+        if zero.get(g, True):
+            zero[g] = not residue(y)
+    return zero
+
+
 def _constancy_subgroup(mu: Distribution) -> Subgroup:
     # Dual elements whose pairing is constant on the support; equivalently
     # the annihilator of the subgroup generated by support differences.
@@ -143,16 +193,16 @@ def has_haar_factor(lam: Distribution, sub: Subgroup) -> bool:
     """Whether the uniform distribution on sub is a convolution factor of lam.
 
     Decided along two independent routes that must agree: the fixed-point
-    identity lam == lam * haar(sub), and vanishing of the character sum off
-    the annihilator of sub.
+    identity lam == lam * haar(sub) in exact rationals, and vanishing of
+    the character sum off the annihilator of sub.  The annihilator's codes
+    are the multiples of step = N / |ann|, so its complement is the union
+    of the gcd classes that step does not divide.
     """
     if lam.spec != sub.spec:
         raise ValueError("spec mismatch")
     fixed_point = lam == convolve(lam, haar(sub))
-    ann = sub.annihilator()
-    vanishing = all(
-        char_fn(lam, y).is_zero() for y in lam.spec.elements() if not ann.contains(y)
-    )
+    step = lam.spec.exponent // sub.annihilator().order
+    vanishing = all(zero for g, zero in char_fn_zero_classes(lam).items() if g % step)
     if fixed_point != vanishing:
         raise VerificationFailure(
             "haar-factor routes disagree: "

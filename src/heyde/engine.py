@@ -13,12 +13,15 @@ truncated p-adic components) are checked by the corollary classifier.
 
 The hot loops (the joint symmetry test, the dual-equation loop and the
 canonical shift) run on the CRT codes of GroupSpec, plain ints in Z(N),
-and decode to coordinate tuples only what they report.  Exactness is kept
-without a new argument: the encoding is a bijection; masses are integer
-numerators over a common denominator, which keeps every equality and
-order; character values and their products are still computed and
-compared as canonical cyclotomic elements.  No predicate is decided by
-floating point or modulo a prime.
+and decode to coordinate tuples only what they report.  The encoding is a
+bijection, and masses are integer numerators over a common denominator,
+which keeps every equality and order.  The dual equation and the
+nonvanishing hypothesis of the corollaries evaluate character sums at a
+primitive N-th root of unity modulo a product M of primes p = 1 (mod N);
+cyclotomic._ModField states the bound on M and the proof that these
+verdicts are then exact.  No predicate is decided by floating point or by
+a probabilistic test.  The lemma verifiers pass canonical cyclotomic
+values to the same equation loop, which stays the reference route.
 """
 
 from __future__ import annotations
@@ -26,12 +29,12 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from math import lcm
 
+from .cyclotomic import modular_field
 from .distributions import (
     Distribution,
-    char_fn,
+    char_fn_zero_classes,
+    char_residues,
     from_pmf,
     haar,
     has_haar_factor,
@@ -60,12 +63,6 @@ class HeydeInstance:
             raise ValueError("alpha is not an automorphism")
 
 
-def _scaled_masses(mu: Distribution, index: dict[Element, int]) -> list[tuple[int, int]]:
-    """(code, numerator) per support point, all numerators over one denominator."""
-    den = lcm(*(m.denominator for _, m in mu.masses))
-    return [(index[x], m.numerator * (den // m.denominator)) for x, m in mu.masses]
-
-
 def is_conditionally_symmetric(inst: HeydeInstance) -> bool:
     """Whether (L1, L2) and (L1, -L2) have the same exact joint distribution.
 
@@ -76,11 +73,10 @@ def is_conditionally_symmetric(inst: HeydeInstance) -> bool:
     """
     spec = inst.spec
     n = spec.exponent
-    index = spec.crt_index
     a = spec.crt(inst.alpha.multipliers)
-    second = [(r, a * r, w) for r, w in _scaled_masses(inst.mu2, index)]
+    second = [(r, a * r, w) for r, w in inst.mu2.crt_masses[1]]
     joint: dict[int, int] = {}
-    for r1, w1 in _scaled_masses(inst.mu1, index):
+    for r1, w1 in inst.mu1.crt_masses[1]:
         for r2, ar2, w2 in second:
             key = (r1 + r2) % n * n + (r1 + ar2) % n
             joint[key] = joint.get(key, 0) + w1 * w2
@@ -96,6 +92,7 @@ def first_equation_violation(
     f: Callable[[Element], object],
     g: Callable[[Element], object],
     beta: Endomorphism,
+    modulus: int | None = None,
 ) -> tuple[Element, Element] | None:
     """First (u, v) with f(u + v) g(u + beta v) != f(u - v) g(u - beta v), or None.
 
@@ -106,8 +103,11 @@ def first_equation_violation(
     to small ints, so each value is hashed once.  Products are memoized by
     id pair and interned too, so two sides agree exactly when their
     product ids do.  Every product is computed by the values' own
-    multiplication and equality is the values' own equality, so with
-    cyclotomic values (canonical reduced forms) the verdict is exact.
+    multiplication (reduced mod modulus when one is given) and equality is
+    the values' own equality.  With cyclotomic values (canonical reduced
+    forms) and no modulus the verdict, and the (u, v) reported, are exact;
+    with residues the verdict is exact under the bound of
+    cyclotomic._ModField, and the (u, v) is a true violation.
     """
     n = spec.exponent
     elements = spec.crt_elements
@@ -130,6 +130,8 @@ def first_equation_violation(
 
     def product_id(a_id: int, b_id: int) -> int:
         value = values[a_id] * values[b_id]
+        if modulus is not None:
+            value %= modulus
         return product_ids.setdefault(value, len(product_ids))
 
     codes = spec.crt_codes
@@ -175,15 +177,24 @@ def satisfies_heyde_equation(inst: HeydeInstance) -> bool:
     Verifies that the product of the two characteristic functions at
     (u + v, u + adjoint(alpha) v) equals the product at
     (u - v, u - adjoint(alpha) v) for all dual pairs (u, v).  Character
-    values are exact elements of the cyclotomic field in canonical reduced
-    form and products are computed there, so the verdict is decided by
-    exact equality; see first_equation_violation for the loop.
+    values are evaluated at a primitive N-th root of unity modulo M, a
+    product of primes p = 1 (mod N), with M > 2 * D1 * D2 * R for mass
+    denominators D1, D2; cyclotomic._ModField proves that this decides the
+    identity exactly in both directions.  See first_equation_violation for
+    the loop.
     """
+    spec = inst.spec
+    index = spec.crt_index
+    d1, d2 = inst.mu1.crt_masses[0], inst.mu2.crt_masses[0]
+    field = modular_field(spec.exponent, 2 * d1 * d2)
+    f = char_residues(inst.mu1, field)
+    g = char_residues(inst.mu2, field)
     violation = first_equation_violation(
-        inst.spec,
-        partial(char_fn, inst.mu1),
-        partial(char_fn, inst.mu2),
+        spec,
+        lambda y: f(index[y]),
+        lambda y: g(index[y]),
         inst.alpha.adjoint(),
+        field.modulus,
     )
     return violation is None
 
@@ -216,7 +227,7 @@ def _canonical_shift(mu: Distribution, sub: Subgroup) -> tuple[Element, Distribu
     n = spec.exponent
     rank = spec.crt_rank
     d = n // sub.order
-    points = _scaled_masses(mu, spec.crt_index)
+    points = mu.crt_masses[1]
     base = points[0][0]
     if any((r - base) % d for r, _ in points):
         raise VerificationFailure("no valid shift found")
@@ -331,8 +342,8 @@ def classify_corollary(inst: HeydeInstance, dec: HeydeDecomposition) -> Corollar
             )
         )
 
-    nonvanishing = all(
-        not char_fn(mu, y).is_zero() for mu in (inst.mu1, inst.mu2) for y in spec.elements()
+    nonvanishing = not any(
+        any(char_fn_zero_classes(mu).values()) for mu in (inst.mu1, inst.mu2)
     )
     if nonvanishing:
         verified = all(kernel.contains(x) for x in dec.lam.support())

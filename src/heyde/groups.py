@@ -171,15 +171,17 @@ class GroupSpec:
             out[r] = i
         return tuple(out)
 
+    @cached_property
+    def crt_pair_unit(self) -> int:
+        """s with pair_exponent(x, y) = s * crt(x) * crt(y) mod N."""
+        return sum(self._pair_weights) % self.exponent
+
     def pair_exponent(self, x: Element, y: Element) -> int:
         """t with (x, y) = zeta_N ** t for the fixed self-duality pairing."""
         t = 0
         for a, b, w in zip(x, y, self._pair_weights):
             t += a * b * w
         return t % self.exponent
-
-    def pair(self, x: Element, y: Element) -> "RootOfUnity":
-        return RootOfUnity(self.exponent, self.pair_exponent(x, y))
 
     def describe(self) -> str:
         return " x ".join(f"Z({c.p}^{c.k})" if c.k > 1 else f"Z({c.p})" for c in self.components)
@@ -208,29 +210,6 @@ def validate_spec(raw) -> GroupSpec:
                 raise ValueError(f"component entry {entry!r} not understood")
         components.append(Component(int(p), int(k), ComponentKind(kind)))
     return GroupSpec(tuple(components))
-
-
-@dataclass(frozen=True)
-class RootOfUnity:
-    """exp(2*pi*i*exponent/order); multiplication adds exponents."""
-
-    order: int
-    exponent: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "exponent", self.exponent % self.order)
-
-    def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
-        if self.order != other.order:
-            raise ValueError("order mismatch")
-        return RootOfUnity(self.order, self.exponent + other.exponent)
-
-    def conj(self) -> "RootOfUnity":
-        return RootOfUnity(self.order, -self.exponent)
-
-    @property
-    def is_one(self) -> bool:
-        return self.exponent == 0
 
 
 def valuation(n: int, p: int, cap: int) -> int:

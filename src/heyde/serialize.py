@@ -63,7 +63,8 @@ def _int_tuple(obj, what: str) -> tuple[int, ...]:
 
 
 def element_from_obj(spec: GroupSpec, obj):
-    return spec.reduce(_int_tuple(obj, "element"))
+    # Writers emit reduced coordinates only, so [-8] or [11] on Z(9) is an error.
+    return spec.require_element(_int_tuple(obj, "element"))
 
 
 def subgroup_to_obj(sub: Subgroup) -> list[int]:

@@ -159,6 +159,26 @@ def test_boolean_construction_fields_exit_2(tmp_path, capsys):
         _exit_2_with(capsys, ["construct", "--input", path], fragment)
 
 
+def test_unreduced_mass_point_exits_2(tmp_path, capsys):
+    # out-of-range coordinates used to be reduced silently
+    for x in ([-2], [5], [8]):
+        bad = degenerate_instance(3, 1, 2)
+        bad["mu1"] = [{"x": x, "num": 1, "den": 1}]
+        path = write(tmp_path, "inst.json", bad)
+        for command in ("check", "decompose", "verify-lemmas"):
+            _exit_2_with(capsys, [command, "--input", path], "not a reduced element")
+
+
+def test_unreduced_construction_x2_exits_2(tmp_path, capsys):
+    base = {"spec": Z9_SPEC, "subgroup": [1], "alpha": [2]}
+    for x2 in ([-8], [11], [9]):
+        path = write(tmp_path, "construction.json", {**base, "x2": x2})
+        _exit_2_with(capsys, ["construct", "--input", path], "not a reduced element")
+    rho = [{"x": [12], "num": 1, "den": 1}]
+    path = write(tmp_path, "construction.json", {**base, "x2": [4], "rho": rho})
+    _exit_2_with(capsys, ["construct", "--input", path], "not a reduced element")
+
+
 def test_boolean_sweep_automorphism_exits_2(tmp_path, capsys):
     config = {"specs": [Z5_SPEC], "automorphisms": [[True]], "budget": 1}
     path = write(tmp_path, "sweep.json", config)

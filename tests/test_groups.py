@@ -57,8 +57,7 @@ def test_pairing_examples():
     assert Z9.pair_exponent((3,), (3,)) == 0
     # single 5-adic layer: unit element against the smallest character
     z5 = validate_spec([(5, 1, "padic")])
-    root = z5.pair((1,), (1,))
-    assert root.order == 5 and root.exponent == 1
+    assert z5.exponent == 5 and z5.pair_exponent((1,), (1,)) == 1
     assert Z9xZ5.pair_exponent((1, 1), (0, 0)) == 0
 
 
@@ -143,9 +142,3 @@ def test_element_validation():
     with pytest.raises(ValueError, match="wrong arity"):
         Z9.reduce((1, 2))
     assert Z9.reduce((11,)) == (2,)
-
-
-def test_root_of_unity_multiplication():
-    r = Z9.pair((1,), (2,)) * Z9.pair((1,), (3,))
-    assert r.exponent == Z9.pair_exponent((1,), (5,))
-    assert Z9.pair((0,), (4,)).is_one
