@@ -9,6 +9,7 @@ predicates disagree, 2 for invalid input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -90,14 +91,14 @@ def cmd_construct(args) -> int:
     _check_size(spec)
     sub = serialize.subgroup_from_obj(spec, obj["subgroup"])
     alpha = serialize.endo_from_obj(spec, obj["alpha"])
-    seed = int(obj.get("seed", args.seed))
+    seed = serialize.int_from_obj(obj.get("seed", args.seed), "seed")
     stream = DeterministicStream(seed, label="construct")
     if "rho" in obj and obj["rho"] is not None:
         rho = serialize.distribution_from_obj(spec, obj["rho"])
     else:
         rho = random_distribution(
             spec,
-            int(obj.get("max_denominator", args.denominator)),
+            serialize.int_from_obj(obj.get("max_denominator", args.denominator), "max_denominator"),
             stream.derive("rho"),
             support=sub,
         )
@@ -201,8 +202,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args does not change the parser.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except VerificationFailure as exc:

@@ -77,24 +77,27 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 
 class _Ring:
-    """Precomputed reduction data for Q(zeta_N)."""
+    """Precomputed reduction data for Q(zeta_N).
+
+    rows[e - degree] lists the nonzero (t, c) of the reduced form of
+    zeta**e, degree <= e < N, so a reduction touches only nonzero entries
+    (at N = 315, 19 of 144 on average).
+    """
 
     def __init__(self, n: int):
         phi = cyclotomic_polynomial(n)
         self.order = n
         self.degree = len(phi) - 1
-        rows: list[tuple[int, ...]] = []
-        cur = [-c for c in phi[: self.degree]]  # x**degree reduced
-        rows.append(tuple(cur))
-        for _ in range(self.degree + 1, n):
+        base = [-c for c in phi[: self.degree]]  # x**degree reduced
+        rows: list[tuple[tuple[int, int], ...]] = []
+        cur = base
+        for _ in range(self.degree, n):
+            rows.append(tuple((t, c) for t, c in enumerate(cur) if c))
             top = cur[-1]
-            nxt = [0] + cur[:-1]
+            cur = [0] + cur[:-1]
             if top:
-                base = rows[0]
-                nxt = [a + top * b for a, b in zip(nxt, base)]
-            cur = nxt
-            rows.append(tuple(cur))
-        self.rows = rows  # rows[e - degree] reduces zeta**e for degree <= e < n
+                cur = [a + top * b for a, b in zip(cur, base)]
+        self.rows = tuple(rows)
 
 
 _ring_cache: dict[int, _Ring] = {}
@@ -228,7 +231,7 @@ class _ModField:
             powers.append(powers[-1] * self.root % self.modulus)
         self.powers = powers  # powers[k] = omega**k mod M
         rows = _ring(order).rows
-        self.row_bound = max([1] + [abs(c) for row in rows for c in row])
+        self.row_bound = max([1] + [abs(c) for row in rows for _, c in row])
 
 
 _field_cache: dict[int, _ModField] = {}
@@ -354,10 +357,8 @@ class CycloElement:
             if ee < deg:
                 vec[ee] += c
             else:
-                row = ring.rows[ee - deg]
-                for t in range(deg):
-                    if row[t]:
-                        vec[t] += c * row[t]
+                for t, r in ring.rows[ee - deg]:
+                    vec[t] += c * r
         return CycloElement._make(self.order, vec, self.den * other.den)
 
     __rmul__ = __mul__
@@ -411,7 +412,7 @@ class CycloElement:
 def from_terms(order: int, terms, den: int = 1) -> CycloElement:
     """Sum of num * zeta**exponent monomials, reduced to canonical form."""
     ring = _ring(order)
-    deg, n = ring.degree, ring.order
+    deg, n, rows = ring.degree, ring.order, ring.rows
     vec = [0] * deg
     for e, c in terms:
         if not c:
@@ -420,10 +421,8 @@ def from_terms(order: int, terms, den: int = 1) -> CycloElement:
         if e < deg:
             vec[e] += c
         else:
-            row = ring.rows[e - deg]
-            for t in range(deg):
-                if row[t]:
-                    vec[t] += c * row[t]
+            for t, r in rows[e - deg]:
+                vec[t] += c * r
     return CycloElement._make(order, vec, den)
 
 

@@ -214,30 +214,56 @@ def has_haar_factor(lam: Distribution, sub: Subgroup) -> bool:
 def invert_char_table(spec: GroupSpec, table: dict[Element, CycloElement]) -> Distribution:
     """Recover a distribution from its full character table (exact inversion).
 
-    The inner sums are accumulated as raw exponent vectors over a common
-    denominator and reduced once per point, which keeps the exhaustive
-    identity checks cheap.
+    mu(x) = (1/N) sum_y f(y) zeta**(-t), t = pair_exponent(x, y).  Over the
+    common denominator D, f(y) = (1/D) sum_e c[y][e] zeta**e with integers
+    c[y][e] (e < N), and the product by zeta**(-t) moves c[y][e] to exponent
+    e - t mod N.  So each x needs, per exponent k, the integer
+    sum_y c[y][k + t] over y, which is reduced once.
+
+    The sums are exact integer Kronecker packing.  Let m be the number of
+    table entries (N for a full table), B the largest |c[y][e]|, and W a
+    whole number of bytes with 2**W > 2 * m * (B + 1).  Entry y becomes the
+    integer P_y with c[y][k] + B in bits kW..kW+W-1 (slot k), k < N, so
+    every slot is in [0, 2B].  P_y + (P_y << NW) holds two copies, and
+    shifting it right by tW puts c[y][k + t mod N] + B in slot k for every
+    k < N.  Adding those shifts over the m entries, each slot below bit NW
+    sums m values in [0, 2B], at most 2mB < 2**W, so no carry crosses a
+    slot boundary; the bits at and above NW, what the shifts leave of the
+    second copies, only carry upward and are masked off.  Slot k of the
+    masked sum minus m * B is then the exact coefficient.
     """
     n = spec.size
     order = spec.exponent
     den = 1
     for value in table.values():
         den = lcm(den, value.den)
-    entries = [
-        (y, value.num, den // value.den) for y, value in table.items()
-    ]
+    entries = [(y, [c * (den // value.den) for c in value.num]) for y, value in table.items()]
+    bias = max((abs(c) for _, coeffs in entries for c in coeffs), default=0)
+    nbytes = (2 * len(entries) * (bias + 1)).bit_length() // 8 + 1
+    width = 8 * nbytes
+    packed = []
+    for y, coeffs in entries:
+        slots = coeffs + [0] * (order - len(coeffs))
+        word = int.from_bytes(b"".join((c + bias).to_bytes(nbytes, "little") for c in slots), "little")
+        packed.append((spec.crt(y), word | word << (order * width)))
+    mask = (1 << (order * width)) - 1
+    unit = spec.crt_pair_unit
+    total_bias = len(entries) * bias
     pmf: dict[Element, Fraction] = {}
     for x in spec.elements():
-        vec = [0] * order
-        for y, num, scale in entries:
-            t = spec.pair_exponent(x, y)
-            for e, c in enumerate(num):
-                if c:
-                    vec[(e - t) % order] += c * scale
-        acc = cyclotomic.from_terms(order, enumerate(vec), den)
-        if not acc.is_rational():
+        sx = unit * spec.crt(x)
+        acc = 0
+        for cy, word in packed:
+            acc += word >> (sx * cy % order * width)
+        raw = (acc & mask).to_bytes(order * nbytes, "little")
+        vec = [
+            int.from_bytes(raw[k : k + nbytes], "little") - total_bias
+            for k in range(0, order * nbytes, nbytes)
+        ]
+        value = cyclotomic.from_terms(order, enumerate(vec), den)
+        if not value.is_rational():
             raise VerificationFailure(f"inversion produced a non-rational mass at {x}")
-        q = acc.rational_value() / n
+        q = value.rational_value() / n
         if q:
             pmf[x] = q
     return from_pmf(spec, pmf)

@@ -5,6 +5,14 @@ violation can never be the artifact of a bad fixture.  Logarithmic
 identities are checked in multiplicative (telescoping product) form to
 stay in exact arithmetic; a floating log form is available as a
 cross-check at a caller-supplied tolerance.
+
+The tables are arbitrary: nothing requires them to be character tables
+or Galois-equivariant, so the modular evaluation of cyclotomic._ModField
+does not apply.  The checks stay on exact canonical CycloElements and are
+made cheap by repetition instead: the hypotheses decide each sign once per
+distinct table value, and the equation loop and the triple-difference
+scan intern values and products to ids, so each distinct product is
+computed once and equal sides have equal ids.
 """
 
 from __future__ import annotations
@@ -73,6 +81,11 @@ def finite_difference(fn: DualFunction, h: Element, order: int = 1) -> DualFunct
     return dual_function(spec, current)
 
 
+def _distinct_values(*fns: DualFunction) -> list:
+    """The values of the tables, each once, in first-seen order."""
+    return list(dict.fromkeys(v for fn in fns for v in fn.values.values()))
+
+
 def _is_zero_value(value) -> bool:
     if isinstance(value, CycloElement):
         return value.is_zero()
@@ -111,24 +124,60 @@ class DifferenceLemmaReport:
         return self.evaluated and bool(self.first_conclusion_ok and self.second_conclusion_ok)
 
 
-def _triple_difference_holds(fn: DualFunction, steps: tuple[Element, Element, Element], y: Element) -> bool:
-    # Multiplicative form of a vanishing triple difference of log f.
+def _image_codes(spec: GroupSpec, endo: Endomorphism) -> list[int]:
+    """CRT codes of the image of endo, in element_list order."""
+    n = spec.exponent
+    m = spec.crt(endo.multipliers)
+    return sorted({m * r % n for r in range(n)}, key=spec.crt_rank.__getitem__)
+
+
+def _first_triple_violation(fn: DualFunction, step_endos) -> tuple[int, tuple | None]:
+    """Scan the multiplicative triple-difference identity of log fn.
+
+    For a, b, c in the images of the three step endomorphisms (each in
+    element order) and y in element_list, in that order, tests
+    f(y+a+b+c) f(y+a) f(y+b) f(y+c) == f(y+a+b) f(y+a+c) f(y+b+c) f(y).
+    Returns the number of checks made and the first failing (a, b, c, y),
+    or None.  The loop runs on CRT codes.  Table values and every product
+    are interned to ids in one table, and the product of two ids is
+    memoized by the id pair, so each side is the product of two interned
+    pair products.  The values are canonical cyclotomic elements, so two
+    sides are equal exactly when their ids are.
+    """
     spec = fn.spec
-    a, b, c = steps
-    f = fn.values
-    lhs = (
-        f[spec.add(spec.add(spec.add(y, a), b), c)]
-        * f[spec.add(y, a)]
-        * f[spec.add(y, b)]
-        * f[spec.add(y, c)]
-    )
-    rhs = (
-        f[spec.add(spec.add(y, a), b)]
-        * f[spec.add(spec.add(y, a), c)]
-        * f[spec.add(spec.add(y, b), c)]
-        * f[y]
-    )
-    return lhs == rhs
+    elements = spec.crt_elements
+    interned: dict = {}
+    known: list = []
+    memo: dict[tuple[int, int], int] = {}
+
+    def intern(value) -> int:
+        vid = interned.get(value)
+        if vid is None:
+            vid = interned[value] = len(known)
+            known.append(value)
+        return vid
+
+    def product(i: int, j: int) -> int:
+        pid = memo.get((i, j))
+        if pid is None:
+            pid = memo[i, j] = intern(known[i] * known[j])
+        return pid
+
+    ids = [intern(fn(x)) for x in elements] * 4  # every index below is < 4N
+    a_steps, b_steps, c_steps = (_image_codes(spec, e) for e in step_endos)
+    checks = 0
+    for a in a_steps:
+        for b in b_steps:
+            ab = a + b
+            for c in c_steps:
+                abc, ac, bc = ab + c, a + c, b + c
+                for y in spec.crt_codes:
+                    checks += 1
+                    lhs = product(product(ids[y + abc], ids[y + a]), product(ids[y + b], ids[y + c]))
+                    rhs = product(product(ids[y + ab], ids[y + ac]), product(ids[y + bc], ids[y]))
+                    if lhs != rhs:
+                        return checks, tuple(elements[k] for k in (a, b, c, y))
+    return checks, None
 
 
 def verify_difference_lemma(
@@ -148,8 +197,7 @@ def verify_difference_lemma(
         raise ValueError("spec mismatch")
     positive = all(
         isinstance(v, CycloElement) and v.is_real() and v.real_sign() > 0
-        for fn in (f1, f2)
-        for v in fn.values.values()
+        for v in _distinct_values(f1, f2)
     )
     violation = first_equation_violation(spec, f1, f2, beta) if positive else None
     hypothesis_ok = positive and violation is None
@@ -176,9 +224,6 @@ def verify_difference_lemma(
     two_beta = beta.add(beta)
     double = one.add(one)
 
-    def step_set(endo: Endomorphism) -> list[Element]:
-        return sorted({endo.apply(k) for k in spec.element_list})
-
     checks = 0
     first_violation = None
     results = []
@@ -186,25 +231,12 @@ def verify_difference_lemma(
         (f1, (one_plus, double, one_minus)),
         (f2, (two_beta, one_plus, one_minus)),
     ):
-        ok = True
-        step_choices = [step_set(e) for e in step_endos]
-        for a in step_choices[0]:
-            for b in step_choices[1]:
-                for c in step_choices[2]:
-                    for y in spec.element_list:
-                        checks += 1
-                        if not _triple_difference_holds(fn, (a, b, c), y):
-                            ok = False
-                            if first_violation is None:
-                                first_violation = f"steps {(a, b, c)} at y = {y}"
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        results.append(ok)
+        made, failed = _first_triple_violation(fn, step_endos)
+        checks += made
+        results.append(failed is None)
+        if failed is not None and first_violation is None:
+            a, b, c, y = failed
+            first_violation = f"steps {(a, b, c)} at y = {y}"
 
     max_residual = None
     if tolerance is not None:
@@ -287,7 +319,7 @@ def verify_fixed_point_lemma(
     if g.spec != spec or beta.spec != spec:
         raise ValueError("spec mismatch")
     invertible = identity(spec).add(beta.neg()).is_automorphism()
-    bounds = all(_within_unit_interval(v) for fn in (f, g) for v in fn.values.values())
+    bounds = all(_within_unit_interval(v) for v in _distinct_values(f, g))
     violation = first_equation_violation(spec, f, g, beta) if bounds and invertible else None
     equation_ok = violation is None and bounds and invertible
     if not equation_ok:

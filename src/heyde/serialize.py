@@ -56,6 +56,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def int_from_obj(value, what: str) -> int:
+    """A JSON integer; booleans, strings and floats are refused."""
+    if not _is_int(value):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _int_tuple(obj, what: str) -> tuple[int, ...]:
     if not isinstance(obj, list) or not all(_is_int(c) for c in obj):
         raise ValueError(f"{what} must be a list of integers, got {obj!r}")
@@ -90,7 +97,7 @@ def unit_to_obj(unit: PAdicUnit) -> dict:
 def unit_from_obj(obj) -> PAdicUnit:
     if not isinstance(obj, dict):
         raise ValueError("p-adic unit must be an object with 'p' and 'digits'")
-    return PAdicUnit(int(obj["p"]), tuple(int(d) for d in obj["digits"]))
+    return PAdicUnit(int_from_obj(obj["p"], "p"), _int_tuple(obj["digits"], "digits"))
 
 
 # -- distributions -----------------------------------------------------------
@@ -230,11 +237,11 @@ def sweep_config_from_obj(obj) -> SweepConfig:
     return SweepConfig(
         specs=specs,
         mode=obj.get("mode", "random"),
-        denominator=int(obj.get("denominator", 2)),
-        max_denominator=int(obj.get("max_denominator", 8)),
-        budget=int(obj.get("budget", 100)),
+        denominator=int_from_obj(obj.get("denominator", 2), "denominator"),
+        max_denominator=int_from_obj(obj.get("max_denominator", 8), "max_denominator"),
+        budget=int_from_obj(obj.get("budget", 100), "budget"),
         automorphisms=autos,
-        seed=int(obj.get("seed", 0)),
+        seed=int_from_obj(obj.get("seed", 0), "seed"),
     )
 
 

@@ -8,6 +8,10 @@ subgroup/annihilator/character machinery.
 import cmath
 import itertools
 from fractions import Fraction
+from math import gcd
+
+from heyde import from_pmf
+from heyde.errors import VerificationFailure
 
 
 def all_elements(orders):
@@ -146,3 +150,102 @@ def brute_canonical_shift(orders, pmf, members):
             if best is None or key < best:
                 best = key
     return best
+
+
+def dense_reduction_rows(n, phi):
+    """Coefficient lists of zeta**e reduced modulo the monic phi, for
+    deg(phi) <= e < n, every entry kept, zeros included."""
+    degree = len(phi) - 1
+    base = [-c for c in phi[:degree]]
+    rows = [base]
+    for _ in range(degree + 1, n):
+        cur = rows[-1]
+        nxt = [0] + cur[:-1]
+        rows.append([a + cur[-1] * b for a, b in zip(nxt, base)])
+    return rows
+
+
+def dense_reduce(n, rows, degree, vec):
+    """Reduce a coefficient list indexed by exponent (mod n) with dense rows."""
+    out = [0] * degree
+    for e, c in enumerate(vec):
+        if not c:
+            continue
+        e %= n
+        if e < degree:
+            out[e] += c
+        else:
+            for t, r in enumerate(rows[e - degree]):
+                out[t] += c * r
+    return out
+
+
+def dense_mul(n, rows, degree, a, b):
+    """Reduced product of two reduced coefficient lists."""
+    conv = [0] * (2 * degree - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                conv[i + j] += x * y
+    return dense_reduce(n, rows, degree, conv)
+
+
+def reference_invert_char_table(spec, table, phi):
+    """Per-x Fourier inversion: for each x, every table entry's coefficients
+    are moved by the pairing exponent into one length-N vector, which is
+    reduced once with dense rows; the result must be rational.
+
+    Raises VerificationFailure for a non-rational mass and returns the pmf
+    through from_pmf, so its errors are the library's."""
+    n = spec.exponent
+    degree = len(phi) - 1
+    rows = dense_reduction_rows(n, phi)
+    den = 1
+    for value in table.values():
+        den = den * value.den // gcd(den, value.den)
+    entries = [
+        (y, [(e, c * (den // value.den)) for e, c in enumerate(value.num) if c])
+        for y, value in table.items()
+    ]
+    pmf = {}
+    for x in spec.elements():
+        vec = [0] * n
+        for y, terms in entries:
+            t = raw_pair_exponent(spec.orders, x, y)
+            for e, c in terms:
+                vec[(e - t) % n] += c
+        reduced = dense_reduce(n, rows, degree, vec)
+        if any(reduced[1:]):
+            raise VerificationFailure(f"inversion produced a non-rational mass at {x}")
+        q = Fraction(reduced[0], den) / n
+        if q:
+            pmf[x] = q
+    return from_pmf(spec, pmf)
+
+
+def brute_triple_violation(orders, f, step_multipliers):
+    """Checks made and the first (a, b, c, y) at which
+    f(y+a+b+c) f(y+a) f(y+b) f(y+c) != f(y+a+b) f(y+a+c) f(y+b+c) f(y),
+    or None.  a, b, c run over the sorted images of the three multiplier
+    vectors and y over all elements, lexicographically; both sides are
+    multiplied left to right with no memo."""
+    elements = all_elements(orders)
+    steps = [sorted({raw_apply(orders, m, k) for k in elements}) for m in step_multipliers]
+
+    def at(*xs):
+        total = xs[0]
+        for x in xs[1:]:
+            total = raw_add(orders, total, x)
+        return f(total)
+
+    checks = 0
+    for a in steps[0]:
+        for b in steps[1]:
+            for c in steps[2]:
+                for y in elements:
+                    checks += 1
+                    lhs = at(y, a, b, c) * at(y, a) * at(y, b) * at(y, c)
+                    rhs = at(y, a, b) * at(y, a, c) * at(y, b, c) * at(y)
+                    if lhs != rhs:
+                        return checks, (a, b, c, y)
+    return checks, None

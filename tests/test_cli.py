@@ -185,6 +185,27 @@ def test_boolean_sweep_automorphism_exits_2(tmp_path, capsys):
     _exit_2_with(capsys, ["sweep", "--input", path], "automorphism")
 
 
+def test_non_integer_sweep_fields_exit_2(tmp_path, capsys):
+    # these fields went through int(), so true, "3" and 2.7 were accepted
+    base = {"specs": [Z5_SPEC], "budget": 1}
+    for key, value in (
+        ("budget", True),
+        ("seed", "3"),
+        ("max_denominator", 2.7),
+        ("denominator", True),
+        ("seed", None),
+    ):
+        path = write(tmp_path, "sweep.json", {**base, key: value})
+        _exit_2_with(capsys, ["sweep", "--input", path], f"{key} must be an integer")
+
+
+def test_non_integer_construction_fields_exit_2(tmp_path, capsys):
+    base = {"spec": Z9_SPEC, "subgroup": [1], "alpha": [2], "x2": [4]}
+    for key, value in (("seed", True), ("seed", "7"), ("max_denominator", 8.0), ("max_denominator", False)):
+        path = write(tmp_path, "construction.json", {**base, key: value})
+        _exit_2_with(capsys, ["construct", "--input", path], f"{key} must be an integer")
+
+
 def test_sweep_exhaustive_small(tmp_path, capsys):
     config = {
         "specs": [{"components": [{"p": 3, "k": 1, "kind": "finite"}]}],

@@ -54,6 +54,13 @@ def test_unit_roundtrip():
     assert serialize.unit_from_obj(serialize.unit_to_obj(unit)) == unit
 
 
+def test_unit_reader_rejects_non_integers():
+    for bad in ({"p": True, "digits": [2]}, {"p": 3.0, "digits": [2]}, {"p": 3, "digits": ["2"]},
+                {"p": 3, "digits": [True]}, {"p": 3, "digits": "2"}):
+        with pytest.raises(ValueError, match="must be"):
+            serialize.unit_from_obj(bad)
+
+
 def test_reader_rejects_bad_mass():
     base = {"x": [0], "num": 1, "den": 2}
     with pytest.raises(ValueError, match="total mass"):
