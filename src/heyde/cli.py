@@ -29,9 +29,13 @@ from .lemmas import (
     verify_fixed_point_lemma,
 )
 from .rng import DeterministicStream
-from .sweep import run_sweep
+from .sweep import exhaustive_instances, run_sweep
 
 MAX_GROUP_SIZE = 10**6
+# An exhaustive sweep runs |Aut| x C(d + N - 1, N - 1)**2 instances per
+# spec; above this many (about a minute at the measured cost per instance)
+# it is refused before anything is enumerated.
+MAX_SWEEP_INSTANCES = 2 * 10**6
 
 
 def _load_json(path: str):
@@ -128,6 +132,16 @@ def cmd_sweep(args) -> int:
     config = serialize.sweep_config_from_obj(obj)
     for spec in config.specs:
         _check_size(spec)
+        if config.mode == "exhaustive":
+            count = exhaustive_instances(spec, config)
+            if count is None or count > MAX_SWEEP_INSTANCES:
+                needs = "more than 10**30" if count is None else f"{count:,}"
+                raise ValueError(
+                    f"exhaustive sweep on {spec.describe()} at denominator "
+                    f"{config.denominator} needs {needs} instances "
+                    f"(|Aut| x C(d + N - 1, N - 1)**2), above the limit of "
+                    f"{MAX_SWEEP_INSTANCES:,}"
+                )
     report = run_sweep(config)
     _emit(serialize.sweep_report_to_obj(report), args.output)
     return 0 if report.ok else 1

@@ -57,6 +57,11 @@ class Distribution:
         index = self.spec.crt_index
         return den, tuple((index[x], m.numerator * (den // m.denominator)) for x, m in self.masses)
 
+    @cached_property
+    def _residues(self) -> dict:
+        # field -> the memoized residue function of char_residues
+        return {}
+
     def support(self) -> tuple[Element, ...]:
         return tuple(x for x, _ in self.masses)
 
@@ -130,16 +135,30 @@ def char_residues(mu: Distribution, field) -> Callable[[int], int]:
 
     With masses a_x / D this is the sum of a_x * omega**(s * x * y mod N),
     s = spec.crt_pair_unit.  The caller picks the field for the bound its
-    zero test needs (cyclotomic._ModField).
+    zero test needs (cyclotomic._ModField).  The function is memoized on
+    mu, keyed by the field object, and fills a code-indexed list as it is
+    called, so each residue of mu is computed at most once per field for
+    the life of mu, however many instances or zero tests share mu.
     """
+    residue = mu._residues.get(field)
+    if residue is None:
+        residue = mu._residues[field] = _residue_function(mu, field)
+    return residue
+
+
+def _residue_function(mu: Distribution, field) -> Callable[[int], int]:
     spec = mu.spec
     n = spec.exponent
     s = spec.crt_pair_unit
     terms = [(s * x % n, a) for x, a in mu.crt_masses[1]]
     powers, modulus = field.powers, field.modulus
+    values: list = [None] * n
 
     def residue(y: int) -> int:
-        return sum(a * powers[t * y % n] for t, a in terms) % modulus
+        value = values[y]
+        if value is None:
+            value = values[y] = sum(a * powers[t * y % n] for t, a in terms) % modulus
+        return value
 
     return residue
 
@@ -189,18 +208,41 @@ def min_support_subgroup(mu: Distribution) -> Subgroup:
     return subgroup_generated(mu.spec, mu.support())
 
 
+def _is_haar_fixed_point(lam: Distribution, sub: Subgroup) -> bool:
+    """Whether lam == lam * haar(sub), on integer numerators.
+
+    (lam * haar(sub))(r) = (1/|sub|) sum_{s in sub} lam(r - s) is the mean
+    of lam over the coset r + sub.  So lam is a fixed point exactly when
+    lam is constant on every coset: if it is, each mean is that constant;
+    if lam equals its coset mean at every point of a coset, it takes one
+    value there.  On CRT codes sub is the multiples of d = N / |sub|, and
+    its cosets are the residue classes r mod d.  A class that meets the
+    support must then lie wholly in it, |sub| points with one numerator
+    over the common denominator D; a class that misses it is zero.
+    """
+    if lam.spec != sub.spec:
+        raise ValueError("spec mismatch")
+    d = lam.spec.exponent // sub.order
+    classes: dict[int, list[int]] = {}
+    for r, a in lam.crt_masses[1]:
+        seen = classes.setdefault(r % d, [a, 0])
+        if seen[0] != a:
+            return False
+        seen[1] += 1
+    return all(count == sub.order for _, count in classes.values())
+
+
 def has_haar_factor(lam: Distribution, sub: Subgroup) -> bool:
     """Whether the uniform distribution on sub is a convolution factor of lam.
 
     Decided along two independent routes that must agree: the fixed-point
-    identity lam == lam * haar(sub) in exact rationals, and vanishing of
-    the character sum off the annihilator of sub.  The annihilator's codes
-    are the multiples of step = N / |ann|, so its complement is the union
-    of the gcd classes that step does not divide.
+    identity lam == lam * haar(sub) on integer numerators
+    (_is_haar_fixed_point), and vanishing of the character sum off the
+    annihilator of sub.  The annihilator's codes are the multiples of
+    step = N / |ann|, so its complement is the union of the gcd classes
+    that step does not divide.
     """
-    if lam.spec != sub.spec:
-        raise ValueError("spec mismatch")
-    fixed_point = lam == convolve(lam, haar(sub))
+    fixed_point = _is_haar_fixed_point(lam, sub)
     step = lam.spec.exponent // sub.annihilator().order
     vanishing = all(zero for g, zero in char_fn_zero_classes(lam).items() if g % step)
     if fixed_point != vanishing:

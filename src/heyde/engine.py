@@ -14,14 +14,21 @@ truncated p-adic components) are checked by the corollary classifier.
 The hot loops (the joint symmetry test, the dual-equation loop and the
 canonical shift) run on the CRT codes of GroupSpec, plain ints in Z(N),
 and decode to coordinate tuples only what they report.  The encoding is a
-bijection, and masses are integer numerators over a common denominator,
-which keeps every equality and order.  The dual equation and the
-nonvanishing hypothesis of the corollaries evaluate character sums at a
-primitive N-th root of unity modulo a product M of primes p = 1 (mod N);
+bijection, an endomorphism is one multiplier on it (Endomorphism.code),
+and masses are integer numerators over a common denominator, which keeps
+every equality and order.  The dual equation and the nonvanishing
+hypothesis of the corollaries evaluate character sums at a primitive N-th
+root of unity modulo a product M of primes p = 1 (mod N);
 cyclotomic._ModField states the bound on M and the proof that these
 verdicts are then exact.  No predicate is decided by floating point or by
 a probabilistic test.  The lemma verifiers pass canonical cyclotomic
 values to the same equation loop, which stays the reference route.
+
+Work that depends on one margin or one automorphism only is done once per
+object, not once per instance: a Distribution memoizes its residues per
+field (distributions.char_residues) and an Endomorphism its CRT
+multiplier and invertibility, so a sweep that pairs each margin with many
+others and many automorphisms pays for each of them once.
 """
 
 from __future__ import annotations
@@ -71,9 +78,8 @@ def is_conditionally_symmetric(inst: HeydeInstance) -> bool:
     common denominators; scaling every mass by one positive integer keeps
     every equality, so the verdict is the exact one.
     """
-    spec = inst.spec
-    n = spec.exponent
-    a = spec.crt(inst.alpha.multipliers)
+    n = inst.spec.exponent
+    a = inst.alpha.code
     second = [(r, a * r, w) for r, w in inst.mu2.crt_masses[1]]
     joint: dict[int, int] = {}
     for r1, w1 in inst.mu1.crt_masses[1]:
@@ -89,20 +95,21 @@ def is_conditionally_symmetric(inst: HeydeInstance) -> bool:
 
 def first_equation_violation(
     spec: GroupSpec,
-    f: Callable[[Element], object],
-    g: Callable[[Element], object],
+    f: Callable[[int], object],
+    g: Callable[[int], object],
     beta: Endomorphism,
     modulus: int | None = None,
 ) -> tuple[Element, Element] | None:
     """First (u, v) with f(u + v) g(u + beta v) != f(u - v) g(u - beta v), or None.
 
-    v runs over element_list and, for each v, u does too; v = 0 and each v
-    whose negation comes earlier are skipped, since (u, -v) states the same
-    identity as (u, v).  The loop runs on CRT codes.  f and g are called
-    lazily, at most once per element each, and their values are interned
-    to small ints, so each value is hashed once.  Products are memoized by
-    id pair and interned too, so two sides agree exactly when their
-    product ids do.  Every product is computed by the values' own
+    f and g take CRT codes (ints in Z(N)), not Elements; the (u, v)
+    reported is decoded to Elements.  v runs over element_list and, for
+    each v, u does too; v = 0 and each v whose negation comes earlier are
+    skipped, since (u, -v) states the same identity as (u, v).  f and g
+    are called lazily, at most once per code each, and their values are
+    interned to small ints, so each value is hashed once.  Products are
+    memoized by id pair and interned too, so two sides agree exactly when
+    their product ids do.  Every product is computed by the values' own
     multiplication (reduced mod modulus when one is given) and equality is
     the values' own equality.  With cyclotomic values (canonical reduced
     forms) and no modulus the verdict, and the (u, v) reported, are exact;
@@ -110,9 +117,8 @@ def first_equation_violation(
     cyclotomic._ModField, and the (u, v) is a true violation.
     """
     n = spec.exponent
-    elements = spec.crt_elements
     rank = spec.crt_rank
-    b = spec.crt(beta.multipliers)
+    b = beta.code
     value_ids: dict = {}
     values: list = []
     product_ids: dict = {}
@@ -143,19 +149,19 @@ def first_equation_violation(
             i = (u + v) % n
             f1 = f_ids[i]
             if f1 < 0:
-                f1 = f_ids[i] = intern(f(elements[i]))
+                f1 = f_ids[i] = intern(f(i))
             i = (u + bv) % n
             g1 = g_ids[i]
             if g1 < 0:
-                g1 = g_ids[i] = intern(g(elements[i]))
+                g1 = g_ids[i] = intern(g(i))
             i = (u - v) % n
             f2 = f_ids[i]
             if f2 < 0:
-                f2 = f_ids[i] = intern(f(elements[i]))
+                f2 = f_ids[i] = intern(f(i))
             i = (u - bv) % n
             g2 = g_ids[i]
             if g2 < 0:
-                g2 = g_ids[i] = intern(g(elements[i]))
+                g2 = g_ids[i] = intern(g(i))
             if f1 == f2 and g1 == g2:
                 continue
             key = f1 * width + g1
@@ -167,6 +173,7 @@ def first_equation_violation(
             if rhs is None:
                 rhs = products[key] = product_id(f2, g2)
             if lhs != rhs:
+                elements = spec.crt_elements
                 return elements[u], elements[v]
     return None
 
@@ -180,19 +187,16 @@ def satisfies_heyde_equation(inst: HeydeInstance) -> bool:
     values are evaluated at a primitive N-th root of unity modulo M, a
     product of primes p = 1 (mod N), with M > 2 * D1 * D2 * R for mass
     denominators D1, D2; cyclotomic._ModField proves that this decides the
-    identity exactly in both directions.  See first_equation_violation for
-    the loop.
+    identity exactly in both directions.  The residues come memoized from
+    each margin (distributions.char_residues).  See first_equation_violation
+    for the loop.
     """
-    spec = inst.spec
-    index = spec.crt_index
     d1, d2 = inst.mu1.crt_masses[0], inst.mu2.crt_masses[0]
-    field = modular_field(spec.exponent, 2 * d1 * d2)
-    f = char_residues(inst.mu1, field)
-    g = char_residues(inst.mu2, field)
+    field = modular_field(inst.spec.exponent, 2 * d1 * d2)
     violation = first_equation_violation(
-        spec,
-        lambda y: f(index[y]),
-        lambda y: g(index[y]),
+        inst.spec,
+        char_residues(inst.mu1, field),
+        char_residues(inst.mu2, field),
         inst.alpha.adjoint(),
         field.modulus,
     )

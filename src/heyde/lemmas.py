@@ -124,10 +124,18 @@ class DifferenceLemmaReport:
         return self.evaluated and bool(self.first_conclusion_ok and self.second_conclusion_ok)
 
 
+def _equation_violation(f: DualFunction, g: DualFunction, beta: Endomorphism):
+    """engine.first_equation_violation on two tables, read on CRT codes."""
+    elements = f.spec.crt_elements
+    return first_equation_violation(
+        f.spec, lambda r: f(elements[r]), lambda r: g(elements[r]), beta
+    )
+
+
 def _image_codes(spec: GroupSpec, endo: Endomorphism) -> list[int]:
     """CRT codes of the image of endo, in element_list order."""
     n = spec.exponent
-    m = spec.crt(endo.multipliers)
+    m = endo.code
     return sorted({m * r % n for r in range(n)}, key=spec.crt_rank.__getitem__)
 
 
@@ -199,7 +207,7 @@ def verify_difference_lemma(
         isinstance(v, CycloElement) and v.is_real() and v.real_sign() > 0
         for v in _distinct_values(f1, f2)
     )
-    violation = first_equation_violation(spec, f1, f2, beta) if positive else None
+    violation = _equation_violation(f1, f2, beta) if positive else None
     hypothesis_ok = positive and violation is None
     if not hypothesis_ok:
         detail = "hypothesis not satisfied"
@@ -320,7 +328,7 @@ def verify_fixed_point_lemma(
         raise ValueError("spec mismatch")
     invertible = identity(spec).add(beta.neg()).is_automorphism()
     bounds = all(_within_unit_interval(v) for v in _distinct_values(f, g))
-    violation = first_equation_violation(spec, f, g, beta) if bounds and invertible else None
+    violation = _equation_violation(f, g, beta) if bounds and invertible else None
     equation_ok = violation is None and bounds and invertible
     if not equation_ok:
         parts = ["hypothesis not satisfied"]

@@ -10,6 +10,7 @@ closed-form exponents.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .groups import Element, GroupSpec, Subgroup, valuation
@@ -32,8 +33,18 @@ class Endomorphism:
     def apply(self, x: Element) -> Element:
         return tuple((m * c) % q for m, c, q in zip(self.multipliers, x, self.spec.orders))
 
+    @cached_property
+    def code(self) -> int:
+        """The CRT multiplier: on CRT codes this endomorphism is r -> code * r mod N."""
+        return self.spec.crt(self.multipliers)
+
+    @cached_property
+    def _invertible(self) -> bool:
+        return gcd(self.code, self.spec.exponent) == 1
+
     def is_automorphism(self) -> bool:
-        return all(gcd(m, c.p) == 1 for m, c in zip(self.multipliers, self.spec.components))
+        # code is a unit mod N exactly when each multiplier is a unit mod its component
+        return self._invertible
 
     def is_identity(self) -> bool:
         return all(m == 1 for m in self.multipliers)

@@ -10,6 +10,7 @@ violating instance is kept in full so it can be replayed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 
 from .engine import (
     _decompose,
@@ -65,6 +66,30 @@ def _alphas_for(spec: GroupSpec, config: SweepConfig) -> list[Endomorphism]:
     if config.automorphisms is None:
         return enumerate_automorphisms(spec)
     return [Endomorphism(spec, vec) for vec in config.automorphisms]
+
+
+def exhaustive_instances(spec: GroupSpec, config: SweepConfig) -> int | None:
+    """|Aut| x C(d + N - 1, N - 1)**2: the instances an exhaustive sweep runs
+    on spec, or None when that is more than 10**30.
+
+    |Aut| counts the automorphisms the sweep uses, and C(d + N - 1, N - 1)
+    the margins with masses in multiples of 1/d.  The binomial is built up
+    as C(d + N - 1 - k + i, i) for i = 1..k, k = min(d, N - 1), which grows
+    with i, so the loop can stop as soon as the count passes 10**30 and
+    stays short for any d.
+    """
+    n = spec.exponent
+    if config.automorphisms is not None:
+        autos = len(config.automorphisms)
+    else:
+        autos = prod(c.order - c.order // c.p for c in spec.components)
+    top, k = config.denominator + n - 1, min(config.denominator, n - 1)
+    margins = 1
+    for i in range(1, k + 1):
+        margins = margins * (top - k + i) // i
+        if autos * margins**2 > 10**30:
+            return None
+    return autos * margins**2
 
 
 def _record(report: SweepReport, inst: HeydeInstance, reason: str) -> None:

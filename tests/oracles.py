@@ -93,6 +93,29 @@ def brute_symmetric(orders, pmf1, pmf2, multipliers):
     return plus == minus
 
 
+def brute_exhaustive_sweep(orders, denominator):
+    """(instances, symmetric) of an exhaustive sweep over every automorphism.
+
+    Margins are the multisets of denominator points, each point carrying
+    mass 1/denominator; automorphisms are the multiplier vectors of units
+    mod each component order.  Symmetry is brute_symmetric on every pair.
+    """
+    pmfs = []
+    for points in itertools.combinations_with_replacement(all_elements(orders), denominator):
+        pmf = {}
+        for x in points:
+            pmf[x] = pmf.get(x, Fraction(0)) + Fraction(1, denominator)
+        pmfs.append(pmf)
+    units = [[m for m in range(q) if gcd(m, q) == 1] for q in orders]
+    instances = symmetric = 0
+    for multipliers in itertools.product(*units):
+        for pmf1 in pmfs:
+            for pmf2 in pmfs:
+                instances += 1
+                symmetric += brute_symmetric(orders, pmf1, pmf2, multipliers)
+    return instances, symmetric
+
+
 def brute_unit_modulus_points(orders, pmf):
     """Dual points where the pairing is constant on the support (|char| = 1)."""
     support = list(pmf)

@@ -224,6 +224,22 @@ def test_sweep_exhaustive_small(tmp_path, capsys):
     assert json.loads(open(out_path).read()) == report
 
 
+def test_exhaustive_sweep_above_the_cost_limit_exits_2(tmp_path, capsys, monkeypatch):
+    # Z(9) x Z(5) at denominator 4: 24 x C(48, 4)**2 instances, refused
+    # before a single margin is enumerated
+    import heyde.sweep
+
+    def enumerate_distributions(*args):
+        raise AssertionError("enumerated an inadmissible sweep")
+
+    monkeypatch.setattr(heyde.sweep, "enumerate_distributions", enumerate_distributions)
+    spec = json.dumps({"components": [{"p": 3, "k": 2}, {"p": 5, "k": 1}]})
+    _exit_2_with(capsys, ["sweep", "--spec", spec, "--denominator", "4"], "908,673,033,600 instances")
+    config = {"specs": [Z9_SPEC, json.loads(spec)], "mode": "exhaustive", "denominator": 4}
+    _exit_2_with(capsys, ["sweep", "--input", write(tmp_path, "sweep.json", config)], "above the limit")
+    _exit_2_with(capsys, ["sweep", "--spec", spec, "--denominator", str(10**9)], "more than 10**30")
+
+
 def test_sweep_random_seeded(tmp_path, capsys):
     config = {
         "specs": [Z9_SPEC],

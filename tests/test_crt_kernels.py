@@ -8,6 +8,7 @@ against the brute-force tuple routes of oracles.py on Z(9) x Z(5).
 import itertools
 from fractions import Fraction
 from functools import partial
+from math import gcd
 
 import pytest
 
@@ -71,7 +72,9 @@ def test_endomorphisms_act_as_one_multiplier():
     code = spec.crt_index
     for multipliers in itertools.product(*(range(q) for q in spec.orders)):
         endo = Endomorphism(spec, multipliers)
-        a = spec.crt(endo.multipliers)
+        a = endo.code
+        assert a == spec.crt(multipliers)
+        assert endo.is_automorphism() == (gcd(a, n) == 1)
         for x in spec.element_list:
             assert code[endo.apply(x)] == a * code[x] % n
 
@@ -90,6 +93,11 @@ def _chars(mu):
     return value
 
 
+def _on_codes(spec, fn):
+    """fn on Elements, read on CRT codes as first_equation_violation calls it."""
+    return lambda r: fn(spec.crt_elements[r])
+
+
 def _check_against_oracles(inst):
     spec = inst.spec
     orders = spec.orders
@@ -99,7 +107,7 @@ def _check_against_oracles(inst):
 
     f, g = _chars(inst.mu1), _chars(inst.mu2)
     expected = oracles.brute_equation_violation(orders, f, g, inst.alpha.multipliers)
-    assert first_equation_violation(spec, f, g, inst.alpha) == expected
+    assert first_equation_violation(spec, _on_codes(spec, f), _on_codes(spec, g), inst.alpha) == expected
     assert satisfies_heyde_equation(inst) == (expected is None) == symmetric
 
     if symmetric:
@@ -205,7 +213,7 @@ def test_first_violation_is_pinned(pmf1, pmf2, multipliers, first):
     alpha = make_endo(spec, multipliers)
     inst = HeydeInstance(spec, mu1, mu2, alpha)
     assert not _check_against_oracles(inst)
-    chars1, chars2 = partial(char_fn, mu1), partial(char_fn, mu2)
+    chars1, chars2 = _on_codes(spec, partial(char_fn, mu1)), _on_codes(spec, partial(char_fn, mu2))
     assert first_equation_violation(spec, chars1, chars2, alpha) == first
 
 

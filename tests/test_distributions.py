@@ -25,14 +25,17 @@ from heyde import (
     validate_spec,
     zeta,
 )
+from heyde.distributions import _is_haar_fixed_point
 from heyde.groups import Subgroup
 
+import acceptance_corpus as corpus
 import oracles
 
 Z5 = validate_spec([(5, 1)])
 Z9 = validate_spec([(3, 2)])
 Z27 = validate_spec([(3, 3)])
 Z9xZ5 = validate_spec([(3, 2), (5, 1)])
+Z25 = validate_spec([(5, 2)])
 
 K3 = Subgroup(Z9, (1,))  # 3Z(9)
 
@@ -160,6 +163,45 @@ def test_haar_factor_examples():
         rho = random_distribution(Z9, 6, stream.derive(str(i)))
         lam = convolve(rho, haar(K3))
         assert has_haar_factor(lam, K3)
+
+
+def _corpus_distributions():
+    instances = list(corpus.exhaustive_equivalence_instances())
+    instances += list(corpus.random_equivalence_instances())
+    instances += corpus.unit_digit_one_population()
+    lams = []
+    for fixtures in (
+        corpus.constructed_fixtures(),
+        corpus.haar_case_fixtures(),
+        corpus.fixed_point_fixtures(),
+        corpus.nonvanishing_difference_fixtures(),
+    ):
+        for fx in fixtures:
+            instances.append(fx.instance)
+            lams.append(fx.lam)
+    return set(lams) | {mu for inst in instances for mu in (inst.mu1, inst.mu2)}
+
+
+def test_integer_fixed_point_route_matches_convolution():
+    # the integer coset test of has_haar_factor against the Fraction identity
+    # lam == lam * haar(sub), on every subgroup of each corpus distribution's
+    # group (all six of Z(9) x Z(5) for most), plus shifted Haar measures
+    dists = _corpus_distributions()
+    dists |= {
+        shift(haar(sub), x)
+        for sub in enumerate_subgroups(Z9xZ5)
+        for x in Z9xZ5.element_list[::7]
+    }
+    assert {mu.spec for mu in dists} >= {Z9xZ5, Z9, Z27, Z25}
+    found = {True: 0, False: 0}
+    for mu in dists:
+        for sub in enumerate_subgroups(mu.spec):
+            expected = mu == convolve(mu, haar(sub))
+            assert _is_haar_fixed_point(mu, sub) == expected
+            found[expected] += 1
+            if mu.spec == Z9xZ5 and not sub.is_trivial:
+                assert has_haar_factor(mu, sub) == expected
+    assert min(found.values()) > 100
 
 
 def test_spec_mismatch_rejected():

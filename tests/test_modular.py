@@ -10,7 +10,6 @@ on char_fn tables with no modulus, and char_fn(...).is_zero().
 
 import itertools
 from fractions import Fraction
-from functools import partial
 from math import gcd, prod
 
 import pytest
@@ -37,7 +36,7 @@ from heyde import (
     shift,
     validate_spec,
 )
-from heyde import cyclotomic
+from heyde import cyclotomic, engine
 from heyde.cyclotomic import _is_prime, cyclotomic_polynomial, modular_field
 from heyde.distributions import char_fn_zero_classes, char_residues
 from heyde.engine import _decompose, first_equation_violation
@@ -65,8 +64,12 @@ def _prime_factors(n):
 
 def reference_equation(inst):
     """The equation loop on exact cyclotomic values, with no modulus."""
+    elements = inst.spec.crt_elements
     violation = first_equation_violation(
-        inst.spec, partial(char_fn, inst.mu1), partial(char_fn, inst.mu2), inst.alpha.adjoint()
+        inst.spec,
+        lambda r: char_fn(inst.mu1, elements[r]),
+        lambda r: char_fn(inst.mu2, elements[r]),
+        inst.alpha.adjoint(),
     )
     return violation is None
 
@@ -80,11 +83,8 @@ def check_equation(inst):
     d1, d2 = inst.mu1.crt_masses[0], inst.mu2.crt_masses[0]
     field = modular_field(spec.exponent, 2 * d1 * d2)
     f, g = char_residues(inst.mu1, field), char_residues(inst.mu2, field)
-    index = spec.crt_index
     beta = inst.alpha.adjoint()
-    found = first_equation_violation(
-        spec, lambda y: f(index[y]), lambda y: g(index[y]), beta, field.modulus
-    )
+    found = first_equation_violation(spec, f, g, beta, field.modulus)
     assert (found is None) == verdict
     if found is not None:
         u, v = found
@@ -197,6 +197,71 @@ def test_small_primes_still_decide_exactly(monkeypatch):
                 check_haar_factor(mu, sub)
         for i, (mu1, mu2) in enumerate(itertools.product(pmfs[::20], pmfs[::15])):
             check_equation(HeydeInstance(spec, mu1, mu2, alphas[i % len(alphas)]))
+
+
+class CountingField:
+    """A field whose power table counts its reads, so residue evaluations show."""
+
+    def __init__(self, field):
+        self.modulus = field.modulus
+        self.reads = 0
+        field_powers = field.powers
+        outer = self
+
+        class Powers(list):
+            def __getitem__(self, k):
+                outer.reads += 1
+                return field_powers[k]
+
+        self.powers = Powers(field_powers)
+
+
+def test_residue_memo_keeps_fields_apart(monkeypatch):
+    # One Distribution in two fields of different moduli: each field gets
+    # its own memo, and a value memoized in one never answers for the other.
+    monkeypatch.setattr(cyclotomic, "_PRIME_CEILING", 64)
+    monkeypatch.setattr(cyclotomic, "_field_cache", {})
+    spec = validate_spec([(3, 2)])
+    mu = from_pmf(spec, {(5,): Fraction(1, 4), (7,): Fraction(1, 4), (8,): Fraction(1, 2)})
+    small = modular_field(9, 1)
+    large = modular_field(9, 2 * 6 * 6)
+    assert (small.primes, large.primes) == ((37,), (37, 19))
+
+    def at_root(field, code):
+        value = char_fn(mu, spec.crt_elements[code])
+        scaled = sum(c * field.powers[e] for e, c in enumerate(value.num)) * (4 // value.den)
+        return scaled % field.modulus
+
+    in_small, in_large = char_residues(mu, small), char_residues(mu, large)
+    for code in (5, 1, 5, 4, 0, 1, 8, 5):
+        assert in_small(code) == at_root(small, code)
+        assert in_large(code) == at_root(large, code)
+    assert in_small(5) == 0 and in_large(5) != 0  # 37 divides the value at 5, 703 does not
+    assert char_residues(mu, small) is in_small and char_residues(mu, large) is in_large
+
+
+def test_residues_are_computed_once_per_margin_and_field(monkeypatch):
+    # Every margin of an exhaustive Z(9) family meets every other under every
+    # automorphism; each residue is still evaluated once per margin and code.
+    spec = validate_spec([(3, 2)])
+    pmfs = list(enumerate_distributions(spec, 2))
+    field = CountingField(modular_field(9, 2 * 2 * 2))
+    monkeypatch.setattr(engine, "modular_field", lambda order, weight: field)
+    alone = CountingField(modular_field(9, 2 * 2 * 2))
+    for mu in pmfs:
+        residue = char_residues(mu, alone)
+        for code in range(9):
+            residue(code)
+            residue(code)
+    assert alone.reads == 9 * sum(len(mu.masses) for mu in pmfs)
+    verdicts = [
+        satisfies_heyde_equation(HeydeInstance(spec, mu1, mu2, alpha))
+        for alpha in enumerate_automorphisms(spec)
+        for mu1 in pmfs
+        for mu2 in pmfs
+    ]
+    assert field.reads <= alone.reads
+    assert sum(verdicts) == 108  # the exhaustive sweep report (tests/test_sweep.py)
 
 
 def test_denominators_near_2_40_on_the_equation():

@@ -1,6 +1,12 @@
+from math import comb
+
+import pytest
+
 from heyde import SweepConfig, run_sweep, validate_spec
-from heyde.sweep import SweepReport, check_instance
+from heyde.sweep import SweepReport, check_instance, exhaustive_instances
 from heyde import HeydeInstance, degenerate, make_endo
+
+import oracles
 
 Z3 = validate_spec([(3, 1)])
 Z5 = validate_spec([(5, 1)])
@@ -47,3 +53,41 @@ def test_check_instance_accumulates_symmetric_case():
     assert report.disagreements == 0
     assert report.corollary_checked > 0
     assert report.ok
+
+
+@pytest.mark.parametrize("comps, denominator", [([(3, 2)], 2), ([(5, 1)], 3)])
+def test_exhaustive_reports_match_the_oracle(comps, denominator):
+    # every margin recurs 2 |Aut| |pmfs| times, so the memoized residues and
+    # automorphism codes are reused across thousands of instances here
+    spec = validate_spec(comps)
+    report = run_sweep(SweepConfig(specs=(spec,), mode="exhaustive", denominator=denominator))
+    instances, symmetric = oracles.brute_exhaustive_sweep(spec.orders, denominator)
+    assert (report.instances, report.symmetric) == (instances, symmetric)
+    assert report.violations == 0 and report.first_counterexample is None
+    if comps == [(3, 2)]:
+        assert (instances, symmetric) == (12_150, 108)
+
+
+def test_exhaustive_instances_counts_what_the_sweep_runs():
+    for spec, denominator, autos in (
+        (Z3, 1, None),
+        (Z5, 1, ((4,),)),
+        (Z5, 3, None),
+        (validate_spec([(3, 2)]), 2, ((2,), (8,))),
+    ):
+        config = SweepConfig(
+            specs=(spec,), mode="exhaustive", denominator=denominator, automorphisms=autos
+        )
+        assert exhaustive_instances(spec, config) == run_sweep(config).instances
+
+
+def test_exhaustive_instances_beyond_10_30_is_none():
+    big = validate_spec([(3, 2), (5, 1)])
+    config = SweepConfig(specs=(big,), mode="exhaustive", denominator=4)
+    assert exhaustive_instances(big, config) == 24 * comb(48, 4) ** 2
+    # the count at d = 10**12 has millions of digits; the loop stops at 10**30
+    spec = validate_spec([(3, 12)])
+    config = SweepConfig(specs=(spec,), mode="exhaustive", denominator=10**12)
+    assert exhaustive_instances(spec, config) is None
+    config = SweepConfig(specs=(Z3,), mode="exhaustive", denominator=10**7)
+    assert exhaustive_instances(Z3, config) == 2 * comb(10**7 + 2, 2) ** 2 < 10**30
