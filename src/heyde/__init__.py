@@ -73,11 +73,9 @@ from .lemmas import (
     DualFunction,
     char_table_function,
     dual_function,
-    finite_difference,
     squared_modulus_table,
     verify_difference_lemma,
     verify_fixed_point_lemma,
-    verify_polynomial_constancy,
 )
 from .morphisms import (
     Endomorphism,

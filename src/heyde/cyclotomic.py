@@ -11,8 +11,9 @@ terminates because a nonzero algebraic number is bounded away from zero.
 
 The hot zero tests skip the power basis: modular_field evaluates
 character sums at a primitive N-th root of unity modulo primes
-p = 1 (mod N), with a modulus large enough that the verdict is exact (see
-_ModField for the proof).
+p = 1 (mod N), with a modulus M larger than the coefficient weight of
+what is tested; a norm argument makes that verdict exact (see _ModField
+for the proof).  That route never builds the cyclotomic polynomial.
 """
 
 from __future__ import annotations
@@ -103,13 +104,17 @@ class _Ring:
 _ring_cache: dict[int, _Ring] = {}
 
 
+def _check_order(n: int) -> None:
+    if n < 1:
+        raise ValueError("order must be positive")
+    if n % 2 == 0:
+        raise ValueError("order must be odd")
+
+
 def _ring(n: int) -> _Ring:
     ring = _ring_cache.get(n)
     if ring is None:
-        if n < 1:
-            raise ValueError("order must be positive")
-        if n % 2 == 0:
-            raise ValueError("order must be odd")
+        _check_order(n)
         ring = _Ring(n)
         _ring_cache[n] = ring
     return ring
@@ -189,30 +194,33 @@ class _ModField:
     Cyclotomic Fields, ch. 2): the prime ideals above p are the kernels of
     the phi(N) maps zeta -> omega**c into Z/pZ.
 
+    Take a = sum of c_e zeta**e with integers c_e whose absolute sum is at
+    most w.
+
     - If a(omega**c) = 0 (mod p) for every unit c, then a lies in every
-      prime above p, hence in their product pZ[zeta]; the power basis is an
-      integral basis, so p divides every coordinate of a.
-    - An integer combination of powers of zeta whose coefficients have
-      absolute sum at most w reduces to coordinates of absolute value at
-      most w * R, where R = row_bound is the largest |entry| of the
-      reduction rows of _Ring (at least 1).
-    - So if M > w * R and a = 0 (mod M) on every conjugate, a = 0 exactly;
+      prime above p, hence in their product pZ[zeta]; over the distinct
+      p | M, a lies in MZ[zeta], so a = M b with b in Z[zeta].
+    - If b != 0, N(b) is a nonzero integer and N(a) = M**phi(N) N(b), so
+      |N(a)| >= M**phi(N).
+      Every embedding of a has absolute value at most w, so
+      |N(a)| <= w**phi(N) (Neukirch, Algebraic Number Theory, ch. I, sec. 2).
+    - So if M > w and a = 0 (mod M) on every conjugate, a = 0 exactly;
       a nonzero residue always means a != 0.
 
     Applied to character sums, with masses a_x / D: sigma_c maps f(y) to
     f(c y).  One value f(y) has weight D, so f(y) = 0 exactly when its
     residue vanishes on the whole unit orbit of y (codes y' with
-    gcd(y', N) = gcd(y, N)); that needs M > D * R.  A zero test over a
+    gcd(y', N) = gcd(y, N)); that needs M > D.  A zero test over a
     union of unit orbits, such as the complement of a subgroup, needs no
     more.  For the dual equation, D(u, v) = f(u + v) g(u + beta v) -
     f(u - v) g(u - beta v) has weight 2 * D1 * D2 once scaled, beta
     commutes with scalars so sigma_c D(u, v) = D(c u, c v), and
     D(u, -v) = -D(u, v); the pairs first_equation_violation visits stand
-    for every pair and every unit multiple of it, so with M > 2 * D1 * D2 * R
+    for every pair and every unit multiple of it, so with M > 2 * D1 * D2
     its verdict is exact in both directions.
 
-    modular_field(order, weight) returns a field with M > weight * R,
-    adding primes below 2**62 as needed.
+    modular_field(order, weight) returns a field with M > weight, adding
+    primes below 2**62 as needed.
     """
 
     def __init__(self, order: int, primes: tuple[int, ...]):
@@ -230,24 +238,22 @@ class _ModField:
         for _ in range(order - 1):
             powers.append(powers[-1] * self.root % self.modulus)
         self.powers = powers  # powers[k] = omega**k mod M
-        rows = _ring(order).rows
-        self.row_bound = max([1] + [abs(c) for row in rows for _, c in row])
 
 
 _field_cache: dict[int, _ModField] = {}
 
 
 def modular_field(order: int, weight: int) -> _ModField:
-    """The cached field for Q(zeta_order), grown until its modulus exceeds weight * R.
+    """The cached field for Q(zeta_order), grown until its modulus exceeds weight.
 
     weight bounds the absolute sum of the integer coefficients of whatever
     is tested for zero; see _ModField for why that makes the test exact.
     """
     field = _field_cache.get(order)
     if field is None:
-        _ring(order)  # validates the order
+        _check_order(order)
         field = _ModField(order, (_prime_below(order, _PRIME_CEILING),))
-    while field.modulus <= weight * field.row_bound:
+    while field.modulus <= weight:
         field = _ModField(order, field.primes + (_prime_below(order, field.primes[-1]),))
     _field_cache[order] = field
     return field

@@ -64,8 +64,10 @@ class HeydeInstance:
     alpha: Endomorphism
 
     def __post_init__(self):
-        if self.mu1.spec != self.spec or self.mu2.spec != self.spec or self.alpha.spec != self.spec:
-            raise ValueError("spec mismatch")
+        spec = self.spec
+        for other in (self.mu1.spec, self.mu2.spec, self.alpha.spec):
+            if other is not spec and other != spec:
+                raise ValueError("spec mismatch")
         if not self.alpha.is_automorphism():
             raise ValueError("alpha is not an automorphism")
 
@@ -185,7 +187,7 @@ def satisfies_heyde_equation(inst: HeydeInstance) -> bool:
     (u + v, u + adjoint(alpha) v) equals the product at
     (u - v, u - adjoint(alpha) v) for all dual pairs (u, v).  Character
     values are evaluated at a primitive N-th root of unity modulo M, a
-    product of primes p = 1 (mod N), with M > 2 * D1 * D2 * R for mass
+    product of primes p = 1 (mod N), with M > 2 * D1 * D2 for mass
     denominators D1, D2; cyclotomic._ModField proves that this decides the
     identity exactly in both directions.  The residues come memoized from
     each margin (distributions.char_residues).  See first_equation_violation

@@ -69,43 +69,9 @@ def squared_modulus_table(mu: Distribution) -> DualFunction:
     return char_table_function(nu)
 
 
-def finite_difference(fn: DualFunction, h: Element, order: int = 1) -> DualFunction:
-    """Iterated difference (D_h f)(y) = f(y + h) - f(y)."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    spec = fn.spec
-    h = spec.reduce(h)
-    current = fn.values
-    for _ in range(order):
-        current = {y: current[spec.add(y, h)] - current[y] for y in current}
-    return dual_function(spec, current)
-
-
 def _distinct_values(*fns: DualFunction) -> list:
     """The values of the tables, each once, in first-seen order."""
     return list(dict.fromkeys(v for fn in fns for v in fn.values.values()))
-
-
-def _is_zero_value(value) -> bool:
-    if isinstance(value, CycloElement):
-        return value.is_zero()
-    return value == 0
-
-
-def verify_polynomial_constancy(fn: DualFunction, degree: int) -> bool:
-    """Constancy of a polynomial of the given degree on a finite group.
-
-    Raises ValueError("not a polynomial of stated degree") when the defining
-    difference identities fail; otherwise returns whether the table is
-    constant, which must always be the case here.
-    """
-    spec = fn.spec
-    for h in spec.elements():
-        diffed = finite_difference(fn, h, degree + 1)
-        if not all(_is_zero_value(v) for v in diffed.values.values()):
-            raise ValueError("not a polynomial of stated degree")
-    first = fn.table[0][1]
-    return all(v == first for _, v in fn.table)
 
 
 @dataclass(frozen=True)

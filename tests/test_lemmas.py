@@ -18,9 +18,8 @@ from heyde import (
     validate_spec,
     verify_difference_lemma,
     verify_fixed_point_lemma,
-    verify_polynomial_constancy,
 )
-from heyde.lemmas import char_table_function, finite_difference
+from heyde.lemmas import char_table_function
 
 import oracles
 
@@ -29,10 +28,6 @@ Z5 = validate_spec([(5, 1)])
 Z9 = validate_spec([(3, 2)])
 Z27 = validate_spec([(3, 3)])
 Z9xZ5 = validate_spec([(3, 2), (5, 1)])
-
-
-def rational_table(spec, mapping):
-    return dual_function(spec, {y: Fraction(mapping.get(y, 0)) for y in spec.elements()})
 
 
 def nonvanishing_fixture(spec, seed, x2):
@@ -52,40 +47,6 @@ def nonvanishing_fixture(spec, seed, x2):
 def test_dual_function_totality():
     with pytest.raises(ValueError, match="cover every dual element"):
         dual_function(Z3, {(0,): Fraction(1)})
-
-
-def test_finite_difference_examples():
-    constant = rational_table(Z9, {y: 5 for y in Z9.elements()})
-    diffed = finite_difference(constant, (4,))
-    assert all(v == 0 for v in diffed.values.values())
-
-    table = rational_table(Z3, {(0,): 1})
-    zero_step = finite_difference(table, (0,))
-    assert all(v == 0 for v in zero_step.values.values())
-
-    stepped = finite_difference(table, (1,))
-    assert stepped.values == {(0,): -1, (1,): 0, (2,): 1}
-
-
-def test_finite_difference_iterated():
-    table = rational_table(Z3, {(0,): 1})
-    twice = finite_difference(table, (1,), order=2)
-    once = finite_difference(finite_difference(table, (1,)), (1,))
-    assert twice.values == once.values
-
-
-def test_polynomial_constancy():
-    constant = rational_table(Z9, {y: 7 for y in Z9.elements()})
-    assert verify_polynomial_constancy(constant, 0)
-    assert verify_polynomial_constancy(constant, 2)
-    indicator = rational_table(Z9, {(0,): 1})
-    with pytest.raises(ValueError, match="not a polynomial of stated degree"):
-        verify_polynomial_constancy(indicator, 2)
-
-
-def test_polynomial_constancy_on_cyclotomic_values():
-    constant = dual_function(Z3, {y: from_rational(3, Fraction(1, 2)) for y in Z3.elements()})
-    assert verify_polynomial_constancy(constant, 1)
 
 
 def test_difference_lemma_pipeline_fixture():

@@ -9,6 +9,8 @@ on char_fn tables with no modulus, and char_fn(...).is_zero().
 """
 
 import itertools
+import json
+import pathlib
 from fractions import Fraction
 from math import gcd, prod
 
@@ -36,7 +38,7 @@ from heyde import (
     shift,
     validate_spec,
 )
-from heyde import cyclotomic, engine
+from heyde import cli, cyclotomic, engine
 from heyde.cyclotomic import _is_prime, cyclotomic_polynomial, modular_field
 from heyde.distributions import char_fn_zero_classes, char_residues
 from heyde.engine import _decompose, first_equation_violation
@@ -44,7 +46,6 @@ from heyde.fixtures import construction_admissible
 from heyde.groups import Subgroup
 
 import acceptance_corpus as corpus
-import oracles
 
 Z9xZ5 = validate_spec([(3, 2), (5, 1)])
 Z9xZ5xZ7 = validate_spec([(3, 2), (5, 1), (7, 1)])
@@ -130,13 +131,10 @@ def test_miller_rabin_matches_trial_division():
 
 @pytest.mark.parametrize("n", [1, 3, 9, 25, 45, 225, 315, 945])
 def test_field_is_certified(n):
-    rows = oracles.dense_reduction_rows(n, cyclotomic_polynomial(n))
-    row_bound = max([1] + [abs(c) for row in rows for c in row])
     for weight in (1, 2 * 8 * 8, 2**40, 2 * 2**40 * 2**40):
         field = modular_field(n, weight)
-        assert field.row_bound == row_bound
         assert field.modulus == prod(field.primes)
-        assert field.modulus > weight * row_bound
+        assert field.modulus > weight
         assert len(set(field.primes)) == len(field.primes)
         for p in field.primes:
             assert p < 2**62 and (p - 1) % n == 0 and _is_prime(p)
@@ -152,14 +150,66 @@ def test_field_is_certified(n):
 def test_large_bound_adds_a_prime(monkeypatch):
     monkeypatch.setattr(cyclotomic, "_field_cache", {})
     one = modular_field(315, 1)
-    assert len(one.primes) == 1 and one.row_bound == 2
-    # below M, but weight * R is not: the row bound counts
-    weight = one.modulus // 2 + 1
-    field = modular_field(315, weight)
-    assert len(field.primes) == 2 and field.modulus > weight * 2
+    assert len(one.primes) == 1
+    # the field grows exactly while M <= weight
+    assert modular_field(315, one.modulus - 1) is one
+    field = modular_field(315, one.modulus)
+    assert len(field.primes) == 2 and field.primes[0] == one.primes[0]
     assert modular_field(315, 1) is field  # the cache keeps the larger field
-    # one prime below 2**62 cannot exceed 2 * 2**80 * R
-    assert modular_field(315, 2 * 2**40 * 2**40).modulus > 2 * 2**80 * 2
+    # one prime below 2**62 cannot exceed 2 * 2**80
+    assert modular_field(315, 2 * 2**40 * 2**40).modulus > 2 * 2**80
+
+
+def test_modulus_must_exceed_the_weight(monkeypatch):
+    # The norm bound is tight: a nonzero value of weight w can vanish mod M
+    # when M = w.  On Z(9), 1/37 at 0 and 36/37 at 4 give f(0) = 1, which
+    # scaled by D = 37 is 1 + 36 = 37, zero mod 37 on its whole unit orbit.
+    monkeypatch.setattr(cyclotomic, "_PRIME_CEILING", 64)
+    monkeypatch.setattr(cyclotomic, "_field_cache", {})
+    spec = validate_spec([(3, 2)])
+    mu = from_pmf(spec, {(0,): Fraction(1, 37), (4,): Fraction(36, 37)})
+    assert mu.crt_masses[0] == 37
+    field = modular_field(9, 36)
+    assert field.primes == (37,)
+    assert char_residues(mu, field)(0) == 0 and char_fn(mu, (0,)).is_one()
+    assert modular_field(9, 37).primes == (37, 19)
+    assert not any(check_zero_classes(mu).values())
+
+
+@pytest.mark.parametrize("order", [0, -3, 10])
+def test_field_rejects_bad_orders(order):
+    with pytest.raises(ValueError, match="order must be"):
+        modular_field(order, 1)
+
+
+def test_residue_route_never_builds_the_cyclotomic_polynomial(monkeypatch, tmp_path, capsys):
+    # check and decompose decide everything on residues; _Ring (Phi_N and
+    # its reduction rows) is the reference route only.  At N = 15015 the
+    # rows are dense, and building them costs far more than the check.
+    def refuse(self, n):
+        raise AssertionError(f"_Ring({n}) built on the residue route")
+
+    monkeypatch.setattr(cyclotomic._Ring, "__init__", refuse)
+    monkeypatch.setattr(cyclotomic, "_ring_cache", {})
+
+    def masses(points):
+        return [{"x": list(x), "num": 1, "den": len(points)} for x in points]
+
+    instance = {
+        "spec": {"components": [{"p": p, "k": 1, "kind": "finite"} for p in (3, 5, 7, 11, 13)]},
+        "mu1": masses([(0, 1, 5, 9, 7), (1, 1, 5, 6, 8), (2, 0, 1, 9, 8), (2, 0, 3, 4, 0),
+                       (2, 2, 2, 0, 4)]),
+        "mu2": masses([(0, 2, 0, 0, 9), (0, 3, 2, 1, 5), (1, 2, 3, 1, 12), (2, 2, 5, 9, 10)]),
+        "alpha": [2, 2, 2, 2, 2],
+    }
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance), encoding="utf-8")
+    assert cli.main(["check", "--input", str(path)]) == 0
+    assert capsys.readouterr().out == '{"agree":true,"heyde_equation":false,"symmetric":false}\n'
+
+    golden = pathlib.Path(__file__).parent / "golden"
+    assert cli.main(["decompose", "--input", str(golden / "constructed_instance_z9.json")]) == 0
+    assert capsys.readouterr().out == (golden / "decompose_report_z9.json").read_text()
 
 
 def test_residues_evaluate_char_fn_at_the_root():
@@ -265,7 +315,7 @@ def test_residues_are_computed_once_per_margin_and_field(monkeypatch):
 
 
 def test_denominators_near_2_40_on_the_equation():
-    # masses with denominators near 2**40 need M > 2 * D1 * D2 * R ~ 2**81
+    # masses with denominators near 2**40 need M > 2 * D1 * D2 ~ 2**81
     spec = validate_spec([(3, 2)])
     big = 2**40 + 15
     mu1 = from_pmf(spec, {(0,): Fraction(1, big), (3,): 1 - Fraction(1, big)})
@@ -318,7 +368,8 @@ def test_zero_classes_on_haar_and_point_masses(spec):
 
 
 def test_zero_classes_at_315_where_r_is_2():
-    assert modular_field(315, 1).row_bound == 2
+    # R = 2 is the largest entry of the reduction rows of Phi_315: reduced
+    # coordinates can exceed the weight, and the verdicts must not care.
     spec = Z9xZ5xZ7
     pmfs = [
         {(0, 0, 0): Fraction(1, 3), (3, 0, 0): Fraction(1, 3), (6, 0, 0): Fraction(1, 3)},
