@@ -17,7 +17,6 @@ from .distributions import (
     char_fn_table,
     convolve,
     degenerate,
-    equals_one_set,
     from_pmf,
     haar,
     has_haar_factor,

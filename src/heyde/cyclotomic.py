@@ -345,8 +345,7 @@ class CycloElement:
             return NotImplemented
         if other.order != self.order:
             raise ValueError("order mismatch")
-        ring = _ring(self.order)
-        deg, n = ring.degree, ring.order
+        deg = _ring(self.order).degree
         a, b = self.num, other.num
         conv = [0] * (2 * deg - 1) if deg > 1 else [0]
         for i, ai in enumerate(a):
@@ -354,30 +353,13 @@ class CycloElement:
                 for j, bj in enumerate(b):
                     if bj:
                         conv[i + j] += ai * bj
-        vec = list(conv[:deg])
-        for e in range(deg, len(conv)):
-            c = conv[e]
-            if not c:
-                continue
-            ee = e if e < n else e - n
-            if ee < deg:
-                vec[ee] += c
-            else:
-                for t, r in ring.rows[ee - deg]:
-                    vec[t] += c * r
-        return CycloElement._make(self.order, vec, self.den * other.den)
+        return from_terms(self.order, enumerate(conv), self.den * other.den)
 
     __rmul__ = __mul__
 
     def conj(self) -> "CycloElement":
         n = self.order
         terms = [((n - e) % n, c) for e, c in enumerate(self.num) if c]
-        return from_terms(n, terms, self.den)
-
-    def times_root(self, t: int) -> "CycloElement":
-        """Multiply by zeta_order**t via an exponent shift (no convolution)."""
-        n = self.order
-        terms = [((e + t) % n, c) for e, c in enumerate(self.num) if c]
         return from_terms(n, terms, self.den)
 
     # -- numeric cross-checks -------------------------------------------------

@@ -1,20 +1,28 @@
 """Exact rational probability distributions on the model groups.
 
 A distribution is a finitely supported probability mass function with
-strictly positive Fraction masses summing to one.  Equality is structural
-equality of reduced mass lists, so every theorem-level conclusion is an
-exact identity.  The unit-modulus and equals-one predicates are decided
-combinatorially (a character sum has modulus one exactly when the pairing
-is constant on the support); the cyclotomic route is kept as a cross-check.
-The character-sum zero tests (one side of the dual-route Haar-factor test,
-and the nonvanishing hypothesis of the corollaries) evaluate the sums
-modulo primes that split completely in the cyclotomic field, with a
-modulus certified large enough for the verdict to be exact.
+strictly positive rational masses summing to one.  It is stored on CRT
+codes (GroupSpec.crt): a common denominator D and the pairs (code, a) of
+its support in element order, each with mass a / D.  The stored form is
+canonical (D is the least common denominator), so equality is structural
+and every theorem-level conclusion is an exact identity.  The integer
+constructors (convolve, shift, reflect, haar) build codes directly;
+coordinate tuples and Fractions appear only at the edges, in the decoded
+views (masses, support()) and in from_pmf, which files, reports and the
+tuple-keyed API go through.
+
+The unit-modulus predicate is decided combinatorially (a character sum
+has modulus one exactly when the pairing is constant on the support); the
+cyclotomic route is kept as a cross-check.  The character-sum zero tests
+(one side of the dual-route Haar-factor test, and the nonvanishing
+hypothesis of the corollaries) evaluate the sums modulo primes that split
+completely in the cyclotomic field, with a modulus certified large enough
+for the verdict to be exact.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -28,34 +36,43 @@ from .groups import Element, GroupSpec, Subgroup, subgroup_generated
 
 @dataclass(frozen=True)
 class Distribution:
+    """Mass a / den at each (code, a) of points, in element order (spec.crt_rank).
+
+    Every a is positive, the a sum to den, and gcd(den, *a) == 1.
+    """
+
     spec: GroupSpec
-    masses: tuple[tuple[Element, Fraction], ...]
+    den: int
+    points: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        total = Fraction(0)
-        prev = None
-        for x, m in self.masses:
-            self.spec.require_element(x)
-            if prev is not None and x <= prev:
+        n = self.spec.exponent
+        rank = self.spec.crt_rank
+        if self.den < 1:
+            raise ValueError("den must be positive")
+        total = 0
+        common = self.den
+        prev = -1
+        for r, a in self.points:
+            if not 0 <= r < n:
+                raise ValueError(f"{r!r} is not a code of {self.spec.describe()}")
+            if rank[r] <= prev:
                 raise ValueError("masses must be sorted by element with no duplicates")
-            prev = x
-            if m <= 0:
+            prev = rank[r]
+            if a <= 0:
                 raise ValueError("masses must be strictly positive")
-            total += m
-        if total != 1:
-            raise ValueError(f"total mass is {total}, expected 1")
+            total += a
+            common = gcd(common, a)
+        if total != self.den:
+            raise ValueError(f"total mass is {Fraction(total, self.den)}, expected 1")
+        if common != 1:
+            raise ValueError("den must be the least common denominator of the masses")
 
     @cached_property
-    def pmf(self) -> dict[Element, Fraction]:
-        return dict(self.masses)
-
-    @cached_property
-    def crt_masses(self) -> tuple[int, tuple[tuple[int, int], ...]]:
-        """(D, ((code, a), ...)): each mass as a / D over the lcm D of the
-        denominators, its support point as a CRT code."""
-        den = lcm(*(m.denominator for _, m in self.masses))
-        index = self.spec.crt_index
-        return den, tuple((index[x], m.numerator * (den // m.denominator)) for x, m in self.masses)
+    def masses(self) -> tuple[tuple[Element, Fraction], ...]:
+        """(element, mass) pairs in element order."""
+        elements = self.spec.crt_elements
+        return tuple((elements[r], Fraction(a, self.den)) for r, a in self.points)
 
     @cached_property
     def _residues(self) -> dict:
@@ -63,67 +80,75 @@ class Distribution:
         return {}
 
     def support(self) -> tuple[Element, ...]:
-        return tuple(x for x, _ in self.masses)
+        elements = self.spec.crt_elements
+        return tuple(elements[r] for r, _ in self.points)
 
-    def mass(self, x: Element) -> Fraction:
-        return self.pmf.get(x, Fraction(0))
+
+def _canonical(spec: GroupSpec, den: int, points: Iterable[tuple[int, int]]) -> Distribution:
+    """The distribution with mass a / den at each (code, a), codes distinct:
+    points sorted by element, den and every a divided by their gcd."""
+    points = sorted(points, key=lambda p: spec.crt_rank[p[0]])
+    common = gcd(den, *(a for _, a in points))
+    if common > 1:
+        den //= common
+        points = [(r, a // common) for r, a in points]
+    return Distribution(spec, den, tuple(points))
 
 
 def from_pmf(spec: GroupSpec, pmf) -> Distribution:
     """Build a distribution from any element -> mass mapping (reduces keys)."""
-    acc: dict[Element, Fraction] = {}
+    acc: dict[int, Fraction] = {}
     for x, m in pmf.items() if isinstance(pmf, dict) else pmf:
         m = Fraction(m)
         if m == 0:
             continue
-        key = spec.reduce(x)
-        acc[key] = acc.get(key, Fraction(0)) + m
-    return Distribution(spec, tuple(sorted(acc.items())))
+        r = spec.crt(spec.reduce(x))
+        acc[r] = acc.get(r, Fraction(0)) + m
+    den = lcm(*(m.denominator for m in acc.values()))
+    return _canonical(spec, den, ((r, m.numerator * (den // m.denominator)) for r, m in acc.items()))
 
 
 def degenerate(spec: GroupSpec, x: Element) -> Distribution:
-    return Distribution(spec, ((spec.reduce(x), Fraction(1)),))
+    return Distribution(spec, 1, ((spec.crt(spec.reduce(x)), 1),))
 
 
 def haar(sub: Subgroup) -> Distribution:
-    """Uniform distribution on a product subgroup."""
-    w = Fraction(1, sub.order)
-    return Distribution(sub.spec, tuple((x, w) for x in sorted(sub.elements())))
+    """Uniform distribution on a product subgroup: the multiples of N / |sub| on codes."""
+    spec = sub.spec
+    n = spec.exponent
+    return _canonical(spec, sub.order, ((r, 1) for r in range(0, n, n // sub.order)))
 
 
 def convolve(mu: Distribution, nu: Distribution) -> Distribution:
     if mu.spec != nu.spec:
         raise ValueError("spec mismatch")
-    spec = mu.spec
-    acc: dict[Element, Fraction] = {}
-    for x, mx in mu.masses:
-        for y, my in nu.masses:
-            z = spec.add(x, y)
-            acc[z] = acc.get(z, Fraction(0)) + mx * my
-    return Distribution(spec, tuple(sorted(acc.items())))
+    n = mu.spec.exponent
+    acc: dict[int, int] = {}
+    for x, a in mu.points:
+        for y, b in nu.points:
+            z = (x + y) % n
+            acc[z] = acc.get(z, 0) + a * b
+    return _canonical(mu.spec, mu.den * nu.den, acc.items())
 
 
 def reflect(mu: Distribution) -> Distribution:
-    spec = mu.spec
-    return Distribution(spec, tuple(sorted((spec.neg(x), m) for x, m in mu.masses)))
+    n = mu.spec.exponent
+    return _canonical(mu.spec, mu.den, (((n - r) % n, a) for r, a in mu.points))
 
 
 def shift(mu: Distribution, x: Element) -> Distribution:
     spec = mu.spec
-    x = spec.reduce(x)
-    return Distribution(spec, tuple(sorted((spec.add(s, x), m) for s, m in mu.masses)))
+    n = spec.exponent
+    c = spec.crt(spec.reduce(x))
+    return _canonical(spec, mu.den, (((r + c) % n, a) for r, a in mu.points))
 
 
 def char_fn(mu: Distribution, y: Element) -> CycloElement:
     """The character sum of mu at the dual element y, exactly."""
     spec = mu.spec
-    den = 1
-    for _, m in mu.masses:
-        den = lcm(den, m.denominator)
-    terms = [
-        (spec.pair_exponent(x, y), m.numerator * (den // m.denominator)) for x, m in mu.masses
-    ]
-    return cyclotomic.from_terms(spec.exponent, terms, den)
+    elements = spec.crt_elements
+    terms = [(spec.pair_exponent(elements[r], y), a) for r, a in mu.points]
+    return cyclotomic.from_terms(spec.exponent, terms, mu.den)
 
 
 def char_fn_table(mu: Distribution) -> dict[Element, CycloElement]:
@@ -150,7 +175,7 @@ def _residue_function(mu: Distribution, field) -> Callable[[int], int]:
     spec = mu.spec
     n = spec.exponent
     s = spec.crt_pair_unit
-    terms = [(s * x % n, a) for x, a in mu.crt_masses[1]]
+    terms = [(s * x % n, a) for x, a in mu.points]
     powers, modulus = field.powers, field.modulus
     values: list = [None] * n
 
@@ -173,7 +198,7 @@ def char_fn_zero_classes(mu: Distribution) -> dict[int, bool]:
     residue in it is (cyclotomic._ModField).
     """
     n = mu.spec.exponent
-    residue = char_residues(mu, cyclotomic.modular_field(n, mu.crt_masses[0]))
+    residue = char_residues(mu, cyclotomic.modular_field(n, mu.den))
     zero: dict[int, bool] = {}
     for y in range(n):
         g = gcd(y, n)
@@ -186,9 +211,8 @@ def _constancy_subgroup(mu: Distribution) -> Subgroup:
     # Dual elements whose pairing is constant on the support; equivalently
     # the annihilator of the subgroup generated by support differences.
     spec = mu.spec
-    base = mu.masses[0][0]
-    diffs = [spec.sub(x, base) for x, _ in mu.masses]
-    return subgroup_generated(spec, diffs).annihilator()
+    support = mu.support()
+    return subgroup_generated(spec, [spec.sub(x, support[0]) for x in support]).annihilator()
 
 
 def unit_modulus_set(mu1: Distribution, mu2: Distribution) -> Subgroup:
@@ -196,11 +220,6 @@ def unit_modulus_set(mu1: Distribution, mu2: Distribution) -> Subgroup:
     if mu1.spec != mu2.spec:
         raise ValueError("spec mismatch")
     return _constancy_subgroup(mu1).intersect(_constancy_subgroup(mu2))
-
-
-def equals_one_set(mu: Distribution) -> Subgroup:
-    """Dual subgroup where the character sum equals one."""
-    return subgroup_generated(mu.spec, mu.support()).annihilator()
 
 
 def min_support_subgroup(mu: Distribution) -> Subgroup:
@@ -224,7 +243,7 @@ def _is_haar_fixed_point(lam: Distribution, sub: Subgroup) -> bool:
         raise ValueError("spec mismatch")
     d = lam.spec.exponent // sub.order
     classes: dict[int, list[int]] = {}
-    for r, a in lam.crt_masses[1]:
+    for r, a in lam.points:
         seen = classes.setdefault(r % d, [a, 0])
         if seen[0] != a:
             return False
@@ -292,8 +311,8 @@ def invert_char_table(spec: GroupSpec, table: dict[Element, CycloElement]) -> Di
     unit = spec.crt_pair_unit
     total_bias = len(entries) * bias
     pmf: dict[Element, Fraction] = {}
-    for x in spec.elements():
-        sx = unit * spec.crt(x)
+    for x, cx in zip(spec.element_list, spec.crt_codes):
+        sx = unit * cx
         acc = 0
         for cy, word in packed:
             acc += word >> (sx * cy % order * width)

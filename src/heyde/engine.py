@@ -11,12 +11,13 @@ restricted pair.  Strengthened conclusions that hold under extra
 hypotheses (trivial kernel of I + alpha, nonvanishing character sums,
 truncated p-adic components) are checked by the corollary classifier.
 
-The hot loops (the joint symmetry test, the dual-equation loop and the
-canonical shift) run on the CRT codes of GroupSpec, plain ints in Z(N),
-and decode to coordinate tuples only what they report.  The encoding is a
-bijection, an endomorphism is one multiplier on it (Endomorphism.code),
-and masses are integer numerators over a common denominator, which keeps
-every equality and order.  The dual equation and the nonvanishing
+Every layer works on the CRT codes of GroupSpec, plain ints in Z(N): a
+Distribution stores its support as codes with integer numerators over one
+denominator, and the joint symmetry test, the dual-equation loop and the
+canonical shift read them as they are, decoding to coordinate tuples only
+what they report.  The encoding is a bijection and an endomorphism is one
+multiplier on it (Endomorphism.code), which keeps every equality and
+order.  The dual equation and the nonvanishing
 hypothesis of the corollaries evaluate character sums at a primitive N-th
 root of unity modulo a product M of primes p = 1 (mod N);
 cyclotomic._ModField states the bound on M and the proof that these
@@ -40,6 +41,7 @@ from fractions import Fraction
 from .cyclotomic import modular_field
 from .distributions import (
     Distribution,
+    _canonical,
     char_fn_zero_classes,
     char_residues,
     from_pmf,
@@ -82,9 +84,9 @@ def is_conditionally_symmetric(inst: HeydeInstance) -> bool:
     """
     n = inst.spec.exponent
     a = inst.alpha.code
-    second = [(r, a * r, w) for r, w in inst.mu2.crt_masses[1]]
+    second = [(r, a * r, w) for r, w in inst.mu2.points]
     joint: dict[int, int] = {}
-    for r1, w1 in inst.mu1.crt_masses[1]:
+    for r1, w1 in inst.mu1.points:
         for r2, ar2, w2 in second:
             key = (r1 + r2) % n * n + (r1 + ar2) % n
             joint[key] = joint.get(key, 0) + w1 * w2
@@ -193,8 +195,7 @@ def satisfies_heyde_equation(inst: HeydeInstance) -> bool:
     each margin (distributions.char_residues).  See first_equation_violation
     for the loop.
     """
-    d1, d2 = inst.mu1.crt_masses[0], inst.mu2.crt_masses[0]
-    field = modular_field(inst.spec.exponent, 2 * d1 * d2)
+    field = modular_field(inst.spec.exponent, 2 * inst.mu1.den * inst.mu2.den)
     violation = first_equation_violation(
         inst.spec,
         char_residues(inst.mu1, field),
@@ -233,15 +234,14 @@ def _canonical_shift(mu: Distribution, sub: Subgroup) -> tuple[Element, Distribu
     n = spec.exponent
     rank = spec.crt_rank
     d = n // sub.order
-    points = mu.crt_masses[1]
+    points = mu.points
     base = points[0][0]
     if any((r - base) % d for r, _ in points):
         raise VerificationFailure("no valid shift found")
-    _, _, code = min(
+    _, _, x = min(
         (sorted((rank[(r - x) % n], w) for r, w in points), rank[x], x) for x, _ in points
     )
-    x = spec.crt_elements[code]
-    return x, shift(mu, spec.neg(x))
+    return spec.crt_elements[x], _canonical(spec, mu.den, (((r - x) % n, w) for r, w in points))
 
 
 def reduce_to_subgroup(inst: HeydeInstance) -> ReducedPair:
@@ -380,8 +380,8 @@ def classify_corollary(inst: HeydeInstance, dec: HeydeDecomposition) -> Corollar
         elif c0 == 1:
             verified = (
                 dec.subgroup.is_trivial
-                and len(inst.mu1.masses) == 1
-                and len(inst.mu2.masses) == 1
+                and len(inst.mu1.points) == 1
+                and len(inst.mu2.points) == 1
             )
             detail = "G is trivial and both margins degenerate" if verified else "G is nontrivial"
             checks.append(CorollaryCheck("truncated_unit_digit", True, verified, detail))

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
-from .distributions import Distribution, convolve, haar, shift
+from .distributions import Distribution, _canonical, convolve, haar, shift
 from .engine import HeydeInstance, is_conditionally_symmetric
 from .errors import VerificationFailure
 from .groups import Element, GroupSpec, Subgroup, enumerate_subgroups, subgroup_generated
@@ -62,8 +61,8 @@ def construct_instance(
     # An off-center seed can make the raw support generate more than the
     # subgroup the pair really lives on; the decomposition always recenters,
     # so the effective subgroup is generated by the support differences.
-    base = lam.masses[0][0]
-    effective = subgroup_generated(spec, [spec.sub(s, base) for s in lam.support()])
+    support = lam.support()
+    effective = subgroup_generated(spec, [spec.sub(s, support[0]) for s in support])
     return ConstructedFixture(instance, lam, x1, x2, sub, effective)
 
 
@@ -89,14 +88,9 @@ def enumerate_distributions(spec: GroupSpec, denominator: int):
     """Every pmf whose masses are multiples of 1/denominator, in lex order."""
     if denominator < 1:
         raise ValueError("denominator must be at least 1")
-    elements = spec.element_list
-    for parts in compositions(denominator, len(elements)):
-        yield Distribution(
-            spec,
-            tuple(
-                (x, Fraction(c, denominator)) for x, c in zip(elements, parts) if c
-            ),
-        )
+    codes = spec.crt_codes
+    for parts in compositions(denominator, len(codes)):
+        yield _canonical(spec, denominator, ((r, c) for r, c in zip(codes, parts) if c))
 
 
 def count_distributions(spec: GroupSpec, denominator: int) -> int:
@@ -118,19 +112,17 @@ def random_distribution(
     if max_denominator < 1:
         raise ValueError("max_denominator must be at least 1")
     stream = _as_stream(seed)
-    elements = sorted(support.elements()) if support is not None else list(spec.element_list)
+    codes = [spec.crt(x) for x in support.elements()] if support is not None else spec.crt_codes
     d = stream.randint(1, max_denominator)
-    size = stream.randint(1, min(len(elements), d))
-    chosen = [elements[i] for i in stream.distinct(len(elements), size)]
+    size = stream.randint(1, min(len(codes), d))
+    chosen = [codes[i] for i in stream.distinct(len(codes), size)]
     if size == 1:
         masses = [d]
     else:
         cuts = stream.distinct(d - 1, size - 1)
         bounds = [0] + [c + 1 for c in cuts] + [d]
         masses = [b - a for a, b in zip(bounds, bounds[1:])]
-    return Distribution(
-        spec, tuple(sorted((x, Fraction(m, d)) for x, m in zip(chosen, masses)))
-    )
+    return _canonical(spec, d, zip(chosen, masses))
 
 
 def random_instance(

@@ -6,7 +6,8 @@ pairwise distinct odd prime power orders.  Elements are coordinate tuples
 group itself through the standard product pairing, so dual elements share
 the element representation.  Because the component primes are distinct,
 every subgroup is itself a product of cyclic p-subgroups and is described
-by one exponent per component.
+by one exponent per component, and the group is cyclic: GroupSpec.crt
+encodes an element as its code in Z(N), the form the package stores.
 """
 
 from __future__ import annotations
@@ -132,8 +133,9 @@ class GroupSpec:
     # The component orders are pairwise coprime, so by the Chinese remainder
     # theorem x -> crt(x) is an isomorphism onto Z(N): crt(x + y) is
     # crt(x) + crt(y) mod N, and the endomorphism with multipliers m acts as
-    # multiplication by crt(m).  Hot loops run on these codes and decode
-    # only what they report.
+    # multiplication by crt(m).  Distributions and dual tables are stored on
+    # these codes; coordinate tuples are the form of files, reports and the
+    # public API.
 
     @cached_property
     def _crt_basis(self) -> tuple[int, ...]:
@@ -151,13 +153,8 @@ class GroupSpec:
         return tuple(self.crt(x) for x in self.element_list)
 
     @cached_property
-    def crt_index(self) -> dict[Element, int]:
-        """Element -> code."""
-        return dict(zip(self.element_list, self.crt_codes))
-
-    @cached_property
     def crt_elements(self) -> tuple[Element, ...]:
-        """Code -> element, the inverse of crt_index."""
+        """Code -> element, the inverse of crt."""
         out: list = [None] * self.exponent
         for x, r in zip(self.element_list, self.crt_codes):
             out[r] = x

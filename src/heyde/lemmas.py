@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .cyclotomic import CycloElement, one as cyclo_one
 from .distributions import Distribution, char_fn, convolve, reflect
@@ -30,37 +29,36 @@ from .morphisms import Endomorphism, identity, kappa_of
 
 @dataclass(frozen=True)
 class DualFunction:
-    """A total table on the dual group, valued in Q(zeta_N) or in Q."""
+    """A total table on the dual group, valued in Q(zeta_N) or in Q.
+
+    values[r] is the value at the dual element with CRT code r.
+    """
 
     spec: GroupSpec
-    table: tuple[tuple[Element, object], ...]
+    values: tuple
 
     def __post_init__(self):
-        keys = tuple(x for x, _ in self.table)
-        if keys != tuple(sorted(keys)) or len(set(keys)) != len(keys):
-            raise ValueError("table must be sorted with unique keys")
-        if set(keys) != set(self.spec.elements()):
+        if len(self.values) != self.spec.exponent:
             raise ValueError("table must cover every dual element")
 
-    @cached_property
-    def values(self) -> dict[Element, object]:
-        return dict(self.table)
-
     def __call__(self, y: Element):
-        return self.values[y]
+        return self.values[self.spec.crt(self.spec.require_element(y))]
 
     def with_value(self, y: Element, value) -> "DualFunction":
-        updated = dict(self.table)
-        updated[self.spec.require_element(y)] = value
-        return DualFunction(self.spec, tuple(sorted(updated.items())))
+        updated = list(self.values)
+        updated[self.spec.crt(self.spec.require_element(y))] = value
+        return DualFunction(self.spec, tuple(updated))
 
 
 def dual_function(spec: GroupSpec, mapping) -> DualFunction:
-    return DualFunction(spec, tuple(sorted(dict(mapping).items())))
+    mapping = dict(mapping)
+    if mapping.keys() != set(spec.element_list):
+        raise ValueError("table must cover every dual element")
+    return DualFunction(spec, tuple(mapping[y] for y in spec.crt_elements))
 
 
 def char_table_function(mu: Distribution) -> DualFunction:
-    return dual_function(mu.spec, {y: char_fn(mu, y) for y in mu.spec.elements()})
+    return DualFunction(mu.spec, tuple(char_fn(mu, y) for y in mu.spec.crt_elements))
 
 
 def squared_modulus_table(mu: Distribution) -> DualFunction:
@@ -71,7 +69,7 @@ def squared_modulus_table(mu: Distribution) -> DualFunction:
 
 def _distinct_values(*fns: DualFunction) -> list:
     """The values of the tables, each once, in first-seen order."""
-    return list(dict.fromkeys(v for fn in fns for v in fn.values.values()))
+    return list(dict.fromkeys(v for fn in fns for v in fn.values))
 
 
 @dataclass(frozen=True)
@@ -88,14 +86,6 @@ class DifferenceLemmaReport:
     @property
     def ok(self) -> bool:
         return self.evaluated and bool(self.first_conclusion_ok and self.second_conclusion_ok)
-
-
-def _equation_violation(f: DualFunction, g: DualFunction, beta: Endomorphism):
-    """engine.first_equation_violation on two tables, read on CRT codes."""
-    elements = f.spec.crt_elements
-    return first_equation_violation(
-        f.spec, lambda r: f(elements[r]), lambda r: g(elements[r]), beta
-    )
 
 
 def _image_codes(spec: GroupSpec, endo: Endomorphism) -> list[int]:
@@ -119,7 +109,6 @@ def _first_triple_violation(fn: DualFunction, step_endos) -> tuple[int, tuple | 
     sides are equal exactly when their ids are.
     """
     spec = fn.spec
-    elements = spec.crt_elements
     interned: dict = {}
     known: list = []
     memo: dict[tuple[int, int], int] = {}
@@ -137,7 +126,7 @@ def _first_triple_violation(fn: DualFunction, step_endos) -> tuple[int, tuple | 
             pid = memo[i, j] = intern(known[i] * known[j])
         return pid
 
-    ids = [intern(fn(x)) for x in elements] * 4  # every index below is < 4N
+    ids = [intern(v) for v in fn.values] * 4  # every index below is < 4N
     a_steps, b_steps, c_steps = (_image_codes(spec, e) for e in step_endos)
     checks = 0
     for a in a_steps:
@@ -150,7 +139,7 @@ def _first_triple_violation(fn: DualFunction, step_endos) -> tuple[int, tuple | 
                     lhs = product(product(ids[y + abc], ids[y + a]), product(ids[y + b], ids[y + c]))
                     rhs = product(product(ids[y + ab], ids[y + ac]), product(ids[y + bc], ids[y]))
                     if lhs != rhs:
-                        return checks, tuple(elements[k] for k in (a, b, c, y))
+                        return checks, tuple(spec.crt_elements[k] for k in (a, b, c, y))
     return checks, None
 
 
@@ -173,7 +162,11 @@ def verify_difference_lemma(
         isinstance(v, CycloElement) and v.is_real() and v.real_sign() > 0
         for v in _distinct_values(f1, f2)
     )
-    violation = _equation_violation(f1, f2, beta) if positive else None
+    violation = None
+    if positive:
+        violation = first_equation_violation(
+            spec, f1.values.__getitem__, f2.values.__getitem__, beta
+        )
     hypothesis_ok = positive and violation is None
     if not hypothesis_ok:
         detail = "hypothesis not satisfied"
@@ -229,18 +222,19 @@ def verify_difference_lemma(
 
 def _log_residual(f1: DualFunction, f2: DualFunction, beta: Endomorphism) -> float:
     """Float cross-check: worst additive residual of the log-table equation."""
-    spec = f1.spec
-    logs1 = {y: math.log(abs(v.to_complex())) for y, v in f1.values.items()}
-    logs2 = {y: math.log(abs(v.to_complex())) for y, v in f2.values.items()}
+    n = f1.spec.exponent
+    b = beta.code
+    logs1 = [math.log(abs(v.to_complex())) for v in f1.values]
+    logs2 = [math.log(abs(v.to_complex())) for v in f2.values]
     worst = 0.0
-    for u in spec.element_list:
-        for v in spec.element_list:
-            bv = beta.apply(v)
+    for u in range(n):
+        for v in range(n):
+            bv = b * v
             residual = abs(
-                logs1[spec.add(u, v)]
-                + logs2[spec.add(u, bv)]
-                - logs1[spec.sub(u, v)]
-                - logs2[spec.sub(u, bv)]
+                logs1[(u + v) % n]
+                + logs2[(u + bv) % n]
+                - logs1[(u - v) % n]
+                - logs2[(u - bv) % n]
             )
             worst = max(worst, residual)
     return worst
@@ -294,7 +288,9 @@ def verify_fixed_point_lemma(
         raise ValueError("spec mismatch")
     invertible = identity(spec).add(beta.neg()).is_automorphism()
     bounds = all(_within_unit_interval(v) for v in _distinct_values(f, g))
-    violation = _equation_violation(f, g, beta) if bounds and invertible else None
+    violation = None
+    if bounds and invertible:
+        violation = first_equation_violation(spec, f.values.__getitem__, g.values.__getitem__, beta)
     equation_ok = violation is None and bounds and invertible
     if not equation_ok:
         parts = ["hypothesis not satisfied"]
@@ -324,7 +320,11 @@ def verify_fixed_point_lemma(
     to_f = inv_minus.add(inv_minus)  # 2 (I-beta)^-1
     kappa = kappa_of(beta)
 
+    # On CRT codes each map is one multiplier; only a failing y is decoded.
+    n = spec.exponent
+    elements = spec.crt_elements
     fv, gv = f.values, g.values
+    r, mg, mf = ratio.code, to_g.code, to_f.code
     sub_f = sub_g = fix_f = fix_g = True
     first_violation = None
 
@@ -333,19 +333,20 @@ def verify_fixed_point_lemma(
         if first_violation is None:
             first_violation = msg
 
-    for y in spec.element_list:
-        if fv[y] != fv[spec.neg(ratio.apply(y))] * gv[to_g.apply(y)]:
+    for y in spec.crt_codes:  # element order, so the first violation noted is too
+        g_at, f_at = gv[mg * y % n], fv[mf * y % n]
+        if fv[y] != fv[-r * y % n] * g_at:
             sub_f = False
-            note(f"substitution identity for f fails at {y}")
-        if gv[y] != gv[ratio.apply(y)] * fv[to_f.apply(y)]:
+            note(f"substitution identity for f fails at {elements[y]}")
+        if gv[y] != gv[r * y % n] * f_at:
             sub_g = False
-            note(f"substitution identity for g fails at {y}")
-        if fv[y] != gv[to_g.apply(y)]:
+            note(f"substitution identity for g fails at {elements[y]}")
+        if fv[y] != g_at:
             fix_f = False
-            note(f"fixed-point identity for f fails at {y}")
-        if gv[y] != fv[to_f.apply(y)]:
+            note(f"fixed-point identity for f fails at {elements[y]}")
+        if gv[y] != f_at:
             fix_g = False
-            note(f"fixed-point identity for g fails at {y}")
+            note(f"fixed-point identity for g fails at {elements[y]}")
 
     return FixedPointLemmaReport(
         hypothesis_equation_ok=True,

@@ -16,10 +16,10 @@ from .engine import (
     HeydeDecomposition,
     HeydeInstance,
 )
-from .distributions import Distribution
+from .distributions import Distribution, from_pmf
 from .groups import GroupSpec, Subgroup, validate_spec
 from .lemmas import DifferenceLemmaReport, FixedPointLemmaReport
-from .morphisms import Endomorphism, PAdicUnit
+from .morphisms import Endomorphism
 from .sweep import SweepConfig, SweepReport
 
 
@@ -90,16 +90,6 @@ def endo_from_obj(spec: GroupSpec, obj) -> Endomorphism:
     return Endomorphism(spec, _int_tuple(obj, "endomorphism"))
 
 
-def unit_to_obj(unit: PAdicUnit) -> dict:
-    return {"p": unit.p, "digits": list(unit.digits)}
-
-
-def unit_from_obj(obj) -> PAdicUnit:
-    if not isinstance(obj, dict):
-        raise ValueError("p-adic unit must be an object with 'p' and 'digits'")
-    return PAdicUnit(int_from_obj(obj["p"], "p"), _int_tuple(obj["digits"], "digits"))
-
-
 # -- distributions -----------------------------------------------------------
 
 
@@ -126,7 +116,7 @@ def distribution_from_obj(spec: GroupSpec, obj) -> Distribution:
             raise ValueError("masses must be strictly positive")
         masses[x] = Fraction(num, den)
     # Distribution validation enforces total mass one.
-    return Distribution(spec, tuple(sorted(masses.items())))
+    return from_pmf(spec, masses)
 
 
 # -- instances ----------------------------------------------------------------

@@ -161,6 +161,29 @@ def brute_equation_violation(orders, f, g, multipliers):
     return None
 
 
+def dict_convolve(orders, pmf1, pmf2):
+    """Convolution of two element -> mass dicts."""
+    out = {}
+    for x, a in pmf1.items():
+        for y, b in pmf2.items():
+            z = raw_add(orders, x, y)
+            out[z] = out.get(z, 0) + a * b
+    return out
+
+
+def dict_shift(orders, pmf, s):
+    return {raw_add(orders, x, s): m for x, m in pmf.items()}
+
+
+def dict_reflect(orders, pmf):
+    return {raw_neg(orders, x): m for x, m in pmf.items()}
+
+
+def dict_uniform(members):
+    """Uniform element -> mass dict on a set of elements."""
+    return {x: Fraction(1, len(members)) for x in members}
+
+
 def brute_canonical_shift(orders, pmf, members):
     """Smallest (sorted shifted mass list, x) over every x whose shift of pmf
     by -x lands inside members, or None when no x does."""

@@ -82,14 +82,6 @@ def test_ring_identities_random():
         assert (a * b).conj() == a.conj() * b.conj()
 
 
-def test_times_root_matches_multiplication():
-    stream = DeterministicStream(99, label="shift")
-    for _ in range(200):
-        a = from_terms(45, [(stream.randint(0, 44), stream.randint(-3, 3)) for _ in range(3)], 2)
-        t = stream.randint(0, 44)
-        assert a.times_root(t) == a * zeta(45, t)
-
-
 def test_float_agrees_with_exact_predicates():
     stream = DeterministicStream(7, label="float")
     for _ in range(1000):

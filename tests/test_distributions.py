@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -10,8 +11,8 @@ from heyde import (
     degenerate,
     enumerate_distributions,
     enumerate_subgroups,
-    equals_one_set,
     from_pmf,
+    full_subgroup,
     haar,
     has_haar_factor,
     invert_char_table,
@@ -25,7 +26,9 @@ from heyde import (
     validate_spec,
     zeta,
 )
-from heyde.distributions import _is_haar_fixed_point
+from heyde import serialize
+from heyde.distributions import Distribution, _is_haar_fixed_point
+from heyde.engine import _canonical_shift
 from heyde.groups import Subgroup
 
 import acceptance_corpus as corpus
@@ -130,22 +133,10 @@ def test_unit_modulus_set_matches_bruteforce_and_cyclotomic():
     cases += list(enumerate_distributions(Z9, 2))
     for mu in cases:
         sub = unit_modulus_set(mu, mu)
-        brute = oracles.brute_unit_modulus_points(Z9.orders, mu.pmf)
+        brute = oracles.brute_unit_modulus_points(Z9.orders, dict(mu.masses))
         assert set(sub.elements()) == brute
         for y in Z9.element_list:
             assert sub.contains(y) == char_fn(mu, y).is_unit_modulus()
-
-
-def test_equals_one_set_properties():
-    stream = DeterministicStream(15, label="eos")
-    for i in range(6):
-        mu = random_distribution(Z9xZ5, 6, stream.derive(str(i)))
-        ones = equals_one_set(mu)
-        for y in Z9xZ5.element_list:
-            assert ones.contains(y) == char_fn(mu, y).is_one()
-        # the distribution is supported in the annihilator of its equals-one set
-        back = ones.annihilator()
-        assert all(back.contains(x) for x in mu.support())
 
 
 def test_min_support_subgroup():
@@ -183,8 +174,8 @@ def _corpus_distributions():
 
 
 def test_integer_fixed_point_route_matches_convolution():
-    # the integer coset test of has_haar_factor against the Fraction identity
-    # lam == lam * haar(sub), on every subgroup of each corpus distribution's
+    # the integer coset test of has_haar_factor against the identity
+    # lam == lam * haar(sub) computed by convolve, on every subgroup of each corpus distribution's
     # group (all six of Z(9) x Z(5) for most), plus shifted Haar measures
     dists = _corpus_distributions()
     dists |= {
@@ -207,3 +198,89 @@ def test_integer_fixed_point_route_matches_convolution():
 def test_spec_mismatch_rejected():
     with pytest.raises(ValueError, match="spec mismatch"):
         convolve(degenerate(Z9, (0,)), degenerate(Z5, (0,)))
+
+
+# -- the canonical stored form ------------------------------------------------
+
+
+def assert_canonical(mu):
+    """Points strictly increasing in element rank, den the least common denominator."""
+    ranks = [mu.spec.crt_rank[r] for r, _ in mu.points]
+    assert all(a < b for a, b in zip(ranks, ranks[1:]))
+    assert gcd(mu.den, *(a for _, a in mu.points)) == 1
+    assert sum(a for _, a in mu.points) == mu.den
+
+
+def _random_margins(spec, count, label):
+    stream = DeterministicStream(23, label=label)
+    return [random_distribution(spec, 12, stream.derive(str(i))) for i in range(count)]
+
+
+def test_every_constructor_yields_the_canonical_form():
+    margins = _random_margins(Z9xZ5, 12, "canonical")
+    built = list(margins)
+    built += list(enumerate_distributions(Z9, 4))
+    built += [haar(sub) for sub in enumerate_subgroups(Z9xZ5)]
+    built += [degenerate(Z9xZ5, x) for x in Z9xZ5.element_list[::5]]
+    built += [convolve(mu, nu) for mu, nu in zip(margins, margins[1:])]
+    built += [shift(mu, (4, 3)) for mu in margins] + [reflect(mu) for mu in margins]
+    built += [_canonical_shift(mu, full_subgroup(Z9xZ5))[1] for mu in margins]
+    built += [invert_char_table(Z9xZ5, char_fn_table(mu)) for mu in margins[:3]]
+    built.append(from_pmf(Z9xZ5, {(8, 4): Fraction(6, 8), (0, 1): Fraction(1, 8), (0, 0): Fraction(1, 8)}))
+    built.append(from_pmf(Z9xZ5, [((9, 0), Fraction(2, 6)), ((0, 0), Fraction(1, 3)), ((1, 1), Fraction(1, 3))]))
+    for mu in built:
+        assert_canonical(mu)
+    # some routes start from an unreduced denominator: 2/4 and 2/4 store as 1/2 and 1/2
+    assert Distribution(Z9, 2, ((0, 1), (1, 1))) in built
+
+
+def test_equal_distributions_by_different_routes_are_equal_and_hash_equal():
+    def same(mu, nu):
+        assert mu == nu and hash(mu) == hash(nu)
+
+    for mu in enumerate_distributions(Z9, 4):
+        same(mu, from_pmf(Z9, dict(mu.masses)))
+        same(mu, serialize.distribution_from_obj(Z9, serialize.distribution_to_obj(mu)))
+    for sub in enumerate_subgroups(Z9xZ5):
+        same(convolve(haar(sub), haar(sub)), haar(sub))
+    for mu in _random_margins(Z9xZ5, 8, "routes"):
+        same(reflect(reflect(mu)), mu)
+        for x in Z9xZ5.element_list[::11]:
+            same(shift(shift(mu, x), Z9xZ5.neg(x)), mu)
+        same(serialize.distribution_from_obj(Z9xZ5, serialize.distribution_to_obj(mu)), mu)
+
+
+def test_kernels_match_a_plain_dict_oracle():
+    orders = Z9xZ5.orders
+    margins = _random_margins(Z9xZ5, 10, "oracle")
+    for mu, nu in zip(margins, margins[1:]):
+        pmf = dict(mu.masses)
+        assert dict(convolve(mu, nu).masses) == oracles.dict_convolve(orders, pmf, dict(nu.masses))
+        assert dict(reflect(mu).masses) == oracles.dict_reflect(orders, pmf)
+        for x in Z9xZ5.element_list[::13]:
+            assert dict(shift(mu, x).masses) == oracles.dict_shift(orders, pmf, x)
+    for sub in enumerate_subgroups(Z9xZ5):
+        gens = [
+            tuple(c.p**a % c.order if i == j else 0 for i, c in enumerate(Z9xZ5.components))
+            for j, a in enumerate(sub.exponents)
+        ]
+        members = oracles.brute_closure(orders, gens)
+        assert dict(haar(sub).masses) == oracles.dict_uniform(members)
+
+
+def test_constructor_rejects_noncanonical_points():
+    for points, message in (
+        (((1, 1), (0, 1)), "sorted by element"),
+        (((0, 1), (0, 1)), "sorted by element"),
+        (((0, 3), (1, -1)), "strictly positive"),
+        (((0, 2), (1, 0)), "strictly positive"),
+        (((0, 1), (1, 2)), "total mass is 3/2"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            Distribution(Z9, 2, points)
+    with pytest.raises(ValueError, match="least common denominator"):
+        Distribution(Z9, 4, ((0, 2), (1, 2)))
+    # on Z(9) x Z(5) code 5 is (5, 0) and code 9 is (0, 4), which comes first
+    with pytest.raises(ValueError, match="sorted by element"):
+        Distribution(Z9xZ5, 2, ((5, 1), (9, 1)))
+    Distribution(Z9xZ5, 2, ((9, 1), (5, 1)))

@@ -72,7 +72,7 @@ def test_symmetry_matches_bruteforce_oracle():
         mu2 = random_distribution(Z9, 6, stream.derive(f"b{i}"))
         alpha = alphas[i % len(alphas)]
         inst = HeydeInstance(Z9, mu1, mu2, alpha)
-        expected = oracles.brute_symmetric(Z9.orders, mu1.pmf, mu2.pmf, alpha.multipliers)
+        expected = oracles.brute_symmetric(Z9.orders, dict(mu1.masses), dict(mu2.masses), alpha.multipliers)
         assert is_conditionally_symmetric(inst) == expected
 
 

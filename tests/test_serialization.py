@@ -5,7 +5,6 @@ import pytest
 
 from heyde import (
     HeydeInstance,
-    PAdicUnit,
     classify_corollary,
     decompose,
     degenerate,
@@ -47,18 +46,6 @@ def test_instance_roundtrip():
         make_endo(Z9, [2]),
     )
     assert roundtrip_instance(inst) == inst
-
-
-def test_unit_roundtrip():
-    unit = PAdicUnit(3, (2, 1, 0))
-    assert serialize.unit_from_obj(serialize.unit_to_obj(unit)) == unit
-
-
-def test_unit_reader_rejects_non_integers():
-    for bad in ({"p": True, "digits": [2]}, {"p": 3.0, "digits": [2]}, {"p": 3, "digits": ["2"]},
-                {"p": 3, "digits": [True]}, {"p": 3, "digits": "2"}):
-        with pytest.raises(ValueError, match="must be"):
-            serialize.unit_from_obj(bad)
 
 
 def test_reader_rejects_bad_mass():
