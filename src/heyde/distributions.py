@@ -281,50 +281,102 @@ def invert_char_table(spec: GroupSpec, table: dict[Element, CycloElement]) -> Di
     e - t mod N.  So each x needs, per exponent k, the integer
     sum_y c[y][k + t] over y, which is reduced once.
 
-    The sums are exact integer Kronecker packing.  Let m be the number of
-    table entries (N for a full table), B the largest |c[y][e]|, and W a
-    whole number of bytes with 2**W > 2 * m * (B + 1).  Entry y becomes the
-    integer P_y with c[y][k] + B in bits kW..kW+W-1 (slot k), k < N, so
-    every slot is in [0, 2B].  P_y + (P_y << NW) holds two copies, and
-    shifting it right by tW puts c[y][k + t mod N] + B in slot k for every
-    k < N.  Adding those shifts over the m entries, each slot below bit NW
-    sums m values in [0, 2B], at most 2mB < 2**W, so no carry crosses a
-    slot boundary; the bits at and above NW, what the shifts leave of the
-    second copies, only carry upward and are masked off.  Slot k of the
-    masked sum minus m * B is then the exact coefficient.
+    The sums are exact integer Kronecker packing.  Let B be the largest
+    |c[y][e]|, and W a whole number of bytes with 2**W > 2 * N * (B + 1).
+    Entry y becomes the integer P_y with c[y][k] + B in bits kW..kW+W-1
+    (slot k), k < N, so every slot is in [0, 2B].  P_y + (P_y << NW) holds
+    two copies, and shifting it right by tW puts c[y][k + t mod N] + B in
+    slot k for every k < N: the rotation by zeta**(-t).  Adding such shifts,
+    each slot below bit NW sums values in [0, 2B], and no carry crosses a
+    slot boundary while the sum stays below 2**W; the bits at and above NW,
+    what the shifts leave of the second copies, only carry upward and are
+    masked off.
+
+    The shifts are summed one CRT axis at a time (the prime-factor, or
+    Good-Thomas, transform).  On codes t = sum_j w_j * x * y mod N with
+    w_j = N / q_j, and w_j * x * y mod N depends only on x and y mod q_j.
+    So the pass for axis j replaces the words on each line
+    {b + i * w_j : i < q_j} (b < w_j), the codes that differ only in their
+    residue mod q_j, by the sums over that line of the rotations by
+    zeta**(-w_j * x * y), for every x on the line, each word doubled before
+    its pass and masked after it; after the last pass the word at x has
+    summed the rotation of every P_y by zeta**(-t).  That is N * sum q_j
+    shift-adds in place of N**2.  A slot after the pass for axis j sums
+    q_1 * ... * q_j of the N values in [0, 2B] that its final slot sums, at
+    most 2NB < 2**W, so the same W covers every pass.  Slot k of the final
+    word minus N * B is then the exact coefficient.
+
+    A table that is not keyed by exactly the elements of spec is refused.
     """
-    n = spec.size
-    order = spec.exponent
-    den = 1
-    for value in table.values():
-        den = lcm(den, value.den)
-    entries = [(y, [c * (den // value.den) for c in value.num]) for y, value in table.items()]
-    bias = max((abs(c) for _, coeffs in entries for c in coeffs), default=0)
-    nbytes = (2 * len(entries) * (bias + 1)).bit_length() // 8 + 1
+    if table.keys() != set(spec.element_list):
+        raise ValueError("table must cover every dual element")
+    n = spec.exponent
+    values = [table[y] for y in spec.crt_elements]
+    den = lcm(*(value.den for value in values))
+    coeffs = [[c * (den // value.den) for c in value.num] for value in values]
+    bias = max(max(map(abs, row)) for row in coeffs)
+    nbytes = (2 * n * (bias + 1)).bit_length() // 8 + 1
     width = 8 * nbytes
-    packed = []
-    for y, coeffs in entries:
-        slots = coeffs + [0] * (order - len(coeffs))
-        word = int.from_bytes(b"".join((c + bias).to_bytes(nbytes, "little") for c in slots), "little")
-        packed.append((spec.crt(y), word | word << (order * width)))
-    mask = (1 << (order * width)) - 1
-    unit = spec.crt_pair_unit
-    total_bias = len(entries) * bias
+    span = n * width
+    mask = (1 << span) - 1
+    words = [_pack_slots([c + bias for c in row] + [bias] * (n - len(row)), nbytes) for row in coeffs]
+    for q in spec.orders:
+        w = n // q
+        doubled = [word | word << span for word in words]
+        for b in range(w):
+            line = range(b, n, w)
+            for x in line:
+                t = w * x
+                acc = 0
+                for y in line:
+                    acc += doubled[y] >> (t * y % n * width)
+                words[x] = acc & mask
+    total_bias = n * bias
     pmf: dict[Element, Fraction] = {}
     for x, cx in zip(spec.element_list, spec.crt_codes):
-        sx = unit * cx
-        acc = 0
-        for cy, word in packed:
-            acc += word >> (sx * cy % order * width)
-        raw = (acc & mask).to_bytes(order * nbytes, "little")
-        vec = [
-            int.from_bytes(raw[k : k + nbytes], "little") - total_bias
-            for k in range(0, order * nbytes, nbytes)
-        ]
-        value = cyclotomic.from_terms(order, enumerate(vec), den)
+        vec = [c - total_bias for c in _unpack_slots(words[cx], n, nbytes)]
+        value = cyclotomic.from_terms(n, enumerate(vec), den)
         if not value.is_rational():
             raise VerificationFailure(f"inversion produced a non-rational mass at {x}")
         q = value.rational_value() / n
         if q:
             pmf[x] = q
     return from_pmf(spec, pmf)
+
+
+# struct formats of the standard item sizes that hold a slot of up to 8 bytes
+_ITEM_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _restride(raw, old: int, new: int) -> bytearray:
+    """raw cut into items of old bytes, each cut or zero-padded to new bytes."""
+    out = bytearray(len(raw) // old * new)
+    for i in range(min(old, new)):
+        out[i::new] = raw[i::old]
+    return out
+
+
+def _pack_slots(slots: list[int], nbytes: int) -> int:
+    """The integer with slots[k] in its bytes k*nbytes .. (k+1)*nbytes - 1.
+
+    Slots of up to 8 bytes go through one struct call at the next standard
+    item size; wider ones are converted one at a time.
+    """
+    size = 1 << (nbytes - 1).bit_length()
+    if size not in _ITEM_FORMATS:
+        return int.from_bytes(b"".join(c.to_bytes(nbytes, "little") for c in slots), "little")
+    import struct
+
+    raw = struct.pack(f"<{len(slots)}{_ITEM_FORMATS[size]}", *slots)
+    return int.from_bytes(_restride(raw, size, nbytes), "little")
+
+
+def _unpack_slots(word: int, count: int, nbytes: int):
+    """The count slots of nbytes bytes each of word, lowest first (inverse of _pack_slots)."""
+    raw = word.to_bytes(count * nbytes, "little")
+    size = 1 << (nbytes - 1).bit_length()
+    if size not in _ITEM_FORMATS:
+        return [int.from_bytes(raw[k : k + nbytes], "little") for k in range(0, len(raw), nbytes)]
+    import struct
+
+    return struct.unpack(f"<{count}{_ITEM_FORMATS[size]}", _restride(raw, nbytes, size))

@@ -1,17 +1,23 @@
-"""The traced benchmark finds every heyde function it wraps.
+"""The benchmark runs against the package.
 
 bench/tracing.py names each wrapped function by (module, qualified name) in
 SPANNED and COUNTED, and Tracer._rebind looks a plain name up as a module
 attribute and a Class.attr name in the class's own namespace.  A rename or
 deletion in the package would otherwise surface only when a traced run
-fails, so each target is resolved here the same way.
+fails, so each target is resolved here the same way.  One smoke round of
+the lemma-checks workload checks every verify-lemmas report and Fourier
+inversion it makes against the independent model in bench/model.py.
 """
 
 import importlib
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def _load_tracing():
@@ -42,3 +48,20 @@ def test_every_traced_target_resolves():
         if not found:
             missing.append((module_name, qualname))
     assert missing == []
+
+
+def test_lemma_checks_smoke_round_is_correct():
+    done = subprocess.run(
+        [sys.executable, str(BENCH / "run.py"), "--workload", "lemma-checks", "--smoke"],
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.strip().splitlines()
+    # the SMOKE line counts golden replays and workload ops; no FAIL line follows it
+    assert lines[0].startswith("SMOKE lemma-checks: rounds=1 ") and lines[0].endswith(" failed=0")
+    assert len(lines) == 2
+    composition = json.loads(lines[-1])["composition"]
+    # verify-lemmas ops on Z(9) and the N = 315 inversion both ran
+    assert composition["N9"]["ops"] > 0 and composition["N315"]["ops"] > 0

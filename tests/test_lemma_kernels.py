@@ -4,9 +4,13 @@ The triple-difference scan of verify_difference_lemma runs on CRT codes
 with interned values and memoized products, invert_char_table sums packed
 integers, and the cyclotomic reduction rows are sparse.  Each is compared
 here with a plain implementation in oracles.py: the brute triple scan on
-tuples, the per-x inversion with dense rows, and dense reduction.
+tuples, the per-x inversion with dense rows, and dense reduction.  The
+generator route of verify_difference_lemma is compared with the full
+scan, and the axis-wise inversion with the per-x reference.
 """
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -29,8 +33,9 @@ from heyde import (
 )
 from heyde import lemmas
 from heyde.cyclotomic import _ring, cyclotomic_polynomial, from_terms, zeta
+from heyde.distributions import _pack_slots, _unpack_slots
 from heyde.errors import VerificationFailure
-from heyde.lemmas import _first_triple_violation, dual_function
+from heyde.lemmas import DualFunction, _first_triple_violation, dual_function
 from heyde.morphisms import identity
 
 import acceptance_corpus as corpus
@@ -41,6 +46,9 @@ Z9 = validate_spec([(3, 2)])
 Z3xZ5 = validate_spec([(3, 1), (5, 1)])
 Z9xZ5 = validate_spec([(3, 2), (5, 1)])
 Z9xZ5xZ7 = validate_spec([(3, 2), (5, 1), (7, 1)])
+Z25 = validate_spec([(5, 2)])
+Z27 = validate_spec([(3, 3)])
+Z27xZ5xZ7 = validate_spec([(3, 3), (5, 1), (7, 1)])
 
 
 # -- triple-difference scan ------------------------------------------------------
@@ -143,6 +151,94 @@ def test_signs_are_decided_once_per_distinct_value(monkeypatch):
     beta = fixture.instance.alpha.adjoint()
     assert not verify_difference_lemma(f, g.with_value(last, from_rational(9, -1)), beta).positive_ok
     assert not lemmas.verify_fixed_point_lemma(f, g.with_value(last, from_rational(9, 2)), beta).bounds_ok
+
+
+# -- generator route of the difference lemma ------------------------------------------
+
+
+def periodic_table(spec, rng, d, perturb):
+    """A positive rational table constant on the cosets of dZ(N) (by code),
+    changed at one random code when perturb is set."""
+    n = spec.exponent
+    coset = [Fraction(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(d)]
+    values = [from_rational(n, coset[r % d]) for r in range(n)]
+    if perturb:
+        r = rng.randrange(n)
+        values[r] = from_rational(n, coset[r % d] + Fraction(1, rng.randint(2, 5)))
+    return DualFunction(spec, tuple(values))
+
+
+def dominant_margin(spec, rng):
+    """A margin with one atom of mass 3/5, so its character sums never vanish."""
+    points = rng.sample(spec.element_list, 3)
+    return from_pmf(spec, {points[0]: Fraction(3, 5), points[1]: Fraction(1, 5), points[2]: Fraction(1, 5)})
+
+
+def generator_cases(spec, rng):
+    """Endless (beta, f, g) with random beta, non-units included, and tables
+    of three kinds: squared moduli of random margins, and positive rational
+    tables periodic under the image of I + beta or of I - beta (every
+    conclusion holds, because one step set lies in the period), perturbed
+    at one point or not."""
+    n = spec.exponent
+    one = identity(spec)
+    while True:
+        beta = make_endo(spec, [rng.randrange(q) for q in spec.orders])
+        periods = [math.gcd(e.code, n) for e in (one.add(beta), one.add(beta.neg()))]
+        tables = []
+        for _ in range(2):
+            kind = rng.randrange(3)
+            if kind == 0:
+                tables.append(squared_modulus_table(dominant_margin(spec, rng)))
+            else:
+                tables.append(periodic_table(spec, rng, rng.choice(periods), perturb=kind == 2))
+        yield beta, tables[0], tables[1]
+
+
+@pytest.mark.parametrize(
+    "spec, budget",
+    [(Z5, 2000), (Z9, 15000), (Z3xZ5, 30000), (Z9xZ5, 200000)],
+    ids=["Z5", "Z9", "Z3xZ5", "Z9xZ5"],
+)
+def test_generator_route_reports_equal_the_full_scan(monkeypatch, spec, budget):
+    # The hypothesis is bypassed so that arbitrary positive tables reach the
+    # conclusions.  A case is kept when its full scans, which make as many
+    # checks as the report counts, fit the budget.
+    monkeypatch.setattr(lemmas, "first_equation_violation", lambda *args: None)
+    kept, outcomes, units = 0, set(), set()
+    cases = generator_cases(spec, random.Random(spec.exponent * 101))
+    for beta, f, g in itertools.islice(cases, 200):
+        fast = verify_difference_lemma(f, g, beta)
+        assert fast.evaluated
+        if fast.checks > budget:
+            continue
+        with monkeypatch.context() as full:
+            full.setattr(lemmas, "_generator_triple_violation", lemmas._first_triple_violation)
+            slow = verify_difference_lemma(f, g, beta)
+        assert fast == slow, beta.multipliers
+        kept += 1
+        outcomes.add((fast.first_conclusion_ok, fast.second_conclusion_ok))
+        units.add(beta.is_automorphism())
+        # until both routes have met a unit and a non-unit beta, a pair that
+        # passes and a pair with one passing and one failing conclusion
+        mixed = outcomes & {(True, False), (False, True)}
+        if kept >= 8 and (True, True) in outcomes and mixed and len(units) == 2:
+            break
+    else:
+        pytest.fail(f"200 cases kept {kept} with outcomes {outcomes} and units {units}")
+
+
+def test_generator_route_counts_every_quadruple_it_certifies():
+    # beta = -I with |f|**2 of a 3-point margin: the hypothesis holds, and in
+    # each conclusion the step set of I + beta is trivial and the other two
+    # are the whole group
+    for spec in (Z9, Z3xZ5):
+        mu = dominant_margin(spec, random.Random(3))
+        f = squared_modulus_table(mu)
+        beta = make_endo(spec, [q - 1 for q in spec.orders])
+        report = verify_difference_lemma(f, f, beta)
+        n = spec.exponent
+        assert report.ok and report.checks == 2 * n**3
 
 
 # -- Fourier inversion -------------------------------------------------------------
@@ -257,6 +353,94 @@ def test_entries_more_negative_than_positive():
         with pytest.raises(ValueError) as slow:
             reference(spec, table)
         assert str(packed.value) == str(slow.value)
+
+
+@pytest.mark.parametrize("spec", [Z25, Z27], ids=["Z25", "Z27"])
+def test_axis_wise_inversion_on_one_axis(spec):
+    els = spec.element_list
+    rng = random.Random(spec.exponent)
+    margins = [
+        haar(full_subgroup(spec)),
+        from_pmf(spec, {els[1]: Fraction(2, 3), els[-1]: Fraction(1, 3)}),
+        from_pmf(spec, {x: Fraction(w, 15) for x, w in zip(rng.sample(els, 5), (1, 2, 3, 4, 5))}),
+    ]
+    for mu in margins:
+        table = char_fn_table(mu)
+        assert invert_char_table(spec, table) == reference(spec, table) == mu
+
+
+def test_axis_wise_inversion_round_trip_on_three_axes():
+    spec = Z27xZ5xZ7
+    els = spec.element_list
+    rng = random.Random(945)
+    weights = [rng.randint(1, 9) for _ in range(4)]
+    mu = from_pmf(spec, {x: Fraction(w, sum(weights)) for x, w in zip(rng.sample(els, 4), weights)})
+    assert invert_char_table(spec, char_fn_table(mu)) == mu
+
+
+def test_slot_width_at_each_byte_boundary():
+    # mu = (1 - 1/D) delta_0 + (1/D) uniform has table 1 at 0 and (D - 1)/D
+    # elsewhere, so the largest coefficient over D is B = D.  The slot width
+    # is 8 * (bit_length(2N(B + 1)) // 8 + 1) bits, one byte more each time
+    # 2N(B + 1) reaches 2**(8j - 1); D is taken just below and at each such
+    # point, which covers every slot size from 1 to 11 bytes.
+    for spec in (Z9, Z9xZ5):
+        n = spec.exponent
+        uniform = {x: Fraction(1, n) for x in spec.element_list}
+        for j in range(1, 11):
+            edge = 2 ** (8 * j - 1)
+            below = (edge - 1) // (2 * n) - 1  # 2N(D + 1) < edge
+            for den in (below, below + 1):
+                if den < 2:
+                    continue
+                assert (2 * n * (den + 1) >= edge) == (den > below)
+                pmf = {x: m / den for x, m in uniform.items()}
+                pmf[spec.zero()] += 1 - Fraction(1, den)
+                mu = from_pmf(spec, pmf)
+                table = char_fn_table(mu)
+                assert math.lcm(*(v.den for v in table.values())) == den
+                assert max(abs(c) * (den // v.den) for v in table.values() for c in v.num) == den
+                assert invert_char_table(spec, table) == mu
+
+
+def test_slot_packing_round_trips_at_every_width():
+    rng = random.Random(8)
+    for nbytes in range(1, 12):
+        top = 256**nbytes - 1
+        slots = [0, top, 1, top - 1] + [rng.randint(0, top) for _ in range(41)]
+        word = _pack_slots(slots, nbytes)
+        assert word == sum(c << (8 * nbytes * k) for k, c in enumerate(slots))
+        assert list(_unpack_slots(word, len(slots), nbytes)) == slots
+
+
+def test_non_rational_table_fails_at_the_reference_point_on_three_axes():
+    # The table of delta_0 with one entry changed: every mass with
+    # pair_exponent(x, y0) != 0 is then non-rational, and the first such x
+    # in element order comes after the 35 elements with x[0] == 0.
+    spec = Z9xZ5xZ7
+    n = spec.exponent
+    table = {y: from_rational(n, 1) for y in spec.element_list}
+    table[(1, 0, 0)] = from_rational(n, 2)
+    with pytest.raises(VerificationFailure) as packed:
+        invert_char_table(spec, table)
+    with pytest.raises(VerificationFailure) as slow:
+        reference(spec, table)
+    assert str(packed.value) == str(slow.value) == "inversion produced a non-rational mass at (1, 0, 0)"
+
+
+def test_inversion_refuses_a_table_that_does_not_cover_the_dual():
+    table = char_fn_table(degenerate(Z9, (0,)))
+    with pytest.raises(ValueError, match="^table must cover every dual element$"):
+        invert_char_table(Z9, {(0,): from_rational(9, 1)})
+    unreduced = dict(table)
+    unreduced[(9,)] = unreduced.pop((0,))
+    with pytest.raises(ValueError, match="^table must cover every dual element$"):
+        invert_char_table(Z9, unreduced)
+    extra = dict(table)
+    extra[(9,)] = table[(0,)]
+    with pytest.raises(ValueError, match="^table must cover every dual element$"):
+        invert_char_table(Z9, extra)
+    assert invert_char_table(Z9, table) == degenerate(Z9, (0,))
 
 
 # -- sparse reduction rows -----------------------------------------------------------
