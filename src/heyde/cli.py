@@ -122,6 +122,8 @@ def cmd_sweep(args) -> int:
         obj = {"specs": [json.loads(s) for s in args.spec]}
     else:
         raise ValueError("sweep needs --input or at least one --spec")
+    if not isinstance(obj, dict):
+        raise ValueError("sweep config must be an object with a 'specs' list")
     if args.seed is not None:
         obj["seed"] = args.seed
     if args.budget is not None:

@@ -7,9 +7,8 @@ its support in element order, each with mass a / D.  The stored form is
 canonical (D is the least common denominator), so equality is structural
 and every theorem-level conclusion is an exact identity.  The integer
 constructors (convolve, shift, reflect, haar) build codes directly;
-coordinate tuples and Fractions appear only at the edges, in the decoded
-views (masses, support()) and in from_pmf, which files, reports and the
-tuple-keyed API go through.
+coordinate tuples and Fractions appear only at the edges, in the masses
+view and in from_pmf, which files, reports and the tuple-keyed API use.
 
 The unit-modulus predicate is decided combinatorially (a character sum
 has modulus one exactly when the pairing is constant on the support); the
@@ -31,7 +30,7 @@ from math import gcd, lcm
 from . import cyclotomic
 from .cyclotomic import CycloElement
 from .errors import VerificationFailure
-from .groups import Element, GroupSpec, Subgroup, subgroup_generated
+from .groups import Element, GroupSpec, Subgroup, generated_by_codes
 
 
 @dataclass(frozen=True)
@@ -79,10 +78,6 @@ class Distribution:
         # field -> the memoized residue function of char_residues
         return {}
 
-    def support(self) -> tuple[Element, ...]:
-        elements = self.spec.crt_elements
-        return tuple(elements[r] for r, _ in self.points)
-
 
 def _canonical(spec: GroupSpec, den: int, points: Iterable[tuple[int, int]]) -> Distribution:
     """The distribution with mass a / den at each (code, a), codes distinct:
@@ -113,10 +108,8 @@ def degenerate(spec: GroupSpec, x: Element) -> Distribution:
 
 
 def haar(sub: Subgroup) -> Distribution:
-    """Uniform distribution on a product subgroup: the multiples of N / |sub| on codes."""
-    spec = sub.spec
-    n = spec.exponent
-    return _canonical(spec, sub.order, ((r, 1) for r in range(0, n, n // sub.order)))
+    """Uniform distribution on a subgroup: mass 1 / |sub| at each of its codes."""
+    return Distribution(sub.spec, sub.order, tuple((r, 1) for r in sub.codes))
 
 
 def convolve(mu: Distribution, nu: Distribution) -> Distribution:
@@ -207,24 +200,24 @@ def char_fn_zero_classes(mu: Distribution) -> dict[int, bool]:
     return zero
 
 
-def _constancy_subgroup(mu: Distribution) -> Subgroup:
-    # Dual elements whose pairing is constant on the support; equivalently
-    # the annihilator of the subgroup generated by support differences.
-    spec = mu.spec
-    support = mu.support()
-    return subgroup_generated(spec, [spec.sub(x, support[0]) for x in support]).annihilator()
+def difference_subgroup(mu: Distribution) -> Subgroup:
+    """The subgroup generated by the differences of support points: the
+    smallest subgroup that a shift of mu is supported in."""
+    base = mu.points[0][0]
+    return generated_by_codes(mu.spec, [r - base for r, _ in mu.points])
 
 
 def unit_modulus_set(mu1: Distribution, mu2: Distribution) -> Subgroup:
-    """Dual subgroup where both character sums have modulus one."""
+    """Dual subgroup where both character sums have modulus one: where the
+    pairing is constant on both supports, i.e. on their difference subgroups."""
     if mu1.spec != mu2.spec:
         raise ValueError("spec mismatch")
-    return _constancy_subgroup(mu1).intersect(_constancy_subgroup(mu2))
+    return difference_subgroup(mu1).annihilator().intersect(difference_subgroup(mu2).annihilator())
 
 
 def min_support_subgroup(mu: Distribution) -> Subgroup:
-    """Smallest product subgroup containing the support."""
-    return subgroup_generated(mu.spec, mu.support())
+    """Smallest subgroup containing the support."""
+    return generated_by_codes(mu.spec, [r for r, _ in mu.points])
 
 
 def _is_haar_fixed_point(lam: Distribution, sub: Subgroup) -> bool:
@@ -234,14 +227,14 @@ def _is_haar_fixed_point(lam: Distribution, sub: Subgroup) -> bool:
     of lam over the coset r + sub.  So lam is a fixed point exactly when
     lam is constant on every coset: if it is, each mean is that constant;
     if lam equals its coset mean at every point of a coset, it takes one
-    value there.  On CRT codes sub is the multiples of d = N / |sub|, and
+    value there.  On CRT codes sub is the multiples of its index d, and
     its cosets are the residue classes r mod d.  A class that meets the
     support must then lie wholly in it, |sub| points with one numerator
     over the common denominator D; a class that misses it is zero.
     """
     if lam.spec != sub.spec:
         raise ValueError("spec mismatch")
-    d = lam.spec.exponent // sub.order
+    d = sub.index
     classes: dict[int, list[int]] = {}
     for r, a in lam.points:
         seen = classes.setdefault(r % d, [a, 0])
@@ -257,12 +250,12 @@ def has_haar_factor(lam: Distribution, sub: Subgroup) -> bool:
     Decided along two independent routes that must agree: the fixed-point
     identity lam == lam * haar(sub) on integer numerators
     (_is_haar_fixed_point), and vanishing of the character sum off the
-    annihilator of sub.  The annihilator's codes are the multiples of
-    step = N / |ann|, so its complement is the union of the gcd classes
-    that step does not divide.
+    annihilator of sub.  The annihilator's codes are the multiples of its
+    index, so its complement is the union of the gcd classes that index
+    does not divide.
     """
     fixed_point = _is_haar_fixed_point(lam, sub)
-    step = lam.spec.exponent // sub.annihilator().order
+    step = sub.annihilator().index
     vanishing = all(zero for g, zero in char_fn_zero_classes(lam).items() if g % step)
     if fixed_point != vanishing:
         raise VerificationFailure(

@@ -44,6 +44,7 @@ from .distributions import (
     _canonical,
     char_fn_zero_classes,
     char_residues,
+    difference_subgroup,
     from_pmf,
     haar,
     has_haar_factor,
@@ -222,22 +223,20 @@ def _canonical_shift(mu: Distribution, sub: Subgroup) -> tuple[Element, Distribu
     distributions form one orbit under translation by sub; choosing the
     lexicographically smallest shifted distribution (then the smallest
     shift realizing it) removes the translation ambiguity, so both margins
-    of a symmetric pair land on the same representative.
+    of a symmetric pair land on the same representative.  A shift exists
+    exactly when sub contains the difference subgroup of mu.
 
     Candidates are compared as sorted (lexicographic rank, mass) lists on
-    CRT codes, where sub is the multiples of d = N / |sub|.  Zero has rank
-    0, so a shift by a support point, which moves that point to zero,
-    beats every other shift; only those are tried, and only the winner is
-    built as a Distribution.
+    CRT codes.  Zero has rank 0, so a shift by a support point, which moves
+    that point to zero, beats every other shift; only those are tried, and
+    only the winner is built as a Distribution.
     """
+    if difference_subgroup(mu).index % sub.index:
+        raise VerificationFailure("no valid shift found")
     spec = mu.spec
     n = spec.exponent
     rank = spec.crt_rank
-    d = n // sub.order
     points = mu.points
-    base = points[0][0]
-    if any((r - base) % d for r, _ in points):
-        raise VerificationFailure("no valid shift found")
     _, _, x = min(
         (sorted((rank[(r - x) % n], w) for r, w in points), rank[x], x) for x, _ in points
     )
@@ -352,7 +351,7 @@ def classify_corollary(inst: HeydeInstance, dec: HeydeDecomposition) -> Corollar
         any(char_fn_zero_classes(mu).values()) for mu in (inst.mu1, inst.mu2)
     )
     if nonvanishing:
-        verified = all(kernel.contains(x) for x in dec.lam.support())
+        verified = all(r % kernel.index == 0 for r, _ in dec.lam.points)
         detail = (
             "support of lambda lies in Ker(I + alpha)"
             if verified

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
 
-from .distributions import Distribution, _canonical, convolve, haar, shift
+from .distributions import Distribution, _canonical, convolve, difference_subgroup, haar, shift
 from .engine import HeydeInstance, is_conditionally_symmetric
 from .errors import VerificationFailure
-from .groups import Element, GroupSpec, Subgroup, enumerate_subgroups, subgroup_generated
+from .groups import Element, GroupSpec, Subgroup, enumerate_subgroups
 from .morphisms import Endomorphism, identity
 from .rng import DeterministicStream
 
@@ -49,7 +48,7 @@ def construct_instance(
         raise ValueError("alpha is not an automorphism")
     if not construction_admissible(sub, alpha):
         raise ValueError("construction hypothesis violated: I - alpha not invertible on G")
-    if not all(sub.contains(x) for x in rho.support()):
+    if any(r % sub.index for r, _ in rho.points):
         raise ValueError("seed distribution must be supported in the subgroup")
     x2 = spec.reduce(x2)
     one_plus = identity(spec).add(alpha)
@@ -61,9 +60,7 @@ def construct_instance(
     # An off-center seed can make the raw support generate more than the
     # subgroup the pair really lives on; the decomposition always recenters,
     # so the effective subgroup is generated by the support differences.
-    support = lam.support()
-    effective = subgroup_generated(spec, [spec.sub(s, support[0]) for s in support])
-    return ConstructedFixture(instance, lam, x1, x2, sub, effective)
+    return ConstructedFixture(instance, lam, x1, x2, sub, difference_subgroup(lam))
 
 
 def enumerate_automorphisms(spec: GroupSpec) -> list[Endomorphism]:
@@ -93,11 +90,6 @@ def enumerate_distributions(spec: GroupSpec, denominator: int):
         yield _canonical(spec, denominator, ((r, c) for r, c in zip(codes, parts) if c))
 
 
-def count_distributions(spec: GroupSpec, denominator: int) -> int:
-    n = spec.size
-    return comb(denominator + n - 1, n - 1)
-
-
 def _as_stream(seed) -> DeterministicStream:
     return seed if isinstance(seed, DeterministicStream) else DeterministicStream(seed)
 
@@ -112,7 +104,7 @@ def random_distribution(
     if max_denominator < 1:
         raise ValueError("max_denominator must be at least 1")
     stream = _as_stream(seed)
-    codes = [spec.crt(x) for x in support.elements()] if support is not None else spec.crt_codes
+    codes = support.codes if support is not None else spec.crt_codes
     d = stream.randint(1, max_denominator)
     size = stream.randint(1, min(len(codes), d))
     chosen = [codes[i] for i in stream.distinct(len(codes), size)]

@@ -4,10 +4,12 @@ Every group handled by the package is a direct product of cyclic groups of
 pairwise distinct odd prime power orders.  Elements are coordinate tuples
 (one residue per component), and the character group is identified with the
 group itself through the standard product pairing, so dual elements share
-the element representation.  Because the component primes are distinct,
-every subgroup is itself a product of cyclic p-subgroups and is described
-by one exponent per component, and the group is cyclic: GroupSpec.crt
-encodes an element as its code in Z(N), the form the package stores.
+the element representation.  The component orders are pairwise coprime,
+so the group is cyclic: GroupSpec.crt encodes an element as its code in
+Z(N), the form the package stores.  A subgroup of Z(N) is dZ(N), the
+multiples of its index d, a divisor of N; Subgroup owns that arithmetic
+(order, membership, annihilator, intersection, generation) on codes.  Its
+exponent vector, one exponent per component, is its file and label form.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from math import prod
+from math import gcd, lcm, prod
 
 Element = tuple[int, ...]
 
@@ -85,6 +87,11 @@ class GroupSpec:
         return self.exponent
 
     @cached_property
+    def _subgroups(self) -> dict:
+        # index -> its Subgroup, so each one's codes are computed once
+        return {}
+
+    @cached_property
     def _pair_weights(self) -> tuple[int, ...]:
         n = self.exponent
         return tuple(n // q for q in self.orders)
@@ -117,9 +124,6 @@ class GroupSpec:
 
     def sub(self, x: Element, y: Element) -> Element:
         return tuple((a - b) % q for a, b, q in zip(x, y, self.orders))
-
-    def scalar_mul(self, n: int, x: Element) -> Element:
-        return tuple((n * a) % q for a, q in zip(x, self.orders))
 
     def elements(self):
         """All elements in lexicographic order of coordinate tuples."""
@@ -209,21 +213,14 @@ def validate_spec(raw) -> GroupSpec:
     return GroupSpec(tuple(components))
 
 
-def valuation(n: int, p: int, cap: int) -> int:
-    """p-adic valuation of n, capped at cap; the zero residue gets the cap."""
-    n = n % p**cap
-    if n == 0:
-        return cap
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 @dataclass(frozen=True)
 class Subgroup:
-    """Product subgroup: component j contributes p_j**a_j * Z(p_j**k_j)."""
+    """The subgroup dZ(N) of the multiples of its index d, on CRT codes.
+
+    exponents is its file form: component j contributes
+    p_j**a_j * Z(p_j**k_j), and d is the product of the p_j**a_j.  Every
+    other question is divisor arithmetic on d.
+    """
 
     spec: GroupSpec
     exponents: tuple[int, ...]
@@ -236,59 +233,74 @@ class Subgroup:
                 raise ValueError(f"subgroup exponent {a} out of range for p^{comp.k}")
 
     @cached_property
+    def index(self) -> int:
+        return prod(c.p**a for c, a in zip(self.spec.components, self.exponents))
+
+    @cached_property
     def order(self) -> int:
-        return prod(c.p ** (c.k - a) for c, a in zip(self.spec.components, self.exponents))
+        return self.spec.exponent // self.index
+
+    @cached_property
+    def codes(self) -> tuple[int, ...]:
+        """The multiples of index, in element order (spec.crt_rank)."""
+        spec = self.spec
+        return tuple(sorted(range(0, spec.exponent, self.index), key=spec.crt_rank.__getitem__))
 
     @property
     def is_trivial(self) -> bool:
-        return all(a == c.k for a, c in zip(self.exponents, self.spec.components))
+        return self.index == self.spec.exponent
 
     @property
     def is_full(self) -> bool:
-        return all(a == 0 for a in self.exponents)
+        return self.index == 1
 
     def contains(self, x: Element) -> bool:
-        return all(c % (comp.p**a) == 0 for c, a, comp in zip(x, self.exponents, self.spec.components))
+        return self.spec.crt(x) % self.index == 0
 
     def elements(self):
-        ranges = [
-            range(0, comp.order, comp.p**a) for a, comp in zip(self.exponents, self.spec.components)
-        ]
-        return itertools.product(*ranges)
+        """The members in lexicographic order of coordinate tuples."""
+        return map(self.spec.crt_elements.__getitem__, self.codes)
 
     def annihilator(self) -> "Subgroup":
-        """Characters trivial on this subgroup, as a subgroup of the dual."""
-        return Subgroup(
-            self.spec, tuple(c.k - a for c, a in zip(self.spec.components, self.exponents))
-        )
+        """Characters trivial on this subgroup, as a subgroup of the dual: the
+        pairing is a unit times the product of the codes, so (N / d)Z(N)."""
+        return subgroup_of_index(self.spec, self.order)
 
     def intersect(self, other: "Subgroup") -> "Subgroup":
         if self.spec != other.spec:
             raise ValueError("spec mismatch")
-        return Subgroup(self.spec, tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)))
+        return subgroup_of_index(self.spec, lcm(self.index, other.index))
+
+
+def subgroup_of_index(spec: GroupSpec, d: int) -> Subgroup:
+    """dZ(N) for any int d: the subgroup of index gcd(d, N), built once per spec."""
+    d = gcd(d, spec.exponent)  # so p**(k + 1) does not divide d
+    sub = spec._subgroups.get(d)
+    if sub is None:
+        exps = (next(a for a in range(c.k + 1) if d % c.p ** (a + 1)) for c in spec.components)
+        sub = spec._subgroups[d] = Subgroup(spec, tuple(exps))
+    return sub
 
 
 def trivial_subgroup(spec: GroupSpec) -> Subgroup:
-    return Subgroup(spec, tuple(c.k for c in spec.components))
+    return subgroup_of_index(spec, 0)
 
 
 def full_subgroup(spec: GroupSpec) -> Subgroup:
-    return Subgroup(spec, (0,) * len(spec.components))
+    return subgroup_of_index(spec, 1)
+
+
+def generated_by_codes(spec: GroupSpec, codes) -> Subgroup:
+    """Smallest subgroup containing every code (any ints): gcd(N, *codes)Z(N)."""
+    return subgroup_of_index(spec, gcd(*codes))
 
 
 def subgroup_generated(spec: GroupSpec, xs) -> Subgroup:
-    """Smallest product subgroup containing every element of xs."""
-    xs = list(xs)
-    exps = []
-    for j, comp in enumerate(spec.components):
-        a = comp.k
-        for x in xs:
-            a = min(a, valuation(x[j], comp.p, comp.k))
-        exps.append(a)
-    return Subgroup(spec, tuple(exps))
+    """Smallest subgroup containing every element of xs."""
+    return generated_by_codes(spec, [spec.crt(x) for x in xs])
 
 
 def enumerate_subgroups(spec: GroupSpec) -> list[Subgroup]:
-    """All product subgroups, lexicographic in the exponent vectors."""
+    """All subgroups, lexicographic in the exponent vectors."""
     ranges = [range(c.k + 1) for c in spec.components]
     return [Subgroup(spec, exps) for exps in itertools.product(*ranges)]

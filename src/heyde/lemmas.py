@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .cyclotomic import CycloElement, one as cyclo_one
 from .distributions import Distribution, char_fn, convolve, reflect
@@ -81,6 +82,14 @@ def _distinct_values(*fns: DualFunction) -> list:
     return list(dict.fromkeys(v for fn in fns for v in fn.values))
 
 
+@lru_cache(maxsize=1)
+def _equation_violation(f: DualFunction, g: DualFunction, beta: Endomorphism):
+    """engine.first_equation_violation on the tables of f and g, kept for the
+    last (f, g, beta): both verifiers certify this hypothesis, and
+    verify-lemmas runs them in turn on the same tables."""
+    return first_equation_violation(f.spec, f.values.__getitem__, g.values.__getitem__, beta)
+
+
 @dataclass(frozen=True)
 class DifferenceLemmaReport:
     hypothesis_ok: bool
@@ -97,13 +106,6 @@ class DifferenceLemmaReport:
         return self.evaluated and bool(self.first_conclusion_ok and self.second_conclusion_ok)
 
 
-def _image_codes(spec: GroupSpec, endo: Endomorphism) -> list[int]:
-    """CRT codes of the image of endo, in element_list order."""
-    n = spec.exponent
-    m = endo.code
-    return sorted({m * r % n for r in range(n)}, key=spec.crt_rank.__getitem__)
-
-
 def _first_triple_violation(fn: DualFunction, step_endos) -> tuple[int, tuple | None]:
     """Scan the multiplicative triple-difference identity of log fn.
 
@@ -114,7 +116,7 @@ def _first_triple_violation(fn: DualFunction, step_endos) -> tuple[int, tuple | 
     or None.  This full scan is the reference route; it makes no
     assumption on the values, zeros included.
     """
-    return _triple_scan(fn, *(_image_codes(fn.spec, e) for e in step_endos))
+    return _triple_scan(fn, *(e.image().codes for e in step_endos))
 
 
 def _triple_scan(fn: DualFunction, a_steps, b_steps, c_steps) -> tuple[int, tuple | None]:
@@ -175,10 +177,9 @@ def _generator_triple_violation(fn: DualFunction, step_endos) -> tuple[int, tupl
     y, and a pass reports |A| |B| |C| N checks, the count of the full scan.
     A failure reruns the full scan for its first violation and count.
     """
-    n = fn.spec.exponent
     if _triple_scan(fn, *([e.code] for e in step_endos))[1] is not None:
         return _first_triple_violation(fn, step_endos)
-    return math.prod(n // math.gcd(e.code, n) for e in step_endos) * n, None
+    return math.prod(e.image().order for e in step_endos) * fn.spec.exponent, None
 
 
 def verify_difference_lemma(
@@ -209,9 +210,7 @@ def verify_difference_lemma(
     )
     violation = None
     if positive:
-        violation = first_equation_violation(
-            spec, f1.values.__getitem__, f2.values.__getitem__, beta
-        )
+        violation = _equation_violation(f1, f2, beta)
     hypothesis_ok = positive and violation is None
     if not hypothesis_ok:
         detail = "hypothesis not satisfied"
@@ -335,7 +334,7 @@ def verify_fixed_point_lemma(
     bounds = all(_within_unit_interval(v) for v in _distinct_values(f, g))
     violation = None
     if bounds and invertible:
-        violation = first_equation_violation(spec, f.values.__getitem__, g.values.__getitem__, beta)
+        violation = _equation_violation(f, g, beta)
     equation_ok = violation is None and bounds and invertible
     if not equation_ok:
         parts = ["hypothesis not satisfied"]

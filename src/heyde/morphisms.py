@@ -2,9 +2,9 @@
 
 Because each prime occurs in exactly one component, every endomorphism acts
 componentwise as multiplication by a residue, so an endomorphism is just a
-multiplier vector.  Under the fixed self-duality pairing the adjoint has
-the same multipliers, and kernels and images are product subgroups with
-closed-form exponents.
+multiplier vector, and one multiplier on CRT codes (Endomorphism.code).
+Under the fixed self-duality pairing the adjoint has the same multipliers,
+and kernels and images are subgroups read off gcd(code, N).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from .groups import Element, GroupSpec, Subgroup, valuation
+from .groups import Element, GroupSpec, Subgroup, subgroup_of_index
 
 
 @dataclass(frozen=True)
@@ -76,24 +76,18 @@ class Endomorphism:
         return self
 
     def kernel(self) -> Subgroup:
-        exps = tuple(
-            c.k - valuation(m, c.p, c.k) for m, c in zip(self.multipliers, self.spec.components)
-        )
-        return Subgroup(self.spec, exps)
+        # r -> m * r on Z(N) kills the multiples of N / gcd(m, N)
+        n = self.spec.exponent
+        return subgroup_of_index(self.spec, n // gcd(self.code, n))
 
     def image(self) -> Subgroup:
-        exps = tuple(valuation(m, c.p, c.k) for m, c in zip(self.multipliers, self.spec.components))
-        return Subgroup(self.spec, exps)
+        return subgroup_of_index(self.spec, self.code)
 
     def image_of(self, sub: Subgroup) -> Subgroup:
-        """Image of a product subgroup under this endomorphism."""
+        """Image of a subgroup: m * dZ(N) = gcd(m * d, N)Z(N)."""
         if sub.spec != self.spec:
             raise ValueError("spec mismatch")
-        exps = tuple(
-            min(c.k, a + valuation(m, c.p, c.k))
-            for m, a, c in zip(self.multipliers, sub.exponents, self.spec.components)
-        )
-        return Subgroup(self.spec, exps)
+        return subgroup_of_index(self.spec, self.code * sub.index)
 
     def _same_spec(self, other: "Endomorphism") -> None:
         if self.spec != other.spec:

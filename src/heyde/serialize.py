@@ -39,8 +39,14 @@ def spec_to_obj(spec: GroupSpec) -> dict:
 
 
 def spec_from_obj(obj) -> GroupSpec:
-    if not isinstance(obj, dict) or "components" not in obj:
+    # validate_spec also takes the tuple forms of the Python API; a file
+    # holds only what spec_to_obj writes.
+    if not isinstance(obj, dict) or not isinstance(obj.get("components"), list):
         raise ValueError("spec object must have a 'components' list")
+    for entry in obj["components"]:
+        if not (isinstance(entry, dict) and _is_int(entry.get("p")) and _is_int(entry.get("k"))
+                and isinstance(entry.get("kind", ""), str)):
+            raise ValueError(f"spec component {entry!r} must be an object with integer p, k and a string kind")
     return validate_spec(obj["components"])
 
 
@@ -216,14 +222,16 @@ def fixed_point_report_to_obj(report: FixedPointLemmaReport) -> dict:
 
 
 def sweep_config_from_obj(obj) -> SweepConfig:
-    if not isinstance(obj, dict) or "specs" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("specs"), list):
         raise ValueError("sweep config must be an object with a 'specs' list")
     specs = tuple(spec_from_obj(s) for s in obj["specs"])
     autos = obj.get("automorphisms")
-    if autos is not None and autos != "all":
+    if autos is None or autos == "all":
+        autos = None
+    elif isinstance(autos, list):
         autos = tuple(_int_tuple(vec, "automorphism") for vec in autos)
     else:
-        autos = None
+        raise ValueError(f'automorphisms must be "all" or a list, got {autos!r}')
     return SweepConfig(
         specs=specs,
         mode=obj.get("mode", "random"),

@@ -295,3 +295,51 @@ def brute_triple_violation(orders, f, step_multipliers):
                     if lhs != rhs:
                         return checks, (a, b, c, y)
     return checks, None
+
+
+# -- subgroups as exponent vectors -------------------------------------------
+# The per-component p-adic valuation arithmetic that decided subgroups
+# before they were read as dZ(N) on CRT codes.  comps is a list of (p, k);
+# a subgroup is its exponent vector (component j is p_j**a_j Z(p_j**k_j))
+# and an endomorphism its multiplier vector.
+
+
+def valuation(n, p, cap):
+    """p-adic valuation of n, capped at cap; the zero residue gets the cap."""
+    n = n % p**cap
+    if n == 0:
+        return cap
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def valuation_kernel(comps, multipliers):
+    return tuple(k - valuation(m, p, k) for (p, k), m in zip(comps, multipliers))
+
+
+def valuation_image(comps, multipliers):
+    return tuple(valuation(m, p, k) for (p, k), m in zip(comps, multipliers))
+
+
+def valuation_image_of(comps, multipliers, exps):
+    return tuple(min(k, a + valuation(m, p, k)) for (p, k), m, a in zip(comps, multipliers, exps))
+
+
+def valuation_generated(comps, xs):
+    return tuple(min([k] + [valuation(x[j], p, k) for x in xs]) for j, (p, k) in enumerate(comps))
+
+
+def valuation_annihilator(comps, exps):
+    return tuple(k - a for (p, k), a in zip(comps, exps))
+
+
+def valuation_intersect(exps1, exps2):
+    return tuple(max(a, b) for a, b in zip(exps1, exps2))
+
+
+def valuation_elements(comps, exps):
+    """The members, lexicographic in the coordinate tuples."""
+    return itertools.product(*(range(0, p**k, p**a) for (p, k), a in zip(comps, exps)))

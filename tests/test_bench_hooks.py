@@ -5,8 +5,9 @@ SPANNED and COUNTED, and Tracer._rebind looks a plain name up as a module
 attribute and a Class.attr name in the class's own namespace.  A rename or
 deletion in the package would otherwise surface only when a traced run
 fails, so each target is resolved here the same way.  One smoke round of
-the lemma-checks workload checks every verify-lemmas report and Fourier
-inversion it makes against the independent model in bench/model.py.
+each workload checks every report it gets (decompositions with their
+subgroup, lambda and shifts, sweep counts, verify-lemmas reports and
+Fourier inversions) against the independent model in bench/model.py.
 """
 
 import importlib
@@ -15,6 +16,8 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 TRACING = BENCH / "tracing.py"
@@ -50,9 +53,18 @@ def test_every_traced_target_resolves():
     assert missing == []
 
 
-def test_lemma_checks_smoke_round_is_correct():
+@pytest.mark.parametrize(
+    "workload, rungs",
+    [
+        ("sym-ladder", ("N9", "N315")),
+        ("random-sweep", ("exhaustive:N3", "random:N315")),
+        ("lemma-checks", ("N9", "N315")),
+    ],
+    ids=["sym-ladder", "random-sweep", "lemma-checks"],
+)
+def test_smoke_round_is_correct(workload, rungs):
     done = subprocess.run(
-        [sys.executable, str(BENCH / "run.py"), "--workload", "lemma-checks", "--smoke"],
+        [sys.executable, str(BENCH / "run.py"), "--workload", workload, "--smoke"],
         capture_output=True,
         text=True,
         timeout=600,
@@ -60,8 +72,8 @@ def test_lemma_checks_smoke_round_is_correct():
     assert done.returncode == 0, done.stdout + done.stderr
     lines = done.stdout.strip().splitlines()
     # the SMOKE line counts golden replays and workload ops; no FAIL line follows it
-    assert lines[0].startswith("SMOKE lemma-checks: rounds=1 ") and lines[0].endswith(" failed=0")
+    assert lines[0].startswith(f"SMOKE {workload}: rounds=1 ") and lines[0].endswith(" failed=0")
     assert len(lines) == 2
     composition = json.loads(lines[-1])["composition"]
-    # verify-lemmas ops on Z(9) and the N = 315 inversion both ran
-    assert composition["N9"]["ops"] > 0 and composition["N315"]["ops"] > 0
+    # the smallest and the largest rung both ran
+    assert all(composition[rung]["ops"] > 0 for rung in rungs)

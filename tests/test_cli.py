@@ -1,7 +1,10 @@
 import json
 
+import pytest
+
+from heyde import lemmas, serialize, validate_spec
 from heyde.cli import main
-from heyde import serialize, validate_spec
+from heyde.engine import first_equation_violation
 
 Z5_SPEC = {"components": [{"p": 5, "k": 1, "kind": "finite"}]}
 Z9_SPEC = {"components": [{"p": 3, "k": 2, "kind": "finite"}]}
@@ -206,6 +209,40 @@ def test_non_integer_construction_fields_exit_2(tmp_path, capsys):
         _exit_2_with(capsys, ["construct", "--input", path], f"{key} must be an integer")
 
 
+@pytest.mark.parametrize(
+    "component",
+    [{"p": 3.9, "k": 2}, {"p": "3", "k": 2}, {"p": 3, "k": 2.0}, [3, 2], {"p": 3, "k": 2, "kind": 1}],
+    ids=["float-p", "string-p", "float-k", "list-entry", "non-string-kind"],
+)
+def test_spec_component_is_an_object_with_integer_p_and_k(tmp_path, capsys, component):
+    # spec_to_obj writes {"p": int, "k": int, "kind": str}; 3.9 read as Z(9) before
+    inst = degenerate_instance(0, 0, 2)
+    inst["spec"] = {"components": [component]}
+    path = write(tmp_path, "inst.json", inst)
+    _exit_2_with(capsys, ["check", "--input", path], "spec component")
+
+
+@pytest.mark.parametrize(
+    "command, obj, fragment",
+    [
+        ("check", {**degenerate_instance(0, 0, 2), "spec": {"components": 5}}, "'components' list"),
+        ("sweep", {"specs": 5, "budget": 1}, "'specs' list"),
+        ("sweep", {"specs": [Z5_SPEC], "automorphisms": 5, "budget": 1}, "automorphisms"),
+    ],
+    ids=["components", "specs", "automorphisms"],
+)
+def test_non_list_fields_exit_2(tmp_path, capsys, command, obj, fragment):
+    # each raised TypeError, an uncaught traceback with exit status 1
+    path = write(tmp_path, "input.json", obj)
+    _exit_2_with(capsys, [command, "--input", path], fragment)
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--budget", "--denominator"])
+def test_non_object_sweep_config_with_a_flag_exits_2(tmp_path, capsys, flag):
+    path = write(tmp_path, "sweep.json", [Z5_SPEC])
+    _exit_2_with(capsys, ["sweep", "--input", path, flag, "2"], "'specs' list")
+
+
 def test_sweep_exhaustive_small(tmp_path, capsys):
     config = {
         "specs": [{"components": [{"p": 3, "k": 1, "kind": "finite"}]}],
@@ -297,6 +334,26 @@ def test_verify_lemmas_hypothesis_failure_is_a_result(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     assert report["difference_lemma"]["evaluated"] is False
+
+
+def test_verify_lemmas_decides_the_equation_hypothesis_once(tmp_path, capsys, monkeypatch):
+    # |char|**2 of (3/4, 1/4) on Z(7) is strictly positive and at most one,
+    # and I - beta = 2 is invertible, so both lemmas need the hypothesis.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return first_equation_violation(*args)
+
+    monkeypatch.setattr(lemmas, "first_equation_violation", counted)
+    margin = [{"x": [0], "num": 3, "den": 4}, {"x": [1], "num": 1, "den": 4}]
+    spec = {"components": [{"p": 7, "k": 1, "kind": "finite"}]}
+    path = write(tmp_path, "inst.json", {"spec": spec, "mu1": margin, "mu2": margin, "alpha": [6]})
+    code = main(["verify-lemmas", "--input", path])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["difference_lemma"]["evaluated"] and report["fixed_point_lemma"]["evaluated"]
+    assert len(calls) == 1
 
 
 def test_construct_writes_loadable_instance(tmp_path, capsys):

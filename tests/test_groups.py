@@ -1,15 +1,18 @@
 import itertools
+import random
+from math import prod
 
 import pytest
 
 from heyde import (
+    Endomorphism,
     enumerate_subgroups,
     full_subgroup,
     subgroup_generated,
     trivial_subgroup,
     validate_spec,
 )
-from heyde.groups import Subgroup
+from heyde.groups import Subgroup, generated_by_codes, subgroup_of_index
 
 import oracles
 
@@ -49,7 +52,7 @@ def test_validate_spec_rejects_composite():
 def test_group_operations():
     assert Z9.add((5,), (7,)) == (3,)
     assert Z9.neg((0,)) == (0,)
-    assert Z9xZ5.scalar_mul(2, (4, 3)) == (8, 1)
+    assert Z9xZ5.add((4, 3), (4, 3)) == (8, 1)
     assert Z9xZ5.sub((0, 0), (1, 1)) == (8, 4)
 
 
@@ -142,3 +145,51 @@ def test_element_validation():
     with pytest.raises(ValueError, match="wrong arity"):
         Z9.reduce((1, 2))
     assert Z9.reduce((11,)) == (2,)
+
+
+DIFFERENTIAL_SPECS = {
+    "Z27xZ5xZ7": validate_spec([(3, 3), (5, 1), (7, 1)]),
+    "Z9xZ25": validate_spec([(3, 2), (5, 2)]),
+}
+
+
+@pytest.mark.parametrize("name", DIFFERENTIAL_SPECS)
+def test_subgroup_arithmetic_matches_the_valuation_oracle(name):
+    """Every subgroup, pair of subgroups and endomorphism (units and
+    non-units) against the per-component valuation arithmetic."""
+    spec = DIFFERENTIAL_SPECS[name]
+    comps = [(c.p, c.k) for c in spec.components]
+    subs = enumerate_subgroups(spec)
+    for sub in subs:
+        exps = sub.exponents
+        # element order: what random_distribution(support=) draws from
+        assert sub.codes == tuple(spec.crt(x) for x in oracles.valuation_elements(comps, exps))
+        assert sub.order == prod(p ** (k - a) for (p, k), a in zip(comps, exps)) == len(sub.codes)
+        assert sub.is_trivial == (sub.order == 1) and sub.is_full == (sub.order == spec.exponent)
+        assert sub.annihilator().exponents == oracles.valuation_annihilator(comps, exps)
+        assert subgroup_of_index(spec, sub.index) == sub
+        for other in subs:
+            assert sub.intersect(other).exponents == oracles.valuation_intersect(exps, other.exponents)
+        for x in spec.element_list:
+            assert sub.contains(x) == all(c % p**a == 0 for c, (p, k), a in zip(x, comps, exps))
+    for mults in itertools.product(*(range(q) for q in spec.orders)):
+        endo = Endomorphism(spec, mults)
+        assert endo.kernel().exponents == oracles.valuation_kernel(comps, mults)
+        assert endo.image().exponents == oracles.valuation_image(comps, mults)
+        for sub in subs:
+            assert endo.image_of(sub).exponents == oracles.valuation_image_of(comps, mults, sub.exponents)
+    for x in spec.element_list:
+        assert subgroup_generated(spec, [x]).exponents == oracles.valuation_generated(comps, [x])
+    rng = random.Random(f"generated:{name}")
+    for _ in range(500):
+        xs = rng.sample(spec.element_list, rng.randint(0, 4))
+        assert subgroup_generated(spec, xs).exponents == oracles.valuation_generated(comps, xs)
+
+
+def test_subgroup_of_index_takes_the_gcd_with_n():
+    assert trivial_subgroup(Z9xZ5).exponents == subgroup_of_index(Z9xZ5, 0).exponents == (2, 1)
+    assert full_subgroup(Z9xZ5).exponents == subgroup_of_index(Z9xZ5, -1).exponents == (0, 0)
+    assert subgroup_of_index(Z9xZ5, 3 * 3 * 3 * 7).exponents == (2, 0)
+    assert subgroup_of_index(Z9xZ5, 45 + 15).index == 15
+    assert generated_by_codes(Z9xZ5, []) == trivial_subgroup(Z9xZ5)
+    assert generated_by_codes(Z9xZ5, [-6, 45 + 10]).index == 1
