@@ -25,11 +25,11 @@ verdicts are then exact.  No predicate is decided by floating point or by
 a probabilistic test.  The lemma verifiers pass canonical cyclotomic
 values to the same equation loop, which stays the reference route.
 
-Work that depends on one margin or one automorphism only is done once per
-object, not once per instance: a Distribution memoizes its residues per
-field (distributions.char_residues) and an Endomorphism its CRT
-multiplier and invertibility, so a sweep that pairs each margin with many
-others and many automorphisms pays for each of them once.
+Work that depends on one margin only is done once per object, not once
+per instance: a Distribution memoizes its residues per field
+(distributions.char_residues), so a sweep that pairs each margin with many
+others pays for them once.  An Endomorphism is its CRT multiplier alone,
+so I + alpha and I - alpha cost one addition mod N each.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from .distributions import (
 )
 from .errors import VerificationFailure
 from .groups import Component, ComponentKind, Element, GroupSpec, Subgroup
-from .morphisms import Endomorphism, PAdicUnit, identity
+from .morphisms import Endomorphism, PAdicUnit, identity, make_endo
 
 
 @dataclass(frozen=True)
@@ -447,7 +447,7 @@ def reduce_quasicyclic(p: int, level: int, pmf1, pmf2, unit: PAdicUnit) -> Quasi
     spec = mu1.spec
     q = p**level
     s = unit.truncation(level) % q
-    inst = HeydeInstance(spec, mu1, mu2, Endomorphism(spec, (s,)))
+    inst = HeydeInstance(spec, mu1, mu2, Endomorphism(spec, s))
     symmetric = is_conditionally_symmetric(inst)
     if s == q - 1:
         equal = mu1 == mu2
@@ -527,7 +527,7 @@ def reduce_mixed_product(
     spec = mu1.spec
     q = p**level
     s = unit.truncation(level) % q
-    alpha = Endomorphism(spec, alpha_k.multipliers + (s,))
+    alpha = make_endo(spec, alpha_k.multipliers + (s,))
     inst = HeydeInstance(spec, mu1, mu2, alpha)
     symmetric = is_conditionally_symmetric(inst)
     decomposition = None

@@ -17,7 +17,7 @@ from .distributions import Distribution, _canonical, convolve, difference_subgro
 from .engine import HeydeInstance, is_conditionally_symmetric
 from .errors import VerificationFailure
 from .groups import Element, GroupSpec, Subgroup, enumerate_subgroups
-from .morphisms import Endomorphism, identity
+from .morphisms import Endomorphism, identity, make_endo
 from .rng import DeterministicStream
 
 
@@ -68,7 +68,7 @@ def enumerate_automorphisms(spec: GroupSpec) -> list[Endomorphism]:
     units_per_component = [
         [m for m in range(1, c.order) if m % c.p != 0] for c in spec.components
     ]
-    return [Endomorphism(spec, vec) for vec in itertools.product(*units_per_component)]
+    return [make_endo(spec, vec) for vec in itertools.product(*units_per_component)]
 
 
 def compositions(total: int, parts: int):

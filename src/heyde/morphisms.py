@@ -1,10 +1,12 @@
 """Endomorphisms of the model groups and truncated p-adic units.
 
-Because each prime occurs in exactly one component, every endomorphism acts
-componentwise as multiplication by a residue, so an endomorphism is just a
-multiplier vector, and one multiplier on CRT codes (Endomorphism.code).
-Under the fixed self-duality pairing the adjoint has the same multipliers,
-and kernels and images are subgroups read off gcd(code, N).
+The component orders are pairwise coprime, so the group is Z(N) on CRT
+codes, and every endomorphism is multiplication by one residue mod N:
+Endomorphism.code.  Composition, sums, negation and inverses are that
+residue's arithmetic mod N, and kernels and images are subgroups read off
+gcd(code, N).  The multiplier vector (code mod each component order) is
+the form of files, reports and labels; make_endo builds from it.  Under
+the fixed self-duality pairing the adjoint has the same multiplier.
 """
 
 from __future__ import annotations
@@ -18,61 +20,47 @@ from .groups import Element, GroupSpec, Subgroup, subgroup_of_index
 
 @dataclass(frozen=True)
 class Endomorphism:
-    spec: GroupSpec
-    multipliers: tuple[int, ...]
+    """r -> code * r on CRT codes; code is kept in [0, N)."""
 
-    def __post_init__(self):
-        if len(self.multipliers) != len(self.spec.components):
-            raise ValueError("multiplier vector has wrong arity")
-        object.__setattr__(
-            self,
-            "multipliers",
-            tuple(m % q for m, q in zip(self.multipliers, self.spec.orders)),
-        )
+    spec: GroupSpec
+    code: int
+
+    @cached_property
+    def multipliers(self) -> tuple[int, ...]:
+        """The multiplier on each component, code mod its order."""
+        return tuple(self.code % q for q in self.spec.orders)
 
     def apply(self, x: Element) -> Element:
-        return tuple((m * c) % q for m, c, q in zip(self.multipliers, x, self.spec.orders))
-
-    @cached_property
-    def code(self) -> int:
-        """The CRT multiplier: on CRT codes this endomorphism is r -> code * r mod N."""
-        return self.spec.crt(self.multipliers)
-
-    @cached_property
-    def _invertible(self) -> bool:
-        return gcd(self.code, self.spec.exponent) == 1
+        return tuple(self.code * c % q for c, q in zip(x, self.spec.orders))
 
     def is_automorphism(self) -> bool:
-        # code is a unit mod N exactly when each multiplier is a unit mod its component
-        return self._invertible
+        return gcd(self.code, self.spec.exponent) == 1
 
     def is_identity(self) -> bool:
-        return all(m == 1 for m in self.multipliers)
+        return self.code == 1
 
     def is_minus_identity(self) -> bool:
-        return all(m == q - 1 for m, q in zip(self.multipliers, self.spec.orders))
+        return self.code == self.spec.exponent - 1
 
     def compose(self, other: "Endomorphism") -> "Endomorphism":
         self._same_spec(other)
-        return Endomorphism(self.spec, tuple(a * b for a, b in zip(self.multipliers, other.multipliers)))
+        return Endomorphism(self.spec, self.code * other.code % self.spec.exponent)
 
     def add(self, other: "Endomorphism") -> "Endomorphism":
         self._same_spec(other)
-        return Endomorphism(self.spec, tuple(a + b for a, b in zip(self.multipliers, other.multipliers)))
+        return Endomorphism(self.spec, (self.code + other.code) % self.spec.exponent)
 
     def neg(self) -> "Endomorphism":
-        return Endomorphism(self.spec, tuple(-m for m in self.multipliers))
+        return Endomorphism(self.spec, -self.code % self.spec.exponent)
 
     def invert(self) -> "Endomorphism":
         if not self.is_automorphism():
             raise ValueError("not invertible")
-        return Endomorphism(
-            self.spec, tuple(pow(m, -1, q) for m, q in zip(self.multipliers, self.spec.orders))
-        )
+        return Endomorphism(self.spec, pow(self.code, -1, self.spec.exponent))
 
     def adjoint(self) -> "Endomorphism":
-        # Under the fixed self-duality the adjoint keeps the multiplier
-        # vector; the pairing identity is checked exhaustively in the tests.
+        # Under the fixed self-duality the adjoint keeps the multiplier;
+        # the pairing identity is checked exhaustively in the tests.
         return self
 
     def kernel(self) -> Subgroup:
@@ -95,27 +83,30 @@ class Endomorphism:
 
 
 def make_endo(spec: GroupSpec, multipliers) -> Endomorphism:
-    return Endomorphism(spec, tuple(int(m) for m in multipliers))
+    """The endomorphism with the given multiplier on each component."""
+    multipliers = tuple(multipliers)
+    if len(multipliers) != len(spec.components):
+        raise ValueError("multiplier vector has wrong arity")
+    return Endomorphism(spec, spec.crt(multipliers))
 
 
 def identity(spec: GroupSpec) -> Endomorphism:
-    return Endomorphism(spec, (1,) * len(spec.components))
+    return Endomorphism(spec, 1)
 
 
 def minus_identity(spec: GroupSpec) -> Endomorphism:
-    return Endomorphism(spec, (-1,) * len(spec.components))
+    return Endomorphism(spec, spec.exponent - 1)
 
 
 def scalar_endo(spec: GroupSpec, n: int) -> Endomorphism:
     """Multiplication by n on every component."""
-    return Endomorphism(spec, (n,) * len(spec.components))
+    return Endomorphism(spec, n % spec.exponent)
 
 
 def kappa_of(beta: Endomorphism) -> Endomorphism:
     """-4 * beta * (I - beta)**-2; requires I - beta invertible."""
-    one_minus = identity(beta.spec).add(beta.neg())
-    inv = one_minus.invert()
-    return scalar_endo(beta.spec, -4).compose(beta).compose(inv).compose(inv)
+    inv = identity(beta.spec).add(beta.neg()).invert().code
+    return Endomorphism(beta.spec, -4 * beta.code * inv * inv % beta.spec.exponent)
 
 
 @dataclass(frozen=True)
@@ -151,4 +142,4 @@ class PAdicUnit:
         if len(spec.components) != 1 or spec.components[0].p != self.p:
             raise ValueError(f"spec must be a single {self.p}-component group")
         k = spec.components[0].k
-        return Endomorphism(spec, (self.truncation(k),))
+        return Endomorphism(spec, self.truncation(k))

@@ -41,9 +41,17 @@ class DeterministicStream:
         if hi < lo:
             raise ValueError(f"empty range [{lo}, {hi}]")
         span = hi - lo + 1
-        limit = _U64 - (_U64 % span)
+        # Each try draws as many 64-bit words as the span needs, high word
+        # first.  A span of at most 2**64 draws one, so seeded streams stay fixed.
+        space, extra = _U64, 0
+        while space < span:
+            space, extra = space << 64, extra + 1
+        limit = space - (space % span)
         while True:
             u = self.next_u64()
+            if extra:
+                for _ in range(extra):
+                    u = (u << 64) | self.next_u64()
             if u < limit:
                 return lo + (u % span)
 

@@ -19,8 +19,12 @@ from .engine import (
 from .distributions import Distribution, from_pmf
 from .groups import GroupSpec, Subgroup, validate_spec
 from .lemmas import DifferenceLemmaReport, FixedPointLemmaReport
-from .morphisms import Endomorphism
+from .morphisms import Endomorphism, make_endo
 from .sweep import SweepConfig, SweepReport
+
+# The largest group order a file may describe.  spec_from_obj checks it
+# before GroupSpec tests the primes or anything is built on N.
+MAX_GROUP_SIZE = 10**6
 
 
 def dumps_canonical(obj) -> str:
@@ -47,6 +51,14 @@ def spec_from_obj(obj) -> GroupSpec:
         if not (isinstance(entry, dict) and _is_int(entry.get("p")) and _is_int(entry.get("k"))
                 and isinstance(entry.get("kind", ""), str)):
             raise ValueError(f"spec component {entry!r} must be an object with integer p, k and a string kind")
+    # p**k is never formed: the product at least triples per factor, so the
+    # loop stops within 13 steps.  p < 3 and k < 1 are left to GroupSpec.
+    size = 1
+    for entry in obj["components"]:
+        for _ in range(entry["k"] if entry["p"] >= 3 else 0):
+            size *= entry["p"]
+            if size > MAX_GROUP_SIZE:
+                raise ValueError(f"group order exceeds the CLI cap {MAX_GROUP_SIZE}")
     return validate_spec(obj["components"])
 
 
@@ -92,8 +104,15 @@ def endo_to_obj(endo: Endomorphism) -> list[int]:
     return list(endo.multipliers)
 
 
+def _reduced(spec: GroupSpec, vec: tuple[int, ...], what: str) -> tuple[int, ...]:
+    # Writers emit reduced multipliers only, so [7] or [-3] on Z(5) is an error.
+    if len(vec) == len(spec.orders) and not all(0 <= m < q for m, q in zip(vec, spec.orders)):
+        raise ValueError(f"{what} {list(vec)} is not reduced for {spec.describe()}")
+    return vec
+
+
 def endo_from_obj(spec: GroupSpec, obj) -> Endomorphism:
-    return Endomorphism(spec, _int_tuple(obj, "endomorphism"))
+    return make_endo(spec, _reduced(spec, _int_tuple(obj, "endomorphism"), "endomorphism"))
 
 
 # -- distributions -----------------------------------------------------------
@@ -230,6 +249,9 @@ def sweep_config_from_obj(obj) -> SweepConfig:
         autos = None
     elif isinstance(autos, list):
         autos = tuple(_int_tuple(vec, "automorphism") for vec in autos)
+        for spec in specs:
+            for vec in autos:
+                _reduced(spec, vec, "automorphism")
     else:
         raise ValueError(f'automorphisms must be "all" or a list, got {autos!r}')
     return SweepConfig(

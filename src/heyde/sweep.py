@@ -22,7 +22,7 @@ from .engine import (
 from .errors import VerificationFailure
 from .fixtures import enumerate_automorphisms, enumerate_distributions, random_instance
 from .groups import GroupSpec
-from .morphisms import Endomorphism
+from .morphisms import Endomorphism, make_endo
 from .rng import DeterministicStream
 
 
@@ -39,6 +39,13 @@ class SweepConfig:
     def __post_init__(self):
         if self.mode not in ("random", "exhaustive"):
             raise ValueError(f"unknown sweep mode {self.mode!r}")
+        if self.automorphisms is not None:
+            if not self.automorphisms:
+                raise ValueError("the automorphisms list must not be empty")
+            for spec in self.specs:
+                for vec in self.automorphisms:
+                    if not make_endo(spec, vec).is_automorphism():
+                        raise ValueError(f"{list(vec)} is not an automorphism of {spec.describe()}")
 
 
 @dataclass
@@ -65,7 +72,7 @@ class SweepReport:
 def _alphas_for(spec: GroupSpec, config: SweepConfig) -> list[Endomorphism]:
     if config.automorphisms is None:
         return enumerate_automorphisms(spec)
-    return [Endomorphism(spec, vec) for vec in config.automorphisms]
+    return [make_endo(spec, vec) for vec in config.automorphisms]
 
 
 def exhaustive_instances(spec: GroupSpec, config: SweepConfig) -> int | None:

@@ -132,6 +132,43 @@ def raw_apply(orders, multipliers, x):
     return tuple((m * c) % q for m, c, q in zip(multipliers, x, orders))
 
 
+# An endomorphism as one multiplier per component, each reduced mod its
+# component order, with its arithmetic done component by component: the
+# reference for heyde's single multiplier on CRT codes.
+
+
+def vector_endo(orders, multipliers):
+    return tuple(m % q for m, q in zip(multipliers, orders))
+
+
+def vector_compose(orders, a, b):
+    return tuple((x * y) % q for x, y, q in zip(a, b, orders))
+
+
+def vector_add(orders, a, b):
+    return tuple((x + y) % q for x, y, q in zip(a, b, orders))
+
+
+def vector_neg(orders, a):
+    return tuple((-x) % q for x, q in zip(a, orders))
+
+
+def vector_invert(orders, a):
+    """The inverse multipliers, or None when some multiplier is not a unit."""
+    if any(gcd(x, q) != 1 for x, q in zip(a, orders)):
+        return None
+    return tuple(pow(x, -1, q) for x, q in zip(a, orders))
+
+
+def vector_kappa(orders, b):
+    """-4 * b * (1 - b)**-2 component by component, or None if 1 - b is not a unit."""
+    inv = vector_invert(orders, vector_add(orders, (1,) * len(orders), vector_neg(orders, b)))
+    if inv is None:
+        return None
+    return vector_compose(orders, vector_compose(orders, vector_endo(orders, [-4] * len(orders)), b),
+                          vector_compose(orders, inv, inv))
+
+
 def brute_equation_violation(orders, f, g, multipliers):
     """First (u, v) with f(u+v) g(u+beta v) != f(u-v) g(u-beta v), or None.
 

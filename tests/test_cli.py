@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from heyde import lemmas, serialize, validate_spec
 from heyde.cli import main
 from heyde.engine import first_equation_violation
+from limits import TimeLimitExceeded, time_limit
 
 Z5_SPEC = {"components": [{"p": 5, "k": 1, "kind": "finite"}]}
 Z9_SPEC = {"components": [{"p": 3, "k": 2, "kind": "finite"}]}
@@ -241,6 +243,141 @@ def test_non_list_fields_exit_2(tmp_path, capsys, command, obj, fragment):
 def test_non_object_sweep_config_with_a_flag_exits_2(tmp_path, capsys, flag):
     path = write(tmp_path, "sweep.json", [Z5_SPEC])
     _exit_2_with(capsys, ["sweep", "--input", path, flag, "2"], "'specs' list")
+
+
+def _input_on(command, spec):
+    if command == "sweep":
+        return {"specs": [spec], "budget": 1}
+    if command == "construct":
+        return {"spec": spec, "subgroup": [0], "alpha": [2]}
+    return {**degenerate_instance(0, 0, 2), "spec": spec}
+
+
+@pytest.mark.parametrize("command", ["check", "decompose", "construct", "sweep", "verify-lemmas"])
+@pytest.mark.parametrize(
+    "components",
+    [[{"p": 5, "k": 10**20}], [{"p": 3, "k": 2000000}], [{"p": 100000000000031, "k": 1}],
+     [{"p": 3, "k": 7}, {"p": 5, "k": 6}]],
+    ids=["huge-k", "overflowing-k", "huge-p", "product"],
+)
+def test_spec_above_the_cap_exits_2_as_it_is_read(tmp_path, capsys, command, components):
+    # the cap was checked after the spec was built: p**k hung on the first,
+    # and the next two ended in OverflowError and MemoryError tracebacks
+    path = write(tmp_path, "input.json", _input_on(command, {"components": components}))
+    with time_limit(10):
+        _exit_2_with(capsys, [command, "--input", path], "exceeds the CLI cap")
+
+
+def test_spec_reader_cap_leaves_the_groupspec_messages():
+    assert serialize.spec_from_obj({"components": [{"p": 3, "k": 12}]}).size == 3**12
+    for k in (13, 10**20):
+        with pytest.raises(ValueError, match="exceeds the CLI cap"):
+            serialize.spec_from_obj({"components": [{"p": 3, "k": k}]})
+    with time_limit(10):
+        for component, message in (
+            ({"p": 2, "k": 10**20}, "2-torsion"),
+            ({"p": 1, "k": 10**20}, "not an odd prime"),
+            ({"p": 3, "k": 0}, "exponent must be positive"),
+            ({"p": 3, "k": -(10**20)}, "exponent must be positive"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                serialize.spec_from_obj({"components": [component]})
+
+
+def test_random_sweep_budget_above_the_limit_exits_2(tmp_path, capsys):
+    # a random sweep ran its budget with no cap, so 10**20 ran for ever
+    config = {"specs": [Z5_SPEC], "mode": "random", "budget": 10**20}
+    with time_limit(10):
+        _exit_2_with(capsys, ["sweep", "--input", write(tmp_path, "sweep.json", config)], "above the limit")
+        argv = ["sweep", "--spec", json.dumps(Z5_SPEC), "--budget", str(2 * 10**6 + 1)]
+        _exit_2_with(capsys, argv, "above the limit")
+
+
+@pytest.mark.parametrize("mode", ["random", "exhaustive"])
+def test_empty_automorphisms_list_exits_2(tmp_path, capsys, mode):
+    # random mode divided by the empty list's length (ZeroDivisionError)
+    config = {"specs": [Z5_SPEC], "mode": mode, "automorphisms": [], "budget": 3, "denominator": 1}
+    path = write(tmp_path, "sweep.json", config)
+    _exit_2_with(capsys, ["sweep", "--input", path], "must not be empty")
+
+
+def test_sweep_refuses_a_non_automorphism_before_the_first_instance(tmp_path, capsys, monkeypatch):
+    import heyde.sweep
+
+    checked = []
+    monkeypatch.setattr(heyde.sweep, "check_instance", lambda inst, report: checked.append(inst))
+    # [3] is a unit on Z(5) but not on Z(9), the second spec
+    config = {"specs": [Z5_SPEC, Z9_SPEC], "automorphisms": [[3]], "budget": 5}
+    path = write(tmp_path, "sweep.json", config)
+    _exit_2_with(capsys, ["sweep", "--input", path], "not an automorphism of Z(3^2)")
+    assert checked == []
+
+
+@pytest.mark.parametrize("value", [7, -3])
+def test_unreduced_multipliers_exit_2(tmp_path, capsys, value):
+    # writers emit reduced multipliers only; [7] and [-3] on Z(5) read as [2]
+    inst = degenerate_instance(3, 1, value)
+    _exit_2_with(capsys, ["check", "--input", write(tmp_path, "inst.json", inst)], "not reduced")
+    construction = {"spec": Z5_SPEC, "subgroup": [0], "alpha": [value], "x2": [1]}
+    path = write(tmp_path, "construction.json", construction)
+    _exit_2_with(capsys, ["construct", "--input", path], "not reduced")
+    config = {"specs": [Z5_SPEC], "automorphisms": [[value]], "budget": 1}
+    _exit_2_with(capsys, ["sweep", "--input", write(tmp_path, "sweep.json", config)], "not reduced")
+
+
+RANDOM_SWEEP = {
+    "specs": [Z9_SPEC],
+    "mode": "random",
+    "budget": 20,
+    "max_denominator": 8,
+    "automorphisms": [[2], [4]],
+    "seed": 3,
+}
+MUTANTS = ([], {}, None, True, "3", 2.5, -1, 0, 10**20)
+
+
+def _field_paths(node, prefix=()):
+    """The path of every field and list entry below the root, in document order."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _field_paths(child, prefix + (key,))
+
+
+@pytest.mark.parametrize(
+    "name, commands",
+    [
+        ("instance_degenerate_z5.json", ("check", "decompose", "verify-lemmas")),
+        ("constructed_instance_z9.json", ("check", "decompose", "verify-lemmas")),
+        ("construction_z9.json", ("construct",)),
+        ("sweep_config_z3.json", ("sweep",)),
+        ("random_sweep", ("sweep",)),
+    ],
+    ids=["instance_degenerate_z5", "constructed_instance_z9", "construction_z9", "sweep_config_z3", "random_sweep"],
+)
+def test_reader_mutations_exit_0_or_2(tmp_path, capsys, name, commands):
+    # each field in turn takes each mutant value; a reader must refuse what
+    # it cannot run (exit 2), never raise or hang
+    original = RANDOM_SWEEP if name == "random_sweep" else json.loads((GOLDEN / name).read_text())
+    failures = []
+    for path in _field_paths(original):
+        for value in MUTANTS:
+            obj = copy.deepcopy(original)
+            parent = obj
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+            input_path = write(tmp_path, "input.json", obj)
+            for command in commands:
+                try:
+                    with time_limit(10):
+                        code = main([command, "--input", input_path])
+                except (Exception, TimeLimitExceeded) as exc:
+                    code = repr(exc)
+                capsys.readouterr()
+                if code not in (0, 2):
+                    failures.append((command, path, value, code))
+    assert failures == []
 
 
 def test_sweep_exhaustive_small(tmp_path, capsys):

@@ -34,7 +34,7 @@ from heyde import (
 from heyde.engine import _canonical_shift, first_equation_violation
 from heyde.errors import VerificationFailure
 from heyde.fixtures import construction_admissible
-from heyde.morphisms import Endomorphism, identity
+from heyde.morphisms import identity
 
 import oracles
 
@@ -71,7 +71,7 @@ def test_endomorphisms_act_as_one_multiplier():
     n = spec.exponent
     code = spec.crt
     for multipliers in itertools.product(*(range(q) for q in spec.orders)):
-        endo = Endomorphism(spec, multipliers)
+        endo = make_endo(spec, multipliers)
         a = endo.code
         assert a == spec.crt(multipliers)
         assert endo.is_automorphism() == (gcd(a, n) == 1)

@@ -24,6 +24,7 @@ from heyde import (
 )
 from heyde.fixtures import compositions
 from heyde.groups import Subgroup
+from limits import time_limit
 
 Z3 = validate_spec([(3, 1)])
 Z5 = validate_spec([(5, 1)])
@@ -152,3 +153,23 @@ def test_stream_rejects_empty_ranges():
         stream.randint(3, 2)
     with pytest.raises(ValueError):
         stream.choice([])
+
+
+def test_randint_draws_are_pinned_for_spans_up_to_2_64():
+    # one 64-bit word per try, so every seeded stream and golden stays as it was
+    stream = DeterministicStream(2024, label="pin")
+    assert [stream.randint(0, 99) for _ in range(12)] == [33, 78, 98, 62, 5, 15, 12, 61, 76, 16, 85, 46]
+    assert [stream.randint(0, 2**64 - 1) for _ in range(2)] == [3995650882706561606, 1005507776872540510]
+    assert [stream.randint(-5, 5) for _ in range(8)] == [-1, -2, 3, 0, 0, -2, -3, -4]
+
+
+def test_randint_returns_for_spans_above_2_64():
+    # the rejection limit was 2**64 - 2**64 % span, which is 0 for these spans
+    stream = DeterministicStream(5, label="wide")
+    with time_limit(10):
+        for lo, hi in ((1, 2**64 + 1), (1, 10**20), (-(2**100), 2**130), (0, 2**128 - 1)):
+            draws = [stream.randint(lo, hi) for _ in range(50)]
+            assert all(lo <= d <= hi for d in draws)
+            assert max(draws) - min(draws) > (hi - lo) // 2  # the high words are used
+        mu = random_distribution(Z9xZ5, 10**20, stream)
+        assert max(m.denominator for _, m in mu.masses) <= 10**20

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -12,18 +13,18 @@ from heyde import (
     scalar_endo,
     validate_spec,
 )
-from heyde.morphisms import Endomorphism
 
 import oracles
 
 Z5 = validate_spec([(5, 1)])
 Z9 = validate_spec([(3, 2)])
 Z9xZ5 = validate_spec([(3, 2), (5, 1)])
+Z27xZ5xZ7 = validate_spec([(3, 3), (5, 1), (7, 1)])
 
 
 def all_endos(spec):
     return [
-        Endomorphism(spec, vec)
+        make_endo(spec, vec)
         for vec in itertools.product(*(range(q) for q in spec.orders))
     ]
 
@@ -149,3 +150,41 @@ def test_scalar_endo_is_multiplication():
     double = scalar_endo(Z9xZ5, 2)
     for x in Z9xZ5.element_list:
         assert double.apply(x) == tuple(2 * c % q for c, q in zip(x, Z9xZ5.orders))
+
+
+def _vector_pairs(spec, sampled):
+    vectors = list(itertools.product(*(range(q) for q in spec.orders)))
+    if sampled is None:
+        return itertools.product(vectors, vectors)
+    rng = random.Random(f"pairs:{spec.describe()}")
+    return ((rng.choice(vectors), rng.choice(vectors)) for _ in range(sampled))
+
+
+@pytest.mark.parametrize(
+    "spec, sampled", [(Z9xZ5, None), (Z27xZ5xZ7, 3000)], ids=["Z9xZ5-every-pair", "Z27xZ5xZ7-sampled"]
+)
+def test_code_arithmetic_matches_the_component_oracle(spec, sampled):
+    orders = spec.orders
+    for a, b in _vector_pairs(spec, sampled):
+        ea, eb = make_endo(spec, a), make_endo(spec, b)
+        assert ea.multipliers == a
+        assert (ea == eb) == (a == b)
+        # an unreduced vector names the same endomorphism
+        shifted = make_endo(spec, [m - 2 * q for m, q in zip(a, orders)])
+        assert shifted == ea and hash(shifted) == hash(ea)
+        inverse = oracles.vector_invert(orders, a)
+        assert ea.is_automorphism() == (inverse is not None)
+        kappa = oracles.vector_kappa(orders, b)
+        for got, want in (
+            (ea.compose(eb), oracles.vector_compose(orders, a, b)),
+            (ea.add(eb), oracles.vector_add(orders, a, b)),
+            (ea.neg(), oracles.vector_neg(orders, a)),
+            (ea.invert() if inverse else None, inverse),
+            (kappa_of(eb) if kappa else None, kappa),
+        ):
+            if want is not None:
+                assert got.multipliers == want
+                assert got == make_endo(spec, want) and hash(got) == hash(make_endo(spec, want))
+        assert ea.is_identity() == all(m == 1 for m in a)
+        assert ea.is_minus_identity() == all(m == q - 1 for m, q in zip(a, orders))
+        assert ea.apply(b) == oracles.raw_apply(orders, a, b)
