@@ -10,7 +10,7 @@ and quasicyclic components are tagged so the strengthened special cases
 can be classified.
 """
 
-from .cyclotomic import CycloElement, cyclotomic_polynomial, from_rational, from_terms, zeta
+from .cyclotomic import CycloElement, cyclotomic_polynomial, from_rational, from_terms
 from .distributions import (
     Distribution,
     char_fn,
@@ -83,7 +83,6 @@ from .morphisms import (
     kappa_of,
     make_endo,
     minus_identity,
-    scalar_endo,
 )
 from .rng import DeterministicStream
 from .sweep import SweepConfig, SweepReport, run_sweep

@@ -216,8 +216,9 @@ class _ModField:
     f(u - v) g(u - beta v) has weight 2 * D1 * D2 once scaled, beta
     commutes with scalars so sigma_c D(u, v) = D(c u, c v), and
     D(u, -v) = -D(u, v); the pairs first_equation_violation visits stand
-    for every pair and every unit multiple of it, so with M > 2 * D1 * D2
-    its verdict is exact in both directions.
+    for every pair and every unit multiple of it.  The pairs it skips have
+    both products = 0 (mod M), so D(u, v) = 0 (mod M) holds there too.  So
+    with M > 2 * D1 * D2 its verdict is exact in both directions.
 
     modular_field(order, weight) returns a field with M > weight, adding
     primes below 2**62 as needed.
@@ -429,15 +430,3 @@ def zero(order: int) -> CycloElement:
 def one(order: int) -> CycloElement:
     return from_rational(order, 1)
 
-
-_zeta_cache: dict[tuple[int, int], CycloElement] = {}
-
-
-def zeta(order: int, t: int = 1) -> CycloElement:
-    """zeta_order**t in reduced form."""
-    key = (order, t % order)
-    value = _zeta_cache.get(key)
-    if value is None:
-        value = from_terms(order, [(key[1], 1)])
-        _zeta_cache[key] = value
-    return value

@@ -78,6 +78,18 @@ class Distribution:
         # field -> the memoized residue function of char_residues
         return {}
 
+    @cached_property
+    def _zero_classes(self) -> dict[int, bool]:
+        # the answer of char_fn_zero_classes, computed on first use
+        n = self.spec.exponent
+        residue = char_residues(self, cyclotomic.modular_field(n, self.den))
+        zero: dict[int, bool] = {}
+        for y in range(n):
+            g = gcd(y, n)
+            if zero.get(g, True):
+                zero[g] = not residue(y)
+        return zero
+
 
 def _canonical(spec: GroupSpec, den: int, points: Iterable[tuple[int, int]]) -> Distribution:
     """The distribution with mass a / den at each (code, a), codes distinct:
@@ -156,7 +168,10 @@ def char_residues(mu: Distribution, field) -> Callable[[int], int]:
     zero test needs (cyclotomic._ModField).  The function is memoized on
     mu, keyed by the field object, and fills a code-indexed list as it is
     called, so each residue of mu is computed at most once per field for
-    the life of mu, however many instances or zero tests share mu.
+    the life of mu, however many instances or zero tests share mu.  The
+    first sum(q_j) codes asked for are computed one at a time, at |supp|
+    terms each, which is all that a pair refuted at its first few values
+    needs; the next fills the whole list by _residue_table.
     """
     residue = mu._residues.get(field)
     if residue is None:
@@ -171,14 +186,57 @@ def _residue_function(mu: Distribution, field) -> Callable[[int], int]:
     terms = [(s * x % n, a) for x, a in mu.points]
     powers, modulus = field.powers, field.modulus
     values: list = [None] * n
+    lazy = sum(spec.orders)  # codes still to compute one at a time
 
     def residue(y: int) -> int:
+        nonlocal lazy
         value = values[y]
         if value is None:
-            value = values[y] = sum(a * powers[t * y % n] for t, a in terms) % modulus
+            if lazy:
+                lazy -= 1
+                value = values[y] = sum(a * powers[t * y % n] for t, a in terms) % modulus
+            else:
+                values[:] = _residue_table(mu, field)
+                value = values[y]
         return value
 
     return residue
+
+
+def _residue_table(mu: Distribution, field) -> list[int]:
+    """Every residue of char_residues(mu, field), by the prime-factor transform.
+
+    As in invert_char_table, s * x * y = sum_j w_j * x * y mod N with
+    w_j = N / q_j, and w_j * x * y mod N is w_j times x * y mod q_j.  So
+    the sum over x factors into one pass per CRT axis: the pass for axis j
+    replaces the entries on each line {b + i * w_j : i < q_j} (b < w_j),
+    the codes that differ only in their residue mod q_j, by
+    sum_x A[x] * omega**(w_j * (x * y mod q_j)) for each y on the line,
+    mod M.  It starts from A[x] = a_x on the support and skips zero
+    entries, so the passes cost at most N * sum(q_j) products, and fewer
+    while the table is sparse, in place of N * |supp|.  The omega**w_j
+    are q_j-th roots of unity and the q_j are coprime, so no twiddle
+    factors arise (Good 1958, Thomas 1963).
+    """
+    spec = mu.spec
+    n = spec.exponent
+    powers, modulus = field.powers, field.modulus
+    table = [0] * n
+    for x, a in mu.points:
+        table[x] = a
+    for q in spec.orders:
+        w = n // q
+        roots = powers[::w]  # roots[k] = omega**(w * k), k < q
+        lines: dict[int, list[tuple[int, int]]] = {}
+        for x, a in enumerate(table):
+            if a:
+                lines.setdefault(x % w, []).append((x % q, a))
+        table = [0] * n
+        for b, line in lines.items():
+            for y in range(b, n, w):
+                k = y % q
+                table[y] = sum(a * roots[r * k % q] for r, a in line) % modulus
+    return table
 
 
 def char_fn_zero_classes(mu: Distribution) -> dict[int, bool]:
@@ -188,16 +246,11 @@ def char_fn_zero_classes(mu: Distribution) -> dict[int, bool]:
     Those codes form one unit orbit, on which the sum is zero everywhere or
     nowhere.  One value scaled by the denominator D has coefficient weight
     D, so with the field for that weight a class is zero exactly when every
-    residue in it is (cyclotomic._ModField).
+    residue in it is (cyclotomic._ModField).  The answer depends on mu
+    alone, so it is memoized on mu: every caller shares one dict and only
+    reads it.
     """
-    n = mu.spec.exponent
-    residue = char_residues(mu, cyclotomic.modular_field(n, mu.den))
-    zero: dict[int, bool] = {}
-    for y in range(n):
-        g = gcd(y, n)
-        if zero.get(g, True):
-            zero[g] = not residue(y)
-    return zero
+    return mu._zero_classes
 
 
 def difference_subgroup(mu: Distribution) -> Subgroup:

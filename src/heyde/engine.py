@@ -25,11 +25,19 @@ verdicts are then exact.  No predicate is decided by floating point or by
 a probabilistic test.  The lemma verifiers pass canonical cyclotomic
 values to the same equation loop, which stays the reference route.
 
+The equation loop visits every pair (u, v) at its first v only, which
+reads both character tables in full.  At every later v it visits only
+the u at which a side can be nonzero.  A symmetric pair has a Haar factor
+on (I + alpha)(G), so its character sums vanish off the annihilator of
+that subgroup, and the loop costs N * |S| pairs after its first v, with
+S the nonzero codes, in place of N**2 / 2.
+
 Work that depends on one margin only is done once per object, not once
 per instance: a Distribution memoizes its residues per field
-(distributions.char_residues), so a sweep that pairs each margin with many
-others pays for them once.  An Endomorphism is its CRT multiplier alone,
-so I + alpha and I - alpha cost one addition mod N each.
+(distributions.char_residues) and its zero classes
+(distributions.char_fn_zero_classes), so a sweep that pairs each margin
+with many others pays for them once.  An Endomorphism is its CRT
+multiplier alone, so I + alpha and I - alpha cost one addition mod N each.
 """
 
 from __future__ import annotations
@@ -120,6 +128,17 @@ def first_equation_violation(
     forms) and no modulus the verdict, and the (u, v) reported, are exact;
     with residues the verdict is exact under the bound of
     cyclotomic._ModField, and the (u, v) is a true violation.
+
+    The first v is dense: it visits every u, which calls f and g at every
+    code.  Each later v visits only the candidate pairs.  A pair with
+    f(u + v) = f(u - v) = 0 has both products zero, so with S the codes
+    where f is nonzero only u in (S - v) | (S + v) is visited, in element
+    order; with g, u in (S - beta v) | (S + beta v), when g has fewer
+    nonzero codes.  That is at most 2 |S| pairs per v in place of N.  When
+    2 |S| >= N, as for point masses, every v stays dense.  A skipped pair
+    holds exactly, so the (u, v) reported is the one the dense loop
+    reports.  A value is zero when it is = 0 (mod modulus), or else when
+    its is_zero() says so (== 0 for values without one).
     """
     n = spec.exponent
     rank = spec.crt_rank
@@ -146,11 +165,21 @@ def first_equation_violation(
         return product_ids.setdefault(value, len(product_ids))
 
     codes = spec.crt_codes
+    filled = False  # whether f_ids and g_ids hold every code
+    support = None  # once filled, unless dense: the nonzero codes of f, or of g
+    on_g = False
     for v_rank, v in enumerate(codes):
         if v == 0 or rank[n - v] < v_rank:
             continue
         bv = b * v % n
-        for u in codes:
+        us = codes
+        if support is not None:
+            d = bv if on_g else v
+            us = sorted(
+                {(s + d) % n for s in support}.union((s - d) % n for s in support),
+                key=rank.__getitem__,
+            )
+        for u in us:
             i = (u + v) % n
             f1 = f_ids[i]
             if f1 < 0:
@@ -180,7 +209,25 @@ def first_equation_violation(
             if lhs != rhs:
                 elements = spec.crt_elements
                 return elements[u], elements[v]
+        if not filled:
+            filled = True
+            zero = {vid for vid, value in enumerate(values) if _is_zero(value, modulus)}
+            nonzero_f = [i for i, vid in enumerate(f_ids) if vid not in zero]
+            nonzero_g = [i for i, vid in enumerate(g_ids) if vid not in zero]
+            on_g = len(nonzero_g) < len(nonzero_f)
+            support = nonzero_g if on_g else nonzero_f
+            if 2 * len(support) >= n:
+                support = None
     return None
+
+
+def _is_zero(value, modulus: int | None) -> bool:
+    """Whether an interned value of first_equation_violation is zero: a
+    residue = 0 (mod modulus), or else a value whose own test says so."""
+    if modulus is not None:
+        return value % modulus == 0
+    is_zero = getattr(value, "is_zero", None)
+    return is_zero() if is_zero is not None else value == 0
 
 
 def satisfies_heyde_equation(inst: HeydeInstance) -> bool:

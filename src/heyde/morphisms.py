@@ -98,11 +98,6 @@ def minus_identity(spec: GroupSpec) -> Endomorphism:
     return Endomorphism(spec, spec.exponent - 1)
 
 
-def scalar_endo(spec: GroupSpec, n: int) -> Endomorphism:
-    """Multiplication by n on every component."""
-    return Endomorphism(spec, n % spec.exponent)
-
-
 def kappa_of(beta: Endomorphism) -> Endomorphism:
     """-4 * beta * (I - beta)**-2; requires I - beta invertible."""
     inv = identity(beta.spec).add(beta.neg()).invert().code

@@ -39,6 +39,10 @@ class SweepConfig:
     def __post_init__(self):
         if self.mode not in ("random", "exhaustive"):
             raise ValueError(f"unknown sweep mode {self.mode!r}")
+        if not self.specs:
+            raise ValueError("the specs list must not be empty")
+        if self.budget < 0:
+            raise ValueError(f"budget must be non-negative, got {self.budget}")
         if self.automorphisms is not None:
             if not self.automorphisms:
                 raise ValueError("the automorphisms list must not be empty")

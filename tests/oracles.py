@@ -380,3 +380,61 @@ def valuation_intersect(exps1, exps2):
 def valuation_elements(comps, exps):
     """The members, lexicographic in the coordinate tuples."""
     return itertools.product(*(range(0, p**k, p**a) for (p, k), a in zip(comps, exps)))
+
+
+# -- the dual-equation loop and residues before their fast paths ------------------
+
+
+def dense_equation_violation(spec, f, g, beta, modulus=None):
+    """engine.first_equation_violation as it was before it skipped pairs:
+    every u for every v, f and g read lazily on CRT codes, values and
+    products interned to ids."""
+    n = spec.exponent
+    rank = spec.crt_rank
+    b = beta.code
+    value_ids, values, product_ids, products = {}, [], {}, {}
+    f_ids, g_ids = [-1] * n, [-1] * n
+    width = 2 * n
+
+    def read(ids, fn, i):
+        if ids[i] < 0:
+            value = fn(i)
+            vid = value_ids.get(value)
+            if vid is None:
+                vid = value_ids[value] = len(values)
+                values.append(value)
+            ids[i] = vid
+        return ids[i]
+
+    def product(a_id, b_id):
+        key = a_id * width + b_id
+        if key not in products:
+            value = values[a_id] * values[b_id]
+            if modulus is not None:
+                value %= modulus
+            products[key] = product_ids.setdefault(value, len(product_ids))
+        return products[key]
+
+    codes = spec.crt_codes
+    for v_rank, v in enumerate(codes):
+        if v == 0 or rank[n - v] < v_rank:
+            continue
+        bv = b * v % n
+        for u in codes:
+            f1, g1 = read(f_ids, f, (u + v) % n), read(g_ids, g, (u + bv) % n)
+            f2, g2 = read(f_ids, f, (u - v) % n), read(g_ids, g, (u - bv) % n)
+            if (f1, g1) != (f2, g2) and product(f1, g1) != product(f2, g2):
+                return spec.crt_elements[u], spec.crt_elements[v]
+    return None
+
+
+def per_code_residues(mu, field):
+    """Every D * char_fn(mu, y) at field.root mod field.modulus, one code y
+    at a time: the sum of a_x * omega**(s * x * y mod N) over the support."""
+    spec = mu.spec
+    n = spec.exponent
+    s = spec.crt_pair_unit
+    return [
+        sum(a * field.powers[s * x * y % n] for x, a in mu.points) % field.modulus
+        for y in range(n)
+    ]

@@ -294,6 +294,24 @@ def test_random_sweep_budget_above_the_limit_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("mode", ["random", "exhaustive"])
+def test_negative_sweep_budget_exits_2(tmp_path, capsys, mode):
+    # no writer emits a negative budget; it ran no instance and exited 0
+    config = {"specs": [Z5_SPEC], "mode": mode, "budget": -1, "denominator": 1}
+    path = write(tmp_path, "sweep.json", config)
+    _exit_2_with(capsys, ["sweep", "--input", path], "budget must be non-negative")
+    argv = ["sweep", "--spec", json.dumps(Z5_SPEC), "--budget", "-5"]
+    _exit_2_with(capsys, argv, "budget must be non-negative")
+
+
+@pytest.mark.parametrize("mode", ["random", "exhaustive"])
+def test_empty_specs_list_exits_2(tmp_path, capsys, mode):
+    # an empty specs list ran no instance and exited 0 with an empty report
+    config = {"specs": [], "mode": mode, "budget": 3, "denominator": 1}
+    path = write(tmp_path, "sweep.json", config)
+    _exit_2_with(capsys, ["sweep", "--input", path], "specs list must not be empty")
+
+
+@pytest.mark.parametrize("mode", ["random", "exhaustive"])
 def test_empty_automorphisms_list_exits_2(tmp_path, capsys, mode):
     # random mode divided by the empty list's length (ZeroDivisionError)
     config = {"specs": [Z5_SPEC], "mode": mode, "automorphisms": [], "budget": 3, "denominator": 1}

@@ -1,0 +1,286 @@
+"""The sparse dual-equation loop and the residue transform against the
+dense references kept in oracles.py.
+
+engine.first_equation_violation visits every u at its first v only, and
+afterwards only the u at which one side can be nonzero;
+distributions._residue_table fills a residue table by one pass per CRT
+axis.  Each must agree exactly with its reference: the same (u, v) or
+None from the loop, the same residue at every code from the transform.
+"""
+
+from math import gcd
+
+import pytest
+
+from heyde import (
+    DeterministicStream,
+    HeydeInstance,
+    char_fn,
+    construct_instance,
+    convolve,
+    degenerate,
+    enumerate_automorphisms,
+    enumerate_subgroups,
+    full_subgroup,
+    haar,
+    make_endo,
+    minus_identity,
+    random_distribution,
+    shift,
+    squared_modulus_table,
+    validate_spec,
+)
+from heyde import distributions
+from heyde.cyclotomic import _ModField, _prime_below, from_rational, from_terms, modular_field
+from heyde.distributions import _residue_table, char_residues
+from heyde.engine import first_equation_violation
+from heyde.fixtures import construction_admissible
+
+import oracles
+
+LADDER = [
+    validate_spec(components)
+    for components in (
+        [(3, 2)],
+        [(3, 2), (5, 1)],
+        [(3, 3), (5, 1)],
+        [(3, 2), (5, 1), (7, 1)],
+        [(3, 3), (5, 1), (7, 1)],
+    )
+]
+Z9xZ5 = LADDER[1]
+Z27xZ5 = LADDER[2]
+
+
+def _describe(spec):
+    return spec.describe()
+
+
+def _fields(n):
+    """A one-prime and a two-prime field for Z(n), built apart from the
+    module's field cache so that no other test sees a grown modulus."""
+    one = _ModField(n, (_prime_below(n, 1 << 62),))
+    two = _ModField(n, one.primes + (_prime_below(n, one.primes[0]),))
+    return one, two
+
+
+def _margins(spec, label):
+    stream = DeterministicStream(29, label=label)
+    subs = enumerate_subgroups(spec)
+    margins = [
+        degenerate(spec, spec.element_list[-1]),
+        haar(full_subgroup(spec)),
+        haar(subs[len(subs) // 2]),
+    ]
+    for i, d in enumerate((2, 5, 9)):
+        margins.append(random_distribution(spec, d, stream.derive(str(i))))
+        sub = subs[i % len(subs)]
+        margins.append(random_distribution(spec, d, stream.derive(f"on{i}"), support=sub))
+    return margins
+
+
+# -- residue tables -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec", LADDER, ids=_describe)
+def test_transform_tables_equal_per_code_tables(spec):
+    n = spec.exponent
+    fields = _fields(n)
+    assert [len(field.primes) for field in fields] == [1, 2]
+    for field in fields:
+        for mu in _margins(spec, spec.describe()):
+            expected = oracles.per_code_residues(mu, field)
+            assert _residue_table(mu, field) == expected
+            # read from the top code down: lazy at first, then the transform
+            residue = char_residues(mu, field)
+            assert [residue(y) for y in reversed(range(n))] == expected[::-1]
+
+
+def test_residues_switch_to_the_transform_after_sum_of_orders_codes(monkeypatch):
+    spec = Z27xZ5
+    n = spec.exponent
+    lazy = sum(spec.orders)
+    filled = []
+    transform = distributions._residue_table
+    monkeypatch.setattr(
+        distributions, "_residue_table", lambda mu, field: filled.append(mu) or transform(mu, field)
+    )
+    mu = random_distribution(spec, 6, DeterministicStream(5, label="switch"))
+    field = _fields(n)[0]
+    expected = oracles.per_code_residues(mu, field)
+    residue = char_residues(mu, field)
+    codes = list(range(0, n, 2)) + list(range(1, n, 2))
+    for y in codes[:lazy]:
+        assert residue(y) == expected[y]
+    for y in codes[:lazy]:
+        assert residue(y) == expected[y]
+    assert filled == []
+    assert [residue(y) for y in codes] == [expected[y] for y in codes]
+    assert filled == [mu]
+
+
+@pytest.mark.parametrize("spec", LADDER[:4], ids=_describe)
+def test_zero_classes_are_memoized_and_match_char_fn(spec):
+    n = spec.exponent
+    for mu in _margins(spec, f"zero {spec.describe()}")[:5]:
+        zero = distributions.char_fn_zero_classes(mu)
+        assert distributions.char_fn_zero_classes(mu) is zero
+        for y in range(0, n, max(1, n // 45)):
+            assert char_fn(mu, spec.crt_elements[y]).is_zero() == zero[gcd(y, n)]
+
+
+# -- the equation loop --------------------------------------------------------------
+
+
+def _nonzero_codes(fn, n, is_zero):
+    return sum(1 for y in range(n) if not is_zero(fn(y)))
+
+
+def _same_as_dense(spec, f, g, beta, modulus=None):
+    """The loop's answer, after checking it against the dense reference."""
+    found = first_equation_violation(spec, f, g, beta, modulus)
+    assert found == oracles.dense_equation_violation(spec, f, g, beta, modulus)
+    return found
+
+
+def _on_residues(inst):
+    n = inst.spec.exponent
+    field = modular_field(n, 2 * inst.mu1.den * inst.mu2.den)
+    f, g = char_residues(inst.mu1, field), char_residues(inst.mu2, field)
+    found = _same_as_dense(inst.spec, f, g, inst.alpha.adjoint(), field.modulus)
+    nonzero = min(_nonzero_codes(fn, n, lambda value: value == 0) for fn in (f, g))
+    return found, 2 * nonzero < n
+
+
+@pytest.mark.parametrize("spec", LADDER[1:4], ids=_describe)
+def test_constructed_symmetric_pairs_hold_on_the_sparse_loop(spec):
+    stream = DeterministicStream(31, label=f"constructed {spec.describe()}")
+    alphas = enumerate_automorphisms(spec)
+    sparse = 0
+    for i, sub in enumerate(enumerate_subgroups(spec)):
+        s = stream.derive(str(i))
+        admissible = [a for a in alphas if construction_admissible(sub, a)]
+        if not admissible:
+            continue
+        alpha = admissible[s.randint(0, len(admissible) - 1)]
+        rho = random_distribution(spec, 3, s.derive("rho"), support=sub)
+        x2 = spec.element_list[s.randint(0, spec.exponent - 1)]
+        inst = construct_instance(sub, alpha, rho, x2).instance
+        found, on_sparse = _on_residues(inst)
+        assert found is None
+        sparse += on_sparse
+    assert sparse
+
+
+def test_point_mass_pairs_keep_the_dense_loop():
+    spec = Z9xZ5
+    alphas = enumerate_automorphisms(spec)
+    found = []
+    pairs = [((0, 0), (0, 0)), ((1, 0), (4, 3)), ((2, 1), (8, 4)), ((0, 3), (0, 0))]
+    for i, (x1, x2) in enumerate(pairs):
+        inst = HeydeInstance(spec, degenerate(spec, x1), degenerate(spec, x2), alphas[5 * i])
+        violation, sparse = _on_residues(inst)
+        assert not sparse  # a point mass has no zero character value
+        found.append(violation)
+    assert None in found and any(found)
+
+
+def test_seeded_asymmetric_pairs_with_haar_factors():
+    # Margins with Haar factors vanish off a subgroup, so the first v often
+    # holds at every u and the violation comes at a later v.
+    spec = Z9xZ5
+    n = spec.exponent
+    first_v = spec.element_list[1]
+    stream = DeterministicStream(7, label="asymmetric")
+    subs = enumerate_subgroups(spec)
+    alphas = enumerate_automorphisms(spec)
+    later = 0
+    for i in range(30):
+        s = stream.derive(str(i))
+        sub = subs[s.randint(0, len(subs) - 1)]
+        mus = [
+            shift(
+                convolve(random_distribution(spec, 4, s.derive(f"rho{j}")), haar(sub)),
+                spec.element_list[s.randint(0, n - 1)],
+            )
+            for j in range(2)
+        ]
+        inst = HeydeInstance(spec, mus[0], mus[1], alphas[s.randint(0, len(alphas) - 1)])
+        found, sparse = _on_residues(inst)
+        later += found is not None and found[1] != first_v and sparse
+    assert later >= 5
+
+
+def test_violation_past_the_first_v_is_pinned():
+    # uniform margins on 3Z(9) x 0 shifted apart: the first fifteen v hold
+    spec = Z9xZ5
+    sub = next(s for s in enumerate_subgroups(spec) if set(s.elements()) == {(0, 0), (3, 0), (6, 0)})
+    mu1 = haar(sub)
+    mu2 = shift(mu1, (1, 0))
+    inst = HeydeInstance(spec, mu1, mu2, make_endo(spec, (2, 3)))
+    assert _on_residues(inst) == (((0, 0), (3, 0)), True)
+
+
+def _cyclo_tables(mu):
+    return squared_modulus_table(mu).values.__getitem__
+
+
+def test_cyclotomic_tables_with_zeros():
+    # The lemma path passes exact cyclotomic tables and no modulus; the zero
+    # values are found by is_zero().
+    spec = Z9xZ5
+    n = spec.exponent
+    subs = enumerate_subgroups(spec)
+    stream = DeterministicStream(13, label="cyclo")
+    betas = [minus_identity(spec)] + enumerate_automorphisms(spec)[::7]
+    outcomes = []
+    for i, sub in enumerate(subs[1:-1]):
+        s = stream.derive(str(i))
+        lam = convolve(random_distribution(spec, 3, s.derive("rho")), haar(sub))
+        other = shift(lam, spec.element_list[s.randint(0, n - 1)]) if i % 2 else lam
+        f, g = _cyclo_tables(lam), _cyclo_tables(other)
+        assert 2 * _nonzero_codes(f, n, lambda value: value.is_zero()) < n
+        for beta in betas:
+            outcomes.append(_same_as_dense(spec, f, g, beta))
+        table = squared_modulus_table(lam)
+        y = next(y for y in spec.element_list[2:] if not table(y).is_zero())
+        broken = table.with_value(y, table(y) * 2).values.__getitem__
+        outcomes.append(_same_as_dense(spec, broken, g, betas[0]))
+    assert None in outcomes and any(outcomes)
+
+
+def _sparse_table(n, size, stream, cyclotomic):
+    """A table with `size` nonzero codes at random positions, which unlike
+    the nonzero codes of a character table need not be closed under
+    negation, and zero elsewhere."""
+    nonzero = set()
+    while len(nonzero) < size:
+        nonzero.add(stream.randint(0, n - 1))
+    table = []
+    for y in range(n):
+        c = stream.randint(1, 3) if y in nonzero else 0
+        if cyclotomic:
+            table.append(from_terms(n, [(stream.randint(0, n - 1), c)]) if c else from_rational(n, 0))
+        else:
+            table.append(c)
+    return table.__getitem__
+
+
+@pytest.mark.parametrize("cyclotomic", [False, True], ids=["ints", "cyclotomic"])
+def test_arbitrary_sparse_tables_and_endomorphisms(cyclotomic):
+    # The loop takes the smaller support, here g's, and steps it by beta v;
+    # the tables are not Galois-equivariant, as the lemma verifiers allow.
+    spec = Z9xZ5
+    n = spec.exponent
+    first_v = spec.element_list[1]
+    betas = enumerate_automorphisms(spec)[::3] + [make_endo(spec, (3, 0)), make_endo(spec, (0, 2))]
+    stream = DeterministicStream(17, label=f"tables {cyclotomic}")
+    later = 0
+    for i, beta in enumerate(betas * 3):
+        s = stream.derive(str(i))
+        f = _sparse_table(n, 4 + i % 2, s.derive("f"), cyclotomic)
+        g = _sparse_table(n, 2 + i % 2, s.derive("g"), cyclotomic)
+        for modulus in (None,) if cyclotomic else (None, 7):
+            found = _same_as_dense(spec, f, g, beta, modulus)
+            later += found is not None and found[1] != first_v
+    assert later >= 5

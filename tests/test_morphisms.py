@@ -4,13 +4,13 @@ import random
 import pytest
 
 from heyde import (
+    Endomorphism,
     PAdicUnit,
     enumerate_subgroups,
     identity,
     kappa_of,
     make_endo,
     minus_identity,
-    scalar_endo,
     validate_spec,
 )
 
@@ -147,7 +147,7 @@ def test_unit_validation():
 
 
 def test_scalar_endo_is_multiplication():
-    double = scalar_endo(Z9xZ5, 2)
+    double = Endomorphism(Z9xZ5, 2)
     for x in Z9xZ5.element_list:
         assert double.apply(x) == tuple(2 * c % q for c, q in zip(x, Z9xZ5.orders))
 
