@@ -10,7 +10,7 @@ and quasicyclic components are tagged so the strengthened special cases
 can be classified.
 """
 
-from .cyclotomic import CycloElement, cyclotomic_polynomial, from_rational, from_terms
+from .cyclotomic import CycloElement, from_rational, from_terms
 from .distributions import (
     Distribution,
     char_fn,

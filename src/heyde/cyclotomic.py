@@ -1,19 +1,23 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_N) for odd N.
 
-Character sums are stored by their coordinates in the power basis
-1, zeta, ..., zeta**(phi(N)-1), as integer numerators over one positive
-denominator, reduced modulo the N-th cyclotomic polynomial.  The reduced
-form is canonical, so equality, vanishing, and unit-modulus questions are
-decided exactly; floating point appears only in the explicitly named
-cross-check helpers (to_complex) and never inside a predicate.  Sign
-decisions for real values use rigorous interval refinement, which
-terminates because a nonzero algebraic number is bounded away from zero.
+Character sums are stored by their phi(N) coordinates in the powerful
+basis (_Basis), as integer numerators over one positive denominator: one
+power basis per prime-power factor q of N, tensored, and reduced by one
+fold rule per factor, so no cyclotomic polynomial is ever formed.  For N
+a prime power that is the power basis 1, zeta, ..., zeta**(phi(N)-1).
+The reduced form is canonical, so equality, vanishing, and unit-modulus
+questions are decided exactly; CycloElement.terms() reads it back as
+powers of zeta, and no other module knows the basis.  Floating point
+appears only in the explicitly named cross-check helpers (to_complex) and
+never inside a predicate.  Sign decisions for real values use rigorous
+interval refinement, which terminates because a nonzero algebraic number
+is bounded away from zero.
 
-The hot zero tests skip the power basis: modular_field evaluates
-character sums at a primitive N-th root of unity modulo primes
-p = 1 (mod N), with a modulus M larger than the coefficient weight of
-what is tested; a norm argument makes that verdict exact (see _ModField
-for the proof).  That route never builds the cyclotomic polynomial.
+The hot zero tests skip the basis: modular_field evaluates character
+sums at a primitive N-th root of unity modulo primes p = 1 (mod N), with
+a modulus M larger than the coefficient weight of what is tested; a norm
+argument makes that verdict exact (see _ModField for the proof).  That
+route never builds a CycloElement.
 """
 
 from __future__ import annotations
@@ -29,79 +33,56 @@ from mpmath import iv
 Rational = int | Fraction
 
 
-def _divisors(n: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+class _Basis(dict):
+    """The powerful basis of Q(zeta_N) and the reduced form of each power of zeta.
 
+    Write N = q_1 * ... * q_r with q_j = p_j**k_j over the distinct primes
+    p_1 < ... < p_r, w_j = N / q_j and zeta_j = zeta**w_j, a primitive
+    q_j-th root of unity.  The q_j are coprime, so Q(zeta_N) is the tensor
+    product of the Q(zeta_j), and the products zeta_1**i_1 * ... *
+    zeta_r**i_r with i_j < phi(q_j) form its powerful basis (Lyubashevsky,
+    Peikert and Regev, EUROCRYPT 2013).  Coordinate sum_j i_j * s_j, with
+    s_1 = 1 and s_{j+1} = s_j * phi(q_j), holds that product, whose
+    exponent is exponents[t] = sum_j i_j * w_j mod N.  Coordinate 0 is 1,
+    and for N a prime power the basis is 1, zeta, ..., zeta**(phi(N)-1).
 
-def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    # Coefficient lists low -> high; the divisor is monic, division is exact.
-    num = list(num)
-    dn = len(den) - 1
-    out = [0] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c:
-            j = i - dn
-            out[j] = c
-            for t in range(dn + 1):
-                num[j + t] -= c * den[t]
-    if any(num):
-        raise ArithmeticError("inexact polynomial division")
-    return out
-
-
-_phi_cache: dict[int, tuple[int, ...]] = {}
-
-
-def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Integer coefficients of the n-th cyclotomic polynomial, low to high."""
-    if n in _phi_cache:
-        return _phi_cache[n]
-    if n == 1:
-        poly = (-1, 1)
-    else:
-        acc = [-1] + [0] * (n - 1) + [1]  # x**n - 1
-        for d in _divisors(n):
-            if d < n:
-                acc = _poly_div_exact(acc, list(cyclotomic_polynomial(d)))
-        poly = tuple(acc)
-    _phi_cache[n] = poly
-    return poly
-
-
-class _Ring:
-    """Precomputed reduction data for Q(zeta_N).
-
-    rows[e - degree] lists the nonzero (t, c) of the reduced form of
-    zeta**e, degree <= e < N, so a reduction touches only nonzero entries
-    (at N = 315, 19 of 144 on average).
+    zeta**e is the product over j of zeta_j**i_j, i_j = e / w_j mod q_j.
+    On one axis, with q = p**k and s = q / p, Phi_q(x) is the sum of
+    x**(b s) over b < p, so for phi(q) <= i < q one fold reduces
+    zeta_j**i to minus the sum of zeta_j**(b s + i - phi(q)) over
+    b < p - 1.  axes[j] holds, for each i < q_j, the reduced form of
+    zeta_j**i (itself when i < phi(q_j)) as (offset, coefficient) pairs,
+    the offset already times s_j: sum(q_j) entries in all.  basis[e] (0 <= e < N) is the reduced form of zeta**e,
+    the product of its axis forms, filled on first use: at most
+    prod(p_j - 1) pairs, and 2**r * phi(N) over all e.
     """
 
     def __init__(self, n: int):
-        phi = cyclotomic_polynomial(n)
-        self.order = n
-        self.degree = len(phi) - 1
-        base = [-c for c in phi[: self.degree]]  # x**degree reduced
-        rows: list[tuple[tuple[int, int], ...]] = []
-        cur = base
-        for _ in range(self.degree, n):
-            rows.append(tuple((t, c) for t, c in enumerate(cur) if c))
-            top = cur[-1]
-            cur = [0] + cur[:-1]
-            if top:
-                cur = [a + top * b for a, b in zip(cur, base)]
-        self.rows = tuple(rows)
+        super().__init__()
+        self.axes = []
+        exponents = [0]
+        for p in _prime_factors(n):
+            q = p
+            while n % (q * p) == 0:
+                q *= p
+            s, phi, stride, w = q // p, q - q // p, len(exponents), n // q
+            table = [((i * stride, 1),) for i in range(phi)]
+            table += [tuple(((b * s + i) * stride, -1) for b in range(p - 1)) for i in range(s)]
+            self.axes.append((q, pow(w, -1, q), tuple(table)))
+            exponents = [(e + i * w) % n for i in range(phi) for e in exponents]
+        self.degree = len(exponents)
+        self.exponents = tuple(exponents)
+
+    def __missing__(self, e: int) -> tuple[tuple[int, int], ...]:
+        row = ((0, 1),)
+        for q, inverse, table in self.axes:
+            fold = table[e * inverse % q]
+            row = tuple((t + u, c * d) for t, c in row for u, d in fold)
+        self[e] = row
+        return row
 
 
-_ring_cache: dict[int, _Ring] = {}
+_basis_cache: dict[int, _Basis] = {}
 
 
 def _check_order(n: int) -> None:
@@ -111,13 +92,13 @@ def _check_order(n: int) -> None:
         raise ValueError("order must be odd")
 
 
-def _ring(n: int) -> _Ring:
-    ring = _ring_cache.get(n)
-    if ring is None:
+def _basis(n: int) -> _Basis:
+    basis = _basis_cache.get(n)
+    if basis is None:
         _check_order(n)
-        ring = _Ring(n)
-        _ring_cache[n] = ring
-    return ring
+        basis = _Basis(n)
+        _basis_cache[n] = basis
+    return basis
 
 
 # -- certified modular evaluation --------------------------------------------
@@ -279,10 +260,18 @@ class CycloElement:
             den //= g
             num = [c // g for c in num]
         if not any(num):
-            return CycloElement(order, (0,) * _ring(order).degree, 1)
+            return CycloElement(order, (0,) * _basis(order).degree, 1)
         return CycloElement(order, tuple(num), den)
 
     # -- queries -----------------------------------------------------------
+
+    def terms(self) -> list[tuple[int, int]]:
+        """(exponent, coefficient) for each nonzero coordinate, by coordinate.
+
+        The element is the sum of coefficient * zeta**exponent over these,
+        divided by den; distinct coordinates have distinct exponents.
+        """
+        return [(e, c) for e, c in zip(_basis(self.order).exponents, self.num) if c]
 
     def is_zero(self) -> bool:
         return not any(self.num)
@@ -346,22 +335,17 @@ class CycloElement:
             return NotImplemented
         if other.order != self.order:
             raise ValueError("order mismatch")
-        deg = _ring(self.order).degree
-        a, b = self.num, other.num
-        conv = [0] * (2 * deg - 1) if deg > 1 else [0]
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
+        right = other.terms()
+        conv = [0] * (2 * self.order - 1)
+        for e, a in self.terms():
+            for f, b in right:
+                conv[e + f] += a * b
         return from_terms(self.order, enumerate(conv), self.den * other.den)
 
     __rmul__ = __mul__
 
     def conj(self) -> "CycloElement":
-        n = self.order
-        terms = [((n - e) % n, c) for e, c in enumerate(self.num) if c]
-        return from_terms(n, terms, self.den)
+        return from_terms(self.order, [(-e, c) for e, c in self.terms()], self.den)
 
     # -- numeric cross-checks -------------------------------------------------
 
@@ -369,9 +353,8 @@ class CycloElement:
         """Float evaluation at zeta = exp(2*pi*i/order); never used in predicates."""
         step = 2.0 * cmath.pi / self.order
         total = 0j
-        for e, c in enumerate(self.num):
-            if c:
-                total += c * cmath.exp(1j * step * e)
+        for e, c in self.terms():
+            total += c * cmath.exp(1j * step * e)
         return total / self.den
 
     def real_sign(self) -> int:
@@ -380,15 +363,15 @@ class CycloElement:
             raise ValueError("value is not real")
         if self.is_zero():
             return 0
+        terms = self.terms()
         saved = iv.dps
         try:
             iv.dps = 30
             while True:
                 two_pi = 2 * iv.pi
                 total = iv.mpf(0)
-                for e, c in enumerate(self.num):
-                    if c:
-                        total += c * iv.cos(two_pi * e / self.order)
+                for e, c in terms:
+                    total += c * iv.cos(two_pi * e / self.order)
                 if total.a > 0:
                     return 1
                 if total.b < 0:
@@ -400,33 +383,18 @@ class CycloElement:
 
 def from_terms(order: int, terms, den: int = 1) -> CycloElement:
     """Sum of num * zeta**exponent monomials, reduced to canonical form."""
-    ring = _ring(order)
-    deg, n, rows = ring.degree, ring.order, ring.rows
-    vec = [0] * deg
+    basis = _basis(order)
+    vec = [0] * basis.degree
     for e, c in terms:
-        if not c:
-            continue
-        e %= n
-        if e < deg:
-            vec[e] += c
-        else:
-            for t, r in rows[e - deg]:
+        if c:
+            for t, r in basis[e % order]:
                 vec[t] += c * r
     return CycloElement._make(order, vec, den)
 
 
 def from_rational(order: int, value: Rational) -> CycloElement:
     q = Fraction(value)
-    ring = _ring(order)
-    vec = [0] * ring.degree
+    vec = [0] * _basis(order).degree
     vec[0] = q.numerator
     return CycloElement._make(order, vec, q.denominator)
-
-
-def zero(order: int) -> CycloElement:
-    return from_rational(order, 0)
-
-
-def one(order: int) -> CycloElement:
-    return from_rational(order, 1)
 

@@ -323,9 +323,10 @@ def invert_char_table(spec: GroupSpec, table: dict[Element, CycloElement]) -> Di
 
     mu(x) = (1/N) sum_y f(y) zeta**(-t), t = pair_exponent(x, y).  Over the
     common denominator D, f(y) = (1/D) sum_e c[y][e] zeta**e with integers
-    c[y][e] (e < N), and the product by zeta**(-t) moves c[y][e] to exponent
+    c[y][e] (e < N), read from f(y).terms() with 0 at the exponents it does
+    not list, and the product by zeta**(-t) moves c[y][e] to exponent
     e - t mod N.  So each x needs, per exponent k, the integer
-    sum_y c[y][k + t] over y, which is reduced once.
+    sum_y c[y][k + t] over y, which is reduced once (cyclotomic.from_terms).
 
     The sums are exact integer Kronecker packing.  Let B be the largest
     |c[y][e]|, and W a whole number of bytes with 2**W > 2 * N * (B + 1).
@@ -359,13 +360,18 @@ def invert_char_table(spec: GroupSpec, table: dict[Element, CycloElement]) -> Di
     n = spec.exponent
     values = [table[y] for y in spec.crt_elements]
     den = lcm(*(value.den for value in values))
-    coeffs = [[c * (den // value.den) for c in value.num] for value in values]
-    bias = max(max(map(abs, row)) for row in coeffs)
+    coeffs = [[(e, c * (den // value.den)) for e, c in value.terms()] for value in values]
+    bias = max((abs(c) for terms in coeffs for _, c in terms), default=0)
     nbytes = (2 * n * (bias + 1)).bit_length() // 8 + 1
     width = 8 * nbytes
     span = n * width
     mask = (1 << span) - 1
-    words = [_pack_slots([c + bias for c in row] + [bias] * (n - len(row)), nbytes) for row in coeffs]
+    words = []
+    for terms in coeffs:
+        slots = [bias] * n
+        for e, c in terms:
+            slots[e] += c
+        words.append(_pack_slots(slots, nbytes))
     for q in spec.orders:
         w = n // q
         doubled = [word | word << span for word in words]

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclotomic import CycloElement, one as cyclo_one
+from .cyclotomic import CycloElement
 from .distributions import Distribution, char_fn, convolve, reflect
 from .engine import first_equation_violation
 from .groups import Element, GroupSpec
@@ -312,7 +312,7 @@ class FixedPointLemmaReport:
 def _within_unit_interval(value) -> bool:
     if not isinstance(value, CycloElement) or not value.is_real():
         return False
-    return value.real_sign() >= 0 and (cyclo_one(value.order) - value).real_sign() >= 0
+    return value.real_sign() >= 0 and (1 - value).real_sign() >= 0
 
 
 def verify_fixed_point_lemma(

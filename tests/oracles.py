@@ -235,6 +235,36 @@ def brute_canonical_shift(orders, pmf, members):
     return best
 
 
+def _poly_div_exact(num, den):
+    """Quotient of two integer coefficient lists (low to high) by a monic divisor that divides exactly."""
+    num = list(num)
+    dn = len(den) - 1
+    out = [0] * (len(num) - dn)
+    for i in range(len(num) - 1, dn - 1, -1):
+        c = num[i]
+        if c:
+            out[i - dn] = c
+            for t in range(dn + 1):
+                num[i - dn + t] -= c * den[t]
+    assert not any(num), "inexact polynomial division"
+    return out
+
+
+_phi_cache = {}
+
+
+def cyclotomic_polynomial(n):
+    """Integer coefficients of the n-th cyclotomic polynomial, low to high:
+    x**n - 1 divided by Phi_d for every proper divisor d of n."""
+    if n not in _phi_cache:
+        acc = [-1] + [0] * (n - 1) + [1]
+        for d in range(1, n):
+            if n % d == 0:
+                acc = _poly_div_exact(acc, cyclotomic_polynomial(d))
+        _phi_cache[n] = tuple(acc)
+    return _phi_cache[n]
+
+
 def dense_reduction_rows(n, phi):
     """Coefficient lists of zeta**e reduced modulo the monic phi, for
     deg(phi) <= e < n, every entry kept, zeros included."""
@@ -273,21 +303,22 @@ def dense_mul(n, rows, degree, a, b):
     return dense_reduce(n, rows, degree, conv)
 
 
-def reference_invert_char_table(spec, table, phi):
-    """Per-x Fourier inversion: for each x, every table entry's coefficients
-    are moved by the pairing exponent into one length-N vector, which is
-    reduced once with dense rows; the result must be rational.
+def reference_invert_char_table(spec, table):
+    """Per-x Fourier inversion: for each x, every table entry's terms are
+    moved by the pairing exponent into one length-N vector, which is
+    reduced once with dense rows modulo Phi_N; the result must be rational.
 
     Raises VerificationFailure for a non-rational mass and returns the pmf
     through from_pmf, so its errors are the library's."""
     n = spec.exponent
+    phi = cyclotomic_polynomial(n)
     degree = len(phi) - 1
     rows = dense_reduction_rows(n, phi)
     den = 1
     for value in table.values():
         den = den * value.den // gcd(den, value.den)
     entries = [
-        (y, [(e, c * (den // value.den)) for e, c in enumerate(value.num) if c])
+        (y, [(e, c * (den // value.den)) for e, c in value.terms()])
         for y, value in table.items()
     ]
     pmf = {}

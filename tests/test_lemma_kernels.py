@@ -2,9 +2,10 @@
 
 The triple-difference scan of verify_difference_lemma runs on CRT codes
 with interned values and memoized products, invert_char_table sums packed
-integers, and the cyclotomic reduction rows are sparse.  Each is compared
-here with a plain implementation in oracles.py: the brute triple scan on
-tuples, the per-x inversion with dense rows, and dense reduction.  The
+integers, and cyclotomic values are reduced in the powerful basis.  Each
+is compared here with a plain implementation in oracles.py: the brute
+triple scan on tuples, the per-x inversion with dense rows, and dense
+reduction modulo Phi_N.  The
 generator route of verify_difference_lemma is compared with the full
 scan, and the axis-wise inversion with the per-x reference.
 """
@@ -32,7 +33,7 @@ from heyde import (
     verify_difference_lemma,
 )
 from heyde import lemmas
-from heyde.cyclotomic import _ring, cyclotomic_polynomial, from_terms
+from heyde.cyclotomic import from_terms
 from heyde.distributions import _pack_slots, _unpack_slots
 from heyde.errors import VerificationFailure
 from heyde.lemmas import DualFunction, _first_triple_violation, dual_function
@@ -246,7 +247,7 @@ def test_generator_route_counts_every_quadruple_it_certifies():
 
 
 def reference(spec, table):
-    return oracles.reference_invert_char_table(spec, table, cyclotomic_polynomial(spec.exponent))
+    return oracles.reference_invert_char_table(spec, table)
 
 
 def acceptance_margins():
@@ -400,7 +401,7 @@ def test_slot_width_at_each_byte_boundary():
                 mu = from_pmf(spec, pmf)
                 table = char_fn_table(mu)
                 assert math.lcm(*(v.den for v in table.values())) == den
-                assert max(abs(c) * (den // v.den) for v in table.values() for c in v.num) == den
+                assert max(abs(c) * (den // v.den) for v in table.values() for _, c in v.terms()) == den
                 assert invert_char_table(spec, table) == mu
 
 
@@ -444,22 +445,30 @@ def test_inversion_refuses_a_table_that_does_not_cover_the_dual():
     assert invert_char_table(Z9, table) == degenerate(Z9, (0,))
 
 
-# -- sparse reduction rows -----------------------------------------------------------
+# -- powerful basis ---------------------------------------------------------------------
 
 
 def test_sparse_rows_match_dense_reduction_for_every_odd_order():
+    # The powerful basis, read back through terms(), against reduction
+    # modulo Phi_n with dense rows: from_terms, the product and conj.
     rng = random.Random(945)
     for n in range(1, 946, 2):
-        phi = cyclotomic_polynomial(n)
+        phi = oracles.cyclotomic_polynomial(n)
         degree = len(phi) - 1
         dense = oracles.dense_reduction_rows(n, phi)
-        ring = _ring(n)
-        assert ring.rows == tuple(tuple((t, c) for t, c in enumerate(row) if c) for row in dense[: n - degree])
-        terms = [(rng.randrange(2 * n), rng.randint(-50, 50)) for _ in range(12)]
-        vec = [0] * (2 * n)
-        for e, c in terms:
-            vec[e] += c
-        assert list(from_terms(n, terms).num) == oracles.dense_reduce(n, dense, degree, vec)
-        a = from_terms(n, [(rng.randrange(n), rng.randint(-9, 9)) for _ in range(6)])
+
+        def reduce(terms):
+            vec = [0] * n
+            for e, c in terms:
+                vec[e % n] += c
+            return oracles.dense_reduce(n, dense, degree, vec)
+
+        terms = [(rng.randrange(-n, 2 * n), rng.randint(-50, 50)) for _ in range(12)]
+        a = from_terms(n, terms)
+        assert len(a.num) == degree
+        assert reduce(a.terms()) == reduce(terms)
+        assert reduce(a.conj().terms()) == reduce((-e, c) for e, c in terms)
         b = from_terms(n, [(rng.randrange(n), rng.randint(-9, 9)) for _ in range(6)])
-        assert list((a * b).num) == oracles.dense_mul(n, dense, degree, list(a.num), list(b.num))
+        c = from_terms(n, [(rng.randrange(n), rng.randint(-9, 9)) for _ in range(6)])
+        expected = oracles.dense_mul(n, dense, degree, reduce(b.terms()), reduce(c.terms()))
+        assert reduce((b * c).terms()) == expected

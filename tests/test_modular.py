@@ -39,13 +39,14 @@ from heyde import (
     validate_spec,
 )
 from heyde import cli, cyclotomic, engine
-from heyde.cyclotomic import _is_prime, cyclotomic_polynomial, modular_field
+from heyde.cyclotomic import _is_prime, modular_field
 from heyde.distributions import char_fn_zero_classes, char_residues
 from heyde.engine import _decompose, first_equation_violation
 from heyde.fixtures import construction_admissible
 from heyde.groups import Subgroup
 
 import acceptance_corpus as corpus
+import oracles
 
 Z9xZ5 = validate_spec([(3, 2), (5, 1)])
 Z9xZ5xZ7 = validate_spec([(3, 2), (5, 1), (7, 1)])
@@ -143,7 +144,7 @@ def test_field_is_certified(n):
             assert all(pow(w, n // q, p) != 1 for q in _prime_factors(n))
         m = field.modulus
         assert field.powers == [pow(field.root, k, m) for k in range(n)]
-        phi = cyclotomic_polynomial(n)
+        phi = oracles.cyclotomic_polynomial(n)
         assert sum(c * pow(field.root, e, m) for e, c in enumerate(phi)) % m == 0
 
 
@@ -183,14 +184,13 @@ def test_field_rejects_bad_orders(order):
 
 
 def test_residue_route_never_builds_the_cyclotomic_polynomial(monkeypatch, tmp_path, capsys):
-    # check and decompose decide everything on residues; _Ring (Phi_N and
-    # its reduction rows) is the reference route only.  At N = 15015 the
-    # rows are dense, and building them costs far more than the check.
+    # check and decompose decide everything on residues; _Basis (the
+    # powerful basis of CycloElement) is the reference route only.
     def refuse(self, n):
-        raise AssertionError(f"_Ring({n}) built on the residue route")
+        raise AssertionError(f"_Basis({n}) built on the residue route")
 
-    monkeypatch.setattr(cyclotomic._Ring, "__init__", refuse)
-    monkeypatch.setattr(cyclotomic, "_ring_cache", {})
+    monkeypatch.setattr(cyclotomic._Basis, "__init__", refuse)
+    monkeypatch.setattr(cyclotomic, "_basis_cache", {})
 
     def masses(points):
         return [{"x": list(x), "num": 1, "den": len(points)} for x in points]
@@ -222,7 +222,7 @@ def test_residues_evaluate_char_fn_at_the_root():
         residue = char_residues(mu, field)
         for y in spec.element_list:
             value = char_fn(mu, y)
-            at_root = sum(c * field.powers[e] for e, c in enumerate(value.num)) * (den // value.den)
+            at_root = sum(c * field.powers[e] for e, c in value.terms()) * (den // value.den)
             assert residue(spec.crt(y)) == at_root % field.modulus
 
 
@@ -279,7 +279,7 @@ def test_residue_memo_keeps_fields_apart(monkeypatch):
 
     def at_root(field, code):
         value = char_fn(mu, spec.crt_elements[code])
-        scaled = sum(c * field.powers[e] for e, c in enumerate(value.num)) * (4 // value.den)
+        scaled = sum(c * field.powers[e] for e, c in value.terms()) * (4 // value.den)
         return scaled % field.modulus
 
     in_small, in_large = char_residues(mu, small), char_residues(mu, large)
