@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -147,6 +148,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify_lemmas(args) -> int:
+    # A negative tolerance would fail every run, and nan or inf would pass
+    # every residual, so neither is a cross-check.
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise ValueError(f"--tolerance must be finite and non-negative, got {args.tolerance!r}")
     inst = serialize.instance_from_obj(_load_json(args.input))
     f = squared_modulus_table(inst.mu1)
     g = squared_modulus_table(inst.mu2)

@@ -148,12 +148,19 @@ def shift(mu: Distribution, x: Element) -> Distribution:
     return _canonical(spec, mu.den, (((r + c) % n, a) for r, a in mu.points))
 
 
+def _pair_terms(mu: Distribution) -> list[tuple[int, int]]:
+    """(s * x mod N, a) for each (x, a) of mu.points, s = spec.crt_pair_unit:
+    the character sum of mu at the dual code y is the sum of
+    a * zeta**(s * x * y) over these, divided by mu.den."""
+    n = mu.spec.exponent
+    s = mu.spec.crt_pair_unit
+    return [(s * x % n, a) for x, a in mu.points]
+
+
 def char_fn(mu: Distribution, y: Element) -> CycloElement:
     """The character sum of mu at the dual element y, exactly."""
-    spec = mu.spec
-    elements = spec.crt_elements
-    terms = [(spec.pair_exponent(elements[r], y), a) for r, a in mu.points]
-    return cyclotomic.from_terms(spec.exponent, terms, mu.den)
+    c = mu.spec.crt(y)
+    return cyclotomic.from_terms(mu.spec.exponent, [(t * c, a) for t, a in _pair_terms(mu)], mu.den)
 
 
 def char_fn_table(mu: Distribution) -> dict[Element, CycloElement]:
@@ -182,8 +189,7 @@ def char_residues(mu: Distribution, field) -> Callable[[int], int]:
 def _residue_function(mu: Distribution, field) -> Callable[[int], int]:
     spec = mu.spec
     n = spec.exponent
-    s = spec.crt_pair_unit
-    terms = [(s * x % n, a) for x, a in mu.points]
+    terms = _pair_terms(mu)
     powers, modulus = field.powers, field.modulus
     values: list = [None] * n
     lazy = sum(spec.orders)  # codes still to compute one at a time

@@ -22,15 +22,20 @@ hypothesis of the corollaries evaluate character sums at a primitive N-th
 root of unity modulo a product M of primes p = 1 (mod N);
 cyclotomic._ModField states the bound on M and the proof that these
 verdicts are then exact.  No predicate is decided by floating point or by
-a probabilistic test.  The lemma verifiers pass canonical cyclotomic
-values to the same equation loop, which stays the reference route.
+a probabilistic test.  The lemma verifiers pass exact canonical
+cyclotomic values, as ids, to the same equation loop, which stays the
+reference route.
 
-The equation loop visits every pair (u, v) at its first v only, which
-reads both character tables in full.  At every later v it visits only
-the u at which a side can be nonzero.  A symmetric pair has a Haar factor
-on (I + alpha)(G), so its character sums vanish off the annihilator of
-that subgroup, and the loop costs N * |S| pairs after its first v, with
-S the nonzero codes, in place of N**2 / 2.
+The equation loop compares the two products of each pair (u, v) as the
+caller's multiplication returns them: residues mod M here; in the lemma
+verifiers, the only callers whose values are costly to multiply, ids of
+cyclotomic values with a memoized product of ids.  It visits every pair
+at its first v only, which reads both character tables in full.  At
+every later v it visits only the u at which a side can be nonzero (a
+falsy value is zero).  A symmetric pair has a Haar factor on
+(I + alpha)(G), so its character sums vanish off the annihilator of that
+subgroup, and the loop costs N * |S| pairs after its first v, with S the
+nonzero codes, in place of N**2 / 2.
 
 Work that depends on one margin only is done once per object, not once
 per instance: a Distribution memoizes its residues per field
@@ -42,6 +47,7 @@ multiplier alone, so I + alpha and I - alpha cost one addition mod N each.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -111,123 +117,73 @@ def first_equation_violation(
     f: Callable[[int], object],
     g: Callable[[int], object],
     beta: Endomorphism,
-    modulus: int | None = None,
+    mul: Callable[[object, object], object] = operator.mul,
 ) -> tuple[Element, Element] | None:
     """First (u, v) with f(u + v) g(u + beta v) != f(u - v) g(u - beta v), or None.
 
     f and g take CRT codes (ints in Z(N)), not Elements; the (u, v)
     reported is decoded to Elements.  v runs over element_list and, for
     each v, u does too; v = 0 and each v whose negation comes earlier are
-    skipped, since (u, -v) states the same identity as (u, v).  f and g
-    are called lazily, at most once per code each, and their values are
-    interned to small ints, so each value is hashed once.  Products are
-    memoized by id pair and interned too, so two sides agree exactly when
-    their product ids do.  Every product is computed by the values' own
-    multiplication (reduced mod modulus when one is given) and equality is
-    the values' own equality.  With cyclotomic values (canonical reduced
-    forms) and no modulus the verdict, and the (u, v) reported, are exact;
-    with residues the verdict is exact under the bound of
-    cyclotomic._ModField, and the (u, v) is a true violation.
+    skipped, since (u, -v) states the same identity as (u, v).  The two
+    sides are mul(f(u + v), g(u + beta v)) and mul(f(u - v), g(u - beta v)),
+    compared by ==, and mul is called only when the factors differ.  The
+    caller picks mul and values so that == on products is the identity it
+    asks about: residues reduced mod M and their product mod M, which
+    decide it exactly under the bound of cyclotomic._ModField, or ids of
+    canonical cyclotomic values, one id per distinct value, and their
+    memoized product (as the lemma verifiers pass).  A falsy value is zero, and mul(0, x) == mul(0, y)
+    must hold for every x and y; a caller whose zero is truthy only loses
+    the sparse visits below.
 
-    The first v is dense: it visits every u, which calls f and g at every
-    code.  Each later v visits only the candidate pairs.  A pair with
-    f(u + v) = f(u - v) = 0 has both products zero, so with S the codes
-    where f is nonzero only u in (S - v) | (S + v) is visited, in element
-    order; with g, u in (S - beta v) | (S + beta v), when g has fewer
-    nonzero codes.  That is at most 2 |S| pairs per v in place of N.  When
-    2 |S| >= N, as for point masses, every v stays dense.  A skipped pair
-    holds exactly, so the (u, v) reported is the one the dense loop
-    reports.  A value is zero when it is = 0 (mod modulus), or else when
-    its is_zero() says so (== 0 for values without one).
+    The first v is dense: it visits every u, calling f and g four times
+    per u, so they should be cheap or memoized (char_residues is).  A pair
+    refuted there has read only the values it needed.  Otherwise f and g
+    have been read at every code, and every later v reads one table of
+    each, filled once.  Each later v visits only the candidate pairs.  A
+    pair with f(u + v) = f(u - v) = 0 has both products zero, so with S the
+    codes where f is nonzero only u in (S - v) | (S + v) is visited, in
+    element order; with g, u in (S - beta v) | (S + beta v), when g has
+    fewer nonzero codes.  That is at most 2 |S| pairs per v in place of N.
+    When 2 |S| >= N, as for point masses, every v stays dense.  A skipped
+    pair holds exactly, so the (u, v) reported is the one the dense loop
+    reports.
     """
     n = spec.exponent
     rank = spec.crt_rank
     b = beta.code
-    value_ids: dict = {}
-    values: list = []
-    product_ids: dict = {}
-    products: dict[int, int] = {}
-    f_ids = [-1] * n
-    g_ids = [-1] * n
-    width = 2 * n  # more than the number of distinct values
-
-    def intern(value) -> int:
-        vid = value_ids.get(value)
-        if vid is None:
-            vid = value_ids[value] = len(values)
-            values.append(value)
-        return vid
-
-    def product_id(a_id: int, b_id: int) -> int:
-        value = values[a_id] * values[b_id]
-        if modulus is not None:
-            value %= modulus
-        return product_ids.setdefault(value, len(product_ids))
-
     codes = spec.crt_codes
-    filled = False  # whether f_ids and g_ids hold every code
-    support = None  # once filled, unless dense: the nonzero codes of f, or of g
-    on_g = False
-    for v_rank, v in enumerate(codes):
-        if v == 0 or rank[n - v] < v_rank:
-            continue
+    elements = spec.crt_elements
+    vs = (v for v_rank, v in enumerate(codes) if v and rank[n - v] > v_rank)
+
+    v = next(vs)
+    bv = b * v % n
+    for u in codes:
+        f1, g1 = f((u + v) % n), g((u + bv) % n)
+        f2, g2 = f((u - v) % n), g((u - bv) % n)
+        if (f1 != f2 or g1 != g2) and mul(f1, g1) != mul(f2, g2):
+            return elements[u], elements[v]
+
+    f_values = [f(i) for i in range(n)]
+    g_values = [g(i) for i in range(n)]
+    nonzero_f = [i for i, value in enumerate(f_values) if value]
+    nonzero_g = [i for i, value in enumerate(g_values) if value]
+    on_g = len(nonzero_g) < len(nonzero_f)
+    support = nonzero_g if on_g else nonzero_f
+    for v in vs:
         bv = b * v % n
         us = codes
-        if support is not None:
+        if 2 * len(support) < n:
             d = bv if on_g else v
             us = sorted(
                 {(s + d) % n for s in support}.union((s - d) % n for s in support),
                 key=rank.__getitem__,
             )
         for u in us:
-            i = (u + v) % n
-            f1 = f_ids[i]
-            if f1 < 0:
-                f1 = f_ids[i] = intern(f(i))
-            i = (u + bv) % n
-            g1 = g_ids[i]
-            if g1 < 0:
-                g1 = g_ids[i] = intern(g(i))
-            i = (u - v) % n
-            f2 = f_ids[i]
-            if f2 < 0:
-                f2 = f_ids[i] = intern(f(i))
-            i = (u - bv) % n
-            g2 = g_ids[i]
-            if g2 < 0:
-                g2 = g_ids[i] = intern(g(i))
-            if f1 == f2 and g1 == g2:
-                continue
-            key = f1 * width + g1
-            lhs = products.get(key)
-            if lhs is None:
-                lhs = products[key] = product_id(f1, g1)
-            key = f2 * width + g2
-            rhs = products.get(key)
-            if rhs is None:
-                rhs = products[key] = product_id(f2, g2)
-            if lhs != rhs:
-                elements = spec.crt_elements
+            f1, g1 = f_values[(u + v) % n], g_values[(u + bv) % n]
+            f2, g2 = f_values[(u - v) % n], g_values[(u - bv) % n]
+            if (f1 != f2 or g1 != g2) and mul(f1, g1) != mul(f2, g2):
                 return elements[u], elements[v]
-        if not filled:
-            filled = True
-            zero = {vid for vid, value in enumerate(values) if _is_zero(value, modulus)}
-            nonzero_f = [i for i, vid in enumerate(f_ids) if vid not in zero]
-            nonzero_g = [i for i, vid in enumerate(g_ids) if vid not in zero]
-            on_g = len(nonzero_g) < len(nonzero_f)
-            support = nonzero_g if on_g else nonzero_f
-            if 2 * len(support) >= n:
-                support = None
     return None
-
-
-def _is_zero(value, modulus: int | None) -> bool:
-    """Whether an interned value of first_equation_violation is zero: a
-    residue = 0 (mod modulus), or else a value whose own test says so."""
-    if modulus is not None:
-        return value % modulus == 0
-    is_zero = getattr(value, "is_zero", None)
-    return is_zero() if is_zero is not None else value == 0
 
 
 def satisfies_heyde_equation(inst: HeydeInstance) -> bool:
@@ -240,16 +196,18 @@ def satisfies_heyde_equation(inst: HeydeInstance) -> bool:
     product of primes p = 1 (mod N), with M > 2 * D1 * D2 for mass
     denominators D1, D2; cyclotomic._ModField proves that this decides the
     identity exactly in both directions.  The residues come memoized from
-    each margin (distributions.char_residues).  See first_equation_violation
-    for the loop.
+    each margin (distributions.char_residues) and reduced mod M, so the
+    zero residue is 0 and the loop skips only pairs whose two products are
+    both = 0 (mod M).  See first_equation_violation for the loop.
     """
     field = modular_field(inst.spec.exponent, 2 * inst.mu1.den * inst.mu2.den)
+    modulus = field.modulus
     violation = first_equation_violation(
         inst.spec,
         char_residues(inst.mu1, field),
         char_residues(inst.mu2, field),
         inst.alpha.adjoint(),
-        field.modulus,
+        lambda a, b: a * b % modulus,
     )
     return violation is None
 

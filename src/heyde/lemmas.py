@@ -10,9 +10,12 @@ The tables are arbitrary: nothing requires them to be character tables
 or Galois-equivariant, so the modular evaluation of cyclotomic._ModField
 does not apply.  The checks stay on exact canonical CycloElements and are
 made cheap by repetition instead: the hypotheses decide each sign once per
-distinct table value, and the equation loop and the triple-difference
-scan intern values and products to ids, so each distinct product is
-computed once and equal sides have equal ids.
+distinct table value, and the equation hypothesis and the
+triple-difference scan run on the ids of one interner (_interner), which
+memoizes the product of two ids, so each distinct product is computed
+once and equal sides have equal ids.  engine.first_equation_violation
+takes the id tables and that product as its mul; id 0 is the zero value,
+so the loop's sparse visits apply to tables with zeros.
 
 The triple-difference conclusions are decided on subgroup generators.
 For a nonvanishing table the steps at which a triple difference of
@@ -30,8 +33,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclotomic import CycloElement
-from .distributions import Distribution, char_fn, convolve, reflect
+from .cyclotomic import CycloElement, from_rational, from_terms
+from .distributions import Distribution, _pair_terms, convolve, reflect
 from .engine import first_equation_violation
 from .groups import Element, GroupSpec
 from .morphisms import Endomorphism, identity, kappa_of
@@ -68,7 +71,12 @@ def dual_function(spec: GroupSpec, mapping) -> DualFunction:
 
 
 def char_table_function(mu: Distribution) -> DualFunction:
-    return DualFunction(mu.spec, tuple(char_fn(mu, y) for y in mu.spec.crt_elements))
+    """The table of char_fn(mu, y), computed on the dual codes y."""
+    n = mu.spec.exponent
+    terms = _pair_terms(mu)
+    return DualFunction(
+        mu.spec, tuple(from_terms(n, [(t * y, a) for t, a in terms], mu.den) for y in range(n))
+    )
 
 
 def squared_modulus_table(mu: Distribution) -> DualFunction:
@@ -82,12 +90,49 @@ def _distinct_values(*fns: DualFunction) -> list:
     return list(dict.fromkeys(v for fn in fns for v in fn.values))
 
 
+def _interner(zero):
+    """(intern, product) over one table of ids, with id 0 for zero.
+
+    intern(value) is the id of value, given on first sight; product(i, j)
+    is the id of the product of the values with ids i and j, memoized by
+    one int key, so each distinct product is computed once.  Values are
+    canonical cyclotomic elements, so two values are equal exactly when
+    their ids are, and a product with zero has id 0.
+    """
+    ids = {zero: 0}
+    values = [zero]
+    memo: dict[int, int] = {}
+
+    def intern(value) -> int:
+        vid = ids.get(value)
+        if vid is None:
+            vid = ids[value] = len(values)
+            values.append(value)
+        return vid
+
+    def product(i: int, j: int) -> int:
+        key = i << 32 | j  # ids stay below 2**32
+        pid = memo.get(key)
+        if pid is None:
+            pid = memo[key] = intern(values[i] * values[j])
+        return pid
+
+    return intern, product
+
+
 @lru_cache(maxsize=1)
 def _equation_violation(f: DualFunction, g: DualFunction, beta: Endomorphism):
     """engine.first_equation_violation on the tables of f and g, kept for the
     last (f, g, beta): both verifiers certify this hypothesis, and
-    verify-lemmas runs them in turn on the same tables."""
-    return first_equation_violation(f.spec, f.values.__getitem__, g.values.__getitem__, beta)
+    verify-lemmas runs them in turn on the same tables.
+
+    The loop runs on interned ids and their memoized products, so each
+    distinct product is computed once, and the zero value's id 0 is falsy,
+    so the loop's sparse visits apply."""
+    intern, product = _interner(from_rational(f.spec.exponent, 0))
+    f_ids = [intern(value) for value in f.values]
+    g_ids = [intern(value) for value in g.values]
+    return first_equation_violation(f.spec, f_ids.__getitem__, g_ids.__getitem__, beta, product)
 
 
 @dataclass(frozen=True)
@@ -122,30 +167,12 @@ def _first_triple_violation(fn: DualFunction, step_endos) -> tuple[int, tuple | 
 def _triple_scan(fn: DualFunction, a_steps, b_steps, c_steps) -> tuple[int, tuple | None]:
     """The triple-difference scan over the given step codes, in that order.
 
-    The loop runs on CRT codes.  Table values and every product are
-    interned to ids in one table, and the product of two ids is memoized
-    by the id pair, so each side is the product of two interned pair
-    products.  The values are canonical cyclotomic elements, so two sides
-    are equal exactly when their ids are.
+    The loop runs on CRT codes, on the ids of one _interner, so each side
+    is the product of two memoized pair products and the two sides are
+    equal exactly when their ids are.
     """
     spec = fn.spec
-    interned: dict = {}
-    known: list = []
-    memo: dict[tuple[int, int], int] = {}
-
-    def intern(value) -> int:
-        vid = interned.get(value)
-        if vid is None:
-            vid = interned[value] = len(known)
-            known.append(value)
-        return vid
-
-    def product(i: int, j: int) -> int:
-        pid = memo.get((i, j))
-        if pid is None:
-            pid = memo[i, j] = intern(known[i] * known[j])
-        return pid
-
+    intern, product = _interner(from_rational(spec.exponent, 0))
     ids = [intern(v) for v in fn.values] * 4  # every index below is < 4N
     checks = 0
     for a in a_steps:
@@ -294,7 +321,7 @@ class FixedPointLemmaReport:
     substitution_g_ok: bool | None
     fixed_point_f_ok: bool | None
     fixed_point_g_ok: bool | None
-    kappa_multipliers: tuple[int, ...] | None
+    kappa: tuple[int, ...] | None  # the multipliers of kappa
     first_violation: str | None
 
     @property
@@ -353,7 +380,7 @@ def verify_fixed_point_lemma(
             substitution_g_ok=None,
             fixed_point_f_ok=None,
             fixed_point_g_ok=None,
-            kappa_multipliers=None,
+            kappa=None,
             first_violation="; ".join(parts),
         )
 
@@ -401,6 +428,6 @@ def verify_fixed_point_lemma(
         substitution_g_ok=sub_g,
         fixed_point_f_ok=fix_f,
         fixed_point_g_ok=fix_g,
-        kappa_multipliers=kappa.multipliers,
+        kappa=kappa.multipliers,
         first_violation=first_violation,
     )

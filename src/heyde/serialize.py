@@ -9,6 +9,7 @@ exactly what the writers guarantee and raise ValueError on anything else.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from fractions import Fraction
 
 from .engine import (
@@ -174,34 +175,28 @@ def instance_from_obj(obj) -> HeydeInstance:
 # -- reports --------------------------------------------------------------------
 
 
+def _field_dict(record) -> dict:
+    """The fields of a report dataclass by name; json writes a tuple as a list.
+
+    dataclasses.asdict gives the same output but deep-copies every value,
+    at several times the cost.
+    """
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
 def corollary_report_to_obj(report: CorollaryReport) -> list[dict]:
-    return [
-        {
-            "name": c.name,
-            "applicable": c.applicable,
-            "verified": c.verified,
-            "detail": c.detail,
-        }
-        for c in report.checks
-    ]
+    return [_field_dict(c) for c in report.checks]
 
 
 def decomposition_to_obj(
     dec: HeydeDecomposition, corollaries: CorollaryReport | None = None
 ) -> dict:
-    flags = {
-        "stable_under_one_minus_alpha": dec.flags.stable_under_one_minus_alpha,
-        "shifts_of_common_distribution": dec.flags.shifts_of_common_distribution,
-        "minimal_support_subgroup": dec.flags.minimal_support_subgroup,
-        "haar_factor": dec.flags.haar_factor,
-        "restricted_symmetry": dec.flags.restricted_symmetry,
-    }
     obj = {
         "subgroup": subgroup_to_obj(dec.subgroup),
         "lambda": distribution_to_obj(dec.lam),
         "x1": element_to_obj(dec.shift1),
         "x2": element_to_obj(dec.shift2),
-        "flags": flags,
+        "flags": _field_dict(dec.flags),
         "all_flags_true": dec.flags.all_true,
     }
     if corollaries is not None:
@@ -210,31 +205,11 @@ def decomposition_to_obj(
 
 
 def difference_report_to_obj(report: DifferenceLemmaReport) -> dict:
-    return {
-        "hypothesis_ok": report.hypothesis_ok,
-        "positive_ok": report.positive_ok,
-        "evaluated": report.evaluated,
-        "first_conclusion_ok": report.first_conclusion_ok,
-        "second_conclusion_ok": report.second_conclusion_ok,
-        "first_violation": report.first_violation,
-        "checks": report.checks,
-        "max_log_residual": report.max_log_residual,
-    }
+    return _field_dict(report)
 
 
 def fixed_point_report_to_obj(report: FixedPointLemmaReport) -> dict:
-    return {
-        "hypothesis_equation_ok": report.hypothesis_equation_ok,
-        "bounds_ok": report.bounds_ok,
-        "invertible_ok": report.invertible_ok,
-        "evaluated": report.evaluated,
-        "substitution_f_ok": report.substitution_f_ok,
-        "substitution_g_ok": report.substitution_g_ok,
-        "fixed_point_f_ok": report.fixed_point_f_ok,
-        "fixed_point_g_ok": report.fixed_point_g_ok,
-        "kappa": list(report.kappa_multipliers) if report.kappa_multipliers else None,
-        "first_violation": report.first_violation,
-    }
+    return _field_dict(report)
 
 
 # -- sweeps -----------------------------------------------------------------------
@@ -266,15 +241,4 @@ def sweep_config_from_obj(obj) -> SweepConfig:
 
 
 def sweep_report_to_obj(report: SweepReport) -> dict:
-    return {
-        "seed": report.seed,
-        "instances": report.instances,
-        "symmetric": report.symmetric,
-        "disagreements": report.disagreements,
-        "decomposition_failures": report.decomposition_failures,
-        "corollary_failures": report.corollary_failures,
-        "corollary_checked": report.corollary_checked,
-        "corollary_skipped": report.corollary_skipped,
-        "violations": report.violations,
-        "first_counterexample": report.first_counterexample,
-    }
+    return {**_field_dict(report), "violations": report.violations}

@@ -511,6 +511,19 @@ def test_verify_lemmas_decides_the_equation_hypothesis_once(tmp_path, capsys, mo
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+def test_verify_lemmas_refuses_a_tolerance_that_is_no_cross_check(tmp_path, capsys, tolerance):
+    # The difference lemma is evaluated here, so -1 would fail a correct
+    # run and nan or inf would pass any residual.
+    margin = [{"x": [0], "num": 3, "den": 4}, {"x": [1], "num": 1, "den": 4}]
+    spec = {"components": [{"p": 7, "k": 1, "kind": "finite"}]}
+    path = write(tmp_path, "inst.json", {"spec": spec, "mu1": margin, "mu2": margin, "alpha": [6]})
+    code = main(["verify-lemmas", "--input", path, f"--tolerance={tolerance}"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert "tolerance" in report["error"]
+
+
 def test_construct_writes_loadable_instance(tmp_path, capsys):
     construction = {"spec": Z9_SPEC, "subgroup": [1], "alpha": [2], "seed": 9}
     cpath = write(tmp_path, "construction.json", construction)

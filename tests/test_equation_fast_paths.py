@@ -8,6 +8,8 @@ axis.  Each must agree exactly with its reference: the same (u, v) or
 None from the loop, the same residue at every code from the transform.
 """
 
+import operator
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -21,6 +23,7 @@ from heyde import (
     degenerate,
     enumerate_automorphisms,
     enumerate_subgroups,
+    from_pmf,
     full_subgroup,
     haar,
     make_endo,
@@ -30,7 +33,7 @@ from heyde import (
     squared_modulus_table,
     validate_spec,
 )
-from heyde import distributions
+from heyde import distributions, lemmas
 from heyde.cyclotomic import _ModField, _prime_below, from_rational, from_terms, modular_field
 from heyde.distributions import _residue_table, char_residues
 from heyde.engine import first_equation_violation
@@ -138,7 +141,8 @@ def _nonzero_codes(fn, n, is_zero):
 
 def _same_as_dense(spec, f, g, beta, modulus=None):
     """The loop's answer, after checking it against the dense reference."""
-    found = first_equation_violation(spec, f, g, beta, modulus)
+    mul = operator.mul if modulus is None else lambda a, b: a * b % modulus
+    found = first_equation_violation(spec, f, g, beta, mul)
     assert found == oracles.dense_equation_violation(spec, f, g, beta, modulus)
     return found
 
@@ -226,8 +230,9 @@ def _cyclo_tables(mu):
 
 
 def test_cyclotomic_tables_with_zeros():
-    # The lemma path passes exact cyclotomic tables and no modulus; the zero
-    # values are found by is_zero().
+    # Raw cyclotomic values are always truthy, so the loop stays dense here;
+    # the lemma route, which interns them and makes zero falsy, is tested
+    # below.
     spec = Z9xZ5
     n = spec.exponent
     subs = enumerate_subgroups(spec)
@@ -284,3 +289,94 @@ def test_arbitrary_sparse_tables_and_endomorphisms(cyclotomic):
             found = _same_as_dense(spec, f, g, beta, modulus)
             later += found is not None and found[1] != first_v
     assert later >= 5
+
+
+# -- the interned lemma route -------------------------------------------------------
+
+
+def _lemma_route(f, g, beta, monkeypatch):
+    """lemmas._equation_violation on two DualFunctions, after checking it
+    against the dense reference on the raw tables, and whether the loop saw
+    an id table with zeros, on which it can take the sparse visits.  The ids
+    it is given must be falsy exactly at the zero values."""
+    seen = []
+
+    def spy(spec, f_ids, g_ids, *rest):
+        n = spec.exponent
+        for ids, fn in ((f_ids, f), (g_ids, g)):
+            assert [not ids(y) for y in range(n)] == [value.is_zero() for value in fn.values]
+        seen.append(any(not f_ids(y) for y in range(n)) or any(not g_ids(y) for y in range(n)))
+        return first_equation_violation(spec, f_ids, g_ids, *rest)
+
+    monkeypatch.setattr(lemmas, "first_equation_violation", spy)
+    lemmas._equation_violation.cache_clear()
+    found = lemmas._equation_violation(f, g, beta)
+    assert seen, "the route did not reach the loop"
+    assert found == oracles.dense_equation_violation(
+        f.spec, f.values.__getitem__, g.values.__getitem__, beta
+    )
+    return found, seen[0]
+
+
+def test_lemma_route_on_fixed_point_tables_with_zeros(monkeypatch):
+    # |char|**2 of a margin with a Haar factor lies in [0, 1] and vanishes
+    # off a subgroup, as the fixed-point lemma's tables may.
+    spec = Z9xZ5
+    first_v = spec.element_list[1]
+    subs = enumerate_subgroups(spec)
+    stream = DeterministicStream(19, label="lemma zeros")
+    betas = [minus_identity(spec)] + enumerate_automorphisms(spec)[::7]
+    outcomes, later = [], 0
+    for i, sub in enumerate(subs[1:-1]):
+        s = stream.derive(str(i))
+        lam = convolve(random_distribution(spec, 3, s.derive("rho")), haar(sub))
+        other = convolve(random_distribution(spec, 3, s.derive("other")), haar(sub))
+        f, g = squared_modulus_table(lam), squared_modulus_table(other)
+        for beta in betas:
+            found, zeros = _lemma_route(f, g, beta, monkeypatch)
+            assert zeros
+            outcomes.append(found)
+            later += found is not None and found[1] != first_v
+    assert None in outcomes and any(outcomes)
+    assert later
+
+
+def test_lemma_route_on_strictly_positive_tables(monkeypatch):
+    # One mass of 3/4 keeps every |char|**2 at least 1/4, so no id is zero
+    # and every v stays dense.
+    spec = Z9xZ5
+    n = spec.exponent
+    stream = DeterministicStream(23, label="lemma positive")
+    betas = [minus_identity(spec)] + enumerate_automorphisms(spec)[::9]
+    outcomes = []
+    for i in range(4):
+        s = stream.derive(str(i))
+        points = [spec.element_list[s.randint(0, n - 1)] for _ in range(3)]
+        if len(set(points)) < 3:
+            continue
+        mu = from_pmf(spec, dict(zip(points, (Fraction(3, 4), Fraction(1, 8), Fraction(1, 8)))))
+        f = squared_modulus_table(mu)
+        assert not any(value.is_zero() for value in f.values)
+        for beta in betas:
+            found, zeros = _lemma_route(f, f, beta, monkeypatch)
+            assert not zeros
+            outcomes.append(found)
+    assert None in outcomes and any(outcomes)
+
+
+def test_lemma_route_violation_placed_after_the_first_v(monkeypatch):
+    # g is the indicator of H = 3Z(9) x Z(5) (|char|**2 of Haar on its
+    # annihilator), and f is g with the value 1/2 added at c = (1, 0), off
+    # H.  With beta = -I the sides at (u, v) are f(u + v) g(u - v) and
+    # f(u - v) g(u + v).  Every v in H holds, the first v = (0, 1) among
+    # them.  The first v off H, (1, 0), fails at u = c + v = (2, 0): there
+    # u + v is in H and u - v is not, so the left side is 0 and the right
+    # side is f(c) g(u + v) = 1/2.
+    spec = Z9xZ5
+    sub = next(s for s in enumerate_subgroups(spec) if set(s.elements()) == {(0, 0), (3, 0), (6, 0)})
+    g = squared_modulus_table(haar(sub))
+    assert sum(not value.is_zero() for value in g.values) == 15
+    f = g.with_value((1, 0), from_rational(spec.exponent, Fraction(1, 2)))
+    found, zeros = _lemma_route(f, g, minus_identity(spec), monkeypatch)
+    assert zeros
+    assert found == ((2, 0), (1, 0))

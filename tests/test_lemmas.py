@@ -115,14 +115,14 @@ def test_fixed_point_lemma_trivial_tables():
     ones = dual_function(Z9, {y: from_rational(9, 1) for y in Z9.elements()})
     report = verify_fixed_point_lemma(ones, ones, make_endo(Z9, [2]))
     assert report.evaluated and report.ok
-    assert report.kappa_multipliers == (1,)  # kappa for beta = 2 on Z(9)
+    assert report.kappa == (1,)  # kappa for beta = 2 on Z(9)
 
 
 def test_fixed_point_kappa_matches_morphism():
     beta = make_endo(Z27, [2])
     ones = dual_function(Z27, {y: from_rational(27, 1) for y in Z27.elements()})
     report = verify_fixed_point_lemma(ones, ones, beta)
-    assert report.kappa_multipliers == kappa_of(beta).multipliers
+    assert report.kappa == kappa_of(beta).multipliers
 
 
 def test_fixed_point_lemma_hypothesis_failure():

@@ -5,9 +5,10 @@ nonvanishing hypothesis of classify_corollary evaluate character sums at a
 primitive N-th root of unity modulo primes p = 1 (mod N).  Here the field
 helper is checked directly, and every modular decision is compared with
 the reference route on exact CycloElement values: first_equation_violation
-on char_fn tables with no modulus, and char_fn(...).is_zero().
+on interned char_fn values with no modulus, and char_fn(...).is_zero().
 """
 
+import functools
 import itertools
 import json
 import pathlib
@@ -38,7 +39,7 @@ from heyde import (
     shift,
     validate_spec,
 )
-from heyde import cli, cyclotomic, engine
+from heyde import cli, cyclotomic, engine, lemmas
 from heyde.cyclotomic import _is_prime, modular_field
 from heyde.distributions import char_fn_zero_classes, char_residues
 from heyde.engine import _decompose, first_equation_violation
@@ -65,13 +66,18 @@ def _prime_factors(n):
 
 
 def reference_equation(inst):
-    """The equation loop on exact cyclotomic values, with no modulus."""
-    elements = inst.spec.crt_elements
+    """The equation loop on exact cyclotomic values, with no modulus: char_fn
+    read once per code and interned as the lemma verifiers intern their
+    tables, so zero is the falsy id 0 and each product is computed once."""
+    spec = inst.spec
+    elements = spec.crt_elements
+    intern, product = lemmas._interner(cyclotomic.from_rational(spec.exponent, 0))
     violation = first_equation_violation(
-        inst.spec,
-        lambda r: char_fn(inst.mu1, elements[r]),
-        lambda r: char_fn(inst.mu2, elements[r]),
+        spec,
+        functools.cache(lambda r: intern(char_fn(inst.mu1, elements[r]))),
+        functools.cache(lambda r: intern(char_fn(inst.mu2, elements[r]))),
         inst.alpha.adjoint(),
+        product,
     )
     return violation is None
 
@@ -86,7 +92,7 @@ def check_equation(inst):
     field = modular_field(spec.exponent, 2 * d1 * d2)
     f, g = char_residues(inst.mu1, field), char_residues(inst.mu2, field)
     beta = inst.alpha.adjoint()
-    found = first_equation_violation(spec, f, g, beta, field.modulus)
+    found = first_equation_violation(spec, f, g, beta, lambda a, b: a * b % field.modulus)
     assert (found is None) == verdict
     if found is not None:
         u, v = found
