@@ -74,6 +74,11 @@ class Distribution:
         return tuple((elements[r], Fraction(a, self.den)) for r, a in self.points)
 
     @cached_property
+    def _numerators(self) -> dict[int, int]:
+        # code -> a for each (code, a) of points, built on first use
+        return dict(self.points)
+
+    @cached_property
     def _residues(self) -> dict:
         # field -> the memoized residue function of char_residues
         return {}

@@ -26,6 +26,15 @@ a probabilistic test.  The lemma verifiers pass exact canonical
 cyclotomic values, as ids, to the same equation loop, which stays the
 reference route.
 
+The joint symmetry test builds no joint pmf when alpha - 1 is a unit
+mod N: (x1, x2) -> (L1, L2) is then a bijection, and symmetry is the
+invariance of mu1 x mu2 under one involution of Z(N)**2, which the test
+checks at each support pair with one lookup per margin, stopping at the
+first mismatch.  Otherwise it builds the joint pmfs of (L1, L2) and
+(L1, -L2) and compares them.  The canonical shift sorts one candidate
+per coset of the margin's translation stabilizer, among its points of
+least mass, in place of one per support point.
+
 The equation loop compares the two products of each pair (u, v) as the
 caller's multiplication returns them: residues mod M here; in the lemma
 verifiers, the only callers whose values are costly to multiply, ids of
@@ -41,7 +50,8 @@ Work that depends on one margin only is done once per object, not once
 per instance: a Distribution memoizes its residues per field
 (distributions.char_residues) and its zero classes
 (distributions.char_fn_zero_classes), so a sweep that pairs each margin
-with many others pays for them once.  An Endomorphism is its CRT
+with many others pays for them once; so does its code -> numerator map,
+which the joint test reads.  An Endomorphism is its CRT
 multiplier alone, so I + alpha and I - alpha cost one addition mod N each.
 """
 
@@ -51,11 +61,13 @@ import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .cyclotomic import modular_field
 from .distributions import (
     Distribution,
     _canonical,
+    _is_haar_fixed_point,
     char_fn_zero_classes,
     char_residues,
     difference_subgroup,
@@ -67,7 +79,7 @@ from .distributions import (
     unit_modulus_set,
 )
 from .errors import VerificationFailure
-from .groups import Component, ComponentKind, Element, GroupSpec, Subgroup
+from .groups import Component, ComponentKind, Element, GroupSpec, Subgroup, subgroup_of_index
 from .morphisms import Endomorphism, PAdicUnit, identity, make_endo
 
 
@@ -92,10 +104,61 @@ class HeydeInstance:
 def is_conditionally_symmetric(inst: HeydeInstance) -> bool:
     """Whether (L1, L2) and (L1, -L2) have the same exact joint distribution.
 
-    The joint pmf of (x1 + x2, x1 + alpha x2) is kept on CRT codes, keyed
-    by l1 * N + l2, with integer masses over the product of the margins'
-    common denominators; scaling every mass by one positive integer keeps
-    every equality, so the verdict is the exact one.
+    L1 = x1 + x2 and L2 = x1 + alpha x2 on CRT codes.  When alpha - 1 is a
+    unit mod N the pair is decided pointwise on the support of mu1 x mu2
+    (_symmetric_by_involution); otherwise by comparing the two joint pmfs
+    (_symmetric_by_joint).  Both routes compare integer numerators only,
+    so the verdict is the exact one.
+    """
+    n = inst.spec.exponent
+    if gcd(inst.alpha.code - 1, n) == 1:
+        return _symmetric_by_involution(inst)
+    return _symmetric_by_joint(inst)
+
+
+def _symmetric_by_involution(inst: HeydeInstance) -> bool:
+    """is_conditionally_symmetric for alpha - 1 a unit mod N.
+
+    Phi(x1, x2) = (x1 + x2, x1 + alpha x2) is then a bijection of Z(N)**2,
+    and with S(l1, l2) = (l1, -l2) the pair is symmetric exactly when
+    Phi_* P = (S Phi)_* P for P = mu1 x mu2, that is when P is invariant
+    under the involution T = Phi^-1 S Phi: P(Tx) = P(x) for every x in
+    Z(N)**2.  On codes, with d = (alpha - 1)^-1 mod N, T sends (x1, x2) to
+    x2' = -d (2 x1 + (alpha + 1) x2) and x1' = x1 + x2 - x2'.
+
+    Checking x in the support suffices.  Off the support P(x) = 0, and if
+    P(Tx) were positive, then y = Tx would be a support point with
+    P(Ty) = P(x) = 0 != P(y), which the check at y refutes.  So the loop
+    makes one lookup per support pair, on numerators over the common
+    denominator mu1.den * mu2.den, and stops at the first mismatch; the
+    code -> numerator maps are memoized on each margin.
+    """
+    n = inst.spec.exponent
+    a = inst.alpha.code
+    d = pow(a - 1, -1, n)
+    c1, c2 = -2 * d % n, -(a + 1) * d % n
+    get1, get2 = inst.mu1._numerators.get, inst.mu2._numerators.get
+    # x2' = t1 + t2 and x1' = s1 + s2 mod N, with t = c x and s = x - t
+    second = []
+    for r2, w2 in inst.mu2.points:
+        t2 = c2 * r2 % n
+        second.append((t2, r2 - t2, w2))
+    for r1, w1 in inst.mu1.points:
+        t1 = c1 * r1
+        s1 = r1 - t1
+        for t2, s2, w2 in second:
+            if get1((s1 + s2) % n, 0) * get2((t1 + t2) % n, 0) != w1 * w2:
+                return False
+    return True
+
+
+def _symmetric_by_joint(inst: HeydeInstance) -> bool:
+    """is_conditionally_symmetric for any alpha, by the two joint pmfs.
+
+    The joint pmf of (L1, L2) is kept on CRT codes, keyed by l1 * N + l2,
+    with integer masses over the product of the margins' common
+    denominators; scaling every mass by one positive integer keeps every
+    equality, so the verdict is the exact one.
     """
     n = inst.spec.exponent
     a = inst.alpha.code
@@ -233,8 +296,14 @@ def _canonical_shift(mu: Distribution, sub: Subgroup) -> tuple[Element, Distribu
 
     Candidates are compared as sorted (lexicographic rank, mass) lists on
     CRT codes.  Zero has rank 0, so a shift by a support point, which moves
-    that point to zero, beats every other shift; only those are tried, and
-    only the winner is built as a Distribution.
+    that point to zero, beats every other shift, and its first entry is
+    (0, a) for the numerator a of that point: only the points of least
+    numerator can win.  Shifts by x and x' give the same distribution
+    exactly when x - x' lies in the translation stabilizer H of mu
+    (_stabilizer_index), so one candidate per coset of H is sorted, the
+    winning keys of distinct cosets differ, and the shift reported is the
+    smallest-rank point of the winning coset.  Only the winner is built as
+    a Distribution.
     """
     if difference_subgroup(mu).index % sub.index:
         raise VerificationFailure("no valid shift found")
@@ -242,10 +311,40 @@ def _canonical_shift(mu: Distribution, sub: Subgroup) -> tuple[Element, Distribu
     n = spec.exponent
     rank = spec.crt_rank
     points = mu.points
-    _, _, x = min(
-        (sorted((rank[(r - x) % n], w) for r, w in points), rank[x], x) for x, _ in points
-    )
-    return spec.crt_elements[x], _canonical(spec, mu.den, (((r - x) % n, w) for r, w in points))
+    least = min(a for _, a in points)
+    lightest = [x for x, a in points if a == least]  # in element order
+    x = lightest[0]
+    if len(lightest) > 1:
+        d = _stabilizer_index(mu, len(lightest))
+        firsts: dict[int, int] = {}
+        for y in lightest:
+            firsts.setdefault(y % d, y)
+        x = min(firsts.values(), key=lambda y: sorted((rank[(r - y) % n], a) for r, a in points))
+    return spec.crt_elements[x], _canonical(spec, mu.den, (((r - x) % n, a) for r, a in points))
+
+
+def _stabilizer_index(mu: Distribution, lightest: int) -> int:
+    """The index d of the translation stabilizer H = dZ(N) of mu.
+
+    H is a subgroup of the cyclic Z(N), so it is dZ(N) for one d | N, and
+    dZ(N) passes _is_haar_fixed_point exactly when it lies in H, that is
+    when d is a multiple of that index.  Starting from d = N, each prime
+    of N is divided out of d while the test still passes, which leaves
+    its exponent in d at its exponent in the index.  The support and its
+    lightest points (lightest in number) are unions of H-cosets, so a
+    candidate whose order does not divide both counts fails untested.
+    """
+    spec = mu.spec
+    n = spec.exponent
+    count = gcd(len(mu.points), lightest)
+    d = n
+    for comp in spec.components:
+        p = comp.p
+        while d % p == 0 and count % (n // d * p) == 0 and _is_haar_fixed_point(
+            mu, subgroup_of_index(spec, d // p)
+        ):
+            d //= p
+    return d
 
 
 def reduce_to_subgroup(inst: HeydeInstance) -> ReducedPair:

@@ -10,7 +10,8 @@ The tables are arbitrary: nothing requires them to be character tables
 or Galois-equivariant, so the modular evaluation of cyclotomic._ModField
 does not apply.  The checks stay on exact canonical CycloElements and are
 made cheap by repetition instead: the hypotheses decide each sign once per
-distinct table value, and the equation hypothesis and the
+distinct value, in one sign table that both verifiers share
+(_sign_table), and the equation hypothesis and the
 triple-difference scan run on the ids of one interner (_interner), which
 memoizes the product of two ids, so each distinct product is computed
 once and equal sides have equal ids.  engine.first_equation_violation
@@ -118,6 +119,22 @@ def _interner(zero):
         return pid
 
     return intern, product
+
+
+@lru_cache(maxsize=1)
+def _sign_table(f: DualFunction, g: DualFunction):
+    """value -> value.real_sign(), memoized, kept for the last (f, g): both
+    verifiers sign the values of the same tables, and verify-lemmas runs
+    them in turn, so each distinct value is signed once per run."""
+    signs: dict[CycloElement, int] = {}
+
+    def sign(value: CycloElement) -> int:
+        s = signs.get(value)
+        if s is None:
+            s = signs[value] = value.real_sign()
+        return s
+
+    return sign
 
 
 @lru_cache(maxsize=1)
@@ -231,8 +248,9 @@ def verify_difference_lemma(
     spec = f1.spec
     if f2.spec != spec or beta.spec != spec:
         raise ValueError("spec mismatch")
+    sign = _sign_table(f1, f2)
     positive = all(
-        isinstance(v, CycloElement) and v.is_real() and v.real_sign() > 0
+        isinstance(v, CycloElement) and v.is_real() and sign(v) > 0
         for v in _distinct_values(f1, f2)
     )
     violation = None
@@ -336,10 +354,10 @@ class FixedPointLemmaReport:
         )
 
 
-def _within_unit_interval(value) -> bool:
+def _within_unit_interval(value, sign) -> bool:
     if not isinstance(value, CycloElement) or not value.is_real():
         return False
-    return value.real_sign() >= 0 and (1 - value).real_sign() >= 0
+    return sign(value) >= 0 and sign(1 - value) >= 0
 
 
 def verify_fixed_point_lemma(
@@ -358,7 +376,8 @@ def verify_fixed_point_lemma(
     if g.spec != spec or beta.spec != spec:
         raise ValueError("spec mismatch")
     invertible = identity(spec).add(beta.neg()).is_automorphism()
-    bounds = all(_within_unit_interval(v) for v in _distinct_values(f, g))
+    sign = _sign_table(f, g)
+    bounds = all(_within_unit_interval(v, sign) for v in _distinct_values(f, g))
     violation = None
     if bounds and invertible:
         violation = _equation_violation(f, g, beta)

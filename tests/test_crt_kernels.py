@@ -2,10 +2,13 @@
 
 The encoding is checked exhaustively on Z(9) x Z(5) x Z(7); the joint
 symmetry test, the dual-equation loop and the canonical shift are checked
-against the brute-force tuple routes of oracles.py on Z(9) x Z(5).
+against the brute-force tuple routes of oracles.py on Z(9) x Z(5), the
+canonical shift also on margins that are Haar blocks on several cosets
+with equal least numerators, whose translation stabilizer it uses.
 """
 
 import itertools
+import random
 from fractions import Fraction
 from functools import partial
 from math import gcd
@@ -29,14 +32,18 @@ from heyde import (
     random_distribution,
     reduce_to_subgroup,
     satisfies_heyde_equation,
+    shift,
     validate_spec,
 )
-from heyde.engine import _canonical_shift, first_equation_violation
+from heyde.distributions import _canonical
+from heyde.engine import _canonical_shift, _stabilizer_index, first_equation_violation
 from heyde.errors import VerificationFailure
 from heyde.fixtures import construction_admissible
+from heyde.groups import subgroup_of_index
 from heyde.morphisms import identity
 
 import oracles
+from limits import time_limit
 
 Z9xZ5 = validate_spec([(3, 2), (5, 1)])
 Z9xZ5xZ7 = validate_spec([(3, 2), (5, 1), (7, 1)])
@@ -217,6 +224,24 @@ def test_first_violation_is_pinned(pmf1, pmf2, multipliers, first):
     assert first_equation_violation(spec, chars1, chars2, alpha) == first
 
 
+def _shift_against_oracle(mu, subs):
+    """_canonical_shift of mu into each of subs against the brute-force
+    route; returns how many shifts were checked and how many refused."""
+    spec = mu.spec
+    checked = raised = 0
+    for sub in subs:
+        expected = oracles.brute_canonical_shift(spec.orders, dict(mu.masses), set(sub.elements()))
+        if expected is None:
+            with pytest.raises(VerificationFailure, match="no valid shift"):
+                _canonical_shift(mu, sub)
+            raised += 1
+        else:
+            x, lam = _canonical_shift(mu, sub)
+            assert (list(lam.masses), x) == expected
+            checked += 1
+    return checked, raised
+
+
 def test_canonical_shift_on_every_subgroup():
     # supports that leave one coset of the subgroup have no valid shift
     spec = Z9xZ5
@@ -224,13 +249,66 @@ def test_canonical_shift_on_every_subgroup():
     raised = 0
     for i in range(6):
         mu = random_distribution(spec, 4, stream.derive(str(i)))
-        for sub in enumerate_subgroups(spec):
-            expected = oracles.brute_canonical_shift(spec.orders, dict(mu.masses), set(sub.elements()))
-            if expected is None:
-                with pytest.raises(VerificationFailure, match="no valid shift"):
-                    _canonical_shift(mu, sub)
-                raised += 1
-            else:
-                x, lam = _canonical_shift(mu, sub)
-                assert (list(lam.masses), x) == expected
+        raised += _shift_against_oracle(mu, enumerate_subgroups(spec))[1]
     assert raised
+
+
+# -- the canonical shift by the translation stabilizer -------------------------
+
+
+def _coset_blocks(spec, index, residues, numerators):
+    """Mass a at every code of r + index Z(N), for each (r, a)."""
+    n = spec.exponent
+    points = [(c, a) for r, a in zip(residues, numerators) for c in range(r, n, index)]
+    return _canonical(spec, sum(a for _, a in points), points)
+
+
+def _brute_stabilizer_index(mu):
+    n = mu.spec.exponent
+    held = set(mu.points)
+    stab = [h for h in range(n) if {((r + h) % n, a) for r, a in mu.points} == held]
+    return gcd(n, *stab)
+
+
+def _block_margins(spec, rng):
+    """Haar blocks on cosets of each dZ(N), two or more of least numerator,
+    each followed by a copy whose stabilizer one unit of mass breaks."""
+    n = spec.exponent
+    for index in (d for d in range(2, n + 1) if n % d == 0):
+        for numerators in ((1, 1), (1, 1, 2), (2, 1, 1, 3), (1, 1, 1)):
+            if len(numerators) > index:
+                continue
+            mu = _coset_blocks(spec, index, rng.sample(range(index), len(numerators)), numerators)
+            yield mu
+            points = list(mu.points)
+            i = rng.randrange(len(points))
+            points[i] = (points[i][0], points[i][1] + 1)
+            yield _canonical(spec, mu.den + 1, points)
+
+
+@pytest.mark.parametrize("components", [[(3, 2), (5, 1)], [(3, 3), (5, 1)]])
+def test_canonical_shift_on_coset_blocks(components):
+    spec = validate_spec(components)
+    rng = random.Random(f"blocks:{spec.exponent}")
+    subs = enumerate_subgroups(spec)
+    checked = raised = broken = 0
+    for mu in _block_margins(spec, rng):
+        least = min(a for _, a in mu.points)
+        index = _brute_stabilizer_index(mu)
+        assert _stabilizer_index(mu, sum(a == least for _, a in mu.points)) == index
+        broken += index == spec.exponent
+        made, refused = _shift_against_oracle(mu, subs)
+        checked += made
+        raised += refused
+    assert checked and raised and broken
+
+
+def test_canonical_shift_of_a_5005_point_margin_at_n_15015():
+    spec = validate_spec([(3, 1), (5, 1), (7, 1), (11, 1), (13, 1)])
+    block = haar(subgroup_of_index(spec, 3))
+    mu = shift(block, (2, 1, 3, 4, 5))
+    assert len(mu.points) == 5005
+    with time_limit(3):
+        x, lam = _canonical_shift(mu, full_subgroup(spec))
+    assert lam == block
+    assert x == spec.crt_elements[mu.points[0][0]]

@@ -19,6 +19,8 @@ from heyde import (
     verify_difference_lemma,
     verify_fixed_point_lemma,
 )
+from heyde import lemmas
+from heyde.cyclotomic import CycloElement
 from heyde.lemmas import char_table_function
 
 import oracles
@@ -157,3 +159,26 @@ def test_char_table_function_matches_values():
 
     for y in Z3.element_list:
         assert table(y) == char_fn(mu, y)
+
+
+def test_both_verifiers_sign_each_value_once(monkeypatch):
+    # verify-lemmas runs both verifiers on the same tables: the positivity
+    # test and the [0, 1] bounds share one sign table, so real_sign runs
+    # once per distinct value and once per distinct 1 - value.
+    fixture = nonvanishing_fixture(Z9, 31, (2,))
+    f = squared_modulus_table(fixture.instance.mu1)
+    g = squared_modulus_table(fixture.instance.mu2)
+    beta = fixture.instance.alpha.adjoint()
+    signed = []
+    real_sign = CycloElement.real_sign
+
+    def counted(value):
+        signed.append(value)
+        return real_sign(value)
+
+    monkeypatch.setattr(CycloElement, "real_sign", counted)
+    lemmas._sign_table.cache_clear()
+    assert verify_difference_lemma(f, g, beta).ok
+    assert verify_fixed_point_lemma(f, g, beta).evaluated
+    values = set(f.values) | set(g.values)
+    assert len(signed) == len(set(signed)) == len(values | {1 - v for v in values})
