@@ -14,13 +14,21 @@ The unit-modulus predicate is decided combinatorially (a character sum
 has modulus one exactly when the pairing is constant on the support); the
 cyclotomic route is kept as a cross-check.  The character-sum zero tests
 (one side of the dual-route Haar-factor test, and the nonvanishing
-hypothesis of the corollaries) evaluate the sums modulo primes that split
-completely in the cyclotomic field, with a modulus certified large enough
-for the verdict to be exact.
+hypothesis of the corollaries) are decided on integers, by pushing the
+numerators forward to each quotient Z(m) and folding them along its CRT
+axes (char_fn_zero_classes).  Residues modulo primes that split
+completely in the cyclotomic field, with a modulus certified large
+enough for the verdict to be exact, serve the dual equation alone
+(char_residues).
+
+Quantities that depend on one distribution only (its code -> numerator
+map, residues, zero classes and translation stabilizer) are memoized on
+it, as plain attributes filled on first use.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -73,27 +81,26 @@ class Distribution:
         elements = self.spec.crt_elements
         return tuple((elements[r], Fraction(a, self.den)) for r, a in self.points)
 
-    @cached_property
-    def _numerators(self) -> dict[int, int]:
-        # code -> a for each (code, a) of points, built on first use
-        return dict(self.points)
+    # Memos of quantities that depend on the distribution alone, each
+    # filled on first use by the function named beside it.  They are plain
+    # class attributes, not fields, so ==, hash and the writers ignore
+    # them; an instance attribute shadows the None default once filled.
+    _numerators = None  # numerator_map: code -> a
+    _residues = None  # char_residues: field -> residue function
+    _zero_classes = None  # char_fn_zero_classes
+    _stabilizer = None  # stabilizer_index
 
-    @cached_property
-    def _residues(self) -> dict:
-        # field -> the memoized residue function of char_residues
-        return {}
 
-    @cached_property
-    def _zero_classes(self) -> dict[int, bool]:
-        # the answer of char_fn_zero_classes, computed on first use
-        n = self.spec.exponent
-        residue = char_residues(self, cyclotomic.modular_field(n, self.den))
-        zero: dict[int, bool] = {}
-        for y in range(n):
-            g = gcd(y, n)
-            if zero.get(g, True):
-                zero[g] = not residue(y)
-        return zero
+def _memo(mu: Distribution, name: str, value):
+    """Store value as mu's memo name and return it (mu is frozen)."""
+    object.__setattr__(mu, name, value)
+    return value
+
+
+def numerator_map(mu: Distribution) -> dict[int, int]:
+    """code -> a for each (code, a) of mu.points, memoized on mu."""
+    found = mu._numerators
+    return _memo(mu, "_numerators", dict(mu.points)) if found is None else found
 
 
 def _canonical(spec: GroupSpec, den: int, points: Iterable[tuple[int, int]]) -> Distribution:
@@ -185,9 +192,12 @@ def char_residues(mu: Distribution, field) -> Callable[[int], int]:
     terms each, which is all that a pair refuted at its first few values
     needs; the next fills the whole list by _residue_table.
     """
-    residue = mu._residues.get(field)
+    memo = mu._residues
+    if memo is None:
+        memo = _memo(mu, "_residues", {})
+    residue = memo.get(field)
     if residue is None:
-        residue = mu._residues[field] = _residue_function(mu, field)
+        residue = memo[field] = _residue_function(mu, field)
     return residue
 
 
@@ -252,16 +262,53 @@ def _residue_table(mu: Distribution, field) -> list[int]:
 
 def char_fn_zero_classes(mu: Distribution) -> dict[int, bool]:
     """For each divisor g of N, whether char_fn(mu, y) is zero at the codes y
-    with gcd(y, N) = g.
+    with gcd(y, N) = g, decided on integers by the axis fold.
 
-    Those codes form one unit orbit, on which the sum is zero everywhere or
-    nowhere.  One value scaled by the denominator D has coefficient weight
-    D, so with the field for that weight a class is zero exactly when every
-    residue in it is (cyclotomic._ModField).  The answer depends on mu
-    alone, so it is memoized on mu: every caller shares one dict and only
-    reads it.
+    Let m = N / g and w = zeta**g, a primitive m-th root of unity.  The
+    pushforward nu(r) = sum of a_x over the support points x = r (mod m),
+    r in Z(m), has the transform nu^(t) = sum_r nu(r) w**(t r), and
+    D * char_fn(mu, u g) = nu^(s u) for s = spec.crt_pair_unit: the codes
+    of the class are the u g with u a unit, and s is a unit.  The
+    automorphisms w -> w**u of Q(w) permute the nu^(t) with t a unit, so
+    the class is zero exactly when nu^(t) = 0 for every unit t mod m.
+
+    The fold decides that without a field.  For each prime p of m,
+    replace nu by nu - tau nu, with tau nu(r) = nu(r + m/p).  Translation
+    by m/p moves only the CRT axis of p, taking each point to another
+    block of that axis, so nu - tau nu vanishes exactly when nu is
+    constant along the blocks, as does the fold of the powerful basis
+    (block p - 1 subtracted from blocks 0 .. p - 2 and dropped); written
+    as a translation it keeps the code indexing of Z(m).  The transform of
+    nu - tau nu is (1 - w**(-t m / p)) nu^(t), and that factor is zero
+    exactly when p divides t.  So after every prime of m the transform is
+    nu^(t) times a factor that is nonzero exactly at the units t, and as a
+    function on Z(m) is zero exactly when its transform is, the folded nu
+    is zero exactly when nu^(t) = 0 at every unit t.  That costs
+    |supp| + m * (number of primes of m) integer operations per divisor
+    m, with no residue, modulus or cyclotomic value.  The answer depends
+    on mu alone, so it is memoized on mu: every caller shares one dict and
+    only reads it.
     """
-    return mu._zero_classes
+    zero = mu._zero_classes
+    if zero is not None:
+        return zero
+    spec = mu.spec
+    n = spec.exponent
+    primes = [c.p for c in spec.components]
+    divisors = [1]
+    for c in spec.components:
+        divisors = [d * c.p**e for d in divisors for e in range(c.k + 1)]
+    zero = {}
+    for m in divisors:
+        nu = [0] * m  # the pushforward to Z(m), indexed by code
+        for r, a in mu.points:
+            nu[r % m] += a
+        for p in primes:
+            if m % p == 0:
+                s = m // p
+                nu = list(map(operator.sub, nu, nu[s:] + nu[:s]))
+        zero[n // m] = not any(nu)
+    return _memo(mu, "_zero_classes", zero)
 
 
 def difference_subgroup(mu: Distribution) -> Subgroup:
@@ -308,15 +355,49 @@ def _is_haar_fixed_point(lam: Distribution, sub: Subgroup) -> bool:
     return all(count == sub.order for _, count in classes.values())
 
 
+def stabilizer_index(mu: Distribution) -> int:
+    """The index d of the translation stabilizer H = dZ(N) of mu, memoized on mu.
+
+    H is a subgroup of the cyclic Z(N), so it is dZ(N) for one d | N, and
+    d'Z(N) lies in H exactly when d' is a multiple of d.  d'Z(N) lies in H
+    when its classes r mod d' are constant and full on mu, the identity of
+    _is_haar_fixed_point; here it is tested on codes as mu(r + d') = mu(r)
+    at every support point r, which says the same: translation by d' then
+    maps the support into itself, so onto it, and fixes mu, as does every
+    multiple of d'.  Starting from d = N, each prime p of N is divided out
+    of d while d / p still passes, which leaves its exponent in d at its
+    exponent in the index.  The support is a union of H-cosets, so a
+    candidate whose order does not divide the support size fails untested.
+    """
+    d = mu._stabilizer
+    if d is not None:
+        return d
+    n = mu.spec.exponent
+    points = mu.points
+    get = numerator_map(mu).get
+    size = len(points)
+    d = n
+    for comp in mu.spec.components:
+        p = comp.p
+        while d % p == 0 and size % (n // d * p) == 0:
+            h = d // p
+            if any(get((r + h) % n) != a for r, a in points):
+                break
+            d = h
+    return _memo(mu, "_stabilizer", d)
+
+
 def has_haar_factor(lam: Distribution, sub: Subgroup) -> bool:
     """Whether the uniform distribution on sub is a convolution factor of lam.
 
     Decided along two independent routes that must agree: the fixed-point
     identity lam == lam * haar(sub) on integer numerators
     (_is_haar_fixed_point), and vanishing of the character sum off the
-    annihilator of sub.  The annihilator's codes are the multiples of its
-    index, so its complement is the union of the gcd classes that index
-    does not divide.
+    annihilator of sub, read from the zero classes of the axis fold
+    (char_fn_zero_classes), which use neither residues nor the translation
+    stabilizer.  The annihilator's codes are the multiples of its index,
+    so its complement is the union of the gcd classes that index does not
+    divide.
     """
     fixed_point = _is_haar_fixed_point(lam, sub)
     step = sub.annihilator().index

@@ -17,20 +17,25 @@ denominator, and the joint symmetry test, the dual-equation loop and the
 canonical shift read them as they are, decoding to coordinate tuples only
 what they report.  The encoding is a bijection and an endomorphism is one
 multiplier on it (Endomorphism.code), which keeps every equality and
-order.  The dual equation and the nonvanishing
-hypothesis of the corollaries evaluate character sums at a primitive N-th
+order.  The dual equation evaluates character sums at a primitive N-th
 root of unity modulo a product M of primes p = 1 (mod N);
 cyclotomic._ModField states the bound on M and the proof that these
-verdicts are then exact.  No predicate is decided by floating point or by
-a probabilistic test.  The lemma verifiers pass exact canonical
-cyclotomic values, as ids, to the same equation loop, which stays the
-reference route.
+verdicts are then exact.  The nonvanishing hypothesis of the corollaries
+and the vanishing side of the Haar-factor test use no residues: their
+zero classes come from the integer axis fold of
+distributions.char_fn_zero_classes.  No predicate is decided by floating
+point or by a probabilistic test.  The lemma verifiers pass exact
+canonical cyclotomic values, as ids, to the same equation loop, which
+stays the reference route.
 
 The joint symmetry test builds no joint pmf when alpha - 1 is a unit
 mod N: (x1, x2) -> (L1, L2) is then a bijection, and symmetry is the
 invariance of mu1 x mu2 under one involution of Z(N)**2, which the test
-checks at each support pair with one lookup per margin, stopping at the
-first mismatch.  Otherwise it builds the joint pmfs of (L1, L2) and
+checks with one lookup per margin, stopping at the first mismatch: first
+at the pairs of the first point of mu1, then at one pair per coset of
+H x H, H the common translation stabilizer of the margins, so that a
+symmetric pair built on a Haar factor costs one pair per coset in place
+of |supp1| * |supp2|.  Otherwise it builds the joint pmfs of (L1, L2) and
 (L1, -L2) and compares them.  The canonical shift sorts one candidate
 per coset of the margin's translation stabilizer, among its points of
 least mass, in place of one per support point.
@@ -48,11 +53,13 @@ nonzero codes, in place of N**2 / 2.
 
 Work that depends on one margin only is done once per object, not once
 per instance: a Distribution memoizes its residues per field
-(distributions.char_residues) and its zero classes
-(distributions.char_fn_zero_classes), so a sweep that pairs each margin
-with many others pays for them once; so does its code -> numerator map,
-which the joint test reads.  An Endomorphism is its CRT
-multiplier alone, so I + alpha and I - alpha cost one addition mod N each.
+(distributions.char_residues), its zero classes
+(distributions.char_fn_zero_classes), its code -> numerator map and its
+translation stabilizer (distributions.stabilizer_index), so a sweep that
+pairs each margin with many others pays for them once, and the joint
+test, the canonical shift and decompose share one stabilizer.  An
+Endomorphism is its CRT multiplier alone, so I + alpha and I - alpha
+cost one addition mod N each.
 """
 
 from __future__ import annotations
@@ -61,13 +68,12 @@ import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .cyclotomic import modular_field
 from .distributions import (
     Distribution,
     _canonical,
-    _is_haar_fixed_point,
     char_fn_zero_classes,
     char_residues,
     difference_subgroup,
@@ -75,11 +81,13 @@ from .distributions import (
     haar,
     has_haar_factor,
     min_support_subgroup,
+    numerator_map,
     shift,
+    stabilizer_index,
     unit_modulus_set,
 )
 from .errors import VerificationFailure
-from .groups import Component, ComponentKind, Element, GroupSpec, Subgroup, subgroup_of_index
+from .groups import Component, ComponentKind, Element, GroupSpec, Subgroup
 from .morphisms import Endomorphism, PAdicUnit, identity, make_endo
 
 
@@ -116,6 +124,11 @@ def is_conditionally_symmetric(inst: HeydeInstance) -> bool:
     return _symmetric_by_joint(inst)
 
 
+# Support pairs above which _symmetric_by_involution computes the margins'
+# stabilizers after the first row: below it the plain loop is cheaper.
+_COSET_MIN_PAIRS = 64
+
+
 def _symmetric_by_involution(inst: HeydeInstance) -> bool:
     """is_conditionally_symmetric for alpha - 1 a unit mod N.
 
@@ -128,22 +141,63 @@ def _symmetric_by_involution(inst: HeydeInstance) -> bool:
 
     Checking x in the support suffices.  Off the support P(x) = 0, and if
     P(Tx) were positive, then y = Tx would be a support point with
-    P(Ty) = P(x) = 0 != P(y), which the check at y refutes.  So the loop
-    makes one lookup per support pair, on numerators over the common
-    denominator mu1.den * mu2.den, and stops at the first mismatch; the
-    code -> numerator maps are memoized on each margin.
+    P(Ty) = P(x) = 0 != P(y), which the check at y refutes.
+
+    Checking one support point per coset of H x H suffices, for H the
+    intersection of the translation stabilizers d_i Z(N) of the margins,
+    which is lcm(d1, d2) Z(N).  P is invariant under translation by every
+    k in H x H, and T is linear with integer coefficients, so Tk lies in
+    H x H too.  Then P(T(x + k)) = P(Tx + Tk) = P(Tx) and P(x + k) = P(x):
+    the check at x + k is the check at x.  The support of P is the product
+    of the supports, each a union of H-cosets, so one point per H-coset of
+    each margin covers every coset of H x H in it.
+
+    The loop checks the first point of mu1 against every point of mu2
+    first, so that a pair that is not symmetric, as nearly every sweep pair
+    is not, stops there without computing a stabilizer.  Above
+    _COSET_MIN_PAIRS support pairs, the stabilizers
+    (distributions.stabilizer_index, memoized on each margin) are computed
+    after that row, and the rest is checked on one point per H-coset of
+    each margin, skipping the coset of the first row; below it every pair
+    is checked.  Each check is one
+    lookup per margin in its code -> numerator map, on numerators over the
+    common denominator mu1.den * mu2.den, and the loop stops at the first
+    mismatch.
     """
     n = inst.spec.exponent
     a = inst.alpha.code
     d = pow(a - 1, -1, n)
     c1, c2 = -2 * d % n, -(a + 1) * d % n
-    get1, get2 = inst.mu1._numerators.get, inst.mu2._numerators.get
-    # x2' = t1 + t2 and x1' = s1 + s2 mod N, with t = c x and s = x - t
-    second = []
-    for r2, w2 in inst.mu2.points:
+    mu1, mu2 = inst.mu1, inst.mu2
+    get1, get2 = numerator_map(mu1).get, numerator_map(mu2).get
+    firsts, second = mu1.points, _involution_terms(mu2.points, c2, n)
+    if len(firsts) * len(second) > _COSET_MIN_PAIRS:
+        first, firsts = firsts[0], firsts[1:]
+        if not _involution_holds((first,), second, get1, get2, c1, n):
+            return False
+        h = lcm(stabilizer_index(mu1), stabilizer_index(mu2))
+        if h < n:
+            cosets = {r % h: (r, w) for r, w in firsts}
+            cosets.pop(first[0] % h, None)
+            firsts = cosets.values()
+            second = _involution_terms({r % h: (r, w) for r, w in mu2.points}.values(), c2, n)
+    return _involution_holds(firsts, second, get1, get2, c1, n)
+
+
+def _involution_terms(points, c2: int, n: int) -> list[tuple[int, int, int]]:
+    """(t2, s2, w2) for each (r2, w2) of points, t2 = c2 * r2 mod N and
+    s2 = r2 - t2, the parts of T that depend on x2 alone."""
+    out = []
+    for r2, w2 in points:
         t2 = c2 * r2 % n
-        second.append((t2, r2 - t2, w2))
-    for r1, w1 in inst.mu1.points:
+        out.append((t2, r2 - t2, w2))
+    return out
+
+
+def _involution_holds(firsts, second, get1, get2, c1: int, n: int) -> bool:
+    """Whether P(Tx) = P(x) at every pair of firsts x second (numerators)."""
+    # x2' = t1 + t2 and x1' = s1 + s2 mod N, with t = c x and s = x - t
+    for r1, w1 in firsts:
         t1 = c1 * r1
         s1 = r1 - t1
         for t2, s2, w2 in second:
@@ -300,10 +354,10 @@ def _canonical_shift(mu: Distribution, sub: Subgroup) -> tuple[Element, Distribu
     (0, a) for the numerator a of that point: only the points of least
     numerator can win.  Shifts by x and x' give the same distribution
     exactly when x - x' lies in the translation stabilizer H of mu
-    (_stabilizer_index), so one candidate per coset of H is sorted, the
-    winning keys of distinct cosets differ, and the shift reported is the
-    smallest-rank point of the winning coset.  Only the winner is built as
-    a Distribution.
+    (distributions.stabilizer_index, memoized on mu), so one candidate per
+    coset of H is sorted, the winning keys of distinct cosets differ, and
+    the shift reported is the smallest-rank point of the winning coset.
+    Only the winner is built as a Distribution.
     """
     if difference_subgroup(mu).index % sub.index:
         raise VerificationFailure("no valid shift found")
@@ -315,36 +369,12 @@ def _canonical_shift(mu: Distribution, sub: Subgroup) -> tuple[Element, Distribu
     lightest = [x for x, a in points if a == least]  # in element order
     x = lightest[0]
     if len(lightest) > 1:
-        d = _stabilizer_index(mu, len(lightest))
+        d = stabilizer_index(mu)
         firsts: dict[int, int] = {}
         for y in lightest:
             firsts.setdefault(y % d, y)
         x = min(firsts.values(), key=lambda y: sorted((rank[(r - y) % n], a) for r, a in points))
     return spec.crt_elements[x], _canonical(spec, mu.den, (((r - x) % n, a) for r, a in points))
-
-
-def _stabilizer_index(mu: Distribution, lightest: int) -> int:
-    """The index d of the translation stabilizer H = dZ(N) of mu.
-
-    H is a subgroup of the cyclic Z(N), so it is dZ(N) for one d | N, and
-    dZ(N) passes _is_haar_fixed_point exactly when it lies in H, that is
-    when d is a multiple of that index.  Starting from d = N, each prime
-    of N is divided out of d while the test still passes, which leaves
-    its exponent in d at its exponent in the index.  The support and its
-    lightest points (lightest in number) are unions of H-cosets, so a
-    candidate whose order does not divide both counts fails untested.
-    """
-    spec = mu.spec
-    n = spec.exponent
-    count = gcd(len(mu.points), lightest)
-    d = n
-    for comp in spec.components:
-        p = comp.p
-        while d % p == 0 and count % (n // d * p) == 0 and _is_haar_fixed_point(
-            mu, subgroup_of_index(spec, d // p)
-        ):
-            d //= p
-    return d
 
 
 def reduce_to_subgroup(inst: HeydeInstance) -> ReducedPair:

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import fields
-from fractions import Fraction
+from math import gcd, lcm
 
 from .engine import (
     CorollaryReport,
     HeydeDecomposition,
     HeydeInstance,
 )
-from .distributions import Distribution, from_pmf
+from .distributions import Distribution, _canonical
 from .groups import GroupSpec, Subgroup, validate_spec
 from .lemmas import DifferenceLemmaReport, FixedPointLemmaReport
 from .morphisms import Endomorphism, make_endo
@@ -126,23 +126,28 @@ def distribution_to_obj(mu: Distribution) -> list[dict]:
 
 
 def distribution_from_obj(spec: GroupSpec, obj) -> Distribution:
+    """The distribution of a mass list, on integers: each num / den is
+    reduced, and the numerators are put over the lcm of the reduced
+    denominators, which is then the least common denominator."""
     if not isinstance(obj, list):
         raise ValueError("distribution must be a list of mass entries")
-    masses = {}
+    masses: dict[int, tuple[int, int]] = {}
     for entry in obj:
         if not isinstance(entry, dict) or not {"x", "num", "den"} <= set(entry):
             raise ValueError(f"mass entry {entry!r} must have keys x, num, den")
-        x = element_from_obj(spec, entry["x"])
-        if x in masses:
+        code = spec.crt(element_from_obj(spec, entry["x"]))
+        if code in masses:
             raise ValueError(f"duplicate support point {entry['x']!r}")
         num, den = entry["num"], entry["den"]
         if not _is_int(num) or not _is_int(den) or den <= 0:
             raise ValueError(f"mass entry {entry!r} must use integer num/den with den > 0")
         if num <= 0:
             raise ValueError("masses must be strictly positive")
-        masses[x] = Fraction(num, den)
+        common = gcd(num, den)
+        masses[code] = (num // common, den // common)
+    total = lcm(*(den for _, den in masses.values()))
     # Distribution validation enforces total mass one.
-    return from_pmf(spec, masses)
+    return _canonical(spec, total, ((r, num * (total // den)) for r, (num, den) in masses.items()))
 
 
 # -- instances ----------------------------------------------------------------

@@ -11,6 +11,7 @@ from fractions import Fraction
 from math import gcd
 
 from heyde import from_pmf
+from heyde.cyclotomic import modular_field
 from heyde.errors import VerificationFailure
 
 
@@ -469,3 +470,28 @@ def per_code_residues(mu, field):
         sum(a * field.powers[s * x * y % n] for x, a in mu.points) % field.modulus
         for y in range(n)
     ]
+
+
+def residue_zero_classes(mu):
+    """char_fn_zero_classes by the certified residue route it replaced.
+
+    D * char_fn(mu, y) has coefficient weight D, so with the field for
+    that weight it is zero exactly when its residue is
+    (cyclotomic._ModField), and the class of g = gcd(y, N) is zero exactly
+    when every residue in it is.
+    """
+    n = mu.spec.exponent
+    residues = per_code_residues(mu, modular_field(n, mu.den))
+    zero = {}
+    for y in range(n):
+        g = gcd(y, n)
+        zero[g] = zero.get(g, True) and not residues[y]
+    return zero
+
+
+def brute_stabilizer_index(mu):
+    """The index of the translation stabilizer of mu, from every shift h
+    that maps its (code, numerator) pairs onto themselves."""
+    n = mu.spec.exponent
+    held = set(mu.points)
+    return gcd(n, *(h for h in range(n) if {((r + h) % n, a) for r, a in mu.points} == held))

@@ -1,11 +1,14 @@
 """The certified modular route for character sums, against the cyclotomic one.
 
-satisfies_heyde_equation, the vanishing side of has_haar_factor and the
-nonvanishing hypothesis of classify_corollary evaluate character sums at a
-primitive N-th root of unity modulo primes p = 1 (mod N).  Here the field
-helper is checked directly, and every modular decision is compared with
-the reference route on exact CycloElement values: first_equation_violation
+satisfies_heyde_equation evaluates character sums at a primitive N-th
+root of unity modulo primes p = 1 (mod N).  Here the field helper is
+checked directly, and every modular decision is compared with the
+reference route on exact CycloElement values: first_equation_violation
 on interned char_fn values with no modulus, and char_fn(...).is_zero().
+The zero classes of the vanishing side of has_haar_factor and of the
+nonvanishing hypothesis of classify_corollary come from the integer axis
+fold; they are checked against char_fn(...).is_zero() and against the
+certified residue route they replaced (oracles.residue_zero_classes).
 """
 
 import functools
@@ -20,11 +23,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from heyde import (
+    DeterministicStream,
     HeydeInstance,
     PAdicUnit,
     char_fn,
     classify_corollary,
     construct_instance,
+    convolve,
     degenerate,
     enumerate_automorphisms,
     enumerate_distributions,
@@ -34,6 +39,7 @@ from heyde import (
     has_haar_factor,
     is_conditionally_symmetric,
     make_endo,
+    random_distribution,
     reduce_mixed_product,
     satisfies_heyde_equation,
     shift,
@@ -41,7 +47,7 @@ from heyde import (
 )
 from heyde import cli, cyclotomic, engine, lemmas
 from heyde.cyclotomic import _is_prime, modular_field
-from heyde.distributions import char_fn_zero_classes, char_residues
+from heyde.distributions import Distribution, char_fn_zero_classes, char_residues
 from heyde.engine import _decompose, first_equation_violation
 from heyde.fixtures import construction_admissible
 from heyde.groups import Subgroup
@@ -371,6 +377,63 @@ def test_zero_classes_on_haar_and_point_masses(spec):
     for x in (spec.zero(), spec.crt_elements[1], spec.crt_elements[n - 2]):
         zero = check_zero_classes(degenerate(spec, x))
         assert not any(zero.values())
+
+
+LADDER = [
+    validate_spec(components)
+    for components in (
+        [(3, 2)],
+        [(3, 2), (5, 1)],
+        [(3, 3), (5, 1)],
+        [(3, 2), (5, 1), (7, 1)],
+        [(3, 3), (5, 1), (7, 1)],
+    )
+]
+
+
+@pytest.mark.parametrize("spec", LADDER, ids=lambda spec: spec.describe())
+def test_fold_matches_the_residue_route(spec):
+    # seeded margins, every other one convolved with a Haar factor, which
+    # gives it whole zero classes
+    stream = DeterministicStream(41, label=f"fold {spec.describe()}")
+    subs = enumerate_subgroups(spec)
+    zeros = 0
+    for i in range(12):
+        mu = random_distribution(spec, 2 + i % 5, stream.derive(str(i)))
+        if i % 2:
+            mu = convolve(mu, haar(subs[(7 * i) % len(subs)]))
+        zero = char_fn_zero_classes(mu)
+        assert zero == oracles.residue_zero_classes(mu)
+        zeros += sum(zero.values())
+    assert zeros
+
+
+def test_fold_at_the_weight_boundary(monkeypatch):
+    # 1/37 at 0 and 36/37 at 4 on Z(9): the residue at y = 0 is 37, zero
+    # mod 37, which is why the residue route needed a modulus above the
+    # weight; the fold reads the integer sum 37 itself
+    monkeypatch.setattr(cyclotomic, "_PRIME_CEILING", 64)
+    monkeypatch.setattr(cyclotomic, "_field_cache", {})
+    spec = validate_spec([(3, 2)])
+    mu = from_pmf(spec, {(0,): Fraction(1, 37), (4,): Fraction(36, 37)})
+    assert char_residues(mu, modular_field(9, 36))(0) == 0
+    zero = char_fn_zero_classes(mu)
+    assert zero == oracles.residue_zero_classes(mu) == {1: False, 3: False, 9: False}
+    assert zero == check_zero_classes(Distribution(spec, mu.den, mu.points))
+
+
+def test_fold_builds_no_field_and_no_basis(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fold evaluated a character sum")
+
+    monkeypatch.setattr(cyclotomic, "modular_field", refuse)
+    monkeypatch.setattr(cyclotomic._Basis, "__init__", refuse)
+    monkeypatch.setattr(cyclotomic, "_basis_cache", {})
+    spec = LADDER[3]
+    sub = Subgroup(spec, (1, 0, 1))
+    lam = convolve(from_pmf(spec, {(0, 0, 0): Fraction(2, 3), (3, 1, 0): Fraction(1, 3)}), haar(sub))
+    assert any(char_fn_zero_classes(lam).values())
+    assert has_haar_factor(lam, sub)
 
 
 def test_zero_classes_at_315_where_r_is_2():

@@ -1,10 +1,14 @@
 """The two routes of the joint symmetry test against each other and the
-brute-force tuple route of oracles.py, and the memo they read.
+brute-force tuple route of oracles.py, and the memos they read.
 
 Random pairs almost always fail at their first support pair, so the
 routes are pinned on constructed symmetric pairs and on near-symmetric
 variants of them: one unit of mass moved, one point moved, two masses
-swapped.
+swapped.  The coset stage of the involution route, which checks one
+point per coset of the margins' common translation stabilizer, is
+pinned on pairs that pass the first row: symmetric pairs, pairs whose
+margins have different stabilizers, and pairs where one unit of mass
+moved inside a coset breaks a stabilizer.
 """
 
 import dataclasses
@@ -24,13 +28,16 @@ from heyde import (
     haar,
     is_conditionally_symmetric,
     make_endo,
+    satisfies_heyde_equation,
     shift,
     validate_spec,
 )
-from heyde import engine, serialize
+from heyde import classify_corollary, degenerate, distributions, engine, serialize
 from heyde.distributions import Distribution, _canonical
-from heyde.engine import _symmetric_by_involution, _symmetric_by_joint
+from heyde.engine import _decompose, _symmetric_by_involution, _symmetric_by_joint
+from heyde.fixtures import construction_admissible
 from heyde.groups import subgroup_of_index
+from limits import time_limit
 
 import oracles
 
@@ -154,6 +161,153 @@ def test_involution_route_is_taken_exactly_when_alpha_minus_one_is_a_unit(monkey
     assert nonunit  # alpha = I and alpha = 1 (mod 3) reach the joint route
 
 
+# -- the coset stage -------------------------------------------------------------
+
+
+def _move_unit_in_coset(mu, index, rng):
+    """mu with one unit of numerator (over twice its denominator) moved
+    between two support points of one coset of index Z(N), or None when
+    every such coset holds one point."""
+    points = [(r, 2 * a) for r, a in mu.points]
+    cosets: dict[int, list[int]] = {}
+    for i, (r, _) in enumerate(points):
+        cosets.setdefault(r % index, []).append(i)
+    full = [members for members in cosets.values() if len(members) > 1]
+    if not full:
+        return None
+    i, j = rng.sample(rng.choice(full), 2)
+    points[i] = (points[i][0], points[i][1] - 1)
+    points[j] = (points[j][0], points[j][1] + 1)
+    return _canonical(mu.spec, 2 * mu.den, points)
+
+
+def _coset_blocks(spec, rng):
+    """Mass 1 or 2 on each of one to three cosets of some dZ(N) of order at
+    most 45, and, most of the time, one or two units more at a random code."""
+    n = spec.exponent
+    index = rng.choice([d for d in range(2, n + 1) if n % d == 0 and n // d <= 45])
+    points: dict[int, int] = {}
+    for r in rng.sample(range(index), min(index, rng.randint(1, 3))):
+        weight = rng.randint(1, 2)
+        for c in range(r, n, index):
+            points[c] = weight
+    if rng.random() < 0.7:
+        c = rng.randrange(n)
+        points[c] = points.get(c, 0) + rng.randint(1, 2)
+    return _canonical(spec, sum(points.values()), points.items())
+
+
+def _coset_cases(spec, rng):
+    """Pairs for the coset stage: constructed symmetric pairs whose margins
+    have a nontrivial stabilizer, each followed by the variants with one
+    unit of mass moved inside a coset of the stabilizer of either margin;
+    then pairs of coset blocks, whose stabilizers mostly differ."""
+    n = spec.exponent
+    subs = enumerate_subgroups(spec)
+    alphas = _unit_minus_one(spec)
+    for alpha in alphas:
+        one_plus = (alpha.code + 1) % n
+        admissible = [
+            sub for sub in subs
+            if sub.order <= 45 and construction_admissible(sub, alpha)
+            and gcd(one_plus * sub.index, n) < n
+        ]
+        if not admissible:
+            continue
+        sub = rng.choice(admissible)
+        codes = rng.sample(sub.codes, min(2, sub.order))
+        rho = _canonical(spec, 3, list(zip(codes, (1, 2))) if len(codes) == 2 else [(codes[0], 3)])
+        x2 = spec.crt_elements[rng.randrange(n)]
+        inst = construct_instance(sub, alpha, rho, x2).instance
+        yield inst
+        for side in ("mu1", "mu2"):
+            mu = getattr(inst, side)
+            moved = _move_unit_in_coset(mu, oracles.brute_stabilizer_index(mu), rng)
+            if moved is not None:
+                yield dataclasses.replace(inst, **{side: moved})
+    for _ in range(2000):
+        yield HeydeInstance(spec, _coset_blocks(spec, rng), _coset_blocks(spec, rng), rng.choice(alphas))
+
+
+# Z(5) and Z(7) have no subgroup but 0 and the whole group
+@pytest.mark.parametrize("name", ["Z9", "Z9xZ5", "Z27xZ5", "Z9xZ5xZ7"])
+def test_coset_stage_against_the_brute_route(name, monkeypatch):
+    spec = validate_spec(LADDER[name])
+    n = spec.exponent
+    rng = random.Random(f"cosets:{name}")
+    # every pair that passes its first row goes on to the coset stage
+    monkeypatch.setattr(engine, "_COSET_MIN_PAIRS", 0)
+    staged = []
+    monkeypatch.setattr(
+        engine, "stabilizer_index", lambda mu: staged.append(mu) or distributions.stabilizer_index(mu)
+    )
+    seen = {"symmetric": 0, "refuted": 0, "unequal": 0}
+    for k, case in enumerate(_coset_cases(spec, rng)):
+        staged.clear()
+        verdict = _symmetric_by_involution(case)
+        if not staged:
+            assert not verdict  # refuted by the first row, as the tests above pin
+            if k % 20 == 0:
+                assert not _brute(case)
+            continue
+        expected = _brute(case)
+        assert verdict == expected
+        d1, d2 = (distributions.stabilizer_index(mu) for mu in (case.mu1, case.mu2))
+        assert d1 == oracles.brute_stabilizer_index(case.mu1)
+        assert d2 == oracles.brute_stabilizer_index(case.mu2)
+        if expected:
+            seen["symmetric"] += 1
+            assert d1 == d2
+        else:
+            seen["refuted"] += 1
+            seen["unequal"] += d1 != d2
+    assert seen["symmetric"] and seen["refuted"] and seen["unequal"], seen
+
+
+def test_the_coset_stage_waits_for_the_first_row(monkeypatch):
+    # a pair refuted by its first row computes no stabilizer, and a pair
+    # with few pairs left after it computes none either
+    spec = validate_spec(LADDER["Z27xZ5"])
+    alpha = make_endo(spec, (2, 2))
+    staged = []
+    monkeypatch.setattr(
+        engine, "stabilizer_index", lambda mu: staged.append(mu) or distributions.stabilizer_index(mu)
+    )
+    inst = construct_instance(full_subgroup(spec), alpha, degenerate(spec, spec.zero()), (1, 2)).instance
+    assert len(inst.mu1.points) * len(inst.mu2.points) > engine._COSET_MIN_PAIRS
+    rng = random.Random("first row")
+    refuted = 0
+    for _ in range(10):
+        case = dataclasses.replace(inst, mu2=_move_point(inst.mu2, rng))
+        staged.clear()
+        assert _symmetric_by_involution(case) == _brute(case) is False
+        refuted += not staged
+    assert refuted
+    small = HeydeInstance(spec, degenerate(spec, (1, 0)), degenerate(spec, (3, 4)), alpha)
+    staged.clear()
+    assert _symmetric_by_involution(small) == _brute(small)
+    assert not staged
+
+
+def test_growth_at_3465_within_two_seconds():
+    # Z(9) x Z(5) x Z(7) x Z(11), every subgroup exponent 0, alpha = 2 and
+    # rho = delta_0: margins of N / 3 = 1155 points, one stabilizer coset
+    spec = validate_spec([(3, 2), (5, 1), (7, 1), (11, 1)])
+    alpha = make_endo(spec, (2, 2, 2, 2))
+    rho = degenerate(spec, spec.zero())
+    with time_limit(2):
+        inst = construct_instance(full_subgroup(spec), alpha, rho, (1, 2, 3, 4)).instance
+        assert is_conditionally_symmetric(inst)
+        dec = _decompose(inst)
+        report = classify_corollary(inst, dec)
+    assert len(inst.mu1.points) == 1155
+    assert dataclasses.asdict(dec.flags) == dict.fromkeys(
+        ["stable_under_one_minus_alpha", "shifts_of_common_distribution", "minimal_support_subgroup",
+         "haar_factor", "restricted_symmetry"], True
+    )
+    assert report.ok
+
+
 # -- memo hygiene --------------------------------------------------------------
 
 
@@ -163,8 +317,11 @@ def test_filled_memos_leave_equality_hash_and_fields_alone():
     inst = construct_instance(full_subgroup(spec), alpha, haar(subgroup_of_index(spec, 45)), (1, 2)).instance
     mu = inst.mu1
     fresh = Distribution(mu.spec, mu.den, mu.points)
-    assert is_conditionally_symmetric(inst)
-    assert "_numerators" in vars(mu) and "_numerators" not in vars(fresh)
+    assert is_conditionally_symmetric(inst) and satisfies_heyde_equation(inst)
+    distributions.stabilizer_index(mu)
+    distributions.char_fn_zero_classes(mu)
+    for memo in ("_numerators", "_residues", "_zero_classes", "_stabilizer"):
+        assert memo in vars(mu) and memo not in vars(fresh)
     assert mu == fresh and hash(mu) == hash(fresh)
     assert dataclasses.fields(mu) == dataclasses.fields(fresh)
     assert [f.name for f in dataclasses.fields(mu)] == ["spec", "den", "points"]
