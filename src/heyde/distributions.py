@@ -175,8 +175,18 @@ def char_fn(mu: Distribution, y: Element) -> CycloElement:
     return cyclotomic.from_terms(mu.spec.exponent, [(t * c, a) for t, a in _pair_terms(mu)], mu.den)
 
 
+def char_values(mu: Distribution) -> list[CycloElement]:
+    """char_fn(mu, y) at every dual code y, indexed by code; the pair terms
+    are formed once for the whole table."""
+    n = mu.spec.exponent
+    terms = _pair_terms(mu)
+    return [cyclotomic.from_terms(n, [(t * y, a) for t, a in terms], mu.den) for y in range(n)]
+
+
 def char_fn_table(mu: Distribution) -> dict[Element, CycloElement]:
-    return {y: char_fn(mu, y) for y in mu.spec.elements()}
+    """char_values(mu) keyed by dual element, in element order."""
+    values = char_values(mu)
+    return dict(zip(mu.spec.element_list, map(values.__getitem__, mu.spec.crt_codes)))
 
 
 def char_residues(mu: Distribution, field) -> Callable[[int], int]:
@@ -417,8 +427,9 @@ def invert_char_table(spec: GroupSpec, table: dict[Element, CycloElement]) -> Di
     common denominator D, f(y) = (1/D) sum_e c[y][e] zeta**e with integers
     c[y][e] (e < N), read from f(y).terms() with 0 at the exponents it does
     not list, and the product by zeta**(-t) moves c[y][e] to exponent
-    e - t mod N.  So each x needs, per exponent k, the integer
-    sum_y c[y][k + t] over y, which is reduced once (cyclotomic.from_terms).
+    e - t mod N.  So each x needs the vector v_x in Z[Z(N)] with
+    v_x[k] = sum_y c[y][k + t] over y, and N * D * mu(x) is the image of
+    sum_k v_x[k] zeta**k in Q(zeta_N), which must be rational.
 
     The sums are exact integer Kronecker packing.  Let B be the largest
     |c[y][e]|, and W a whole number of bytes with 2**W > 2 * N * (B + 1).
@@ -443,9 +454,44 @@ def invert_char_table(spec: GroupSpec, table: dict[Element, CycloElement]) -> Di
     shift-adds in place of N**2.  A slot after the pass for axis j sums
     q_1 * ... * q_j of the N values in [0, 2B] that its final slot sums, at
     most 2NB < 2**W, so the same W covers every pass.  Slot k of the final
-    word minus N * B is then the exact coefficient.
+    word is v_x[k] + N * B.
 
-    A table that is not keyed by exactly the elements of spec is refused.
+    Whether the image of v = v_x is rational is decided on the packed word
+    by the translation fold of char_fn_zero_classes, with no cyclotomic
+    value.  Write tau_d v(e) = v(e + d), let p run over the primes of N and
+    F = prod_p (1 - tau_{N/p}).  The image is the integer r exactly when
+    v - r delta_0 lies in the kernel K of Z[Z(N)] -> Q(zeta_N); that image
+    is an algebraic integer, so a rational one is an integer.  The
+    transform w^(c) = sum_e w(e) zeta**(c e) of (1 - tau_{N/p}) w is
+    (1 - zeta**(-c N / p)) w^(c), and that factor is zero exactly when p
+    divides c, so the transform of F w is w^(c) times a factor that is
+    nonzero exactly at the units c mod N.  The automorphisms
+    zeta -> zeta**c permute the w^(c) with c a unit, so w lies in K exactly
+    when w^(c) = 0 at every unit c, that is exactly when F w = 0, as a
+    function on Z(N) is zero exactly when its transform is.  So the image
+    is r exactly when F v = r F delta_0.  F delta_0 is the sum over the
+    sets S of primes of (-1)**|S| delta at -sum_{p in S} N/p, and for S
+    not empty that point is not 0: mod q_j, for p_j in S, the sum is
+    N / p_j, which q_j does not divide.  So F delta_0 is 1 at 0, the r to
+    test is slot 0 of F v, and the image is rational exactly when F v
+    equals that r times F delta_0.
+
+    Each step z -> z - tau_d z is made on the word as a rotation by d slots
+    and one subtraction, with a bias that keeps every slot nonnegative: if
+    every |z(e)| <= b and slot e holds z(e) + b, then adding 2b to each slot
+    and subtracting the rotated word leaves z(e) - z(e + d) + 2b in
+    [0, 4b], with no borrow across slots.  The bias starts at N * B and
+    doubles with each step, so after k steps it is 2**k * N * B, and with
+    h primes every slot stays at most 2**(h+1) * N * B.  Each final word is
+    therefore widened once, before its h steps, to the width W' that the
+    rule for W gives for 2**(h+1) * N * B in place of 2 * N * (B + 1), and
+    never below W, so 2**W' > 2**(h+1) * N * B.  Slot 0 of F v then reads
+    r + 2**h * N * B, and F v equals r F delta_0 exactly when the word
+    equals 2**h * N * B in every slot plus r times the word of F delta_0,
+    whose entries are 0 and +-1; the mass at x is r / (N * D).
+
+    A table that is not keyed by exactly the elements of spec is refused;
+    a non-rational mass is reported at the first such x in element order.
     """
     if table.keys() != set(spec.element_list):
         raise ValueError("table must cover every dual element")
@@ -475,16 +521,31 @@ def invert_char_table(spec: GroupSpec, table: dict[Element, CycloElement]) -> Di
                 for y in line:
                     acc += doubled[y] >> (t * y % n * width)
                 words[x] = acc & mask
-    total_bias = n * bias
+    steps = [n // c.p for c in spec.components]
+    wide = max(nbytes, (n * bias << len(steps) + 1).bit_length() // 8 + 1)
+    wide_width = 8 * wide
+    slot = (1 << wide_width) - 1
+    ones = ((1 << n * wide_width) - 1) // slot  # 1 in every slot
+    folds = []  # (shift right, shift left, low mask, 2 * bias * ones) per step
+    step_bias = n * bias
+    unit = [1] + [0] * (n - 1)  # delta_0, folded alongside into F delta_0
+    for d in steps:
+        low = d * wide_width
+        folds.append((low, (n - d) * wide_width, (1 << low) - 1, 2 * step_bias * ones))
+        step_bias *= 2
+        unit = list(map(operator.sub, unit, unit[d:] + unit[:d]))
+    unit_word = sum(c << e * wide_width for e, c in enumerate(unit) if c)
+    level = step_bias * ones  # F v = r F delta_0 with every slot biased
     pmf: dict[Element, Fraction] = {}
     for x, cx in zip(spec.element_list, spec.crt_codes):
-        vec = [c - total_bias for c in _unpack_slots(words[cx], n, nbytes)]
-        value = cyclotomic.from_terms(n, enumerate(vec), den)
-        if not value.is_rational():
+        z = _widen(words[cx], n, nbytes, wide)
+        for right, left, low, lift in folds:
+            z += lift - (z >> right | (z & low) << left)
+        r = (z & slot) - step_bias
+        if z != level + r * unit_word:
             raise VerificationFailure(f"inversion produced a non-rational mass at {x}")
-        q = value.rational_value() / n
-        if q:
-            pmf[x] = q
+        if r:
+            pmf[x] = Fraction(r, den * n)
     return from_pmf(spec, pmf)
 
 
@@ -515,12 +576,8 @@ def _pack_slots(slots: list[int], nbytes: int) -> int:
     return int.from_bytes(_restride(raw, size, nbytes), "little")
 
 
-def _unpack_slots(word: int, count: int, nbytes: int):
-    """The count slots of nbytes bytes each of word, lowest first (inverse of _pack_slots)."""
-    raw = word.to_bytes(count * nbytes, "little")
-    size = 1 << (nbytes - 1).bit_length()
-    if size not in _ITEM_FORMATS:
-        return [int.from_bytes(raw[k : k + nbytes], "little") for k in range(0, len(raw), nbytes)]
-    import struct
-
-    return struct.unpack(f"<{count}{_ITEM_FORMATS[size]}", _restride(raw, nbytes, size))
+def _widen(word: int, count: int, nbytes: int, wide: int) -> int:
+    """word cut into count slots of nbytes bytes each, every slot zero-padded to wide bytes."""
+    if wide == nbytes:
+        return word
+    return int.from_bytes(_restride(word.to_bytes(count * nbytes, "little"), nbytes, wide), "little")

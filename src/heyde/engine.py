@@ -87,7 +87,7 @@ from .distributions import (
     unit_modulus_set,
 )
 from .errors import VerificationFailure
-from .groups import Component, ComponentKind, Element, GroupSpec, Subgroup
+from .groups import Component, ComponentKind, Element, GroupSpec, Subgroup, validate_spec
 from .morphisms import Endomorphism, PAdicUnit, identity, make_endo
 
 
@@ -547,7 +547,7 @@ def quasicyclic_residue(p: int, level: int, value) -> int:
 
 def quasicyclic_distribution(p: int, level: int, pmf) -> Distribution:
     """Distribution on the level-n layer from p-power fractions mod 1."""
-    spec = GroupSpec((Component(p, level, ComponentKind.QUASICYCLIC),))
+    spec = validate_spec([Component(p, level, ComponentKind.QUASICYCLIC)])
     return from_pmf(
         spec, {(quasicyclic_residue(p, level, x),): Fraction(m) for x, m in dict(pmf).items()}
     )
@@ -614,7 +614,7 @@ class MixedProductReduction:
 def mixed_product_spec(k_spec: GroupSpec, p: int, level: int) -> GroupSpec:
     if any(c.p == p for c in k_spec.components):
         raise ValueError(f"prime {p} appears in both factors")
-    return GroupSpec(k_spec.components + (Component(p, level, ComponentKind.QUASICYCLIC),))
+    return validate_spec(k_spec.components + (Component(p, level, ComponentKind.QUASICYCLIC),))
 
 
 def mixed_product_distribution(k_spec: GroupSpec, p: int, level: int, pmf) -> Distribution:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 
 Element = tuple[int, ...]
@@ -192,7 +192,8 @@ def validate_spec(raw) -> GroupSpec:
     """Normalize a component list into a GroupSpec.
 
     Accepts (p, k) / (p, k, kind) tuples, dicts with keys p, k, kind, or
-    Component instances; kind defaults to "finite".
+    Component instances; kind defaults to "finite".  Equal component
+    tuples read in turn give the same GroupSpec object.
     """
     components = []
     for entry in raw:
@@ -210,7 +211,14 @@ def validate_spec(raw) -> GroupSpec:
             else:
                 raise ValueError(f"component entry {entry!r} not understood")
         components.append(Component(int(p), int(k), ComponentKind(kind)))
-    return GroupSpec(tuple(components))
+    return _shared_spec(tuple(components))
+
+
+@lru_cache(maxsize=16)
+def _shared_spec(components: tuple[Component, ...]) -> GroupSpec:
+    """The one GroupSpec of each recently read component tuple, so its CRT
+    tables and subgroups are built once per group, not once per read."""
+    return GroupSpec(components)
 
 
 @dataclass(frozen=True)

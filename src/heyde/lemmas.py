@@ -34,8 +34,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cyclotomic import CycloElement, from_rational, from_terms
-from .distributions import Distribution, _pair_terms, convolve, reflect
+from .cyclotomic import CycloElement, from_rational
+from .distributions import Distribution, char_values, convolve, reflect
 from .engine import first_equation_violation
 from .groups import Element, GroupSpec
 from .morphisms import Endomorphism, identity, kappa_of
@@ -73,11 +73,7 @@ def dual_function(spec: GroupSpec, mapping) -> DualFunction:
 
 def char_table_function(mu: Distribution) -> DualFunction:
     """The table of char_fn(mu, y), computed on the dual codes y."""
-    n = mu.spec.exponent
-    terms = _pair_terms(mu)
-    return DualFunction(
-        mu.spec, tuple(from_terms(n, [(t * y, a) for t, a in terms], mu.den) for y in range(n))
-    )
+    return DualFunction(mu.spec, tuple(char_values(mu)))
 
 
 def squared_modulus_table(mu: Distribution) -> DualFunction:

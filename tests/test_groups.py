@@ -12,7 +12,8 @@ from heyde import (
     trivial_subgroup,
     validate_spec,
 )
-from heyde.groups import Subgroup, generated_by_codes, subgroup_of_index
+from heyde import serialize
+from heyde.groups import Component, ComponentKind, Subgroup, generated_by_codes, subgroup_of_index
 
 import oracles
 
@@ -20,6 +21,18 @@ Z9 = validate_spec([(3, 2)])
 Z3 = validate_spec([(3, 1)])
 Z27 = validate_spec([(3, 3)])
 Z9xZ5 = validate_spec([(3, 2), (5, 1)])
+
+
+def test_a_spec_read_twice_is_one_object():
+    # one GroupSpec per component tuple, so its CRT tables are built once
+    spec = validate_spec([(3, 2), (5, 1)])
+    assert validate_spec([{"p": 3, "k": 2}, (5, 1, "finite")]) is spec
+    assert validate_spec([Component(3, 2), Component(5, 1)]) is spec
+    assert serialize.spec_from_obj(serialize.spec_to_obj(spec)) is spec
+    assert validate_spec([(3, 2), (5, 1)]).crt_rank is spec.crt_rank
+    padic = validate_spec([(3, 2, "padic"), (5, 1)])
+    assert padic is not spec and padic.components[0].kind is ComponentKind.PADIC
+    assert validate_spec([(3, 2, "padic"), (5, 1)]) is padic
 
 
 def test_validate_spec_computes_exponent():

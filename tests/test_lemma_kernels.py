@@ -2,12 +2,15 @@
 
 The triple-difference scan of verify_difference_lemma runs on CRT codes
 with interned values and memoized products, invert_char_table sums packed
-integers, and cyclotomic values are reduced in the powerful basis.  Each
-is compared here with a plain implementation in oracles.py: the brute
-triple scan on tuples, the per-x inversion with dense rows, and dense
-reduction modulo Phi_N.  The
-generator route of verify_difference_lemma is compared with the full
-scan, and the axis-wise inversion with the per-x reference.
+integers and decides each mass by the translation fold on the packed
+word, and cyclotomic values are reduced in the powerful basis.  Each is
+compared here with a plain implementation in oracles.py: the brute triple
+scan on tuples, the per-x inversion that reduces each mass with dense
+rows modulo Phi_N, and dense reduction modulo Phi_N.  The generator route
+of verify_difference_lemma is compared with the full scan; the fold's
+verdicts, masses, errors and first failing points with the per-x
+reference, at the byte boundaries of both slot widths, and with no
+cyclotomic value built.
 """
 
 import itertools
@@ -32,15 +35,16 @@ from heyde import (
     validate_spec,
     verify_difference_lemma,
 )
-from heyde import lemmas
+from heyde import cyclotomic, distributions, lemmas
 from heyde.cyclotomic import from_terms
-from heyde.distributions import _pack_slots, _unpack_slots
+from heyde.distributions import _pack_slots, _widen
 from heyde.errors import VerificationFailure
 from heyde.lemmas import DualFunction, _first_triple_violation, dual_function
 from heyde.morphisms import identity
 
 import acceptance_corpus as corpus
 import oracles
+from limits import time_limit
 
 Z5 = validate_spec([(5, 1)])
 Z9 = validate_spec([(3, 2)])
@@ -49,6 +53,7 @@ Z9xZ5 = validate_spec([(3, 2), (5, 1)])
 Z9xZ5xZ7 = validate_spec([(3, 2), (5, 1), (7, 1)])
 Z25 = validate_spec([(5, 2)])
 Z27 = validate_spec([(3, 3)])
+Z27xZ5 = validate_spec([(3, 3), (5, 1)])
 Z27xZ5xZ7 = validate_spec([(3, 3), (5, 1), (7, 1)])
 
 
@@ -372,12 +377,94 @@ def test_axis_wise_inversion_on_one_axis(spec):
 
 
 def test_axis_wise_inversion_round_trip_on_three_axes():
+    # also the growth guard of the inversion: N = 945, a 4-point margin
     spec = Z27xZ5xZ7
     els = spec.element_list
     rng = random.Random(945)
     weights = [rng.randint(1, 9) for _ in range(4)]
     mu = from_pmf(spec, {x: Fraction(w, sum(weights)) for x, w in zip(rng.sample(els, 4), weights)})
-    assert invert_char_table(spec, char_fn_table(mu)) == mu
+    with time_limit(2):
+        assert invert_char_table(spec, char_fn_table(mu)) == mu
+
+
+def inversion_outcome(invert, spec, table):
+    """What invert returns, or the type and message of what it raises."""
+    try:
+        return invert(spec, table)
+    except (ValueError, VerificationFailure) as exc:
+        return type(exc), str(exc)
+
+
+def unit_orbit(spec, y):
+    """The dual elements y' with gcd(crt(y'), N) = gcd(crt(y), N)."""
+    n = spec.exponent
+    g = math.gcd(spec.crt(y), n)
+    return [z for z in spec.element_list if math.gcd(spec.crt(z), n) == g]
+
+
+@pytest.mark.parametrize(
+    "spec", [Z9, Z25, Z27, Z9xZ5, Z27xZ5, Z9xZ5xZ7], ids=["Z9", "Z25", "Z27", "Z9xZ5", "Z27xZ5", "Z9xZ5xZ7"]
+)
+def test_fold_verdicts_match_the_reference(spec):
+    # Tables of random margins, changed at one random y by a term
+    # c * zeta**e, which leaves a non-rational mass at every x with
+    # pair_exponent(x, y) != e, or by a rational constant on one whole unit
+    # orbit, which keeps every mass rational.  Both routes must return the
+    # same distribution or raise the same error with the same message.
+    # Every other margin is half uniform and its constant is below
+    # 1 / (2N), so those masses stay positive; the orbits y' != 0 keep the
+    # total at 1.
+    n = spec.exponent
+    els = spec.element_list
+    rng = random.Random(n * 13)
+    kinds, firsts = set(), set()
+    for i in range(4 if n > 100 else 8):
+        size = rng.randint(1, 4)
+        weights = [rng.randint(1, 9) for _ in range(size)]
+        pmf = {x: Fraction(w, sum(weights)) for x, w in zip(rng.sample(els, size), weights)}
+        if i % 2:
+            pmf = {x: (pmf.get(x, 0) + Fraction(1, n)) / 2 for x in els}
+            c = Fraction(rng.choice([-1, 1]), 2 * n + rng.randint(1, 9))
+        else:
+            c = Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 5))
+        mu = from_pmf(spec, pmf)
+        table = char_fn_table(mu)
+        y = rng.choice(els[1:])
+        bad = dict(table)
+        e = rng.randrange(n) if i % 2 else 0  # e = 0: the first failure is past x = 0
+        bad[y] = table[y] + from_terms(n, [(e, rng.choice([-3, -1, 1, 2]))], rng.randint(1, 4))
+        found = inversion_outcome(invert_char_table, spec, bad)
+        assert found == inversion_outcome(reference, spec, bad)
+        assert found[0] is VerificationFailure
+        firsts.add(found[1])
+        shifted = dict(table)
+        for z in unit_orbit(spec, rng.choice(els[1:])):
+            shifted[z] = table[z] + c
+        found = inversion_outcome(invert_char_table, spec, shifted)
+        assert found == inversion_outcome(reference, spec, shifted)
+        kinds.add(found[0] if isinstance(found, tuple) else "distribution")
+    assert kinds == {ValueError, "distribution"}
+    assert len(firsts) > 1
+
+
+def test_inversion_builds_no_cyclotomic_value(monkeypatch):
+    # the fold reads every mass from the packed words; the table's own
+    # values are read through terms(), and nothing is reduced
+    spec = Z9xZ5xZ7
+    els = spec.element_list
+    mu = from_pmf(spec, {els[3]: Fraction(1, 7), els[100]: Fraction(2, 7), els[301]: Fraction(4, 7)})
+    table = char_fn_table(mu)
+    bad = dict(table)
+    bad[els[5]] = table[els[5]] + from_terms(spec.exponent, [(4, 1)])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("inversion reduced a cyclotomic value")
+
+    monkeypatch.setattr(cyclotomic, "from_terms", refuse)
+    monkeypatch.setattr(cyclotomic.CycloElement, "_make", refuse)
+    assert invert_char_table(spec, table) == mu
+    with pytest.raises(VerificationFailure):
+        invert_char_table(spec, bad)
 
 
 def test_slot_width_at_each_byte_boundary():
@@ -405,14 +492,43 @@ def test_slot_width_at_each_byte_boundary():
                 assert invert_char_table(spec, table) == mu
 
 
+def test_fold_width_at_each_byte_boundary():
+    # The fold widens each slot to wide = bit_length(N * B * 2**(h + 1)) // 8 + 1
+    # bytes for h primes, one byte more each time N * B * 2**(h + 1)
+    # reaches 2**(8j - 1).  mu = (1 - 1/D) delta_0 + (1/D) uniform has
+    # B = D, and at x = 0 a mass of N * D - N + 1 over N * D, which after
+    # the fold puts 2**h * N * D + N * D - N + 1 in slot 0: more than the
+    # packing width holds when 2N(D + 1) is just below its own boundary.
+    # D is taken just below and at each boundary of both widths.
+    for spec in (Z9xZ5, Z9xZ5xZ7):
+        n = spec.exponent
+        h = len(spec.components)
+        uniform = {x: Fraction(1, n) for x in spec.element_list}
+        dens = set()
+        for j in range(1, 11):
+            edge = 2 ** (8 * j - 1)
+            fold_below = (edge - 1) // (n << h + 1)  # N * D * 2**(h + 1) < edge
+            pack_below = (edge - 1) // (2 * n) - 1  # 2N(D + 1) < edge
+            assert n * fold_below << h + 1 < edge <= n * (fold_below + 1) << h + 1
+            dens.update({fold_below, fold_below + 1, pack_below, pack_below + 1})
+        for den in sorted(d for d in dens if d >= 2):
+            pmf = {x: m / den for x, m in uniform.items()}
+            pmf[spec.zero()] += 1 - Fraction(1, den)
+            mu = from_pmf(spec, pmf)
+            assert invert_char_table(spec, char_fn_table(mu)) == mu
+
+
 def test_slot_packing_round_trips_at_every_width():
+    # packed at every slot width from 1 to 11 bytes, then widened to every
+    # width from that one to 12 bytes, as inversion widens before its fold
     rng = random.Random(8)
     for nbytes in range(1, 12):
         top = 256**nbytes - 1
         slots = [0, top, 1, top - 1] + [rng.randint(0, top) for _ in range(41)]
         word = _pack_slots(slots, nbytes)
         assert word == sum(c << (8 * nbytes * k) for k, c in enumerate(slots))
-        assert list(_unpack_slots(word, len(slots), nbytes)) == slots
+        for wide in range(nbytes, 13):
+            assert _widen(word, len(slots), nbytes, wide) == sum(c << (8 * wide * k) for k, c in enumerate(slots))
 
 
 def test_non_rational_table_fails_at_the_reference_point_on_three_axes():
