@@ -196,10 +196,14 @@ class _ModField:
     more.  For the dual equation, D(u, v) = f(u + v) g(u + beta v) -
     f(u - v) g(u - beta v) has weight 2 * D1 * D2 once scaled, beta
     commutes with scalars so sigma_c D(u, v) = D(c u, c v), and
-    D(u, -v) = -D(u, v); the pairs first_equation_violation visits stand
-    for every pair and every unit multiple of it.  The pairs it skips have
-    both products = 0 (mod M), so D(u, v) = 0 (mod M) holds there too.  So
-    with M > 2 * D1 * D2 its verdict is exact in both directions.
+    D(u, -v) = -D(u, v).  On the residues D(u + k, v) is a power of omega
+    times D(u, v) for k in the unit-modulus set K, and D(u, v + k) = D(u, v)
+    for k in its subgroup K' (engine._equation_quotient), and a power of
+    omega is a unit mod M; so the pairs first_equation_violation visits
+    stand for every pair, every unit multiple of it and every K x K'
+    translate of it.  The pairs it skips have both products = 0 (mod M),
+    so D(u, v) = 0 (mod M) holds there too.  So with M > 2 * D1 * D2 its
+    verdict is exact in both directions.
 
     modular_field(order, weight) returns a field with M > weight, adding
     primes below 2**62 as needed.

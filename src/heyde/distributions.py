@@ -235,38 +235,65 @@ def _residue_function(mu: Distribution, field) -> Callable[[int], int]:
 
 
 def _residue_table(mu: Distribution, field) -> list[int]:
-    """Every residue of char_residues(mu, field), by the prime-factor transform.
+    """Every residue of char_residues(mu, field), from the pushforward of mu
+    to Z(d), d = stabilizer_index(mu), by the prime-factor transform.
 
-    As in invert_char_table, s * x * y = sum_j w_j * x * y mod N with
-    w_j = N / q_j, and w_j * x * y mod N is w_j times x * y mod q_j.  So
-    the sum over x factors into one pass per CRT axis: the pass for axis j
-    replaces the entries on each line {b + i * w_j : i < q_j} (b < w_j),
-    the codes that differ only in their residue mod q_j, by
-    sum_x A[x] * omega**(w_j * (x * y mod q_j)) for each y on the line,
-    mod M.  It starts from A[x] = a_x on the support and skips zero
-    entries, so the passes cost at most N * sum(q_j) products, and fewer
-    while the table is sparse, in place of N * |supp|.  The omega**w_j
-    are q_j-th roots of unity and the q_j are coprime, so no twiddle
-    factors arise (Good 1958, Thomas 1963).
+    mu is invariant under its translation stabilizer H = dZ(N), so its
+    support is a union of H-cosets r + H with one numerator a_r on each,
+    and the residue at y is the sum over them of
+    a_r * omega**(s * r * y) * sum_i omega**(s * d * i * y), i < N / d.
+    omega has order N mod every prime p of M, so the inner sum is N / d
+    when N / d divides y and otherwise a geometric sum
+    (z**(N/d) - 1) / (z - 1) = 0 (mod p), z = omega**(s d y) != 1 (mod p),
+    as s is a unit.  So only the codes y = (N / d) t, t < d, can be
+    nonzero, and there s * r * y = (N / d) * (s * r * t mod d) (mod N),
+    which depends on r mod d only.  With nu(r) = (N / d) a_r the sum of the
+    a_x over x = r (mod d), the pushforward of mu to Z(d):
+
+        residue((N / d) t) = sum_r nu(r) * omega**((N / d) * (s r t mod d)).
+
+    That sum is the transform of nu on Z(d), made one CRT axis of d at a
+    time.  With q the largest power of p_j dividing d and w = d / q, write
+    E = w * (w**-1 mod q), which is 1 mod q and 0 mod d / q; then
+    s r t = sum_j s E_j (r t mod q_j) (mod d), and the pass for axis j
+    replaces the entries on each line {b + i * w : i < q} (b < w), the
+    codes that differ only in their residue mod q, by
+    sum_r A[r] * omega**((N / d) * s * E * (r * t mod q)) for each t on the
+    line, mod M.  It starts from nu and skips zero entries, so the pass
+    for axis j costs q_j products per nonzero entry before it: at most
+    d * sum(q_j) in all, and at most 1.5 * d * |nu| (the q_j are at least
+    3) for a sparse nu, such as a point mass (d = N, |nu| = 1), in place of
+    N * sum(q_j) over Z(N).
+    The roots are q_j-th roots of unity and the q_j are coprime, so no
+    twiddle factors arise (Good 1958, Thomas 1963).  With d = N this is
+    the transform of mu itself, as s * E_j = N / q_j (mod N).
     """
     spec = mu.spec
     n = spec.exponent
+    d = stabilizer_index(mu)
+    stride = n // d
     powers, modulus = field.powers, field.modulus
-    table = [0] * n
+    nu = [0] * d
     for x, a in mu.points:
-        table[x] = a
-    for q in spec.orders:
-        w = n // q
-        roots = powers[::w]  # roots[k] = omega**(w * k), k < q
+        nu[x % d] += a
+    for c in spec.components:
+        q = gcd(c.order, d)
+        if q == 1:
+            continue
+        w = d // q
+        step = stride * spec.crt_pair_unit * w * pow(w, -1, q) % n
+        roots = [powers[step * k % n] for k in range(q)]
         lines: dict[int, list[tuple[int, int]]] = {}
-        for x, a in enumerate(table):
+        for x, a in enumerate(nu):
             if a:
                 lines.setdefault(x % w, []).append((x % q, a))
-        table = [0] * n
+        nu = [0] * d
         for b, line in lines.items():
-            for y in range(b, n, w):
-                k = y % q
-                table[y] = sum(a * roots[r * k % q] for r, a in line) % modulus
+            for t in range(b, d, w):
+                k = t % q
+                nu[t] = sum(a * roots[r * k % q] for r, a in line) % modulus
+    table = [0] * n
+    table[::stride] = [value % modulus for value in nu]
     return table
 
 

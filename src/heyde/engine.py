@@ -46,10 +46,19 @@ verifiers, the only callers whose values are costly to multiply, ids of
 cyclotomic values with a memoized product of ids.  It visits every pair
 at its first v only, which reads both character tables in full.  At
 every later v it visits only the u at which a side can be nonzero (a
-falsy value is zero).  A symmetric pair has a Haar factor on
-(I + alpha)(G), so its character sums vanish off the annihilator of that
-subgroup, and the loop costs N * |S| pairs after its first v, with S the
-nonzero codes, in place of N**2 / 2.
+falsy value is zero).  For the verdict of satisfies_heyde_equation the
+later pairs are taken on a quotient: the character sums are
+quasi-periodic under the unit-modulus set K = eZ(N), so u runs over
+Z(N)/K and v over Z(N)/K', K' = e'Z(N) the part of K that also
+annihilates x1 + alpha x2 (_equation_quotient).  After its first v the
+loop then costs at most (e' / 2) * min(e, 2 |S| / (N / e)) pairs, with S
+the nonzero codes, in place of N**2 / 2: none at all for a symmetric
+pair of point masses (e' = 1), and few for a pair with a Haar factor,
+whose sums vanish off the annihilator of that subgroup.  A residue table
+costs |supp| + d * sum(q_j) at most, from the pushforward of the margin
+to Z(d), d the index of its translation stabilizer
+(distributions._residue_table).  The lemma verifiers keep every pair in
+element order, since they report the first violation.
 
 Work that depends on one margin only is done once per object, not once
 per instance: a Distribution memoizes its residues per field
@@ -235,6 +244,7 @@ def first_equation_violation(
     g: Callable[[int], object],
     beta: Endomorphism,
     mul: Callable[[object, object], object] = operator.mul,
+    quotient: Callable[[], tuple[int, int]] | None = None,
 ) -> tuple[Element, Element] | None:
     """First (u, v) with f(u + v) g(u + beta v) != f(u - v) g(u - beta v), or None.
 
@@ -264,6 +274,20 @@ def first_equation_violation(
     When 2 |S| >= N, as for point masses, every v stays dense.  A skipped
     pair holds exactly, so the (u, v) reported is the one the dense loop
     reports.
+
+    A caller that only needs the verdict may pass quotient, called once
+    the first v holds, which returns the indices (e, e') of subgroups
+    K = eZ(N) and K' = e'Z(N) with this property: the identity holds at
+    (u + k, v) exactly when at (u, v) for k in K, and at (u, v + k)
+    exactly when at (u, v) for k in K' (satisfies_heyde_equation proves it
+    for character sums).  The later v then run over the representatives
+    1 .. e' - 1 of Z(N)/K' with v < e' - v, since v and -v state the same
+    identity and no v but 0 is its own negative mod the odd e'; and u over
+    the representatives 0 .. e - 1 of Z(N)/K, or only those in
+    (S - v) | (S + v) mod e, when f and g are zero on whole K-cosets, as
+    the unit factor of the translation makes them.  e' = 1 leaves no v.
+    The pair then reported is a representative of a violation, not the
+    first in element order.
     """
     n = spec.exponent
     rank = spec.crt_rank
@@ -286,13 +310,19 @@ def first_equation_violation(
     nonzero_g = [i for i, value in enumerate(g_values) if value]
     on_g = len(nonzero_g) < len(nonzero_f)
     support = nonzero_g if on_g else nonzero_f
+    m, every_u = n, codes  # u runs over Z(N) / mZ(N)
+    if quotient is not None:
+        m, m_v = quotient()
+        vs = range(1, (m_v + 1) // 2)
+        every_u = range(m)
+        support = {i % m for i in support}
     for v in vs:
         bv = b * v % n
-        us = codes
-        if 2 * len(support) < n:
+        us = every_u
+        if 2 * len(support) < m:
             d = bv if on_g else v
             us = sorted(
-                {(s + d) % n for s in support}.union((s - d) % n for s in support),
+                {(s + d) % m for s in support}.union((s - d) % m for s in support),
                 key=rank.__getitem__,
             )
         for u in us:
@@ -315,7 +345,8 @@ def satisfies_heyde_equation(inst: HeydeInstance) -> bool:
     identity exactly in both directions.  The residues come memoized from
     each margin (distributions.char_residues) and reduced mod M, so the
     zero residue is 0 and the loop skips only pairs whose two products are
-    both = 0 (mod M).  See first_equation_violation for the loop.
+    both = 0 (mod M).  After its first v the loop runs on the quotient of
+    _equation_quotient.  See first_equation_violation for the loop.
     """
     field = modular_field(inst.spec.exponent, 2 * inst.mu1.den * inst.mu2.den)
     modulus = field.modulus
@@ -325,8 +356,44 @@ def satisfies_heyde_equation(inst: HeydeInstance) -> bool:
         char_residues(inst.mu2, field),
         inst.alpha.adjoint(),
         lambda a, b: a * b % modulus,
+        lambda: _equation_quotient(inst),
     )
     return violation is None
+
+
+def _equation_quotient(inst: HeydeInstance) -> tuple[int, int]:
+    """The indices (e, e') of K = eZ(N), the unit-modulus set, and of
+    K' = K & Ann(x1 + alpha x2) = e'Z(N), for any support points x_i of mu_i.
+
+    Write f, g for the character sums of mu1, mu2 and beta = adjoint(alpha),
+    whose multiplier a is alpha's; on codes f(y) is (1/D1) times the sum of
+    a_x * zeta**(s x y), s = spec.crt_pair_unit.  mu_i lives on x_i + G_i,
+    G_i its difference subgroup, and K = Ann(G1) & Ann(G2)
+    (distributions.unit_modulus_set).  For k in K and x in x1 + G1,
+    s x k = s x1 k (mod N), so f(y + k) = zeta**(s x1 k) f(y), and likewise
+    g(y + k) = zeta**(s x2 k) g(y).  With
+    D(u, v) = f(u + v) g(u + beta v) - f(u - v) g(u - beta v):
+
+    - D(u + k, v) = zeta**(s k (x1 + x2)) D(u, v), as both products pick up
+      that factor;
+    - D(u, v + k) = zeta**c P - zeta**(-c) P', P and P' the two products at
+      (u, v) and c = s k (x1 + a x2), since a k lies in K too.  For k in K'
+      c = 0 (mod N), so D(u, v + k) = D(u, v).
+
+    K' does not depend on the points chosen: x_i moves by G_i, which K
+    annihilates.  Its index is lcm(e, N / gcd(x1 + a x2, N)), the index of
+    Ann(x1 + a x2) being the order of x1 + a x2.  The same identities hold
+    for the residues at omega, with omega**N = 1 (mod M), and a power of
+    omega is a unit mod M, so each translate of a pair is zero mod M
+    exactly when the pair is: the pairs first_equation_violation visits on
+    this quotient stand for every pair.  This is the quasi-periodicity of
+    the transform of a coset-supported measure (Hewitt and Ross, Abstract
+    Harmonic Analysis I, sec. 23-24).
+    """
+    n = inst.spec.exponent
+    e = unit_modulus_set(inst.mu1, inst.mu2).index
+    c = inst.mu1.points[0][0] + inst.alpha.code * inst.mu2.points[0][0]
+    return e, lcm(e, n // gcd(c, n))
 
 
 @dataclass(frozen=True)

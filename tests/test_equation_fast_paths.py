@@ -3,11 +3,15 @@ dense references kept in oracles.py.
 
 engine.first_equation_violation visits every u at its first v only, and
 afterwards only the u at which one side can be nonzero;
-distributions._residue_table fills a residue table by one pass per CRT
-axis.  Each must agree exactly with its reference: the same (u, v) or
-None from the loop, the same residue at every code from the transform.
+distributions._residue_table fills a residue table from the pushforward
+to the translation stabilizer's quotient, by one pass per CRT axis.  Each
+must agree exactly with its reference: the same (u, v) or None from the
+loop, the same residue at every code from the transform.  On the quotient
+by the unit-modulus set (satisfies_heyde_equation) the loop reports only
+a verdict, which must be the dense loop's.
 """
 
+import collections
 import operator
 from fractions import Fraction
 from math import gcd
@@ -29,15 +33,19 @@ from heyde import (
     make_endo,
     minus_identity,
     random_distribution,
+    random_instance,
+    satisfies_heyde_equation,
     shift,
     squared_modulus_table,
     validate_spec,
 )
-from heyde import distributions, lemmas
+from heyde import distributions, engine, lemmas
 from heyde.cyclotomic import _ModField, _prime_below, from_rational, from_terms, modular_field
 from heyde.distributions import _residue_table, char_residues
-from heyde.engine import first_equation_violation
+from heyde.engine import _equation_quotient, first_equation_violation
 from heyde.fixtures import construction_admissible
+from heyde.groups import subgroup_of_index
+from limits import time_limit
 
 import oracles
 
@@ -289,6 +297,141 @@ def test_arbitrary_sparse_tables_and_endomorphisms(cyclotomic):
             found = _same_as_dense(spec, f, g, beta, modulus)
             later += found is not None and found[1] != first_v
     assert later >= 5
+
+
+# -- the quotient by the unit-modulus set ------------------------------------------
+
+QUOTIENT_GROUPS = [
+    validate_spec(components)
+    for components in (
+        [(3, 2)],
+        [(5, 1)],
+        [(7, 1)],
+        [(3, 2), (5, 1)],
+        [(3, 3), (5, 1)],
+        [(3, 1), (5, 2)],
+        [(3, 2), (5, 1), (7, 1)],
+    )
+]
+
+
+def _quotient_pairs(spec, stream):
+    """Point masses, every other pair symmetric (x1 = -alpha x2); random
+    margins of up to 4 points; Haar measures on a subgroup against a shift
+    of themselves; constructed symmetric pairs, each also with one margin
+    shifted."""
+    n = spec.exponent
+    alphas = enumerate_automorphisms(spec)
+    subs = enumerate_subgroups(spec)
+    constructible = [(sub, a) for sub in subs for a in alphas if construction_admissible(sub, a)]
+
+    def point(s):
+        return spec.crt_elements[s.randint(0, n - 1)]
+
+    pairs = []
+    for i in range(15):
+        s = stream.derive(f"point {i}")
+        alpha, x2 = s.choice(alphas), point(s)
+        x1 = spec.crt_elements[-alpha.code * spec.crt(x2) % n] if i % 2 else point(s)
+        pairs.append(HeydeInstance(spec, degenerate(spec, x1), degenerate(spec, x2), alpha))
+    for i in range(15):
+        s = stream.derive(f"random {i}")
+        mu1, mu2 = (random_distribution(spec, 4, s.derive(label)) for label in ("mu1", "mu2"))
+        pairs.append(HeydeInstance(spec, mu1, mu2, s.choice(alphas)))
+    for i in range(11):
+        s = stream.derive(f"haar {i}")
+        mu = haar(s.choice(subs))
+        pairs.append(HeydeInstance(spec, mu, shift(mu, point(s)), s.choice(alphas)))
+    for i in range(7):
+        s = stream.derive(f"constructed {i}")
+        sub, alpha = s.choice(constructible)
+        rho = random_distribution(spec, 4, s.derive("rho"), support=sub)
+        inst = construct_instance(sub, alpha, rho, point(s)).instance
+        pairs.append(inst)
+        pairs.append(HeydeInstance(spec, inst.mu1, shift(inst.mu2, point(s)), alpha))
+    return pairs
+
+
+@pytest.mark.parametrize("spec", QUOTIENT_GROUPS, ids=_describe)
+def test_quotient_verdicts_match_the_dense_reference(spec):
+    # The dense reference reads per-code residues, so neither the quotient
+    # nor the pushforward tables are on its route.
+    n = spec.exponent
+    seen = collections.Counter()
+    for inst in _quotient_pairs(spec, DeterministicStream(37, label=f"quotient {spec.describe()}")):
+        field = modular_field(n, 2 * inst.mu1.den * inst.mu2.den)
+        f, g = (oracles.per_code_residues(mu, field).__getitem__ for mu in (inst.mu1, inst.mu2))
+        holds = oracles.dense_equation_violation(spec, f, g, inst.alpha.adjoint(), field.modulus) is None
+        assert satisfies_heyde_equation(inst) == holds
+        e, e_v = _equation_quotient(inst)
+        assert e_v % e == 0 and n % e_v == 0
+        seen["holds" if holds else "fails"] += 1
+        seen["K' != K"] += e_v != e
+        seen["e' = 1"] += e_v == 1
+    assert all(seen[key] for key in ("holds", "fails", "K' != K", "e' = 1")), seen
+
+
+def test_shifted_haar_pair_fails_only_off_the_unit_modulus_set():
+    # Haar on 3Z(9) against its shift by 1, alpha = 2: K = 3Z(9) (e = 3), but
+    # x1 + alpha x2 = 2 has order 9, so K' = 0 (e' = 9).  The first v = 1
+    # holds at every u, and the first failure is at v = 3, in K.
+    spec = QUOTIENT_GROUPS[0]
+    mu = haar(subgroup_of_index(spec, 3))
+    inst = HeydeInstance(spec, mu, shift(mu, (1,)), make_endo(spec, (2,)))
+    assert _equation_quotient(inst) == (3, 9)
+    field = modular_field(9, 2 * mu.den * mu.den)
+    f, g = (char_residues(m, field) for m in (inst.mu1, inst.mu2))
+    assert _same_as_dense(spec, f, g, inst.alpha, field.modulus) == ((0,), (3,))
+    assert not satisfies_heyde_equation(inst)
+
+
+def test_a_pair_refuted_at_its_first_v_computes_no_quotient(monkeypatch):
+    # Random pairs, as a sweep draws them, are refuted within the first few
+    # u of their first v: before either residue table is filled, so neither
+    # the unit-modulus set nor a translation stabilizer may be computed.
+    def refuse(*args):
+        raise AssertionError("a subgroup was computed before the first v held")
+
+    monkeypatch.setattr(engine, "unit_modulus_set", refuse)
+    monkeypatch.setattr(distributions, "stabilizer_index", refuse)
+    refuted = 0
+    for spec in (Z9xZ5, LADDER[3]):
+        n = spec.exponent
+        first_v = spec.element_list[1]
+        alphas = enumerate_automorphisms(spec)
+        stream = DeterministicStream(41, label=f"lazy {spec.describe()}")
+        for i in range(60):
+            inst = random_instance(spec, 8, stream.derive(str(i)), alphas[i % len(alphas)])
+            field = modular_field(n, 2 * inst.mu1.den * inst.mu2.den)
+            f, g = (oracles.per_code_residues(mu, field).__getitem__ for mu in (inst.mu1, inst.mu2))
+            found = oracles.dense_equation_violation(spec, f, g, inst.alpha, field.modulus)
+            if found is not None and found[1] == first_v:
+                assert not satisfies_heyde_equation(inst)
+                refuted += 1
+    assert refuted >= 100
+    # a pair whose first v holds does reach the quotient
+    spec = Z9xZ5
+    alpha = make_endo(spec, (2, 2))
+    inst = HeydeInstance(spec, degenerate(spec, (7, 3)), degenerate(spec, (1, 1)), alpha)
+    with pytest.raises(AssertionError, match="before the first v held"):
+        satisfies_heyde_equation(inst)
+
+
+@pytest.mark.parametrize(
+    "components", [[(3, 2), (5, 1), (7, 1), (11, 1)], [(3, 1), (5, 1), (7, 1), (11, 1), (13, 1)]]
+)
+def test_symmetric_point_masses_within_a_second(components):
+    # delta_a, delta_b with a + 2 b = 0: K = K' = Z(N), so after the first v
+    # no pair is left, and the tables are one point of the pushforward.
+    spec = validate_spec(components)
+    n = spec.exponent
+    alpha = make_endo(spec, (2,) * len(components))
+    b = spec.crt_elements[n // 3 + 1]
+    a = spec.crt_elements[-2 * (n // 3 + 1) % n]
+    inst = HeydeInstance(spec, degenerate(spec, a), degenerate(spec, b), alpha)
+    assert _equation_quotient(inst) == (1, 1)
+    with time_limit(1):
+        assert satisfies_heyde_equation(inst)
 
 
 # -- the interned lemma route -------------------------------------------------------
