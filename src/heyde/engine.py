@@ -52,13 +52,27 @@ quasi-periodic under the unit-modulus set K = eZ(N), so u runs over
 Z(N)/K and v over Z(N)/K', K' = e'Z(N) the part of K that also
 annihilates x1 + alpha x2 (_equation_quotient).  After its first v the
 loop then costs at most (e' / 2) * min(e, 2 |S| / (N / e)) pairs, with S
-the nonzero codes, in place of N**2 / 2: none at all for a symmetric
-pair of point masses (e' = 1), and few for a pair with a Haar factor,
-whose sums vanish off the annihilator of that subgroup.  A residue table
+the nonzero codes, in place of N**2 / 2, and few for a pair with a Haar
+factor, whose sums vanish off the annihilator of that subgroup.  For two
+point masses K = Z(N) is known at once, so the loop skips the first v and
+runs on the quotient from the start: u = 0 alone, no residue table, and
+no pair at all when the pair is symmetric (e' = 1).  A residue table
 costs |supp| + d * sum(q_j) at most, from the pushforward of the margin
 to Z(d), d the index of its translation stabilizer
 (distributions._residue_table).  The lemma verifiers keep every pair in
 element order, since they report the first violation.
+
+An exhaustive sweep decides its pairs one automorphism row at a time
+(AutomorphismRow).  What depends on alpha alone is computed once per row:
+the automorphism check, the symmetry route with its constants (c1, c2 of
+the involution, or the joint pmfs), a field certified for every pair of
+margins, and the first v of the equation loop with beta v.  What depends
+on alpha and one margin is computed once per row and margin: its
+involution terms, or its (r, a r, w) terms for the joint pmfs.  Each pair
+then runs the same helpers as is_conditionally_symmetric and the first v
+of first_equation_violation (_involution_symmetric, _joint_symmetric,
+_first_violation), with no HeydeInstance; only pairs that are symmetric,
+or whose equation holds at the first v, go on to the full battery.
 
 Work that depends on one margin only is done once per object, not once
 per instance: a Distribution memoizes its residues per field
@@ -74,9 +88,10 @@ cost one addition mod N each.
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 
 from .cyclotomic import modular_field
@@ -127,10 +142,14 @@ def is_conditionally_symmetric(inst: HeydeInstance) -> bool:
     (_symmetric_by_joint).  Both routes compare integer numerators only,
     so the verdict is the exact one.
     """
-    n = inst.spec.exponent
-    if gcd(inst.alpha.code - 1, n) == 1:
+    if _has_involution(inst.alpha):
         return _symmetric_by_involution(inst)
     return _symmetric_by_joint(inst)
+
+
+def _has_involution(alpha: Endomorphism) -> bool:
+    """Whether alpha - 1 is a unit mod N, which selects the involution route."""
+    return gcd(alpha.code - 1, alpha.spec.exponent) == 1
 
 
 # Support pairs above which _symmetric_by_involution computes the margins'
@@ -161,6 +180,28 @@ def _symmetric_by_involution(inst: HeydeInstance) -> bool:
     of the supports, each a union of H-cosets, so one point per H-coset of
     each margin covers every coset of H x H in it.
 
+    See _involution_symmetric for the order of the checks.
+    """
+    n = inst.spec.exponent
+    c1, c2 = _involution_constants(inst.alpha.code, n)
+    second = _involution_terms(inst.mu2.points, c2, n)
+    return _involution_symmetric(inst.mu1, inst.mu2, second, c1, c2, n)
+
+
+def _involution_constants(a: int, n: int) -> tuple[int, int]:
+    """(c1, c2) = (-2 d, -(a + 1) d) mod N, d = (a - 1)^-1: T sends (x1, x2)
+    to x2' = c1 x1 + c2 x2 and x1' = x1 + x2 - x2'."""
+    d = pow(a - 1, -1, n)
+    return -2 * d % n, -(a + 1) * d % n
+
+
+def _involution_symmetric(
+    mu1: Distribution, mu2: Distribution, second: list, c1: int, c2: int, n: int
+) -> bool:
+    """_symmetric_by_involution on the constants of T and the terms of mu2
+    (_involution_terms(mu2.points, c2, n)), which a sweep computes once per
+    alpha and per margin.
+
     The loop checks the first point of mu1 against every point of mu2
     first, so that a pair that is not symmetric, as nearly every sweep pair
     is not, stops there without computing a stabilizer.  Above
@@ -173,13 +214,8 @@ def _symmetric_by_involution(inst: HeydeInstance) -> bool:
     common denominator mu1.den * mu2.den, and the loop stops at the first
     mismatch.
     """
-    n = inst.spec.exponent
-    a = inst.alpha.code
-    d = pow(a - 1, -1, n)
-    c1, c2 = -2 * d % n, -(a + 1) * d % n
-    mu1, mu2 = inst.mu1, inst.mu2
     get1, get2 = numerator_map(mu1).get, numerator_map(mu2).get
-    firsts, second = mu1.points, _involution_terms(mu2.points, c2, n)
+    firsts = mu1.points
     if len(firsts) * len(second) > _COSET_MIN_PAIRS:
         first, firsts = firsts[0], firsts[1:]
         if not _involution_holds((first,), second, get1, get2, c1, n):
@@ -223,11 +259,21 @@ def _symmetric_by_joint(inst: HeydeInstance) -> bool:
     denominators; scaling every mass by one positive integer keeps every
     equality, so the verdict is the exact one.
     """
-    n = inst.spec.exponent
-    a = inst.alpha.code
-    second = [(r, a * r, w) for r, w in inst.mu2.points]
+    second = _joint_terms(inst.mu2.points, inst.alpha.code)
+    return _joint_symmetric(inst.mu1.points, second, inst.spec.exponent)
+
+
+def _joint_terms(points, a: int) -> list[tuple[int, int, int]]:
+    """(r2, a * r2, w2) for each (r2, w2) of points."""
+    return [(r, a * r, w) for r, w in points]
+
+
+def _joint_symmetric(firsts, second, n: int) -> bool:
+    """_symmetric_by_joint on the points of mu1 and the terms of mu2
+    (_joint_terms(mu2.points, a)), which a sweep computes once per alpha
+    and per margin."""
     joint: dict[int, int] = {}
-    for r1, w1 in inst.mu1.points:
+    for r1, w1 in firsts:
         for r2, ar2, w2 in second:
             key = (r1 + r2) % n * n + (r1 + ar2) % n
             joint[key] = joint.get(key, 0) + w1 * w2
@@ -244,7 +290,7 @@ def first_equation_violation(
     g: Callable[[int], object],
     beta: Endomorphism,
     mul: Callable[[object, object], object] = operator.mul,
-    quotient: Callable[[], tuple[int, int]] | None = None,
+    quotient: Callable[[], tuple[int, int]] | tuple[int, int] | None = None,
 ) -> tuple[Element, Element] | None:
     """First (u, v) with f(u + v) g(u + beta v) != f(u - v) g(u - beta v), or None.
 
@@ -287,35 +333,43 @@ def first_equation_violation(
     (S - v) | (S + v) mod e, when f and g are zero on whole K-cosets, as
     the unit factor of the translation makes them.  e' = 1 leaves no v.
     The pair then reported is a representative of a violation, not the
-    first in element order.
+    first in element order.  A caller that knows (e, e') before the first
+    v may pass the pair itself: the loop then skips the dense first v,
+    whose pairs the quotient stands for too.  With e = 1, as for two point
+    masses, u = 0 stands for every u, so f and g are read at the codes of
+    the visited v alone and no table is filled.
     """
     n = spec.exponent
     rank = spec.crt_rank
     b = beta.code
     codes = spec.crt_codes
     elements = spec.crt_elements
-    vs = (v for v_rank, v in enumerate(codes) if v and rank[n - v] > v_rank)
+    vs = _equation_vs(spec)
 
-    v = next(vs)
-    bv = b * v % n
-    for u in codes:
-        f1, g1 = f((u + v) % n), g((u + bv) % n)
-        f2, g2 = f((u - v) % n), g((u - bv) % n)
-        if (f1 != f2 or g1 != g2) and mul(f1, g1) != mul(f2, g2):
+    if quotient is None or callable(quotient):
+        v = next(vs)
+        u = _first_violation(f, g, codes, v, b * v % n, n, mul)
+        if u is not None:
             return elements[u], elements[v]
-
-    f_values = [f(i) for i in range(n)]
-    g_values = [g(i) for i in range(n)]
-    nonzero_f = [i for i, value in enumerate(f_values) if value]
-    nonzero_g = [i for i, value in enumerate(g_values) if value]
-    on_g = len(nonzero_g) < len(nonzero_f)
-    support = nonzero_g if on_g else nonzero_f
+        if quotient is not None:
+            quotient = quotient()
     m, every_u = n, codes  # u runs over Z(N) / mZ(N)
     if quotient is not None:
-        m, m_v = quotient()
+        m, m_v = quotient
         vs = range(1, (m_v + 1) // 2)
         every_u = range(m)
-        support = {i % m for i in support}
+    if m == 1:
+        support = every_u  # u = 0 alone: f and g are read where visited
+    else:
+        f_values = [f(i) for i in range(n)]
+        g_values = [g(i) for i in range(n)]
+        f, g = f_values.__getitem__, g_values.__getitem__
+        nonzero_f = [i for i, value in enumerate(f_values) if value]
+        nonzero_g = [i for i, value in enumerate(g_values) if value]
+        on_g = len(nonzero_g) < len(nonzero_f)
+        support = nonzero_g if on_g else nonzero_f
+        if quotient is not None:
+            support = {i % m for i in support}
     for v in vs:
         bv = b * v % n
         us = every_u
@@ -325,11 +379,28 @@ def first_equation_violation(
                 {(s + d) % m for s in support}.union((s - d) % m for s in support),
                 key=rank.__getitem__,
             )
-        for u in us:
-            f1, g1 = f_values[(u + v) % n], g_values[(u + bv) % n]
-            f2, g2 = f_values[(u - v) % n], g_values[(u - bv) % n]
-            if (f1 != f2 or g1 != g2) and mul(f1, g1) != mul(f2, g2):
-                return elements[u], elements[v]
+        u = _first_violation(f, g, us, v, bv, n, mul)
+        if u is not None:
+            return elements[u], elements[v]
+    return None
+
+
+def _equation_vs(spec: GroupSpec):
+    """The v of first_equation_violation without a quotient, in its order:
+    every nonzero code, in element order, whose negation comes later."""
+    n = spec.exponent
+    rank = spec.crt_rank
+    return (v for v_rank, v in enumerate(spec.crt_codes) if v and rank[n - v] > v_rank)
+
+
+def _first_violation(f, g, us, v: int, bv: int, n: int, mul) -> int | None:
+    """The first u of us at which the identity at (u, v) fails, bv = beta v:
+    the loop of every v of first_equation_violation."""
+    for u in us:
+        f1, g1 = f((u + v) % n), g((u + bv) % n)
+        f2, g2 = f((u - v) % n), g((u - bv) % n)
+        if (f1 != f2 or g1 != g2) and mul(f1, g1) != mul(f2, g2):
+            return u
     return None
 
 
@@ -348,15 +419,20 @@ def satisfies_heyde_equation(inst: HeydeInstance) -> bool:
     both = 0 (mod M).  After its first v the loop runs on the quotient of
     _equation_quotient.  See first_equation_violation for the loop.
     """
-    field = modular_field(inst.spec.exponent, 2 * inst.mu1.den * inst.mu2.den)
+    mu1, mu2 = inst.mu1, inst.mu2
+    field = modular_field(inst.spec.exponent, 2 * mu1.den * mu2.den)
     modulus = field.modulus
+    if len(mu1.points) == len(mu2.points) == 1:
+        quotient = _equation_quotient(inst)  # (1, e'), known before the first v
+    else:
+        quotient = partial(_equation_quotient, inst)
     violation = first_equation_violation(
         inst.spec,
-        char_residues(inst.mu1, field),
-        char_residues(inst.mu2, field),
+        char_residues(mu1, field),
+        char_residues(mu2, field),
         inst.alpha.adjoint(),
         lambda a, b: a * b % modulus,
-        lambda: _equation_quotient(inst),
+        quotient,
     )
     return violation is None
 
@@ -391,9 +467,66 @@ def _equation_quotient(inst: HeydeInstance) -> tuple[int, int]:
     Harmonic Analysis I, sec. 23-24).
     """
     n = inst.spec.exponent
-    e = unit_modulus_set(inst.mu1, inst.mu2).index
-    c = inst.mu1.points[0][0] + inst.alpha.code * inst.mu2.points[0][0]
+    mu1, mu2 = inst.mu1, inst.mu2
+    e = 1 if len(mu1.points) == len(mu2.points) == 1 else unit_modulus_set(mu1, mu2).index
+    c = mu1.points[0][0] + inst.alpha.code * mu2.points[0][0]
     return e, lcm(e, n // gcd(c, n))
+
+
+class AutomorphismRow:
+    """The row of one automorphism alpha in an exhaustive sweep: every
+    ordered pair of margins, with the state of both predicates that depends
+    on alpha alone, or on alpha and one margin, computed once.
+
+    Per alpha: the automorphism check of HeydeInstance, the symmetry route
+    and its constants (c1, c2 of the involution, or none for the joint
+    pmfs), a field certified for every pair of the margins, and the first v
+    of the equation loop with beta v.  Per margin: its terms under alpha on
+    the route (_involution_terms or _joint_terms) and its residue function
+    (char_residues, memoized on the margin).
+
+    refutes_both(i, j) runs the predicates' own helpers on these:
+    _involution_symmetric or _joint_symmetric, then _first_violation on the
+    first v.  Its verdict is exact: the field's modulus exceeds
+    2 * D * D for the largest denominator D, so it is certified for every
+    pair (cyclotomic._ModField), and satisfies_heyde_equation reaches the
+    same verdict in whichever certified field it is given.
+    """
+
+    def __init__(self, alpha: Endomorphism, margins: Sequence[Distribution]):
+        if not alpha.is_automorphism():
+            raise ValueError("alpha is not an automorphism")
+        spec = alpha.spec
+        n = spec.exponent
+        a = alpha.code
+        self.margins = margins
+        if _has_involution(alpha):
+            c1, c2 = _involution_constants(a, n)
+            self._terms = [_involution_terms(mu.points, c2, n) for mu in margins]
+            self._symmetric = lambda mu1, mu2, second: _involution_symmetric(
+                mu1, mu2, second, c1, c2, n
+            )
+        else:
+            self._terms = [_joint_terms(mu.points, a) for mu in margins]
+            self._symmetric = lambda mu1, mu2, second: _joint_symmetric(mu1.points, second, n)
+        top = max(mu.den for mu in margins)
+        field = modular_field(n, 2 * top * top)
+        modulus = field.modulus
+        self._residues = [char_residues(mu, field) for mu in margins]
+        self._mul = lambda x, y: x * y % modulus
+        v = next(_equation_vs(spec))
+        self._first_v = (spec.crt_codes, v, alpha.adjoint().code * v % n, n)
+
+    def refutes_both(self, i: int, j: int) -> bool:
+        """Whether the pair (margins[i], margins[j]) is not conditionally
+        symmetric and fails the dual equation at its first v: then
+        is_conditionally_symmetric and satisfies_heyde_equation are both
+        false on it, and so agree."""
+        margins, residues = self.margins, self._residues
+        return (
+            not self._symmetric(margins[i], margins[j], self._terms[j])
+            and _first_violation(residues[i], residues[j], *self._first_v, self._mul) is not None
+        )
 
 
 @dataclass(frozen=True)

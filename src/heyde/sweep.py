@@ -5,6 +5,17 @@ instance, decomposes the symmetric ones, and classifies the corollaries.
 Any disagreement between the two equivalent tests, any false decomposition
 flag, and any failed applicable corollary is a violation; the first
 violating instance is kept in full so it can be replayed.
+
+An exhaustive sweep runs one automorphism row at a time: every ordered
+pair of margins under one alpha.  The row (engine.AutomorphismRow)
+computes once what depends on alpha alone, or on alpha and one margin, and
+decides each pair's symmetry and the first v of its dual equation with
+the engine's own helpers, building no HeydeInstance.  A pair that is not
+symmetric and is refuted at that first v, as nearly every pair is, has
+both predicates false: it only adds 1 to the instance count, which is all
+that check_instance would record for it.  Every other pair goes through
+check_instance.  A random sweep draws a fresh instance each time and runs
+check_instance on it.
 """
 
 from __future__ import annotations
@@ -14,6 +25,7 @@ from math import prod
 
 from .engine import (
     _decompose,
+    AutomorphismRow,
     HeydeInstance,
     classify_corollary,
     is_conditionally_symmetric,
@@ -149,9 +161,13 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         if config.mode == "exhaustive":
             pmfs = list(enumerate_distributions(spec, config.denominator))
             for alpha in alphas:
-                for mu1 in pmfs:
-                    for mu2 in pmfs:
-                        check_instance(HeydeInstance(spec, mu1, mu2, alpha), report)
+                row = AutomorphismRow(alpha, pmfs)
+                for i, mu1 in enumerate(pmfs):
+                    for j, mu2 in enumerate(pmfs):
+                        if row.refutes_both(i, j):
+                            report.instances += 1
+                        else:
+                            check_instance(HeydeInstance(spec, mu1, mu2, alpha), report)
         else:
             stream = DeterministicStream(config.seed, label=f"sweep:{spec_index}")
             for i in range(config.budget):

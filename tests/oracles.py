@@ -10,7 +10,7 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from heyde import from_pmf
+from heyde import HeydeInstance, enumerate_distributions, from_pmf, sweep
 from heyde.cyclotomic import modular_field
 from heyde.errors import VerificationFailure
 
@@ -115,6 +115,20 @@ def brute_exhaustive_sweep(orders, denominator):
                 instances += 1
                 symmetric += brute_symmetric(orders, pmf1, pmf2, multipliers)
     return instances, symmetric
+
+
+def per_instance_sweep(config):
+    """run_sweep's exhaustive mode as it was before automorphism rows: one
+    HeydeInstance and one check_instance per (alpha, mu1, mu2), in the
+    same order, so every report field matches."""
+    report = sweep.SweepReport(seed=config.seed)
+    for spec in config.specs:
+        pmfs = list(enumerate_distributions(spec, config.denominator))
+        for alpha in sweep._alphas_for(spec, config):
+            for mu1 in pmfs:
+                for mu2 in pmfs:
+                    sweep.check_instance(HeydeInstance(spec, mu1, mu2, alpha), report)
+    return report
 
 
 def brute_unit_modulus_points(orders, pmf):

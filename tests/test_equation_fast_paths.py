@@ -409,10 +409,14 @@ def test_a_pair_refuted_at_its_first_v_computes_no_quotient(monkeypatch):
                 assert not satisfies_heyde_equation(inst)
                 refuted += 1
     assert refuted >= 100
-    # a pair whose first v holds does reach the quotient
+    # a pair whose first v holds does reach the quotient, unless both
+    # margins are point masses: their quotient (1, e') needs no subgroup
     spec = Z9xZ5
     alpha = make_endo(spec, (2, 2))
     inst = HeydeInstance(spec, degenerate(spec, (7, 3)), degenerate(spec, (1, 1)), alpha)
+    assert satisfies_heyde_equation(inst)
+    mu = from_pmf(spec, {(0, 0): Fraction(1, 3), (1, 2): Fraction(2, 3)})
+    inst = HeydeInstance(spec, mu, mu, minus_identity(spec))
     with pytest.raises(AssertionError, match="before the first v held"):
         satisfies_heyde_equation(inst)
 
@@ -432,6 +436,38 @@ def test_symmetric_point_masses_within_a_second(components):
     assert _equation_quotient(inst) == (1, 1)
     with time_limit(1):
         assert satisfies_heyde_equation(inst)
+
+
+def test_point_mass_pairs_fill_no_residue_table(monkeypatch):
+    # K = Z(N) for two point masses, so the loop starts on the quotient:
+    # u = 0 alone, and the residues at the codes of the visited v alone
+    spec = validate_spec([(3, 1), (5, 1), (7, 1), (11, 1), (13, 1)])
+    n = spec.exponent
+    alpha = make_endo(spec, (2,) * 5)
+    b = spec.crt_elements[n // 3 + 1]
+    a = spec.crt_elements[-2 * (n // 3 + 1) % n]
+    moved = spec.crt_elements[(1 - 2 * (n // 3 + 1)) % n]
+
+    def refuse(*args):
+        raise AssertionError("a full residue table was built")
+
+    monkeypatch.setattr(distributions, "_residue_table", refuse)
+    reads = collections.Counter()
+    real = engine.char_residues
+
+    def counted(mu, field):
+        residue = real(mu, field)
+        return lambda y: reads.update((y,)) or residue(y)
+
+    monkeypatch.setattr(engine, "char_residues", counted)
+    symmetric = HeydeInstance(spec, degenerate(spec, a), degenerate(spec, b), alpha)
+    assert _equation_quotient(symmetric) == (1, 1)
+    assert satisfies_heyde_equation(symmetric)
+    assert not reads
+    asymmetric = HeydeInstance(spec, degenerate(spec, moved), degenerate(spec, b), alpha)
+    assert _equation_quotient(asymmetric) == (1, n)
+    assert not satisfies_heyde_equation(asymmetric)
+    assert sum(reads.values()) == 4  # f and g at v = 1 and -1, beta v and -beta v
 
 
 # -- the interned lemma route -------------------------------------------------------

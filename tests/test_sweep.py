@@ -4,7 +4,10 @@ import pytest
 
 from heyde import SweepConfig, run_sweep, validate_spec
 from heyde.sweep import SweepReport, check_instance, exhaustive_instances
-from heyde import HeydeInstance, degenerate, make_endo
+from heyde import HeydeInstance, degenerate, enumerate_automorphisms, enumerate_distributions, make_endo
+from heyde import engine, sweep
+from heyde.cyclotomic import modular_field
+from heyde.serialize import dumps_canonical, sweep_report_to_obj
 
 import oracles
 
@@ -91,3 +94,132 @@ def test_exhaustive_instances_beyond_10_30_is_none():
     assert exhaustive_instances(spec, config) is None
     config = SweepConfig(specs=(Z3,), mode="exhaustive", denominator=10**7)
     assert exhaustive_instances(Z3, config) == 2 * comb(10**7 + 2, 2) ** 2 < 10**30
+
+
+# -- automorphism rows ---------------------------------------------------------------
+
+
+ROW_CONFIGS = [
+    ([(3, 1)], 1, None),
+    ([(3, 1)], 2, None),
+    ([(3, 1)], 3, None),
+    ([(5, 1)], 2, None),
+    ([(5, 1)], 3, None),
+    ([(7, 1)], 2, None),
+    ([(3, 2)], 2, None),
+    ([(3, 3)], 1, None),
+    ([(5, 2)], 1, None),
+    # both symmetry routes, and asymmetric pairs that pass the first v
+    ([(3, 1), (5, 1)], 1, None),
+    ([(3, 2)], 3, ((2,), (4,), (8,))),
+]
+
+
+def _row_config(comps, denominator, automorphisms):
+    return SweepConfig(
+        specs=(validate_spec(comps),),
+        mode="exhaustive",
+        denominator=denominator,
+        automorphisms=automorphisms,
+    )
+
+
+def _canonical_report(report):
+    return dumps_canonical(sweep_report_to_obj(report))
+
+
+@pytest.mark.parametrize("comps, denominator, automorphisms", ROW_CONFIGS)
+def test_rows_report_what_the_per_instance_loop_reports(comps, denominator, automorphisms):
+    config = _row_config(comps, denominator, automorphisms)
+    expected = _canonical_report(oracles.per_instance_sweep(config))
+    assert _canonical_report(run_sweep(config)) == expected
+
+
+def _pairs(spec, denominator, alpha):
+    pmfs = list(enumerate_distributions(spec, denominator))
+    for mu1 in pmfs:
+        for mu2 in pmfs:
+            symmetric = oracles.brute_symmetric(
+                spec.orders, dict(mu1.masses), dict(mu2.masses), alpha.multipliers
+            )
+            yield mu1, mu2, symmetric
+
+
+@pytest.mark.parametrize("flip_symmetric", [True, False])
+def test_a_flipped_verdict_is_reported_alike_by_rows_and_instances(flip_symmetric, monkeypatch):
+    # the involution test is shared by both loops: flipping it on one pair
+    # under one alpha must give the same disagreement in both reports
+    spec = validate_spec([(3, 2)])
+    alpha = make_endo(spec, (2,))
+    c1, _ = engine._involution_constants(alpha.code, spec.exponent)
+    chosen = next(
+        (mu1, mu2)
+        for mu1, mu2, symmetric in _pairs(spec, 2, alpha)
+        if symmetric == flip_symmetric and len(mu1.points) == 2
+    )
+    real = engine._involution_symmetric
+    flips = []
+
+    def flipped(mu1, mu2, second, k1, k2, n):
+        verdict = real(mu1, mu2, second, k1, k2, n)
+        if (mu1, mu2) == chosen and k1 == c1:
+            flips.append(verdict)
+            return not verdict
+        return verdict
+
+    monkeypatch.setattr(engine, "_involution_symmetric", flipped)
+    config = _row_config([(3, 2)], 2, None)
+    rows = run_sweep(config)
+    assert flips and set(flips) == {flip_symmetric}
+    reference = oracles.per_instance_sweep(config)
+    assert rows.disagreements == reference.disagreements >= 1
+    assert rows.first_counterexample is not None
+    assert _canonical_report(rows) == _canonical_report(reference)
+
+
+def _counting(monkeypatch):
+    reached = []
+    real = sweep.check_instance
+
+    def counted(inst, report):
+        reached.append((inst.alpha.code, inst.mu1, inst.mu2))
+        real(inst, report)
+
+    monkeypatch.setattr(sweep, "check_instance", counted)
+    return reached
+
+
+def test_only_symmetric_pairs_reach_check_instance_on_z9(monkeypatch):
+    reached = _counting(monkeypatch)
+    spec = validate_spec([(3, 2)])
+    report = run_sweep(_row_config([(3, 2)], 2, None))
+    expected = [
+        (alpha.code, mu1, mu2)
+        for alpha in enumerate_automorphisms(spec)
+        for mu1, mu2, symmetric in _pairs(spec, 2, alpha)
+        if symmetric
+    ]
+    assert reached == expected
+    assert len(reached) == report.symmetric == 108
+    assert report.instances == 12_150
+
+
+def test_pairs_that_pass_the_first_v_reach_check_instance_on_z3xz5(monkeypatch):
+    reached = _counting(monkeypatch)
+    spec = validate_spec([(3, 1), (5, 1)])
+    first_v = spec.element_list[1]
+    report = run_sweep(_row_config([(3, 1), (5, 1)], 1, None))
+    field = modular_field(spec.exponent, 2)
+    expected = []
+    passing = 0
+    for alpha in enumerate_automorphisms(spec):
+        for mu1, mu2, symmetric in _pairs(spec, 1, alpha):
+            f, g = (oracles.per_code_residues(mu, field).__getitem__ for mu in (mu1, mu2))
+            found = oracles.dense_equation_violation(spec, f, g, alpha, field.modulus)
+            passes = found is None or found[1] != first_v
+            if symmetric or passes:
+                expected.append((alpha.code, mu1, mu2))
+                passing += passes and not symmetric
+    assert reached == expected
+    assert (len(reached), report.symmetric, report.instances) == (360, 120, 1800)
+    assert passing == 240  # asymmetric pairs that hold at the first v
