@@ -8,7 +8,8 @@ canonical (D is the least common denominator), so equality is structural
 and every theorem-level conclusion is an exact identity.  The integer
 constructors (convolve, shift, reflect, haar) build codes directly;
 coordinate tuples and Fractions appear only at the edges, in the masses
-view and in from_pmf, which files, reports and the tuple-keyed API use.
+view and in from_pmf, which the tuple-keyed API uses; files are read
+and written on codes (serialize).
 
 The unit-modulus predicate is decided combinatorially (a character sum
 has modulus one exactly when the pairing is constant on the support); the
@@ -29,7 +30,7 @@ it, as plain attributes filled on first use.
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -103,15 +104,19 @@ def numerator_map(mu: Distribution) -> dict[int, int]:
     return _memo(mu, "_numerators", dict(mu.points)) if found is None else found
 
 
-def _canonical(spec: GroupSpec, den: int, points: Iterable[tuple[int, int]]) -> Distribution:
-    """The distribution with mass a / den at each (code, a), codes distinct:
-    points sorted by element, den and every a divided by their gcd."""
-    points = sorted(points, key=lambda p: spec.crt_rank[p[0]])
-    common = gcd(den, *(a for _, a in points))
+def _canonical(
+    spec: GroupSpec, den: int, points: Mapping[int, int] | Iterable[tuple[int, int]]
+) -> Distribution:
+    """The distribution with mass a / den at each code -> a (a mapping or
+    (code, a) pairs, codes distinct): codes sorted by element, den and
+    every a divided by their gcd."""
+    masses = dict(points)
+    codes = sorted(masses, key=spec.crt_rank.__getitem__)
+    common = gcd(den, *masses.values())
     if common > 1:
         den //= common
-        points = [(r, a // common) for r, a in points]
-    return Distribution(spec, den, tuple(points))
+        masses = {r: a // common for r, a in masses.items()}
+    return Distribution(spec, den, tuple(zip(codes, map(masses.__getitem__, codes))))
 
 
 def from_pmf(spec: GroupSpec, pmf) -> Distribution:
@@ -145,7 +150,7 @@ def convolve(mu: Distribution, nu: Distribution) -> Distribution:
         for y, b in nu.points:
             z = (x + y) % n
             acc[z] = acc.get(z, 0) + a * b
-    return _canonical(mu.spec, mu.den * nu.den, acc.items())
+    return _canonical(mu.spec, mu.den * nu.den, acc)
 
 
 def reflect(mu: Distribution) -> Distribution:

@@ -151,6 +151,29 @@ class GroupSpec:
         """The r in Z(N) with r = residues[j] mod the j-th component order."""
         return sum(c * e for c, e in zip(residues, self._crt_basis)) % self.exponent
 
+    def reduced_code(self, x) -> int | None:
+        """crt(x) when the list or tuple x holds one int in range(q_j) per
+        component, else None.  The coordinate test and the CRT sum are one
+        pass; a bool coordinate gives None, though True == 1."""
+        orders = self.orders
+        if len(x) != len(orders):
+            return None
+        basis = self._crt_basis
+        code = 0
+        j = 0
+        for c in x:
+            if type(c) is not int or not 0 <= c < orders[j]:
+                return None
+            code += c * basis[j]
+            j += 1
+        return code % self.exponent
+
+    def require_code(self, x) -> int:
+        """crt(require_element(x)); what reduced_code refuses goes to
+        require_element, for its error or for a tuple subclass."""
+        code = self.reduced_code(x) if type(x) is tuple else None
+        return self.crt(self.require_element(x)) if code is None else code
+
     @cached_property
     def crt_codes(self) -> tuple[int, ...]:
         """crt(x) for each x of element_list, in that order."""

@@ -56,11 +56,11 @@ class DualFunction:
             raise ValueError("table must cover every dual element")
 
     def __call__(self, y: Element):
-        return self.values[self.spec.crt(self.spec.require_element(y))]
+        return self.values[self.spec.require_code(y)]
 
     def with_value(self, y: Element, value) -> "DualFunction":
         updated = list(self.values)
-        updated[self.spec.crt(self.spec.require_element(y))] = value
+        updated[self.spec.require_code(y)] = value
         return DualFunction(self.spec, tuple(updated))
 
 

@@ -4,6 +4,14 @@ Encodings are byte-stable: keys are emitted in sorted order with compact
 separators, probabilities are integer numerator/denominator pairs (never
 floats), and mass lists are sorted by support point.  Readers validate
 exactly what the writers guarantee and raise ValueError on anything else.
+
+Mass lists are read and written on CRT codes.  The reader encodes each
+support point in one pass over its coordinates (GroupSpec.reduced_code:
+exact int type, range and the CRT sum together); only a point that pass
+refuses goes through element_from_obj, so every refusal keeps its
+message.  There is no element -> code table, which would cost N entries
+per group.  The writer decodes each code through spec.crt_elements and
+reduces each mass a / D by one gcd, with no Fraction.
 """
 
 from __future__ import annotations
@@ -93,6 +101,13 @@ def element_from_obj(spec: GroupSpec, obj):
     return spec.require_element(_int_tuple(obj, "element"))
 
 
+def element_code_from_obj(spec: GroupSpec, obj) -> int:
+    """spec.crt(element_from_obj(spec, obj)), in one pass over a well-formed
+    obj; anything else goes to element_from_obj, for its error."""
+    code = spec.reduced_code(obj) if type(obj) is list else None
+    return spec.crt(element_from_obj(spec, obj)) if code is None else code
+
+
 def subgroup_to_obj(sub: Subgroup) -> list[int]:
     return list(sub.exponents)
 
@@ -120,9 +135,13 @@ def endo_from_obj(spec: GroupSpec, obj) -> Endomorphism:
 
 
 def distribution_to_obj(mu: Distribution) -> list[dict]:
-    return [
-        {"x": list(x), "num": m.numerator, "den": m.denominator} for x, m in mu.masses
-    ]
+    elements = mu.spec.crt_elements
+    den = mu.den
+    out = []
+    for r, a in mu.points:
+        common = gcd(a, den)
+        out.append({"x": list(elements[r]), "num": a // common, "den": den // common})
+    return out
 
 
 def distribution_from_obj(spec: GroupSpec, obj) -> Distribution:
@@ -133,9 +152,9 @@ def distribution_from_obj(spec: GroupSpec, obj) -> Distribution:
         raise ValueError("distribution must be a list of mass entries")
     masses: dict[int, tuple[int, int]] = {}
     for entry in obj:
-        if not isinstance(entry, dict) or not {"x", "num", "den"} <= set(entry):
+        if not isinstance(entry, dict) or "x" not in entry or "num" not in entry or "den" not in entry:
             raise ValueError(f"mass entry {entry!r} must have keys x, num, den")
-        code = spec.crt(element_from_obj(spec, entry["x"]))
+        code = element_code_from_obj(spec, entry["x"])
         if code in masses:
             raise ValueError(f"duplicate support point {entry['x']!r}")
         num, den = entry["num"], entry["den"]
@@ -147,7 +166,7 @@ def distribution_from_obj(spec: GroupSpec, obj) -> Distribution:
         masses[code] = (num // common, den // common)
     total = lcm(*(den for _, den in masses.values()))
     # Distribution validation enforces total mass one.
-    return _canonical(spec, total, ((r, num * (total // den)) for r, (num, den) in masses.items()))
+    return _canonical(spec, total, {r: num * (total // den) for r, (num, den) in masses.items()})
 
 
 # -- instances ----------------------------------------------------------------

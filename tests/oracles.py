@@ -8,10 +8,11 @@ subgroup/annihilator/character machinery.
 import cmath
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from heyde import HeydeInstance, enumerate_distributions, from_pmf, sweep
 from heyde.cyclotomic import modular_field
+from heyde.distributions import Distribution
 from heyde.errors import VerificationFailure
 
 
@@ -509,3 +510,46 @@ def brute_stabilizer_index(mu):
     n = mu.spec.exponent
     held = set(mu.points)
     return gcd(n, *(h for h in range(n) if {((r + h) % n, a) for r, a in mu.points} == held))
+
+
+def _reference_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def reference_distribution_from_obj(spec, obj):
+    """The mass-list reader as it was before the fused encode: each point
+    read by three passes (list of ints, reduced element, CRT code), each
+    num / den reduced by its own gcd and put over the lcm of the reduced
+    dens, points sorted by element rank through a per-point lambda."""
+    if not isinstance(obj, list):
+        raise ValueError("distribution must be a list of mass entries")
+    masses = {}
+    for entry in obj:
+        if not isinstance(entry, dict) or not {"x", "num", "den"} <= set(entry):
+            raise ValueError(f"mass entry {entry!r} must have keys x, num, den")
+        x = entry["x"]
+        if not isinstance(x, list) or not all(_reference_int(c) for c in x):
+            raise ValueError(f"element must be a list of integers, got {x!r}")
+        code = spec.crt(spec.require_element(tuple(x)))
+        if code in masses:
+            raise ValueError(f"duplicate support point {entry['x']!r}")
+        num, den = entry["num"], entry["den"]
+        if not _reference_int(num) or not _reference_int(den) or den <= 0:
+            raise ValueError(f"mass entry {entry!r} must use integer num/den with den > 0")
+        if num <= 0:
+            raise ValueError("masses must be strictly positive")
+        common = gcd(num, den)
+        masses[code] = (num // common, den // common)
+    total = lcm(*(den for _, den in masses.values()))
+    points = sorted(((r, num * (total // den)) for r, (num, den) in masses.items()),
+                    key=lambda p: spec.crt_rank[p[0]])
+    common = gcd(total, *(a for _, a in points))
+    if common > 1:
+        total //= common
+        points = [(r, a // common) for r, a in points]
+    return Distribution(spec, total, tuple(points))
+
+
+def reference_distribution_to_obj(mu):
+    """The mass-list writer through the Fraction masses view."""
+    return [{"x": list(x), "num": m.numerator, "den": m.denominator} for x, m in mu.masses]

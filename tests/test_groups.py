@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 from math import prod
@@ -158,6 +159,26 @@ def test_element_validation():
     with pytest.raises(ValueError, match="wrong arity"):
         Z9.reduce((1, 2))
     assert Z9.reduce((11,)) == (2,)
+
+
+def test_require_code_is_crt_of_require_element():
+    """The fused encode accepts, refuses and words its refusal as the
+    two-step path does; a bool coordinate still passes, as it always has."""
+
+    def outcome(encode, x):
+        try:
+            return encode(x)
+        except ValueError as exc:
+            return str(exc)
+
+    Point = collections.namedtuple("Point", "a b")
+    probes = [*Z9xZ5.element_list, (True, 1), (1, False), (1.0, 1), (9, 0), (0, 5), (-1, 0),
+              (0,), (0, 0, 0), [1, 1], "ab", Point(2, 3), ((1,), 1), (None, 0)]
+    for x in probes:
+        expected = outcome(lambda y: Z9xZ5.crt(Z9xZ5.require_element(y)), x)
+        assert outcome(Z9xZ5.require_code, x) == expected, x
+    assert Z9xZ5.require_code((True, 1)) == Z9xZ5.crt((1, 1))
+    assert Z9xZ5.require_code(Point(2, 3)) == Z9xZ5.crt((2, 3))
 
 
 DIFFERENTIAL_SPECS = {

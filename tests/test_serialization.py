@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,11 +15,16 @@ from heyde import (
     shift,
     validate_spec,
 )
+from heyde.distributions import Distribution
 from heyde.groups import Subgroup
 from heyde import serialize
 
+import oracles
+from limits import time_limit
+
 Z9 = validate_spec([(3, 2)])
 Z9xZ5 = validate_spec([(3, 2), (5, 1)])
+Z27xZ5 = validate_spec([(3, 3), (5, 1)])
 
 
 def roundtrip_instance(inst):
@@ -101,3 +107,121 @@ def test_decomposition_report_serializes():
     # every mass is an integer pair, never a float
     for entry in parsed["lambda"]:
         assert isinstance(entry["num"], int) and isinstance(entry["den"], int)
+
+
+# -- the fused reader against the three-pass reference ---------------------------
+
+READER_SPECS = {"Z9": Z9, "Z9xZ5": Z9xZ5, "Z27xZ5": Z27xZ5}
+# 1.0 and True compare and hash equal to 1; no writer emits them
+BAD_COORDINATES = (1.0, 0.0, True, False, "1", None, [1], [], {"c": 1})
+
+
+def _read(reader, spec, obj):
+    """What the reader returns, or the text of the ValueError it raises."""
+    try:
+        return reader(spec, obj)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _mass_list(rng, spec):
+    """A well-formed mass list: 1 to 12 points in random order, masses that
+    sum to one, each num / den reduced or scaled by 2 or 3."""
+    points = rng.sample(spec.element_list, rng.randint(1, min(12, spec.size)))
+    weights = [rng.randint(1, 6) for _ in points]
+    total = sum(weights)
+    entries = []
+    for x, w in zip(points, weights):
+        m = Fraction(w, total)
+        k = rng.choice((1, 1, 2, 3))
+        entries.append({"x": list(x), "num": m.numerator * k, "den": m.denominator * k})
+    return entries
+
+
+def _ill_formed(rng, spec, entries):
+    """Copies of entries with one defect each; an extra key is kept by both readers."""
+    i = rng.randrange(len(entries))
+    entry = entries[i]
+    j = rng.randrange(len(spec.orders))
+    q = spec.orders[j]
+
+    def put(new):
+        return [*entries[:i], new, *entries[i + 1:]]
+
+    def coordinate(c):
+        x = list(entry["x"])
+        x[j] = c
+        return put({**entry, "x": x})
+
+    for c in (*BAD_COORDINATES, -1, -q, q, q + entry["x"][j], 10**30):
+        yield coordinate(c)
+    yield put({**entry, "x": entry["x"] + [0]})
+    yield put({**entry, "x": entry["x"][:-1]})
+    yield put({**entry, "x": tuple(entry["x"])})
+    yield put({**entry, "x": [entry["x"]]})
+    yield put({**entry, "x": None})
+    for key in ("x", "num", "den"):
+        yield put({k: v for k, v in entry.items() if k != key})
+    yield put({**entry, "extra": 1})
+    yield put({"den": entry["den"], "y": [0], "x": entry["x"], "num": entry["num"]})
+    yield put(list(entry.values()))
+    yield put("x")
+    other = entries[(i + 1) % len(entries)]
+    yield [*entries, dict(other)] if len(entries) == 1 else put({**entry, "x": list(other["x"])})
+    for num in (0, -entry["num"], float(entry["num"]), True, "1", None):
+        yield put({**entry, "num": num})
+    for den in (0, -entry["den"], float(entry["den"]), True, "2", None):
+        yield put({**entry, "den": den})
+    yield put({**entry, "num": entry["num"] + 1})
+    yield put({**entry, "den": entry["den"] * 2})
+    yield entries[:i] + entries[i + 1:]
+    yield tuple(entries)
+    yield {"entries": entries}
+
+
+@pytest.mark.parametrize("name", READER_SPECS)
+def test_the_fused_reader_agrees_with_the_three_pass_reader(name):
+    """Same Distribution or the same ValueError text, on well-formed and
+    ill-formed mass lists alike."""
+    spec = READER_SPECS[name]
+    rng = random.Random(f"reader:{name}")
+    refused = 0
+    for _ in range(40):
+        entries = _mass_list(rng, spec)
+        expected = oracles.reference_distribution_from_obj(spec, entries)
+        assert isinstance(expected, Distribution)
+        assert _read(serialize.distribution_from_obj, spec, entries) == expected
+        for bad in _ill_formed(rng, spec, entries):
+            expected = _read(oracles.reference_distribution_from_obj, spec, bad)
+            assert _read(serialize.distribution_from_obj, spec, bad) == expected, bad
+            refused += isinstance(expected, str)
+    assert refused > 40 * 40
+
+
+def test_the_writer_agrees_with_the_fraction_writer():
+    """One gcd per point reduces each mass as Fraction does."""
+    mu = Distribution(Z9, 6, ((0, 2), (1, 3), (2, 1)))
+    assert serialize.distribution_to_obj(mu) == [
+        {"x": [0], "num": 1, "den": 3},
+        {"x": [1], "num": 1, "den": 2},
+        {"x": [2], "num": 1, "den": 6},
+    ]
+    rng = random.Random("writer")
+    for spec in READER_SPECS.values():
+        for _ in range(20):
+            mu = serialize.distribution_from_obj(spec, _mass_list(rng, spec))
+            obj = serialize.distribution_to_obj(mu)
+            reference = oracles.reference_distribution_to_obj(mu)
+            assert serialize.dumps_canonical(obj) == serialize.dumps_canonical(reference)
+            assert serialize.distribution_from_obj(spec, obj) == mu
+
+
+def test_a_5005_point_margin_is_written_and_read_back_within_a_second():
+    spec = validate_spec([(3, 1), (5, 1), (7, 1), (11, 1), (13, 1)])
+    codes = range(0, spec.size, 3)
+    total = sum(1 + r % 4 for r in codes)
+    mu = from_pmf(spec, {spec.crt_elements[r]: Fraction(1 + r % 4, total) for r in codes})
+    with time_limit(1):
+        text = serialize.dumps_canonical(serialize.distribution_to_obj(mu))
+        back = serialize.distribution_from_obj(spec, json.loads(text))
+    assert back == mu and len(mu.points) == 5005
