@@ -35,10 +35,12 @@ checks with one lookup per margin, stopping at the first mismatch: first
 at the pairs of the first point of mu1, then at one pair per coset of
 H x H, H the common translation stabilizer of the margins, so that a
 symmetric pair built on a Haar factor costs one pair per coset in place
-of |supp1| * |supp2|.  Otherwise it builds the joint pmfs of (L1, L2) and
-(L1, -L2) and compares them.  The canonical shift sorts one candidate
-per coset of the margin's translation stabilizer, among its points of
-least mass, in place of one per support point.
+of |supp1| * |supp2|.  Otherwise it first compares P(l1, l2) with
+P(l1, -l2) at one key of the first point of mu1, in O(|supp1|) lookups,
+and stops there when they differ; only then does it build the joint pmfs
+of (L1, L2) and (L1, -L2) and compare them.  The canonical shift sorts one
+candidate per coset of the margin's translation stabilizer, among its
+points of least mass, in place of one per support point.
 
 The equation loop compares the two products of each pair (u, v) as the
 caller's multiplication returns them: residues mod M here; in the lemma
@@ -62,17 +64,20 @@ to Z(d), d the index of its translation stabilizer
 (distributions._residue_table).  The lemma verifiers keep every pair in
 element order, since they report the first violation.
 
-An exhaustive sweep decides its pairs one automorphism row at a time
-(AutomorphismRow).  What depends on alpha alone is computed once per row:
-the automorphism check, the symmetry route with its constants (c1, c2 of
-the involution, or the joint pmfs), a field certified for every pair of
-margins, and the first v of the equation loop with beta v.  What depends
-on alpha and one margin is computed once per row and margin: its
-involution terms, or its (r, a r, w) terms for the joint pmfs.  Each pair
-then runs the same helpers as is_conditionally_symmetric and the first v
-of first_equation_violation (_involution_symmetric, _joint_symmetric,
-_first_violation), with no HeydeInstance; only pairs that are symmetric,
-or whose equation holds at the first v, go on to the full battery.
+Sweeps decide their pairs one automorphism row at a time (AutomorphismRow),
+in both modes.  What depends on alpha alone is computed once per row: the
+automorphism check, the symmetry route with its constants (c1, c2 of the
+involution, or a for the joint pmfs), a field certified for the largest
+denominator the mode can produce (the largest margin denominator of an
+exhaustive list, max_denominator in random mode), and the first v of the
+equation loop with beta v.  What depends on alpha and one margin, its
+involution terms or its (r, a r, w) terms for the joint pmfs, is computed
+once per margin for an exhaustive list, and on the spot for a fresh
+random margin.  Each pair then runs the same helpers as
+is_conditionally_symmetric and the first v of first_equation_violation
+(_involution_symmetric, _joint_symmetric, _first_violation), with no
+HeydeInstance; only pairs that are symmetric, or whose equation holds at
+the first v, go on to the full battery.
 
 Work that depends on one margin only is done once per object, not once
 per instance: a Distribution memoizes its residues per field
@@ -88,7 +93,7 @@ cost one addition mod N each.
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -139,7 +144,8 @@ def is_conditionally_symmetric(inst: HeydeInstance) -> bool:
     L1 = x1 + x2 and L2 = x1 + alpha x2 on CRT codes.  When alpha - 1 is a
     unit mod N the pair is decided pointwise on the support of mu1 x mu2
     (_symmetric_by_involution); otherwise by comparing the two joint pmfs
-    (_symmetric_by_joint).  Both routes compare integer numerators only,
+    (_symmetric_by_joint), after one key of them that refutes most pairs
+    that are not symmetric.  Both routes compare integer numerators only,
     so the verdict is the exact one.
     """
     if _has_involution(inst.alpha):
@@ -257,10 +263,12 @@ def _symmetric_by_joint(inst: HeydeInstance) -> bool:
     The joint pmf of (L1, L2) is kept on CRT codes, keyed by l1 * N + l2,
     with integer masses over the product of the margins' common
     denominators; scaling every mass by one positive integer keeps every
-    equality, so the verdict is the exact one.
+    equality, so the verdict is the exact one.  See _joint_symmetric for
+    the first key, compared before the pmf is built.
     """
-    second = _joint_terms(inst.mu2.points, inst.alpha.code)
-    return _joint_symmetric(inst.mu1.points, second, inst.spec.exponent)
+    a = inst.alpha.code
+    second = _joint_terms(inst.mu2.points, a)
+    return _joint_symmetric(inst.mu1, inst.mu2, second, a, inst.spec.exponent)
 
 
 def _joint_terms(points, a: int) -> list[tuple[int, int, int]]:
@@ -268,10 +276,34 @@ def _joint_terms(points, a: int) -> list[tuple[int, int, int]]:
     return [(r, a * r, w) for r, w in points]
 
 
-def _joint_symmetric(firsts, second, n: int) -> bool:
-    """_symmetric_by_joint on the points of mu1 and the terms of mu2
-    (_joint_terms(mu2.points, a)), which a sweep computes once per alpha
-    and per margin."""
+def _joint_symmetric(
+    mu1: Distribution, mu2: Distribution, second: list, a: int, n: int
+) -> bool:
+    """_symmetric_by_joint on the terms of mu2 (_joint_terms(mu2.points, a)),
+    which a sweep computes once per alpha and per margin.
+
+    Before it builds the joint pmf it compares P(l1, l2) with P(l1, -l2)
+    at one key (l1, l2) of positive mass (_joint_masses_at), in
+    O(|supp mu1|) steps: the key of the first point r1 of mu1 and the first
+    point r2 of mu2 with l2 = r1 + a r2 != 0.  Symmetry is
+    P(l1, l2) = P(l1, -l2) at every key, so unequal masses at one key
+    refute it; equal masses there decide nothing, and the whole pmf is
+    compared.  N is odd, so l2 = 0 is the only l2 with l2 = -l2, a key that
+    is its own mirror, and since a is a unit at most one r2 gives it: only
+    when that r2 is the whole support of mu2 is there no key to test.  A
+    pair that is not symmetric, as nearly every sweep pair is not, mostly
+    stops at this key, at about |supp mu1| steps in place of
+    |supp mu1| * |supp mu2|.
+    """
+    firsts = mu1.points
+    r1 = firsts[0][0]
+    for r2, ar2, _ in second:
+        l2 = (r1 + ar2) % n
+        if l2:
+            plus, minus = _joint_masses_at(firsts, numerator_map(mu2).get, a, (r1 + r2) % n, l2, n)
+            if plus != minus:
+                return False
+            break
     joint: dict[int, int] = {}
     for r1, w1 in firsts:
         for r2, ar2, w2 in second:
@@ -282,6 +314,27 @@ def _joint_symmetric(firsts, second, n: int) -> bool:
         if joint.get(key - l2 + (n - l2) % n) != m:
             return False
     return True
+
+
+def _joint_masses_at(firsts, get2, a: int, l1: int, l2: int, n: int) -> tuple[int, int]:
+    """(P(l1, l2), P(l1, -l2)) as numerators over D1 * D2, for the points
+    (y1, w1) of mu1 and get2 the code -> numerator lookup of mu2.
+
+    L1 = y1 + y2 = l1 fixes y2 = l1 - y1, and then L2 = y1 + a y2 =
+    (1 - a) y1 + a l1.  So P(l1, m) is the sum of w1 * mu2(l1 - y1) over
+    the y1 of supp mu1 with (1 - a) y1 + a l1 = m (mod N): one step per
+    point of mu1 and one lookup in mu2 per point that lands on l2 or -l2.
+    l2 must not be 0, the one key that is its own mirror.
+    """
+    b, base, neg = (1 - a) % n, a * l1 % n, n - l2
+    plus = minus = 0
+    for y1, w1 in firsts:
+        m = (b * y1 + base) % n
+        if m == l2:
+            plus += w1 * get2((l1 - y1) % n, 0)
+        elif m == neg:
+            minus += w1 * get2((l1 - y1) % n, 0)
+    return plus, minus
 
 
 def first_equation_violation(
@@ -474,59 +527,69 @@ def _equation_quotient(inst: HeydeInstance) -> tuple[int, int]:
 
 
 class AutomorphismRow:
-    """The row of one automorphism alpha in an exhaustive sweep: every
-    ordered pair of margins, with the state of both predicates that depends
-    on alpha alone, or on alpha and one margin, computed once.
+    """The state of both predicates that depends on one automorphism alpha
+    alone, computed once for every pair a sweep decides under alpha.
 
     Per alpha: the automorphism check of HeydeInstance, the symmetry route
-    and its constants (c1, c2 of the involution, or none for the joint
-    pmfs), a field certified for every pair of the margins, and the first v
-    of the equation loop with beta v.  Per margin: its terms under alpha on
-    the route (_involution_terms or _joint_terms) and its residue function
-    (char_residues, memoized on the margin).
+    and its constants (c1, c2 of the involution, or the multiplier a for
+    the joint pmfs), a field certified for every pair of margins whose
+    denominators are at most top, and the first v of the equation loop
+    with beta v.  Per margin, margin(mu) gives (mu, its terms under alpha
+    on the route, its residue function): _involution_terms or _joint_terms,
+    and char_residues, memoized on mu.  An exhaustive sweep computes it
+    once per margin of its list and keeps it for the row; a random sweep
+    computes it on the spot for each fresh margin.
 
-    refutes_both(i, j) runs the predicates' own helpers on these:
+    refutes_both(first, second) runs the predicates' own helpers on these:
     _involution_symmetric or _joint_symmetric, then _first_violation on the
     first v.  Its verdict is exact: the field's modulus exceeds
-    2 * D * D for the largest denominator D, so it is certified for every
-    pair (cyclotomic._ModField), and satisfies_heyde_equation reaches the
-    same verdict in whichever certified field it is given.
+    2 * top * top, so it is certified for every pair (cyclotomic._ModField),
+    and satisfies_heyde_equation reaches the same verdict in whichever
+    certified field it is given.  For two point masses the first v reads
+    u = 0 alone: K = Z(N) then (_equation_quotient), so the identity holds
+    at (u, v) exactly when at (0, v), and the pair holds at its first v
+    exactly when the dense loop finds it to.
     """
 
-    def __init__(self, alpha: Endomorphism, margins: Sequence[Distribution]):
+    def __init__(self, alpha: Endomorphism, top: int):
         if not alpha.is_automorphism():
             raise ValueError("alpha is not an automorphism")
         spec = alpha.spec
         n = spec.exponent
         a = alpha.code
-        self.margins = margins
+        self.alpha = alpha
         if _has_involution(alpha):
             c1, c2 = _involution_constants(a, n)
-            self._terms = [_involution_terms(mu.points, c2, n) for mu in margins]
+            self._terms = lambda points: _involution_terms(points, c2, n)
             self._symmetric = lambda mu1, mu2, second: _involution_symmetric(
                 mu1, mu2, second, c1, c2, n
             )
         else:
-            self._terms = [_joint_terms(mu.points, a) for mu in margins]
-            self._symmetric = lambda mu1, mu2, second: _joint_symmetric(mu1.points, second, n)
-        top = max(mu.den for mu in margins)
-        field = modular_field(n, 2 * top * top)
+            self._terms = lambda points: _joint_terms(points, a)
+            self._symmetric = lambda mu1, mu2, second: _joint_symmetric(mu1, mu2, second, a, n)
+        field = self._field = modular_field(n, 2 * top * top)
         modulus = field.modulus
-        self._residues = [char_residues(mu, field) for mu in margins]
         self._mul = lambda x, y: x * y % modulus
         v = next(_equation_vs(spec))
-        self._first_v = (spec.crt_codes, v, alpha.adjoint().code * v % n, n)
+        self._codes = spec.crt_codes
+        self._first_v = (v, alpha.adjoint().code * v % n, n)
 
-    def refutes_both(self, i: int, j: int) -> bool:
-        """Whether the pair (margins[i], margins[j]) is not conditionally
-        symmetric and fails the dual equation at its first v: then
-        is_conditionally_symmetric and satisfies_heyde_equation are both
-        false on it, and so agree."""
-        margins, residues = self.margins, self._residues
-        return (
-            not self._symmetric(margins[i], margins[j], self._terms[j])
-            and _first_violation(residues[i], residues[j], *self._first_v, self._mul) is not None
-        )
+    def margin(self, mu: Distribution) -> tuple[Distribution, list, Callable[[int], int]]:
+        """(mu, its terms on the route, its residue function): the state of
+        one margin under alpha, for refutes_both.  mu.den must be at most top."""
+        return mu, self._terms(mu.points), char_residues(mu, self._field)
+
+    def refutes_both(self, first: tuple, second: tuple) -> bool:
+        """Whether the pair of margins (first, second), each as margin()
+        gives it, is not conditionally symmetric and fails the dual equation
+        at its first v: then is_conditionally_symmetric and
+        satisfies_heyde_equation are both false on it, and so agree."""
+        mu1, _, f = first
+        mu2, terms, g = second
+        if self._symmetric(mu1, mu2, terms):
+            return False
+        us = self._codes if len(mu1.points) > 1 or len(mu2.points) > 1 else (0,)
+        return _first_violation(f, g, us, *self._first_v, self._mul) is not None
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ symmetric, which the constructor asserts.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .distributions import Distribution, _canonical, convolve, difference_subgroup, haar, shift
@@ -65,10 +66,16 @@ def construct_instance(
 
 def enumerate_automorphisms(spec: GroupSpec) -> list[Endomorphism]:
     """All automorphisms, ordered by multiplier vectors."""
+    return list(_automorphisms(spec))
+
+
+def _automorphisms(spec: GroupSpec) -> Iterator[Endomorphism]:
+    """enumerate_automorphisms one at a time, for a caller that may need
+    only the first few."""
     units_per_component = [
         [m for m in range(1, c.order) if m % c.p != 0] for c in spec.components
     ]
-    return [make_endo(spec, vec) for vec in itertools.product(*units_per_component)]
+    return (make_endo(spec, vec) for vec in itertools.product(*units_per_component))
 
 
 def compositions(total: int, parts: int):

@@ -6,20 +6,26 @@ Any disagreement between the two equivalent tests, any false decomposition
 flag, and any failed applicable corollary is a violation; the first
 violating instance is kept in full so it can be replayed.
 
-An exhaustive sweep runs one automorphism row at a time: every ordered
-pair of margins under one alpha.  The row (engine.AutomorphismRow)
-computes once what depends on alpha alone, or on alpha and one margin, and
-decides each pair's symmetry and the first v of its dual equation with
-the engine's own helpers, building no HeydeInstance.  A pair that is not
-symmetric and is refuted at that first v, as nearly every pair is, has
-both predicates false: it only adds 1 to the instance count, which is all
-that check_instance would record for it.  Every other pair goes through
-check_instance.  A random sweep draws a fresh instance each time and runs
-check_instance on it.
+Both modes decide their pairs on automorphism rows (engine.AutomorphismRow).
+A row computes once what depends on alpha alone, and its margin() gives
+what depends on alpha and one margin; refutes_both then decides a pair's
+symmetry and the first v of its dual equation with the engine's own
+helpers, building no HeydeInstance.  A pair that is not symmetric and is
+refuted at that first v, as nearly every pair is, has both predicates
+false: it only adds 1 to the instance count, which is all that
+check_instance would record for it.  Every other pair goes through
+check_instance (_run_pairs).  An exhaustive sweep runs every ordered pair
+of margins under one alpha at a time, with margin() computed once per
+margin of the row.  A random sweep builds the rows of the automorphisms it
+uses, min(budget, |Aut|), draws each instance through
+fixtures.random_instance as before, and computes margin() on the spot for
+its two fresh margins.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from math import prod
 
@@ -32,7 +38,7 @@ from .engine import (
     satisfies_heyde_equation,
 )
 from .errors import VerificationFailure
-from .fixtures import enumerate_automorphisms, enumerate_distributions, random_instance
+from .fixtures import _automorphisms, enumerate_distributions, random_instance
 from .groups import GroupSpec
 from .morphisms import Endomorphism, make_endo
 from .rng import DeterministicStream
@@ -85,10 +91,12 @@ class SweepReport:
         return self.violations == 0
 
 
-def _alphas_for(spec: GroupSpec, config: SweepConfig) -> list[Endomorphism]:
+def _alphas_for(spec: GroupSpec, config: SweepConfig) -> Iterator[Endomorphism]:
+    """The automorphisms the sweep uses on spec, in order, built as they are
+    read."""
     if config.automorphisms is None:
-        return enumerate_automorphisms(spec)
-    return [make_endo(spec, vec) for vec in config.automorphisms]
+        return _automorphisms(spec)
+    return (make_endo(spec, vec) for vec in config.automorphisms)
 
 
 def exhaustive_instances(spec: GroupSpec, config: SweepConfig) -> int | None:
@@ -154,26 +162,37 @@ def check_instance(inst: HeydeInstance, report: SweepReport) -> None:
                 _record(report, inst, f"corollary {check.name} failed: {check.detail}")
 
 
+def _run_pairs(row: AutomorphismRow, pairs, report: SweepReport) -> None:
+    """Count each pair of margins (as row.margin gives them) that
+    row.refutes_both decides, and run check_instance on every other one."""
+    refutes_both = row.refutes_both
+    alpha = row.alpha
+    for first, second in pairs:
+        if refutes_both(first, second):
+            report.instances += 1
+        else:
+            check_instance(HeydeInstance(alpha.spec, first[0], second[0], alpha), report)
+
+
 def run_sweep(config: SweepConfig) -> SweepReport:
     report = SweepReport(seed=config.seed)
     for spec_index, spec in enumerate(config.specs):
         alphas = _alphas_for(spec, config)
         if config.mode == "exhaustive":
             pmfs = list(enumerate_distributions(spec, config.denominator))
+            top = max(mu.den for mu in pmfs)
             for alpha in alphas:
-                row = AutomorphismRow(alpha, pmfs)
-                for i, mu1 in enumerate(pmfs):
-                    for j, mu2 in enumerate(pmfs):
-                        if row.refutes_both(i, j):
-                            report.instances += 1
-                        else:
-                            check_instance(HeydeInstance(spec, mu1, mu2, alpha), report)
+                row = AutomorphismRow(alpha, top)
+                margins = [row.margin(mu) for mu in pmfs]
+                _run_pairs(row, itertools.product(margins, repeat=2), report)
         else:
+            # instance i runs under alphas[i % |Aut|]: the first budget rows at most
+            top = config.max_denominator
+            used = itertools.islice(alphas, config.budget)
+            rows = [AutomorphismRow(alpha, top) for alpha in used]
             stream = DeterministicStream(config.seed, label=f"sweep:{spec_index}")
             for i in range(config.budget):
-                alpha = alphas[i % len(alphas)]
-                inst = random_instance(
-                    spec, config.max_denominator, stream.derive(str(i)), alpha
-                )
-                check_instance(inst, report)
+                row = rows[i % len(rows)]
+                inst = random_instance(spec, top, stream.derive(str(i)), row.alpha)
+                _run_pairs(row, ((row.margin(inst.mu1), row.margin(inst.mu2)),), report)
     return report

@@ -6,14 +6,16 @@ subgroup/annihilator/character machinery.
 """
 
 import cmath
+import hashlib
 import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
-from heyde import HeydeInstance, enumerate_distributions, from_pmf, sweep
+from heyde import DeterministicStream, HeydeInstance, enumerate_distributions, from_pmf, sweep
 from heyde.cyclotomic import modular_field
-from heyde.distributions import Distribution
+from heyde.distributions import Distribution, _canonical
 from heyde.errors import VerificationFailure
+from heyde.fixtures import random_instance
 
 
 def all_elements(orders):
@@ -130,6 +132,95 @@ def per_instance_sweep(config):
                 for mu2 in pmfs:
                     sweep.check_instance(HeydeInstance(spec, mu1, mu2, alpha), report)
     return report
+
+
+def per_instance_random_sweep(config):
+    """run_sweep's random mode as it was before automorphism rows: one
+    random_instance and one check_instance per draw, in the same order,
+    so every report field matches."""
+    report = sweep.SweepReport(seed=config.seed)
+    for spec_index, spec in enumerate(config.specs):
+        alphas = list(sweep._alphas_for(spec, config))
+        stream = DeterministicStream(config.seed, label=f"sweep:{spec_index}")
+        for i in range(config.budget):
+            inst = random_instance(
+                spec, config.max_denominator, stream.derive(str(i)), alphas[i % len(alphas)]
+            )
+            sweep.check_instance(inst, report)
+    return report
+
+
+_U64 = 1 << 64
+
+
+class ReferenceStream:
+    """rng.DeterministicStream as it was before the buffered draw kernel:
+    one int.from_bytes per word, and every randint and distinct draw through
+    the general multi-word loop."""
+
+    def __init__(self, seed, label=""):
+        material = f"heyde:{label}:{int(seed)}".encode()
+        self._key = hashlib.sha256(material).digest()
+        self._counter = 0
+        self._buffer = []
+
+    def derive(self, label):
+        child = object.__new__(ReferenceStream)
+        child._key = hashlib.sha256(self._key + b"/" + label.encode()).digest()
+        child._counter = 0
+        child._buffer = []
+        return child
+
+    def next_u64(self):
+        if not self._buffer:
+            block = hashlib.sha256(self._key + self._counter.to_bytes(8, "big")).digest()
+            self._counter += 1
+            self._buffer = [int.from_bytes(block[i : i + 8], "big") for i in (24, 16, 8, 0)]
+        return self._buffer.pop()
+
+    def randint(self, lo, hi):
+        if hi < lo:
+            raise ValueError(f"empty range [{lo}, {hi}]")
+        span = hi - lo + 1
+        space, extra = _U64, 0
+        while space < span:
+            space, extra = space << 64, extra + 1
+        limit = space - (space % span)
+        while True:
+            u = self.next_u64()
+            if extra:
+                for _ in range(extra):
+                    u = (u << 64) | self.next_u64()
+            if u < limit:
+                return lo + (u % span)
+
+    def choice(self, seq):
+        if not seq:
+            raise ValueError("cannot choose from an empty sequence")
+        return seq[self.randint(0, len(seq) - 1)]
+
+    def distinct(self, n, k):
+        if not 0 <= k <= n:
+            raise ValueError(f"cannot draw {k} distinct values from {n}")
+        picked = set()
+        while len(picked) < k:
+            picked.add(self.randint(0, n - 1))
+        return sorted(picked)
+
+
+def reference_random_distribution(spec, max_denominator, stream, support=None):
+    """fixtures.random_distribution drawing from a ReferenceStream."""
+    codes = support.codes if support is not None else spec.crt_codes
+    d = stream.randint(1, max_denominator)
+    size = stream.randint(1, min(len(codes), d))
+    chosen = [codes[i] for i in stream.distinct(len(codes), size)]
+    if size == 1:
+        masses = [d]
+    else:
+        cuts = stream.distinct(d - 1, size - 1)
+        bounds = [0] + [c + 1 for c in cuts] + [d]
+        masses = [b - a for a, b in zip(bounds, bounds[1:])]
+    return _canonical(spec, d, zip(chosen, masses))
 
 
 def brute_unit_modulus_points(orders, pmf):

@@ -2,11 +2,12 @@ from math import comb
 
 import pytest
 
-from heyde import SweepConfig, run_sweep, validate_spec
+from heyde import DeterministicStream, SweepConfig, run_sweep, validate_spec
 from heyde.sweep import SweepReport, check_instance, exhaustive_instances
 from heyde import HeydeInstance, degenerate, enumerate_automorphisms, enumerate_distributions, make_endo
 from heyde import engine, sweep
 from heyde.cyclotomic import modular_field
+from heyde.fixtures import random_instance
 from heyde.serialize import dumps_canonical, sweep_report_to_obj
 
 import oracles
@@ -147,16 +148,23 @@ def _pairs(spec, denominator, alpha):
 
 @pytest.mark.parametrize("flip_symmetric", [True, False])
 def test_a_flipped_verdict_is_reported_alike_by_rows_and_instances(flip_symmetric, monkeypatch):
-    # the involution test is shared by both loops: flipping it on one pair
-    # under one alpha must give the same disagreement in both reports
     spec = validate_spec([(3, 2)])
     alpha = make_endo(spec, (2,))
-    c1, _ = engine._involution_constants(alpha.code, spec.exponent)
     chosen = next(
         (mu1, mu2)
         for mu1, mu2, symmetric in _pairs(spec, 2, alpha)
         if symmetric == flip_symmetric and len(mu1.points) == 2
     )
+    config = _row_config([(3, 2)], 2, None)
+    _flip_one_verdict(
+        monkeypatch, config, alpha, chosen, flip_symmetric, oracles.per_instance_sweep
+    )
+
+
+def _flip_one_verdict(monkeypatch, config, alpha, chosen, flip_symmetric, per_instance):
+    # the involution test is shared by both loops: flipping it on one pair
+    # under one alpha must give the same disagreement in both reports
+    c1, _ = engine._involution_constants(alpha.code, alpha.spec.exponent)
     real = engine._involution_symmetric
     flips = []
 
@@ -168,10 +176,9 @@ def test_a_flipped_verdict_is_reported_alike_by_rows_and_instances(flip_symmetri
         return verdict
 
     monkeypatch.setattr(engine, "_involution_symmetric", flipped)
-    config = _row_config([(3, 2)], 2, None)
     rows = run_sweep(config)
     assert flips and set(flips) == {flip_symmetric}
-    reference = oracles.per_instance_sweep(config)
+    reference = per_instance(config)
     assert rows.disagreements == reference.disagreements >= 1
     assert rows.first_counterexample is not None
     assert _canonical_report(rows) == _canonical_report(reference)
@@ -207,19 +214,129 @@ def test_only_symmetric_pairs_reach_check_instance_on_z9(monkeypatch):
 def test_pairs_that_pass_the_first_v_reach_check_instance_on_z3xz5(monkeypatch):
     reached = _counting(monkeypatch)
     spec = validate_spec([(3, 1), (5, 1)])
-    first_v = spec.element_list[1]
     report = run_sweep(_row_config([(3, 1), (5, 1)], 1, None))
-    field = modular_field(spec.exponent, 2)
-    expected = []
-    passing = 0
-    for alpha in enumerate_automorphisms(spec):
-        for mu1, mu2, symmetric in _pairs(spec, 1, alpha):
-            f, g = (oracles.per_code_residues(mu, field).__getitem__ for mu in (mu1, mu2))
-            found = oracles.dense_equation_violation(spec, f, g, alpha, field.modulus)
-            passes = found is None or found[1] != first_v
-            if symmetric or passes:
-                expected.append((alpha.code, mu1, mu2))
-                passing += passes and not symmetric
+    expected, passing = _expected_reached(
+        spec,
+        modular_field(spec.exponent, 2),
+        (
+            (alpha, mu1, mu2, symmetric)
+            for alpha in enumerate_automorphisms(spec)
+            for mu1, mu2, symmetric in _pairs(spec, 1, alpha)
+        ),
+    )
     assert reached == expected
     assert (len(reached), report.symmetric, report.instances) == (360, 120, 1800)
     assert passing == 240  # asymmetric pairs that hold at the first v
+
+
+def _expected_reached(spec, field, pairs):
+    """(alpha.code, mu1, mu2) of each (alpha, mu1, mu2, symmetric) of pairs
+    that is symmetric or whose dense equation loop holds at its first v,
+    and how many of those are not symmetric."""
+    first_v = spec.element_list[1]
+    expected = []
+    passing = 0
+    for alpha, mu1, mu2, symmetric in pairs:
+        f, g = (oracles.per_code_residues(mu, field).__getitem__ for mu in (mu1, mu2))
+        found = oracles.dense_equation_violation(spec, f, g, alpha, field.modulus)
+        passes = found is None or found[1] != first_v
+        if symmetric or passes:
+            expected.append((alpha.code, mu1, mu2))
+            passing += passes and not symmetric
+    return expected, passing
+
+
+# -- random mode on automorphism rows ------------------------------------------------
+
+
+LADDER = {
+    "Z9": [(3, 2)],
+    "Z9xZ5": [(3, 2), (5, 1)],
+    "Z27xZ5": [(3, 3), (5, 1)],
+    "Z9xZ5xZ7": [(3, 2), (5, 1), (7, 1)],
+}
+
+
+def _random_config(comps, seed, max_denominator, budget, automorphisms=None):
+    return SweepConfig(
+        specs=(validate_spec(comps),),
+        mode="random",
+        budget=budget,
+        max_denominator=max_denominator,
+        automorphisms=automorphisms,
+        seed=seed,
+    )
+
+
+@pytest.mark.parametrize("max_denominator", [1, 2, 32])
+@pytest.mark.parametrize("name", list(LADDER))
+def test_random_rows_report_what_the_per_instance_loop_reports(name, max_denominator):
+    for seed in (1, 2, 3):
+        config = _random_config(LADDER[name], seed, max_denominator, 60)
+        expected = _canonical_report(oracles.per_instance_random_sweep(config))
+        assert _canonical_report(run_sweep(config)) == expected
+
+
+def test_random_rows_report_what_the_per_instance_loop_reports_on_small_groups():
+    # symmetric pairs are common here, and budget > |Aut| reuses every row
+    for comps, max_denominator, budget, automorphisms in (
+        ([(3, 1)], 1, 300, None),
+        ([(3, 1)], 2, 300, None),
+        ([(5, 1)], 2, 300, ((4,),)),
+        ([(3, 1), (5, 1)], 2, 400, None),
+        ([(3, 2), (5, 1)], 32, 100, ((2, 2), (4, 1), (1, 3))),
+        ([(3, 2)], 8, 5, ((8,), (4,))),
+    ):
+        config = _random_config(comps, 7, max_denominator, budget, automorphisms)
+        reference = oracles.per_instance_random_sweep(config)
+        assert _canonical_report(run_sweep(config)) == _canonical_report(reference)
+
+
+def _random_pairs(config):
+    """(alpha, mu1, mu2) of every instance of a one-spec random sweep, in order."""
+    spec = config.specs[0]
+    alphas = list(sweep._alphas_for(spec, config))
+    stream = DeterministicStream(config.seed, label="sweep:0")
+    for i in range(config.budget):
+        alpha = alphas[i % len(alphas)]
+        inst = random_instance(spec, config.max_denominator, stream.derive(str(i)), alpha)
+        yield inst.alpha, inst.mu1, inst.mu2
+
+
+@pytest.mark.parametrize("flip_symmetric", [True, False])
+def test_a_flipped_verdict_is_reported_alike_by_random_rows_and_instances(
+    flip_symmetric, monkeypatch
+):
+    config = _random_config([(3, 2)], 5, 1, 120)
+    spec = config.specs[0]
+    alpha = make_endo(spec, (2,))
+    chosen = next(
+        (mu1, mu2)
+        for beta, mu1, mu2 in _random_pairs(config)
+        if beta == alpha
+        and oracles.brute_symmetric(spec.orders, dict(mu1.masses), dict(mu2.masses), (2,))
+        == flip_symmetric
+    )
+    _flip_one_verdict(
+        monkeypatch, config, alpha, chosen, flip_symmetric, oracles.per_instance_random_sweep
+    )
+
+
+def test_pairs_that_pass_the_first_v_reach_check_instance_in_random_mode(monkeypatch):
+    reached = _counting(monkeypatch)
+    config = _random_config([(3, 1), (5, 1)], 11, 2, 600)
+    spec = config.specs[0]
+    report = run_sweep(config)
+    pairs = [
+        (alpha, mu1, mu2, oracles.brute_symmetric(
+            spec.orders, dict(mu1.masses), dict(mu2.masses), alpha.multipliers
+        ))
+        for alpha, mu1, mu2 in _random_pairs(config)
+    ]
+    expected, passing = _expected_reached(spec, modular_field(spec.exponent, 8), pairs)
+    assert reached == expected
+    assert report.instances == 600 and len(reached) < 600
+    assert report.symmetric >= 1 and passing >= 1
+    # both symmetry routes, and point-mass pairs, whose first v reads u = 0 alone
+    assert {engine._has_involution(alpha) for alpha, *_ in pairs} == {True, False}
+    assert any(len(mu1.points) == len(mu2.points) == 1 for _, mu1, mu2, _ in pairs)

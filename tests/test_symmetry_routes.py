@@ -308,6 +308,176 @@ def test_growth_at_3465_within_two_seconds():
     assert report.ok
 
 
+# -- the first key of the joint route ------------------------------------------------
+
+
+def _joint_alphas(spec):
+    n = spec.exponent
+    return [a for a in enumerate_automorphisms(spec) if gcd(a.code - 1, n) > 1]
+
+
+def _first_key(inst):
+    """(l1, l2) of the first point of mu1 and the first point of mu2 with
+    l2 != 0, or None when there is none."""
+    n = inst.spec.exponent
+    r1 = inst.mu1.points[0][0]
+    keys = [((r1 + r2) % n, (r1 + inst.alpha.code * r2) % n) for r2, _ in inst.mu2.points]
+    return next((key for key in keys if key[1]), None)
+
+
+def _brute_key_masses(inst, l1, l2):
+    """P(l1, l2) and P(l1, -l2) from the brute joint pmf, as numerators over
+    the product of the margins' denominators."""
+    spec = inst.spec
+    n = spec.exponent
+    joint = oracles.brute_joint(
+        spec.orders, dict(inst.mu1.masses), dict(inst.mu2.masses), inst.alpha.multipliers
+    )
+    scale = inst.mu1.den * inst.mu2.den
+    at = spec.crt_elements
+    return tuple(joint.get((at[l1], at[m % n]), 0) * scale for m in (l2, -l2))
+
+
+def _mirror_key_pairs(spec, alpha, rng):
+    """Two pairs whose first points x1, x2 have x1 + alpha x2 = 0, a key that
+    is its own mirror: in the first mu2 has a second point, whose key is
+    tested in its place; in the second mu2 is a point mass, and no key is."""
+    n = spec.exponent
+    rank = spec.crt_rank
+    mu2 = _canonical(spec, 3, [(c, k + 1) for k, c in enumerate(rng.sample(range(n), 2))])
+    r2 = mu2.points[0][0]
+    r1 = -alpha.code * r2 % n
+    later = [c for c in range(n) if rank[c] > rank[r1]]
+    points = [(r1, 1)] + [(c, 2) for c in rng.sample(later, min(2, len(later)))]
+    mu1 = _canonical(spec, sum(a for _, a in points), points)
+    point = _canonical(spec, 1, [(r2, 1)])
+    return [HeydeInstance(spec, mu1, mu2, alpha), HeydeInstance(spec, mu1, point, alpha)]
+
+
+def _first_key_cases(spec, rng):
+    """Constructed symmetric pairs under each alpha with alpha - 1 not a
+    unit, each followed by copies with one point moved, one unit of mass
+    moved or two masses swapped, and the pairs of _mirror_key_pairs; then
+    pairs of coset blocks."""
+    subs = enumerate_subgroups(spec)
+    alphas = _joint_alphas(spec)
+    cases = []
+    for alpha in alphas:
+        admissible = [s for s in subs if s.order <= 45 and construction_admissible(s, alpha)]
+        inst = _constructed_on(spec, alpha, rng.choice(admissible), rng)
+        cases.append(inst)
+        for perturb in (_move_point, _move_unit, _swap_masses):
+            for side in ("mu1", "mu2"):
+                mu = perturb(getattr(inst, side), rng)
+                if mu is not None:
+                    cases.append(dataclasses.replace(inst, **{side: mu}))
+        cases.extend(_mirror_key_pairs(spec, alpha, rng))
+    if spec.exponent > 5:
+        for _ in range(60):
+            mu1, mu2 = _coset_blocks(spec, rng), _coset_blocks(spec, rng)
+            cases.append(HeydeInstance(spec, mu1, mu2, rng.choice(alphas)))
+    return cases
+
+
+def _constructed_on(spec, alpha, sub, rng):
+    codes = rng.sample(sub.codes, min(2, sub.order))
+    rho = _canonical(spec, 3, list(zip(codes, (1, 2))) if len(codes) == 2 else [(codes[0], 3)])
+    x2 = spec.crt_elements[rng.randrange(spec.exponent)]
+    return construct_instance(sub, alpha, rho, x2).instance
+
+
+def _check_first_key(cases, monkeypatch):
+    """The first-key masses and the joint-route verdict against the brute
+    joint pmf on every case; returns how many cases fell in each class."""
+    called = []
+    real = engine._joint_masses_at
+    monkeypatch.setattr(
+        engine, "_joint_masses_at", lambda *args: called.append(args) or real(*args)
+    )
+    classes = ["symmetric", "refuted_at_key", "refuted_later", "second_point", "no_key"]
+    seen = dict.fromkeys(classes, 0)
+    for case in cases:
+        expected = _brute(case)
+        key = _first_key(case)
+        called.clear()
+        assert _symmetric_by_joint(case) == expected
+        assert is_conditionally_symmetric(case) == expected
+        seen["symmetric"] += expected
+        if key is None:
+            assert not called  # every key of the first point of mu1 is its own mirror
+            seen["no_key"] += 1
+            continue
+        l1, l2 = key
+        r1, r2 = case.mu1.points[0][0], case.mu2.points[0][0]
+        seen["second_point"] += (r1 + case.alpha.code * r2) % case.spec.exponent == 0
+        masses = engine._joint_masses_at(
+            case.mu1.points,
+            distributions.numerator_map(case.mu2).get,
+            case.alpha.code,
+            l1,
+            l2,
+            case.spec.exponent,
+        )
+        assert {args[3:5] for args in called} == {(l1, l2)}
+        assert masses == _brute_key_masses(case, l1, l2)
+        assert masses[0] > 0
+        if masses[0] != masses[1]:
+            assert not expected
+            seen["refuted_at_key"] += 1
+        elif not expected:
+            seen["refuted_later"] += 1
+    return seen
+
+
+@pytest.mark.parametrize("name", ["Z5", "Z9", "Z9xZ5", "Z27xZ5", "Z9xZ5xZ7"])
+def test_first_key_of_the_joint_route_against_the_brute_joint(name, monkeypatch):
+    spec = validate_spec(LADDER[name])
+    cases = _first_key_cases(spec, random.Random(f"first key:{name}"))
+    seen = _check_first_key(cases, monkeypatch)
+    assert seen["symmetric"] and seen["refuted_at_key"], seen
+    assert seen["second_point"] and seen["no_key"], seen
+    if name != "Z5":
+        assert seen["refuted_later"], seen  # asymmetric pairs that pass the first key
+
+
+def test_a_first_key_that_tests_only_the_l2_side_is_caught(monkeypatch):
+    # the mutant adds up P(l1, l2) alone and leaves P(l1, -l2) at 0, so
+    # it refutes every pair, the symmetric ones too
+    def only_l2(firsts, get2, a, l1, l2, n):
+        plus = sum(
+            w1 * get2((l1 - y1) % n, 0) for y1, w1 in firsts if ((1 - a) * y1 + a * l1) % n == l2
+        )
+        return plus, 0
+
+    cases = _first_key_cases(validate_spec(LADDER["Z9xZ5"]), random.Random("first key:Z9xZ5"))
+    monkeypatch.setattr(engine, "_joint_masses_at", only_l2)
+    with pytest.raises(AssertionError):
+        _check_first_key(cases, monkeypatch)
+
+
+def test_an_asymmetric_joint_pair_at_15015_exits_at_its_first_key():
+    # Z(3) x Z(5) x Z(7) x Z(11) x Z(13) with alpha = 1 (mod 3), so alpha - 1
+    # is not a unit; margins of 2000 points, whose joint pmf would have
+    # about 4 million keys
+    spec = validate_spec([(3, 1), (5, 1), (7, 1), (11, 1), (13, 1)])
+    n = spec.exponent
+    alpha = make_endo(spec, (1, 2, 2, 2, 2))
+    rng = random.Random("first key:15015")
+    mu1, mu2 = (
+        _canonical(spec, 3000, [(c, 1 + k % 2) for k, c in enumerate(rng.sample(range(n), 2000))])
+        for _ in range(2)
+    )
+    inst = HeydeInstance(spec, mu1, mu2, alpha)
+    assert len(mu1.points) == len(mu2.points) == 2000
+    l1, l2 = _first_key(inst)
+    plus, minus = engine._joint_masses_at(
+        mu1.points, distributions.numerator_map(mu2).get, alpha.code, l1, l2, n
+    )
+    assert plus != minus
+    with time_limit(1):
+        assert not is_conditionally_symmetric(inst)
+
+
 # -- memo hygiene --------------------------------------------------------------
 
 
