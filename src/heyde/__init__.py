@@ -13,10 +13,12 @@ can be classified.
 from .cyclotomic import CycloElement, from_rational, from_terms
 from .distributions import (
     Distribution,
+    DualFunction,
     char_fn,
     char_fn_table,
     convolve,
     degenerate,
+    dual_function,
     from_pmf,
     haar,
     has_haar_factor,
@@ -69,9 +71,6 @@ from .groups import (
     validate_spec,
 )
 from .lemmas import (
-    DualFunction,
-    char_table_function,
-    dual_function,
     squared_modulus_table,
     verify_difference_lemma,
     verify_fixed_point_lemma,

@@ -6,9 +6,11 @@ codes (GroupSpec.crt): a common denominator D and the pairs (code, a) of
 its support in element order, each with mass a / D.  The stored form is
 canonical (D is the least common denominator), so equality is structural
 and every theorem-level conclusion is an exact identity.  The integer
-constructors (convolve, shift, reflect, haar) build codes directly;
-coordinate tuples and Fractions appear only at the edges, in the masses
-view and in from_pmf, which the tuple-keyed API uses; files are read
+constructors (convolve, shift, reflect, haar) and Fourier inversion
+build codes directly, and a character table is a DualFunction indexed by
+dual code.  Coordinate tuples and Fractions appear only at the edges: in
+the masses view, in from_pmf, which the tuple-keyed API uses, and in
+dual_function, the one reader of an element-keyed table.  Files are read
 and written on codes (serialize).
 
 The unit-modulus predicate is decided combinatorially (a character sum
@@ -180,18 +182,43 @@ def char_fn(mu: Distribution, y: Element) -> CycloElement:
     return cyclotomic.from_terms(mu.spec.exponent, [(t * c, a) for t, a in _pair_terms(mu)], mu.den)
 
 
-def char_values(mu: Distribution) -> list[CycloElement]:
-    """char_fn(mu, y) at every dual code y, indexed by code; the pair terms
-    are formed once for the whole table."""
+@dataclass(frozen=True)
+class DualFunction:
+    """A total table on the dual group, valued in Q(zeta_N) or in Q.
+
+    values[r] is the value at the dual element with CRT code r.
+    """
+
+    spec: GroupSpec
+    values: tuple
+
+    def __post_init__(self):
+        if len(self.values) != self.spec.exponent:
+            raise ValueError("table must cover every dual element")
+
+    def __call__(self, y: Element):
+        return self.values[self.spec.require_code(y)]
+
+    def with_value(self, y: Element, value) -> "DualFunction":
+        updated = list(self.values)
+        updated[self.spec.require_code(y)] = value
+        return DualFunction(self.spec, tuple(updated))
+
+
+def dual_function(spec: GroupSpec, mapping) -> DualFunction:
+    """The table of an element -> value mapping keyed by exactly the dual elements."""
+    mapping = dict(mapping)
+    if mapping.keys() != set(spec.element_list):
+        raise ValueError("table must cover every dual element")
+    return DualFunction(spec, tuple(mapping[y] for y in spec.crt_elements))
+
+
+def char_fn_table(mu: Distribution) -> DualFunction:
+    """char_fn(mu, y) at every dual code y; the pair terms are formed once."""
     n = mu.spec.exponent
     terms = _pair_terms(mu)
-    return [cyclotomic.from_terms(n, [(t * y, a) for t, a in terms], mu.den) for y in range(n)]
-
-
-def char_fn_table(mu: Distribution) -> dict[Element, CycloElement]:
-    """char_values(mu) keyed by dual element, in element order."""
-    values = char_values(mu)
-    return dict(zip(mu.spec.element_list, map(values.__getitem__, mu.spec.crt_codes)))
+    values = (cyclotomic.from_terms(n, [(t * y, a) for t, a in terms], mu.den) for y in range(n))
+    return DualFunction(mu.spec, tuple(values))
 
 
 def char_residues(mu: Distribution, field) -> Callable[[int], int]:
@@ -452,7 +479,7 @@ def has_haar_factor(lam: Distribution, sub: Subgroup) -> bool:
     return fixed_point
 
 
-def invert_char_table(spec: GroupSpec, table: dict[Element, CycloElement]) -> Distribution:
+def invert_char_table(spec: GroupSpec, table: DualFunction) -> Distribution:
     """Recover a distribution from its full character table (exact inversion).
 
     mu(x) = (1/N) sum_y f(y) zeta**(-t), t = pair_exponent(x, y).  Over the
@@ -522,13 +549,17 @@ def invert_char_table(spec: GroupSpec, table: dict[Element, CycloElement]) -> Di
     equals 2**h * N * B in every slot plus r times the word of F delta_0,
     whose entries are 0 and +-1; the mass at x is r / (N * D).
 
-    A table that is not keyed by exactly the elements of spec is refused;
-    a non-rational mass is reported at the first such x in element order.
+    The table is read in code order and the masses are built on codes.
+    A table that is not a DualFunction on spec, or has a value that is not
+    a CycloElement of order N, is refused with ValueError; a non-rational
+    mass is reported at the first such x in element order.
     """
-    if table.keys() != set(spec.element_list):
-        raise ValueError("table must cover every dual element")
+    if not isinstance(table, DualFunction) or table.spec != spec:
+        raise ValueError(f"table must be a DualFunction on {spec.describe()}")
     n = spec.exponent
-    values = [table[y] for y in spec.crt_elements]
+    values = table.values
+    if not all(isinstance(value, CycloElement) and value.order == n for value in values):
+        raise ValueError(f"table values must be CycloElements of order {n}")
     den = lcm(*(value.den for value in values))
     coeffs = [[(e, c * (den // value.den)) for e, c in value.terms()] for value in values]
     bias = max((abs(c) for terms in coeffs for _, c in terms), default=0)
@@ -568,17 +599,17 @@ def invert_char_table(spec: GroupSpec, table: dict[Element, CycloElement]) -> Di
         unit = list(map(operator.sub, unit, unit[d:] + unit[:d]))
     unit_word = sum(c << e * wide_width for e, c in enumerate(unit) if c)
     level = step_bias * ones  # F v = r F delta_0 with every slot biased
-    pmf: dict[Element, Fraction] = {}
-    for x, cx in zip(spec.element_list, spec.crt_codes):
+    masses: dict[int, int] = {}
+    for cx in spec.crt_codes:
         z = _widen(words[cx], n, nbytes, wide)
         for right, left, low, lift in folds:
             z += lift - (z >> right | (z & low) << left)
         r = (z & slot) - step_bias
         if z != level + r * unit_word:
-            raise VerificationFailure(f"inversion produced a non-rational mass at {x}")
+            raise VerificationFailure(f"inversion produced a non-rational mass at {spec.crt_elements[cx]}")
         if r:
-            pmf[x] = Fraction(r, den * n)
-    return from_pmf(spec, pmf)
+            masses[cx] = r
+    return _canonical(spec, den * n, masses)
 
 
 # struct formats of the standard item sizes that hold a slot of up to 8 bytes

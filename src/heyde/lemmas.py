@@ -6,15 +6,17 @@ identities are checked in multiplicative (telescoping product) form to
 stay in exact arithmetic; a floating log form is available as a
 cross-check at a caller-supplied tolerance.
 
-The tables are arbitrary: nothing requires them to be character tables
-or Galois-equivariant, so the modular evaluation of cyclotomic._ModField
-does not apply.  The checks stay on exact canonical CycloElements and are
-made cheap by repetition instead: the hypotheses decide each sign once per
-distinct value, in one sign table that both verifiers share
-(_sign_table), and the equation hypothesis and the
-triple-difference scan run on the ids of one interner (_interner), which
-memoizes the product of two ids, so each distinct product is computed
-once and equal sides have equal ids.  engine.first_equation_violation
+The tables are DualFunctions, the one table type of the package
+(distributions.DualFunction, indexed by dual code), which char_fn_table
+and squared_modulus_table return.  Otherwise they are arbitrary: nothing
+requires them to be character tables or Galois-equivariant, so the
+modular evaluation of cyclotomic._ModField does not apply.  The checks
+stay on exact canonical CycloElements and are made cheap by repetition
+instead: the hypotheses decide each sign once per distinct value, in one
+sign table that both verifiers share (_sign_table), and the equation
+hypothesis and the triple-difference scan run on the ids of one interner
+(_interner), which memoizes the product of two ids, so each distinct
+product is computed once and equal sides have equal ids.  engine.first_equation_violation
 takes the id tables and that product as its mul; id 0 is the zero value,
 so the loop's sparse visits apply to tables with zeros.
 
@@ -35,51 +37,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cyclotomic import CycloElement, from_rational
-from .distributions import Distribution, char_values, convolve, reflect
+from .distributions import Distribution, DualFunction, char_fn_table, convolve, reflect
 from .engine import first_equation_violation
-from .groups import Element, GroupSpec
 from .morphisms import Endomorphism, identity, kappa_of
-
-
-@dataclass(frozen=True)
-class DualFunction:
-    """A total table on the dual group, valued in Q(zeta_N) or in Q.
-
-    values[r] is the value at the dual element with CRT code r.
-    """
-
-    spec: GroupSpec
-    values: tuple
-
-    def __post_init__(self):
-        if len(self.values) != self.spec.exponent:
-            raise ValueError("table must cover every dual element")
-
-    def __call__(self, y: Element):
-        return self.values[self.spec.require_code(y)]
-
-    def with_value(self, y: Element, value) -> "DualFunction":
-        updated = list(self.values)
-        updated[self.spec.require_code(y)] = value
-        return DualFunction(self.spec, tuple(updated))
-
-
-def dual_function(spec: GroupSpec, mapping) -> DualFunction:
-    mapping = dict(mapping)
-    if mapping.keys() != set(spec.element_list):
-        raise ValueError("table must cover every dual element")
-    return DualFunction(spec, tuple(mapping[y] for y in spec.crt_elements))
-
-
-def char_table_function(mu: Distribution) -> DualFunction:
-    """The table of char_fn(mu, y), computed on the dual codes y."""
-    return DualFunction(mu.spec, tuple(char_values(mu)))
 
 
 def squared_modulus_table(mu: Distribution) -> DualFunction:
     """Table of |character sum|**2, i.e. the character table of mu * reflect(mu)."""
-    nu = convolve(mu, reflect(mu))
-    return char_table_function(nu)
+    return char_fn_table(convolve(mu, reflect(mu)))
 
 
 def _distinct_values(*fns: DualFunction) -> list:

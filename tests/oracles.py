@@ -415,18 +415,20 @@ def reference_invert_char_table(spec, table):
     moved by the pairing exponent into one length-N vector, which is
     reduced once with dense rows modulo Phi_N; the result must be rational.
 
-    Raises VerificationFailure for a non-rational mass and returns the pmf
+    The table is read through table(y) at each dual element y.  Raises
+    VerificationFailure for a non-rational mass and returns the pmf
     through from_pmf, so its errors are the library's."""
     n = spec.exponent
     phi = cyclotomic_polynomial(n)
     degree = len(phi) - 1
     rows = dense_reduction_rows(n, phi)
+    values = [(y, table(y)) for y in spec.elements()]
     den = 1
-    for value in table.values():
+    for _, value in values:
         den = den * value.den // gcd(den, value.den)
     entries = [
         (y, [(e, c * (den // value.den)) for e, c in value.terms()])
-        for y, value in table.items()
+        for y, value in values
     ]
     pmf = {}
     for x in spec.elements():

@@ -204,7 +204,7 @@ def test_criterion_11_fourier_infrastructure():
         combined = convolve(mu1, mu2)
         t1, t2 = char_fn_table(mu1), char_fn_table(mu2)
         for y in spec.element_list:
-            assert char_fn(combined, y) == t1[y] * t2[y]
+            assert char_fn(combined, y) == t1(y) * t2(y)
         convolution_pairs += 1
 
     for inst in corpus.exhaustive_equivalence_instances():

@@ -37,9 +37,9 @@ from heyde import (
 )
 from heyde import cyclotomic, distributions, lemmas
 from heyde.cyclotomic import from_terms
-from heyde.distributions import _pack_slots, _widen
+from heyde.distributions import _pack_slots, _widen, dual_function
 from heyde.errors import VerificationFailure
-from heyde.lemmas import DualFunction, _first_triple_violation, dual_function
+from heyde.lemmas import _first_triple_violation
 from heyde.morphisms import identity
 
 import acceptance_corpus as corpus
@@ -172,7 +172,7 @@ def periodic_table(spec, rng, d, perturb):
     if perturb:
         r = rng.randrange(n)
         values[r] = from_rational(n, coset[r % d] + Fraction(1, rng.randint(2, 5)))
-    return DualFunction(spec, tuple(values))
+    return dual_function(spec, zip(spec.crt_elements, values))
 
 
 def dominant_margin(spec, rng):
@@ -319,7 +319,7 @@ def test_non_equivariant_table_fails_at_the_same_point():
         mu = from_pmf(spec, {els[1]: Fraction(1, 3), els[4]: Fraction(2, 3)})
         table = char_fn_table(mu)
         y = els[2]
-        table[y] = table[y] + from_terms(spec.exponent, [(1, 1)])
+        table = table.with_value(y, table(y) + from_terms(spec.exponent, [(1, 1)]))
         with pytest.raises(VerificationFailure) as packed:
             invert_char_table(spec, table)
         with pytest.raises(VerificationFailure) as slow:
@@ -333,7 +333,7 @@ def test_negative_mass_raises_the_same_value_error():
     mu1 = from_pmf(Z9xZ5, {els[0]: Fraction(1, 2), els[4]: Fraction(1, 2)})
     mu2 = degenerate(Z9xZ5, els[7])
     t1, t2 = char_fn_table(mu1), char_fn_table(mu2)
-    table = {y: t1[y] * 2 - t2[y] for y in t1}  # inverts to 2 mu1 - mu2
+    table = dual_function(Z9xZ5, {y: t1(y) * 2 - t2(y) for y in els})  # inverts to 2 mu1 - mu2
     with pytest.raises(ValueError) as packed:
         invert_char_table(Z9xZ5, table)
     with pytest.raises(ValueError) as slow:
@@ -346,15 +346,17 @@ def test_entries_more_negative_than_positive():
     for spec in (Z9, Z9xZ5):
         n = spec.exponent
         table = char_fn_table(haar(full_subgroup(spec)))
-        table[spec.element_list[1]] = from_rational(n, -7)
+        table = table.with_value(spec.element_list[1], from_rational(n, -7))
         with pytest.raises(VerificationFailure) as packed:
             invert_char_table(spec, table)
         with pytest.raises(VerificationFailure) as slow:
             reference(spec, table)
         assert str(packed.value) == str(slow.value)
         # rational and constant on unit orbits, so every mass is rational
-        # and the table fails only from_pmf's checks
-        table = {y: from_rational(n, -7 if spec.pair_exponent(y, y) else 15) for y in spec.elements()}
+        # and the table fails only Distribution's checks
+        table = dual_function(
+            spec, {y: from_rational(n, -7 if spec.pair_exponent(y, y) else 15) for y in spec.elements()}
+        )
         with pytest.raises(ValueError) as packed:
             invert_char_table(spec, table)
         with pytest.raises(ValueError) as slow:
@@ -430,16 +432,16 @@ def test_fold_verdicts_match_the_reference(spec):
         mu = from_pmf(spec, pmf)
         table = char_fn_table(mu)
         y = rng.choice(els[1:])
-        bad = dict(table)
         e = rng.randrange(n) if i % 2 else 0  # e = 0: the first failure is past x = 0
-        bad[y] = table[y] + from_terms(n, [(e, rng.choice([-3, -1, 1, 2]))], rng.randint(1, 4))
+        change = from_terms(n, [(e, rng.choice([-3, -1, 1, 2]))], rng.randint(1, 4))
+        bad = table.with_value(y, table(y) + change)
         found = inversion_outcome(invert_char_table, spec, bad)
         assert found == inversion_outcome(reference, spec, bad)
         assert found[0] is VerificationFailure
         firsts.add(found[1])
-        shifted = dict(table)
+        shifted = table
         for z in unit_orbit(spec, rng.choice(els[1:])):
-            shifted[z] = table[z] + c
+            shifted = shifted.with_value(z, table(z) + c)
         found = inversion_outcome(invert_char_table, spec, shifted)
         assert found == inversion_outcome(reference, spec, shifted)
         kinds.add(found[0] if isinstance(found, tuple) else "distribution")
@@ -449,19 +451,20 @@ def test_fold_verdicts_match_the_reference(spec):
 
 def test_inversion_builds_no_cyclotomic_value(monkeypatch):
     # the fold reads every mass from the packed words; the table's own
-    # values are read through terms(), and nothing is reduced
+    # values are read through terms(), nothing is reduced, and the result
+    # is built on codes, not through an element-keyed pmf
     spec = Z9xZ5xZ7
     els = spec.element_list
     mu = from_pmf(spec, {els[3]: Fraction(1, 7), els[100]: Fraction(2, 7), els[301]: Fraction(4, 7)})
     table = char_fn_table(mu)
-    bad = dict(table)
-    bad[els[5]] = table[els[5]] + from_terms(spec.exponent, [(4, 1)])
+    bad = table.with_value(els[5], table(els[5]) + from_terms(spec.exponent, [(4, 1)]))
 
     def refuse(*args, **kwargs):
-        raise AssertionError("inversion reduced a cyclotomic value")
+        raise AssertionError("inversion reduced a cyclotomic value or built a pmf")
 
     monkeypatch.setattr(cyclotomic, "from_terms", refuse)
     monkeypatch.setattr(cyclotomic.CycloElement, "_make", refuse)
+    monkeypatch.setattr(distributions, "from_pmf", refuse)
     assert invert_char_table(spec, table) == mu
     with pytest.raises(VerificationFailure):
         invert_char_table(spec, bad)
@@ -487,8 +490,8 @@ def test_slot_width_at_each_byte_boundary():
                 pmf[spec.zero()] += 1 - Fraction(1, den)
                 mu = from_pmf(spec, pmf)
                 table = char_fn_table(mu)
-                assert math.lcm(*(v.den for v in table.values())) == den
-                assert max(abs(c) * (den // v.den) for v in table.values() for _, c in v.terms()) == den
+                assert math.lcm(*(v.den for v in table.values)) == den
+                assert max(abs(c) * (den // v.den) for v in table.values for _, c in v.terms()) == den
                 assert invert_char_table(spec, table) == mu
 
 
@@ -537,8 +540,7 @@ def test_non_rational_table_fails_at_the_reference_point_on_three_axes():
     # in element order comes after the 35 elements with x[0] == 0.
     spec = Z9xZ5xZ7
     n = spec.exponent
-    table = {y: from_rational(n, 1) for y in spec.element_list}
-    table[(1, 0, 0)] = from_rational(n, 2)
+    table = dual_function(spec, {y: from_rational(n, 2 if y == (1, 0, 0) else 1) for y in spec.element_list})
     with pytest.raises(VerificationFailure) as packed:
         invert_char_table(spec, table)
     with pytest.raises(VerificationFailure) as slow:
@@ -546,19 +548,42 @@ def test_non_rational_table_fails_at_the_reference_point_on_three_axes():
     assert str(packed.value) == str(slow.value) == "inversion produced a non-rational mass at (1, 0, 0)"
 
 
-def test_inversion_refuses_a_table_that_does_not_cover_the_dual():
-    table = char_fn_table(degenerate(Z9, (0,)))
+def test_dual_function_refuses_a_mapping_that_does_not_cover_the_dual():
+    mapping = dict(zip(Z9.element_list, char_fn_table(degenerate(Z9, (0,))).values))
     with pytest.raises(ValueError, match="^table must cover every dual element$"):
-        invert_char_table(Z9, {(0,): from_rational(9, 1)})
-    unreduced = dict(table)
+        dual_function(Z9, {(0,): from_rational(9, 1)})
+    unreduced = dict(mapping)
     unreduced[(9,)] = unreduced.pop((0,))
     with pytest.raises(ValueError, match="^table must cover every dual element$"):
-        invert_char_table(Z9, unreduced)
-    extra = dict(table)
-    extra[(9,)] = table[(0,)]
+        dual_function(Z9, unreduced)
+    extra = dict(mapping)
+    extra[(9,)] = mapping[(0,)]
     with pytest.raises(ValueError, match="^table must cover every dual element$"):
-        invert_char_table(Z9, extra)
-    assert invert_char_table(Z9, table) == degenerate(Z9, (0,))
+        dual_function(Z9, extra)
+    assert invert_char_table(Z9, dual_function(Z9, mapping)) == degenerate(Z9, (0,))
+
+
+def test_inversion_refuses_a_table_that_is_not_a_dual_function_on_spec():
+    table = char_fn_table(degenerate(Z9, (0,)))
+    with pytest.raises(ValueError, match="^table must be a DualFunction on "):
+        invert_char_table(Z9, dict(zip(Z9.element_list, table.values)))
+    # N = 45 in each, so each table has the right length: Z(5) x Z(9)
+    # orders its coordinates the other way, and a p-adic Z(9) is another
+    # group for the corollaries
+    for other in (validate_spec([(5, 1), (3, 2)]), validate_spec([(3, 2, "padic"), (5, 1)])):
+        table = char_fn_table(degenerate(other, other.zero()))
+        assert len(table.values) == Z9xZ5.exponent
+        with pytest.raises(ValueError, match=r"^table must be a DualFunction on Z\(3\^2\) x Z\(5\)$"):
+            invert_char_table(Z9xZ5, table)
+
+
+def test_inversion_refuses_values_of_another_field():
+    # a Q(zeta_27) value, whose exponents reach past N = 9, and a zeta_3,
+    # which must not be read as zeta_9
+    table = char_fn_table(degenerate(Z9, (0,)))
+    for value in (from_terms(27, [(1, 1)]), from_terms(3, [(1, 1)]), from_rational(3, 1), Fraction(1)):
+        with pytest.raises(ValueError, match="^table values must be CycloElements of order 9$"):
+            invert_char_table(Z9, table.with_value((1,), value))
 
 
 # -- powerful basis ---------------------------------------------------------------------

@@ -4,6 +4,8 @@ import pytest
 
 from heyde import (
     DeterministicStream,
+    char_fn,
+    char_fn_table,
     construct_instance,
     degenerate,
     dual_function,
@@ -21,7 +23,6 @@ from heyde import (
 )
 from heyde import lemmas
 from heyde.cyclotomic import CycloElement
-from heyde.lemmas import char_table_function
 
 import oracles
 
@@ -30,6 +31,7 @@ Z5 = validate_spec([(5, 1)])
 Z9 = validate_spec([(3, 2)])
 Z27 = validate_spec([(3, 3)])
 Z9xZ5 = validate_spec([(3, 2), (5, 1)])
+Z27xZ5 = validate_spec([(3, 3), (5, 1)])
 
 
 def nonvanishing_fixture(spec, seed, x2):
@@ -152,13 +154,14 @@ def test_fixed_point_lemma_requires_invertible_one_minus_beta():
     assert not report.invertible_ok and not report.evaluated
 
 
-def test_char_table_function_matches_values():
-    mu = from_pmf(Z3, {(0,): Fraction(1, 2), (1,): Fraction(1, 2)})
-    table = char_table_function(mu)
-    from heyde import char_fn
-
-    for y in Z3.element_list:
-        assert table(y) == char_fn(mu, y)
+def test_char_fn_table_matches_char_fn():
+    # on groups with two or three axes, where a code differs from its
+    # element, so a code/element mix-up in the table shows
+    for spec in (Z9xZ5, Z27xZ5):
+        stream = DeterministicStream(spec.exponent, label="char-table")
+        for mu in (random_distribution(spec, 8, stream), degenerate(spec, spec.element_list[7])):
+            table = char_fn_table(mu)
+            assert [table(y) for y in spec.element_list] == [char_fn(mu, y) for y in spec.element_list]
 
 
 def test_both_verifiers_sign_each_value_once(monkeypatch):
