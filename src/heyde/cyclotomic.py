@@ -9,9 +9,11 @@ The reduced form is canonical, so equality, vanishing, and unit-modulus
 questions are decided exactly; CycloElement.terms() reads it back as
 powers of zeta, and no other module knows the basis.  Floating point
 appears only in the explicitly named cross-check helpers (to_complex) and
-never inside a predicate.  Sign decisions for real values use rigorous
-interval refinement, which terminates because a nonzero algebraic number
-is bounded away from zero.
+never inside a predicate.  Sign decisions for real values sum integers:
+each cos(2 pi e / N) is bracketed between two integers at the scale 2**B,
+from a per-process table filled one exponent at a time (_Cosines, the only
+use of mpmath), and B doubles until the bracket of the sum excludes 0,
+which it does once 2**B times the value outgrows the bracket widths.
 
 The hot zero tests skip the basis: modular_field evaluates character
 sums at a primitive N-th root of unity modulo primes p = 1 (mod N), with
@@ -99,6 +101,59 @@ def _basis(n: int) -> _Basis:
         basis = _Basis(n)
         _basis_cache[n] = basis
     return basis
+
+
+# -- certified cosine brackets -----------------------------------------------
+
+_SIGN_BITS = 64  # the first scale 2**B that real_sign tries
+_GUARD_BITS = 32  # extra working precision of the interval cosines
+
+
+def _scaled_floor(endpoint: tuple, bits: int) -> int:
+    """floor(x * 2**bits), exactly, for the mpmath mpf tuple (sign, man, exp, bc) of x."""
+    sign, man, exp, _ = endpoint
+    m = -man if sign else man
+    shift = exp + bits
+    return m << shift if shift >= 0 else m >> -shift
+
+
+class _Cosines(dict):
+    """e -> (lo, hi) with lo <= 2**bits * cos(2 pi e / order) <= hi, integers.
+
+    Filled one exponent at a time, on first use, from the endpoints of
+    mpmath's interval cosine at bits + _GUARD_BITS bits of precision: that
+    interval contains cos(2 pi e / order), and lo and hi are the floor of
+    its lower end and the ceiling of its upper end at the scale 2**bits,
+    read exactly from their binary forms.  The interval is far narrower
+    than 2**-bits at that precision, so hi - lo is at most 2.
+    """
+
+    def __init__(self, order: int, bits: int):
+        super().__init__()
+        self.order = order
+        self.bits = bits
+
+    def __missing__(self, e: int) -> tuple[int, int]:
+        saved = iv.prec
+        try:
+            iv.prec = self.bits + _GUARD_BITS
+            low, high = iv.cos(2 * iv.pi * e / self.order)._mpi_
+        finally:
+            iv.prec = saved
+        sign, man, exp, bc = high
+        ceiling = -_scaled_floor((not sign, man, exp, bc), self.bits)  # ceil(x) = -floor(-x)
+        bounds = self[e] = (_scaled_floor(low, self.bits), ceiling)
+        return bounds
+
+
+_cosine_cache: dict[tuple[int, int], _Cosines] = {}
+
+
+def _cosines(order: int, bits: int) -> _Cosines:
+    table = _cosine_cache.get((order, bits))
+    if table is None:
+        table = _cosine_cache[order, bits] = _Cosines(order, bits)
+    return table
 
 
 # -- certified modular evaluation --------------------------------------------
@@ -362,27 +417,39 @@ class CycloElement:
         return total / self.den
 
     def real_sign(self) -> int:
-        """Exact sign of a real value via interval refinement (-1, 0, or 1)."""
+        """Exact sign of a real value (-1, 0, or 1), on integers.
+
+        A real value is den**-1 times S, the sum of c * cos(2 pi e / order)
+        over its terms.  With lo <= 2**B cos(2 pi e / order) <= hi from the
+        cosine table at scale B (_Cosines), 2**B S lies between the sum of
+        c * lo (c > 0) and c * hi (c < 0), and the sum of c * hi (c > 0) and
+        c * lo (c < 0); once that bracket lies wholly on one side of 0 it
+        gives the sign.  Otherwise B doubles, from _SIGN_BITS.  is_zero is
+        exact and decided first, so S != 0, and the loop ends: the bracket
+        is at most 2 * sum(|c|) wide while 2**B |S| grows without bound.
+        """
         if not self.is_real():
             raise ValueError("value is not real")
         if self.is_zero():
             return 0
         terms = self.terms()
-        saved = iv.dps
-        try:
-            iv.dps = 30
-            while True:
-                two_pi = 2 * iv.pi
-                total = iv.mpf(0)
-                for e, c in terms:
-                    total += c * iv.cos(two_pi * e / self.order)
-                if total.a > 0:
-                    return 1
-                if total.b < 0:
-                    return -1
-                iv.dps *= 2
-        finally:
-            iv.dps = saved
+        bits = _SIGN_BITS
+        while True:
+            cosines = _cosines(self.order, bits)
+            low = high = 0
+            for e, c in terms:
+                lo, hi = cosines[e]
+                if c > 0:
+                    low += c * lo
+                    high += c * hi
+                else:
+                    low += c * hi
+                    high += c * lo
+            if low > 0:
+                return 1
+            if high < 0:
+                return -1
+            bits *= 2
 
 
 def from_terms(order: int, terms, den: int = 1) -> CycloElement:

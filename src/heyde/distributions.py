@@ -8,10 +8,11 @@ canonical (D is the least common denominator), so equality is structural
 and every theorem-level conclusion is an exact identity.  The integer
 constructors (convolve, shift, reflect, haar) and Fourier inversion
 build codes directly, and a character table is a DualFunction indexed by
-dual code.  Coordinate tuples and Fractions appear only at the edges: in
-the masses view, in from_pmf, which the tuple-keyed API uses, and in
-dual_function, the one reader of an element-keyed table.  Files are read
-and written on codes (serialize).
+dual code that records its distribution.  Coordinate tuples and
+Fractions appear only at the edges: in the masses view, in from_pmf,
+which the tuple-keyed API uses, and in dual_function, the one reader of
+an element-keyed table.  Files are read and written on codes
+(serialize).
 
 The unit-modulus predicate is decided combinatorially (a character sum
 has modulus one exactly when the pairing is constant on the support); the
@@ -21,8 +22,9 @@ hypothesis of the corollaries) are decided on integers, by pushing the
 numerators forward to each quotient Z(m) and folding them along its CRT
 axes (char_fn_zero_classes).  Residues modulo primes that split
 completely in the cyclotomic field, with a modulus certified large
-enough for the verdict to be exact, serve the dual equation alone
-(char_residues).
+enough for the verdict to be exact, serve the dual equation, there and
+in the lemma verifiers, which also decide their other identities on the
+residues of character tables (char_residues).
 
 Quantities that depend on one distribution only (its code -> numerator
 map, residues, zero classes and translation stabilizer) are memoized on
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -187,10 +189,17 @@ class DualFunction:
     """A total table on the dual group, valued in Q(zeta_N) or in Q.
 
     values[r] is the value at the dual element with CRT code r.
+    distribution is the distribution whose character table this is, set by
+    char_fn_table alone; a table built from values (dual_function,
+    with_value) has none.  It is not part of ==, hash or repr, so a table
+    compares by its values.  The lemma verifiers decide the identities of
+    two tables that carry their distributions on residues (lemmas), an
+    argument that holds for character tables only.
     """
 
     spec: GroupSpec
     values: tuple
+    distribution: Distribution | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.values) != self.spec.exponent:
@@ -214,11 +223,12 @@ def dual_function(spec: GroupSpec, mapping) -> DualFunction:
 
 
 def char_fn_table(mu: Distribution) -> DualFunction:
-    """char_fn(mu, y) at every dual code y; the pair terms are formed once."""
+    """char_fn(mu, y) at every dual code y, with mu as its distribution; the
+    pair terms are formed once."""
     n = mu.spec.exponent
     terms = _pair_terms(mu)
     values = (cyclotomic.from_terms(n, [(t * y, a) for t, a in terms], mu.den) for y in range(n))
-    return DualFunction(mu.spec, tuple(values))
+    return DualFunction(mu.spec, tuple(values), mu)
 
 
 def char_residues(mu: Distribution, field) -> Callable[[int], int]:

@@ -24,9 +24,10 @@ verdicts are then exact.  The nonvanishing hypothesis of the corollaries
 and the vanishing side of the Haar-factor test use no residues: their
 zero classes come from the integer axis fold of
 distributions.char_fn_zero_classes.  No predicate is decided by floating
-point or by a probabilistic test.  The lemma verifiers pass exact
-canonical cyclotomic values, as ids, to the same equation loop, which
-stays the reference route.
+point or by a probabilistic test.  The lemma verifiers run the same
+equation loop on the residues of their character tables, and on exact
+canonical cyclotomic values, as ids, for tables built from values and to
+name a violation; that interned loop stays the reference route.
 
 The joint symmetry test builds no joint pmf when alpha - 1 is a unit
 mod N: (x1, x2) -> (L1, L2) is then a bijection, and symmetry is the
@@ -43,9 +44,10 @@ candidate per coset of the margin's translation stabilizer, among its
 points of least mass, in place of one per support point.
 
 The equation loop compares the two products of each pair (u, v) as the
-caller's multiplication returns them: residues mod M here; in the lemma
-verifiers, the only callers whose values are costly to multiply, ids of
-cyclotomic values with a memoized product of ids.  It visits every pair
+caller's multiplication returns them: residues mod M here and for the
+lemma verifiers' character tables; on their interned route, the only one
+whose values are costly to multiply, ids of cyclotomic values with a
+memoized product of ids.  It visits every pair
 at its first v only, which reads both character tables in full.  At
 every later v it visits only the u at which a side can be nonzero (a
 falsy value is zero).  For the verdict of satisfies_heyde_equation the
@@ -61,8 +63,9 @@ runs on the quotient from the start: u = 0 alone, no residue table, and
 no pair at all when the pair is symmetric (e' = 1).  A residue table
 costs |supp| + d * sum(q_j) at most, from the pushforward of the margin
 to Z(d), d the index of its translation stabilizer
-(distributions._residue_table).  The lemma verifiers keep every pair in
-element order, since they report the first violation.
+(distributions._residue_table).  The lemma verifiers take the quotient
+for a verdict only, and rerun every pair in element order to report the
+first violation.
 
 Sweeps decide their pairs one automorphism row at a time (AutomorphismRow),
 in both modes.  What depends on alpha alone is computed once per row: the
@@ -475,28 +478,31 @@ def satisfies_heyde_equation(inst: HeydeInstance) -> bool:
     mu1, mu2 = inst.mu1, inst.mu2
     field = modular_field(inst.spec.exponent, 2 * mu1.den * mu2.den)
     modulus = field.modulus
+    beta = inst.alpha.adjoint()
     if len(mu1.points) == len(mu2.points) == 1:
-        quotient = _equation_quotient(inst)  # (1, e'), known before the first v
+        quotient = _equation_quotient(mu1, mu2, beta)  # (1, e'), known before the first v
     else:
-        quotient = partial(_equation_quotient, inst)
+        quotient = partial(_equation_quotient, mu1, mu2, beta)
     violation = first_equation_violation(
         inst.spec,
         char_residues(mu1, field),
         char_residues(mu2, field),
-        inst.alpha.adjoint(),
+        beta,
         lambda a, b: a * b % modulus,
         quotient,
     )
     return violation is None
 
 
-def _equation_quotient(inst: HeydeInstance) -> tuple[int, int]:
+def _equation_quotient(mu1: Distribution, mu2: Distribution, beta: Endomorphism) -> tuple[int, int]:
     """The indices (e, e') of K = eZ(N), the unit-modulus set, and of
-    K' = K & Ann(x1 + alpha x2) = e'Z(N), for any support points x_i of mu_i.
+    K' = K & Ann(x1 + beta x2) = e'Z(N), for any support points x_i of mu_i,
+    for the dual equation of the character sums of mu1 and mu2 under beta.
 
-    Write f, g for the character sums of mu1, mu2 and beta = adjoint(alpha),
-    whose multiplier a is alpha's; on codes f(y) is (1/D1) times the sum of
-    a_x * zeta**(s x y), s = spec.crt_pair_unit.  mu_i lives on x_i + G_i,
+    Write f, g for the character sums of mu1, mu2 and a for the multiplier
+    of beta, any endomorphism (adjoint(alpha) has alpha's multiplier); on
+    codes f(y) is (1/D1) times the sum of a_x * zeta**(s x y),
+    s = spec.crt_pair_unit.  mu_i lives on x_i + G_i,
     G_i its difference subgroup, and K = Ann(G1) & Ann(G2)
     (distributions.unit_modulus_set).  For k in K and x in x1 + G1,
     s x k = s x1 k (mod N), so f(y + k) = zeta**(s x1 k) f(y), and likewise
@@ -506,12 +512,14 @@ def _equation_quotient(inst: HeydeInstance) -> tuple[int, int]:
     - D(u + k, v) = zeta**(s k (x1 + x2)) D(u, v), as both products pick up
       that factor;
     - D(u, v + k) = zeta**c P - zeta**(-c) P', P and P' the two products at
-      (u, v) and c = s k (x1 + a x2), since a k lies in K too.  For k in K'
+      (u, v) and c = s k (x1 + a x2), since a k lies in K too (K is a
+      subgroup of the cyclic Z(N), so a need not be a unit).  For k in K'
       c = 0 (mod N), so D(u, v + k) = D(u, v).
 
     K' does not depend on the points chosen: x_i moves by G_i, which K
-    annihilates.  Its index is lcm(e, N / gcd(x1 + a x2, N)), the index of
-    Ann(x1 + a x2) being the order of x1 + a x2.  The same identities hold
+    annihilates, and a K lies in K.  Its index is
+    lcm(e, N / gcd(x1 + a x2, N)), the index of Ann(x1 + a x2) being the
+    order of x1 + a x2.  The same identities hold
     for the residues at omega, with omega**N = 1 (mod M), and a power of
     omega is a unit mod M, so each translate of a pair is zero mod M
     exactly when the pair is: the pairs first_equation_violation visits on
@@ -519,10 +527,9 @@ def _equation_quotient(inst: HeydeInstance) -> tuple[int, int]:
     the transform of a coset-supported measure (Hewitt and Ross, Abstract
     Harmonic Analysis I, sec. 23-24).
     """
-    n = inst.spec.exponent
-    mu1, mu2 = inst.mu1, inst.mu2
+    n = mu1.spec.exponent
     e = 1 if len(mu1.points) == len(mu2.points) == 1 else unit_modulus_set(mu1, mu2).index
-    c = mu1.points[0][0] + inst.alpha.code * mu2.points[0][0]
+    c = mu1.points[0][0] + beta.code * mu2.points[0][0]
     return e, lcm(e, n // gcd(c, n))
 
 

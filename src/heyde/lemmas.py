@@ -8,17 +8,40 @@ cross-check at a caller-supplied tolerance.
 
 The tables are DualFunctions, the one table type of the package
 (distributions.DualFunction, indexed by dual code), which char_fn_table
-and squared_modulus_table return.  Otherwise they are arbitrary: nothing
-requires them to be character tables or Galois-equivariant, so the
-modular evaluation of cyclotomic._ModField does not apply.  The checks
-stay on exact canonical CycloElements and are made cheap by repetition
-instead: the hypotheses decide each sign once per distinct value, in one
-sign table that both verifiers share (_sign_table), and the equation
-hypothesis and the triple-difference scan run on the ids of one interner
-(_interner), which memoizes the product of two ids, so each distinct
-product is computed once and equal sides have equal ids.  engine.first_equation_violation
-takes the id tables and that product as its mul; id 0 is the zero value,
-so the loop's sparse visits apply to tables with zeros.
+and squared_modulus_table return.  Signs are decided once per distinct
+value, in one sign table that both verifiers share (_sign_table), by
+CycloElement.real_sign.  Every identity is then decided on one of two
+routes.
+
+A table that char_fn_table built carries its distribution nu, and its
+values are character sums: sigma_c f(y) = f(c y) for every unit c, with
+sigma_c the automorphism zeta -> zeta**c.  Each set of points that the
+verifiers check (all pairs (u, v) of the equation, every y of the
+fixed-point identities, every (a, b, c, y) of a triple identity, whose
+step sets are subgroups) is closed under multiplication by units, and
+sigma_c maps the identity at a point to the identity at c times it.  So
+the argument of cyclotomic._ModField applies: when both tables carry
+their distribution, the equation hypothesis (on the quotient of
+engine._equation_quotient), the four fixed-point identities and the
+generator triples are decided on the residues of char_residues in one
+field certified for all of them (_residue_field), and a verdict there is
+exact.  The generator triples go there only when every residue of the
+table is a unit mod M, which the subgroup argument of
+_generator_triple_violation needs.  The residue route names no point:
+on any failure the interned route below reruns and reports, so every
+report is the one the interned route gives.
+
+Tables built from values (dual_function, with_value) carry no
+distribution and are otherwise arbitrary: nothing requires them to be
+character tables or Galois-equivariant, so the modular evaluation does
+not apply to them.  They go by the interned route, which is also the
+reference: the equation hypothesis and the triple-difference scan run on
+the ids of one interner (_interner), which memoizes the product of two
+ids, so each distinct product of exact canonical CycloElements is
+computed once and equal sides have equal ids.
+engine.first_equation_violation takes the id tables and that product as
+its mul; id 0 is the zero value, so the loop's sparse visits apply to
+tables with zeros.
 
 The triple-difference conclusions are decided on subgroup generators.
 For a nonvanishing table the steps at which a triple difference of
@@ -34,11 +57,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from .cyclotomic import CycloElement, from_rational
-from .distributions import Distribution, DualFunction, char_fn_table, convolve, reflect
-from .engine import first_equation_violation
+from .cyclotomic import CycloElement, from_rational, modular_field
+from .distributions import Distribution, DualFunction, char_fn_table, char_residues, convolve, reflect
+from .engine import _equation_quotient, first_equation_violation
 from .morphisms import Endomorphism, identity, kappa_of
 
 
@@ -113,6 +136,61 @@ def _equation_violation(f: DualFunction, g: DualFunction, beta: Endomorphism):
     return first_equation_violation(f.spec, f_ids.__getitem__, g_ids.__getitem__, beta, product)
 
 
+def _residue_field(f: DualFunction, g: DualFunction):
+    """The one field of the residue route for the tables f and g, or None
+    unless both carry their distribution.
+
+    With D1, D2 the denominators of the two distributions, D1 * f(y) is a
+    sum of roots of unity with integer coefficients of absolute sum D1.  So
+    D1 * D2 times either side of the equation or of a fixed-point identity
+    has weight at most D1 * D2, and D**4 times either side of a triple
+    identity of a table with denominator D at most D**4; a difference of
+    two sides has at most twice that.  A modulus above
+    max(2 D1 D2, 2 D1**4, 2 D2**4) certifies each of them
+    (cyclotomic._ModField).
+    """
+    nu1, nu2 = f.distribution, g.distribution
+    if nu1 is None or nu2 is None:
+        return None
+    d1, d2 = nu1.den, nu2.den
+    return modular_field(f.spec.exponent, max(2 * d1 * d2, 2 * d1**4, 2 * d2**4))
+
+
+def _residues(fn: DualFunction, field) -> list[int]:
+    """D * fn(y) at zeta = field.root, mod field.modulus, at every code y,
+    for a table that carries its distribution (distributions.char_residues)."""
+    return list(map(char_residues(fn.distribution, field), range(fn.spec.exponent)))
+
+
+@lru_cache(maxsize=1)
+def _residue_equation_holds(nu1: Distribution, nu2: Distribution, beta: Endomorphism, field) -> bool:
+    """Whether the dual equation of the character tables of nu1 and nu2
+    under beta holds, decided on their residues in field, on the quotient
+    of engine._equation_quotient (its proof holds for any beta), as
+    engine.satisfies_heyde_equation decides it.  Kept for the last
+    arguments: verify-lemmas runs both verifiers on the same tables."""
+    modulus = field.modulus
+    violation = first_equation_violation(
+        nu1.spec,
+        char_residues(nu1, field),
+        char_residues(nu2, field),
+        beta,
+        lambda a, b: a * b % modulus,
+        partial(_equation_quotient, nu1, nu2, beta),
+    )
+    return violation is None
+
+
+def _hypothesis_violation(f: DualFunction, g: DualFunction, beta: Endomorphism, field):
+    """The first (u, v) in element order at which the equation of f and g
+    fails, or None.  With a field (_residue_field) the residue route
+    decides; only when it finds a violation does the interned route
+    (_equation_violation) run, and name the first one."""
+    if field is not None and _residue_equation_holds(f.distribution, g.distribution, beta, field):
+        return None
+    return _equation_violation(f, g, beta)
+
+
 @dataclass(frozen=True)
 class DifferenceLemmaReport:
     hypothesis_ok: bool
@@ -139,19 +217,24 @@ def _first_triple_violation(fn: DualFunction, step_endos) -> tuple[int, tuple | 
     or None.  This full scan is the reference route; it makes no
     assumption on the values, zeros included.
     """
-    return _triple_scan(fn, *(e.image().codes for e in step_endos))
+    return _triple_scan(fn.spec, *_interned(fn), *(e.image().codes for e in step_endos))
 
 
-def _triple_scan(fn: DualFunction, a_steps, b_steps, c_steps) -> tuple[int, tuple | None]:
+def _interned(fn: DualFunction) -> tuple[list[int], object]:
+    """The ids of fn's values, by code, and the memoized product of ids, of one _interner."""
+    intern, product = _interner(from_rational(fn.spec.exponent, 0))
+    return [intern(v) for v in fn.values], product
+
+
+def _triple_scan(spec, values, product, a_steps, b_steps, c_steps) -> tuple[int, tuple | None]:
     """The triple-difference scan over the given step codes, in that order.
 
-    The loop runs on CRT codes, on the ids of one _interner, so each side
-    is the product of two memoized pair products and the two sides are
-    equal exactly when their ids are.
+    The loop runs on CRT codes, on values indexed by code, and compares the
+    two sides by ==, each the product of two pair products: ids of one
+    _interner with their memoized product, equal exactly when the values
+    are, or residues mod M with their product mod M.
     """
-    spec = fn.spec
-    intern, product = _interner(from_rational(spec.exponent, 0))
-    ids = [intern(v) for v in fn.values] * 4  # every index below is < 4N
+    ids = values * 4  # every index below is < 4N
     checks = 0
     for a in a_steps:
         for b in b_steps:
@@ -167,9 +250,11 @@ def _triple_scan(fn: DualFunction, a_steps, b_steps, c_steps) -> tuple[int, tupl
     return checks, None
 
 
-def _generator_triple_violation(fn: DualFunction, step_endos) -> tuple[int, tuple | None]:
+def _generator_triple_violation(fn: DualFunction, step_endos, field) -> tuple[int, tuple | None]:
     """_first_triple_violation for a table of nonzero values, scanning the
-    generator triple first.
+    generator triple first: on the residues of fn in field when field is
+    not None (_residue_field) and every residue is a unit mod M, otherwise
+    on interned ids.
 
     With D_a f(y) = f(y+a)/f(y), the identity at (a, b, c, y) says
     D_a D_b D_c f(y) == 1.  D_{a+a'} g = (T_{a'} D_a g) * D_{a'} g for the
@@ -181,8 +266,22 @@ def _generator_triple_violation(fn: DualFunction, step_endos) -> tuple[int, tupl
     A x B x C x Z(N) exactly when it holds at (m_a, m_b, m_c, y) for every
     y, and a pass reports |A| |B| |C| N checks, the count of the full scan.
     A failure reruns the full scan for its first violation and count.
+
+    On residues R(y) = D * fn(y) mod M the same argument runs in the
+    group of units mod M, with D_a R(y) = R(y + a) / R(y), once every R(y)
+    is a unit: the identity then holds mod M on all of A x B x C x Z(N).
+    That set is closed under multiplication by units, as A, B and C are
+    subgroups, so each identity holds exactly (see the module docstring).
     """
-    if _triple_scan(fn, *([e.code] for e in step_endos))[1] is not None:
+    values = product = None
+    if field is not None:
+        modulus = field.modulus
+        residues = _residues(fn, field)
+        if all(math.gcd(r, modulus) == 1 for r in residues):
+            values, product = residues, lambda a, b: a * b % modulus
+    if values is None:
+        values, product = _interned(fn)
+    if _triple_scan(fn.spec, values, product, *([e.code] for e in step_endos))[1] is not None:
         return _first_triple_violation(fn, step_endos)
     return math.prod(e.image().order for e in step_endos) * fn.spec.exponent, None
 
@@ -202,6 +301,8 @@ def verify_difference_lemma(
     The hypothesis makes every value nonzero, so each conclusion is first
     decided on the generator triple of its step sets (N checks, see
     _generator_triple_violation) and scanned in full only if that fails.
+    The hypothesis and the generator triples go by the residue route when
+    both tables carry their distribution (see the module docstring).
     checks is the number of quadruples (a, b, c, y) certified: |A| |B| |C| N
     per conclusion that holds, and for one that fails the count of the full
     scan up to and including its first violation.
@@ -214,9 +315,10 @@ def verify_difference_lemma(
         isinstance(v, CycloElement) and v.is_real() and sign(v) > 0
         for v in _distinct_values(f1, f2)
     )
-    violation = None
+    violation = field = None
     if positive:
-        violation = _equation_violation(f1, f2, beta)
+        field = _residue_field(f1, f2)
+        violation = _hypothesis_violation(f1, f2, beta, field)
     hypothesis_ok = positive and violation is None
     if not hypothesis_ok:
         detail = "hypothesis not satisfied"
@@ -248,7 +350,7 @@ def verify_difference_lemma(
         (f1, (one_plus, double, one_minus)),
         (f2, (two_beta, one_plus, one_minus)),
     ):
-        made, failed = _generator_triple_violation(fn, step_endos)
+        made, failed = _generator_triple_violation(fn, step_endos, field)
         checks += made
         results.append(failed is None)
         if failed is not None and first_violation is None:
@@ -315,6 +417,29 @@ class FixedPointLemmaReport:
         )
 
 
+def _fixed_point_residues_hold(f: DualFunction, g: DualFunction, field, r: int, mg: int, mf: int) -> bool:
+    """Whether the four identities of verify_fixed_point_lemma hold at every
+    y, decided on the residues R1 = D1 f and R2 = D2 g in field
+    (_residue_field), each identity times D1 D2:
+
+        D2 R1(y) = R1(-r y) R2(mg y) = D1 R2(mg y),
+        D1 R2(y) = R2(r y) R1(mf y) = D2 R1(mf y).
+
+    Every side has weight at most D1 D2, the identities are checked at
+    every y, and sigma_c maps the identity at y to the one at c y, so the
+    verdict is exact (see the module docstring).
+    """
+    n = f.spec.exponent
+    m = field.modulus
+    d1, d2 = f.distribution.den, g.distribution.den
+    rf, rg = _residues(f, field), _residues(g, field)
+    return all(
+        d2 * rf[y] % m == rf[-r * y % n] * rg[mg * y % n] % m == d1 * rg[mg * y % n] % m
+        and d1 * rg[y] % m == rg[r * y % n] * rf[mf * y % n] % m == d2 * rf[mf * y % n] % m
+        for y in range(n)
+    )
+
+
 def _within_unit_interval(value, sign) -> bool:
     if not isinstance(value, CycloElement) or not value.is_real():
         return False
@@ -331,7 +456,9 @@ def verify_fixed_point_lemma(
     equation, then checks at every base point the two equalities that the
     orbit argument forces.  Every orbit under the derived automorphism
     kappa = -4*beta*(I-beta)**-2 is finite because the group is, so the
-    orbits need no enumeration; kappa is reported.
+    orbits need no enumeration; kappa is reported.  The equation and the
+    four identities go by the residue route when both tables carry their
+    distribution (see the module docstring).
     """
     spec = f.spec
     if g.spec != spec or beta.spec != spec:
@@ -339,9 +466,10 @@ def verify_fixed_point_lemma(
     invertible = identity(spec).add(beta.neg()).is_automorphism()
     sign = _sign_table(f, g)
     bounds = all(_within_unit_interval(v, sign) for v in _distinct_values(f, g))
-    violation = None
+    violation = field = None
     if bounds and invertible:
-        violation = _equation_violation(f, g, beta)
+        field = _residue_field(f, g)
+        violation = _hypothesis_violation(f, g, beta, field)
     equation_ok = violation is None and bounds and invertible
     if not equation_ok:
         parts = ["hypothesis not satisfied"]
@@ -372,9 +500,6 @@ def verify_fixed_point_lemma(
     kappa = kappa_of(beta)
 
     # On CRT codes each map is one multiplier; only a failing y is decoded.
-    n = spec.exponent
-    elements = spec.crt_elements
-    fv, gv = f.values, g.values
     r, mg, mf = ratio.code, to_g.code, to_f.code
     sub_f = sub_g = fix_f = fix_g = True
     first_violation = None
@@ -384,20 +509,24 @@ def verify_fixed_point_lemma(
         if first_violation is None:
             first_violation = msg
 
-    for y in spec.crt_codes:  # element order, so the first violation noted is too
-        g_at, f_at = gv[mg * y % n], fv[mf * y % n]
-        if fv[y] != fv[-r * y % n] * g_at:
-            sub_f = False
-            note(f"substitution identity for f fails at {elements[y]}")
-        if gv[y] != gv[r * y % n] * f_at:
-            sub_g = False
-            note(f"substitution identity for g fails at {elements[y]}")
-        if fv[y] != g_at:
-            fix_f = False
-            note(f"fixed-point identity for f fails at {elements[y]}")
-        if gv[y] != f_at:
-            fix_g = False
-            note(f"fixed-point identity for g fails at {elements[y]}")
+    if field is None or not _fixed_point_residues_hold(f, g, field, r, mg, mf):
+        n = spec.exponent
+        elements = spec.crt_elements
+        fv, gv = f.values, g.values
+        for y in spec.crt_codes:  # element order, so the first violation noted is too
+            g_at, f_at = gv[mg * y % n], fv[mf * y % n]
+            if fv[y] != fv[-r * y % n] * g_at:
+                sub_f = False
+                note(f"substitution identity for f fails at {elements[y]}")
+            if gv[y] != gv[r * y % n] * f_at:
+                sub_g = False
+                note(f"substitution identity for g fails at {elements[y]}")
+            if fv[y] != g_at:
+                fix_f = False
+                note(f"fixed-point identity for f fails at {elements[y]}")
+            if gv[y] != f_at:
+                fix_g = False
+                note(f"fixed-point identity for g fails at {elements[y]}")
 
     return FixedPointLemmaReport(
         hypothesis_equation_ok=True,

@@ -11,6 +11,8 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm
 
+from mpmath import iv
+
 from heyde import DeterministicStream, HeydeInstance, enumerate_distributions, from_pmf, sweep
 from heyde.cyclotomic import modular_field
 from heyde.distributions import Distribution, _canonical
@@ -408,6 +410,33 @@ def dense_mul(n, rows, degree, a, b):
             for j, y in enumerate(b):
                 conv[i + j] += x * y
     return dense_reduce(n, rows, degree, conv)
+
+
+def reference_real_sign(value):
+    """Sign of a real CycloElement by per-term interval sums in mpmath:
+    each term's cosine at 30 digits, then at twice the digits until the
+    interval of the sum excludes 0 (CycloElement.real_sign as it was before
+    it summed integer cosine brackets)."""
+    if not value.is_real():
+        raise ValueError("value is not real")
+    if value.is_zero():
+        return 0
+    terms = value.terms()
+    saved = iv.dps
+    try:
+        iv.dps = 30
+        while True:
+            two_pi = 2 * iv.pi
+            total = iv.mpf(0)
+            for e, c in terms:
+                total += c * iv.cos(two_pi * e / value.order)
+            if total.a > 0:
+                return 1
+            if total.b < 0:
+                return -1
+            iv.dps *= 2
+    finally:
+        iv.dps = saved
 
 
 def reference_invert_char_table(spec, table):

@@ -363,7 +363,7 @@ def test_quotient_verdicts_match_the_dense_reference(spec):
         f, g = (oracles.per_code_residues(mu, field).__getitem__ for mu in (inst.mu1, inst.mu2))
         holds = oracles.dense_equation_violation(spec, f, g, inst.alpha.adjoint(), field.modulus) is None
         assert satisfies_heyde_equation(inst) == holds
-        e, e_v = _equation_quotient(inst)
+        e, e_v = _equation_quotient(inst.mu1, inst.mu2, inst.alpha)
         assert e_v % e == 0 and n % e_v == 0
         seen["holds" if holds else "fails"] += 1
         seen["K' != K"] += e_v != e
@@ -378,7 +378,7 @@ def test_shifted_haar_pair_fails_only_off_the_unit_modulus_set():
     spec = QUOTIENT_GROUPS[0]
     mu = haar(subgroup_of_index(spec, 3))
     inst = HeydeInstance(spec, mu, shift(mu, (1,)), make_endo(spec, (2,)))
-    assert _equation_quotient(inst) == (3, 9)
+    assert _equation_quotient(inst.mu1, inst.mu2, inst.alpha) == (3, 9)
     field = modular_field(9, 2 * mu.den * mu.den)
     f, g = (char_residues(m, field) for m in (inst.mu1, inst.mu2))
     assert _same_as_dense(spec, f, g, inst.alpha, field.modulus) == ((0,), (3,))
@@ -433,7 +433,7 @@ def test_symmetric_point_masses_within_a_second(components):
     b = spec.crt_elements[n // 3 + 1]
     a = spec.crt_elements[-2 * (n // 3 + 1) % n]
     inst = HeydeInstance(spec, degenerate(spec, a), degenerate(spec, b), alpha)
-    assert _equation_quotient(inst) == (1, 1)
+    assert _equation_quotient(inst.mu1, inst.mu2, inst.alpha) == (1, 1)
     with time_limit(1):
         assert satisfies_heyde_equation(inst)
 
@@ -461,11 +461,11 @@ def test_point_mass_pairs_fill_no_residue_table(monkeypatch):
 
     monkeypatch.setattr(engine, "char_residues", counted)
     symmetric = HeydeInstance(spec, degenerate(spec, a), degenerate(spec, b), alpha)
-    assert _equation_quotient(symmetric) == (1, 1)
+    assert _equation_quotient(symmetric.mu1, symmetric.mu2, alpha) == (1, 1)
     assert satisfies_heyde_equation(symmetric)
     assert not reads
     asymmetric = HeydeInstance(spec, degenerate(spec, moved), degenerate(spec, b), alpha)
-    assert _equation_quotient(asymmetric) == (1, n)
+    assert _equation_quotient(asymmetric.mu1, asymmetric.mu2, alpha) == (1, n)
     assert not satisfies_heyde_equation(asymmetric)
     assert sum(reads.values()) == 4  # f and g at v = 1 and -1, beta v and -beta v
 
