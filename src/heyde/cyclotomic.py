@@ -7,13 +7,15 @@ fold rule per factor, so no cyclotomic polynomial is ever formed.  For N
 a prime power that is the power basis 1, zeta, ..., zeta**(phi(N)-1).
 The reduced form is canonical, so equality, vanishing, and unit-modulus
 questions are decided exactly; CycloElement.terms() reads it back as
-powers of zeta, and no other module knows the basis.  Floating point
-appears only in the explicitly named cross-check helpers (to_complex) and
-never inside a predicate.  Sign decisions for real values sum integers:
-each cos(2 pi e / N) is bracketed between two integers at the scale 2**B,
-from a per-process table filled one exponent at a time (_Cosines, the only
-use of mpmath), and B doubles until the bracket of the sum excludes 0,
-which it does once 2**B times the value outgrows the bracket widths.
+powers of zeta, coordinate_exponents() gives the power of zeta at each
+coordinate to readers of num in bulk, and no other module knows the
+basis.  Floating point appears only in the explicitly named cross-check
+helpers (to_complex) and never inside a predicate.  Sign decisions for
+real values sum integers: each cos(2 pi e / N) is bracketed between two
+integers at the scale 2**B, from a per-process table filled one exponent
+at a time (_Cosines, the only use of mpmath), and B doubles until the
+bracket of the sum excludes 0, which it does once 2**B times the value
+outgrows the bracket widths.
 
 The hot zero tests skip the basis: modular_field evaluates character
 sums at a primitive N-th root of unity modulo primes p = 1 (mod N), with
@@ -323,6 +325,15 @@ class CycloElement:
         return CycloElement(order, tuple(num), den)
 
     # -- queries -----------------------------------------------------------
+
+    def coordinate_exponents(self) -> tuple[int, ...]:
+        """The exponent of zeta at each coordinate of num, in coordinate order.
+
+        The element is the sum of num[t] * zeta**exponents[t] over t,
+        divided by den; the exponents are distinct and below order, and
+        every element of Q(zeta_order) shares them.
+        """
+        return _basis(self.order).exponents
 
     def terms(self) -> list[tuple[int, int]]:
         """(exponent, coefficient) for each nonzero coordinate, by coordinate.

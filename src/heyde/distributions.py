@@ -33,7 +33,9 @@ it, as plain attributes filled on first use.
 
 from __future__ import annotations
 
+import itertools
 import operator
+import struct
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -494,36 +496,56 @@ def invert_char_table(spec: GroupSpec, table: DualFunction) -> Distribution:
 
     mu(x) = (1/N) sum_y f(y) zeta**(-t), t = pair_exponent(x, y).  Over the
     common denominator D, f(y) = (1/D) sum_e c[y][e] zeta**e with integers
-    c[y][e] (e < N), read from f(y).terms() with 0 at the exponents it does
-    not list, and the product by zeta**(-t) moves c[y][e] to exponent
-    e - t mod N.  So each x needs the vector v_x in Z[Z(N)] with
+    c[y][e] (e < N): the coordinates of f(y) scaled by D / den, each at its
+    exponent (CycloElement.coordinate_exponents), and 0 at the exponents
+    no coordinate has.  The product by zeta**(-t) moves c[y][e] to
+    exponent e - t mod N.  So each x needs the vector v_x in Z[Z(N)] with
     v_x[k] = sum_y c[y][k + t] over y, and N * D * mu(x) is the image of
     sum_k v_x[k] zeta**k in Q(zeta_N), which must be rational.
 
     The sums are exact integer Kronecker packing.  Let B be the largest
     |c[y][e]|, and W a whole number of bytes with 2**W > 2 * N * (B + 1).
     Entry y becomes the integer P_y with c[y][k] + B in bits kW..kW+W-1
-    (slot k), k < N, so every slot is in [0, 2B].  P_y + (P_y << NW) holds
-    two copies, and shifting it right by tW puts c[y][k + t mod N] + B in
-    slot k for every k < N: the rotation by zeta**(-t).  Adding such shifts,
-    each slot below bit NW sums values in [0, 2B], and no carry crosses a
-    slot boundary while the sum stays below 2**W; the bits at and above NW,
-    what the shifts leave of the second copies, only carry upward and are
-    masked off.
+    (slot k), k < N, so every slot is in [0, 2B]; _biased_words reads
+    every coordinate of the table into one buffer at its slot and adds the
+    bias per word.  P_y + (P_y << NW) holds two copies, and shifting it
+    right by tW puts c[y][k + t mod N] + B in slot k for every k < N: the
+    rotation by zeta**(-t).  Adding such shifts, each slot below bit NW
+    sums values in [0, 2B], and no carry crosses a slot boundary while the
+    sum stays below 2**W; the bits at and above NW, what the shifts leave
+    of the second copies, only carry upward and are masked off.
 
     The shifts are summed one CRT axis at a time (the prime-factor, or
     Good-Thomas, transform).  On codes t = sum_j w_j * x * y mod N with
-    w_j = N / q_j, and w_j * x * y mod N depends only on x and y mod q_j.
-    So the pass for axis j replaces the words on each line
-    {b + i * w_j : i < q_j} (b < w_j), the codes that differ only in their
-    residue mod q_j, by the sums over that line of the rotations by
-    zeta**(-w_j * x * y), for every x on the line, each word doubled before
-    its pass and masked after it; after the last pass the word at x has
-    summed the rotation of every P_y by zeta**(-t).  That is N * sum q_j
-    shift-adds in place of N**2.  A slot after the pass for axis j sums
-    q_1 * ... * q_j of the N values in [0, 2B] that its final slot sums, at
-    most 2NB < 2**W, so the same W covers every pass.  Slot k of the final
-    word is v_x[k] + N * B.
+    w_j = N / q_j, and w_j * x * y mod N = w_j * (x * y mod q_j) depends
+    only on x and y mod q_j.  So the pass for axis j replaces the words on
+    each line {b + i * w_j : i < q_j} (b < w_j), the codes that differ only
+    in their residue mod q_j, by their line transform: indexed by residue,
+    X[k] = sum_{m < q} R**(k m) P[m] with q = q_j and R the rotation by
+    w_j slots, so R**q = 1.  After the last pass the word at x has summed
+    the rotation of every P_y by zeta**(-t).
+
+    On q = p**a the line transform is split into radix-p stages
+    (_line_transform; Cooley and Tukey 1965).  With q' = q / p and Y_s the
+    length-q' transform with root R**p of the words P[p m + s], m < q',
+
+        X[k + q' l] = sum_{s < p} R**((k + q' l) s) Y_s[k]   (k < q', l < p),
+
+    as R**(p m (k + q' l)) = (R**p)**(m k), because R**q = 1.  Each Y_s
+    splits the same way, so a line costs a * p * q shift-adds in place of
+    q**2, and a prime axis (a = 1) is the direct q**2 loop.  Every twiddle
+    R**e is a rotation, one shift of a doubled word.  That is
+    N * sum_j a_j * p_j shift-adds over all axes.
+
+    The width W holds at every stage.  The words on one line hold sums
+    over disjoint sets of y (after the passes before it, the word at x
+    sums the y = x mod w for the product w of the axes not yet passed),
+    so by linearity every word a stage makes is a sum of rotations of
+    distinct P_y.  Each of its slots then sums at most N values in
+    [0, 2B], at most 2NB < 2**W, and no carry crosses a slot boundary;
+    before its mask, a stage's sum has the same bits below NW, since the
+    bits above, what the shifts leave of the second copies, only carry
+    upward.  Slot k of the final word is v_x[k] + N * B.
 
     Whether the image of v = v_x is rational is decided on the packed word
     by the translation fold of char_fn_zero_classes, with no cyclotomic
@@ -551,13 +573,14 @@ def invert_char_table(spec: GroupSpec, table: DualFunction) -> Distribution:
     and subtracting the rotated word leaves z(e) - z(e + d) + 2b in
     [0, 4b], with no borrow across slots.  The bias starts at N * B and
     doubles with each step, so after k steps it is 2**k * N * B, and with
-    h primes every slot stays at most 2**(h+1) * N * B.  Each final word is
-    therefore widened once, before its h steps, to the width W' that the
-    rule for W gives for 2**(h+1) * N * B in place of 2 * N * (B + 1), and
-    never below W, so 2**W' > 2**(h+1) * N * B.  Slot 0 of F v then reads
-    r + 2**h * N * B, and F v equals r F delta_0 exactly when the word
-    equals 2**h * N * B in every slot plus r times the word of F delta_0,
-    whose entries are 0 and +-1; the mass at x is r / (N * D).
+    h primes every slot stays at most 2**(h+1) * N * B.  So the final
+    words are widened, all in one pass before the fold (_widen_words), to
+    the width W' that the rule for W gives for 2**(h+1) * N * B in place
+    of 2 * N * (B + 1), and never below W, so 2**W' > 2**(h+1) * N * B.
+    Slot 0 of F v then reads r + 2**h * N * B, and F v equals r F delta_0
+    exactly when the word equals 2**h * N * B in every slot plus r times
+    the word of F delta_0, whose entries are 0 and +-1; the mass at x is
+    r / (N * D).
 
     The table is read in code order and the masses are built on codes.
     A table that is not a DualFunction on spec, or has a value that is not
@@ -570,32 +593,26 @@ def invert_char_table(spec: GroupSpec, table: DualFunction) -> Distribution:
     values = table.values
     if not all(isinstance(value, CycloElement) and value.order == n for value in values):
         raise ValueError(f"table values must be CycloElements of order {n}")
-    den = lcm(*(value.den for value in values))
-    coeffs = [[(e, c * (den // value.den)) for e, c in value.terms()] for value in values]
-    bias = max((abs(c) for terms in coeffs for _, c in terms), default=0)
+    coordinates: dict[int, set[int]] = {}  # den -> the coordinates of the values over it
+    for value in values:
+        coordinates.setdefault(value.den, set()).update(value.num)
+    den = lcm(*coordinates)
+    bias = max(max(max(seen), -min(seen)) * (den // d) for d, seen in coordinates.items())
     nbytes = (2 * n * (bias + 1)).bit_length() // 8 + 1
+    words = _biased_words(values, den, bias, nbytes)
     width = 8 * nbytes
-    span = n * width
-    mask = (1 << span) - 1
-    words = []
-    for terms in coeffs:
-        slots = [bias] * n
-        for e, c in terms:
-            slots[e] += c
-        words.append(_pack_slots(slots, nbytes))
-    for q in spec.orders:
+    for comp in spec.components:
+        q = comp.order
         w = n // q
-        doubled = [word | word << span for word in words]
+        inverse = pow(w, -1, q)
         for b in range(w):
-            line = range(b, n, w)
-            for x in line:
-                t = w * x
-                acc = 0
-                for y in line:
-                    acc += doubled[y] >> (t * y % n * width)
-                words[x] = acc & mask
+            line = [b + (r - b) * inverse % q * w for r in range(q)]  # codes by residue mod q
+            rotated = _line_transform([words[y] for y in line], w, comp.p, n, width)
+            for x, word in zip(line, rotated):
+                words[x] = word
     steps = [n // c.p for c in spec.components]
     wide = max(nbytes, (n * bias << len(steps) + 1).bit_length() // 8 + 1)
+    words = _widen_words(words, n, nbytes, wide)
     wide_width = 8 * wide
     slot = (1 << wide_width) - 1
     ones = ((1 << n * wide_width) - 1) // slot  # 1 in every slot
@@ -611,7 +628,7 @@ def invert_char_table(spec: GroupSpec, table: DualFunction) -> Distribution:
     level = step_bias * ones  # F v = r F delta_0 with every slot biased
     masses: dict[int, int] = {}
     for cx in spec.crt_codes:
-        z = _widen(words[cx], n, nbytes, wide)
+        z = words[cx]
         for right, left, low, lift in folds:
             z += lift - (z >> right | (z & low) << left)
         r = (z & slot) - step_bias
@@ -622,8 +639,78 @@ def invert_char_table(spec: GroupSpec, table: DualFunction) -> Distribution:
     return _canonical(spec, den * n, masses)
 
 
-# struct formats of the standard item sizes that hold a slot of up to 8 bytes
-_ITEM_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+def _biased_words(values, den: int, bias: int, nbytes: int) -> list[int]:
+    """Per value, the word with c[e] + bias in bytes e*nbytes .. (e+1)*nbytes - 1.
+
+    values are CycloElements of one order N, e < N, and c[e] is the
+    coordinate of the value at exponent e, times den / value.den, or 0 at
+    an exponent no coordinate has; every |c[e]| <= bias and
+    2 * bias < 2**(8 * nbytes).
+    The coordinates of all values are packed at once as signed items of
+    the least standard size (1, 2, 4 or 8 bytes, else nbytes) that holds
+    nbytes, and each byte column of a coordinate is copied to its
+    exponent's slot in every word of one zeroed buffer, so a slot holds
+    its unscaled coordinate mod 2**(8 * nbytes).  That coordinate c has
+    |c| < 2**(8 * nbytes - 1), so it is the slot minus 2**(8 * nbytes)
+    exactly when the slot's top bit is set; a word is read from the buffer,
+    made signed by subtracting those top bits shifted up by one, scaled
+    and biased, and no slot leaves [0, 2 * bias] or borrows from its
+    neighbour.
+    """
+    n = values[0].order
+    exponents = values[0].coordinate_exponents()
+    degree = len(exponents)
+    count = len(values) * degree
+    coordinates = itertools.chain.from_iterable(value.num for value in values)
+    size = 1 << (nbytes - 1).bit_length()
+    if size <= 8:
+        raw = struct.pack(f"<{count}{'bhiq'[size.bit_length() - 1]}", *coordinates)
+    else:
+        size = nbytes
+        raw = b"".join(c.to_bytes(size, "little", signed=True) for c in coordinates)
+    row = n * nbytes
+    buffer = bytearray(len(values) * row)
+    for t, e in enumerate(exponents):
+        for i in range(nbytes):
+            buffer[e * nbytes + i :: row] = raw[t * size + i :: degree * size]
+    width = 8 * nbytes
+    ones = ((1 << n * width) - 1) // ((1 << width) - 1)  # 1 in every slot
+    lift = bias * ones
+    view = memoryview(buffer)
+    words = []
+    for y, value in enumerate(values):
+        word = int.from_bytes(view[y * row : (y + 1) * row], "little")
+        words.append((word - ((word >> width - 1 & ones) << width)) * (den // value.den) + lift)
+    return words
+
+
+def _line_transform(words: list[int], step: int, p: int, n: int, width: int) -> list[int]:
+    """X[k] = sum_m R**(k m) words[m] for k < len(words), a power of p.
+
+    Each word holds n slots of width bits, and R is the rotation by step
+    slots (the shift right by step * width bits of a doubled word); step
+    * len(words) is a multiple of n, so R**len(words) = 1.  The transform
+    is split into the p transforms with root R**p of the words[s::p],
+    combined by the stage identity of invert_char_table; a length-p
+    transform is the direct loop.
+    """
+    size = len(words)
+    if size == 1:
+        return words
+    span = n * width
+    mask = (1 << span) - 1
+    sub = size // p
+    first, *rest = (_line_transform(words[s::p], step * p % n, p, n, width) for s in range(p))
+    rest = [[word | word << span for word in part] for part in rest]  # doubled, so a shift rotates
+    out = []
+    for k in range(size):
+        k0 = k % sub
+        twiddle = k * step % n * width  # R**k; R**(k s) for part s
+        acc = first[k0]
+        for s, part in enumerate(rest, 1):
+            acc += part[k0] >> (s * twiddle % span)
+        out.append(acc & mask)
+    return out
 
 
 def _restride(raw, old: int, new: int) -> bytearray:
@@ -634,23 +721,12 @@ def _restride(raw, old: int, new: int) -> bytearray:
     return out
 
 
-def _pack_slots(slots: list[int], nbytes: int) -> int:
-    """The integer with slots[k] in its bytes k*nbytes .. (k+1)*nbytes - 1.
-
-    Slots of up to 8 bytes go through one struct call at the next standard
-    item size; wider ones are converted one at a time.
-    """
-    size = 1 << (nbytes - 1).bit_length()
-    if size not in _ITEM_FORMATS:
-        return int.from_bytes(b"".join(c.to_bytes(nbytes, "little") for c in slots), "little")
-    import struct
-
-    raw = struct.pack(f"<{len(slots)}{_ITEM_FORMATS[size]}", *slots)
-    return int.from_bytes(_restride(raw, size, nbytes), "little")
-
-
-def _widen(word: int, count: int, nbytes: int, wide: int) -> int:
-    """word cut into count slots of nbytes bytes each, every slot zero-padded to wide bytes."""
+def _widen_words(words: list[int], count: int, nbytes: int, wide: int) -> list[int]:
+    """Each word cut into count slots of nbytes bytes, every slot zero-padded
+    to wide bytes, by one restride of the words joined."""
     if wide == nbytes:
-        return word
-    return int.from_bytes(_restride(word.to_bytes(count * nbytes, "little"), nbytes, wide), "little")
+        return words
+    raw = _restride(b"".join(word.to_bytes(count * nbytes, "little") for word in words), nbytes, wide)
+    row = count * wide
+    view = memoryview(raw)
+    return [int.from_bytes(view[i : i + row], "little") for i in range(0, len(raw), row)]

@@ -9,8 +9,8 @@ scan on tuples, the per-x inversion that reduces each mass with dense
 rows modulo Phi_N, and dense reduction modulo Phi_N.  The generator route
 of verify_difference_lemma is compared with the full scan; the fold's
 verdicts, masses, errors and first failing points with the per-x
-reference, at the byte boundaries of both slot widths, and with no
-cyclotomic value built.
+reference, at the byte boundaries of both slot widths, on prime-power
+axes of two to four radix-p stages, and with no cyclotomic value built.
 """
 
 import itertools
@@ -36,8 +36,8 @@ from heyde import (
     verify_difference_lemma,
 )
 from heyde import cyclotomic, distributions, lemmas
-from heyde.cyclotomic import from_terms
-from heyde.distributions import _pack_slots, _widen, dual_function
+from heyde.cyclotomic import CycloElement, from_terms
+from heyde.distributions import _biased_words, _widen_words, dual_function
 from heyde.errors import VerificationFailure
 from heyde.lemmas import _first_triple_violation
 from heyde.morphisms import identity
@@ -55,6 +55,10 @@ Z25 = validate_spec([(5, 2)])
 Z27 = validate_spec([(3, 3)])
 Z27xZ5 = validate_spec([(3, 3), (5, 1)])
 Z27xZ5xZ7 = validate_spec([(3, 3), (5, 1), (7, 1)])
+Z81 = validate_spec([(3, 4)])
+Z125 = validate_spec([(5, 3)])
+Z9xZ25 = validate_spec([(3, 2), (5, 2)])
+Z729 = validate_spec([(3, 6)])
 
 
 # -- triple-difference scan ------------------------------------------------------
@@ -391,6 +395,18 @@ def test_axis_wise_inversion_round_trip_on_three_axes():
         assert invert_char_table(spec, char_fn_table(mu)) == mu
 
 
+def test_radix_inversion_round_trip_on_z729():
+    # the growth guard of the radix stages: six radix-3 stages on one
+    # axis, N = 729, a 4-point margin, table included
+    spec = Z729
+    els = spec.element_list
+    rng = random.Random(729)
+    weights = [rng.randint(1, 9) for _ in range(4)]
+    mu = from_pmf(spec, {x: Fraction(w, sum(weights)) for x, w in zip(rng.sample(els, 4), weights)})
+    with time_limit(1):
+        assert invert_char_table(spec, char_fn_table(mu)) == mu
+
+
 def inversion_outcome(invert, spec, table):
     """What invert returns, or the type and message of what it raises."""
     try:
@@ -407,7 +423,9 @@ def unit_orbit(spec, y):
 
 
 @pytest.mark.parametrize(
-    "spec", [Z9, Z25, Z27, Z9xZ5, Z27xZ5, Z9xZ5xZ7], ids=["Z9", "Z25", "Z27", "Z9xZ5", "Z27xZ5", "Z9xZ5xZ7"]
+    "spec",
+    [Z9, Z25, Z27, Z81, Z9xZ5, Z27xZ5, Z9xZ25, Z9xZ5xZ7],
+    ids=["Z9", "Z25", "Z27", "Z81", "Z9xZ5", "Z27xZ5", "Z9xZ25", "Z9xZ5xZ7"],
 )
 def test_fold_verdicts_match_the_reference(spec):
     # Tables of random margins, changed at one random y by a term
@@ -451,10 +469,45 @@ def test_fold_verdicts_match_the_reference(spec):
     assert len(firsts) > 1
 
 
+@pytest.mark.parametrize("spec", [Z81, Z125, Z27xZ5, Z9xZ25], ids=["Z81", "Z125", "Z27xZ5", "Z9xZ25"])
+def test_radix_stages_match_the_reference(spec):
+    # Every prime-power axis here runs two to four radix-p stages.  Round
+    # trips of random margins must give the margin, as the reference does.
+    # Their tables changed at one entry must give the reference's error and
+    # message: by c * zeta**e at a random y, which leaves a non-rational
+    # mass at every x with pair_exponent(x, y) != e (e = 0 every other
+    # time, so the first failure falls past x = 0), or by a rational
+    # constant at 0, which moves every mass by the same amount and breaks
+    # the total or the sign of a mass.
+    n = spec.exponent
+    els = spec.element_list
+    zero = spec.zero()
+    rng = random.Random(n * 7)
+    kinds, firsts = set(), set()
+    for i in range(6):
+        size = rng.randint(1, 4)
+        weights = [rng.randint(1, 9) for _ in range(size)]
+        mu = from_pmf(spec, {x: Fraction(w, sum(weights)) for x, w in zip(rng.sample(els, size), weights)})
+        table = char_fn_table(mu)
+        assert invert_char_table(spec, table) == reference(spec, table) == mu
+        y = rng.choice(els[1:])
+        e = rng.randrange(n) if i % 2 else 0
+        change = from_terms(n, [(e, rng.choice([-3, -1, 1, 2]))], rng.randint(1, 4))
+        constant = Fraction(rng.choice([-1, 1]), rng.randint(1, 3) * n)
+        for bad in (table.with_value(y, table(y) + change), table.with_value(zero, table(zero) + constant)):
+            found = inversion_outcome(invert_char_table, spec, bad)
+            assert found == inversion_outcome(reference, spec, bad)
+            kinds.add(found[0])
+            if found[0] is VerificationFailure:
+                firsts.add(found[1])
+    assert kinds == {VerificationFailure, ValueError}
+    assert len(firsts) > 1
+
+
 def test_inversion_builds_no_cyclotomic_value(monkeypatch):
     # the fold reads every mass from the packed words; the table's own
-    # values are read through terms(), nothing is reduced, and the result
-    # is built on codes, not through an element-keyed pmf
+    # values are read by their coordinates, nothing is reduced, and the
+    # result is built on codes, not through an element-keyed pmf
     spec = Z9xZ5xZ7
     els = spec.element_list
     mu = from_pmf(spec, {els[3]: Fraction(1, 7), els[100]: Fraction(2, 7), els[301]: Fraction(4, 7)})
@@ -524,16 +577,37 @@ def test_fold_width_at_each_byte_boundary():
 
 
 def test_slot_packing_round_trips_at_every_width():
-    # packed at every slot width from 1 to 11 bytes, then widened to every
-    # width from that one to 12 bytes, as inversion widens before its fold
+    # read at every slot width from 1 to 11 bytes, then widened to every
+    # width from that one to 12 bytes, as inversion widens before its fold.
+    # Values over 1 are scaled by the common denominator 3, coordinates
+    # reach -bias and bias, so slots reach 0 and 2 * bias, and on Z(15) the
+    # coordinates sit at exponents out of coordinate order.
+    n = 15
+    degree = len(from_rational(n, 1).num)
     rng = random.Random(8)
     for nbytes in range(1, 12):
-        top = 256**nbytes - 1
-        slots = [0, top, 1, top - 1] + [rng.randint(0, top) for _ in range(41)]
-        word = _pack_slots(slots, nbytes)
-        assert word == sum(c << (8 * nbytes * k) for k, c in enumerate(slots))
+        bias = (256**nbytes - 1) // 2
+        values = []
+        for y in range(n):
+            den = 3 if y % 2 else 1
+            top = bias // (3 // den)
+            num = [rng.randint(-top, top) for _ in range(degree)]
+            if y < 2:
+                num[:4] = [-top, top, 0, 1 - top]
+            values.append(CycloElement(n, tuple(num), den))
+        slots = []
+        for value in values:
+            row = [bias] * n
+            for e, c in value.terms():
+                row[e] += c * (3 // value.den)
+            slots.append(row)
+        assert {0, 2 * bias} <= {c for row in slots for c in row}
+        words = _biased_words(values, 3, bias, nbytes)
+        assert words == [sum(c << (8 * nbytes * k) for k, c in enumerate(row)) for row in slots]
         for wide in range(nbytes, 13):
-            assert _widen(word, len(slots), nbytes, wide) == sum(c << (8 * wide * k) for k, c in enumerate(slots))
+            assert _widen_words(words, n, nbytes, wide) == [
+                sum(c << (8 * wide * k) for k, c in enumerate(row)) for row in slots
+            ]
 
 
 def test_non_rational_table_fails_at_the_reference_point_on_three_axes():
