@@ -27,8 +27,9 @@ in the lemma verifiers, which also decide their other identities on the
 residues of character tables (char_residues).
 
 Quantities that depend on one distribution only (its code -> numerator
-map, residues, zero classes and translation stabilizer) are memoized on
-it, as plain attributes filled on first use.
+map, residues, zero classes and translation stabilizer, and its canonical
+shift into each subgroup, for engine) are memoized on it, as plain
+attributes filled on first use.
 """
 
 from __future__ import annotations
@@ -96,6 +97,7 @@ class Distribution:
     _residues = None  # char_residues: field -> residue function
     _zero_classes = None  # char_fn_zero_classes
     _stabilizer = None  # stabilizer_index
+    _shifts = None  # engine._canonical_shift: sub.index -> [x, lam, mu == shift(lam, x)]
 
 
 def _memo(mu: Distribution, name: str, value):

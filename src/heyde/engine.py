@@ -76,21 +76,25 @@ exhaustive list, max_denominator in random mode), and the first v of the
 equation loop with beta v.  What depends on alpha and one margin, its
 involution terms or its (r, a r, w) terms for the joint pmfs, is computed
 once per margin for an exhaustive list, and on the spot for a fresh
-random margin.  Each pair then runs the same helpers as
-is_conditionally_symmetric and the first v of first_equation_violation
-(_involution_symmetric, _joint_symmetric, _first_violation), with no
-HeydeInstance; only pairs that are symmetric, or whose equation holds at
-the first v, go on to the full battery.
+random margin, with the two residues a pair reads from it at u = 0 of
+the first v.  The sweep's row loop (sweep._run_row) then decides u = 0
+of each pair by one comparison of two products mod M, runs
+_first_violation over the other u only when that holds, and runs the
+helper of is_conditionally_symmetric (_involution_symmetric or
+_joint_symmetric) only when the first v fails, with no HeydeInstance;
+only pairs that are symmetric, or whose equation holds at the first v,
+go on to the full battery.
 
 Work that depends on one margin only is done once per object, not once
 per instance: a Distribution memoizes its residues per field
 (distributions.char_residues), its zero classes
-(distributions.char_fn_zero_classes), its code -> numerator map and its
-translation stabilizer (distributions.stabilizer_index), so a sweep that
-pairs each margin with many others pays for them once, and the joint
-test, the canonical shift and decompose share one stabilizer.  An
-Endomorphism is its CRT multiplier alone, so I + alpha and I - alpha
-cost one addition mod N each.
+(distributions.char_fn_zero_classes), its code -> numerator map, its
+translation stabilizer (distributions.stabilizer_index) and its canonical
+shift into each subgroup, with the check that shifting back recovers it
+(_canonical_shift), so a sweep that pairs each margin with many others
+pays for them once, and the joint test, the canonical shift and
+decompose share one stabilizer.  An Endomorphism is its CRT multiplier alone, so
+I + alpha and I - alpha cost one addition mod N each.
 """
 
 from __future__ import annotations
@@ -106,6 +110,7 @@ from .cyclotomic import modular_field
 from .distributions import (
     Distribution,
     _canonical,
+    _memo,
     char_fn_zero_classes,
     char_residues,
     difference_subgroup,
@@ -537,25 +542,35 @@ class AutomorphismRow:
     """The state of both predicates that depends on one automorphism alpha
     alone, computed once for every pair a sweep decides under alpha.
 
-    Per alpha: the automorphism check of HeydeInstance, the symmetry route
-    and its constants (c1, c2 of the involution, or the multiplier a for
-    the joint pmfs), a field certified for every pair of margins whose
-    denominators are at most top, and the first v of the equation loop
-    with beta v.  Per margin, margin(mu) gives (mu, its terms under alpha
-    on the route, its residue function): _involution_terms or _joint_terms,
-    and char_residues, memoized on mu.  An exhaustive sweep computes it
-    once per margin of its list and keeps it for the row; a random sweep
-    computes it on the spot for each fresh margin.
+    Per alpha: the automorphism check of HeydeInstance, the symmetry helper
+    of the route with its trailing arguments (symmetric(mu1, mu2, terms,
+    *constants): _involution_symmetric with c1, c2 and N, or
+    _joint_symmetric with the multiplier a and N), a field certified for
+    every pair of margins whose denominators are at most top, its modulus
+    M and product mod M (mul), and the first v of the equation loop with
+    beta v (first_v = (v, beta v, N)) and the u after 0 (rest).  The helper
+    is read from this module when the row is built, so the sweep runs the
+    very function is_conditionally_symmetric runs.
 
-    refutes_both(first, second) runs the predicates' own helpers on these:
-    _involution_symmetric or _joint_symmetric, then _first_violation on the
-    first v.  Its verdict is exact: the field's modulus exceeds
-    2 * top * top, so it is certified for every pair (cyclotomic._ModField),
-    and satisfies_heyde_equation reaches the same verdict in whichever
-    certified field it is given.  For two point masses the first v reads
-    u = 0 alone: K = Z(N) then (_equation_quotient), so the identity holds
-    at (u, v) exactly when at (0, v), and the pair holds at its first v
-    exactly when the dense loop finds it to.
+    Per margin, first(mu) and second(mu) give what depends on alpha and mu
+    in that role: its residue function (char_residues, memoized on mu) and
+    the two residues a pair reads from it at u = 0 of the first v, f(v) and
+    f(-v) for the first margin, g(beta v) and g(-beta v) for the second,
+    and for the second its terms under alpha on the route
+    (_involution_terms or _joint_terms).  An exhaustive sweep computes
+    both once per margin of its list and keeps them for the row; a random
+    sweep computes them on the spot for its fresh margins.
+
+    With (mu1, f, f(v), f(-v)) = first(mu1) and
+    (mu2, terms, g, g(beta v), g(-beta v)) = second(mu2), the identity
+    holds at (0, v) exactly when f(v) g(beta v) = f(-v) g(-beta v)
+    (mod M), and at the first v exactly when it also holds at
+    _first_violation(f, g, rest, *first_v, mul), or for two point masses
+    already at u = 0: K = Z(N) then (_equation_quotient), so the identity
+    holds at (u, v) exactly when at (0, v).  These verdicts are exact: M
+    exceeds 2 * top * top, so the field is certified for every pair
+    (cyclotomic._ModField), and satisfies_heyde_equation reaches the same
+    verdict in whichever certified field it is given.
     """
 
     def __init__(self, alpha: Endomorphism, top: int):
@@ -568,35 +583,32 @@ class AutomorphismRow:
         if _has_involution(alpha):
             c1, c2 = _involution_constants(a, n)
             self._terms = lambda points: _involution_terms(points, c2, n)
-            self._symmetric = lambda mu1, mu2, second: _involution_symmetric(
-                mu1, mu2, second, c1, c2, n
-            )
+            self.symmetric, self.constants = _involution_symmetric, (c1, c2, n)
         else:
             self._terms = lambda points: _joint_terms(points, a)
-            self._symmetric = lambda mu1, mu2, second: _joint_symmetric(mu1, mu2, second, a, n)
+            self.symmetric, self.constants = _joint_symmetric, (a, n)
         field = self._field = modular_field(n, 2 * top * top)
-        modulus = field.modulus
-        self._mul = lambda x, y: x * y % modulus
+        modulus = self.modulus = field.modulus
+        self.mul = lambda x, y: x * y % modulus
         v = next(_equation_vs(spec))
-        self._codes = spec.crt_codes
-        self._first_v = (v, alpha.adjoint().code * v % n, n)
+        bv = alpha.adjoint().code * v % n
+        self.first_v = (v, bv, n)
+        self.rest = spec.crt_codes[1:]  # crt_codes[0] is the code 0
 
-    def margin(self, mu: Distribution) -> tuple[Distribution, list, Callable[[int], int]]:
-        """(mu, its terms on the route, its residue function): the state of
-        one margin under alpha, for refutes_both.  mu.den must be at most top."""
-        return mu, self._terms(mu.points), char_residues(mu, self._field)
+    def first(self, mu: Distribution) -> tuple:
+        """(mu, f, f(v), f(-v)), f its residue function: mu as the first
+        margin of a pair under alpha.  mu.den must be at most top."""
+        f = char_residues(mu, self._field)
+        v, _, n = self.first_v
+        return mu, f, f(v), f(n - v)
 
-    def refutes_both(self, first: tuple, second: tuple) -> bool:
-        """Whether the pair of margins (first, second), each as margin()
-        gives it, is not conditionally symmetric and fails the dual equation
-        at its first v: then is_conditionally_symmetric and
-        satisfies_heyde_equation are both false on it, and so agree."""
-        mu1, _, f = first
-        mu2, terms, g = second
-        if self._symmetric(mu1, mu2, terms):
-            return False
-        us = self._codes if len(mu1.points) > 1 or len(mu2.points) > 1 else (0,)
-        return _first_violation(f, g, us, *self._first_v, self._mul) is not None
+    def second(self, mu: Distribution) -> tuple:
+        """(mu, its terms on the route, g, g(beta v), g(-beta v)), g its
+        residue function: mu as the second margin of a pair under alpha.
+        mu.den must be at most top."""
+        g = char_residues(mu, self._field)
+        _, bv, n = self.first_v
+        return mu, self._terms(mu.points), g, g(bv), g(n - bv)  # beta v is nonzero
 
 
 @dataclass(frozen=True)
@@ -628,7 +640,20 @@ def _canonical_shift(mu: Distribution, sub: Subgroup) -> tuple[Element, Distribu
     coset of H is sorted, the winning keys of distinct cosets differ, and
     the shift reported is the smallest-rank point of the winning coset.
     Only the winner is built as a Distribution.
+
+    The result depends on (mu, sub) alone, and it is memoized on mu as
+    [x, lam, recovered], keyed by sub.index (recovered is filled by
+    _recovered_by_shift), so a margin that recurs in many symmetric pairs
+    of a sweep is shifted once per subgroup, and its lam, with lam's own
+    memos, is one object.  A refusal is not stored: it raises on every
+    call.
     """
+    memo = mu._shifts
+    if memo is None:
+        memo = _memo(mu, "_shifts", {})
+    entry = memo.get(sub.index)
+    if entry is not None:
+        return entry[0], entry[1]
     if difference_subgroup(mu).index % sub.index:
         raise VerificationFailure("no valid shift found")
     spec = mu.spec
@@ -644,7 +669,20 @@ def _canonical_shift(mu: Distribution, sub: Subgroup) -> tuple[Element, Distribu
         for y in lightest:
             firsts.setdefault(y % d, y)
         x = min(firsts.values(), key=lambda y: sorted((rank[(r - y) % n], a) for r, a in points))
-    return spec.crt_elements[x], _canonical(spec, mu.den, (((r - x) % n, a) for r, a in points))
+    shift_x, lam = spec.crt_elements[x], _canonical(spec, mu.den, (((r - x) % n, a) for r, a in points))
+    memo[sub.index] = [shift_x, lam, None]
+    return shift_x, lam
+
+
+def _recovered_by_shift(mu: Distribution, sub: Subgroup) -> bool:
+    """Whether mu == shift(lam, x) for (x, lam) = _canonical_shift(mu, sub),
+    memoized with them: the half of shifts_of_common_distribution that
+    concerns mu."""
+    x, lam = _canonical_shift(mu, sub)
+    entry = mu._shifts[sub.index]
+    if entry[2] is None:
+        entry[2] = mu == shift(lam, x)
+    return entry[2]
 
 
 def reduce_to_subgroup(inst: HeydeInstance) -> ReducedPair:
@@ -704,8 +742,9 @@ def _decompose(inst: HeydeInstance) -> HeydeDecomposition:
     one_plus = identity(spec).add(alpha)
     flags = DecompositionFlags(
         stable_under_one_minus_alpha=one_minus.image_of(sub) == sub,
+        # lam is red.lam1 and equals red.lam2, so each half is its margin's own
         shifts_of_common_distribution=(
-            inst.mu1 == shift(lam, red.shift1) and inst.mu2 == shift(lam, red.shift2)
+            _recovered_by_shift(inst.mu1, sub) and _recovered_by_shift(inst.mu2, sub)
         ),
         minimal_support_subgroup=min_support_subgroup(lam) == sub,
         haar_factor=has_haar_factor(lam, one_plus.image_of(sub)),

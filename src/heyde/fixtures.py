@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
+from math import gcd
 
 from .distributions import Distribution, _canonical, convolve, difference_subgroup, haar, shift
 from .engine import HeydeInstance, is_conditionally_symmetric
@@ -107,7 +108,12 @@ def random_distribution(
     seed,
     support: Subgroup | None = None,
 ) -> Distribution:
-    """Seed-deterministic pmf with masses in multiples of 1/d, d <= max_denominator."""
+    """Seed-deterministic pmf with masses in multiples of 1/d, d <= max_denominator.
+
+    The codes are drawn in element order (distinct returns increasing
+    indices into codes, which are in element order), so the Distribution is
+    built as it stands, with d and the masses divided by their gcd.
+    """
     if max_denominator < 1:
         raise ValueError("max_denominator must be at least 1")
     stream = _as_stream(seed)
@@ -121,7 +127,11 @@ def random_distribution(
         cuts = stream.distinct(d - 1, size - 1)
         bounds = [0] + [c + 1 for c in cuts] + [d]
         masses = [b - a for a, b in zip(bounds, bounds[1:])]
-    return _canonical(spec, d, zip(chosen, masses))
+    common = gcd(d, *masses)
+    if common > 1:
+        d //= common
+        masses = [a // common for a in masses]
+    return Distribution(spec, d, tuple(zip(chosen, masses)))
 
 
 def random_instance(

@@ -6,20 +6,23 @@ Any disagreement between the two equivalent tests, any false decomposition
 flag, and any failed applicable corollary is a violation; the first
 violating instance is kept in full so it can be replayed.
 
-Both modes decide their pairs on automorphism rows (engine.AutomorphismRow).
-A row computes once what depends on alpha alone, and its margin() gives
-what depends on alpha and one margin; refutes_both then decides a pair's
-symmetry and the first v of its dual equation with the engine's own
-helpers, building no HeydeInstance.  A pair that is not symmetric and is
-refuted at that first v, as nearly every pair is, has both predicates
-false: it only adds 1 to the instance count, which is all that
+Both modes decide their pairs on automorphism rows (engine.AutomorphismRow)
+in one loop (_run_row).  A row computes once what depends on alpha alone,
+and its first() and second() give what depends on alpha and one margin in
+that role, with the two residues a pair reads from it at u = 0 of the
+first v of its dual equation.  Each pair is decided there by one
+comparison of two products mod M; only a pair that holds there reads the
+other u of that v, and only a pair refuted at that v runs the engine's
+symmetry helper, building no HeydeInstance.  A pair that is refuted at
+its first v and is not symmetric, as nearly every pair is, has both
+predicates false: it only adds 1 to the instance count, which is all that
 check_instance would record for it.  Every other pair goes through
-check_instance (_run_pairs).  An exhaustive sweep runs every ordered pair
-of margins under one alpha at a time, with margin() computed once per
-margin of the row.  A random sweep builds the rows of the automorphisms it
-uses, min(budget, |Aut|), draws each instance through
-fixtures.random_instance as before, and computes margin() on the spot for
-its two fresh margins.
+check_instance, in the order the pairs come.  An exhaustive
+sweep runs every ordered pair of margins under one alpha at a time, with
+first() and second() computed once per margin of the row.  A random sweep
+builds the rows of the automorphisms it uses, min(budget, |Aut|), draws
+each instance through fixtures.random_instance as before, and runs the
+loop on its two fresh margins, [first(mu1)] x [second(mu2)].
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from math import prod
 
 from .engine import (
     _decompose,
+    _first_violation,
     AutomorphismRow,
     HeydeInstance,
     classify_corollary,
@@ -162,16 +166,39 @@ def check_instance(inst: HeydeInstance, report: SweepReport) -> None:
                 _record(report, inst, f"corollary {check.name} failed: {check.detail}")
 
 
-def _run_pairs(row: AutomorphismRow, pairs, report: SweepReport) -> None:
-    """Count each pair of margins (as row.margin gives them) that
-    row.refutes_both decides, and run check_instance on every other one."""
-    refutes_both = row.refutes_both
+def _run_row(row: AutomorphismRow, firsts: list, seconds: list, report: SweepReport) -> None:
+    """Decide every pair of firsts x seconds (margins as row.first and
+    row.second give them), first-major, under row.alpha: count each pair on
+    which both predicates are false, and run check_instance on every other
+    one.
+
+    The equation goes first.  Its first v is decided at u = 0 by one
+    comparison of two products mod M, from the residues the row read, and
+    only a pair that holds there runs _first_violation over the other u
+    (none for two point masses).  A pair that holds at its first v goes to
+    check_instance.  A pair refuted there fails satisfies_heyde_equation,
+    and the symmetry helper of the row decides it: symmetric, a
+    disagreement that check_instance records, or not symmetric, both
+    predicates false, which check_instance would only count.
+    """
     alpha = row.alpha
-    for first, second in pairs:
-        if refutes_both(first, second):
-            report.instances += 1
-        else:
-            check_instance(HeydeInstance(alpha.spec, first[0], second[0], alpha), report)
+    spec = alpha.spec
+    modulus, mul, rest = row.modulus, row.mul, row.rest
+    v, bv, n = row.first_v
+    symmetric, constants = row.symmetric, row.constants
+    refuted = 0
+    for mu1, f, f_v, f_minus_v in firsts:
+        single = len(mu1.points) == 1
+        for mu2, terms, g, g_bv, g_minus_bv in seconds:
+            holds = f_v * g_bv % modulus == f_minus_v * g_minus_bv % modulus and (
+                single and len(mu2.points) == 1
+                or _first_violation(f, g, rest, v, bv, n, mul) is None
+            )
+            if holds or symmetric(mu1, mu2, terms, *constants):
+                check_instance(HeydeInstance(spec, mu1, mu2, alpha), report)
+            else:
+                refuted += 1
+    report.instances += refuted
 
 
 def run_sweep(config: SweepConfig) -> SweepReport:
@@ -183,8 +210,8 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             top = max(mu.den for mu in pmfs)
             for alpha in alphas:
                 row = AutomorphismRow(alpha, top)
-                margins = [row.margin(mu) for mu in pmfs]
-                _run_pairs(row, itertools.product(margins, repeat=2), report)
+                firsts = [row.first(mu) for mu in pmfs]
+                _run_row(row, firsts, [row.second(mu) for mu in pmfs], report)
         else:
             # instance i runs under alphas[i % |Aut|]: the first budget rows at most
             top = config.max_denominator
@@ -194,5 +221,5 @@ def run_sweep(config: SweepConfig) -> SweepReport:
             for i in range(config.budget):
                 row = rows[i % len(rows)]
                 inst = random_instance(spec, top, stream.derive(str(i)), row.alpha)
-                _run_pairs(row, ((row.margin(inst.mu1), row.margin(inst.mu2)),), report)
+                _run_row(row, [row.first(inst.mu1)], [row.second(inst.mu2)], report)
     return report

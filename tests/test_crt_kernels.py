@@ -253,6 +253,29 @@ def test_canonical_shift_on_every_subgroup():
     assert raised
 
 
+def test_the_shift_memo_is_keyed_by_the_subgroup():
+    # the memo on a margin must answer each subgroup as a fresh call would:
+    # after a shift into the whole group, one into a subgroup that misses
+    # the support's differences is still refused, and the other way round
+    spec = Z9xZ5
+    subs = sorted(enumerate_subgroups(spec), key=lambda sub: sub.index)
+    stream = DeterministicStream(59, label="shift memo")
+    checked = raised = 0
+    for i in range(8):
+        mu = random_distribution(spec, 4, stream.derive(str(i)))
+        for order in (subs, subs[::-1]):
+            made, refused = _shift_against_oracle(mu, order)
+            checked += made
+            raised += refused
+        # one entry per subgroup that admits a shift, and none for a refusal
+        assert sorted(vars(mu)["_shifts"]) == [
+            sub.index
+            for sub in subs
+            if oracles.brute_canonical_shift(spec.orders, dict(mu.masses), set(sub.elements()))
+        ]
+    assert checked and raised
+
+
 # -- the canonical shift by the translation stabilizer -------------------------
 
 

@@ -113,6 +113,8 @@ ROW_CONFIGS = [
     # both symmetry routes, and asymmetric pairs that pass the first v
     ([(3, 1), (5, 1)], 1, None),
     ([(3, 2)], 3, ((2,), (4,), (8,))),
+    # the joint route alone (alpha - 1 = 3, 6 not units), margins of up to three points
+    ([(3, 2)], 3, ((4,), (7,))),
 ]
 
 
@@ -162,20 +164,25 @@ def test_a_flipped_verdict_is_reported_alike_by_rows_and_instances(flip_symmetri
 
 
 def _flip_one_verdict(monkeypatch, config, alpha, chosen, flip_symmetric, per_instance):
-    # the involution test is shared by both loops: flipping it on one pair
-    # under one alpha must give the same disagreement in both reports
-    c1, _ = engine._involution_constants(alpha.code, alpha.spec.exponent)
-    real = engine._involution_symmetric
+    # the symmetry helper of alpha's route (the involution test, or the
+    # joint pmfs) is shared by both loops: flipping it on one pair under one
+    # alpha must give the same disagreement in both reports
+    if engine._has_involution(alpha):
+        helper = "_involution_symmetric"
+        key, _ = engine._involution_constants(alpha.code, alpha.spec.exponent)
+    else:
+        helper, key = "_joint_symmetric", alpha.code
+    real = getattr(engine, helper)
     flips = []
 
-    def flipped(mu1, mu2, second, k1, k2, n):
-        verdict = real(mu1, mu2, second, k1, k2, n)
-        if (mu1, mu2) == chosen and k1 == c1:
+    def flipped(mu1, mu2, second, *constants):
+        verdict = real(mu1, mu2, second, *constants)
+        if (mu1, mu2) == chosen and constants[0] == key:
             flips.append(verdict)
             return not verdict
         return verdict
 
-    monkeypatch.setattr(engine, "_involution_symmetric", flipped)
+    monkeypatch.setattr(engine, helper, flipped)
     rows = run_sweep(config)
     assert flips and set(flips) == {flip_symmetric}
     reference = per_instance(config)
@@ -246,6 +253,47 @@ def _expected_reached(spec, field, pairs):
     return expected, passing
 
 
+@pytest.mark.parametrize("denominator", [1, 2])
+def test_only_pairs_that_hold_at_u_0_run_the_rest_of_the_first_v(denominator, monkeypatch):
+    # the row loop decides u = 0 of the first v from two residues of each
+    # margin; _first_violation runs over the other u only for the pairs that
+    # hold there and are not two point masses (which stop at u = 0), and
+    # at denominator 1 every margin is a point mass
+    spec = validate_spec([(3, 1), (5, 1)])
+    n = spec.exponent
+    real = sweep._first_violation
+    called = []
+
+    def counted(f, g, *args):
+        u = real(f, g, *args)
+        called.append((tuple(map(f, range(n))), tuple(map(g, range(n)))))
+        return u
+
+    monkeypatch.setattr(sweep, "_first_violation", counted)
+    report = run_sweep(_row_config([(3, 1), (5, 1)], denominator, None))
+    field = modular_field(n, 2 * denominator**2)
+    modulus = field.modulus
+    pmfs = list(enumerate_distributions(spec, denominator))
+    residues = [tuple(oracles.per_code_residues(mu, field)) for mu in pmfs]
+    v = spec.crt_codes[1]  # the first v
+    expected = []
+    holding = 0
+    for alpha in enumerate_automorphisms(spec):
+        bv = alpha.adjoint().code * v % n
+        for mu1, f in zip(pmfs, residues):
+            for mu2, g in zip(pmfs, residues):
+                if f[v] * g[bv] % modulus == f[-v] * g[-bv] % modulus:
+                    holding += 1
+                    if len(mu1.points) > 1 or len(mu2.points) > 1:
+                        expected.append((f, g))
+    assert called == expected
+    assert report.instances == len(enumerate_automorphisms(spec)) * len(pmfs) ** 2
+    if denominator == 1:
+        assert not called and holding == 360  # the pairs that reach check_instance
+    else:
+        assert 0 < len(called) < holding < report.instances // 4
+
+
 # -- random mode on automorphism rows ------------------------------------------------
 
 
@@ -286,6 +334,7 @@ def test_random_rows_report_what_the_per_instance_loop_reports_on_small_groups()
         ([(3, 1), (5, 1)], 2, 400, None),
         ([(3, 2), (5, 1)], 32, 100, ((2, 2), (4, 1), (1, 3))),
         ([(3, 2)], 8, 5, ((8,), (4,))),
+        ([(3, 2)], 3, 240, ((4,), (7,))),  # the joint route alone
     ):
         config = _random_config(comps, 7, max_denominator, budget, automorphisms)
         reference = oracles.per_instance_random_sweep(config)
@@ -320,6 +369,35 @@ def test_a_flipped_verdict_is_reported_alike_by_random_rows_and_instances(
     _flip_one_verdict(
         monkeypatch, config, alpha, chosen, flip_symmetric, oracles.per_instance_random_sweep
     )
+
+
+@pytest.mark.parametrize("flip_symmetric", [True, False])
+@pytest.mark.parametrize("mode", ["exhaustive", "random"])
+def test_a_flipped_joint_verdict_is_reported_alike_by_rows_and_instances(
+    mode, flip_symmetric, monkeypatch
+):
+    # alpha - 1 = 3 is not a unit mod 9, so alpha = 4 takes the joint route;
+    # its symmetric pairs are point masses, its asymmetric ones are taken
+    # with two points or more in mu1
+    spec = validate_spec([(3, 2)])
+    alpha = make_endo(spec, (4,))
+    if mode == "exhaustive":
+        config, per_instance = _row_config([(3, 2)], 3, ((4,), (7,))), oracles.per_instance_sweep
+        pairs = ((alpha, mu1, mu2) for mu1, mu2, _ in _pairs(spec, 3, alpha))
+    else:
+        config = _random_config([(3, 2)], 5, 2, 240, ((4,), (7,)))
+        per_instance = oracles.per_instance_random_sweep
+        pairs = _random_pairs(config)
+    assert not engine._has_involution(alpha)
+    chosen = next(
+        (mu1, mu2)
+        for beta, mu1, mu2 in pairs
+        if beta == alpha
+        and (flip_symmetric or len(mu1.points) > 1)
+        and oracles.brute_symmetric(spec.orders, dict(mu1.masses), dict(mu2.masses), (4,))
+        == flip_symmetric
+    )
+    _flip_one_verdict(monkeypatch, config, alpha, chosen, flip_symmetric, per_instance)
 
 
 def test_pairs_that_pass_the_first_v_reach_check_instance_in_random_mode(monkeypatch):

@@ -490,7 +490,8 @@ def test_filled_memos_leave_equality_hash_and_fields_alone():
     assert is_conditionally_symmetric(inst) and satisfies_heyde_equation(inst)
     distributions.stabilizer_index(mu)
     distributions.char_fn_zero_classes(mu)
-    for memo in ("_numerators", "_residues", "_zero_classes", "_stabilizer"):
+    _decompose(inst)
+    for memo in ("_numerators", "_residues", "_zero_classes", "_stabilizer", "_shifts"):
         assert memo in vars(mu) and memo not in vars(fresh)
     assert mu == fresh and hash(mu) == hash(fresh)
     assert dataclasses.fields(mu) == dataclasses.fields(fresh)
