@@ -67,23 +67,11 @@ to Z(d), d the index of its translation stabilizer
 for a verdict only, and rerun every pair in element order to report the
 first violation.
 
-Sweeps decide their pairs one automorphism row at a time (AutomorphismRow),
-in both modes.  What depends on alpha alone is computed once per row: the
-automorphism check, the symmetry route with its constants (c1, c2 of the
-involution, or a for the joint pmfs), a field certified for the largest
-denominator the mode can produce (the largest margin denominator of an
-exhaustive list, max_denominator in random mode), and the first v of the
-equation loop with beta v.  What depends on alpha and one margin, its
-involution terms or its (r, a r, w) terms for the joint pmfs, is computed
-once per margin for an exhaustive list, and on the spot for a fresh
-random margin, with the two residues a pair reads from it at u = 0 of
-the first v.  The sweep's row loop (sweep._run_row) then decides u = 0
-of each pair by one comparison of two products mod M, runs
-_first_violation over the other u only when that holds, and runs the
-helper of is_conditionally_symmetric (_involution_symmetric or
-_joint_symmetric) only when the first v fails, with no HeydeInstance;
-only pairs that are symmetric, or whose equation holds at the first v,
-go on to the full battery.
+Each predicate is decided in one place: the symmetry route is chosen by
+_symmetry_route, and the residue equation is _residue_equation_holds, so
+is_conditionally_symmetric, satisfies_heyde_equation, a sweep's rows
+(AutomorphismRow, whose docstring and sweep._run_row's state what a row
+computes once) and the lemma verifiers run the same code.
 
 Work that depends on one margin only is done once per object, not once
 per instance: a Distribution memoizes its residues per field
@@ -151,14 +139,13 @@ def is_conditionally_symmetric(inst: HeydeInstance) -> bool:
 
     L1 = x1 + x2 and L2 = x1 + alpha x2 on CRT codes.  When alpha - 1 is a
     unit mod N the pair is decided pointwise on the support of mu1 x mu2
-    (_symmetric_by_involution); otherwise by comparing the two joint pmfs
-    (_symmetric_by_joint), after one key of them that refutes most pairs
+    (_involution_symmetric); otherwise by comparing the two joint pmfs
+    (_joint_symmetric), after one key of them that refutes most pairs
     that are not symmetric.  Both routes compare integer numerators only,
-    so the verdict is the exact one.
+    so the verdict is the exact one.  _symmetry_route picks the route.
     """
-    if _has_involution(inst.alpha):
-        return _symmetric_by_involution(inst)
-    return _symmetric_by_joint(inst)
+    terms, symmetric = _symmetry_route(inst.alpha)
+    return symmetric(inst.mu1, inst.mu2, terms(inst.mu2.points))
 
 
 def _has_involution(alpha: Endomorphism) -> bool:
@@ -166,13 +153,47 @@ def _has_involution(alpha: Endomorphism) -> bool:
     return gcd(alpha.code - 1, alpha.spec.exponent) == 1
 
 
-# Support pairs above which _symmetric_by_involution computes the margins'
+def _symmetry_route(alpha: Endomorphism) -> tuple[Callable, Callable]:
+    """(terms, symmetric) of the symmetry route of alpha, the one place
+    where the route is chosen: terms(points) gives the terms of the second
+    margin's points under alpha (_involution_terms or _joint_terms), and
+    symmetric(mu1, mu2, terms) decides the pair on them
+    (_involution_symmetric with c1, c2 and N, or _joint_symmetric with the
+    multiplier a and N).  symmetric reads its helper from this module at
+    each call, so a helper patched on the module is the one both
+    is_conditionally_symmetric and a sweep row run."""
+    n = alpha.spec.exponent
+    a = alpha.code
+    if _has_involution(alpha):
+        c1, c2 = _involution_constants(a, n)
+        return (
+            lambda points: _involution_terms(points, c2, n),
+            lambda mu1, mu2, terms: _involution_symmetric(mu1, mu2, terms, c1, c2, n),
+        )
+    return (
+        lambda points: _joint_terms(points, a),
+        lambda mu1, mu2, terms: _joint_symmetric(mu1, mu2, terms, a, n),
+    )
+
+
+# Support pairs above which _involution_symmetric computes the margins'
 # stabilizers after the first row: below it the plain loop is cheaper.
 _COSET_MIN_PAIRS = 64
 
 
-def _symmetric_by_involution(inst: HeydeInstance) -> bool:
-    """is_conditionally_symmetric for alpha - 1 a unit mod N.
+def _involution_constants(a: int, n: int) -> tuple[int, int]:
+    """(c1, c2) = (-2 d, -(a + 1) d) mod N, d = (a - 1)^-1: T sends (x1, x2)
+    to x2' = c1 x1 + c2 x2 and x1' = x1 + x2 - x2'."""
+    d = pow(a - 1, -1, n)
+    return -2 * d % n, -(a + 1) * d % n
+
+
+def _involution_symmetric(
+    mu1: Distribution, mu2: Distribution, second: list, c1: int, c2: int, n: int
+) -> bool:
+    """is_conditionally_symmetric for alpha - 1 a unit mod N, on the
+    constants of T (_involution_constants) and the terms of mu2
+    (_involution_terms(mu2.points, c2, n)).
 
     Phi(x1, x2) = (x1 + x2, x1 + alpha x2) is then a bijection of Z(N)**2,
     and with S(l1, l2) = (l1, -l2) the pair is symmetric exactly when
@@ -193,28 +214,6 @@ def _symmetric_by_involution(inst: HeydeInstance) -> bool:
     the check at x + k is the check at x.  The support of P is the product
     of the supports, each a union of H-cosets, so one point per H-coset of
     each margin covers every coset of H x H in it.
-
-    See _involution_symmetric for the order of the checks.
-    """
-    n = inst.spec.exponent
-    c1, c2 = _involution_constants(inst.alpha.code, n)
-    second = _involution_terms(inst.mu2.points, c2, n)
-    return _involution_symmetric(inst.mu1, inst.mu2, second, c1, c2, n)
-
-
-def _involution_constants(a: int, n: int) -> tuple[int, int]:
-    """(c1, c2) = (-2 d, -(a + 1) d) mod N, d = (a - 1)^-1: T sends (x1, x2)
-    to x2' = c1 x1 + c2 x2 and x1' = x1 + x2 - x2'."""
-    d = pow(a - 1, -1, n)
-    return -2 * d % n, -(a + 1) * d % n
-
-
-def _involution_symmetric(
-    mu1: Distribution, mu2: Distribution, second: list, c1: int, c2: int, n: int
-) -> bool:
-    """_symmetric_by_involution on the constants of T and the terms of mu2
-    (_involution_terms(mu2.points, c2, n)), which a sweep computes once per
-    alpha and per margin.
 
     The loop checks the first point of mu1 against every point of mu2
     first, so that a pair that is not symmetric, as nearly every sweep pair
@@ -265,20 +264,6 @@ def _involution_holds(firsts, second, get1, get2, c1: int, n: int) -> bool:
     return True
 
 
-def _symmetric_by_joint(inst: HeydeInstance) -> bool:
-    """is_conditionally_symmetric for any alpha, by the two joint pmfs.
-
-    The joint pmf of (L1, L2) is kept on CRT codes, keyed by l1 * N + l2,
-    with integer masses over the product of the margins' common
-    denominators; scaling every mass by one positive integer keeps every
-    equality, so the verdict is the exact one.  See _joint_symmetric for
-    the first key, compared before the pmf is built.
-    """
-    a = inst.alpha.code
-    second = _joint_terms(inst.mu2.points, a)
-    return _joint_symmetric(inst.mu1, inst.mu2, second, a, inst.spec.exponent)
-
-
 def _joint_terms(points, a: int) -> list[tuple[int, int, int]]:
     """(r2, a * r2, w2) for each (r2, w2) of points."""
     return [(r, a * r, w) for r, w in points]
@@ -287,8 +272,14 @@ def _joint_terms(points, a: int) -> list[tuple[int, int, int]]:
 def _joint_symmetric(
     mu1: Distribution, mu2: Distribution, second: list, a: int, n: int
 ) -> bool:
-    """_symmetric_by_joint on the terms of mu2 (_joint_terms(mu2.points, a)),
-    which a sweep computes once per alpha and per margin.
+    """is_conditionally_symmetric for any alpha, by the two joint pmfs, on
+    the multiplier a of alpha and the terms of mu2
+    (_joint_terms(mu2.points, a)).
+
+    The joint pmf of (L1, L2) is kept on CRT codes, keyed by l1 * N + l2,
+    with integer masses over the product of the margins' common
+    denominators; scaling every mass by one positive integer keeps every
+    equality, so the verdict is the exact one.
 
     Before it builds the joint pmf it compares P(l1, l2) with P(l1, -l2)
     at one key (l1, l2) of positive mass (_joint_masses_at), in
@@ -477,19 +468,30 @@ def satisfies_heyde_equation(inst: HeydeInstance) -> bool:
     identity exactly in both directions.  The residues come memoized from
     each margin (distributions.char_residues) and reduced mod M, so the
     zero residue is 0 and the loop skips only pairs whose two products are
-    both = 0 (mod M).  After its first v the loop runs on the quotient of
-    _equation_quotient.  See first_equation_violation for the loop.
+    both = 0 (mod M).  See _residue_equation_holds for the loop.
     """
     mu1, mu2 = inst.mu1, inst.mu2
     field = modular_field(inst.spec.exponent, 2 * mu1.den * mu2.den)
+    return _residue_equation_holds(mu1, mu2, inst.alpha.adjoint(), field)
+
+
+def _residue_equation_holds(mu1: Distribution, mu2: Distribution, beta: Endomorphism, field) -> bool:
+    """Whether the dual equation of the character sums of mu1 and mu2 under
+    beta holds, decided on their residues in field, a field certified for
+    2 * mu1.den * mu2.den (cyclotomic._ModField): the one residue equation
+    of satisfies_heyde_equation and of the lemma verifiers.
+
+    first_equation_violation runs on the quotient of _equation_quotient,
+    whose proof holds for any beta, after its first v; for two point
+    masses (1, e') is known before the first v, and is passed as it is.
+    """
     modulus = field.modulus
-    beta = inst.alpha.adjoint()
     if len(mu1.points) == len(mu2.points) == 1:
-        quotient = _equation_quotient(mu1, mu2, beta)  # (1, e'), known before the first v
+        quotient = _equation_quotient(mu1, mu2, beta)
     else:
         quotient = partial(_equation_quotient, mu1, mu2, beta)
     violation = first_equation_violation(
-        inst.spec,
+        mu1.spec,
         char_residues(mu1, field),
         char_residues(mu2, field),
         beta,
@@ -542,15 +544,12 @@ class AutomorphismRow:
     """The state of both predicates that depends on one automorphism alpha
     alone, computed once for every pair a sweep decides under alpha.
 
-    Per alpha: the automorphism check of HeydeInstance, the symmetry helper
-    of the route with its trailing arguments (symmetric(mu1, mu2, terms,
-    *constants): _involution_symmetric with c1, c2 and N, or
-    _joint_symmetric with the multiplier a and N), a field certified for
-    every pair of margins whose denominators are at most top, its modulus
-    M and product mod M (mul), and the first v of the equation loop with
-    beta v (first_v = (v, beta v, N)) and the u after 0 (rest).  The helper
-    is read from this module when the row is built, so the sweep runs the
-    very function is_conditionally_symmetric runs.
+    Per alpha: the automorphism check of HeydeInstance, the symmetry route
+    of _symmetry_route (symmetric(mu1, mu2, terms), the very route
+    is_conditionally_symmetric runs), a field certified for every pair of
+    margins whose denominators are at most top, its modulus M and product
+    mod M (mul), and the first v of the equation loop with beta v
+    (first_v = (v, beta v, N)) and the u after 0 (rest).
 
     Per margin, first(mu) and second(mu) give what depends on alpha and mu
     in that role: its residue function (char_residues, memoized on mu) and
@@ -578,15 +577,8 @@ class AutomorphismRow:
             raise ValueError("alpha is not an automorphism")
         spec = alpha.spec
         n = spec.exponent
-        a = alpha.code
         self.alpha = alpha
-        if _has_involution(alpha):
-            c1, c2 = _involution_constants(a, n)
-            self._terms = lambda points: _involution_terms(points, c2, n)
-            self.symmetric, self.constants = _involution_symmetric, (c1, c2, n)
-        else:
-            self._terms = lambda points: _joint_terms(points, a)
-            self.symmetric, self.constants = _joint_symmetric, (a, n)
+        self._terms, self.symmetric = _symmetry_route(alpha)
         field = self._field = modular_field(n, 2 * top * top)
         modulus = self.modulus = field.modulus
         self.mul = lambda x, y: x * y % modulus
@@ -780,9 +772,7 @@ def classify_corollary(inst: HeydeInstance, dec: HeydeDecomposition) -> Corollar
 
     kernel = one_plus.kernel()
     if kernel.is_trivial:
-        verified = dec.lam == haar(dec.subgroup)
-        detail = "lambda equals the uniform distribution on G" if verified else "lambda is not uniform on G"
-        checks.append(CorollaryCheck("haar_when_kernel_trivial", True, verified, detail))
+        checks.append(_uniform_lambda_check("haar_when_kernel_trivial", dec))
     else:
         checks.append(
             CorollaryCheck(
@@ -828,9 +818,7 @@ def classify_corollary(inst: HeydeInstance, dec: HeydeDecomposition) -> Corollar
             detail = "G is trivial and both margins degenerate" if verified else "G is nontrivial"
             checks.append(CorollaryCheck("truncated_unit_digit", True, verified, detail))
         else:
-            verified = dec.lam == haar(dec.subgroup)
-            detail = "lambda equals the uniform distribution on G" if verified else "lambda is not uniform on G"
-            checks.append(CorollaryCheck("truncated_unit_digit", True, verified, detail))
+            checks.append(_uniform_lambda_check("truncated_unit_digit", dec))
     else:
         checks.append(
             CorollaryCheck(
@@ -839,6 +827,13 @@ def classify_corollary(inst: HeydeInstance, dec: HeydeDecomposition) -> Corollar
         )
 
     return CorollaryReport(tuple(checks))
+
+
+def _uniform_lambda_check(name: str, dec: HeydeDecomposition) -> CorollaryCheck:
+    """The applicable check name that lambda is the uniform distribution on G."""
+    verified = dec.lam == haar(dec.subgroup)
+    detail = "lambda equals the uniform distribution on G" if verified else "lambda is not uniform on G"
+    return CorollaryCheck(name, True, verified, detail)
 
 
 # -- quasicyclic truncations ---------------------------------------------------
@@ -862,6 +857,17 @@ def quasicyclic_distribution(p: int, level: int, pmf) -> Distribution:
     )
 
 
+def _truncated_unit(unit: PAdicUnit, p: int, level: int) -> int:
+    """The multiplier of unit on the level-sized layer of the p-quasicyclic
+    group, truncation(level) mod p**level, once unit's prime is p and its
+    level reaches level."""
+    if unit.p != p:
+        raise ValueError("unit prime does not match the group prime")
+    if unit.level < level:
+        raise ValueError("truncation level exceeded")
+    return unit.truncation(level) % p**level
+
+
 @dataclass(frozen=True)
 class QuasicyclicReduction:
     instance: HeydeInstance
@@ -881,15 +887,11 @@ def reduce_quasicyclic(p: int, level: int, pmf1, pmf2, unit: PAdicUnit) -> Quasi
     equality of the two distributions; otherwise the general decomposition
     machinery applies and produces a finite subgroup.
     """
-    if unit.p != p:
-        raise ValueError("unit prime does not match the group prime")
-    if unit.level < level:
-        raise ValueError("truncation level exceeded")
+    s = _truncated_unit(unit, p, level)
     mu1 = quasicyclic_distribution(p, level, pmf1)
     mu2 = quasicyclic_distribution(p, level, pmf2)
     spec = mu1.spec
     q = p**level
-    s = unit.truncation(level) % q
     inst = HeydeInstance(spec, mu1, mu2, Endomorphism(spec, s))
     symmetric = is_conditionally_symmetric(inst)
     if s == q - 1:
@@ -961,15 +963,11 @@ def reduce_mixed_product(
     """
     if alpha_k.spec != k_spec:
         raise ValueError("spec mismatch")
-    if unit.p != p:
-        raise ValueError("unit prime does not match the group prime")
-    if unit.level < level:
-        raise ValueError("truncation level exceeded")
+    s = _truncated_unit(unit, p, level)
     mu1 = mixed_product_distribution(k_spec, p, level, pmf1)
     mu2 = mixed_product_distribution(k_spec, p, level, pmf2)
     spec = mu1.spec
     q = p**level
-    s = unit.truncation(level) % q
     alpha = make_endo(spec, alpha_k.multipliers + (s,))
     inst = HeydeInstance(spec, mu1, mu2, alpha)
     symmetric = is_conditionally_symmetric(inst)

@@ -21,12 +21,14 @@ fixed-point identities, every (a, b, c, y) of a triple identity, whose
 step sets are subgroups) is closed under multiplication by units, and
 sigma_c maps the identity at a point to the identity at c times it.  So
 the argument of cyclotomic._ModField applies: when both tables carry
-their distribution, the equation hypothesis (on the quotient of
-engine._equation_quotient), the four fixed-point identities and the
-generator triples are decided on the residues of char_residues in one
-field certified for all of them (_residue_field), and a verdict there is
-exact.  The generator triples go there only when every residue of the
-table is a unit mod M, which the subgroup argument of
+their distribution, the equation hypothesis, the four fixed-point
+identities and the generator triples are decided on the residues of
+char_residues in one field certified for all of them (_residue_field),
+and a verdict there is exact.  The hypothesis is the residue equation of
+engine.satisfies_heyde_equation itself (engine._residue_equation_holds,
+on the quotient of engine._equation_quotient), whose verdict is kept for
+the last tables only.  The generator triples go there only when every
+residue of the table is a unit mod M, which the subgroup argument of
 _generator_triple_violation needs.  The residue route names no point:
 on any failure the interned route below reruns and reports, so every
 report is the one the interned route gives.
@@ -36,9 +38,9 @@ distribution and are otherwise arbitrary: nothing requires them to be
 character tables or Galois-equivariant, so the modular evaluation does
 not apply to them.  They go by the interned route, which is also the
 reference: the equation hypothesis and the triple-difference scan run on
-the ids of one interner (_interner), which memoizes the product of two
-ids, so each distinct product of exact canonical CycloElements is
-computed once and equal sides have equal ids.
+the ids of one interner (_interned, through _interner), which memoizes
+the product of two ids, so each distinct product of exact canonical
+CycloElements is computed once and equal sides have equal ids.
 engine.first_equation_violation takes the id tables and that product as
 its mul; id 0 is the zero value, so the loop's sparse visits apply to
 tables with zeros.
@@ -57,11 +59,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .cyclotomic import CycloElement, from_rational, modular_field
 from .distributions import Distribution, DualFunction, char_fn_table, char_residues, convolve, reflect
-from .engine import _equation_quotient, first_equation_violation
+from .engine import _residue_equation_holds, first_equation_violation
 from .morphisms import Endomorphism, identity, kappa_of
 
 
@@ -127,12 +129,10 @@ def _equation_violation(f: DualFunction, g: DualFunction, beta: Endomorphism):
     last (f, g, beta): both verifiers certify this hypothesis, and
     verify-lemmas runs them in turn on the same tables.
 
-    The loop runs on interned ids and their memoized products, so each
-    distinct product is computed once, and the zero value's id 0 is falsy,
-    so the loop's sparse visits apply."""
-    intern, product = _interner(from_rational(f.spec.exponent, 0))
-    f_ids = [intern(value) for value in f.values]
-    g_ids = [intern(value) for value in g.values]
+    The loop runs on interned ids and their memoized products (_interned),
+    so each distinct product is computed once, and the zero value's id 0 is
+    falsy, so the loop's sparse visits apply."""
+    f_ids, g_ids, product = _interned(f, g)
     return first_equation_violation(f.spec, f_ids.__getitem__, g_ids.__getitem__, beta, product)
 
 
@@ -162,23 +162,9 @@ def _residues(fn: DualFunction, field) -> list[int]:
     return list(map(char_residues(fn.distribution, field), range(fn.spec.exponent)))
 
 
-@lru_cache(maxsize=1)
-def _residue_equation_holds(nu1: Distribution, nu2: Distribution, beta: Endomorphism, field) -> bool:
-    """Whether the dual equation of the character tables of nu1 and nu2
-    under beta holds, decided on their residues in field, on the quotient
-    of engine._equation_quotient (its proof holds for any beta), as
-    engine.satisfies_heyde_equation decides it.  Kept for the last
-    arguments: verify-lemmas runs both verifiers on the same tables."""
-    modulus = field.modulus
-    violation = first_equation_violation(
-        nu1.spec,
-        char_residues(nu1, field),
-        char_residues(nu2, field),
-        beta,
-        lambda a, b: a * b % modulus,
-        partial(_equation_quotient, nu1, nu2, beta),
-    )
-    return violation is None
+# engine._residue_equation_holds, kept for the last arguments:
+# verify-lemmas runs both verifiers on the same tables.
+_residue_equation = lru_cache(maxsize=1)(_residue_equation_holds)
 
 
 def _hypothesis_violation(f: DualFunction, g: DualFunction, beta: Endomorphism, field):
@@ -186,7 +172,7 @@ def _hypothesis_violation(f: DualFunction, g: DualFunction, beta: Endomorphism, 
     fails, or None.  With a field (_residue_field) the residue route
     decides; only when it finds a violation does the interned route
     (_equation_violation) run, and name the first one."""
-    if field is not None and _residue_equation_holds(f.distribution, g.distribution, beta, field):
+    if field is not None and _residue_equation(f.distribution, g.distribution, beta, field):
         return None
     return _equation_violation(f, g, beta)
 
@@ -220,10 +206,11 @@ def _first_triple_violation(fn: DualFunction, step_endos) -> tuple[int, tuple | 
     return _triple_scan(fn.spec, *_interned(fn), *(e.image().codes for e in step_endos))
 
 
-def _interned(fn: DualFunction) -> tuple[list[int], object]:
-    """The ids of fn's values, by code, and the memoized product of ids, of one _interner."""
-    intern, product = _interner(from_rational(fn.spec.exponent, 0))
-    return [intern(v) for v in fn.values], product
+def _interned(*tables: DualFunction) -> tuple:
+    """The ids of each table's values, by code, one list per table, and the
+    memoized product of ids, all of one _interner."""
+    intern, product = _interner(from_rational(tables[0].spec.exponent, 0))
+    return (*([intern(v) for v in fn.values] for fn in tables), product)
 
 
 def _triple_scan(spec, values, product, a_steps, b_steps, c_steps) -> tuple[int, tuple | None]:

@@ -5,12 +5,14 @@ separators, probabilities are integer numerator/denominator pairs (never
 floats), and mass lists are sorted by support point.  Readers validate
 exactly what the writers guarantee and raise ValueError on anything else.
 
-Mass lists are read and written on CRT codes.  The reader encodes each
-support point in one pass over its coordinates (GroupSpec.reduced_code:
-exact int type, range and the CRT sum together); only a point that pass
-refuses goes through element_from_obj, so every refusal keeps its
-message.  There is no element -> code table, which would cost N entries
-per group.  The writer decodes each code through spec.crt_elements and
+Mass lists are read and written on CRT codes.  The reader accepts a list
+only as the writer emits it, sorted and reduced, and builds the
+Distribution from its one pass, with no sort and no reduction.  It
+encodes each support point in one pass over its coordinates
+(GroupSpec.reduced_code: exact int type, range and the CRT sum
+together); only a point that pass refuses goes through element_from_obj,
+so every refusal keeps its message.  There is no element -> code table,
+which would cost N entries per group.  The writer decodes each code through spec.crt_elements and
 reduces each mass a / D by one gcd, with no Fraction.
 """
 
@@ -25,7 +27,7 @@ from .engine import (
     HeydeDecomposition,
     HeydeInstance,
 )
-from .distributions import Distribution, _canonical
+from .distributions import Distribution
 from .groups import GroupSpec, Subgroup, validate_spec
 from .lemmas import DifferenceLemmaReport, FixedPointLemmaReport
 from .morphisms import Endomorphism, make_endo
@@ -144,29 +146,41 @@ def distribution_to_obj(mu: Distribution) -> list[dict]:
     return out
 
 
+_MASS_KEYS = {"x", "num", "den"}
+
+
 def distribution_from_obj(spec: GroupSpec, obj) -> Distribution:
-    """The distribution of a mass list, on integers: each num / den is
-    reduced, and the numerators are put over the lcm of the reduced
-    denominators, which is then the least common denominator."""
+    """The distribution of a mass list as distribution_to_obj writes it, in
+    one pass: entries with exactly the keys x, num, den, in element order
+    with no point repeated, each num / den positive and in lowest terms.
+    The numerators are put over the lcm D of the dens, which is then the
+    least common denominator: a prime power that exactly divides D exactly
+    divides some den, and does not divide that entry's num * (D / den)."""
     if not isinstance(obj, list):
         raise ValueError("distribution must be a list of mass entries")
-    masses: dict[int, tuple[int, int]] = {}
+    rank = spec.crt_rank
+    codes, masses = [], []
+    prev = -1
     for entry in obj:
-        if not isinstance(entry, dict) or "x" not in entry or "num" not in entry or "den" not in entry:
-            raise ValueError(f"mass entry {entry!r} must have keys x, num, den")
+        if not isinstance(entry, dict) or entry.keys() != _MASS_KEYS:
+            raise ValueError(f"mass entry {entry!r} must have exactly the keys x, num, den")
         code = element_code_from_obj(spec, entry["x"])
-        if code in masses:
-            raise ValueError(f"duplicate support point {entry['x']!r}")
+        if rank[code] <= prev:
+            order = "duplicates the point before it" if rank[code] == prev else "is out of element order"
+            raise ValueError(f"mass entry {entry!r} {order}")
+        prev = rank[code]
         num, den = entry["num"], entry["den"]
         if not _is_int(num) or not _is_int(den) or den <= 0:
             raise ValueError(f"mass entry {entry!r} must use integer num/den with den > 0")
         if num <= 0:
             raise ValueError("masses must be strictly positive")
-        common = gcd(num, den)
-        masses[code] = (num // common, den // common)
-    total = lcm(*(den for _, den in masses.values()))
+        if gcd(num, den) > 1:
+            raise ValueError(f"mass entry {entry!r} is not in lowest terms")
+        codes.append(code)
+        masses.append((num, den))
+    total = lcm(*(den for _, den in masses))
     # Distribution validation enforces total mass one.
-    return _canonical(spec, total, {r: num * (total // den) for r, (num, den) in masses.items()})
+    return Distribution(spec, total, tuple(zip(codes, (num * (total // den) for num, den in masses))))
 
 
 # -- instances ----------------------------------------------------------------

@@ -12,8 +12,8 @@ and its first() and second() give what depends on alpha and one margin in
 that role, with the two residues a pair reads from it at u = 0 of the
 first v of its dual equation.  Each pair is decided there by one
 comparison of two products mod M; only a pair that holds there reads the
-other u of that v, and only a pair refuted at that v runs the engine's
-symmetry helper, building no HeydeInstance.  A pair that is refuted at
+other u of that v, and only a pair refuted at that v runs the row's
+symmetry route, building no HeydeInstance.  A pair that is refuted at
 its first v and is not symmetric, as nearly every pair is, has both
 predicates false: it only adds 1 to the instance count, which is all that
 check_instance would record for it.  Every other pair goes through
@@ -177,15 +177,16 @@ def _run_row(row: AutomorphismRow, firsts: list, seconds: list, report: SweepRep
     only a pair that holds there runs _first_violation over the other u
     (none for two point masses).  A pair that holds at its first v goes to
     check_instance.  A pair refuted there fails satisfies_heyde_equation,
-    and the symmetry helper of the row decides it: symmetric, a
-    disagreement that check_instance records, or not symmetric, both
-    predicates false, which check_instance would only count.
+    and the row's symmetry route (engine._symmetry_route) decides it:
+    symmetric, a disagreement that check_instance records, or not
+    symmetric, both predicates false, which check_instance would only
+    count.
     """
     alpha = row.alpha
     spec = alpha.spec
     modulus, mul, rest = row.modulus, row.mul, row.rest
     v, bv, n = row.first_v
-    symmetric, constants = row.symmetric, row.constants
+    symmetric = row.symmetric
     refuted = 0
     for mu1, f, f_v, f_minus_v in firsts:
         single = len(mu1.points) == 1
@@ -194,7 +195,7 @@ def _run_row(row: AutomorphismRow, firsts: list, seconds: list, report: SweepRep
                 single and len(mu2.points) == 1
                 or _first_violation(f, g, rest, v, bv, n, mul) is None
             )
-            if holds or symmetric(mu1, mu2, terms, *constants):
+            if holds or symmetric(mu1, mu2, terms):
                 check_instance(HeydeInstance(spec, mu1, mu2, alpha), report)
             else:
                 refuted += 1

@@ -13,7 +13,7 @@ from math import gcd, lcm
 
 from mpmath import iv
 
-from heyde import DeterministicStream, HeydeInstance, enumerate_distributions, from_pmf, sweep
+from heyde import DeterministicStream, HeydeInstance, engine, enumerate_distributions, from_pmf, sweep
 from heyde.cyclotomic import modular_field
 from heyde.distributions import Distribution, _canonical
 from heyde.errors import VerificationFailure
@@ -97,6 +97,22 @@ def brute_symmetric(orders, pmf1, pmf2, multipliers):
         (l1, raw_neg(orders, l2)): mass for (l1, l2), mass in plus.items()
     }
     return plus == minus
+
+
+def involution_route(inst):
+    """The involution route of the symmetry test on inst, whatever route
+    engine._symmetry_route picks for its alpha; alpha - 1 must be a unit."""
+    n = inst.spec.exponent
+    c1, c2 = engine._involution_constants(inst.alpha.code, n)
+    terms = engine._involution_terms(inst.mu2.points, c2, n)
+    return engine._involution_symmetric(inst.mu1, inst.mu2, terms, c1, c2, n)
+
+
+def joint_route(inst):
+    """The joint-pmf route of the symmetry test on inst, whatever route
+    engine._symmetry_route picks for its alpha."""
+    a, n = inst.alpha.code, inst.spec.exponent
+    return engine._joint_symmetric(inst.mu1, inst.mu2, engine._joint_terms(inst.mu2.points, a), a, n)
 
 
 def brute_exhaustive_sweep(orders, denominator):
@@ -639,29 +655,36 @@ def _reference_int(value) -> bool:
 
 
 def reference_distribution_from_obj(spec, obj):
-    """The mass-list reader as it was before the fused encode: each point
-    read by three passes (list of ints, reduced element, CRT code), each
-    num / den reduced by its own gcd and put over the lcm of the reduced
-    dens, points sorted by element rank through a per-point lambda."""
+    """The mass-list reader as it was before the fused encode, refusing
+    what no writer emits (keys other than x, num, den; a point out of
+    element order or repeated; a num / den not in lowest terms) at the
+    same step of its loop: each point read by three passes (list of ints,
+    reduced element, CRT code), each num / den put over the lcm of the
+    dens, points sorted by element rank through a per-point lambda and
+    reduced by their common gcd."""
     if not isinstance(obj, list):
         raise ValueError("distribution must be a list of mass entries")
     masses = {}
+    last = None
     for entry in obj:
-        if not isinstance(entry, dict) or not {"x", "num", "den"} <= set(entry):
-            raise ValueError(f"mass entry {entry!r} must have keys x, num, den")
+        if not isinstance(entry, dict) or set(entry) != {"x", "num", "den"}:
+            raise ValueError(f"mass entry {entry!r} must have exactly the keys x, num, den")
         x = entry["x"]
         if not isinstance(x, list) or not all(_reference_int(c) for c in x):
             raise ValueError(f"element must be a list of integers, got {x!r}")
         code = spec.crt(spec.require_element(tuple(x)))
-        if code in masses:
-            raise ValueError(f"duplicate support point {entry['x']!r}")
+        if last is not None and spec.crt_rank[code] <= spec.crt_rank[last]:
+            order = "duplicates the point before it" if code == last else "is out of element order"
+            raise ValueError(f"mass entry {entry!r} {order}")
+        last = code
         num, den = entry["num"], entry["den"]
         if not _reference_int(num) or not _reference_int(den) or den <= 0:
             raise ValueError(f"mass entry {entry!r} must use integer num/den with den > 0")
         if num <= 0:
             raise ValueError("masses must be strictly positive")
-        common = gcd(num, den)
-        masses[code] = (num // common, den // common)
+        if gcd(num, den) > 1:
+            raise ValueError(f"mass entry {entry!r} is not in lowest terms")
+        masses[code] = (num, den)
     total = lcm(*(den for _, den in masses.values()))
     points = sorted(((r, num * (total // den)) for r, (num, den) in masses.items()),
                     key=lambda p: spec.crt_rank[p[0]])

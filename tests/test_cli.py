@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from heyde import lemmas, serialize, validate_spec
+from heyde import engine, lemmas, serialize, validate_spec
 from heyde.cli import main
 from heyde.engine import first_equation_violation
 from limits import TimeLimitExceeded, time_limit
@@ -143,6 +143,30 @@ def test_boolean_mass_entry_exits_2(tmp_path, capsys):
         path = write(tmp_path, "inst.json", bad)
         for command in ("check", "decompose", "verify-lemmas"):
             _exit_2_with(capsys, [command, "--input", path], fragment)
+
+
+@pytest.mark.parametrize(
+    "mu1, named, fragment",
+    [
+        ([{"x": [1], "num": 1, "den": 2, "w": 0}, {"x": [3], "num": 1, "den": 2}], 0, "exactly the keys"),
+        ([{"x": [1], "num": 2, "den": 4}, {"x": [3], "num": 1, "den": 2}], 0, "lowest terms"),
+        ([{"x": [3], "num": 1, "den": 2}, {"x": [1], "num": 1, "den": 2}], 1, "element order"),
+        ([{"x": [1], "num": 1, "den": 2}, {"x": [1], "num": 1, "den": 2}], 1, "duplicates"),
+    ],
+    ids=["extra-key", "unreduced", "unsorted", "repeated"],
+)
+def test_a_mass_list_no_writer_emits_exits_2_naming_the_entry(tmp_path, capsys, mu1, named, fragment):
+    # the same masses in canonical form are read as they always were
+    bad = degenerate_instance(3, 1, 2)
+    bad["mu1"] = mu1
+    path = write(tmp_path, "inst.json", bad)
+    for command in ("check", "decompose", "verify-lemmas"):
+        _exit_2_with(capsys, [command, "--input", path], f"mass entry {mu1[named]!r} ")
+        _exit_2_with(capsys, [command, "--input", path], fragment)
+    good = degenerate_instance(3, 1, 2)
+    good["mu1"] = [{"x": [1], "num": 1, "den": 2}, {"x": [3], "num": 1, "den": 2}]
+    assert main(["check", "--input", write(tmp_path, "good.json", good)]) == 0
+    capsys.readouterr()
 
 
 def test_boolean_alpha_exits_2(tmp_path, capsys):
@@ -500,7 +524,7 @@ def test_verify_lemmas_decides_the_equation_hypothesis_once(tmp_path, capsys, mo
         calls.append(args)
         return first_equation_violation(*args)
 
-    monkeypatch.setattr(lemmas, "first_equation_violation", counted)
+    monkeypatch.setattr(engine, "first_equation_violation", counted)
     margin = [{"x": [0], "num": 3, "den": 4}, {"x": [1], "num": 1, "den": 4}]
     spec = {"components": [{"p": 7, "k": 1, "kind": "finite"}]}
     path = write(tmp_path, "inst.json", {"spec": spec, "mu1": margin, "mu2": margin, "alpha": [6]})
@@ -509,6 +533,35 @@ def test_verify_lemmas_decides_the_equation_hypothesis_once(tmp_path, capsys, mo
     assert code == 0
     assert report["difference_lemma"]["evaluated"] and report["fixed_point_lemma"]["evaluated"]
     assert len(calls) == 1
+
+
+def test_verify_lemmas_on_two_point_masses_matches_the_interned_route(tmp_path, capsys, monkeypatch):
+    # |char|**2 of a point mass is 1 everywhere, the table of delta_0: the
+    # residue route knows (e, e') = (1, 1) before its first v and visits no
+    # pair, and the report is the one the interned route gives.
+    spec = {"components": [{"p": 7, "k": 1, "kind": "finite"}]}
+    inst = {"spec": spec, "mu1": [{"x": [3], "num": 1, "den": 1}],
+            "mu2": [{"x": [1], "num": 1, "den": 1}], "alpha": [6]}
+    path = write(tmp_path, "inst.json", inst)
+    quotients = []
+    lemmas._residue_equation.cache_clear()
+
+    def spy(*args):
+        quotients.append(args[5])
+        return first_equation_violation(*args)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(engine, "first_equation_violation", spy)
+        assert main(["verify-lemmas", "--input", path]) == 0
+    residue = capsys.readouterr().out
+    assert quotients == [(1, 1)]
+    lemmas._equation_violation.cache_clear()
+    monkeypatch.setattr(lemmas, "_residue_field", lambda f, g: None)
+    assert main(["verify-lemmas", "--input", path]) == 0
+    interned = capsys.readouterr().out
+    assert residue == interned
+    report = json.loads(interned)
+    assert report["difference_lemma"]["evaluated"] and report["fixed_point_lemma"]["evaluated"]
 
 
 @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])

@@ -125,21 +125,35 @@ def _read(reader, spec, obj):
 
 
 def _mass_list(rng, spec):
-    """A well-formed mass list: 1 to 12 points in random order, masses that
-    sum to one, each num / den reduced or scaled by 2 or 3."""
-    points = rng.sample(spec.element_list, rng.randint(1, min(12, spec.size)))
+    """A mass list as distribution_to_obj writes it: 1 to 12 points in
+    element order, each num / den in lowest terms, masses that sum to one."""
+    points = sorted(rng.sample(spec.element_list, rng.randint(1, min(12, spec.size))))
     weights = [rng.randint(1, 6) for _ in points]
     total = sum(weights)
     entries = []
     for x, w in zip(points, weights):
         m = Fraction(w, total)
-        k = rng.choice((1, 1, 2, 3))
-        entries.append({"x": list(x), "num": m.numerator * k, "den": m.denominator * k})
+        entries.append({"x": list(x), "num": m.numerator, "den": m.denominator})
     return entries
 
 
+def _reordered_or_scaled(rng, entries):
+    """Copies of entries with the same masses that no writer emits: the
+    entries shuffled out of element order, and one num / den scaled by 2
+    or 3."""
+    if len(entries) > 1:
+        shuffled = list(entries)
+        while shuffled == entries:
+            rng.shuffle(shuffled)
+        yield shuffled
+    i = rng.randrange(len(entries))
+    k = rng.choice((2, 3))
+    entry = entries[i]
+    yield [*entries[:i], {**entry, "num": entry["num"] * k, "den": entry["den"] * k}, *entries[i + 1:]]
+
+
 def _ill_formed(rng, spec, entries):
-    """Copies of entries with one defect each; an extra key is kept by both readers."""
+    """Copies of entries with one defect each."""
     i = rng.randrange(len(entries))
     entry = entries[i]
     j = rng.randrange(len(spec.orders))
@@ -182,7 +196,8 @@ def _ill_formed(rng, spec, entries):
 @pytest.mark.parametrize("name", READER_SPECS)
 def test_the_fused_reader_agrees_with_the_three_pass_reader(name):
     """Same Distribution or the same ValueError text, on well-formed and
-    ill-formed mass lists alike."""
+    ill-formed mass lists alike; a list in another order or with a mass
+    not in lowest terms is refused, naming the entry."""
     spec = READER_SPECS[name]
     rng = random.Random(f"reader:{name}")
     refused = 0
@@ -191,6 +206,11 @@ def test_the_fused_reader_agrees_with_the_three_pass_reader(name):
         expected = oracles.reference_distribution_from_obj(spec, entries)
         assert isinstance(expected, Distribution)
         assert _read(serialize.distribution_from_obj, spec, entries) == expected
+        assert serialize.distribution_to_obj(expected) == entries
+        for same in _reordered_or_scaled(rng, entries):
+            refusal = _read(serialize.distribution_from_obj, spec, same)
+            assert refusal == _read(oracles.reference_distribution_from_obj, spec, same)
+            assert any(refusal.startswith(f"ValueError: mass entry {entry!r} ") for entry in same), refusal
         for bad in _ill_formed(rng, spec, entries):
             expected = _read(oracles.reference_distribution_from_obj, spec, bad)
             assert _read(serialize.distribution_from_obj, spec, bad) == expected, bad

@@ -34,7 +34,7 @@ from heyde import (
 )
 from heyde import classify_corollary, degenerate, distributions, engine, serialize
 from heyde.distributions import Distribution, _canonical
-from heyde.engine import _decompose, _symmetric_by_involution, _symmetric_by_joint
+from heyde.engine import AutomorphismRow, _decompose
 from heyde.fixtures import construction_admissible
 from heyde.groups import subgroup_of_index
 from limits import time_limit
@@ -131,23 +131,31 @@ def test_involution_route_on_constructed_and_near_symmetric_pairs(name):
                     variants.append(dataclasses.replace(inst, **{side: mu}))
         for k, case in enumerate(variants):
             expected = _brute(case)
-            assert _symmetric_by_involution(case) == expected
-            assert _symmetric_by_joint(case) == expected
+            assert oracles.involution_route(case) == expected
+            assert oracles.joint_route(case) == expected
             assert is_conditionally_symmetric(case) == expected
             assert expected or k  # every constructed pair is symmetric
             outcomes[expected] += 1
     assert outcomes[True] >= len(alphas) and outcomes[False] > len(alphas)
 
 
+def _recording_routes(monkeypatch):
+    """Patch both route helpers of the engine to append their name to the
+    returned list on each call."""
+    taken = []
+    for name in ("_involution_symmetric", "_joint_symmetric"):
+        real = getattr(engine, name)
+        monkeypatch.setattr(
+            engine, name, lambda *args, name=name, real=real: taken.append(name) or real(*args)
+        )
+    return taken
+
+
 def test_involution_route_is_taken_exactly_when_alpha_minus_one_is_a_unit(monkeypatch):
     spec = validate_spec(LADDER["Z9xZ5"])
     n = spec.exponent
     rng = random.Random("routes")
-    taken = []
-    for route in (_symmetric_by_involution, _symmetric_by_joint):
-        monkeypatch.setattr(
-            engine, route.__name__, lambda inst, route=route: taken.append(route) or route(inst)
-        )
+    taken = _recording_routes(monkeypatch)
     mu = from_pmf(spec, {(0, 0): Fraction(1, 3), (3, 0): Fraction(1, 3), (6, 0): Fraction(1, 3)})
     nonunit = 0
     for alpha in enumerate_automorphisms(spec):
@@ -156,9 +164,32 @@ def test_involution_route_is_taken_exactly_when_alpha_minus_one_is_a_unit(monkey
         taken.clear()
         assert is_conditionally_symmetric(inst) == _brute(inst)
         unit = gcd(alpha.code - 1, n) == 1
-        assert taken == [_symmetric_by_involution if unit else _symmetric_by_joint]
+        assert taken == ["_involution_symmetric" if unit else "_joint_symmetric"]
         nonunit += not unit
     assert nonunit  # alpha = I and alpha = 1 (mod 3) reach the joint route
+
+
+@pytest.mark.parametrize("name", ["Z9xZ5", "Z27xZ5"])
+def test_rows_and_instances_take_the_same_route(name, monkeypatch):
+    # AutomorphismRow and is_conditionally_symmetric both get their route
+    # from engine._symmetry_route: the same helper on the same terms
+    spec = validate_spec(LADDER[name])
+    rng = random.Random(f"row routes:{name}")
+    taken = _recording_routes(monkeypatch)
+    mu1 = _coset_blocks(spec, rng)
+    routes = set()
+    for alpha in enumerate_automorphisms(spec):
+        mu2 = shift(mu1, spec.crt_elements[rng.randrange(spec.exponent)])
+        inst = HeydeInstance(spec, mu1, mu2, alpha)
+        taken.clear()
+        verdict = is_conditionally_symmetric(inst)
+        by_instance = list(taken)
+        row = AutomorphismRow(alpha, 1)
+        taken.clear()
+        assert row.symmetric(mu1, mu2, row._terms(mu2.points)) == verdict == _brute(inst)
+        assert taken == by_instance and len(taken) == 1
+        routes.add(taken[0])
+    assert routes == {"_involution_symmetric", "_joint_symmetric"}
 
 
 # -- the coset stage -------------------------------------------------------------
@@ -244,7 +275,7 @@ def test_coset_stage_against_the_brute_route(name, monkeypatch):
     seen = {"symmetric": 0, "refuted": 0, "unequal": 0}
     for k, case in enumerate(_coset_cases(spec, rng)):
         staged.clear()
-        verdict = _symmetric_by_involution(case)
+        verdict = oracles.involution_route(case)
         if not staged:
             assert not verdict  # refuted by the first row, as the tests above pin
             if k % 20 == 0:
@@ -280,12 +311,12 @@ def test_the_coset_stage_waits_for_the_first_row(monkeypatch):
     for _ in range(10):
         case = dataclasses.replace(inst, mu2=_move_point(inst.mu2, rng))
         staged.clear()
-        assert _symmetric_by_involution(case) == _brute(case) is False
+        assert oracles.involution_route(case) == _brute(case) is False
         refuted += not staged
     assert refuted
     small = HeydeInstance(spec, degenerate(spec, (1, 0)), degenerate(spec, (3, 4)), alpha)
     staged.clear()
-    assert _symmetric_by_involution(small) == _brute(small)
+    assert oracles.involution_route(small) == _brute(small)
     assert not staged
 
 
@@ -400,7 +431,7 @@ def _check_first_key(cases, monkeypatch):
         expected = _brute(case)
         key = _first_key(case)
         called.clear()
-        assert _symmetric_by_joint(case) == expected
+        assert oracles.joint_route(case) == expected
         assert is_conditionally_symmetric(case) == expected
         seen["symmetric"] += expected
         if key is None:
