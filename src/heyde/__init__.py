@@ -55,7 +55,6 @@ from .fixtures import (
     construction_admissible,
     enumerate_automorphisms,
     enumerate_distributions,
-    iter_admissible_constructions,
     random_distribution,
     random_instance,
 )
@@ -65,9 +64,6 @@ from .groups import (
     GroupSpec,
     Subgroup,
     enumerate_subgroups,
-    full_subgroup,
-    subgroup_generated,
-    trivial_subgroup,
     validate_spec,
 )
 from .lemmas import (

@@ -33,10 +33,10 @@ from .rng import DeterministicStream
 from .sweep import exhaustive_instances, run_sweep
 
 # An exhaustive sweep runs |Aut| x C(d + N - 1, N - 1)**2 instances per
-# spec, a random one its budget; above this many (10 to 20 s of an
-# exhaustive sweep at the 4-10 microseconds per instance measured in
-# process, 2 to 4 minutes of a random one at 60-110 microseconds, see
-# README.md) it is refused before anything is enumerated.
+# spec, a random one its budget.  A sweep above this many instances on some
+# spec is refused before anything is enumerated, so that an admitted one
+# finishes in minutes, not hours; README.md gives the measured cost per
+# instance of each mode.
 # The cap on the group order is serialize.MAX_GROUP_SIZE, checked as the
 # spec is read.
 MAX_SWEEP_INSTANCES = 2 * 10**6

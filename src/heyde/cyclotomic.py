@@ -352,11 +352,6 @@ class CycloElement:
     def is_rational(self) -> bool:
         return not any(self.num[1:])
 
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("value is not rational")
-        return Fraction(self.num[0], self.den)
-
     def is_unit_modulus(self) -> bool:
         return (self * self.conj()).is_one()
 

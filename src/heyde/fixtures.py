@@ -18,7 +18,7 @@ from math import gcd
 from .distributions import Distribution, _canonical, convolve, difference_subgroup, haar, shift
 from .engine import HeydeInstance, is_conditionally_symmetric
 from .errors import VerificationFailure
-from .groups import Element, GroupSpec, Subgroup, enumerate_subgroups
+from .groups import Element, GroupSpec, Subgroup
 from .morphisms import Endomorphism, identity, make_endo
 from .rng import DeterministicStream
 
@@ -142,28 +142,3 @@ def random_instance(
     mu2 = random_distribution(spec, max_denominator, stream.derive("mu2"))
     return HeydeInstance(spec, mu1, mu2, alpha)
 
-
-def iter_admissible_constructions(
-    spec: GroupSpec,
-    seed: int,
-    variants: int = 1,
-    max_denominator: int = 8,
-):
-    """Constructed fixtures over all (subgroup, automorphism) pairs that admit one.
-
-    Deterministic under the seed: the seed distribution and the free shift for
-    each combination are drawn from substreams keyed by the combination.
-    """
-    stream = DeterministicStream(seed, label="constructions")
-    for sub in enumerate_subgroups(spec):
-        for alpha in enumerate_automorphisms(spec):
-            if not construction_admissible(sub, alpha):
-                continue
-            for i in range(variants):
-                label = f"{sub.exponents}|{alpha.multipliers}|{i}"
-                sub_stream = stream.derive(label)
-                rho = random_distribution(
-                    spec, max_denominator, sub_stream.derive("rho"), support=sub
-                )
-                x2 = sub_stream.choice(spec.element_list)
-                yield construct_instance(sub, alpha, rho, x2)

@@ -281,10 +281,6 @@ class Subgroup:
     def is_trivial(self) -> bool:
         return self.index == self.spec.exponent
 
-    @property
-    def is_full(self) -> bool:
-        return self.index == 1
-
     def contains(self, x: Element) -> bool:
         return self.spec.crt(x) % self.index == 0
 
@@ -313,22 +309,9 @@ def subgroup_of_index(spec: GroupSpec, d: int) -> Subgroup:
     return sub
 
 
-def trivial_subgroup(spec: GroupSpec) -> Subgroup:
-    return subgroup_of_index(spec, 0)
-
-
-def full_subgroup(spec: GroupSpec) -> Subgroup:
-    return subgroup_of_index(spec, 1)
-
-
 def generated_by_codes(spec: GroupSpec, codes) -> Subgroup:
     """Smallest subgroup containing every code (any ints): gcd(N, *codes)Z(N)."""
     return subgroup_of_index(spec, gcd(*codes))
-
-
-def subgroup_generated(spec: GroupSpec, xs) -> Subgroup:
-    """Smallest subgroup containing every element of xs."""
-    return generated_by_codes(spec, [spec.crt(x) for x in xs])
 
 
 def enumerate_subgroups(spec: GroupSpec) -> list[Subgroup]:

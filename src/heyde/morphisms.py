@@ -36,12 +36,6 @@ class Endomorphism:
     def is_automorphism(self) -> bool:
         return gcd(self.code, self.spec.exponent) == 1
 
-    def is_identity(self) -> bool:
-        return self.code == 1
-
-    def is_minus_identity(self) -> bool:
-        return self.code == self.spec.exponent - 1
-
     def compose(self, other: "Endomorphism") -> "Endomorphism":
         self._same_spec(other)
         return Endomorphism(self.spec, self.code * other.code % self.spec.exponent)
@@ -131,10 +125,3 @@ class PAdicUnit:
         for i in range(n - 1, -1, -1):
             total = total * self.p + self.digits[i]
         return total
-
-    def to_endo(self, spec: GroupSpec) -> Endomorphism:
-        """Multiplication by the truncated unit on a single p-component group."""
-        if len(spec.components) != 1 or spec.components[0].p != self.p:
-            raise ValueError(f"spec must be a single {self.p}-component group")
-        k = spec.components[0].k
-        return Endomorphism(spec, self.truncation(k))

@@ -257,25 +257,22 @@ def sweep_config_from_obj(obj) -> SweepConfig:
     if not isinstance(obj, dict) or not isinstance(obj.get("specs"), list):
         raise ValueError("sweep config must be an object with a 'specs' list")
     specs = tuple(spec_from_obj(s) for s in obj["specs"])
+    # An absent key is left to SweepConfig's default.
+    given = {"specs": specs}
     autos = obj.get("automorphisms")
-    if autos is None or autos == "all":
-        autos = None
-    elif isinstance(autos, list):
-        autos = tuple(_int_tuple(vec, "automorphism") for vec in autos)
+    if isinstance(autos, list):
+        autos = given["automorphisms"] = tuple(_int_tuple(vec, "automorphism") for vec in autos)
         for spec in specs:
             for vec in autos:
                 _reduced(spec, vec, "automorphism")
-    else:
+    elif autos is not None and autos != "all":
         raise ValueError(f'automorphisms must be "all" or a list, got {autos!r}')
-    return SweepConfig(
-        specs=specs,
-        mode=obj.get("mode", "random"),
-        denominator=int_from_obj(obj.get("denominator", 2), "denominator"),
-        max_denominator=int_from_obj(obj.get("max_denominator", 8), "max_denominator"),
-        budget=int_from_obj(obj.get("budget", 100), "budget"),
-        automorphisms=autos,
-        seed=int_from_obj(obj.get("seed", 0), "seed"),
-    )
+    if "mode" in obj:
+        given["mode"] = obj["mode"]
+    for key in ("denominator", "max_denominator", "budget", "seed"):
+        if key in obj:
+            given[key] = int_from_obj(obj[key], key)
+    return SweepConfig(**given)
 
 
 def sweep_report_to_obj(report: SweepReport) -> dict:

@@ -19,14 +19,14 @@ from heyde import (
     enumerate_distributions,
     enumerate_subgroups,
     from_pmf,
-    full_subgroup,
-    iter_admissible_constructions,
     make_endo,
     random_distribution,
     random_instance,
     validate_spec,
 )
 from heyde.groups import Subgroup
+
+import oracles
 
 Z3 = validate_spec([(3, 1)])
 Z9 = validate_spec([(3, 2)])
@@ -64,8 +64,8 @@ def random_equivalence_instances(count=500):
 def constructed_fixtures(count=200):
     """Constructed instances over all admissible (G, alpha) on Z(27), Z(9)xZ(5)."""
     sources = [
-        iter_admissible_constructions(Z27, seed=CONSTRUCTION_SEED, variants=2),
-        iter_admissible_constructions(Z9xZ5, seed=CONSTRUCTION_SEED + 1, variants=2),
+        oracles.iter_admissible_constructions(Z27, seed=CONSTRUCTION_SEED, variants=2),
+        oracles.iter_admissible_constructions(Z9xZ5, seed=CONSTRUCTION_SEED + 1, variants=2),
     ]
     produced = 0
     for fixture in itertools.chain.from_iterable(itertools.zip_longest(*sources)):
@@ -102,7 +102,7 @@ def haar_case_fixtures():
 def unit_digit_one_alphas():
     """All truncated units with leading digit one, as endomorphisms."""
     return [
-        PAdicUnit(3, (1, c1, c2)).to_endo(Z27_PADIC)
+        oracles.truncated_unit_endo(PAdicUnit(3, (1, c1, c2)), Z27_PADIC)
         for c1 in range(3)
         for c2 in range(3)
     ]
@@ -158,7 +158,7 @@ def fixed_point_fixtures():
             alpha = make_endo(spec, [multipliers[i % len(multipliers)]])
             rho = random_distribution(spec, 8, stream.derive(f"{spec.exponent}:{i}"))
             x2 = stream.derive(f"x2:{spec.exponent}:{i}").choice(spec.element_list)
-            fixtures.append(construct_instance(full_subgroup(spec), alpha, rho, x2))
+            fixtures.append(construct_instance(oracles.full_subgroup(spec), alpha, rho, x2))
     return fixtures
 
 

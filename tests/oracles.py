@@ -13,11 +13,27 @@ from math import gcd, lcm
 
 from mpmath import iv
 
-from heyde import DeterministicStream, HeydeInstance, engine, enumerate_distributions, from_pmf, sweep
+from heyde import (
+    DeterministicStream,
+    Endomorphism,
+    GroupSpec,
+    HeydeInstance,
+    Subgroup,
+    construct_instance,
+    construction_admissible,
+    engine,
+    enumerate_automorphisms,
+    enumerate_distributions,
+    enumerate_subgroups,
+    from_pmf,
+    random_distribution,
+    sweep,
+)
 from heyde.cyclotomic import modular_field
 from heyde.distributions import Distribution, _canonical
 from heyde.errors import VerificationFailure
 from heyde.fixtures import random_instance
+from heyde.groups import generated_by_codes
 
 
 def all_elements(orders):
@@ -698,3 +714,73 @@ def reference_distribution_from_obj(spec, obj):
 def reference_distribution_to_obj(mu):
     """The mass-list writer through the Fraction masses view."""
     return [{"x": list(x), "num": m.numerator, "den": m.denominator} for x, m in mu.masses]
+
+
+# -- helpers the package does not export ---------------------------------------
+# Identities, whole and trivial subgroups are read off the file forms
+# (multiplier and exponent vectors), apart from the code arithmetic that the
+# tests check with them.
+
+
+def is_identity(endo):
+    return all(m == 1 for m in endo.multipliers)
+
+
+def is_minus_identity(endo):
+    return all(m == q - 1 for m, q in zip(endo.multipliers, endo.spec.orders))
+
+
+def truncated_unit_endo(unit, spec):
+    """Multiplication by a truncated p-adic unit on a one-component group,
+    by the multiplier the quasicyclic reductions take."""
+    (comp,) = spec.components
+    return Endomorphism(spec, engine._truncated_unit(unit, comp.p, comp.k))
+
+
+def full_subgroup(spec):
+    return Subgroup(spec, (0,) * len(spec.components))
+
+
+def trivial_subgroup(spec):
+    return Subgroup(spec, tuple(c.k for c in spec.components))
+
+
+def is_full(sub):
+    return not any(sub.exponents)
+
+
+def subgroup_generated(spec, xs):
+    """Smallest subgroup containing every element of xs."""
+    return generated_by_codes(spec, [spec.crt(x) for x in xs])
+
+
+def rational_value(value):
+    """The rational number a CycloElement with no irrational coordinate is."""
+    assert value.is_rational()
+    return Fraction(value.num[0], value.den)
+
+
+def iter_admissible_constructions(
+    spec: GroupSpec,
+    seed: int,
+    variants: int = 1,
+    max_denominator: int = 8,
+):
+    """Constructed fixtures over all (subgroup, automorphism) pairs that admit one.
+
+    Deterministic under the seed: the seed distribution and the free shift for
+    each combination are drawn from substreams keyed by the combination.
+    """
+    stream = DeterministicStream(seed, label="constructions")
+    for sub in enumerate_subgroups(spec):
+        for alpha in enumerate_automorphisms(spec):
+            if not construction_admissible(sub, alpha):
+                continue
+            for i in range(variants):
+                label = f"{sub.exponents}|{alpha.multipliers}|{i}"
+                sub_stream = stream.derive(label)
+                rho = random_distribution(
+                    spec, max_denominator, sub_stream.derive("rho"), support=sub
+                )
+                x2 = sub_stream.choice(spec.element_list)
+                yield construct_instance(sub, alpha, rho, x2)

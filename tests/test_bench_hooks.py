@@ -77,3 +77,17 @@ def test_smoke_round_is_correct(workload, rungs):
     composition = json.loads(lines[-1])["composition"]
     # the smallest and the largest rung both ran
     assert all(composition[rung]["ops"] > 0 for rung in rungs)
+
+
+@pytest.mark.parametrize("workload", ["sym-ladder", "random-sweep", "lemma-checks"])
+def test_traced_round_is_correct(workload):
+    """--trace reaches the import-time measurement and the launch reference,
+    which a --smoke round never runs."""
+    done = subprocess.run(
+        [sys.executable, str(BENCH / "run.py"), "--workload", workload, "--trace", "1"],
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert json.loads(done.stdout.strip().splitlines()[-1])["correct"] is True

@@ -24,7 +24,6 @@ from heyde import (
     enumerate_automorphisms,
     enumerate_subgroups,
     from_pmf,
-    full_subgroup,
     haar,
     is_conditionally_symmetric,
     make_endo,
@@ -156,7 +155,7 @@ def test_kernels_point_mass_pairs():
 
 def test_kernels_full_support_haar():
     spec = Z9xZ5
-    full = full_subgroup(spec)
+    full = oracles.full_subgroup(spec)
     uniform = haar(full)
     outcomes = []
     for alpha in enumerate_automorphisms(spec)[::2]:
@@ -324,6 +323,6 @@ def test_canonical_shift_of_a_5005_point_margin_at_n_15015():
     mu = shift(block, (2, 1, 3, 4, 5))
     assert len(mu.points) == 5005
     with time_limit(3):
-        x, lam = _canonical_shift(mu, full_subgroup(spec))
+        x, lam = _canonical_shift(mu, oracles.full_subgroup(spec))
     assert lam == block
     assert x == spec.crt_elements[mu.points[0][0]]

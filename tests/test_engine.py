@@ -13,7 +13,6 @@ from heyde import (
     enumerate_automorphisms,
     enumerate_distributions,
     from_pmf,
-    full_subgroup,
     haar,
     is_conditionally_symmetric,
     make_endo,
@@ -26,7 +25,6 @@ from heyde import (
     reduce_to_subgroup,
     satisfies_heyde_equation,
     shift,
-    trivial_subgroup,
     validate_spec,
 )
 from heyde.groups import Subgroup
@@ -121,10 +119,10 @@ def test_reduce_to_subgroup_degenerate_pair():
 
 
 def test_reduce_to_subgroup_full_haar():
-    m = haar(full_subgroup(Z9))
+    m = haar(oracles.full_subgroup(Z9))
     inst = HeydeInstance(Z9, m, m, make_endo(Z9, [2]))
     red = reduce_to_subgroup(inst)
-    assert red.subgroup.is_full
+    assert oracles.is_full(red.subgroup)
     assert red.shift1 == (0,) and red.shift2 == (0,)
     assert red.lam1 == m
 
@@ -139,7 +137,7 @@ def test_decompose_hand_case_minus_identity():
     mu = from_pmf(Z9, {(0,): Fraction(1, 2), (1,): Fraction(1, 2)})
     inst = HeydeInstance(Z9, mu, mu, make_endo(Z9, [8]))
     dec = decompose(inst)
-    assert dec.subgroup.is_full
+    assert oracles.is_full(dec.subgroup)
     assert dec.lam == mu
     assert dec.flags.all_true
     # I + alpha = 0, so the Haar factor is the point mass at zero (vacuous)
@@ -164,7 +162,7 @@ def test_decompose_misaligned_shifts_recover_common_lambda():
 
 def test_decompose_constructed_instance_all_flags():
     fixture = construct_instance(
-        full_subgroup(Z27), make_endo(Z27, [2]), degenerate(Z27, (0,)), (4,)
+        oracles.full_subgroup(Z27), make_endo(Z27, [2]), degenerate(Z27, (0,)), (4,)
     )
     dec = decompose(fixture.instance)
     assert dec.flags.all_true
@@ -175,7 +173,7 @@ def test_shift_invariance_of_decomposition():
     stream = DeterministicStream(23, label="shiftinv")
     alpha = make_endo(Z9, [2])
     fixture = construct_instance(
-        full_subgroup(Z9), alpha, random_distribution(Z9, 6, stream, support=full_subgroup(Z9)), (2,)
+        oracles.full_subgroup(Z9), alpha, random_distribution(Z9, 6, stream, support=oracles.full_subgroup(Z9)), (2,)
     )
     base = decompose(fixture.instance)
     for b in [(1,), (4,)]:
@@ -192,7 +190,7 @@ def test_shift_invariance_of_decomposition():
 def test_haar_corollary_on_trivial_kernel():
     # 1 + 2 = 3 is a unit mod 25, so Ker(I + alpha) = 0 and lambda = haar(G)
     stream = DeterministicStream(24, label="z25")
-    for sub in (full_subgroup(Z25), Subgroup(Z25, (1,)), trivial_subgroup(Z25)):
+    for sub in (oracles.full_subgroup(Z25), Subgroup(Z25, (1,)), oracles.trivial_subgroup(Z25)):
         rho = random_distribution(Z25, 6, stream.derive(str(sub.exponents)), support=sub)
         fixture = construct_instance(sub, make_endo(Z25, [2]), rho, (3,))
         dec = decompose(fixture.instance)
@@ -206,10 +204,10 @@ def test_haar_corollary_on_trivial_kernel():
 def test_padic_unit_digit_corollary():
     z27 = validate_spec([(3, 3, "padic")])
     unit = PAdicUnit(3, (1, 2, 1))
-    alpha = unit.to_endo(z27)
+    alpha = oracles.truncated_unit_endo(unit, z27)
     # only the trivial subgroup admits the construction when c0 = 1
     fixture = construct_instance(
-        trivial_subgroup(z27), alpha, degenerate(z27, (0,)), (5,)
+        oracles.trivial_subgroup(z27), alpha, degenerate(z27, (0,)), (5,)
     )
     dec = decompose(fixture.instance)
     report = classify_corollary(fixture.instance, dec)

@@ -28,7 +28,6 @@ from heyde import (
     enumerate_automorphisms,
     enumerate_subgroups,
     from_pmf,
-    full_subgroup,
     haar,
     make_endo,
     minus_identity,
@@ -80,7 +79,7 @@ def _margins(spec, label):
     subs = enumerate_subgroups(spec)
     margins = [
         degenerate(spec, spec.element_list[-1]),
-        haar(full_subgroup(spec)),
+        haar(oracles.full_subgroup(spec)),
         haar(subs[len(subs) // 2]),
     ]
     for i, d in enumerate((2, 5, 9)):

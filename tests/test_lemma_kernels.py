@@ -26,7 +26,6 @@ from heyde import (
     degenerate,
     from_pmf,
     from_rational,
-    full_subgroup,
     haar,
     invert_char_table,
     make_endo,
@@ -300,7 +299,7 @@ def test_packed_inversion_matches_reference_on_n315():
     weights = [rng.randint(1, 9) for _ in range(5)]
     margins = [
         degenerate(spec, els[200]),
-        haar(full_subgroup(spec)),
+        haar(oracles.full_subgroup(spec)),
         from_pmf(spec, {els[3]: Fraction(1, 7), els[100]: Fraction(2, 7), els[301]: Fraction(4, 7)}),
         from_pmf(spec, {x: Fraction(w, sum(weights)) for x, w in zip(rng.sample(els, 5), weights)}),
     ]
@@ -351,7 +350,7 @@ def test_entries_more_negative_than_positive():
     # slots are biased by the largest |coefficient|, not the largest coefficient
     for spec in (Z9, Z9xZ5):
         n = spec.exponent
-        table = char_fn_table(haar(full_subgroup(spec)))
+        table = char_fn_table(haar(oracles.full_subgroup(spec)))
         table = table.with_value(spec.element_list[1], from_rational(n, -7))
         with pytest.raises(VerificationFailure) as packed:
             invert_char_table(spec, table)
@@ -375,7 +374,7 @@ def test_axis_wise_inversion_on_one_axis(spec):
     els = spec.element_list
     rng = random.Random(spec.exponent)
     margins = [
-        haar(full_subgroup(spec)),
+        haar(oracles.full_subgroup(spec)),
         from_pmf(spec, {els[1]: Fraction(2, 3), els[-1]: Fraction(1, 3)}),
         from_pmf(spec, {x: Fraction(w, 15) for x, w in zip(rng.sample(els, 5), (1, 2, 3, 4, 5))}),
     ]

@@ -20,7 +20,6 @@ from heyde import (
     from_pmf,
     from_rational,
     from_terms,
-    full_subgroup,
     haar,
     identity,
     make_endo,
@@ -28,7 +27,6 @@ from heyde import (
     random_distribution,
     reflect,
     squared_modulus_table,
-    subgroup_generated,
     validate_spec,
     verify_difference_lemma,
     verify_fixed_point_lemma,
@@ -79,15 +77,15 @@ def lemma_cases(spec):
     stream = DeterministicStream(spec.exponent, label="lemma routes")
     minus = minus_identity(spec)
     x2 = spec.element_list[2]
-    pair = construct_instance(full_subgroup(spec), minus, _dominant(spec, stream.derive("rho")), x2).instance
+    pair = construct_instance(oracles.full_subgroup(spec), minus, _dominant(spec, stream.derive("rho")), x2).instance
     yield "positive", pair.mu1, pair.mu2, minus
     yield "positive, perturbed", pair.mu1, _dominant(spec, stream.derive("other")), minus
     two = make_endo(spec, [2] * len(spec.orders))
     rho = random_distribution(spec, 8, stream.derive("zeros"))
-    pair = construct_instance(full_subgroup(spec), two, rho, x2).instance
+    pair = construct_instance(oracles.full_subgroup(spec), two, rho, x2).instance
     yield "zeros", pair.mu1, pair.mu2, two
     e1 = spec.element_list[1]
-    h = haar(subgroup_generated(spec, [spec.add(e1, spec.add(e1, e1))]))
+    h = haar(oracles.subgroup_generated(spec, [spec.add(e1, spec.add(e1, e1))]))
     x = spec.element_list[-1]
     first = convolve(from_pmf(spec, {spec.zero(): Fraction(2, 3), x: Fraction(1, 3)}), h)
     second = convolve(from_pmf(spec, {spec.zero(): Fraction(3, 4), x: Fraction(1, 4)}), h)

@@ -11,7 +11,6 @@ from heyde import (
     dual_function,
     from_pmf,
     from_rational,
-    full_subgroup,
     kappa_of,
     make_endo,
     minus_identity,
@@ -45,7 +44,7 @@ def nonvanishing_fixture(spec, seed, x2):
     pmf = {x: m / 4 for x, m in bulk.masses}
     pmf[spec.zero()] = pmf.get(spec.zero(), Fraction(0)) + Fraction(3, 4)
     rho = from_pmf(spec, pmf)
-    return construct_instance(full_subgroup(spec), minus_identity(spec), rho, x2)
+    return construct_instance(oracles.full_subgroup(spec), minus_identity(spec), rho, x2)
 
 
 def test_dual_function_totality():
@@ -94,7 +93,7 @@ def _check_perturbation_detected(spec, point):
 def test_difference_lemma_requires_positive_tables():
     # a haar factor forces zeros in the character table
     fixture = construct_instance(
-        full_subgroup(Z9), make_endo(Z9, [2]), degenerate(Z9, (0,)), (1,)
+        oracles.full_subgroup(Z9), make_endo(Z9, [2]), degenerate(Z9, (0,)), (1,)
     )
     f = squared_modulus_table(fixture.instance.mu1)
     g = squared_modulus_table(fixture.instance.mu2)
@@ -108,7 +107,7 @@ def test_fixed_point_lemma_pipeline_fixture():
     for spec, alpha_mult in ((Z9, 2), (Z27, 5)):
         rho = random_distribution(spec, 8, stream.derive(str(spec.exponent)))
         alpha = make_endo(spec, [alpha_mult])
-        fixture = construct_instance(full_subgroup(spec), alpha, rho, (1,))
+        fixture = construct_instance(oracles.full_subgroup(spec), alpha, rho, (1,))
         f = squared_modulus_table(fixture.instance.mu1)
         g = squared_modulus_table(fixture.instance.mu2)
         report = verify_fixed_point_lemma(f, g, alpha.adjoint())

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 
 from heyde import (
     HeydeInstance,
+    SweepConfig,
     classify_corollary,
     decompose,
     degenerate,
@@ -245,3 +247,42 @@ def test_a_5005_point_margin_is_written_and_read_back_within_a_second():
         text = serialize.dumps_canonical(serialize.distribution_to_obj(mu))
         back = serialize.distribution_from_obj(spec, json.loads(text))
     assert back == mu and len(mu.points) == 5005
+
+
+# -- sweep configs -----------------------------------------------------------------
+
+SWEEP_SPECS = [{"components": [{"p": 3, "k": 2}]}]
+SWEEP_INT_KEYS = ("denominator", "max_denominator", "budget", "seed")
+
+
+def test_a_sweep_config_of_specs_alone_reads_to_the_dataclass_defaults():
+    config = serialize.sweep_config_from_obj({"specs": SWEEP_SPECS})
+    assert config == SweepConfig(specs=(Z9,))
+    defaults = {f.name: f.default for f in dataclasses.fields(SweepConfig) if f.name != "specs"}
+    assert {name: getattr(config, name) for name in defaults} == defaults
+
+
+@pytest.mark.parametrize(
+    "key, value, expected",
+    [
+        ("mode", "exhaustive", "exhaustive"),
+        ("denominator", 3, 3),
+        ("max_denominator", 5, 5),
+        ("budget", 7, 7),
+        ("seed", 11, 11),
+        ("automorphisms", [[2], [4]], ((2,), (4,))),
+        ("automorphisms", "all", None),
+    ],
+)
+def test_each_sweep_config_key_overrides_its_default(key, value, expected):
+    config = serialize.sweep_config_from_obj({"specs": SWEEP_SPECS, key: value})
+    assert getattr(config, key) == expected
+    assert config == dataclasses.replace(SweepConfig(specs=(Z9,)), **{key: expected})
+
+
+@pytest.mark.parametrize("key", SWEEP_INT_KEYS)
+@pytest.mark.parametrize("value", [True, False, "3", 3.0], ids=["true", "false", "string", "float"])
+def test_a_sweep_config_refuses_a_non_integer_in_an_integer_key(key, value):
+    with pytest.raises(ValueError) as refused:
+        serialize.sweep_config_from_obj({"specs": SWEEP_SPECS, key: value})
+    assert str(refused.value) == f"{key} must be an integer, got {value!r}"

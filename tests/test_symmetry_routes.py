@@ -24,7 +24,6 @@ from heyde import (
     enumerate_automorphisms,
     enumerate_subgroups,
     from_pmf,
-    full_subgroup,
     haar,
     is_conditionally_symmetric,
     make_endo,
@@ -304,7 +303,7 @@ def test_the_coset_stage_waits_for_the_first_row(monkeypatch):
     monkeypatch.setattr(
         engine, "stabilizer_index", lambda mu: staged.append(mu) or distributions.stabilizer_index(mu)
     )
-    inst = construct_instance(full_subgroup(spec), alpha, degenerate(spec, spec.zero()), (1, 2)).instance
+    inst = construct_instance(oracles.full_subgroup(spec), alpha, degenerate(spec, spec.zero()), (1, 2)).instance
     assert len(inst.mu1.points) * len(inst.mu2.points) > engine._COSET_MIN_PAIRS
     rng = random.Random("first row")
     refuted = 0
@@ -327,7 +326,7 @@ def test_growth_at_3465_within_two_seconds():
     alpha = make_endo(spec, (2, 2, 2, 2))
     rho = degenerate(spec, spec.zero())
     with time_limit(2):
-        inst = construct_instance(full_subgroup(spec), alpha, rho, (1, 2, 3, 4)).instance
+        inst = construct_instance(oracles.full_subgroup(spec), alpha, rho, (1, 2, 3, 4)).instance
         assert is_conditionally_symmetric(inst)
         dec = _decompose(inst)
         report = classify_corollary(inst, dec)
@@ -515,7 +514,7 @@ def test_an_asymmetric_joint_pair_at_15015_exits_at_its_first_key():
 def test_filled_memos_leave_equality_hash_and_fields_alone():
     spec = validate_spec(LADDER["Z9xZ5"])
     alpha = make_endo(spec, (2, 2))
-    inst = construct_instance(full_subgroup(spec), alpha, haar(subgroup_of_index(spec, 45)), (1, 2)).instance
+    inst = construct_instance(oracles.full_subgroup(spec), alpha, haar(subgroup_of_index(spec, 45)), (1, 2)).instance
     mu = inst.mu1
     fresh = Distribution(mu.spec, mu.den, mu.points)
     assert is_conditionally_symmetric(inst) and satisfies_heyde_equation(inst)
