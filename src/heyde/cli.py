@@ -103,9 +103,9 @@ def cmd_construct(args) -> int:
             support=sub,
         )
     if "x2" in obj and obj["x2"] is not None:
-        x2 = spec.crt_elements[serialize.element_code_from_obj(spec, obj["x2"])]
+        x2 = serialize.element_from_obj(spec, obj["x2"])
     else:
-        x2 = stream.derive("x2").choice(spec.element_list)
+        x2 = spec.element(stream.derive("x2").choice(spec.crt_codes))
     fixture = construct_instance(sub, alpha, rho, x2)
     _emit(serialize.instance_to_obj(fixture.instance), args.output)
     return 0

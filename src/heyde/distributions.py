@@ -86,8 +86,7 @@ class Distribution:
     @cached_property
     def masses(self) -> tuple[tuple[Element, Fraction], ...]:
         """(element, mass) pairs in element order."""
-        elements = self.spec.crt_elements
-        return tuple((elements[r], Fraction(a, self.den)) for r, a in self.points)
+        return tuple((self.spec.element(r), Fraction(a, self.den)) for r, a in self.points)
 
     # Memos of quantities that depend on the distribution alone, each
     # filled on first use by the function named beside it.  They are plain
@@ -221,9 +220,10 @@ class DualFunction:
 def dual_function(spec: GroupSpec, mapping) -> DualFunction:
     """The table of an element -> value mapping keyed by exactly the dual elements."""
     mapping = dict(mapping)
-    if mapping.keys() != set(spec.element_list):
+    elements = list(map(spec.element, range(spec.exponent)))  # by code
+    if mapping.keys() != set(elements):
         raise ValueError("table must cover every dual element")
-    return DualFunction(spec, tuple(mapping[y] for y in spec.crt_elements))
+    return DualFunction(spec, tuple(map(mapping.__getitem__, elements)))
 
 
 def char_fn_table(mu: Distribution) -> DualFunction:
@@ -635,7 +635,7 @@ def invert_char_table(spec: GroupSpec, table: DualFunction) -> Distribution:
             z += lift - (z >> right | (z & low) << left)
         r = (z & slot) - step_bias
         if z != level + r * unit_word:
-            raise VerificationFailure(f"inversion produced a non-rational mass at {spec.crt_elements[cx]}")
+            raise VerificationFailure(f"inversion produced a non-rational mass at {spec.element(cx)}")
         if r:
             masses[cx] = r
     return _canonical(spec, den * n, masses)

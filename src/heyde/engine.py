@@ -347,7 +347,7 @@ def first_equation_violation(
     """First (u, v) with f(u + v) g(u + beta v) != f(u - v) g(u - beta v), or None.
 
     f and g take CRT codes (ints in Z(N)), not Elements; the (u, v)
-    reported is decoded to Elements.  v runs over element_list and, for
+    reported is decoded to Elements.  v runs over spec.crt_codes and, for
     each v, u does too; v = 0 and each v whose negation comes earlier are
     skipped, since (u, -v) states the same identity as (u, v).  The two
     sides are mul(f(u + v), g(u + beta v)) and mul(f(u - v), g(u - beta v)),
@@ -395,14 +395,13 @@ def first_equation_violation(
     rank = spec.crt_rank
     b = beta.code
     codes = spec.crt_codes
-    elements = spec.crt_elements
     vs = _equation_vs(spec)
 
     if quotient is None or callable(quotient):
         v = next(vs)
         u = _first_violation(f, g, codes, v, b * v % n, n, mul)
         if u is not None:
-            return elements[u], elements[v]
+            return spec.element(u), spec.element(v)
         if quotient is not None:
             quotient = quotient()
     m, every_u = n, codes  # u runs over Z(N) / mZ(N)
@@ -433,7 +432,7 @@ def first_equation_violation(
             )
         u = _first_violation(f, g, us, v, bv, n, mul)
         if u is not None:
-            return elements[u], elements[v]
+            return spec.element(u), spec.element(v)
     return None
 
 
@@ -661,7 +660,7 @@ def _canonical_shift(mu: Distribution, sub: Subgroup) -> tuple[Element, Distribu
         for y in lightest:
             firsts.setdefault(y % d, y)
         x = min(firsts.values(), key=lambda y: sorted((rank[(r - y) % n], a) for r, a in points))
-    shift_x, lam = spec.crt_elements[x], _canonical(spec, mu.den, (((r - x) % n, a) for r, a in points))
+    shift_x, lam = spec.element(x), _canonical(spec, mu.den, (((r - x) % n, a) for r, a in points))
     memo[sub.index] = [shift_x, lam, None]
     return shift_x, lam
 

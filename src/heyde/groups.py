@@ -1,15 +1,17 @@
 """Finite abelian groups of odd order as products of cyclic p-components.
 
 Every group handled by the package is a direct product of cyclic groups of
-pairwise distinct odd prime power orders.  Elements are coordinate tuples
-(one residue per component), and the character group is identified with the
-group itself through the standard product pairing, so dual elements share
-the element representation.  The component orders are pairwise coprime,
-so the group is cyclic: GroupSpec.crt encodes an element as its code in
-Z(N), the form the package stores.  A subgroup of Z(N) is dZ(N), the
-multiples of its index d, a divisor of N; Subgroup owns that arithmetic
-(order, membership, annihilator, intersection, generation) on codes.  Its
-exponent vector, one exponent per component, is its file and label form.
+pairwise distinct odd prime power orders, and the character group is
+identified with the group itself through the standard product pairing, so
+dual elements share the element representation.  The component orders are
+pairwise coprime, so the group is cyclic: GroupSpec.crt encodes a
+coordinate tuple (one residue per component) as its code in Z(N), and the
+code is the one form the package stores.  GroupSpec.element holds the
+decode rule, x_j = code mod q_j, applied where a file, report or message
+needs the tuple.  A subgroup of Z(N) is dZ(N), the multiples of its index
+d, a divisor of N; Subgroup owns that arithmetic (order, annihilator,
+intersection, generation) on codes.  Its exponent vector, one exponent per
+component, is its file and label form.
 """
 
 from __future__ import annotations
@@ -96,9 +98,6 @@ class GroupSpec:
         n = self.exponent
         return tuple(n // q for q in self.orders)
 
-    def zero(self) -> Element:
-        return (0,) * len(self.components)
-
     def is_element(self, x) -> bool:
         return (
             isinstance(x, tuple)
@@ -129,17 +128,13 @@ class GroupSpec:
         """All elements in lexicographic order of coordinate tuples."""
         return itertools.product(*(range(q) for q in self.orders))
 
-    @cached_property
-    def element_list(self) -> tuple[Element, ...]:
-        return tuple(self.elements())
-
     # -- CRT encoding ------------------------------------------------------
     # The component orders are pairwise coprime, so by the Chinese remainder
     # theorem x -> crt(x) is an isomorphism onto Z(N): crt(x + y) is
     # crt(x) + crt(y) mod N, and the endomorphism with multipliers m acts as
     # multiplication by crt(m).  Distributions and dual tables are stored on
-    # these codes; coordinate tuples are the form of files, reports and the
-    # public API.
+    # these codes; coordinate tuples, decoded by element, are the form of
+    # files, reports and the public API.
 
     @cached_property
     def _crt_basis(self) -> tuple[int, ...]:
@@ -150,6 +145,10 @@ class GroupSpec:
     def crt(self, residues) -> int:
         """The r in Z(N) with r = residues[j] mod the j-th component order."""
         return sum(c * e for c, e in zip(residues, self._crt_basis)) % self.exponent
+
+    def element(self, code: int) -> Element:
+        """The x with crt(x) == code: crt(x) = x_j mod q_j, so x_j is code mod q_j."""
+        return tuple(code % q for q in self.orders)
 
     def reduced_code(self, x) -> int | None:
         """crt(x) when the list or tuple x holds one int in range(q_j) per
@@ -174,22 +173,27 @@ class GroupSpec:
         code = self.reduced_code(x) if type(x) is tuple else None
         return self.crt(self.require_element(x)) if code is None else code
 
-    @cached_property
-    def crt_codes(self) -> tuple[int, ...]:
-        """crt(x) for each x of element_list, in that order."""
-        return tuple(self.crt(x) for x in self.element_list)
+    def _codes_by_element(self, steps) -> tuple[int, ...]:
+        """The codes of the x with each x_j in range(0, q_j, steps[j]), in
+        element order (lexicographic in x), built one axis at a time with
+        the last axis fastest: the code of x plus i on axis j is the code
+        of x plus i * e_j."""
+        n = self.exponent
+        codes = [0]
+        for e, q, step in zip(self._crt_basis, self.orders, steps):
+            moves = [i * e % n for i in range(0, q, step)]
+            codes = [(c + m) % n for c in codes for m in moves]
+        return tuple(codes)
 
     @cached_property
-    def crt_elements(self) -> tuple[Element, ...]:
-        """Code -> element, the inverse of crt."""
-        out: list = [None] * self.exponent
-        for x, r in zip(self.element_list, self.crt_codes):
-            out[r] = x
-        return tuple(out)
+    def crt_codes(self) -> tuple[int, ...]:
+        """Every code, in element order."""
+        return self._codes_by_element((1,) * len(self.orders))
 
     @cached_property
     def crt_rank(self) -> tuple[int, ...]:
-        """Code -> position of its element in element_list (lexicographic rank)."""
+        """Code -> its position in crt_codes, the rank of its element in
+        lexicographic order: the one table of element order."""
         out = [0] * self.exponent
         for i, r in enumerate(self.crt_codes):
             out[r] = i
@@ -273,20 +277,14 @@ class Subgroup:
 
     @cached_property
     def codes(self) -> tuple[int, ...]:
-        """The multiples of index, in element order (spec.crt_rank)."""
+        """The multiples of index, in element order: the x with x_j a
+        multiple of p_j**a_j."""
         spec = self.spec
-        return tuple(sorted(range(0, spec.exponent, self.index), key=spec.crt_rank.__getitem__))
+        return spec._codes_by_element([c.p**a for c, a in zip(spec.components, self.exponents)])
 
     @property
     def is_trivial(self) -> bool:
         return self.index == self.spec.exponent
-
-    def contains(self, x: Element) -> bool:
-        return self.spec.crt(x) % self.index == 0
-
-    def elements(self):
-        """The members in lexicographic order of coordinate tuples."""
-        return map(self.spec.crt_elements.__getitem__, self.codes)
 
     def annihilator(self) -> "Subgroup":
         """Characters trivial on this subgroup, as a subgroup of the dual: the

@@ -197,7 +197,7 @@ def _first_triple_violation(fn: DualFunction, step_endos) -> tuple[int, tuple | 
     """Scan the multiplicative triple-difference identity of log fn.
 
     For a, b, c in the images of the three step endomorphisms (each in
-    element order) and y in element_list, in that order, tests
+    element order) and y in spec.crt_codes, in that order, tests
     f(y+a+b+c) f(y+a) f(y+b) f(y+c) == f(y+a+b) f(y+a+c) f(y+b+c) f(y).
     Returns the number of checks made and the first failing (a, b, c, y),
     or None.  This full scan is the reference route; it makes no
@@ -233,7 +233,7 @@ def _triple_scan(spec, values, product, a_steps, b_steps, c_steps) -> tuple[int,
                     lhs = product(product(ids[y + abc], ids[y + a]), product(ids[y + b], ids[y + c]))
                     rhs = product(product(ids[y + ab], ids[y + ac]), product(ids[y + bc], ids[y]))
                     if lhs != rhs:
-                        return checks, tuple(spec.crt_elements[k] for k in (a, b, c, y))
+                        return checks, tuple(map(spec.element, (a, b, c, y)))
     return checks, None
 
 
@@ -498,22 +498,21 @@ def verify_fixed_point_lemma(
 
     if field is None or not _fixed_point_residues_hold(f, g, field, r, mg, mf):
         n = spec.exponent
-        elements = spec.crt_elements
         fv, gv = f.values, g.values
         for y in spec.crt_codes:  # element order, so the first violation noted is too
             g_at, f_at = gv[mg * y % n], fv[mf * y % n]
             if fv[y] != fv[-r * y % n] * g_at:
                 sub_f = False
-                note(f"substitution identity for f fails at {elements[y]}")
+                note(f"substitution identity for f fails at {spec.element(y)}")
             if gv[y] != gv[r * y % n] * f_at:
                 sub_g = False
-                note(f"substitution identity for g fails at {elements[y]}")
+                note(f"substitution identity for g fails at {spec.element(y)}")
             if fv[y] != g_at:
                 fix_f = False
-                note(f"fixed-point identity for f fails at {elements[y]}")
+                note(f"fixed-point identity for f fails at {spec.element(y)}")
             if gv[y] != f_at:
                 fix_g = False
-                note(f"fixed-point identity for g fails at {elements[y]}")
+                note(f"fixed-point identity for g fails at {spec.element(y)}")
 
     return FixedPointLemmaReport(
         hypothesis_equation_ok=True,

@@ -12,8 +12,9 @@ encodes each support point in one pass over its coordinates
 (GroupSpec.reduced_code: exact int type, range and the CRT sum
 together); only a point that pass refuses goes through element_from_obj,
 so every refusal keeps its message.  There is no element -> code table,
-which would cost N entries per group.  The writer decodes each code through spec.crt_elements and
-reduces each mass a / D by one gcd, with no Fraction.
+which would cost N entries per group.  The writer decodes each code by the
+rule of GroupSpec.element, x_j = code mod q_j, with no table, and reduces
+each mass a / D by one gcd, with no Fraction.
 """
 
 from __future__ import annotations
@@ -137,12 +138,12 @@ def endo_from_obj(spec: GroupSpec, obj) -> Endomorphism:
 
 
 def distribution_to_obj(mu: Distribution) -> list[dict]:
-    elements = mu.spec.crt_elements
+    orders = mu.spec.orders
     den = mu.den
     out = []
     for r, a in mu.points:
         common = gcd(a, den)
-        out.append({"x": list(elements[r]), "num": a // common, "den": den // common})
+        out.append({"x": [r % q for q in orders], "num": a // common, "den": den // common})
     return out
 
 

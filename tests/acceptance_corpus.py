@@ -94,7 +94,7 @@ def haar_case_fixtures():
         assert construction_admissible(sub, alpha)
         for i in range(5):
             rho = random_distribution(Z25, 8, stream.derive(f"{sub.exponents}:{i}"), support=sub)
-            x2 = stream.derive(f"x2:{sub.exponents}:{i}").choice(Z25.element_list)
+            x2 = stream.derive(f"x2:{sub.exponents}:{i}").choice(oracles.element_list(Z25))
             fixtures.append(construct_instance(sub, alpha, rho, x2))
     return fixtures
 
@@ -125,7 +125,7 @@ def unit_digit_one_population():
             rho = random_distribution(
                 Z27_PADIC, 8, stream.derive(f"rho:{alpha.multipliers}:{sub.exponents}"), support=sub
             )
-            x2 = stream.derive(f"x2:{alpha.multipliers}").choice(Z27_PADIC.element_list)
+            x2 = stream.derive(f"x2:{alpha.multipliers}").choice(oracles.element_list(Z27_PADIC))
             instances.append(construct_instance(sub, alpha, rho, x2).instance)
         for b in ((1,), (5,), (20,)):
             x1 = Z27_PADIC.neg(alpha.apply(b))
@@ -157,7 +157,7 @@ def fixed_point_fixtures():
         for i in range(count):
             alpha = make_endo(spec, [multipliers[i % len(multipliers)]])
             rho = random_distribution(spec, 8, stream.derive(f"{spec.exponent}:{i}"))
-            x2 = stream.derive(f"x2:{spec.exponent}:{i}").choice(spec.element_list)
+            x2 = stream.derive(f"x2:{spec.exponent}:{i}").choice(oracles.element_list(spec))
             fixtures.append(construct_instance(oracles.full_subgroup(spec), alpha, rho, x2))
     return fixtures
 
@@ -176,9 +176,9 @@ def nonvanishing_difference_fixtures(count=50):
         alpha = make_endo(Z9, [2 if i % 2 == 0 else 5])
         bulk = random_distribution(Z9, 8, stream.derive(f"bulk:{i}"), support=sub)
         pmf = {x: m / 4 for x, m in bulk.masses}
-        pmf[Z9.zero()] = pmf.get(Z9.zero(), Fraction(0)) + Fraction(3, 4)
+        pmf[oracles.zero(Z9)] = pmf.get(oracles.zero(Z9), Fraction(0)) + Fraction(3, 4)
         rho = from_pmf(Z9, pmf)
-        x2 = stream.derive(f"x2:{i}").choice(Z9.element_list)
+        x2 = stream.derive(f"x2:{i}").choice(oracles.element_list(Z9))
         fixtures.append(construct_instance(sub, alpha, rho, x2))
     return fixtures
 
@@ -194,11 +194,11 @@ def random_character_values(count=10_000):
     while len(values) < count:
         if i % 10 == 0:
             sub = subgroups[stream.randint(0, len(subgroups) - 1)]
-            mu = shift(haar(sub), stream.choice(Z9xZ5.element_list))
+            mu = shift(haar(sub), stream.choice(oracles.element_list(Z9xZ5)))
         else:
             mu = random_distribution(Z9xZ5, 8, stream.derive(f"mu:{i}"))
         for _ in range(5):
-            y = stream.choice(Z9xZ5.element_list)
+            y = stream.choice(oracles.element_list(Z9xZ5))
             values.append(char_fn(mu, y))
             if len(values) >= count:
                 break

@@ -6,6 +6,7 @@ subgroup/annihilator/character machinery.
 """
 
 import cmath
+import functools
 import hashlib
 import itertools
 from fractions import Fraction
@@ -625,7 +626,7 @@ def dense_equation_violation(spec, f, g, beta, modulus=None):
             f1, g1 = read(f_ids, f, (u + v) % n), read(g_ids, g, (u + bv) % n)
             f2, g2 = read(f_ids, f, (u - v) % n), read(g_ids, g, (u - bv) % n)
             if (f1, g1) != (f2, g2) and product(f1, g1) != product(f2, g2):
-                return spec.crt_elements[u], spec.crt_elements[v]
+                return spec.element(u), spec.element(v)
     return None
 
 
@@ -717,9 +718,36 @@ def reference_distribution_to_obj(mu):
 
 
 # -- helpers the package does not export ---------------------------------------
-# Identities, whole and trivial subgroups are read off the file forms
-# (multiplier and exponent vectors), apart from the code arithmetic that the
-# tests check with them.
+# Identities, whole and trivial subgroups and subgroup members are read off
+# the file forms (multiplier and exponent vectors), and elements are built as
+# coordinate tuples, apart from the code arithmetic that the tests check with
+# them.
+
+
+@functools.cache
+def element_list(spec):
+    """Every element of spec as a coordinate tuple, lexicographic, built once
+    per spec."""
+    return tuple(itertools.product(*(range(q) for q in spec.orders)))
+
+
+def zero(spec):
+    return (0,) * len(spec.components)
+
+
+def contains(sub, x):
+    """Whether the subgroup dZ(N) holds x: its code is a multiple of d."""
+    return sub.spec.crt(x) % sub.index == 0
+
+
+def subgroup_elements(sub):
+    """The members, lexicographic: the x with x_j a multiple of p_j**a_j,
+    read off the exponent vector and not off sub.codes."""
+    steps = [c.p**a for c, a in zip(sub.spec.components, sub.exponents)]
+    return [
+        x for x in itertools.product(*(range(q) for q in sub.spec.orders))
+        if all(c % step == 0 for c, step in zip(x, steps))
+    ]
 
 
 def is_identity(endo):
@@ -782,5 +810,5 @@ def iter_admissible_constructions(
                 rho = random_distribution(
                     spec, max_denominator, sub_stream.derive("rho"), support=sub
                 )
-                x2 = sub_stream.choice(spec.element_list)
+                x2 = sub_stream.choice(element_list(spec))
                 yield construct_instance(sub, alpha, rho, x2)

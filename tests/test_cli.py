@@ -589,6 +589,47 @@ def test_construct_writes_loadable_instance(tmp_path, capsys):
     assert open(ipath).read() == printed
 
 
+# The seeded draws of rho and x2 (no "rho" or "x2" in the file), pinned by
+# the exact stdout.
+SEEDED_CONSTRUCTIONS = {
+    "Z9xZ5": (
+        {"components": [{"p": 3, "k": 2, "kind": "finite"}, {"p": 5, "k": 1, "kind": "finite"}]},
+        [1, 1],
+        [2, 2],
+        11,
+        (
+            '{"alpha":[2,2],"mu1":[{"den":3,"num":1,"x":[2,2]},{"den":3,"num":1,"x":[5,2]},'
+            '{"den":3,"num":1,"x":[8,2]}],"mu2":[{"den":3,"num":1,"x":[2,4]},'
+            '{"den":3,"num":1,"x":[5,4]},{"den":3,"num":1,"x":[8,4]}],'
+            '"spec":{"components":[{"k":2,"kind":"finite","p":3},{"k":1,"kind":"finite","p":5}]}}\n'
+        ),
+    ),
+    "Z27xZ5": (
+        {"components": [{"p": 3, "k": 3, "kind": "finite"}, {"p": 5, "k": 1, "kind": "finite"}]},
+        [1, 1],
+        [2, 3],
+        12,
+        (
+            '{"alpha":[2,3],"mu1":[{"den":15,"num":1,"x":[3,2]},{"den":15,"num":4,"x":[6,2]},'
+            '{"den":15,"num":1,"x":[12,2]},{"den":15,"num":4,"x":[15,2]},'
+            '{"den":15,"num":1,"x":[21,2]},{"den":15,"num":4,"x":[24,2]}],'
+            '"mu2":[{"den":15,"num":1,"x":[3,1]},{"den":15,"num":4,"x":[6,1]},'
+            '{"den":15,"num":1,"x":[12,1]},{"den":15,"num":4,"x":[15,1]},'
+            '{"den":15,"num":1,"x":[21,1]},{"den":15,"num":4,"x":[24,1]}],'
+            '"spec":{"components":[{"k":3,"kind":"finite","p":3},{"k":1,"kind":"finite","p":5}]}}\n'
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SEEDED_CONSTRUCTIONS.values(), ids=SEEDED_CONSTRUCTIONS.keys())
+def test_construct_draws_rho_and_x2_from_the_seed(tmp_path, capsys, case):
+    spec, subgroup, alpha, seed, expected = case
+    construction = {"spec": spec, "subgroup": subgroup, "alpha": alpha, "seed": seed}
+    assert main(["construct", "--input", write(tmp_path, "construction.json", construction)]) == 0
+    assert capsys.readouterr().out == expected
+
+
 GOLDEN = __import__("pathlib").Path(__file__).parent / "golden"
 
 

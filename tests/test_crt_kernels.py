@@ -1,10 +1,12 @@
 """The CRT encoding of GroupSpec and the kernels that run on it.
 
-The encoding is checked exhaustively on Z(9) x Z(5) x Z(7); the joint
-symmetry test, the dual-equation loop and the canonical shift are checked
-against the brute-force tuple routes of oracles.py on Z(9) x Z(5), the
-canonical shift also on margins that are Haar blocks on several cosets
-with equal least numerators, whose translation stabilizer it uses.
+The encoding is checked exhaustively on Z(9) x Z(5) x Z(7), and the
+element-order tables (GroupSpec.crt_codes, Subgroup.codes) against the CRT
+sum on seven groups; the joint symmetry test, the dual-equation loop and
+the canonical shift are checked against the brute-force tuple routes of
+oracles.py on Z(9) x Z(5), the canonical shift also on margins that are
+Haar blocks on several cosets with equal least numerators, whose
+translation stabilizer it uses.
 """
 
 import itertools
@@ -17,6 +19,7 @@ import pytest
 
 from heyde import (
     DeterministicStream,
+    GroupSpec,
     HeydeInstance,
     char_fn,
     construct_instance,
@@ -52,23 +55,62 @@ def test_encoding_round_trip_and_rank_order():
     spec = Z9xZ5xZ7
     n = spec.exponent
     assert sorted(spec.crt_codes) == list(range(n))
-    for i, x in enumerate(spec.element_list):
+    for i, x in enumerate(oracles.element_list(spec)):
         r = spec.crt(x)
         assert r == spec.crt_codes[i]
-        assert spec.crt_elements[r] == x
+        assert spec.element(r) == x
         assert spec.crt_rank[r] == i
     by_rank = sorted(range(n), key=spec.crt_rank.__getitem__)
-    assert [spec.crt_elements[r] for r in by_rank] == list(spec.element_list)
-    assert spec.crt_elements[0] == spec.zero() and spec.crt_rank[0] == 0
+    assert [spec.element(r) for r in by_rank] == list(oracles.element_list(spec))
+    assert spec.element(0) == oracles.zero(spec) and spec.crt_rank[0] == 0
+
+
+BUILDER_SPECS = {
+    "Z9": [(3, 2)],
+    "Z9xZ5": [(3, 2), (5, 1)],
+    "Z27xZ5": [(3, 3), (5, 1)],
+    "Z9xZ5xZ7": [(3, 2), (5, 1), (7, 1)],
+    "Z3^6": [(3, 6)],
+    "Z25xZ27": [(5, 2), (3, 3)],  # components not in prime order
+    "Z3xZ5xZ7xZ11": [(3, 1), (5, 1), (7, 1), (11, 1)],
+}
+
+
+@pytest.mark.parametrize("components", BUILDER_SPECS.values(), ids=BUILDER_SPECS.keys())
+def test_mixed_radix_codes_match_the_crt_sum(components):
+    """crt_codes and every Subgroup.codes, built axis by axis, against the
+    CRT sum of each coordinate tuple and the sort of dZ(N) by rank."""
+    spec = validate_spec(components)
+    n = spec.exponent
+    xs = list(itertools.product(*(range(q) for q in spec.orders)))
+    assert list(spec.crt_codes) == [spec.crt(x) for x in xs]
+    assert all(spec.element(spec.crt(x)) == x for x in xs)
+    for sub in enumerate_subgroups(spec):
+        assert list(sub.codes) == sorted(range(0, n, sub.index), key=spec.crt_rank.__getitem__)
+
+
+def test_element_order_tables_make_no_crt_sum(monkeypatch):
+    """crt_codes, crt_rank and every Subgroup.codes of a fresh N = 45045
+    spec are built without one call of GroupSpec.crt."""
+
+    def refuse(self, residues):
+        raise AssertionError("GroupSpec.crt called")
+
+    components = validate_spec([(3, 2), (5, 1), (7, 1), (11, 1), (13, 1)]).components
+    spec = GroupSpec(components)  # not the shared spec, so no table is built yet
+    monkeypatch.setattr(GroupSpec, "crt", refuse)
+    assert len(spec.crt_codes) == len(spec.crt_rank) == spec.exponent == 45045
+    for sub in enumerate_subgroups(spec):
+        assert len(sub.codes) == sub.order
 
 
 def test_encoding_is_additive():
     spec = Z9xZ5xZ7
     n = spec.exponent
     code = spec.crt
-    for x in spec.element_list:
+    for x in oracles.element_list(spec):
         assert code(spec.neg(x)) == -code(x) % n
-        for y in spec.element_list:
+        for y in oracles.element_list(spec):
             assert code(spec.add(x, y)) == (code(x) + code(y)) % n
 
 
@@ -81,7 +123,7 @@ def test_endomorphisms_act_as_one_multiplier():
         a = endo.code
         assert a == spec.crt(multipliers)
         assert endo.is_automorphism() == (gcd(a, n) == 1)
-        for x in spec.element_list:
+        for x in oracles.element_list(spec):
             assert code(endo.apply(x)) == a * code(x) % n
 
 
@@ -101,7 +143,7 @@ def _chars(mu):
 
 def _on_codes(spec, fn):
     """fn on Elements, read on CRT codes as first_equation_violation calls it."""
-    return lambda r: fn(spec.crt_elements[r])
+    return lambda r: fn(spec.element(r))
 
 
 def _check_against_oracles(inst):
@@ -121,7 +163,7 @@ def _check_against_oracles(inst):
         dual &= oracles.brute_unit_modulus_points(orders, pmf2)
         members = oracles.brute_annihilator(orders, dual)
         red = reduce_to_subgroup(inst)
-        assert set(red.subgroup.elements()) == members
+        assert set(oracles.subgroup_elements(red.subgroup)) == members
         for pmf, lam, x in ((pmf1, red.lam1, red.shift1), (pmf2, red.lam2, red.shift2)):
             masses, expected_x = oracles.brute_canonical_shift(orders, pmf, members)
             assert (list(lam.masses), x) == (masses, expected_x)
@@ -178,7 +220,7 @@ def test_kernels_constructed_symmetric_pairs():
         if alpha is None:
             continue
         rho = random_distribution(spec, 4, stream.derive(f"rho{i}"), support=sub)
-        fixture = construct_instance(sub, alpha, rho, spec.element_list[(7 * i) % spec.size])
+        fixture = construct_instance(sub, alpha, rho, oracles.element_list(spec)[(7 * i) % spec.size])
         assert _check_against_oracles(fixture.instance)
         checked += 1
     assert checked >= 3
@@ -229,7 +271,7 @@ def _shift_against_oracle(mu, subs):
     spec = mu.spec
     checked = raised = 0
     for sub in subs:
-        expected = oracles.brute_canonical_shift(spec.orders, dict(mu.masses), set(sub.elements()))
+        expected = oracles.brute_canonical_shift(spec.orders, dict(mu.masses), set(oracles.subgroup_elements(sub)))
         if expected is None:
             with pytest.raises(VerificationFailure, match="no valid shift"):
                 _canonical_shift(mu, sub)
@@ -270,7 +312,7 @@ def test_the_shift_memo_is_keyed_by_the_subgroup():
         assert sorted(vars(mu)["_shifts"]) == [
             sub.index
             for sub in subs
-            if oracles.brute_canonical_shift(spec.orders, dict(mu.masses), set(sub.elements()))
+            if oracles.brute_canonical_shift(spec.orders, dict(mu.masses), set(oracles.subgroup_elements(sub)))
         ]
     assert checked and raised
 
@@ -325,4 +367,4 @@ def test_canonical_shift_of_a_5005_point_margin_at_n_15015():
     with time_limit(3):
         x, lam = _canonical_shift(mu, oracles.full_subgroup(spec))
     assert lam == block
-    assert x == spec.crt_elements[mu.points[0][0]]
+    assert x == spec.element(mu.points[0][0])

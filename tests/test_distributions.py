@@ -75,9 +75,9 @@ def test_haar_character_is_annihilator_indicator():
     for sub in enumerate_subgroups(Z9xZ5):
         m = haar(sub)
         ann = sub.annihilator()
-        for y in Z9xZ5.element_list:
+        for y in oracles.element_list(Z9xZ5):
             value = char_fn(m, y)
-            if ann.contains(y):
+            if oracles.contains(ann, y):
                 assert value.is_one()
             else:
                 assert value.is_zero()
@@ -85,7 +85,7 @@ def test_haar_character_is_annihilator_indicator():
 
 def test_degenerate_character_is_pairing():
     for x in [(0,), (1,), (5,)]:
-        for y in Z9.element_list:
+        for y in oracles.element_list(Z9):
             assert char_fn(degenerate(Z9, x), y) == from_terms(9, [(Z9.pair_exponent(x, y), 1)])
 
 
@@ -95,14 +95,14 @@ def test_convolution_theorem_random():
         mu = random_distribution(Z9, 8, stream.derive(f"a{i}"))
         nu = random_distribution(Z9, 8, stream.derive(f"b{i}"))
         combined = convolve(mu, nu)
-        for y in Z9.element_list:
+        for y in oracles.element_list(Z9):
             assert char_fn(combined, y) == char_fn(mu, y) * char_fn(nu, y)
 
 
 def test_reflection_conjugates_character():
     stream = DeterministicStream(12, label="refl")
     mu = random_distribution(Z9xZ5, 6, stream)
-    for y in Z9xZ5.element_list:
+    for y in oracles.element_list(Z9xZ5):
         assert char_fn(reflect(mu), y) == char_fn(mu, y).conj()
 
 
@@ -131,9 +131,9 @@ def test_unit_modulus_set_matches_bruteforce_and_cyclotomic():
     for mu in cases:
         sub = unit_modulus_set(mu, mu)
         brute = oracles.brute_unit_modulus_points(Z9.orders, dict(mu.masses))
-        assert set(sub.elements()) == brute
-        for y in Z9.element_list:
-            assert sub.contains(y) == char_fn(mu, y).is_unit_modulus()
+        assert set(oracles.subgroup_elements(sub)) == brute
+        for y in oracles.element_list(Z9):
+            assert oracles.contains(sub, y) == char_fn(mu, y).is_unit_modulus()
 
 
 def test_min_support_subgroup():
@@ -178,7 +178,7 @@ def test_integer_fixed_point_route_matches_convolution():
     dists |= {
         shift(haar(sub), x)
         for sub in enumerate_subgroups(Z9xZ5)
-        for x in Z9xZ5.element_list[::7]
+        for x in oracles.element_list(Z9xZ5)[::7]
     }
     assert {mu.spec for mu in dists} >= {Z9xZ5, Z9, Z27, Z25}
     found = {True: 0, False: 0}
@@ -218,7 +218,7 @@ def test_every_constructor_yields_the_canonical_form():
     built = list(margins)
     built += list(enumerate_distributions(Z9, 4))
     built += [haar(sub) for sub in enumerate_subgroups(Z9xZ5)]
-    built += [degenerate(Z9xZ5, x) for x in Z9xZ5.element_list[::5]]
+    built += [degenerate(Z9xZ5, x) for x in oracles.element_list(Z9xZ5)[::5]]
     built += [convolve(mu, nu) for mu, nu in zip(margins, margins[1:])]
     built += [shift(mu, (4, 3)) for mu in margins] + [reflect(mu) for mu in margins]
     built += [_canonical_shift(mu, oracles.full_subgroup(Z9xZ5))[1] for mu in margins]
@@ -242,7 +242,7 @@ def test_equal_distributions_by_different_routes_are_equal_and_hash_equal():
         same(convolve(haar(sub), haar(sub)), haar(sub))
     for mu in _random_margins(Z9xZ5, 8, "routes"):
         same(reflect(reflect(mu)), mu)
-        for x in Z9xZ5.element_list[::11]:
+        for x in oracles.element_list(Z9xZ5)[::11]:
             same(shift(shift(mu, x), Z9xZ5.neg(x)), mu)
         same(serialize.distribution_from_obj(Z9xZ5, serialize.distribution_to_obj(mu)), mu)
 
@@ -254,7 +254,7 @@ def test_kernels_match_a_plain_dict_oracle():
         pmf = dict(mu.masses)
         assert dict(convolve(mu, nu).masses) == oracles.dict_convolve(orders, pmf, dict(nu.masses))
         assert dict(reflect(mu).masses) == oracles.dict_reflect(orders, pmf)
-        for x in Z9xZ5.element_list[::13]:
+        for x in oracles.element_list(Z9xZ5)[::13]:
             assert dict(shift(mu, x).masses) == oracles.dict_shift(orders, pmf, x)
     for sub in enumerate_subgroups(Z9xZ5):
         gens = [

@@ -78,7 +78,7 @@ def _margins(spec, label):
     stream = DeterministicStream(29, label=label)
     subs = enumerate_subgroups(spec)
     margins = [
-        degenerate(spec, spec.element_list[-1]),
+        degenerate(spec, oracles.element_list(spec)[-1]),
         haar(oracles.full_subgroup(spec)),
         haar(subs[len(subs) // 2]),
     ]
@@ -136,7 +136,7 @@ def test_zero_classes_are_memoized_and_match_char_fn(spec):
         zero = distributions.char_fn_zero_classes(mu)
         assert distributions.char_fn_zero_classes(mu) is zero
         for y in range(0, n, max(1, n // 45)):
-            assert char_fn(mu, spec.crt_elements[y]).is_zero() == zero[gcd(y, n)]
+            assert char_fn(mu, spec.element(y)).is_zero() == zero[gcd(y, n)]
 
 
 # -- the equation loop --------------------------------------------------------------
@@ -175,7 +175,7 @@ def test_constructed_symmetric_pairs_hold_on_the_sparse_loop(spec):
             continue
         alpha = admissible[s.randint(0, len(admissible) - 1)]
         rho = random_distribution(spec, 3, s.derive("rho"), support=sub)
-        x2 = spec.element_list[s.randint(0, spec.exponent - 1)]
+        x2 = oracles.element_list(spec)[s.randint(0, spec.exponent - 1)]
         inst = construct_instance(sub, alpha, rho, x2).instance
         found, on_sparse = _on_residues(inst)
         assert found is None
@@ -201,7 +201,7 @@ def test_seeded_asymmetric_pairs_with_haar_factors():
     # holds at every u and the violation comes at a later v.
     spec = Z9xZ5
     n = spec.exponent
-    first_v = spec.element_list[1]
+    first_v = oracles.element_list(spec)[1]
     stream = DeterministicStream(7, label="asymmetric")
     subs = enumerate_subgroups(spec)
     alphas = enumerate_automorphisms(spec)
@@ -212,7 +212,7 @@ def test_seeded_asymmetric_pairs_with_haar_factors():
         mus = [
             shift(
                 convolve(random_distribution(spec, 4, s.derive(f"rho{j}")), haar(sub)),
-                spec.element_list[s.randint(0, n - 1)],
+                oracles.element_list(spec)[s.randint(0, n - 1)],
             )
             for j in range(2)
         ]
@@ -225,7 +225,7 @@ def test_seeded_asymmetric_pairs_with_haar_factors():
 def test_violation_past_the_first_v_is_pinned():
     # uniform margins on 3Z(9) x 0 shifted apart: the first fifteen v hold
     spec = Z9xZ5
-    sub = next(s for s in enumerate_subgroups(spec) if set(s.elements()) == {(0, 0), (3, 0), (6, 0)})
+    sub = next(s for s in enumerate_subgroups(spec) if set(oracles.subgroup_elements(s)) == {(0, 0), (3, 0), (6, 0)})
     mu1 = haar(sub)
     mu2 = shift(mu1, (1, 0))
     inst = HeydeInstance(spec, mu1, mu2, make_endo(spec, (2, 3)))
@@ -249,13 +249,13 @@ def test_cyclotomic_tables_with_zeros():
     for i, sub in enumerate(subs[1:-1]):
         s = stream.derive(str(i))
         lam = convolve(random_distribution(spec, 3, s.derive("rho")), haar(sub))
-        other = shift(lam, spec.element_list[s.randint(0, n - 1)]) if i % 2 else lam
+        other = shift(lam, oracles.element_list(spec)[s.randint(0, n - 1)]) if i % 2 else lam
         f, g = _cyclo_tables(lam), _cyclo_tables(other)
         assert 2 * _nonzero_codes(f, n, lambda value: value.is_zero()) < n
         for beta in betas:
             outcomes.append(_same_as_dense(spec, f, g, beta))
         table = squared_modulus_table(lam)
-        y = next(y for y in spec.element_list[2:] if not table(y).is_zero())
+        y = next(y for y in oracles.element_list(spec)[2:] if not table(y).is_zero())
         broken = table.with_value(y, table(y) * 2).values.__getitem__
         outcomes.append(_same_as_dense(spec, broken, g, betas[0]))
     assert None in outcomes and any(outcomes)
@@ -284,7 +284,7 @@ def test_arbitrary_sparse_tables_and_endomorphisms(cyclotomic):
     # the tables are not Galois-equivariant, as the lemma verifiers allow.
     spec = Z9xZ5
     n = spec.exponent
-    first_v = spec.element_list[1]
+    first_v = oracles.element_list(spec)[1]
     betas = enumerate_automorphisms(spec)[::3] + [make_endo(spec, (3, 0)), make_endo(spec, (0, 2))]
     stream = DeterministicStream(17, label=f"tables {cyclotomic}")
     later = 0
@@ -325,13 +325,13 @@ def _quotient_pairs(spec, stream):
     constructible = [(sub, a) for sub in subs for a in alphas if construction_admissible(sub, a)]
 
     def point(s):
-        return spec.crt_elements[s.randint(0, n - 1)]
+        return spec.element(s.randint(0, n - 1))
 
     pairs = []
     for i in range(15):
         s = stream.derive(f"point {i}")
         alpha, x2 = s.choice(alphas), point(s)
-        x1 = spec.crt_elements[-alpha.code * spec.crt(x2) % n] if i % 2 else point(s)
+        x1 = spec.element(-alpha.code * spec.crt(x2) % n) if i % 2 else point(s)
         pairs.append(HeydeInstance(spec, degenerate(spec, x1), degenerate(spec, x2), alpha))
     for i in range(15):
         s = stream.derive(f"random {i}")
@@ -396,7 +396,7 @@ def test_a_pair_refuted_at_its_first_v_computes_no_quotient(monkeypatch):
     refuted = 0
     for spec in (Z9xZ5, LADDER[3]):
         n = spec.exponent
-        first_v = spec.element_list[1]
+        first_v = oracles.element_list(spec)[1]
         alphas = enumerate_automorphisms(spec)
         stream = DeterministicStream(41, label=f"lazy {spec.describe()}")
         for i in range(60):
@@ -429,8 +429,8 @@ def test_symmetric_point_masses_within_a_second(components):
     spec = validate_spec(components)
     n = spec.exponent
     alpha = make_endo(spec, (2,) * len(components))
-    b = spec.crt_elements[n // 3 + 1]
-    a = spec.crt_elements[-2 * (n // 3 + 1) % n]
+    b = spec.element(n // 3 + 1)
+    a = spec.element(-2 * (n // 3 + 1) % n)
     inst = HeydeInstance(spec, degenerate(spec, a), degenerate(spec, b), alpha)
     assert _equation_quotient(inst.mu1, inst.mu2, inst.alpha) == (1, 1)
     with time_limit(1):
@@ -443,9 +443,9 @@ def test_point_mass_pairs_fill_no_residue_table(monkeypatch):
     spec = validate_spec([(3, 1), (5, 1), (7, 1), (11, 1), (13, 1)])
     n = spec.exponent
     alpha = make_endo(spec, (2,) * 5)
-    b = spec.crt_elements[n // 3 + 1]
-    a = spec.crt_elements[-2 * (n // 3 + 1) % n]
-    moved = spec.crt_elements[(1 - 2 * (n // 3 + 1)) % n]
+    b = spec.element(n // 3 + 1)
+    a = spec.element(-2 * (n // 3 + 1) % n)
+    moved = spec.element((1 - 2 * (n // 3 + 1)) % n)
 
     def refuse(*args):
         raise AssertionError("a full residue table was built")
@@ -500,7 +500,7 @@ def test_lemma_route_on_fixed_point_tables_with_zeros(monkeypatch):
     # |char|**2 of a margin with a Haar factor lies in [0, 1] and vanishes
     # off a subgroup, as the fixed-point lemma's tables may.
     spec = Z9xZ5
-    first_v = spec.element_list[1]
+    first_v = oracles.element_list(spec)[1]
     subs = enumerate_subgroups(spec)
     stream = DeterministicStream(19, label="lemma zeros")
     betas = [minus_identity(spec)] + enumerate_automorphisms(spec)[::7]
@@ -529,7 +529,7 @@ def test_lemma_route_on_strictly_positive_tables(monkeypatch):
     outcomes = []
     for i in range(4):
         s = stream.derive(str(i))
-        points = [spec.element_list[s.randint(0, n - 1)] for _ in range(3)]
+        points = [oracles.element_list(spec)[s.randint(0, n - 1)] for _ in range(3)]
         if len(set(points)) < 3:
             continue
         mu = from_pmf(spec, dict(zip(points, (Fraction(3, 4), Fraction(1, 8), Fraction(1, 8)))))
@@ -551,7 +551,7 @@ def test_lemma_route_violation_placed_after_the_first_v(monkeypatch):
     # u + v is in H and u - v is not, so the left side is 0 and the right
     # side is f(c) g(u + v) = 1/2.
     spec = Z9xZ5
-    sub = next(s for s in enumerate_subgroups(spec) if set(s.elements()) == {(0, 0), (3, 0), (6, 0)})
+    sub = next(s for s in enumerate_subgroups(spec) if set(oracles.subgroup_elements(s)) == {(0, 0), (3, 0), (6, 0)})
     g = squared_modulus_table(haar(sub))
     assert sum(not value.is_zero() for value in g.values) == 15
     f = g.with_value((1, 0), from_rational(spec.exponent, Fraction(1, 2)))

@@ -77,7 +77,7 @@ def test_pairing_examples():
 
 def test_pairing_bilinearity_exhaustive():
     n = Z9xZ5.exponent
-    elements = Z9xZ5.element_list
+    elements = oracles.element_list(Z9xZ5)
     for x, xp in itertools.product(elements[:12], elements[:12]):
         for y in elements:
             left = Z9xZ5.pair_exponent(Z9xZ5.add(x, xp), y)
@@ -87,17 +87,17 @@ def test_pairing_bilinearity_exhaustive():
 
 
 def test_pairing_separates_points():
-    for x in Z9xZ5.element_list:
-        if x == Z9xZ5.zero():
+    for x in oracles.element_list(Z9xZ5):
+        if x == oracles.zero(Z9xZ5):
             continue
-        assert any(Z9xZ5.pair_exponent(x, y) != 0 for y in Z9xZ5.element_list)
+        assert any(Z9xZ5.pair_exponent(x, y) != 0 for y in oracles.element_list(Z9xZ5))
 
 
 def test_annihilator_matches_enumeration():
     for spec in (Z9, Z27, Z9xZ5):
         for sub in enumerate_subgroups(spec):
-            expected = oracles.brute_annihilator(spec.orders, list(sub.elements()))
-            assert set(sub.annihilator().elements()) == expected
+            expected = oracles.brute_annihilator(spec.orders, oracles.subgroup_elements(sub))
+            assert set(oracles.subgroup_elements(sub.annihilator())) == expected
 
 
 def test_annihilator_examples():
@@ -117,13 +117,13 @@ def test_subgroup_generated_examples():
     assert oracles.subgroup_generated(Z9, [(3,)]).exponents == (1,)
     assert oracles.subgroup_generated(Z9, [(0,)]) == oracles.trivial_subgroup(Z9)
     gen = oracles.subgroup_generated(Z9xZ5, [(3, 1)])
-    assert set(gen.elements()) == oracles.brute_closure(Z9xZ5.orders, [(3, 1)])
+    assert set(oracles.subgroup_elements(gen)) == oracles.brute_closure(Z9xZ5.orders, [(3, 1)])
 
 
 def test_subgroup_generated_matches_closure():
     for xs in [[(1,)], [(3,)], [(6,)], [(3,), (6,)], [(0,)]]:
         gen = oracles.subgroup_generated(Z27, [Z27.reduce(x) for x in xs])
-        assert set(gen.elements()) == oracles.brute_closure(Z27.orders, xs)
+        assert set(oracles.subgroup_elements(gen)) == oracles.brute_closure(Z27.orders, xs)
 
 
 def test_enumerate_subgroups_counts():
@@ -134,10 +134,10 @@ def test_enumerate_subgroups_counts():
 
 def test_subgroups_closed_under_operations():
     for sub in enumerate_subgroups(Z9xZ5):
-        members = set(sub.elements())
+        members = set(oracles.subgroup_elements(sub))
         assert len(members) == sub.order
         for x in members:
-            assert sub.contains(x)
+            assert oracles.contains(sub, x)
             assert Z9xZ5.neg(x) in members
             for y in members:
                 assert Z9xZ5.add(x, y) in members
@@ -145,9 +145,9 @@ def test_subgroups_closed_under_operations():
 
 def test_subgroup_membership_matches_elements():
     for sub in enumerate_subgroups(Z9xZ5):
-        members = set(sub.elements())
-        for x in Z9xZ5.element_list:
-            assert sub.contains(x) == (x in members)
+        members = set(oracles.subgroup_elements(sub))
+        for x in oracles.element_list(Z9xZ5):
+            assert oracles.contains(sub, x) == (x in members)
 
 
 def test_element_validation():
@@ -169,7 +169,7 @@ def test_require_code_is_crt_of_require_element():
             return str(exc)
 
     Point = collections.namedtuple("Point", "a b")
-    probes = [*Z9xZ5.element_list, (True, 1), (1, False), (1.0, 1), (9, 0), (0, 5), (-1, 0),
+    probes = [*oracles.element_list(Z9xZ5), (True, 1), (1, False), (1.0, 1), (9, 0), (0, 5), (-1, 0),
               (0,), (0, 0, 0), [1, 1], "ab", Point(2, 3), ((1,), 1), (None, 0)]
     for x in probes:
         expected = outcome(lambda y: Z9xZ5.crt(Z9xZ5.require_element(y)), x)
@@ -201,19 +201,19 @@ def test_subgroup_arithmetic_matches_the_valuation_oracle(name):
         assert subgroup_of_index(spec, sub.index) == sub
         for other in subs:
             assert sub.intersect(other).exponents == oracles.valuation_intersect(exps, other.exponents)
-        for x in spec.element_list:
-            assert sub.contains(x) == all(c % p**a == 0 for c, (p, k), a in zip(x, comps, exps))
+        for x in oracles.element_list(spec):
+            assert oracles.contains(sub, x) == all(c % p**a == 0 for c, (p, k), a in zip(x, comps, exps))
     for mults in itertools.product(*(range(q) for q in spec.orders)):
         endo = make_endo(spec, mults)
         assert endo.kernel().exponents == oracles.valuation_kernel(comps, mults)
         assert endo.image().exponents == oracles.valuation_image(comps, mults)
         for sub in subs:
             assert endo.image_of(sub).exponents == oracles.valuation_image_of(comps, mults, sub.exponents)
-    for x in spec.element_list:
+    for x in oracles.element_list(spec):
         assert oracles.subgroup_generated(spec, [x]).exponents == oracles.valuation_generated(comps, [x])
     rng = random.Random(f"generated:{name}")
     for _ in range(500):
-        xs = rng.sample(spec.element_list, rng.randint(0, 4))
+        xs = rng.sample(oracles.element_list(spec), rng.randint(0, 4))
         assert oracles.subgroup_generated(spec, xs).exponents == oracles.valuation_generated(comps, xs)
 
 

@@ -73,8 +73,8 @@ def test_adjoint_pairing_identity_exhaustive():
     for spec, multipliers in ((Z9, (2,)), (Z9xZ5, (2, 3))):
         phi = make_endo(spec, multipliers)
         adj = phi.adjoint()
-        for x in spec.element_list:
-            for y in spec.element_list:
+        for x in oracles.element_list(spec):
+            for y in oracles.element_list(spec):
                 assert spec.pair_exponent(phi.apply(x), y) == spec.pair_exponent(
                     x, adj.apply(y)
                 )
@@ -83,8 +83,8 @@ def test_adjoint_pairing_identity_exhaustive():
 
 def test_kernel_image_closed_forms():
     phi = make_endo(Z9, [3])
-    assert set(phi.kernel().elements()) == {(0,), (3,), (6,)}
-    assert set(phi.image().elements()) == {(0,), (3,), (6,)}
+    assert set(oracles.subgroup_elements(phi.kernel())) == {(0,), (3,), (6,)}
+    assert set(oracles.subgroup_elements(phi.image())) == {(0,), (3,), (6,)}
     zero_map = identity(Z9).add(make_endo(Z9, [8]))  # I + (-I)
     assert oracles.is_full(zero_map.kernel())
     assert zero_map.image().is_trivial
@@ -95,32 +95,32 @@ def test_kernel_image_closed_forms():
 
 def test_kernel_image_match_bruteforce():
     for endo in all_endos(Z9xZ5):
-        image = {endo.apply(x) for x in Z9xZ5.element_list}
-        kernel = {x for x in Z9xZ5.element_list if endo.apply(x) == Z9xZ5.zero()}
-        assert set(endo.image().elements()) == image
-        assert set(endo.kernel().elements()) == kernel
+        image = {endo.apply(x) for x in oracles.element_list(Z9xZ5)}
+        kernel = {x for x in oracles.element_list(Z9xZ5) if endo.apply(x) == oracles.zero(Z9xZ5)}
+        assert set(oracles.subgroup_elements(endo.image())) == image
+        assert set(oracles.subgroup_elements(endo.kernel())) == kernel
         assert endo.kernel().order * endo.image().order == Z9xZ5.size
 
 
 def test_image_equals_annihilator_of_adjoint_kernel():
     for endo in all_endos(Z9xZ5):
         ann = oracles.brute_annihilator(
-            Z9xZ5.orders, list(endo.adjoint().kernel().elements())
+            Z9xZ5.orders, oracles.subgroup_elements(endo.adjoint().kernel())
         )
-        assert set(endo.image().elements()) == ann
+        assert set(oracles.subgroup_elements(endo.image())) == ann
 
 
 def test_image_of_subgroup():
     for endo in all_endos(Z9):
         for sub in enumerate_subgroups(Z9):
-            expected = {endo.apply(x) for x in sub.elements()}
-            assert set(endo.image_of(sub).elements()) == expected
+            expected = {endo.apply(x) for x in oracles.subgroup_elements(sub)}
+            assert set(oracles.subgroup_elements(endo.image_of(sub))) == expected
 
 
 def test_every_subgroup_characteristic():
     for endo in all_endos(Z9xZ5):
         for sub in enumerate_subgroups(Z9xZ5):
-            assert all(sub.contains(endo.apply(x)) for x in sub.elements())
+            assert all(oracles.contains(sub, endo.apply(x)) for x in oracles.subgroup_elements(sub))
 
 
 def test_truncated_unit_sums():
@@ -146,7 +146,7 @@ def test_unit_validation():
 
 def test_scalar_endo_is_multiplication():
     double = Endomorphism(Z9xZ5, 2)
-    for x in Z9xZ5.element_list:
+    for x in oracles.element_list(Z9xZ5):
         assert double.apply(x) == tuple(2 * c % q for c, q in zip(x, Z9xZ5.orders))
 
 

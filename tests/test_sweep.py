@@ -240,7 +240,7 @@ def _expected_reached(spec, field, pairs):
     """(alpha.code, mu1, mu2) of each (alpha, mu1, mu2, symmetric) of pairs
     that is symmetric or whose dense equation loop holds at its first v,
     and how many of those are not symmetric."""
-    first_v = spec.element_list[1]
+    first_v = oracles.element_list(spec)[1]
     expected = []
     passing = 0
     for alpha, mu1, mu2, symmetric in pairs:

@@ -98,8 +98,8 @@ def _constructed(spec, alpha, rng):
     subs = [s for s in enumerate_subgroups(spec) if 1 < s.order <= 15]
     sub = rng.choice(subs)
     codes = rng.sample(sub.codes, min(2, sub.order))
-    rho = from_pmf(spec, {spec.crt_elements[c]: Fraction(k + 1, 3) for k, c in enumerate(codes)})
-    x2 = spec.crt_elements[rng.randrange(spec.exponent)]
+    rho = from_pmf(spec, {spec.element(c): Fraction(k + 1, 3) for k, c in enumerate(codes)})
+    x2 = spec.element(rng.randrange(spec.exponent))
     return construct_instance(sub, alpha, rho, x2).instance
 
 
@@ -158,7 +158,7 @@ def test_involution_route_is_taken_exactly_when_alpha_minus_one_is_a_unit(monkey
     mu = from_pmf(spec, {(0, 0): Fraction(1, 3), (3, 0): Fraction(1, 3), (6, 0): Fraction(1, 3)})
     nonunit = 0
     for alpha in enumerate_automorphisms(spec):
-        nu = shift(mu, spec.crt_elements[rng.randrange(n)])
+        nu = shift(mu, spec.element(rng.randrange(n)))
         inst = HeydeInstance(spec, mu, nu, alpha)
         taken.clear()
         assert is_conditionally_symmetric(inst) == _brute(inst)
@@ -178,7 +178,7 @@ def test_rows_and_instances_take_the_same_route(name, monkeypatch):
     mu1 = _coset_blocks(spec, rng)
     routes = set()
     for alpha in enumerate_automorphisms(spec):
-        mu2 = shift(mu1, spec.crt_elements[rng.randrange(spec.exponent)])
+        mu2 = shift(mu1, spec.element(rng.randrange(spec.exponent)))
         inst = HeydeInstance(spec, mu1, mu2, alpha)
         taken.clear()
         verdict = is_conditionally_symmetric(inst)
@@ -247,7 +247,7 @@ def _coset_cases(spec, rng):
         sub = rng.choice(admissible)
         codes = rng.sample(sub.codes, min(2, sub.order))
         rho = _canonical(spec, 3, list(zip(codes, (1, 2))) if len(codes) == 2 else [(codes[0], 3)])
-        x2 = spec.crt_elements[rng.randrange(n)]
+        x2 = spec.element(rng.randrange(n))
         inst = construct_instance(sub, alpha, rho, x2).instance
         yield inst
         for side in ("mu1", "mu2"):
@@ -303,7 +303,7 @@ def test_the_coset_stage_waits_for_the_first_row(monkeypatch):
     monkeypatch.setattr(
         engine, "stabilizer_index", lambda mu: staged.append(mu) or distributions.stabilizer_index(mu)
     )
-    inst = construct_instance(oracles.full_subgroup(spec), alpha, degenerate(spec, spec.zero()), (1, 2)).instance
+    inst = construct_instance(oracles.full_subgroup(spec), alpha, degenerate(spec, oracles.zero(spec)), (1, 2)).instance
     assert len(inst.mu1.points) * len(inst.mu2.points) > engine._COSET_MIN_PAIRS
     rng = random.Random("first row")
     refuted = 0
@@ -324,7 +324,7 @@ def test_growth_at_3465_within_two_seconds():
     # rho = delta_0: margins of N / 3 = 1155 points, one stabilizer coset
     spec = validate_spec([(3, 2), (5, 1), (7, 1), (11, 1)])
     alpha = make_endo(spec, (2, 2, 2, 2))
-    rho = degenerate(spec, spec.zero())
+    rho = degenerate(spec, oracles.zero(spec))
     with time_limit(2):
         inst = construct_instance(oracles.full_subgroup(spec), alpha, rho, (1, 2, 3, 4)).instance
         assert is_conditionally_symmetric(inst)
@@ -364,8 +364,8 @@ def _brute_key_masses(inst, l1, l2):
         spec.orders, dict(inst.mu1.masses), dict(inst.mu2.masses), inst.alpha.multipliers
     )
     scale = inst.mu1.den * inst.mu2.den
-    at = spec.crt_elements
-    return tuple(joint.get((at[l1], at[m % n]), 0) * scale for m in (l2, -l2))
+    at = spec.element
+    return tuple(joint.get((at(l1), at(m % n)), 0) * scale for m in (l2, -l2))
 
 
 def _mirror_key_pairs(spec, alpha, rng):
@@ -412,7 +412,7 @@ def _first_key_cases(spec, rng):
 def _constructed_on(spec, alpha, sub, rng):
     codes = rng.sample(sub.codes, min(2, sub.order))
     rho = _canonical(spec, 3, list(zip(codes, (1, 2))) if len(codes) == 2 else [(codes[0], 3)])
-    x2 = spec.crt_elements[rng.randrange(spec.exponent)]
+    x2 = spec.element(rng.randrange(spec.exponent))
     return construct_instance(sub, alpha, rho, x2).instance
 
 
