@@ -91,14 +91,14 @@ def cmd_construct(args) -> int:
     spec = serialize.spec_from_obj(obj["spec"])
     sub = serialize.subgroup_from_obj(spec, obj["subgroup"])
     alpha = serialize.endo_from_obj(spec, obj["alpha"])
-    seed = serialize.int_from_obj(obj.get("seed", args.seed), "seed")
+    seed = serialize.int_from_obj(obj.get("seed", 0), "seed")
     stream = DeterministicStream(seed, label="construct")
     if "rho" in obj and obj["rho"] is not None:
         rho = serialize.distribution_from_obj(spec, obj["rho"])
     else:
         rho = random_distribution(
             spec,
-            serialize.int_from_obj(obj.get("max_denominator", args.denominator), "max_denominator"),
+            serialize.int_from_obj(obj.get("max_denominator", 8), "max_denominator"),
             stream.derive("rho"),
             support=sub,
         )
@@ -195,8 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_con = sub.add_parser("construct", help="build a symmetric instance file")
     common(p_con)
-    p_con.add_argument("--seed", type=int, default=0)
-    p_con.add_argument("--denominator", type=int, default=8, help="mass denominator cap for random seeds")
     p_con.set_defaults(func=cmd_construct)
 
     p_sweep = sub.add_parser("sweep", help="seeded verification sweep")
@@ -234,7 +232,7 @@ def main(argv=None) -> int:
     except VerificationFailure as exc:
         _emit({"finding": str(exc)}, getattr(args, "output", None))
         return 1
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         message = str(exc) if str(exc) else repr(exc)
         sys.stdout.write(serialize.dumps_canonical({"error": message}))
         return 2

@@ -548,7 +548,8 @@ class AutomorphismRow:
     is_conditionally_symmetric runs), a field certified for every pair of
     margins whose denominators are at most top, its modulus M and product
     mod M (mul), and the first v of the equation loop with beta v
-    (first_v = (v, beta v, N)) and the u after 0 (rest).
+    (first_v = (v, beta v, N)).  A row holds nothing N-sized: the u of the
+    first v are spec.crt_codes itself.
 
     Per margin, first(mu) and second(mu) give what depends on alpha and mu
     in that role: its residue function (char_residues, memoized on mu) and
@@ -563,12 +564,13 @@ class AutomorphismRow:
     (mu2, terms, g, g(beta v), g(-beta v)) = second(mu2), the identity
     holds at (0, v) exactly when f(v) g(beta v) = f(-v) g(-beta v)
     (mod M), and at the first v exactly when it also holds at
-    _first_violation(f, g, rest, *first_v, mul), or for two point masses
-    already at u = 0: K = Z(N) then (_equation_quotient), so the identity
-    holds at (u, v) exactly when at (0, v).  These verdicts are exact: M
-    exceeds 2 * top * top, so the field is certified for every pair
-    (cyclotomic._ModField), and satisfies_heyde_equation reaches the same
-    verdict in whichever certified field it is given.
+    _first_violation(f, g, spec.crt_codes, *first_v, mul), where u = 0
+    holds again, or for two point masses already at u = 0: K = Z(N) then
+    (_equation_quotient), so the identity holds at (u, v) exactly when at
+    (0, v).  These verdicts are exact: M exceeds 2 * top * top, so the
+    field is certified for every pair (cyclotomic._ModField), and
+    satisfies_heyde_equation reaches the same verdict in whichever
+    certified field it is given.
     """
 
     def __init__(self, alpha: Endomorphism, top: int):
@@ -584,7 +586,6 @@ class AutomorphismRow:
         v = next(_equation_vs(spec))
         bv = alpha.adjoint().code * v % n
         self.first_v = (v, bv, n)
-        self.rest = spec.crt_codes[1:]  # crt_codes[0] is the code 0
 
     def first(self, mu: Distribution) -> tuple:
         """(mu, f, f(v), f(-v)), f its residue function: mu as the first

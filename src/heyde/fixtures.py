@@ -19,7 +19,7 @@ from .distributions import Distribution, _canonical, convolve, difference_subgro
 from .engine import HeydeInstance, is_conditionally_symmetric
 from .errors import VerificationFailure
 from .groups import Element, GroupSpec, Subgroup
-from .morphisms import Endomorphism, identity, make_endo
+from .morphisms import Endomorphism, identity
 from .rng import DeterministicStream
 
 
@@ -72,30 +72,32 @@ def enumerate_automorphisms(spec: GroupSpec) -> list[Endomorphism]:
 
 def _automorphisms(spec: GroupSpec) -> Iterator[Endomorphism]:
     """enumerate_automorphisms one at a time, for a caller that may need
-    only the first few."""
-    units_per_component = [
-        [m for m in range(1, c.order) if m % c.p != 0] for c in spec.components
-    ]
-    return (make_endo(spec, vec) for vec in itertools.product(*units_per_component))
-
-
-def compositions(total: int, parts: int):
-    """All tuples of nonnegative integers of the given length summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+    only the first few: the units of crt_codes, which is in element order,
+    so the multiplier vectors come in order."""
+    n = spec.exponent
+    return (Endomorphism(spec, c) for c in spec.crt_codes if gcd(c, n) == 1)
 
 
 def enumerate_distributions(spec: GroupSpec, denominator: int):
-    """Every pmf whose masses are multiples of 1/denominator, in lex order."""
+    """Every pmf whose masses are multiples of 1/denominator, in lex order
+    of the mass vectors over crt_codes.
+
+    A mass vector is a composition of denominator into N parts, and stars
+    and bars places N - 1 bars among denominator + N - 1 slots: part j is
+    the number of stars between bar j - 1 and bar j.  combinations yields
+    the bar positions in lex order, and each part grows with its bar when
+    the bars before it are fixed, so the parts come in lex order too.
+    """
     if denominator < 1:
         raise ValueError("denominator must be at least 1")
     codes = spec.crt_codes
-    for parts in compositions(denominator, len(codes)):
-        yield _canonical(spec, denominator, ((r, c) for r, c in zip(codes, parts) if c))
+    slots = denominator + len(codes) - 1
+    for bars in itertools.combinations(range(slots), len(codes) - 1):
+        yield _canonical(
+            spec,
+            denominator,
+            ((r, b - a - 1) for r, a, b in zip(codes, (-1, *bars), (*bars, slots)) if b - a > 1),
+        )
 
 
 def _as_stream(seed) -> DeterministicStream:

@@ -223,24 +223,16 @@ def _field_dict(record) -> dict:
     return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
-def corollary_report_to_obj(report: CorollaryReport) -> list[dict]:
-    return [_field_dict(c) for c in report.checks]
-
-
-def decomposition_to_obj(
-    dec: HeydeDecomposition, corollaries: CorollaryReport | None = None
-) -> dict:
-    obj = {
+def decomposition_to_obj(dec: HeydeDecomposition, corollaries: CorollaryReport) -> dict:
+    return {
         "subgroup": subgroup_to_obj(dec.subgroup),
         "lambda": distribution_to_obj(dec.lam),
         "x1": element_to_obj(dec.shift1),
         "x2": element_to_obj(dec.shift2),
         "flags": _field_dict(dec.flags),
         "all_flags_true": dec.flags.all_true,
+        "corollaries": [_field_dict(c) for c in corollaries.checks],
     }
-    if corollaries is not None:
-        obj["corollaries"] = corollary_report_to_obj(corollaries)
-    return obj
 
 
 def difference_report_to_obj(report: DifferenceLemmaReport) -> dict:

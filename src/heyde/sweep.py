@@ -174,17 +174,17 @@ def _run_row(row: AutomorphismRow, firsts: list, seconds: list, report: SweepRep
 
     The equation goes first.  Its first v is decided at u = 0 by one
     comparison of two products mod M, from the residues the row read, and
-    only a pair that holds there runs _first_violation over the other u
-    (none for two point masses).  A pair that holds at its first v goes to
-    check_instance.  A pair refuted there fails satisfies_heyde_equation,
-    and the row's symmetry route (engine._symmetry_route) decides it:
-    symmetric, a disagreement that check_instance records, or not
-    symmetric, both predicates false, which check_instance would only
-    count.
+    only a pair that holds there runs _first_violation over every u of
+    spec.crt_codes, where u = 0 holds again (none for two point masses).
+    A pair that holds at its first v goes to check_instance.  A pair
+    refuted there fails satisfies_heyde_equation, and the row's symmetry
+    route (engine._symmetry_route) decides it: symmetric, a disagreement
+    that check_instance records, or not symmetric, both predicates false,
+    which check_instance would only count.
     """
     alpha = row.alpha
     spec = alpha.spec
-    modulus, mul, rest = row.modulus, row.mul, row.rest
+    codes, modulus, mul = spec.crt_codes, row.modulus, row.mul
     v, bv, n = row.first_v
     symmetric = row.symmetric
     refuted = 0
@@ -193,7 +193,7 @@ def _run_row(row: AutomorphismRow, firsts: list, seconds: list, report: SweepRep
         for mu2, terms, g, g_bv, g_minus_bv in seconds:
             holds = f_v * g_bv % modulus == f_minus_v * g_minus_bv % modulus and (
                 single and len(mu2.points) == 1
-                or _first_violation(f, g, rest, v, bv, n, mul) is None
+                or _first_violation(f, g, codes, v, bv, n, mul) is None
             )
             if holds or symmetric(mu1, mu2, terms):
                 check_instance(HeydeInstance(spec, mu1, mu2, alpha), report)
@@ -208,9 +208,9 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         alphas = _alphas_for(spec, config)
         if config.mode == "exhaustive":
             pmfs = list(enumerate_distributions(spec, config.denominator))
-            top = max(mu.den for mu in pmfs)
             for alpha in alphas:
-                row = AutomorphismRow(alpha, top)
+                # every margin's den divides the denominator
+                row = AutomorphismRow(alpha, config.denominator)
                 firsts = [row.first(mu) for mu in pmfs]
                 _run_row(row, firsts, [row.second(mu) for mu in pmfs], report)
         else:

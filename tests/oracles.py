@@ -27,6 +27,7 @@ from heyde import (
     enumerate_distributions,
     enumerate_subgroups,
     from_pmf,
+    make_endo,
     random_distribution,
     sweep,
 )
@@ -153,6 +154,34 @@ def brute_exhaustive_sweep(orders, denominator):
                 instances += 1
                 symmetric += brute_symmetric(orders, pmf1, pmf2, multipliers)
     return instances, symmetric
+
+
+def compositions(total, parts):
+    """All tuples of nonnegative integers of the given length summing to
+    total, in lex order, by recursion on the first part."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def composition_distributions(spec, denominator):
+    """fixtures.enumerate_distributions as it was before stars and bars: one
+    margin per composition of denominator over crt_codes, in lex order."""
+    return [
+        _canonical(spec, denominator, ((r, c) for r, c in zip(spec.crt_codes, parts) if c))
+        for parts in compositions(denominator, spec.exponent)
+    ]
+
+
+def component_unit_automorphisms(spec):
+    """fixtures.enumerate_automorphisms as it was before it read crt_codes:
+    the product of the unit lists of the components, one make_endo per
+    multiplier vector."""
+    units = [[m for m in range(1, c.order) if m % c.p] for c in spec.components]
+    return [make_endo(spec, vec) for vec in itertools.product(*units)]
 
 
 def per_instance_sweep(config):

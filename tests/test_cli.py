@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from heyde import engine, lemmas, serialize, validate_spec
+from heyde import cli, engine, lemmas, serialize, validate_spec
 from heyde.cli import main
 from heyde.engine import first_equation_violation
 from limits import TimeLimitExceeded, time_limit
@@ -628,6 +628,33 @@ def test_construct_draws_rho_and_x2_from_the_seed(tmp_path, capsys, case):
     construction = {"spec": spec, "subgroup": subgroup, "alpha": alpha, "seed": seed}
     assert main(["construct", "--input", write(tmp_path, "construction.json", construction)]) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_construct_takes_its_seed_and_cap_from_the_file_alone(tmp_path, capsys):
+    # the file's defaults are seed 0 and max_denominator 8; the --seed and
+    # --denominator flags that duplicated them are gone
+    base = {"spec": SEEDED_CONSTRUCTIONS["Z9xZ5"][0], "subgroup": [1, 1], "alpha": [2, 2]}
+    outputs = []
+    for construction in (base, {**base, "seed": 0, "max_denominator": 8}):
+        assert main(["construct", "--input", write(tmp_path, "construction.json", construction)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    for flag in ("--seed", "--denominator"):
+        with pytest.raises(SystemExit):
+            main(["construct", "--input", write(tmp_path, "construction.json", base), flag, "3"])
+        capsys.readouterr()
+
+
+def test_a_key_error_inside_a_command_propagates(tmp_path, monkeypatch):
+    # every reader checks its keys before it indexes them, so a KeyError
+    # comes from a bug, which exit 2 (invalid input) would hide
+    def broken(inst):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "satisfies_heyde_equation", broken)
+    path = write(tmp_path, "inst.json", degenerate_instance(3, 1, 2))
+    with pytest.raises(KeyError, match="internal"):
+        main(["check", "--input", path])
 
 
 GOLDEN = __import__("pathlib").Path(__file__).parent / "golden"

@@ -19,7 +19,6 @@ from heyde import (
     shift,
     validate_spec,
 )
-from heyde.fixtures import compositions
 from heyde.groups import Subgroup
 from limits import time_limit
 
@@ -109,7 +108,7 @@ def test_enumerate_automorphisms_counts():
 
 
 def test_compositions_and_counts():
-    assert list(compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]
+    assert list(oracles.compositions(2, 2)) == [(0, 2), (1, 1), (2, 0)]
     assert len(list(enumerate_distributions(Z3, 2))) == comb(4, 2) == 6
     assert len(list(enumerate_distributions(Z3, 1))) == 3
     for mu in enumerate_distributions(Z3, 4):
@@ -119,6 +118,36 @@ def test_compositions_and_counts():
 def test_enumerate_matches_count_formula():
     for d in (1, 2, 3):
         assert len(list(enumerate_distributions(Z5, d))) == comb(d + 4, 4)
+
+
+@pytest.mark.parametrize(
+    "components, top",
+    [([(3, 1)], 6), ([(5, 1)], 4), ([(3, 2)], 3), ([(3, 2), (5, 1)], 2)],
+    ids=["Z3", "Z5", "Z9", "Z9xZ5"],
+)
+def test_enumerate_distributions_matches_the_recursive_enumeration(components, top):
+    # stars and bars yields the margins of the recursive compositions, in order
+    spec = validate_spec(components)
+    for d in range(1, top + 1):
+        assert list(enumerate_distributions(spec, d)) == oracles.composition_distributions(spec, d)
+
+
+def test_enumerate_distributions_does_not_recurse_per_code():
+    # one recursion level per code ended in RecursionError at N = 1331
+    spec = validate_spec([(11, 3)])
+    margins = list(enumerate_distributions(spec, 1))
+    assert len(margins) == spec.exponent == 1331
+    assert [mu.points for mu in margins[:2]] == [((spec.crt_codes[-1], 1),), ((spec.crt_codes[-2], 1),)]
+
+
+@pytest.mark.parametrize(
+    "components",
+    [[(3, 2)], [(3, 2), (5, 1)], [(3, 3), (5, 1)], [(3, 2), (5, 1), (7, 1)], [(3, 3), (5, 1), (7, 1)]],
+    ids=["Z9", "Z9xZ5", "Z27xZ5", "Z9xZ5xZ7", "Z27xZ5xZ7"],
+)
+def test_enumerate_automorphisms_matches_the_product_of_component_units(components):
+    spec = validate_spec(components)
+    assert enumerate_automorphisms(spec) == oracles.component_unit_automorphisms(spec)
 
 
 def test_random_distribution_determinism():

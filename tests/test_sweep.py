@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 
 import pytest
@@ -418,3 +419,30 @@ def test_pairs_that_pass_the_first_v_reach_check_instance_in_random_mode(monkeyp
     # both symmetry routes, and point-mass pairs, whose first v reads u = 0 alone
     assert {engine._has_involution(alpha) for alpha, *_ in pairs} == {True, False}
     assert any(len(mu1.points) == len(mu2.points) == 1 for _, mu1, mu2, _ in pairs)
+
+
+def test_a_random_sweep_row_keeps_no_copy_of_the_codes(monkeypatch):
+    # each row kept crt_codes[1:] for the whole sweep: on Z(3^12) a random
+    # sweep grew by about 4.3 MB per automorphism row.  The rows are all
+    # built before the first draw, so the memory held then is theirs.
+    spec = validate_spec([(3, 9)])
+    run_sweep(SweepConfig((spec,), mode="random", budget=2, seed=0))  # the spec's tables, untraced
+    draw = sweep.random_instance
+
+    def held_at_first_draw(budget):
+        held = []
+
+        def recording(*args):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return draw(*args)
+
+        monkeypatch.setattr(sweep, "random_instance", recording)
+        tracemalloc.start()
+        try:
+            run_sweep(SweepConfig((spec,), mode="random", budget=budget, seed=0))
+        finally:
+            tracemalloc.stop()
+        return held[0]
+
+    # 58 more rows hold less than one N-sized list of pointers between them
+    assert held_at_first_draw(60) - held_at_first_draw(2) < 8 * spec.exponent
