@@ -112,22 +112,7 @@ def cmd_construct(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.input:
-        obj = _load_json(args.input)
-    elif args.spec:
-        obj = {"specs": [json.loads(s) for s in args.spec]}
-    else:
-        raise ValueError("sweep needs --input or at least one --spec")
-    if not isinstance(obj, dict):
-        raise ValueError("sweep config must be an object with a 'specs' list")
-    if args.seed is not None:
-        obj["seed"] = args.seed
-    if args.budget is not None:
-        obj["budget"] = args.budget
-    if args.denominator is not None:
-        obj["denominator"] = args.denominator
-        obj.setdefault("mode", "exhaustive")
-    config = serialize.sweep_config_from_obj(obj)
+    config = serialize.sweep_config_from_obj(_load_json(args.input))
     if config.mode == "random" and config.budget > MAX_SWEEP_INSTANCES:
         raise ValueError(
             f"random sweep budget {config.budget:,} instances per spec is above "
@@ -180,9 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", required=True, help="input JSON file")
+    def common(p):
+        p.add_argument("--input", required=True, help="input JSON file")
         p.add_argument("--output", help="also write the JSON report here")
 
     p_check = sub.add_parser("check", help="symmetry test and dual equation on an instance")
@@ -198,12 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.set_defaults(func=cmd_construct)
 
     p_sweep = sub.add_parser("sweep", help="seeded verification sweep")
-    p_sweep.add_argument("--input", help="sweep config JSON file")
-    p_sweep.add_argument("--spec", action="append", help="inline spec JSON (repeatable)")
-    p_sweep.add_argument("--output", help="also write the JSON report here")
-    p_sweep.add_argument("--seed", type=int)
-    p_sweep.add_argument("--budget", type=int)
-    p_sweep.add_argument("--denominator", type=int, help="switch to exhaustive mode at this granularity")
+    common(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_lem = sub.add_parser("verify-lemmas", help="run the lemma verifiers on an instance")

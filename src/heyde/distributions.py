@@ -241,12 +241,13 @@ def char_residues(mu: Distribution, field) -> Callable[[int], int]:
     With masses a_x / D this is the sum of a_x * omega**(s * x * y mod N),
     s = spec.crt_pair_unit.  The caller picks the field for the bound its
     zero test needs (cyclotomic._ModField).  The function is memoized on
-    mu, keyed by the field object, and fills a code-indexed list as it is
-    called, so each residue of mu is computed at most once per field for
-    the life of mu, however many instances or zero tests share mu.  The
-    first sum(q_j) codes asked for are computed one at a time, at |supp|
-    terms each, which is all that a pair refuted at its first few values
-    needs; the next fills the whole list by _residue_table.
+    mu, keyed by the field object, and keeps every residue it computes, so
+    each residue of mu is computed at most once per field for the life of
+    mu, however many instances or zero tests share mu.  The first sum(q_j)
+    codes asked for are computed one at a time, at |supp| terms each, and
+    kept in a dict, which is all that a pair refuted at its first few
+    values needs; the next fills the whole code-indexed list by
+    _residue_table, the only N-sized allocation of the memo.
     """
     memo = mu._residues
     if memo is None:
@@ -262,19 +263,22 @@ def _residue_function(mu: Distribution, field) -> Callable[[int], int]:
     n = spec.exponent
     terms = _pair_terms(mu)
     powers, modulus = field.powers, field.modulus
-    values: list = [None] * n
-    lazy = sum(spec.orders)  # codes still to compute one at a time
+    lazy: dict[int, int] = {}  # the codes computed one at a time
+    window = sum(spec.orders)
+    table = None
 
     def residue(y: int) -> int:
-        nonlocal lazy
-        value = values[y]
+        nonlocal table
+        if table is not None:
+            return table[y]
+        value = lazy.get(y)
         if value is None:
-            if lazy:
-                lazy -= 1
-                value = values[y] = sum(a * powers[t * y % n] for t, a in terms) % modulus
+            if len(lazy) < window:
+                value = lazy[y] = sum(a * powers[t * y % n] for t, a in terms) % modulus
             else:
-                values[:] = _residue_table(mu, field)
-                value = values[y]
+                table = _residue_table(mu, field)
+                lazy.clear()
+                value = table[y]
         return value
 
     return residue

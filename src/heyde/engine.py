@@ -47,22 +47,21 @@ The equation loop compares the two products of each pair (u, v) as the
 caller's multiplication returns them: residues mod M here and for the
 lemma verifiers' character tables; on their interned route, the only one
 whose values are costly to multiply, ids of cyclotomic values with a
-memoized product of ids.  It visits every pair
-at its first v only, which reads both character tables in full.  At
-every later v it visits only the u at which a side can be nonzero (a
-falsy value is zero).  For the verdict of satisfies_heyde_equation the
-later pairs are taken on a quotient: the character sums are
-quasi-periodic under the unit-modulus set K = eZ(N), so u runs over
-Z(N)/K and v over Z(N)/K', K' = e'Z(N) the part of K that also
-annihilates x1 + alpha x2 (_equation_quotient).  After its first v the
-loop then costs at most (e' / 2) * min(e, 2 |S| / (N / e)) pairs, with S
-the nonzero codes, in place of N**2 / 2, and few for a pair with a Haar
-factor, whose sums vanish off the annihilator of that subgroup.  For two
-point masses K = Z(N) is known at once, so the loop skips the first v and
-runs on the quotient from the start: u = 0 alone, no residue table, and
-no pair at all when the pair is symmetric (e' = 1).  A residue table
-costs |supp| + d * sum(q_j) at most, from the pushforward of the margin
-to Z(d), d the index of its translation stabilizer
+memoized product of ids.  It visits every u at its first v, reading the
+character tables lazily, and at every later v only the u at which a side
+can be nonzero (a falsy value is zero).  The verdict of
+satisfies_heyde_equation is taken on a quotient from the first pair on:
+the character sums are quasi-periodic under the unit-modulus set
+K = eZ(N), so u runs over Z(N)/K and v over Z(N)/K', K' = e'Z(N) the part
+of K that also annihilates x1 + alpha x2 (_equation_quotient, whose proof
+needs no pair visited first).  The first v, v = 1, then visits e values
+of u, and the later v cost at most (e' / 2) * min(e, 2 |S| / (N / e)) pairs
+in all, with S the nonzero codes, in place of N**2 / 2, and few for a pair
+with a Haar factor, whose sums vanish off the annihilator of that
+subgroup.  For two point masses K = Z(N) is known at once: u = 0 alone,
+no residue table, and no pair at all when the pair is symmetric (e' = 1).
+A residue table costs |supp| + d * sum(q_j) at most, from the pushforward
+of the margin to Z(d), d the index of its translation stabilizer
 (distributions._residue_table).  The lemma verifiers take the quotient
 for a verdict only, and rerun every pair in element order to report the
 first violation.
@@ -91,7 +90,6 @@ import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from math import gcd, lcm
 
 from .cyclotomic import modular_field
@@ -342,7 +340,7 @@ def first_equation_violation(
     g: Callable[[int], object],
     beta: Endomorphism,
     mul: Callable[[object, object], object] = operator.mul,
-    quotient: Callable[[], tuple[int, int]] | tuple[int, int] | None = None,
+    quotient: tuple[int, int] | None = None,
 ) -> tuple[Element, Element] | None:
     """First (u, v) with f(u + v) g(u + beta v) != f(u - v) g(u - beta v), or None.
 
@@ -373,42 +371,35 @@ def first_equation_violation(
     pair holds exactly, so the (u, v) reported is the one the dense loop
     reports.
 
-    A caller that only needs the verdict may pass quotient, called once
-    the first v holds, which returns the indices (e, e') of subgroups
-    K = eZ(N) and K' = e'Z(N) with this property: the identity holds at
-    (u + k, v) exactly when at (u, v) for k in K, and at (u, v + k)
-    exactly when at (u, v) for k in K' (satisfies_heyde_equation proves it
-    for character sums).  The later v then run over the representatives
+    A caller that only needs the verdict may pass quotient, the indices
+    (e, e') of subgroups K = eZ(N) and K' = e'Z(N) with this property: the
+    identity holds at (u + k, v) exactly when at (u, v) for k in K, and at
+    (u, v + k) exactly when at (u, v) for k in K' (_equation_quotient
+    proves it for character sums).  v then runs over the representatives
     1 .. e' - 1 of Z(N)/K' with v < e' - v, since v and -v state the same
-    identity and no v but 0 is its own negative mod the odd e'; and u over
-    the representatives 0 .. e - 1 of Z(N)/K, or only those in
-    (S - v) | (S + v) mod e, when f and g are zero on whole K-cosets, as
-    the unit factor of the translation makes them.  e' = 1 leaves no v.
-    The pair then reported is a representative of a violation, not the
-    first in element order.  A caller that knows (e, e') before the first
-    v may pass the pair itself: the loop then skips the dense first v,
-    whose pairs the quotient stands for too.  With e = 1, as for two point
-    masses, u = 0 stands for every u, so f and g are read at the codes of
-    the visited v alone and no table is filled.
+    identity and no v but 0 is its own negative mod the odd e', and e' = 1
+    leaves no v.  u runs over the representatives 0 .. e - 1 of Z(N)/K:
+    all of them at the first v, v = 1, where f and g are read lazily as
+    above, and at each later v only those in (S - v) | (S + v) mod e, when
+    f and g are zero on whole K-cosets, as the unit factor of the
+    translation makes them.  The pair then reported is a representative of
+    a violation, not the first in element order.  With e = 1, as for two
+    point masses, u = 0 stands for every u, so f and g are read at the
+    codes of the visited v alone and no table is filled.
     """
     n = spec.exponent
     rank = spec.crt_rank
     b = beta.code
-    codes = spec.crt_codes
-    vs = _equation_vs(spec)
-
-    if quotient is None or callable(quotient):
-        v = next(vs)
-        u = _first_violation(f, g, codes, v, b * v % n, n, mul)
+    if quotient is None:  # u runs over Z(N) / mZ(N)
+        m, every_u, vs = n, spec.crt_codes, _equation_vs(spec)
+    else:
+        m, m_v = quotient
+        every_u, vs = range(m), iter(range(1, (m_v + 1) // 2))
+    v = next(vs, None)  # the first v visits every u, reading f and g lazily
+    if v is not None:
+        u = _first_violation(f, g, every_u, v, b * v % n, n, mul)
         if u is not None:
             return spec.element(u), spec.element(v)
-        if quotient is not None:
-            quotient = quotient()
-    m, every_u = n, codes  # u runs over Z(N) / mZ(N)
-    if quotient is not None:
-        m, m_v = quotient
-        vs = range(1, (m_v + 1) // 2)
-        every_u = range(m)
     if m == 1:
         support = every_u  # u = 0 alone: f and g are read where visited
     else:
@@ -481,21 +472,16 @@ def _residue_equation_holds(mu1: Distribution, mu2: Distribution, beta: Endomorp
     of satisfies_heyde_equation and of the lemma verifiers.
 
     first_equation_violation runs on the quotient of _equation_quotient,
-    whose proof holds for any beta, after its first v; for two point
-    masses (1, e') is known before the first v, and is passed as it is.
+    whose proof holds for any beta, from its first v.
     """
     modulus = field.modulus
-    if len(mu1.points) == len(mu2.points) == 1:
-        quotient = _equation_quotient(mu1, mu2, beta)
-    else:
-        quotient = partial(_equation_quotient, mu1, mu2, beta)
     violation = first_equation_violation(
         mu1.spec,
         char_residues(mu1, field),
         char_residues(mu2, field),
         beta,
         lambda a, b: a * b % modulus,
-        quotient,
+        _equation_quotient(mu1, mu2, beta),
     )
     return violation is None
 
@@ -547,7 +533,8 @@ class AutomorphismRow:
     of _symmetry_route (symmetric(mu1, mu2, terms), the very route
     is_conditionally_symmetric runs), a field certified for every pair of
     margins whose denominators are at most top, its modulus M and product
-    mod M (mul), and the first v of the equation loop with beta v
+    mod M (mul), and the first v of the equation loop in element order
+    (first_equation_violation with no quotient) with beta v
     (first_v = (v, beta v, N)).  A row holds nothing N-sized: the u of the
     first v are spec.crt_codes itself.
 

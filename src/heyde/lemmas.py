@@ -309,12 +309,12 @@ def verify_difference_lemma(
     hypothesis_ok = positive and violation is None
     if not hypothesis_ok:
         detail = "hypothesis not satisfied"
-        if positive and violation is not None:
+        if positive:
             detail += f" at (u, v) = {violation}"
-        if not positive:
+        else:
             detail += ": tables must be strictly positive"
         return DifferenceLemmaReport(
-            hypothesis_ok=violation is None if positive else False,
+            hypothesis_ok=False,
             positive_ok=positive,
             evaluated=False,
             first_conclusion_ok=None,
@@ -464,10 +464,10 @@ def verify_fixed_point_lemma(
             parts.append("I - beta is not invertible")
         if not bounds:
             parts.append("values must lie in [0, 1]")
-        if bounds and invertible and violation is not None:
+        if bounds and invertible:
             parts.append(f"equation fails at (u, v) = {violation}")
         return FixedPointLemmaReport(
-            hypothesis_equation_ok=bounds and invertible and violation is None,
+            hypothesis_equation_ok=False,
             bounds_ok=bounds,
             invertible_ok=invertible,
             evaluated=False,

@@ -131,6 +131,13 @@ def _exit_2_with(capsys, argv, fragment):
     assert fragment in out["error"]
 
 
+def _refused_by_the_parser(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_boolean_mass_entry_exits_2(tmp_path, capsys):
     # true would otherwise read as mass 1 at element 1
     for entry, fragment in (
@@ -265,8 +272,11 @@ def test_non_list_fields_exit_2(tmp_path, capsys, command, obj, fragment):
 
 @pytest.mark.parametrize("flag", ["--seed", "--budget", "--denominator"])
 def test_non_object_sweep_config_with_a_flag_exits_2(tmp_path, capsys, flag):
+    # the flag once wrote its key into the config before the config was
+    # checked; sweep settings now come from the file alone
     path = write(tmp_path, "sweep.json", [Z5_SPEC])
-    _exit_2_with(capsys, ["sweep", "--input", path, flag, "2"], "'specs' list")
+    _exit_2_with(capsys, ["sweep", "--input", path], "'specs' list")
+    _refused_by_the_parser(capsys, ["sweep", "--input", path, flag, "2"])
 
 
 def _input_on(command, spec):
@@ -313,8 +323,8 @@ def test_random_sweep_budget_above_the_limit_exits_2(tmp_path, capsys):
     config = {"specs": [Z5_SPEC], "mode": "random", "budget": 10**20}
     with time_limit(10):
         _exit_2_with(capsys, ["sweep", "--input", write(tmp_path, "sweep.json", config)], "above the limit")
-        argv = ["sweep", "--spec", json.dumps(Z5_SPEC), "--budget", str(2 * 10**6 + 1)]
-        _exit_2_with(capsys, argv, "above the limit")
+        config = {"specs": [Z5_SPEC], "budget": 2 * 10**6 + 1}
+        _exit_2_with(capsys, ["sweep", "--input", write(tmp_path, "sweep.json", config)], "above the limit")
 
 
 @pytest.mark.parametrize("mode", ["random", "exhaustive"])
@@ -323,8 +333,8 @@ def test_negative_sweep_budget_exits_2(tmp_path, capsys, mode):
     config = {"specs": [Z5_SPEC], "mode": mode, "budget": -1, "denominator": 1}
     path = write(tmp_path, "sweep.json", config)
     _exit_2_with(capsys, ["sweep", "--input", path], "budget must be non-negative")
-    argv = ["sweep", "--spec", json.dumps(Z5_SPEC), "--budget", "-5"]
-    _exit_2_with(capsys, argv, "budget must be non-negative")
+    path = write(tmp_path, "sweep.json", {"specs": [Z5_SPEC], "budget": -5})
+    _exit_2_with(capsys, ["sweep", "--input", path], "budget must be non-negative")
 
 
 @pytest.mark.parametrize("mode", ["random", "exhaustive"])
@@ -449,11 +459,15 @@ def test_exhaustive_sweep_above_the_cost_limit_exits_2(tmp_path, capsys, monkeyp
         raise AssertionError("enumerated an inadmissible sweep")
 
     monkeypatch.setattr(heyde.sweep, "enumerate_distributions", enumerate_distributions)
-    spec = json.dumps({"components": [{"p": 3, "k": 2}, {"p": 5, "k": 1}]})
-    _exit_2_with(capsys, ["sweep", "--spec", spec, "--denominator", "4"], "908,673,033,600 instances")
-    config = {"specs": [Z9_SPEC, json.loads(spec)], "mode": "exhaustive", "denominator": 4}
-    _exit_2_with(capsys, ["sweep", "--input", write(tmp_path, "sweep.json", config)], "above the limit")
-    _exit_2_with(capsys, ["sweep", "--spec", spec, "--denominator", str(10**9)], "more than 10**30")
+    spec = {"components": [{"p": 3, "k": 2}, {"p": 5, "k": 1}]}
+
+    def argv(specs, denominator):
+        config = {"specs": specs, "mode": "exhaustive", "denominator": denominator}
+        return ["sweep", "--input", write(tmp_path, "sweep.json", config)]
+
+    _exit_2_with(capsys, argv([spec], 4), "908,673,033,600 instances")
+    _exit_2_with(capsys, argv([Z9_SPEC, spec], 4), "above the limit")
+    _exit_2_with(capsys, argv([spec], 10**9), "more than 10**30")
 
 
 def test_sweep_random_seeded(tmp_path, capsys):
@@ -472,11 +486,24 @@ def test_sweep_random_seeded(tmp_path, capsys):
     assert capsys.readouterr().out == first  # reproducible by seed
 
 
-def test_sweep_inline_spec_with_flags(capsys):
-    code = main(["sweep", "--spec", json.dumps(Z5_SPEC), "--budget", "10", "--seed", "3"])
+def test_sweep_inline_spec_with_flags(tmp_path, capsys):
+    # the inline form is gone; the config file that says the same runs
+    _refused_by_the_parser(capsys, ["sweep", "--spec", json.dumps(Z5_SPEC), "--budget", "10", "--seed", "3"])
+    path = write(tmp_path, "sweep.json", {"specs": [Z5_SPEC], "budget": 10, "seed": 3})
+    code = main(["sweep", "--input", path])
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     assert report["instances"] == 10
+
+
+@pytest.mark.parametrize("flag", ["--spec", "--seed", "--budget", "--denominator"])
+def test_the_removed_sweep_flags_are_refused(tmp_path, capsys, flag):
+    # they only repeated config keys, and --denominator also switched the
+    # mode; the config file is required and is read alone
+    value = json.dumps(Z5_SPEC) if flag == "--spec" else "3"
+    path = write(tmp_path, "sweep.json", {"specs": [Z5_SPEC], "budget": 1})
+    _refused_by_the_parser(capsys, ["sweep", "--input", path, flag, value])
+    _refused_by_the_parser(capsys, ["sweep", flag, value])
 
 
 def test_verify_lemmas_on_symmetric_instance(tmp_path, capsys):

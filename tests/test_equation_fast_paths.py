@@ -6,13 +6,17 @@ afterwards only the u at which one side can be nonzero;
 distributions._residue_table fills a residue table from the pushforward
 to the translation stabilizer's quotient, by one pass per CRT axis.  Each
 must agree exactly with its reference: the same (u, v) or None from the
-loop, the same residue at every code from the transform.  On the quotient
-by the unit-modulus set (satisfies_heyde_equation) the loop reports only
-a verdict, which must be the dense loop's.
+loop, the same residue at every code from the transform.
+satisfies_heyde_equation runs the loop on the quotient by the
+unit-modulus set from its first pair on, so that its first v visits one u
+per coset; there the loop reports only a verdict, which must be the dense
+loop's.
 """
 
 import collections
+import gc
 import operator
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -127,6 +131,31 @@ def test_residues_switch_to_the_transform_after_sum_of_orders_codes(monkeypatch)
     assert filled == []
     assert [residue(y) for y in codes] == [expected[y] for y in codes]
     assert filled == [mu]
+
+
+def test_the_residue_memo_holds_only_the_values_it_has_read():
+    # Each memo refers to its margin, which refers to the memo, so a dropped
+    # margin lives until the cyclic collector runs.  Read at two codes, it
+    # must hold those two residues, not a list of N entries.
+    spec = validate_spec([(3, 9)])
+    n = spec.exponent
+    field = _fields(n)[0]
+    stream = DeterministicStream(47, label="memo")
+    margins = [random_distribution(spec, 8, stream.derive(str(i))) for i in range(6)]
+    char_residues(margins.pop(), field)(1)  # the field's powers and the spec's tables
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for mu in margins:
+            residue = char_residues(mu, field)
+            residue(1)
+            residue(2)
+        del margins, mu, residue
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert held < 8 * n
 
 
 @pytest.mark.parametrize("spec", LADDER[:4], ids=_describe)
@@ -386,13 +415,14 @@ def test_shifted_haar_pair_fails_only_off_the_unit_modulus_set():
 
 def test_a_pair_refuted_at_its_first_v_computes_no_quotient(monkeypatch):
     # Random pairs, as a sweep draws them, are refuted within the first few
-    # u of their first v: before either residue table is filled, so neither
-    # the unit-modulus set nor a translation stabilizer may be computed.
+    # u of their first v: before either residue table is filled, so no
+    # translation stabilizer may be computed.  Their quotient comes first,
+    # by design, and costs O(|supp|) gcds.
     def refuse(*args):
         raise AssertionError("a subgroup was computed before the first v held")
 
-    monkeypatch.setattr(engine, "unit_modulus_set", refuse)
     monkeypatch.setattr(distributions, "stabilizer_index", refuse)
+    monkeypatch.setattr(distributions, "_residue_table", refuse)
     refuted = 0
     for spec in (Z9xZ5, LADDER[3]):
         n = spec.exponent
@@ -410,6 +440,7 @@ def test_a_pair_refuted_at_its_first_v_computes_no_quotient(monkeypatch):
     assert refuted >= 100
     # a pair whose first v holds does reach the quotient, unless both
     # margins are point masses: their quotient (1, e') needs no subgroup
+    monkeypatch.setattr(engine, "unit_modulus_set", refuse)
     spec = Z9xZ5
     alpha = make_endo(spec, (2, 2))
     inst = HeydeInstance(spec, degenerate(spec, (7, 3)), degenerate(spec, (1, 1)), alpha)
@@ -420,12 +451,46 @@ def test_a_pair_refuted_at_its_first_v_computes_no_quotient(monkeypatch):
         satisfies_heyde_equation(inst)
 
 
+def test_the_first_v_on_the_quotient_visits_e_codes(monkeypatch):
+    # A constructed pair with 1 < e < N: satisfies_heyde_equation starts on
+    # the quotient, so its first v visits the e representatives of Z(N)/K,
+    # not every code of Z(N).
+    spec = LADDER[3]
+    n = spec.exponent
+    stream = DeterministicStream(43, label="first v on the quotient")
+    alphas = enumerate_automorphisms(spec)
+    subs = enumerate_subgroups(spec)
+    for i in range(50):
+        s = stream.derive(str(i))
+        sub, alpha = s.choice(subs), s.choice(alphas)
+        if not construction_admissible(sub, alpha):
+            continue
+        rho = random_distribution(spec, 3, s.derive("rho"), support=sub)
+        inst = construct_instance(sub, alpha, rho, spec.element(s.randint(0, n - 1))).instance
+        e, _ = _equation_quotient(inst.mu1, inst.mu2, inst.alpha.adjoint())
+        if 1 < e < n:
+            break
+    else:
+        pytest.fail("no constructed pair with 1 < e < N")
+    visited = []
+    real = engine._first_violation
+
+    def counted(f, g, us, *rest):
+        us = list(us)
+        visited.append(len(us))
+        return real(f, g, us, *rest)
+
+    monkeypatch.setattr(engine, "_first_violation", counted)
+    assert satisfies_heyde_equation(inst)
+    assert visited[0] == e
+
+
 @pytest.mark.parametrize(
     "components", [[(3, 2), (5, 1), (7, 1), (11, 1)], [(3, 1), (5, 1), (7, 1), (11, 1), (13, 1)]]
 )
 def test_symmetric_point_masses_within_a_second(components):
-    # delta_a, delta_b with a + 2 b = 0: K = K' = Z(N), so after the first v
-    # no pair is left, and the tables are one point of the pushforward.
+    # delta_a, delta_b with a + 2 b = 0: K = K' = Z(N), so no pair is left
+    # to visit, and no residue is read.
     spec = validate_spec(components)
     n = spec.exponent
     alpha = make_endo(spec, (2,) * len(components))
