@@ -29,7 +29,8 @@ residues of character tables (char_residues).
 Quantities that depend on one distribution only (its code -> numerator
 map, residues, zero classes and translation stabilizer, and its canonical
 shift into each subgroup, for engine) are memoized on it, as plain
-attributes filled on first use.
+attributes filled on first use; a translate built from it (shift, and
+engine's canonical shift) starts with its stabilizer and zero classes.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ import struct
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from math import gcd, lcm
+from functools import cached_property, lru_cache
+from math import gcd, lcm, prod
 
 from . import cyclotomic
 from .cyclotomic import CycloElement
@@ -167,9 +168,28 @@ def reflect(mu: Distribution) -> Distribution:
 
 def shift(mu: Distribution, x: Element) -> Distribution:
     spec = mu.spec
+    return _translate(mu, spec.crt(spec.reduce(x)))
+
+
+def _translate(mu: Distribution, c: int) -> Distribution:
+    """mu shifted by the code c, carrying mu's filled stabilizer and zero-class memos.
+
+    A translate nu(r) = mu(r - c) has the same translation stabilizer:
+    nu(r + h) = mu(r - c + h) equals nu(r) = mu(r - c) at every r exactly
+    when mu(r + h) = mu(r) at every r.  Its character sum is
+    zeta**(s c y) times mu's at each y, a unit factor, so it has the same
+    zeros and the same zero classes.  So both memos hold for the translate
+    as they stand, and the zero-class dict, which callers only read, is
+    shared.
+    """
+    spec = mu.spec
     n = spec.exponent
-    c = spec.crt(spec.reduce(x))
-    return _canonical(spec, mu.den, (((r + c) % n, a) for r, a in mu.points))
+    nu = _canonical(spec, mu.den, (((r + c) % n, a) for r, a in mu.points))
+    for name in ("_stabilizer", "_zero_classes"):
+        value = getattr(mu, name)
+        if value is not None:
+            _memo(nu, name, value)
+    return nu
 
 
 def _pair_terms(mu: Distribution) -> list[tuple[int, int]]:
@@ -243,11 +263,25 @@ def char_residues(mu: Distribution, field) -> Callable[[int], int]:
     zero test needs (cyclotomic._ModField).  The function is memoized on
     mu, keyed by the field object, and keeps every residue it computes, so
     each residue of mu is computed at most once per field for the life of
-    mu, however many instances or zero tests share mu.  The first sum(q_j)
-    codes asked for are computed one at a time, at |supp| terms each, and
-    kept in a dict, which is all that a pair refuted at its first few
-    values needs; the next fills the whole code-indexed list by
-    _residue_table, the only N-sized allocation of the memo.
+    mu, however many instances or zero tests share mu.  Codes are computed
+    one at a time, at |supp| terms each, and kept in a dict, which is all
+    that a pair refuted at its first few values needs.  Past that window
+    the next code asked for fills the whole code-indexed list by
+    _residue_table, the only N-sized allocation of the memo, at
+    |supp| + d * sum(gcd(q_j, d)) terms at most, d = stabilizer_index(mu)
+    (_table_cost).  The window is sum(q_j) codes, or fewer once the codes
+    read cost as much as that table (_lazy_window): a margin
+    read widely then pays at most about twice the cheaper of the two, and
+    one read at a few codes pays for those codes alone.  The window is
+    first priced at the least d the support allows, with no stabilizer
+    computed: dZ(N) has order N / d, and the support is a union of its
+    cosets, so N / d divides gcd(|supp|, N).  Where it ends, d is
+    computed, as the table needs it, and the window is priced again at
+    the true d.  So a margin whose size is prime to N, as most sweep
+    margins are, keeps the window of sum(q_j) codes with no stabilizer
+    computed before its end, any margin reads its first code with none,
+    and one on a Haar factor of small index fills its table after a few
+    codes.  char_residue_table gives the list itself.
     """
     memo = mu._residues
     if memo is None:
@@ -258,30 +292,80 @@ def char_residues(mu: Distribution, field) -> Callable[[int], int]:
     return residue
 
 
+def char_residue_table(mu: Distribution, field) -> list[int]:
+    """Every residue of char_residues(mu, field), as one code-indexed list,
+    filled by _residue_table once per field.  It is zero off the multiples
+    of N / stabilizer_index(mu) (_residue_table).  Once filled, the memo
+    holds the list's __getitem__ as the residue function, and any earlier
+    residue function of the memo reads the same list once it leaves its
+    window."""
+    residue = char_residues(mu, field)
+    table = getattr(residue, "__self__", None)  # a filled memo is table.__getitem__
+    if table is None:
+        table = _residue_table(mu, field)
+        mu._residues[field] = table.__getitem__
+    return table
+
+
 def _residue_function(mu: Distribution, field) -> Callable[[int], int]:
     spec = mu.spec
     n = spec.exponent
     terms = _pair_terms(mu)
     powers, modulus = field.powers, field.modulus
     lazy: dict[int, int] = {}  # the codes computed one at a time
-    window = sum(spec.orders)
+    window = _least_window(spec.orders, len(terms))
     table = None
 
     def residue(y: int) -> int:
-        nonlocal table
+        nonlocal table, window
         if table is not None:
             return table[y]
         value = lazy.get(y)
         if value is None:
-            if len(lazy) < window:
-                value = lazy[y] = sum(a * powers[t * y % n] for t, a in terms) % modulus
-            else:
-                table = _residue_table(mu, field)
-                lazy.clear()
-                value = table[y]
+            if len(lazy) >= window:  # the window ends here: price it at the true d
+                window = _lazy_window(mu.spec.orders, len(terms), stabilizer_index(mu))
+                if len(lazy) >= window:
+                    table = char_residue_table(mu, field)
+                    lazy.clear()
+                    return table[y]
+            value = lazy[y] = sum(a * powers[t * y % n] for t, a in terms) % modulus
         return value
 
     return residue
+
+
+@lru_cache(maxsize=None)
+def _least_window(orders: tuple[int, ...], size: int) -> int:
+    """_lazy_window at the least stabilizer index a support of size points
+    allows, N / gcd(size, N), N the product of the component orders: it
+    depends on the group and the size alone, so it is formed once for
+    each.  With gcd(size, N) = 1 that index is N, the table costs
+    size + N * sum(q_j), and the window is sum(q_j)."""
+    n = prod(orders)
+    return _lazy_window(orders, size, n // gcd(size, n))
+
+
+def _lazy_window(orders: tuple[int, ...], size: int, d: int) -> int:
+    """The codes a residue memo of a margin of size points computes one at a
+    time, for a stabilizer index d and component orders q_j: sum(q_j), or
+    fewer once they cost as much as its table (_table_cost)."""
+    return min(sum(orders), (size + _pass_cost(orders, d)) // size)
+
+
+def _table_cost(spec: GroupSpec, size: int, d: int) -> int:
+    """The terms _residue_table spends at most on a margin of size points
+    with stabilizer index d: size for the pushforward to Z(d), and
+    d * gcd(q_j, d) for the pass of axis j (_pass_cost).  It only grows as
+    d grows by multiples, so at the least d a support allows it bounds the
+    cost from below."""
+    return size + _pass_cost(spec.orders, d)
+
+
+@lru_cache(maxsize=None)
+def _pass_cost(orders: tuple[int, ...], d: int) -> int:
+    """d * sum(gcd(q_j, d)) over the component orders q_j, for a divisor d
+    of their product: formed once per group and d."""
+    return d * sum(gcd(q, d) for q in orders)
 
 
 def _residue_table(mu: Distribution, field) -> list[int]:

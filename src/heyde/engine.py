@@ -39,30 +39,38 @@ symmetric pair built on a Haar factor costs one pair per coset in place
 of |supp1| * |supp2|.  Otherwise it first compares P(l1, l2) with
 P(l1, -l2) at one key of the first point of mu1, in O(|supp1|) lookups,
 and stops there when they differ; only then does it build the joint pmfs
-of (L1, L2) and (L1, -L2) and compare them.  The canonical shift sorts one
-candidate per coset of the margin's translation stabilizer, among its
-points of least mass, in place of one per support point.
+of (L1, L2) and (L1, -L2) and compare them, on Z(m) for m the least
+common multiple of the stabilizer indices and of the part of N on whose
+axes alpha = 1, one point per coset of mZ(N) in each margin.  The
+canonical shift sorts one candidate per coset of the margin's
+translation stabilizer, among its points of least mass, in place of one
+per support point.
 
-The equation loop compares the two products of each pair (u, v) as the
-caller's multiplication returns them: residues mod M here and for the
-lemma verifiers' character tables; on their interned route, the only one
-whose values are costly to multiply, ids of cyclotomic values with a
-memoized product of ids.  It visits every u at its first v, reading the
-character tables lazily, and at every later v only the u at which a side
-can be nonzero (a falsy value is zero).  The verdict of
-satisfies_heyde_equation is taken on a quotient from the first pair on:
-the character sums are quasi-periodic under the unit-modulus set
-K = eZ(N), so u runs over Z(N)/K and v over Z(N)/K', K' = e'Z(N) the part
-of K that also annihilates x1 + alpha x2 (_equation_quotient, whose proof
-needs no pair visited first).  The first v, v = 1, then visits e values
-of u, and the later v cost at most (e' / 2) * min(e, 2 |S| / (N / e)) pairs
-in all, with S the nonzero codes, in place of N**2 / 2, and few for a pair
-with a Haar factor, whose sums vanish off the annihilator of that
-subgroup.  For two point masses K = Z(N) is known at once: u = 0 alone,
-no residue table, and no pair at all when the pair is symmetric (e' = 1).
-A residue table costs |supp| + d * sum(q_j) at most, from the pushforward
-of the margin to Z(d), d the index of its translation stabilizer
-(distributions._residue_table).  The lemma verifiers take the quotient
+The dual equation has two routes, and _residue_equation_holds takes the
+one its estimate prices lower.  The loop compares the two products of
+each pair (u, v) as the caller's multiplication returns them: residues
+mod M here and for the lemma verifiers' character tables; on their
+interned route, the only one whose values are costly to multiply, ids of
+cyclotomic values with a memoized product of ids.  It visits every u at
+its first v, reading the character tables lazily, and at every later v
+only the u at which a side can be nonzero (a falsy value is zero).  For a
+verdict it runs on a quotient from the first pair on: the character sums
+are quasi-periodic under the unit-modulus set K = eZ(N), so u runs over
+Z(N)/K and v over Z(N)/K', K' = e'Z(N) the part of K that also
+annihilates x1 + alpha x2 (_equation_quotient, whose proof needs no pair
+visited first).  The first v, v = 1, then visits e values of u, a
+quotient with e' <= 3 has no later v and fills no table, and the later v
+cost at most (e' / 2) * min(e, 2 |S| / (N / e)) pairs in all, with S the
+nonzero codes, in place of N**2 / 2.  For two point masses K = Z(N) is
+known at once: u = 0 alone, no residue table, and no pair at all when the
+pair is symmetric (e' = 1).  The support-pair route (_support_pairs_hold)
+checks the identity only where its left side is nonzero: there u + v and
+u + beta v are nonzero codes s and t of the two residue tables, and
+(beta - 1) v = t - s has gcd(beta - 1, N) solutions or none.  A residue
+table costs |supp| + d * sum(q_j) at most, from the pushforward of the
+margin to Z(d), d the index of its translation stabilizer, and is nonzero
+on at most d codes (distributions._residue_table), so a pair with Haar
+factors is decided on a few codes.  The lemma verifiers take either route
 for a verdict only, and rerun every pair in element order to report the
 first violation.
 
@@ -79,25 +87,32 @@ per instance: a Distribution memoizes its residues per field
 translation stabilizer (distributions.stabilizer_index) and its canonical
 shift into each subgroup, with the check that shifting back recovers it
 (_canonical_shift), so a sweep that pairs each margin with many others
-pays for them once, and the joint test, the canonical shift and
-decompose share one stabilizer.  An Endomorphism is its CRT multiplier alone, so
-I + alpha and I - alpha cost one addition mod N each.
+pays for them once, and the symmetry test, the canonical shift and
+decompose share one stabilizer.  A translate built from a margin, as the
+canonical shift and shift build them, carries the margin's stabilizer
+and zero classes (distributions._translate), and classify_corollary
+reads the zero classes of lambda once the margins are its shifts.  An
+Endomorphism is its CRT multiplier alone, so I + alpha and I - alpha
+cost one addition mod N each.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .cyclotomic import modular_field
 from .distributions import (
     Distribution,
-    _canonical,
     _memo,
+    _table_cost,
+    _translate,
     char_fn_zero_classes,
+    char_residue_table,
     char_residues,
     difference_subgroup,
     from_pmf,
@@ -139,7 +154,8 @@ def is_conditionally_symmetric(inst: HeydeInstance) -> bool:
     unit mod N the pair is decided pointwise on the support of mu1 x mu2
     (_involution_symmetric); otherwise by comparing the two joint pmfs
     (_joint_symmetric), after one key of them that refutes most pairs
-    that are not symmetric.  Both routes compare integer numerators only,
+    that are not symmetric, on a quotient Z(m) when the margins are
+    invariant under mZ(N).  Both routes compare integer numerators only,
     so the verdict is the exact one.  _symmetry_route picks the route.
     """
     terms, symmetric = _symmetry_route(inst.alpha)
@@ -174,9 +190,16 @@ def _symmetry_route(alpha: Endomorphism) -> tuple[Callable, Callable]:
     )
 
 
-# Support pairs above which _involution_symmetric computes the margins'
-# stabilizers after the first row: below it the plain loop is cheaper.
+# Support pairs above which both symmetry routes compute the margins'
+# stabilizers after their first exit: below it the plain loop is cheaper.
 _COSET_MIN_PAIRS = 64
+
+
+def _cosets(points, m: int) -> dict[int, tuple[int, int]]:
+    """One (code, numerator) of points per class mod m, keyed by the class:
+    for a margin invariant under mZ(N), one point per coset, each with the
+    numerator of its whole coset."""
+    return {r % m: (r, w) for r, w in points}
 
 
 def _involution_constants(a: int, n: int) -> tuple[int, int]:
@@ -233,10 +256,10 @@ def _involution_symmetric(
             return False
         h = lcm(stabilizer_index(mu1), stabilizer_index(mu2))
         if h < n:
-            cosets = {r % h: (r, w) for r, w in firsts}
+            cosets = _cosets(firsts, h)
             cosets.pop(first[0] % h, None)
             firsts = cosets.values()
-            second = _involution_terms({r % h: (r, w) for r, w in mu2.points}.values(), c2, n)
+            second = _involution_terms(_cosets(mu2.points, h).values(), c2, n)
     return _involution_holds(firsts, second, get1, get2, c1, n)
 
 
@@ -291,6 +314,32 @@ def _joint_symmetric(
     pair that is not symmetric, as nearly every sweep pair is not, mostly
     stops at this key, at about |supp mu1| steps in place of
     |supp mu1| * |supp mu2|.
+
+    Above _COSET_MIN_PAIRS support pairs, the joint pmfs are then built on
+    Z(m), m = lcm(d1, d2, A), with d_i the stabilizer index of mu_i
+    (distributions.stabilizer_index, memoized on each margin) and A the
+    product of the q_j with alpha = 1 (mod p_j) (_fixed_part).  That
+    decides the same thing.  Let H = mZ(N) and Phi(x1, x2) =
+    (x1 + x2, x1 + alpha x2) = (L1, L2).  H is a cyclic group of order
+    N / m, and no p_j divides both N / m and a - 1: when a = 1 (mod p_j),
+    q_j divides A and so m.  So alpha - 1 is a unit on H, and Phi maps H x H into itself
+    with kernel {(-k, k) : (alpha - 1) k = 0} = 0 there, so onto it; so does
+    S(l1, l2) = (l1, -l2).  P = mu1 x mu2 is invariant under translation by
+    H x H, as each mu_i is under d_i Z(N), which contains H.  Then
+    Phi_* P(l + Phi(k)) = P(Phi^-1(l) + k) = Phi_* P(l) for k in H x H, so
+    Phi_* P, and likewise S_* Phi_* P, are invariant under H x H.  Two
+    measures invariant under H x H are equal exactly when their pushforwards
+    to (Z(N) / H)**2 = Z(m)**2 are, each mass being the mass of its coset
+    over |H|**2; S commutes with reduction mod m, and the pushforward of
+    Phi_* P is the law of (L1 mod m, L2 mod m), that is Phi on Z(m) applied
+    to the pushforwards of the margins, which put (N / m) times the
+    numerator of each coset on its class.  So the pmfs are compared over
+    one point per class of each margin (_cosets), on keys mod m, and the
+    common factor (N / m)**2 of every mass keeps every equality.  With
+    alpha = 1 on no axis and Haar factors on the margins, m is the least
+    common stabilizer index, and |supp1| * |supp2| products become
+    (N / m)**2 times fewer.  The coset stage of _involution_symmetric takes
+    its points by the same _cosets, on Z(lcm(d1, d2)).
     """
     firsts = mu1.points
     r1 = firsts[0][0]
@@ -301,6 +350,12 @@ def _joint_symmetric(
             if plus != minus:
                 return False
             break
+    if len(firsts) * len(second) > _COSET_MIN_PAIRS:
+        m = lcm(stabilizer_index(mu1), stabilizer_index(mu2), _fixed_part(mu1.spec, a))
+        if m < n:
+            firsts = _cosets(firsts, m).values()
+            second = _joint_terms(_cosets(mu2.points, m).values(), a)
+            n = m
     joint: dict[int, int] = {}
     for r1, w1 in firsts:
         for r2, ar2, w2 in second:
@@ -311,6 +366,13 @@ def _joint_symmetric(
         if joint.get(key - l2 + (n - l2) % n) != m:
             return False
     return True
+
+
+def _fixed_part(spec: GroupSpec, a: int) -> int:
+    """The product of the component orders q_j on whose prime the multiplier
+    a is 1, a = 1 (mod p_j): the part of N on which a - 1 need not be a
+    unit, which _joint_symmetric keeps in its quotient."""
+    return prod(c.order for c in spec.components if (a - 1) % c.p == 0)
 
 
 def _joint_masses_at(firsts, get2, a: int, l1: int, l2: int, n: int) -> tuple[int, int]:
@@ -360,11 +422,12 @@ def first_equation_violation(
 
     The first v is dense: it visits every u, calling f and g four times
     per u, so they should be cheap or memoized (char_residues is).  A pair
-    refuted there has read only the values it needed.  Otherwise f and g
-    have been read at every code, and every later v reads one table of
-    each, filled once.  Each later v visits only the candidate pairs.  A
-    pair with f(u + v) = f(u - v) = 0 has both products zero, so with S the
-    codes where f is nonzero only u in (S - v) | (S + v) is visited, in
+    refuted there, or with no later v, has read only the values it needed.
+    Otherwise f and g are read at every code, and every later v reads one
+    table of each, filled once.  Each later v visits only the candidate
+    pairs.  A pair with f(u + v) = f(u - v) = 0 has both products zero, so
+    with S the codes where f is nonzero only u in (S - v) | (S + v) is
+    visited, in
     element order; with g, u in (S - beta v) | (S + beta v), when g has
     fewer nonzero codes.  That is at most 2 |S| pairs per v in place of N.
     When 2 |S| >= N, as for point masses, every v stays dense.  A skipped
@@ -382,13 +445,13 @@ def first_equation_violation(
     all of them at the first v, v = 1, where f and g are read lazily as
     above, and at each later v only those in (S - v) | (S + v) mod e, when
     f and g are zero on whole K-cosets, as the unit factor of the
-    translation makes them.  The pair then reported is a representative of
-    a violation, not the first in element order.  With e = 1, as for two
-    point masses, u = 0 stands for every u, so f and g are read at the
-    codes of the visited v alone and no table is filled.
+    translation makes them, in no set order.  The pair then reported is a
+    representative of a violation, not the first in element order.  With
+    e' <= 3 the first v is the only one, and no table is filled.  With
+    e = 1, as for two point masses, u = 0 stands for every u, so f and g
+    are read at the codes of the visited v alone and no table is filled.
     """
     n = spec.exponent
-    rank = spec.crt_rank
     b = beta.code
     if quotient is None:  # u runs over Z(N) / mZ(N)
         m, every_u, vs = n, spec.crt_codes, _equation_vs(spec)
@@ -400,6 +463,9 @@ def first_equation_violation(
         u = _first_violation(f, g, every_u, v, b * v % n, n, mul)
         if u is not None:
             return spec.element(u), spec.element(v)
+        v = next(vs, None)
+    if v is None:  # no later v, so no table to fill
+        return None
     if m == 1:
         support = every_u  # u = 0 alone: f and g are read where visited
     else:
@@ -412,15 +478,14 @@ def first_equation_violation(
         support = nonzero_g if on_g else nonzero_f
         if quotient is not None:
             support = {i % m for i in support}
-    for v in vs:
+    for v in itertools.chain((v,), vs):
         bv = b * v % n
         us = every_u
         if 2 * len(support) < m:
             d = bv if on_g else v
-            us = sorted(
-                {(s + d) % m for s in support}.union((s - d) % m for s in support),
-                key=rank.__getitem__,
-            )
+            us = {(s + d) % m for s in support}.union((s - d) % m for s in support)
+            if quotient is None:  # the first violation in element order
+                us = sorted(us, key=spec.crt_rank.__getitem__)
         u = _first_violation(f, g, us, v, bv, n, mul)
         if u is not None:
             return spec.element(u), spec.element(v)
@@ -469,11 +534,42 @@ def _residue_equation_holds(mu1: Distribution, mu2: Distribution, beta: Endomorp
     """Whether the dual equation of the character sums of mu1 and mu2 under
     beta holds, decided on their residues in field, a field certified for
     2 * mu1.den * mu2.den (cyclotomic._ModField): the one residue equation
-    of satisfies_heyde_equation and of the lemma verifiers.
+    of satisfies_heyde_equation and of the lemma verifiers, and the one
+    place where its route is chosen, by estimated cost in residue terms.
 
-    first_equation_violation runs on the quotient of _equation_quotient,
-    whose proof holds for any beta, from its first v.
+    With s = |supp1| + |supp2| and (e, e') = _equation_quotient, computed
+    once, the loop of first_equation_violation on that quotient reads about
+    4e residues at s terms each at its first v, and visits at most
+    (e' / 2) * min(e, 2 s) pairs at the later v.  The support-pair route
+    (_support_pairs_hold) fills both residue tables, at |supp_i| +
+    d_i * sum(gcd(q_j, d_i)) terms at most, d_i the stabilizer index of
+    mu_i (distributions._table_cost), and checks at most d1 * d2 * h pairs,
+    h = gcd(b - 1, N).  The support pairs are priced first at the least
+    d_i the supports allow, N / gcd(|supp_i|, N), as the support of mu_i is
+    a union of cosets of d_i Z(N) (distributions.char_residues), and that
+    price only grows with d_i; only when it beats the loop are the
+    stabilizers computed, and the support pairs are taken when their true
+    price beats it too.  So a pair whose support sizes are prime to N,
+    whose least d_i are N, computes no stabilizer, and a pair whose
+    margins have Haar factors, whose tables are nonzero on few codes, is
+    decided on those codes.  Both routes decide the residue identity at
+    every pair exactly, so the verdict does not depend on the route.
     """
+    spec = mu1.spec
+    n = spec.exponent
+    quotient = e, e_v = _equation_quotient(mu1, mu2, beta)
+    size1, size2 = len(mu1.points), len(mu2.points)
+    size = size1 + size2
+    loop = 4 * e * size + e_v // 2 * min(e, 2 * size)
+    h = gcd(beta.code - 1, n)
+
+    def support_pairs(d1: int, d2: int) -> int:
+        return _table_cost(spec, size1, d1) + _table_cost(spec, size2, d2) + d1 * d2 * h
+
+    # priced first at the least indices the supports allow
+    if support_pairs(n // gcd(size1, n), n // gcd(size2, n)) < loop:
+        if support_pairs(stabilizer_index(mu1), stabilizer_index(mu2)) < loop:
+            return _support_pairs_hold(mu1, mu2, beta, field)
     modulus = field.modulus
     violation = first_equation_violation(
         mu1.spec,
@@ -481,9 +577,57 @@ def _residue_equation_holds(mu1: Distribution, mu2: Distribution, beta: Endomorp
         char_residues(mu2, field),
         beta,
         lambda a, b: a * b % modulus,
-        _equation_quotient(mu1, mu2, beta),
+        quotient,
     )
     return violation is None
+
+
+def _support_pairs_hold(mu1: Distribution, mu2: Distribution, beta: Endomorphism, field) -> bool:
+    """The residue equation of _residue_equation_holds, decided at the pairs
+    (u, v) where its left side can be nonzero: over the nonzero codes of
+    the two residue tables (distributions.char_residue_table, read through
+    the memo of each margin).
+
+    Write R1, R2 for the tables and b for the multiplier of beta, and
+    P1(u, v) = R1(u + v) R2(u + b v), P2(u, v) = R1(u - v) R2(u - b v), all
+    mod M.  Then P2(u, v) = P1(u, -v).  The equation is P1 = P2 at every
+    (u, v), and it suffices to check it where P1 != 0: where P1(u, v) = 0,
+    P2(u, v) = P1(u, -v) is nonzero only if (u, -v) is a pair with
+    P1 != 0, and there P2(u, -v) = P1(u, v) = 0 != P1(u, -v), which that
+    check refutes.  P1(u, v) != 0 (mod M) needs both factors nonzero, in
+    any ring: u + v = s in S1 and u + b v = t in S2, the nonzero codes of
+    the tables.  So (b - 1) v = t - s (mod N).  With h = gcd(b - 1, N),
+    that has no solution unless h divides t - s, and then exactly h,
+    v0 + k N / h for k < h, v0 = ((t - s) / h) * ((b - 1) / h)**-1 mod N / h;
+    each gives u = s - v.  So one check per solution, over S1 x S2,
+    decides the equation: at most |S1| |S2| h checks.  S_i lies in the
+    multiples of N / d_i, d_i = stabilizer_index(mu_i), where
+    _residue_table proves the table vanishes elsewhere, so |S_i| <= d_i.
+    Zero means zero mod M, as in the loop, and every product is reduced
+    mod M, so the certification of cyclotomic._ModField holds as it does
+    for first_equation_violation.
+    """
+    n = mu1.spec.exponent
+    modulus = field.modulus
+    f, g = char_residue_table(mu1, field), char_residue_table(mu2, field)
+    b = beta.code
+    h = gcd(b - 1, n)
+    step = n // h  # the solutions v of (b - 1) v = c differ by multiples of N / h
+    inverse = pow((b - 1) // h, -1, step)
+    by_class: dict[int, list[int]] = {}  # the t of S2 by their class mod h
+    for t in range(0, n, n // stabilizer_index(mu2)):
+        if g[t]:
+            by_class.setdefault(t % h, []).append(t)
+    for s in range(0, n, n // stabilizer_index(mu1)):
+        if not f[s]:
+            continue
+        for t in by_class.get(s % h, ()):
+            left = f[s] * g[t] % modulus
+            for v in range((t - s) // h * inverse % step, n, step):
+                u = s - v
+                if left != f[(u - v) % n] * g[(u - b * v) % n] % modulus:
+                    return False
+    return True
 
 
 def _equation_quotient(mu1: Distribution, mu2: Distribution, beta: Endomorphism) -> tuple[int, int]:
@@ -648,7 +792,7 @@ def _canonical_shift(mu: Distribution, sub: Subgroup) -> tuple[Element, Distribu
         for y in lightest:
             firsts.setdefault(y % d, y)
         x = min(firsts.values(), key=lambda y: sorted((rank[(r - y) % n], a) for r, a in points))
-    shift_x, lam = spec.element(x), _canonical(spec, mu.den, (((r - x) % n, a) for r, a in points))
+    shift_x, lam = spec.element(x), _translate(mu, -x % n)  # with mu's stabilizer and zero classes
     memo[sub.index] = [shift_x, lam, None]
     return shift_x, lam
 
@@ -767,9 +911,10 @@ def classify_corollary(inst: HeydeInstance, dec: HeydeDecomposition) -> Corollar
             )
         )
 
-    nonvanishing = not any(
-        any(char_fn_zero_classes(mu).values()) for mu in (inst.mu1, inst.mu2)
-    )
+    # the margins are translates of lambda when the shift flag holds, with
+    # the same zero classes (distributions._translate): lambda's are read once
+    translates = (dec.lam,) if dec.flags.shifts_of_common_distribution else (inst.mu1, inst.mu2)
+    nonvanishing = not any(any(char_fn_zero_classes(mu).values()) for mu in translates)
     if nonvanishing:
         verified = all(r % kernel.index == 0 for r, _ in dec.lam.points)
         detail = (

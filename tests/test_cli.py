@@ -545,13 +545,16 @@ def test_verify_lemmas_hypothesis_failure_is_a_result(tmp_path, capsys):
 def test_verify_lemmas_decides_the_equation_hypothesis_once(tmp_path, capsys, monkeypatch):
     # |char|**2 of (3/4, 1/4) on Z(7) is strictly positive and at most one,
     # and I - beta = 2 is invertible, so both lemmas need the hypothesis.
+    # Each residue equation computes its quotient once, whichever route
+    # engine._residue_equation_holds then takes.
     calls = []
+    real = engine._equation_quotient
 
     def counted(*args):
         calls.append(args)
-        return first_equation_violation(*args)
+        return real(*args)
 
-    monkeypatch.setattr(engine, "first_equation_violation", counted)
+    monkeypatch.setattr(engine, "_equation_quotient", counted)
     margin = [{"x": [0], "num": 3, "den": 4}, {"x": [1], "num": 1, "den": 4}]
     spec = {"components": [{"p": 7, "k": 1, "kind": "finite"}]}
     path = write(tmp_path, "inst.json", {"spec": spec, "mu1": margin, "mu2": margin, "alpha": [6]})

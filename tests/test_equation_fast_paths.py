@@ -16,6 +16,7 @@ loop's.
 import collections
 import gc
 import operator
+import random
 import tracemalloc
 from fractions import Fraction
 from math import gcd
@@ -33,6 +34,7 @@ from heyde import (
     enumerate_subgroups,
     from_pmf,
     haar,
+    is_conditionally_symmetric,
     make_endo,
     minus_identity,
     random_distribution,
@@ -131,6 +133,58 @@ def test_residues_switch_to_the_transform_after_sum_of_orders_codes(monkeypatch)
     assert filled == []
     assert [residue(y) for y in codes] == [expected[y] for y in codes]
     assert filled == [mu]
+
+
+def test_the_lazy_window_ends_once_its_codes_cost_as_much_as_the_table(monkeypatch):
+    # Z(27) x Z(5): sum(q_j) = 32.  Haar on the subgroup of index 5 has 27
+    # points and d = 5, so 2 codes at 27 terms cost about its table
+    # (27 + 5 * (1 + 5)): the third code read computes d and fills the
+    # table.  27 points at random have d = N: at the third code they
+    # compute d (27 points allow d = 5) and then keep the window of 32
+    # codes.  A margin of at most 8 points on this group allows no d that
+    # would end its window early, and computes none.
+    spec = Z27xZ5
+    n = spec.exponent
+    window = sum(spec.orders)
+    field = _fields(n)[0]
+    filled = []
+    transform = distributions._residue_table
+    monkeypatch.setattr(
+        distributions, "_residue_table", lambda mu, field: filled.append(mu) or transform(mu, field)
+    )
+    blocks = haar(subgroup_of_index(spec, 5))
+    assert len(blocks.points) == 27 and oracles.brute_stabilizer_index(blocks) == 5
+    stream = DeterministicStream(53, label="window")
+    scattered = _canonical_margin(spec, [stream.randint(0, n - 1) for _ in range(40)], 27)
+    for mu, stays in ((blocks, 2), (scattered, window)):
+        expected = oracles.per_code_residues(mu, field)
+        residue = char_residues(mu, field)
+        assert [residue(y) for y in range(2)] == expected[:2]
+        assert "_stabilizer" not in vars(mu) and not filled
+        assert [residue(y) for y in range(stays)] == expected[:stays]
+        assert not filled
+        assert residue(stays) == expected[stays]
+        assert vars(mu)["_stabilizer"] == oracles.brute_stabilizer_index(mu)
+        assert filled == [mu]
+        assert [residue(y) for y in range(n)] == expected
+        filled.clear()
+
+    def refuse(mu):
+        raise AssertionError("a stabilizer was computed for a margin of a few points")
+
+    monkeypatch.setattr(distributions, "stabilizer_index", refuse)
+    for i in range(20):
+        mu = random_distribution(spec, 8, stream.derive(str(i)))
+        residue = char_residues(mu, field)
+        assert [residue(y) for y in range(window)] == oracles.per_code_residues(mu, field)[:window]
+    assert not filled
+
+
+def _canonical_margin(spec, codes, size):
+    """Mass 1 at each of the first size distinct codes."""
+    chosen = list(dict.fromkeys(codes))[:size]
+    assert len(chosen) == size
+    return from_pmf(spec, {spec.element(c): Fraction(1, size) for c in chosen})
 
 
 def test_the_residue_memo_holds_only_the_values_it_has_read():
@@ -532,6 +586,157 @@ def test_point_mass_pairs_fill_no_residue_table(monkeypatch):
     assert _equation_quotient(asymmetric.mu1, asymmetric.mu2, alpha) == (1, n)
     assert not satisfies_heyde_equation(asymmetric)
     assert sum(reads.values()) == 4  # f and g at v = 1 and -1, beta v and -beta v
+
+
+def test_a_quotient_with_no_later_v_reads_only_its_first_v(monkeypatch):
+    # Z(3^12), alpha = 2, mu1 = mu2 uniform on the subgroup of order 3:
+    # (e, e') = (3, 3), so v = 1 is the only v, and its e = 3 values of u
+    # read at most 4e residues; no table is filled after it.
+    spec = validate_spec([(3, 12)])
+    mu = haar(subgroup_of_index(spec, spec.exponent // 3))
+    inst = HeydeInstance(spec, mu, mu, make_endo(spec, (2,)))
+    assert _equation_quotient(mu, mu, inst.alpha.adjoint()) == (3, 3)
+    reads = collections.Counter()
+    real = engine.char_residues
+
+    def counted(mu, field):
+        residue = real(mu, field)
+        return lambda y: reads.update((y,)) or residue(y)
+
+    monkeypatch.setattr(engine, "char_residues", counted)
+    assert satisfies_heyde_equation(inst)
+    assert 0 < sum(reads.values()) <= 12
+
+
+# -- the support-pair route ----------------------------------------------------------
+
+
+def _coset_blocks(spec, rng):
+    """Numerator 1 or 2 on each of one to three cosets of some dZ(N) of order
+    at most 45, and sometimes one unit more at a random code: margins whose
+    tables vanish off the multiples of N / d, or nearly."""
+    n = spec.exponent
+    index = rng.choice([d for d in range(1, n + 1) if n % d == 0 and n // d <= 45])
+    points: dict[int, int] = {}
+    for r in rng.sample(range(index), min(index, rng.randint(1, 3))):
+        weight = rng.randint(1, 2)
+        for c in range(r, n, index):
+            points[c] = weight
+    if rng.random() < 0.3:
+        c = rng.randrange(n)
+        points[c] = points.get(c, 0) + 1
+    return distributions._canonical(spec, sum(points.values()), points.items())
+
+
+def _route_cases(spec, rng, count):
+    """count pairs under random automorphisms, in turn: a constructed
+    symmetric pair, the same with its second margin shifted, a pair of coset
+    blocks, a coset block against its own shift, and a random pair."""
+    n = spec.exponent
+    alphas = enumerate_automorphisms(spec)
+    subs = enumerate_subgroups(spec)
+    cases = []
+    while len(cases) < count:
+        alpha = rng.choice(alphas)
+        admissible = [sub for sub in subs if sub.order <= 45 and construction_admissible(sub, alpha)]
+        if not admissible:
+            continue
+        sub = rng.choice(admissible)
+        rho = random_distribution(spec, 3, DeterministicStream(rng.randrange(1 << 30)), support=sub)
+        inst = construct_instance(sub, alpha, rho, spec.element(rng.randrange(n))).instance
+        block = _coset_blocks(spec, rng)
+        cases += [
+            inst,
+            HeydeInstance(spec, inst.mu1, shift(inst.mu2, spec.element(rng.randrange(n))), alpha),
+            HeydeInstance(spec, block, _coset_blocks(spec, rng), alpha),
+            HeydeInstance(spec, block, shift(block, spec.element(rng.randrange(n))), alpha),
+            random_instance(spec, 6, DeterministicStream(rng.randrange(1 << 30)), alpha),
+        ]
+    return cases[:count]
+
+
+@pytest.mark.parametrize("spec", LADDER, ids=_describe)
+def test_each_equation_route_matches_the_dense_reference(spec):
+    # Both routes of engine._residue_equation_holds, each forced in turn,
+    # and the route its estimate picks, against the dense loop on per-code
+    # residues, which shares neither the tables nor the quotient.
+    n = spec.exponent
+    count = {9: 250, 45: 250, 135: 100, 315: 40, 945: 10}[n]
+    seen = collections.Counter()
+    for inst in _route_cases(spec, random.Random(f"routes {spec.describe()}"), count):
+        mu1, mu2, beta = inst.mu1, inst.mu2, inst.alpha.adjoint()
+        field = modular_field(n, 2 * mu1.den * mu2.den)
+        modulus = field.modulus
+        f, g = (oracles.per_code_residues(mu, field).__getitem__ for mu in (mu1, mu2))
+        holds = oracles.dense_equation_violation(spec, f, g, beta, modulus) is None
+        loop = first_equation_violation(
+            spec, char_residues(mu1, field), char_residues(mu2, field), beta,
+            lambda a, b: a * b % modulus, _equation_quotient(mu1, mu2, beta),
+        )
+        assert (loop is None) == holds
+        assert engine._support_pairs_hold(mu1, mu2, beta, field) == holds
+        assert satisfies_heyde_equation(inst) == holds
+        h = gcd(beta.code - 1, n)
+        seen[("holds" if holds else "fails", "h > 1" if h > 1 else "h = 1")] += 1
+    assert len(seen) == 4, seen
+
+
+def _routes_taken(monkeypatch):
+    """Patch both routes of the residue equation to record their name."""
+    taken = []
+    loop, pairs = engine.first_equation_violation, engine._support_pairs_hold
+    monkeypatch.setattr(
+        engine, "first_equation_violation", lambda *args: taken.append("loop") or loop(*args)
+    )
+    monkeypatch.setattr(
+        engine, "_support_pairs_hold", lambda *args: taken.append("support pairs") or pairs(*args)
+    )
+    return taken
+
+
+def test_the_route_follows_the_estimate(monkeypatch):
+    # A constructed pair on a Haar factor of index 3 has tables on 3 codes
+    # and takes the support pairs; two point masses, and random pairs, whose
+    # first v settles them in a few reads, take the loop.
+    taken = _routes_taken(monkeypatch)
+    spec = LADDER[3]
+    alpha = make_endo(spec, (2, 2, 2))
+    rho = degenerate(spec, (0, 0, 0))
+    inst = construct_instance(oracles.full_subgroup(spec), alpha, rho, (1, 2, 3)).instance
+    assert satisfies_heyde_equation(inst)
+    point = HeydeInstance(spec, degenerate(spec, (1, 0, 0)), degenerate(spec, (0, 1, 0)), alpha)
+    satisfies_heyde_equation(point)
+    stream = DeterministicStream(59, label="estimate")
+    for i in range(10):
+        satisfies_heyde_equation(random_instance(spec, 8, stream.derive(str(i)), alpha))
+    assert taken == ["support pairs"] + ["loop"] * 11
+
+
+def test_check_on_the_alpha_2_pair_at_45045_within_a_second():
+    # Z(9) x Z(5) x Z(7) x Z(11) x Z(13), every subgroup exponent 0,
+    # alpha = 2 and rho = delta_0: margins of N / 3 = 15015 points on one
+    # stabilizer coset each, so both tables are nonzero on 3 codes.  The
+    # margins are fresh objects, as the CLI reads them, with no memo filled.
+    spec = validate_spec([(3, 2), (5, 1), (7, 1), (11, 1), (13, 1)])
+    alpha = make_endo(spec, (2,) * 5)
+    rho = degenerate(spec, oracles.zero(spec))
+    built = construct_instance(oracles.full_subgroup(spec), alpha, rho, (1, 2, 3, 4, 5)).instance
+    mu1, mu2 = (distributions.Distribution(spec, mu.den, mu.points) for mu in (built.mu1, built.mu2))
+    inst = HeydeInstance(spec, mu1, mu2, alpha)
+    assert len(mu1.points) == 15015
+    with time_limit(1):
+        assert is_conditionally_symmetric(inst) and satisfies_heyde_equation(inst)
+
+
+def test_the_order_3_pair_on_3_to_the_12_within_half_a_second():
+    # the pair of test_a_quotient_with_no_later_v_reads_only_its_first_v,
+    # with its field built first: the verdict needs 12 residues of 3 terms
+    spec = validate_spec([(3, 12)])
+    mu = haar(subgroup_of_index(spec, spec.exponent // 3))
+    inst = HeydeInstance(spec, mu, mu, make_endo(spec, (2,)))
+    modular_field(spec.exponent, 2 * mu.den * mu.den)
+    with time_limit(0.5):
+        assert satisfies_heyde_equation(inst)
 
 
 # -- the interned lemma route -------------------------------------------------------

@@ -11,10 +11,11 @@ margins have different stabilizers, and pairs where one unit of mass
 moved inside a coset breaks a stabilizer.
 """
 
+import collections
 import dataclasses
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -506,6 +507,103 @@ def test_an_asymmetric_joint_pair_at_15015_exits_at_its_first_key():
     assert plus != minus
     with time_limit(1):
         assert not is_conditionally_symmetric(inst)
+
+
+# -- the stabilizer quotient of the joint route ---------------------------------------
+
+
+def _fixed_axis_cases(spec, rng):
+    """Pairs under each alpha with alpha - 1 not a unit, on margins invariant
+    under some dZ(N): coset blocks against their own shift and against other
+    blocks, Haar measures of subgroups against their shifts, and constructed
+    symmetric pairs, each followed by a copy with one point moved."""
+    n = spec.exponent
+    subs = [sub for sub in enumerate_subgroups(spec) if sub.order <= 45]
+    alphas = _joint_alphas(spec)
+    for alpha in rng.sample(alphas, min(8, len(alphas))):
+        for _ in range(6):
+            block = _coset_blocks(spec, rng)
+            yield HeydeInstance(spec, block, shift(block, spec.element(rng.randrange(n))), alpha)
+            yield HeydeInstance(spec, block, _coset_blocks(spec, rng), alpha)
+        for sub in subs:
+            mu = haar(sub)
+            yield HeydeInstance(spec, mu, shift(mu, spec.element(rng.randrange(n))), alpha)
+        admissible = [s for s in subs if construction_admissible(s, alpha)]
+        inst = _constructed_on(spec, alpha, rng.choice(admissible), rng)
+        yield inst
+        moved = _move_point(inst.mu2, rng)
+        if moved is not None:
+            yield dataclasses.replace(inst, mu2=moved)
+
+
+# On one axis (Z(5), Z(7), Z(9)) every alpha with alpha - 1 not a unit is
+# 1 mod p, so A = N and the joint route keeps Z(N)
+@pytest.mark.parametrize("forced", ["quotient", "dict"])
+@pytest.mark.parametrize("name", ["Z9xZ5", "Z27xZ5", "Z9xZ5xZ7"])
+def test_joint_route_on_the_stabilizer_quotient_against_the_brute_route(name, forced, monkeypatch):
+    # With no pair threshold every pair past its first key is decided on
+    # Z(m), m = lcm(d1, d2, A); with an unreachable one, on the joint dict
+    # over Z(N).  Both must give the brute verdict, on pairs where A, the
+    # part of N on which alpha = 1, enlarges m, and on pairs where it does
+    # not.  Symmetric pairs are point masses on the axes where alpha = 1
+    # (I - alpha must be invertible on G), so A never enlarges m for them.
+    spec = validate_spec(LADDER[name])
+    n = spec.exponent
+    monkeypatch.setattr(engine, "_COSET_MIN_PAIRS", 0 if forced == "quotient" else n * n)
+    seen = collections.Counter()
+    for case in _fixed_axis_cases(spec, random.Random(f"joint quotient:{name}")):
+        expected = _brute(case)
+        assert oracles.joint_route(case) == expected
+        d1, d2 = (distributions.stabilizer_index(mu) for mu in (case.mu1, case.mu2))
+        m = lcm(d1, d2, engine._fixed_part(spec, case.alpha.code))
+        verdict = "symmetric" if expected else "asymmetric"
+        seen[(verdict, "A enlarges m" if m > lcm(d1, d2) else "")] += 1
+        seen["m < N"] += m < n
+    assert seen["m < N"] and seen[("symmetric", "")] and seen[("asymmetric", "")], seen
+    assert seen[("asymmetric", "A enlarges m")], seen
+
+
+def _counting_bodies(monkeypatch):
+    """Patch stabilizer_index and char_fn_zero_classes, in both modules that
+    call them, to record each margin on which the body runs: a call that
+    finds the memo of that margin empty."""
+    bodies = {"_stabilizer": [], "_zero_classes": []}
+    for name, memo in (("stabilizer_index", "_stabilizer"), ("char_fn_zero_classes", "_zero_classes")):
+        real = getattr(distributions, name)
+
+        def counted(mu, real=real, memo=memo):
+            if getattr(mu, memo) is None:
+                bodies[memo].append(mu)
+            return real(mu)
+
+        monkeypatch.setattr(distributions, name, counted)
+        monkeypatch.setattr(engine, name, counted)
+    return bodies
+
+
+def test_decompose_computes_each_invariant_once_per_translation_class(monkeypatch):
+    # A constructed Z(9) x Z(5) x Z(7) pair with alpha = 2 and rho = delta_0,
+    # read into fresh margins as the CLI reads them, through the CLI's
+    # decompose: the symmetry test, _decompose and classify_corollary.  lam,
+    # its copy from mu2 and the shifts that check them are translates built
+    # from mu1 and mu2, and carry their memos.  So the stabilizer runs once
+    # on each margin the symmetry test is given and on nothing built from
+    # them, and the zero classes run once, on lam, for all of them.
+    spec = validate_spec(LADDER["Z9xZ5xZ7"])
+    alpha = make_endo(spec, (2, 2, 2))
+    rho = degenerate(spec, (0, 0, 0))
+    built = construct_instance(oracles.full_subgroup(spec), alpha, rho, (1, 2, 3)).instance
+    mu1, mu2 = (Distribution(spec, mu.den, mu.points) for mu in (built.mu1, built.mu2))
+    inst = HeydeInstance(spec, mu1, mu2, alpha)
+    assert len(mu1.points) * len(mu2.points) > engine._COSET_MIN_PAIRS
+    bodies = _counting_bodies(monkeypatch)
+    assert is_conditionally_symmetric(inst)
+    dec = _decompose(inst)
+    assert dec.flags.all_true and classify_corollary(inst, dec).ok
+    assert sorted(map(id, bodies["_stabilizer"])) == sorted((id(mu1), id(mu2)))
+    assert bodies["_zero_classes"] == [dec.lam]
+    lam2 = mu2._shifts[dec.subgroup.index][1]
+    assert lam2 is not dec.lam and lam2._stabilizer == mu2._stabilizer
 
 
 # -- memo hygiene --------------------------------------------------------------
