@@ -29,22 +29,16 @@ equation loop on the residues of their character tables, and on exact
 canonical cyclotomic values, as ids, for tables built from values and to
 name a violation; that interned loop stays the reference route.
 
-The joint symmetry test builds no joint pmf when alpha - 1 is a unit
-mod N: (x1, x2) -> (L1, L2) is then a bijection, and symmetry is the
-invariance of mu1 x mu2 under one involution of Z(N)**2, which the test
-checks with one lookup per margin, stopping at the first mismatch: first
-at the pairs of the first point of mu1, then at one pair per coset of
-H x H, H the common translation stabilizer of the margins, so that a
-symmetric pair built on a Haar factor costs one pair per coset in place
-of |supp1| * |supp2|.  Otherwise it first compares P(l1, l2) with
-P(l1, -l2) at one key of the first point of mu1, in O(|supp1|) lookups,
-and stops there when they differ; only then does it build the joint pmfs
-of (L1, L2) and (L1, -L2) and compare them, on Z(m) for m the least
-common multiple of the stabilizer indices and of the part of N on whose
-axes alpha = 1, one point per coset of mZ(N) in each margin.  The
-canonical shift sorts one candidate per coset of the margin's
-translation stabilizer, among its points of least mass, in place of one
-per support point.
+The joint symmetry test first compares P(l1, l2) with P(l1, -l2) at one
+key of the first point of mu1, in O(|supp1|) lookups, and stops there
+when they differ; only then does it build the joint pmfs of (L1, L2) and
+(L1, -L2) and compare them, on Z(m) for m the least common multiple of
+the stabilizer indices and of the part of N on whose axes alpha = 1, one
+point per coset of mZ(N) in each margin, so that a symmetric pair built
+on a Haar factor costs one product per pair of cosets in place of
+|supp1| * |supp2|.  The canonical shift sorts one candidate per coset of
+the margin's translation stabilizer, among its points of least mass, in
+place of one per support point.
 
 The dual equation has two routes, and _residue_equation_holds takes the
 one its estimate prices lower.  The loop compares the two products of
@@ -74,8 +68,8 @@ factors is decided on a few codes.  The lemma verifiers take either route
 for a verdict only, and rerun every pair in element order to report the
 first violation.
 
-Each predicate is decided in one place: the symmetry route is chosen by
-_symmetry_route, and the residue equation is _residue_equation_holds, so
+Each predicate is decided in one place: symmetry by _joint_symmetric,
+and the residue equation by _residue_equation_holds, so
 is_conditionally_symmetric, satisfies_heyde_equation, a sweep's rows
 (AutomorphismRow, whose docstring and sweep._run_row's state what a row
 computes once) and the lemma verifiers run the same code.
@@ -150,48 +144,18 @@ class HeydeInstance:
 def is_conditionally_symmetric(inst: HeydeInstance) -> bool:
     """Whether (L1, L2) and (L1, -L2) have the same exact joint distribution.
 
-    L1 = x1 + x2 and L2 = x1 + alpha x2 on CRT codes.  When alpha - 1 is a
-    unit mod N the pair is decided pointwise on the support of mu1 x mu2
-    (_involution_symmetric); otherwise by comparing the two joint pmfs
-    (_joint_symmetric), after one key of them that refutes most pairs
-    that are not symmetric, on a quotient Z(m) when the margins are
-    invariant under mZ(N).  Both routes compare integer numerators only,
-    so the verdict is the exact one.  _symmetry_route picks the route.
+    L1 = x1 + x2 and L2 = x1 + alpha x2 on CRT codes.  _joint_symmetric
+    compares the two joint pmfs, after one key of them that refutes most
+    pairs that are not symmetric, on a quotient Z(m) when the margins are
+    invariant under mZ(N).  It compares integer numerators only, so the
+    verdict is the exact one.
     """
-    terms, symmetric = _symmetry_route(inst.alpha)
-    return symmetric(inst.mu1, inst.mu2, terms(inst.mu2.points))
+    a, n = inst.alpha.code, inst.spec.exponent
+    return _joint_symmetric(inst.mu1, inst.mu2, _joint_terms(inst.mu2.points, a), a, n)
 
 
-def _has_involution(alpha: Endomorphism) -> bool:
-    """Whether alpha - 1 is a unit mod N, which selects the involution route."""
-    return gcd(alpha.code - 1, alpha.spec.exponent) == 1
-
-
-def _symmetry_route(alpha: Endomorphism) -> tuple[Callable, Callable]:
-    """(terms, symmetric) of the symmetry route of alpha, the one place
-    where the route is chosen: terms(points) gives the terms of the second
-    margin's points under alpha (_involution_terms or _joint_terms), and
-    symmetric(mu1, mu2, terms) decides the pair on them
-    (_involution_symmetric with c1, c2 and N, or _joint_symmetric with the
-    multiplier a and N).  symmetric reads its helper from this module at
-    each call, so a helper patched on the module is the one both
-    is_conditionally_symmetric and a sweep row run."""
-    n = alpha.spec.exponent
-    a = alpha.code
-    if _has_involution(alpha):
-        c1, c2 = _involution_constants(a, n)
-        return (
-            lambda points: _involution_terms(points, c2, n),
-            lambda mu1, mu2, terms: _involution_symmetric(mu1, mu2, terms, c1, c2, n),
-        )
-    return (
-        lambda points: _joint_terms(points, a),
-        lambda mu1, mu2, terms: _joint_symmetric(mu1, mu2, terms, a, n),
-    )
-
-
-# Support pairs above which both symmetry routes compute the margins'
-# stabilizers after their first exit: below it the plain loop is cheaper.
+# Support pairs above which the symmetry test computes the margins'
+# stabilizers after its first key: below it the plain joint dict is cheaper.
 _COSET_MIN_PAIRS = 64
 
 
@@ -200,89 +164,6 @@ def _cosets(points, m: int) -> dict[int, tuple[int, int]]:
     for a margin invariant under mZ(N), one point per coset, each with the
     numerator of its whole coset."""
     return {r % m: (r, w) for r, w in points}
-
-
-def _involution_constants(a: int, n: int) -> tuple[int, int]:
-    """(c1, c2) = (-2 d, -(a + 1) d) mod N, d = (a - 1)^-1: T sends (x1, x2)
-    to x2' = c1 x1 + c2 x2 and x1' = x1 + x2 - x2'."""
-    d = pow(a - 1, -1, n)
-    return -2 * d % n, -(a + 1) * d % n
-
-
-def _involution_symmetric(
-    mu1: Distribution, mu2: Distribution, second: list, c1: int, c2: int, n: int
-) -> bool:
-    """is_conditionally_symmetric for alpha - 1 a unit mod N, on the
-    constants of T (_involution_constants) and the terms of mu2
-    (_involution_terms(mu2.points, c2, n)).
-
-    Phi(x1, x2) = (x1 + x2, x1 + alpha x2) is then a bijection of Z(N)**2,
-    and with S(l1, l2) = (l1, -l2) the pair is symmetric exactly when
-    Phi_* P = (S Phi)_* P for P = mu1 x mu2, that is when P is invariant
-    under the involution T = Phi^-1 S Phi: P(Tx) = P(x) for every x in
-    Z(N)**2.  On codes, with d = (alpha - 1)^-1 mod N, T sends (x1, x2) to
-    x2' = -d (2 x1 + (alpha + 1) x2) and x1' = x1 + x2 - x2'.
-
-    Checking x in the support suffices.  Off the support P(x) = 0, and if
-    P(Tx) were positive, then y = Tx would be a support point with
-    P(Ty) = P(x) = 0 != P(y), which the check at y refutes.
-
-    Checking one support point per coset of H x H suffices, for H the
-    intersection of the translation stabilizers d_i Z(N) of the margins,
-    which is lcm(d1, d2) Z(N).  P is invariant under translation by every
-    k in H x H, and T is linear with integer coefficients, so Tk lies in
-    H x H too.  Then P(T(x + k)) = P(Tx + Tk) = P(Tx) and P(x + k) = P(x):
-    the check at x + k is the check at x.  The support of P is the product
-    of the supports, each a union of H-cosets, so one point per H-coset of
-    each margin covers every coset of H x H in it.
-
-    The loop checks the first point of mu1 against every point of mu2
-    first, so that a pair that is not symmetric, as nearly every sweep pair
-    is not, stops there without computing a stabilizer.  Above
-    _COSET_MIN_PAIRS support pairs, the stabilizers
-    (distributions.stabilizer_index, memoized on each margin) are computed
-    after that row, and the rest is checked on one point per H-coset of
-    each margin, skipping the coset of the first row; below it every pair
-    is checked.  Each check is one
-    lookup per margin in its code -> numerator map, on numerators over the
-    common denominator mu1.den * mu2.den, and the loop stops at the first
-    mismatch.
-    """
-    get1, get2 = numerator_map(mu1).get, numerator_map(mu2).get
-    firsts = mu1.points
-    if len(firsts) * len(second) > _COSET_MIN_PAIRS:
-        first, firsts = firsts[0], firsts[1:]
-        if not _involution_holds((first,), second, get1, get2, c1, n):
-            return False
-        h = lcm(stabilizer_index(mu1), stabilizer_index(mu2))
-        if h < n:
-            cosets = _cosets(firsts, h)
-            cosets.pop(first[0] % h, None)
-            firsts = cosets.values()
-            second = _involution_terms(_cosets(mu2.points, h).values(), c2, n)
-    return _involution_holds(firsts, second, get1, get2, c1, n)
-
-
-def _involution_terms(points, c2: int, n: int) -> list[tuple[int, int, int]]:
-    """(t2, s2, w2) for each (r2, w2) of points, t2 = c2 * r2 mod N and
-    s2 = r2 - t2, the parts of T that depend on x2 alone."""
-    out = []
-    for r2, w2 in points:
-        t2 = c2 * r2 % n
-        out.append((t2, r2 - t2, w2))
-    return out
-
-
-def _involution_holds(firsts, second, get1, get2, c1: int, n: int) -> bool:
-    """Whether P(Tx) = P(x) at every pair of firsts x second (numerators)."""
-    # x2' = t1 + t2 and x1' = s1 + s2 mod N, with t = c x and s = x - t
-    for r1, w1 in firsts:
-        t1 = c1 * r1
-        s1 = r1 - t1
-        for t2, s2, w2 in second:
-            if get1((s1 + s2) % n, 0) * get2((t1 + t2) % n, 0) != w1 * w2:
-                return False
-    return True
 
 
 def _joint_terms(points, a: int) -> list[tuple[int, int, int]]:
@@ -336,10 +217,9 @@ def _joint_symmetric(
     numerator of each coset on its class.  So the pmfs are compared over
     one point per class of each margin (_cosets), on keys mod m, and the
     common factor (N / m)**2 of every mass keeps every equality.  With
-    alpha = 1 on no axis and Haar factors on the margins, m is the least
-    common stabilizer index, and |supp1| * |supp2| products become
-    (N / m)**2 times fewer.  The coset stage of _involution_symmetric takes
-    its points by the same _cosets, on Z(lcm(d1, d2)).
+    alpha = 1 on no axis, as when alpha - 1 is a unit mod N, A = 1 and m is
+    the least common stabilizer index, and with Haar factors on the margins
+    |supp1| * |supp2| products become (N / m)**2 times fewer.
     """
     firsts = mu1.points
     r1 = firsts[0][0]
@@ -361,9 +241,9 @@ def _joint_symmetric(
         for r2, ar2, w2 in second:
             key = (r1 + r2) % n * n + (r1 + ar2) % n
             joint[key] = joint.get(key, 0) + w1 * w2
-    for key, m in joint.items():
+    for key, mass in joint.items():
         l2 = key % n
-        if joint.get(key - l2 + (n - l2) % n) != m:
+        if joint.get(key - l2 + (n - l2) % n) != mass:
             return False
     return True
 
@@ -673,12 +553,12 @@ class AutomorphismRow:
     """The state of both predicates that depends on one automorphism alpha
     alone, computed once for every pair a sweep decides under alpha.
 
-    Per alpha: the automorphism check of HeydeInstance, the symmetry route
-    of _symmetry_route (symmetric(mu1, mu2, terms), the very route
-    is_conditionally_symmetric runs), a field certified for every pair of
-    margins whose denominators are at most top, its modulus M and product
-    mod M (mul), and the first v of the equation loop in element order
-    (first_equation_violation with no quotient) with beta v
+    Per alpha: the automorphism check of HeydeInstance, the multiplier
+    that symmetric(mu1, mu2, terms) passes to _joint_symmetric, the very
+    test is_conditionally_symmetric runs, a field certified for every pair
+    of margins whose denominators are at most top, its modulus M and
+    product mod M (mul), and the first v of the equation loop in element
+    order (first_equation_violation with no quotient) with beta v
     (first_v = (v, beta v, N)).  A row holds nothing N-sized: the u of the
     first v are spec.crt_codes itself.
 
@@ -686,10 +566,10 @@ class AutomorphismRow:
     in that role: its residue function (char_residues, memoized on mu) and
     the two residues a pair reads from it at u = 0 of the first v, f(v) and
     f(-v) for the first margin, g(beta v) and g(-beta v) for the second,
-    and for the second its terms under alpha on the route
-    (_involution_terms or _joint_terms).  An exhaustive sweep computes
-    both once per margin of its list and keeps them for the row; a random
-    sweep computes them on the spot for its fresh margins.
+    and for the second its terms under alpha (_joint_terms).  An
+    exhaustive sweep computes both once per margin of its list and keeps
+    them for the row; a random sweep computes them on the spot for its
+    fresh margins.
 
     With (mu1, f, f(v), f(-v)) = first(mu1) and
     (mu2, terms, g, g(beta v), g(-beta v)) = second(mu2), the identity
@@ -710,7 +590,6 @@ class AutomorphismRow:
         spec = alpha.spec
         n = spec.exponent
         self.alpha = alpha
-        self._terms, self.symmetric = _symmetry_route(alpha)
         field = self._field = modular_field(n, 2 * top * top)
         modulus = self.modulus = field.modulus
         self.mul = lambda x, y: x * y % modulus
@@ -731,7 +610,14 @@ class AutomorphismRow:
         mu.den must be at most top."""
         g = char_residues(mu, self._field)
         _, bv, n = self.first_v
-        return mu, self._terms(mu.points), g, g(bv), g(n - bv)  # beta v is nonzero
+        return mu, _joint_terms(mu.points, self.alpha.code), g, g(bv), g(n - bv)  # beta v is nonzero
+
+    def symmetric(self, mu1: Distribution, mu2: Distribution, terms: list) -> bool:
+        """is_conditionally_symmetric on (mu1, mu2) under alpha, with terms
+        the terms of mu2 that second(mu2) gives.  _joint_symmetric is read
+        from the module at each call, so a helper patched there is the one
+        both rows and instances run."""
+        return _joint_symmetric(mu1, mu2, terms, self.alpha.code, self.first_v[2])
 
 
 @dataclass(frozen=True)

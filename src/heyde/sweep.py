@@ -178,7 +178,7 @@ def _run_row(row: AutomorphismRow, firsts: list, seconds: list, report: SweepRep
     spec.crt_codes, where u = 0 holds again (none for two point masses).
     A pair that holds at its first v goes to check_instance.  A pair
     refuted there fails satisfies_heyde_equation, and the row's symmetry
-    route (engine._symmetry_route) decides it: symmetric, a disagreement
+    test (engine._joint_symmetric) decides it: symmetric, a disagreement
     that check_instance records, or not symmetric, both predicates false,
     which check_instance would only count.
     """

@@ -117,22 +117,6 @@ def brute_symmetric(orders, pmf1, pmf2, multipliers):
     return plus == minus
 
 
-def involution_route(inst):
-    """The involution route of the symmetry test on inst, whatever route
-    engine._symmetry_route picks for its alpha; alpha - 1 must be a unit."""
-    n = inst.spec.exponent
-    c1, c2 = engine._involution_constants(inst.alpha.code, n)
-    terms = engine._involution_terms(inst.mu2.points, c2, n)
-    return engine._involution_symmetric(inst.mu1, inst.mu2, terms, c1, c2, n)
-
-
-def joint_route(inst):
-    """The joint-pmf route of the symmetry test on inst, whatever route
-    engine._symmetry_route picks for its alpha."""
-    a, n = inst.alpha.code, inst.spec.exponent
-    return engine._joint_symmetric(inst.mu1, inst.mu2, engine._joint_terms(inst.mu2.points, a), a, n)
-
-
 def brute_exhaustive_sweep(orders, denominator):
     """(instances, symmetric) of an exhaustive sweep over every automorphism.
 

@@ -1,5 +1,5 @@
 import tracemalloc
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -165,25 +165,19 @@ def test_a_flipped_verdict_is_reported_alike_by_rows_and_instances(flip_symmetri
 
 
 def _flip_one_verdict(monkeypatch, config, alpha, chosen, flip_symmetric, per_instance):
-    # the symmetry helper of alpha's route (the involution test, or the
-    # joint pmfs) is shared by both loops: flipping it on one pair under one
-    # alpha must give the same disagreement in both reports
-    if engine._has_involution(alpha):
-        helper = "_involution_symmetric"
-        key, _ = engine._involution_constants(alpha.code, alpha.spec.exponent)
-    else:
-        helper, key = "_joint_symmetric", alpha.code
-    real = getattr(engine, helper)
+    # the symmetry test is shared by both loops: flipping it on one pair
+    # under one alpha must give the same disagreement in both reports
+    real = engine._joint_symmetric
     flips = []
 
-    def flipped(mu1, mu2, second, *constants):
-        verdict = real(mu1, mu2, second, *constants)
-        if (mu1, mu2) == chosen and constants[0] == key:
+    def flipped(mu1, mu2, second, a, n):
+        verdict = real(mu1, mu2, second, a, n)
+        if (mu1, mu2) == chosen and a == alpha.code:
             flips.append(verdict)
             return not verdict
         return verdict
 
-    monkeypatch.setattr(engine, helper, flipped)
+    monkeypatch.setattr(engine, "_joint_symmetric", flipped)
     rows = run_sweep(config)
     assert flips and set(flips) == {flip_symmetric}
     reference = per_instance(config)
@@ -377,9 +371,9 @@ def test_a_flipped_verdict_is_reported_alike_by_random_rows_and_instances(
 def test_a_flipped_joint_verdict_is_reported_alike_by_rows_and_instances(
     mode, flip_symmetric, monkeypatch
 ):
-    # alpha - 1 = 3 is not a unit mod 9, so alpha = 4 takes the joint route;
-    # its symmetric pairs are point masses, its asymmetric ones are taken
-    # with two points or more in mu1
+    # alpha - 1 = 3 is not a unit mod 9, unlike alpha = 2 above; the
+    # symmetric pairs of alpha = 4 are point masses, its asymmetric ones are
+    # taken with two points or more in mu1
     spec = validate_spec([(3, 2)])
     alpha = make_endo(spec, (4,))
     if mode == "exhaustive":
@@ -389,7 +383,7 @@ def test_a_flipped_joint_verdict_is_reported_alike_by_rows_and_instances(
         config = _random_config([(3, 2)], 5, 2, 240, ((4,), (7,)))
         per_instance = oracles.per_instance_random_sweep
         pairs = _random_pairs(config)
-    assert not engine._has_involution(alpha)
+    assert gcd(alpha.code - 1, spec.exponent) > 1
     chosen = next(
         (mu1, mu2)
         for beta, mu1, mu2 in pairs
@@ -416,8 +410,9 @@ def test_pairs_that_pass_the_first_v_reach_check_instance_in_random_mode(monkeyp
     assert reached == expected
     assert report.instances == 600 and len(reached) < 600
     assert report.symmetric >= 1 and passing >= 1
-    # both symmetry routes, and point-mass pairs, whose first v reads u = 0 alone
-    assert {engine._has_involution(alpha) for alpha, *_ in pairs} == {True, False}
+    # alpha with alpha - 1 a unit and without, and point-mass pairs, whose
+    # first v reads u = 0 alone
+    assert {gcd(alpha.code - 1, spec.exponent) == 1 for alpha, *_ in pairs} == {True, False}
     assert any(len(mu1.points) == len(mu2.points) == 1 for _, mu1, mu2, _ in pairs)
 
 

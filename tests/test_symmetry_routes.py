@@ -1,14 +1,17 @@
-"""The two routes of the joint symmetry test against each other and the
-brute-force tuple route of oracles.py, and the memos they read.
+"""The joint symmetry test against the brute-force tuple route of
+oracles.py, and the memos it reads.
 
-Random pairs almost always fail at their first support pair, so the
-routes are pinned on constructed symmetric pairs and on near-symmetric
-variants of them: one unit of mass moved, one point moved, two masses
-swapped.  The coset stage of the involution route, which checks one
-point per coset of the margins' common translation stabilizer, is
-pinned on pairs that pass the first row: symmetric pairs, pairs whose
-margins have different stabilizers, and pairs where one unit of mass
-moved inside a coset breaks a stabilizer.
+Random pairs almost always fail at their first key, so the test is pinned
+on constructed symmetric pairs and on near-symmetric variants of them: one
+unit of mass moved, one point moved, two masses swapped.  Under alpha with
+alpha - 1 a unit its quotient Z(m) is Z(lcm(d1, d2)), one point per coset
+of the margins' common translation stabilizer.  That coset stage is pinned
+on pairs that pass the first key: symmetric pairs, pairs whose margins
+have different stabilizers, and pairs where one unit of mass moved inside
+a coset breaks a stabilizer, with the pair threshold forced to 0 (every
+such pair on the quotient) and to N**2 (none).  Under alpha with
+alpha - 1 not a unit, the first key and the quotient Z(lcm(d1, d2, A))
+are pinned on pairs of their own.
 """
 
 import collections
@@ -28,6 +31,7 @@ from heyde import (
     haar,
     is_conditionally_symmetric,
     make_endo,
+    minus_identity,
     satisfies_heyde_equation,
     shift,
     validate_spec,
@@ -114,8 +118,25 @@ def _brute(inst):
     return oracles.brute_symmetric(inst.spec.orders, pmf1, pmf2, inst.alpha.multipliers)
 
 
+_MIN_PAIRS = engine._COSET_MIN_PAIRS
+
+
+def _forced_verdicts(inst, monkeypatch):
+    """is_conditionally_symmetric(inst) with the pair threshold at 0, so
+    that every pair past its first key runs on the quotient, at its
+    default, and at N**2, so that none does."""
+    verdicts = []
+    for threshold in (0, _MIN_PAIRS, inst.spec.exponent ** 2):
+        monkeypatch.setattr(engine, "_COSET_MIN_PAIRS", threshold)
+        verdicts.append(is_conditionally_symmetric(inst))
+    return verdicts
+
+
 @pytest.mark.parametrize("name", list(LADDER))
-def test_involution_route_on_constructed_and_near_symmetric_pairs(name):
+def test_involution_route_on_constructed_and_near_symmetric_pairs(name, monkeypatch):
+    # alpha - 1 a unit, where (x1, x2) -> (L1, L2) is a bijection and
+    # symmetry is the invariance of mu1 x mu2 under an involution of
+    # Z(N)**2: the joint test decides these pairs with A = 1
     spec = validate_spec(LADDER[name])
     rng = random.Random(f"involution:{name}")
     alphas = _unit_minus_one(spec)
@@ -131,65 +152,36 @@ def test_involution_route_on_constructed_and_near_symmetric_pairs(name):
                     variants.append(dataclasses.replace(inst, **{side: mu}))
         for k, case in enumerate(variants):
             expected = _brute(case)
-            assert oracles.involution_route(case) == expected
-            assert oracles.joint_route(case) == expected
-            assert is_conditionally_symmetric(case) == expected
+            assert _forced_verdicts(case, monkeypatch) == [expected] * 3
             assert expected or k  # every constructed pair is symmetric
             outcomes[expected] += 1
     assert outcomes[True] >= len(alphas) and outcomes[False] > len(alphas)
 
 
-def _recording_routes(monkeypatch):
-    """Patch both route helpers of the engine to append their name to the
-    returned list on each call."""
-    taken = []
-    for name in ("_involution_symmetric", "_joint_symmetric"):
-        real = getattr(engine, name)
-        monkeypatch.setattr(
-            engine, name, lambda *args, name=name, real=real: taken.append(name) or real(*args)
-        )
-    return taken
-
-
-def test_involution_route_is_taken_exactly_when_alpha_minus_one_is_a_unit(monkeypatch):
-    spec = validate_spec(LADDER["Z9xZ5"])
-    n = spec.exponent
-    rng = random.Random("routes")
-    taken = _recording_routes(monkeypatch)
-    mu = from_pmf(spec, {(0, 0): Fraction(1, 3), (3, 0): Fraction(1, 3), (6, 0): Fraction(1, 3)})
-    nonunit = 0
-    for alpha in enumerate_automorphisms(spec):
-        nu = shift(mu, spec.element(rng.randrange(n)))
-        inst = HeydeInstance(spec, mu, nu, alpha)
-        taken.clear()
-        assert is_conditionally_symmetric(inst) == _brute(inst)
-        unit = gcd(alpha.code - 1, n) == 1
-        assert taken == ["_involution_symmetric" if unit else "_joint_symmetric"]
-        nonunit += not unit
-    assert nonunit  # alpha = I and alpha = 1 (mod 3) reach the joint route
-
-
 @pytest.mark.parametrize("name", ["Z9xZ5", "Z27xZ5"])
 def test_rows_and_instances_take_the_same_route(name, monkeypatch):
-    # AutomorphismRow and is_conditionally_symmetric both get their route
-    # from engine._symmetry_route: the same helper on the same terms
+    # AutomorphismRow and is_conditionally_symmetric each call
+    # engine._joint_symmetric once, with the same arguments, under every
+    # alpha, with alpha - 1 a unit or not
     spec = validate_spec(LADDER[name])
+    n = spec.exponent
     rng = random.Random(f"row routes:{name}")
-    taken = _recording_routes(monkeypatch)
+    calls = []
+    real = engine._joint_symmetric
+    monkeypatch.setattr(engine, "_joint_symmetric", lambda *args: calls.append(args) or real(*args))
     mu1 = _coset_blocks(spec, rng)
-    routes = set()
+    units = set()
     for alpha in enumerate_automorphisms(spec):
-        mu2 = shift(mu1, spec.element(rng.randrange(spec.exponent)))
+        mu2 = shift(mu1, spec.element(rng.randrange(n)))
         inst = HeydeInstance(spec, mu1, mu2, alpha)
-        taken.clear()
+        calls.clear()
         verdict = is_conditionally_symmetric(inst)
-        by_instance = list(taken)
-        row = AutomorphismRow(alpha, 1)
-        taken.clear()
-        assert row.symmetric(mu1, mu2, row._terms(mu2.points)) == verdict == _brute(inst)
-        assert taken == by_instance and len(taken) == 1
-        routes.add(taken[0])
-    assert routes == {"_involution_symmetric", "_joint_symmetric"}
+        row = AutomorphismRow(alpha, mu2.den)
+        _, terms, *_ = row.second(mu2)
+        assert row.symmetric(mu1, mu2, terms) == verdict == _brute(inst)
+        assert len(calls) == 2 and calls[0] == calls[1]
+        units.add(gcd(alpha.code - 1, n) == 1)
+    assert units == {True, False}
 
 
 # -- the coset stage -------------------------------------------------------------
@@ -266,18 +258,22 @@ def test_coset_stage_against_the_brute_route(name, monkeypatch):
     spec = validate_spec(LADDER[name])
     n = spec.exponent
     rng = random.Random(f"cosets:{name}")
-    # every pair that passes its first row goes on to the coset stage
-    monkeypatch.setattr(engine, "_COSET_MIN_PAIRS", 0)
     staged = []
     monkeypatch.setattr(
         engine, "stabilizer_index", lambda mu: staged.append(mu) or distributions.stabilizer_index(mu)
     )
     seen = {"symmetric": 0, "refuted": 0, "unequal": 0}
     for k, case in enumerate(_coset_cases(spec, rng)):
+        # with threshold 0 every pair that passes its first key goes on to
+        # the coset stage; with N**2 it is decided on the plain dict
+        monkeypatch.setattr(engine, "_COSET_MIN_PAIRS", n * n)
+        plain = is_conditionally_symmetric(case)
+        monkeypatch.setattr(engine, "_COSET_MIN_PAIRS", 0)
         staged.clear()
-        verdict = oracles.involution_route(case)
+        verdict = is_conditionally_symmetric(case)
+        assert verdict == plain
         if not staged:
-            assert not verdict  # refuted by the first row, as the tests above pin
+            assert not verdict  # refuted by the first key, as the tests below pin
             if k % 20 == 0:
                 assert not _brute(case)
             continue
@@ -296,8 +292,12 @@ def test_coset_stage_against_the_brute_route(name, monkeypatch):
 
 
 def test_the_coset_stage_waits_for_the_first_row(monkeypatch):
-    # a pair refuted by its first row computes no stabilizer, and a pair
-    # with few pairs left after it computes none either
+    # a pair refuted by its first key computes no stabilizer, and a pair
+    # with few support pairs computes none either.  Moving one point of mu2
+    # mostly leaves the first key alone, so those pairs reach the coset
+    # stage; moving one unit of mass off the first point of mu2 changes
+    # P(l1, l2) at the first key, where a = 2 gives one point of mu1 to each
+    # side and mu1 is uniform, so P(l1, -l2) cannot follow it
     spec = validate_spec(LADDER["Z27xZ5"])
     alpha = make_endo(spec, (2, 2))
     staged = []
@@ -307,16 +307,19 @@ def test_the_coset_stage_waits_for_the_first_row(monkeypatch):
     inst = construct_instance(oracles.full_subgroup(spec), alpha, degenerate(spec, oracles.zero(spec)), (1, 2)).instance
     assert len(inst.mu1.points) * len(inst.mu2.points) > engine._COSET_MIN_PAIRS
     rng = random.Random("first row")
-    refuted = 0
     for _ in range(10):
         case = dataclasses.replace(inst, mu2=_move_point(inst.mu2, rng))
-        staged.clear()
-        assert oracles.involution_route(case) == _brute(case) is False
-        refuted += not staged
-    assert refuted
+        assert is_conditionally_symmetric(case) == _brute(case) is False
+    points = [(r, 2 * a) for r, a in inst.mu2.points]
+    (r0, a0), (r1, a1) = points[:2]
+    points[:2] = [(r0, a0 - 1), (r1, a1 + 1)]
+    case = dataclasses.replace(inst, mu2=_canonical(spec, 2 * inst.mu2.den, points))
+    staged.clear()
+    assert is_conditionally_symmetric(case) == _brute(case) is False
+    assert not staged
     small = HeydeInstance(spec, degenerate(spec, (1, 0)), degenerate(spec, (3, 4)), alpha)
     staged.clear()
-    assert oracles.involution_route(small) == _brute(small)
+    assert is_conditionally_symmetric(small) == _brute(small)
     assert not staged
 
 
@@ -339,7 +342,23 @@ def test_growth_at_3465_within_two_seconds():
     assert report.ok
 
 
-# -- the first key of the joint route ------------------------------------------------
+def test_a_dense_minus_identity_pair_at_3465_within_one_second():
+    # alpha = -I, so alpha - 1 = -2 is a unit, and mu1 = mu2 with 300
+    # points and no translation stabilizer: the first key passes and the
+    # quotient is Z(N) itself, so the joint dict takes all 90,000 support
+    # pairs
+    spec = validate_spec([(3, 2), (5, 1), (7, 1), (11, 1)])
+    n = spec.exponent
+    rng = random.Random("dense minus identity")
+    mu = _canonical(spec, 450, [(c, 1 + k % 2) for k, c in enumerate(rng.sample(range(n), 300))])
+    inst = HeydeInstance(spec, mu, Distribution(spec, mu.den, mu.points), minus_identity(spec))
+    assert len(mu.points) == 300
+    with time_limit(1):
+        assert is_conditionally_symmetric(inst)
+    assert distributions.stabilizer_index(inst.mu1) == distributions.stabilizer_index(inst.mu2) == n
+
+
+# -- the first key of the joint test -------------------------------------------------
 
 
 def _joint_alphas(spec):
@@ -418,7 +437,7 @@ def _constructed_on(spec, alpha, sub, rng):
 
 
 def _check_first_key(cases, monkeypatch):
-    """The first-key masses and the joint-route verdict against the brute
+    """The first-key masses and the joint-test verdict against the brute
     joint pmf on every case; returns how many cases fell in each class."""
     called = []
     real = engine._joint_masses_at
@@ -431,7 +450,6 @@ def _check_first_key(cases, monkeypatch):
         expected = _brute(case)
         key = _first_key(case)
         called.clear()
-        assert oracles.joint_route(case) == expected
         assert is_conditionally_symmetric(case) == expected
         seen["symmetric"] += expected
         if key is None:
@@ -509,7 +527,7 @@ def test_an_asymmetric_joint_pair_at_15015_exits_at_its_first_key():
         assert not is_conditionally_symmetric(inst)
 
 
-# -- the stabilizer quotient of the joint route ---------------------------------------
+# -- the stabilizer quotient of the joint test ----------------------------------------
 
 
 def _fixed_axis_cases(spec, rng):
@@ -537,7 +555,7 @@ def _fixed_axis_cases(spec, rng):
 
 
 # On one axis (Z(5), Z(7), Z(9)) every alpha with alpha - 1 not a unit is
-# 1 mod p, so A = N and the joint route keeps Z(N)
+# 1 mod p, so A = N and the joint test keeps Z(N)
 @pytest.mark.parametrize("forced", ["quotient", "dict"])
 @pytest.mark.parametrize("name", ["Z9xZ5", "Z27xZ5", "Z9xZ5xZ7"])
 def test_joint_route_on_the_stabilizer_quotient_against_the_brute_route(name, forced, monkeypatch):
@@ -553,7 +571,7 @@ def test_joint_route_on_the_stabilizer_quotient_against_the_brute_route(name, fo
     seen = collections.Counter()
     for case in _fixed_axis_cases(spec, random.Random(f"joint quotient:{name}")):
         expected = _brute(case)
-        assert oracles.joint_route(case) == expected
+        assert is_conditionally_symmetric(case) == expected
         d1, d2 = (distributions.stabilizer_index(mu) for mu in (case.mu1, case.mu2))
         m = lcm(d1, d2, engine._fixed_part(spec, case.alpha.code))
         verdict = "symmetric" if expected else "asymmetric"
