@@ -150,15 +150,54 @@ def haar(sub: Subgroup) -> Distribution:
 
 
 def convolve(mu: Distribution, nu: Distribution) -> Distribution:
+    """mu * nu, on the stabilizer quotient of the operand with the smaller
+    stabilizer index d (stabilizer_index), or by the double loop over the
+    two supports when both indices are N or one operand is a point mass,
+    whose product is a translate at |supp| steps with no index computed.
+
+    Let mu be invariant under H = dZ(N), d | N, with numerator a_x at x.
+    Its support is a union of H-cosets, the classes r mod d, and a_x is one
+    numerator m(r) on the class of x (0 on a class that misses the
+    support).  The numerator of mu * nu at z is
+    sum_x a_x b_(z - x) = sum_(r < d) m(r) sum_(x = r mod d) b_(z - x),
+    and as x runs over the class r, z - x runs over the class z - r, so
+    the inner sum is P(z - r mod d), with P(s) the sum of the b_y over
+    y = s (mod d), the pushforward of nu to Z(d).  So the numerator at z is
+    the convolution of m with P on Z(d), taken at z mod d: mu * nu is
+    invariant under H too, and is that value on each class.  It costs
+    |supp nu| steps for P and one per pair of a class of mu and a class
+    that P meets, in place of |supp mu| |supp nu|; every numerator is a
+    sum of positive products, so no class it meets is zero.  Convolution
+    commutes, so the operand with the smaller d plays mu.
+    """
     if mu.spec != nu.spec:
         raise ValueError("spec mismatch")
-    n = mu.spec.exponent
-    acc: dict[int, int] = {}
-    for x, a in mu.points:
-        for y, b in nu.points:
-            z = (x + y) % n
-            acc[z] = acc.get(z, 0) + a * b
-    return _canonical(mu.spec, mu.den * nu.den, acc)
+    spec = mu.spec
+    n = spec.exponent
+    den = mu.den * nu.den
+    d = n
+    if min(len(mu.points), len(nu.points)) > 1:  # else mu * nu is a translate
+        if stabilizer_index(nu) < stabilizer_index(mu):
+            mu, nu = nu, mu
+        d = stabilizer_index(mu)
+    if d == n:
+        acc: dict[int, int] = {}
+        for x, a in mu.points:
+            for y, b in nu.points:
+                z = (x + y) % n
+                acc[z] = acc.get(z, 0) + a * b
+        return _canonical(spec, den, acc)
+    classes = {x % d: a for x, a in mu.points}  # r -> m(r), for each class that meets mu
+    pushed: dict[int, int] = {}  # P on Z(d)
+    for y, b in nu.points:
+        s = y % d
+        pushed[s] = pushed.get(s, 0) + b
+    quotient: dict[int, int] = {}
+    for r, a in classes.items():
+        for s, b in pushed.items():
+            c = (r + s) % d
+            quotient[c] = quotient.get(c, 0) + a * b
+    return _canonical(spec, den, ((c + i, v) for c, v in quotient.items() for i in range(0, n, d)))
 
 
 def reflect(mu: Distribution) -> Distribution:
@@ -213,20 +252,37 @@ class DualFunction:
 
     values[r] is the value at the dual element with CRT code r.
     distribution is the distribution whose character table this is, set by
-    char_fn_table alone; a table built from values (dual_function,
-    with_value) has none.  It is not part of ==, hash or repr, so a table
-    compares by its values.  The lemma verifiers decide the identities of
-    two tables that carry their distributions on residues (lemmas), an
-    argument that holds for character tables only.
+    char_fn_table and lemmas.squared_modulus_table; a table built from
+    values (dual_function, with_value) has none.  margin is the mu whose
+    |char_fn(mu)|**2 the table is, set by lemmas.squared_modulus_table
+    alone, with distribution mu * reflect(mu).  Such a table is made with
+    values None and builds them, char_fn_table(distribution).values, on
+    first read.  Neither field is part of ==, hash or repr, so a table
+    compares by its values, and reading those builds them.  The lemma
+    verifiers decide the identities of two tables that carry their
+    distributions on residues, and what a margin settles on integers
+    (lemmas), arguments that hold for such tables only.
     """
 
     spec: GroupSpec
     values: tuple
     distribution: Distribution | None = field(default=None, compare=False, repr=False)
+    margin: Distribution | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        if len(self.values) != self.spec.exponent:
+        if self.values is None and self.margin is not None:
+            object.__delattr__(self, "values")  # built by __getattr__ on first read
+        elif len(self.values) != self.spec.exponent:
             raise ValueError("table must cover every dual element")
+
+    def __getattr__(self, name: str):
+        # Reached only for attributes the instance lacks: the values of a
+        # table of squared_modulus_table before their first read.
+        if name != "values" or self.margin is None:
+            raise AttributeError(name)
+        values = char_fn_table(self.distribution).values
+        object.__setattr__(self, "values", values)
+        return values
 
     def __call__(self, y: Element):
         return self.values[self.spec.require_code(y)]

@@ -8,14 +8,20 @@ cross-check at a caller-supplied tolerance.
 
 The tables are DualFunctions, the one table type of the package
 (distributions.DualFunction, indexed by dual code), which char_fn_table
-and squared_modulus_table return.  Signs are decided once per distinct
-value, in one sign table that both verifiers share (_sign_table), by
-CycloElement.real_sign.  Every identity is then decided on one of two
-routes.
+and squared_modulus_table return.  A table of squared_modulus_table
+carries the margin mu whose |char_fn(mu)|**2 it is, and builds its values
+only when they are read.  When both tables carry one, the bounds
+0 <= f <= 1 hold by construction and positivity is decided by the zero
+classes of the two margins, on integers (squared_modulus_table), so
+neither reads a value.  Only for other tables are signs decided, once
+per distinct value, in one sign table that both verifiers share
+(_sign_table), by CycloElement.real_sign.  Every identity is then decided
+on one of two routes.
 
-A table that char_fn_table built carries its distribution nu, and its
-values are character sums: sigma_c f(y) = f(c y) for every unit c, with
-sigma_c the automorphism zeta -> zeta**c.  Each set of points that the
+A table that char_fn_table or squared_modulus_table built carries its
+distribution nu, and its values are character sums: sigma_c f(y) =
+f(c y) for every unit c, with sigma_c the automorphism zeta -> zeta**c.
+Each set of points that the
 verifiers check (all pairs (u, v) of the equation, every y of the
 fixed-point identities, every (a, b, c, y) of a triple identity, whose
 step sets are subgroups) is closed under multiplication by units, and
@@ -62,14 +68,47 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cyclotomic import CycloElement, from_rational, modular_field
-from .distributions import Distribution, DualFunction, char_fn_table, char_residues, convolve, reflect
+from .distributions import Distribution, DualFunction, char_fn_zero_classes, char_residues, convolve, reflect
 from .engine import _residue_equation_holds, first_equation_violation
 from .morphisms import Endomorphism, identity, kappa_of
 
 
 def squared_modulus_table(mu: Distribution) -> DualFunction:
-    """Table of |character sum|**2, i.e. the character table of mu * reflect(mu)."""
-    return char_fn_table(convolve(mu, reflect(mu)))
+    """Table of |character sum|**2, i.e. the character table of mu * reflect(mu).
+
+    The table carries nu = mu * reflect(mu) as its distribution, so the
+    residue route applies to it as to any character table, and mu as its
+    margin; its values, char_fn_table(nu).values, are built on first read
+    (distributions.DualFunction).  Three facts about its values follow
+    from the margin, with no value read:
+
+    - Each is real and at least 0.  With f = char_fn(mu) and D the
+      denominator of mu, the value at y is sum over x, x' of
+      a_x a_x' zeta**(s (x - x') y) / D**2, s = spec.crt_pair_unit, which
+      is f(y) times the complex conjugate of f(y), as conjugation maps
+      zeta to zeta**-1: that is |f(y)|**2.
+    - Each lies in [0, 1].  f(y) is a convex combination of roots of
+      unity, so |f(y)| <= 1.
+    - The value at y is positive exactly when f(y) != 0, as |f(y)|**2 is
+      zero exactly when f(y) is.  So every value is positive exactly when
+      char_fn_zero_classes(mu) has no zero class: its classes, one per
+      divisor g of N, hold the codes y with gcd(y, N) = g, so every code
+      lies in one, and f vanishes on all of a class or on none of it, as
+      the automorphisms zeta -> zeta**c, c a unit, permute its values.
+
+    The verifiers take the bounds and positivity from these facts when
+    both tables carry a margin, and read values only for what a report
+    states of them (_log_residual) or for the interned route after a
+    residue failure.
+    """
+    return DualFunction(mu.spec, None, convolve(mu, reflect(mu)), mu)
+
+
+def _margins(*fns: DualFunction) -> tuple | None:
+    """The margins of the tables (squared_modulus_table), or None unless
+    every table carries one."""
+    margins = tuple(fn.margin for fn in fns)
+    return None if None in margins else margins
 
 
 def _distinct_values(*fns: DualFunction) -> list:
@@ -285,7 +324,9 @@ def verify_difference_lemma(
     2*beta*k1, (I+beta)k2, -(I-beta)k3; both are exact telescoping product
     identities over all step choices and base points.
 
-    The hypothesis makes every value nonzero, so each conclusion is first
+    When both tables carry a margin (squared_modulus_table), positivity
+    is decided by the margins' zero classes, with no value read.  The
+    hypothesis makes every value nonzero, so each conclusion is first
     decided on the generator triple of its step sets (N checks, see
     _generator_triple_violation) and scanned in full only if that fails.
     The hypothesis and the generator triples go by the residue route when
@@ -297,11 +338,15 @@ def verify_difference_lemma(
     spec = f1.spec
     if f2.spec != spec or beta.spec != spec:
         raise ValueError("spec mismatch")
-    sign = _sign_table(f1, f2)
-    positive = all(
-        isinstance(v, CycloElement) and v.is_real() and sign(v) > 0
-        for v in _distinct_values(f1, f2)
-    )
+    margins = _margins(f1, f2)
+    if margins is not None:
+        positive = not any(zero for mu in margins for zero in char_fn_zero_classes(mu).values())
+    else:
+        sign = _sign_table(f1, f2)
+        positive = all(
+            isinstance(v, CycloElement) and v.is_real() and sign(v) > 0
+            for v in _distinct_values(f1, f2)
+        )
     violation = field = None
     if positive:
         field = _residue_field(f1, f2)
@@ -443,7 +488,9 @@ def verify_fixed_point_lemma(
     equation, then checks at every base point the two equalities that the
     orbit argument forces.  Every orbit under the derived automorphism
     kappa = -4*beta*(I-beta)**-2 is finite because the group is, so the
-    orbits need no enumeration; kappa is reported.  The equation and the
+    orbits need no enumeration; kappa is reported.  The bounds hold by
+    construction when both tables carry a margin (squared_modulus_table),
+    and are otherwise decided on the sign table.  The equation and the
     four identities go by the residue route when both tables carry their
     distribution (see the module docstring).
     """
@@ -451,8 +498,10 @@ def verify_fixed_point_lemma(
     if g.spec != spec or beta.spec != spec:
         raise ValueError("spec mismatch")
     invertible = identity(spec).add(beta.neg()).is_automorphism()
-    sign = _sign_table(f, g)
-    bounds = all(_within_unit_interval(v, sign) for v in _distinct_values(f, g))
+    bounds = True  # two squared moduli lie in [0, 1] (squared_modulus_table)
+    if _margins(f, g) is None:
+        sign = _sign_table(f, g)
+        bounds = all(_within_unit_interval(v, sign) for v in _distinct_values(f, g))
     violation = field = None
     if bounds and invertible:
         field = _residue_field(f, g)

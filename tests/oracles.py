@@ -32,7 +32,7 @@ from heyde import (
     sweep,
 )
 from heyde.cyclotomic import modular_field
-from heyde.distributions import Distribution, _canonical
+from heyde.distributions import Distribution, _canonical, dual_function
 from heyde.errors import VerificationFailure
 from heyde.fixtures import random_instance
 from heyde.groups import generated_by_codes
@@ -361,6 +361,25 @@ def dict_convolve(orders, pmf1, pmf2):
             z = raw_add(orders, x, y)
             out[z] = out.get(z, 0) + a * b
     return out
+
+
+def double_loop_convolve(mu, nu):
+    """mu * nu by the double loop over the two supports, on codes: the
+    numerator at z is the sum of a * b over (x, a), (y, b) with x + y = z."""
+    n = mu.spec.exponent
+    acc = {}
+    for x, a in mu.points:
+        for y, b in nu.points:
+            z = (x + y) % n
+            acc[z] = acc.get(z, 0) + a * b
+    return _canonical(mu.spec, mu.den * nu.den, acc)
+
+
+def plain_table(table):
+    """The values of a table rebuilt through dual_function: a table with no
+    distribution and no margin."""
+    spec = table.spec
+    return dual_function(spec, zip(map(spec.element, range(spec.exponent)), table.values))
 
 
 def dict_shift(orders, pmf, s):

@@ -24,7 +24,7 @@ from heyde import (
 )
 from heyde import serialize
 from heyde.cyclotomic import from_terms
-from heyde.distributions import Distribution, _is_haar_fixed_point
+from heyde.distributions import Distribution, _is_haar_fixed_point, stabilizer_index
 from heyde.engine import _canonical_shift
 from heyde.groups import Subgroup
 
@@ -281,3 +281,28 @@ def test_constructor_rejects_noncanonical_points():
     with pytest.raises(ValueError, match="sorted by element"):
         Distribution(Z9xZ5, 2, ((5, 1), (9, 1)))
     Distribution(Z9xZ5, 2, ((9, 1), (5, 1)))
+
+
+@pytest.mark.parametrize(
+    "spec", [Z9, Z27, Z9xZ5, validate_spec([(3, 2), (5, 1), (7, 1)])], ids=["Z9", "Z27", "Z9xZ5", "Z9xZ5xZ7"]
+)
+def test_convolve_on_the_stabilizer_quotient_matches_the_double_loop(spec):
+    # Seeded margins, some convolved with a Haar factor (translation
+    # stabilizer of index d < N), against the plain double loop: every pair
+    # of kinds, point masses included, in both orders.
+    stream = DeterministicStream(spec.exponent, label="quotient convolve")
+    subs = [sub for sub in enumerate_subgroups(spec) if 1 < sub.order < spec.exponent]
+    margins = []
+    for i in range(8):
+        mu = random_distribution(spec, 6, stream.derive(str(i)))
+        margins.append(convolve(mu, haar(subs[i // 2 % len(subs)])) if i % 2 else mu)
+    margins += [haar(subs[-1]), degenerate(spec, spec.element(4))]
+    indices = {stabilizer_index(mu) for mu in margins}
+    assert spec.exponent in indices and len(indices) > min(2, len(subs))
+    for mu in margins:
+        for nu in margins:
+            product = convolve(mu, nu)
+            assert product == oracles.double_loop_convolve(mu, nu)
+            assert_canonical(product)
+            # invariant under both operands' stabilizers
+            assert gcd(stabilizer_index(mu), stabilizer_index(nu)) % stabilizer_index(product) == 0

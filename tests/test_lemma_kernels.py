@@ -148,8 +148,10 @@ def test_signs_are_decided_once_per_distinct_value(monkeypatch):
 
     monkeypatch.setattr(lemmas.CycloElement, "real_sign", counting)
     fixture = corpus.nonvanishing_difference_fixtures(1)[0]
-    f = squared_modulus_table(fixture.instance.mu1)
-    g = squared_modulus_table(fixture.instance.mu2)
+    marked_f = squared_modulus_table(fixture.instance.mu1)
+    marked_g = squared_modulus_table(fixture.instance.mu2)
+    # the sign table serves tables with no margin: the same values, rebuilt
+    f, g = oracles.plain_table(marked_f), oracles.plain_table(marked_g)
     distinct = set(f.values) | set(g.values)
     assert verify_difference_lemma(f, g, fixture.instance.alpha.adjoint()).ok
     assert len(calls) == len(distinct) < 2 * f.spec.size
@@ -161,6 +163,11 @@ def test_signs_are_decided_once_per_distinct_value(monkeypatch):
     beta = fixture.instance.alpha.adjoint()
     assert not verify_difference_lemma(f, g.with_value(last, from_rational(9, -1)), beta).positive_ok
     assert not lemmas.verify_fixed_point_lemma(f, g.with_value(last, from_rational(9, 2)), beta).bounds_ok
+    # squared-modulus tables settle positivity and the bounds from their margins
+    calls.clear()
+    assert verify_difference_lemma(marked_f, marked_g, beta).ok
+    assert lemmas.verify_fixed_point_lemma(marked_f, marked_g, beta).evaluated
+    assert calls == []
 
 
 # -- generator route of the difference lemma ------------------------------------------

@@ -164,12 +164,15 @@ def test_char_fn_table_matches_char_fn():
 
 
 def test_both_verifiers_sign_each_value_once(monkeypatch):
-    # verify-lemmas runs both verifiers on the same tables: the positivity
-    # test and the [0, 1] bounds share one sign table, so real_sign runs
-    # once per distinct value and once per distinct 1 - value.
+    # Both verifiers run on the same tables, as in verify-lemmas: for tables
+    # with no margin the positivity test and the [0, 1] bounds share one
+    # sign table, so real_sign runs once per distinct value and once per
+    # distinct 1 - value.  Squared-modulus tables carry their margins, which
+    # settle both without a sign.
     fixture = nonvanishing_fixture(Z9, 31, (2,))
-    f = squared_modulus_table(fixture.instance.mu1)
-    g = squared_modulus_table(fixture.instance.mu2)
+    marked_f = squared_modulus_table(fixture.instance.mu1)
+    marked_g = squared_modulus_table(fixture.instance.mu2)
+    f, g = oracles.plain_table(marked_f), oracles.plain_table(marked_g)
     beta = fixture.instance.alpha.adjoint()
     signed = []
     real_sign = CycloElement.real_sign
@@ -184,3 +187,7 @@ def test_both_verifiers_sign_each_value_once(monkeypatch):
     assert verify_fixed_point_lemma(f, g, beta).evaluated
     values = set(f.values) | set(g.values)
     assert len(signed) == len(set(signed)) == len(values | {1 - v for v in values})
+    signed.clear()
+    assert verify_difference_lemma(marked_f, marked_g, beta).ok
+    assert verify_fixed_point_lemma(marked_f, marked_g, beta).evaluated
+    assert signed == []
