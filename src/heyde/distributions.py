@@ -30,7 +30,8 @@ Quantities that depend on one distribution only (its code -> numerator
 map, residues, zero classes and translation stabilizer, and its canonical
 shift into each subgroup, for engine) are memoized on it, as plain
 attributes filled on first use; a translate built from it (shift, and
-engine's canonical shift) starts with its stabilizer and zero classes.
+engine's canonical shift) and its reflection start with its stabilizer
+and zero classes.
 """
 
 from __future__ import annotations
@@ -151,9 +152,10 @@ def haar(sub: Subgroup) -> Distribution:
 
 def convolve(mu: Distribution, nu: Distribution) -> Distribution:
     """mu * nu, on the stabilizer quotient of the operand with the smaller
-    stabilizer index d (stabilizer_index), or by the double loop over the
-    two supports when both indices are N or one operand is a point mass,
-    whose product is a translate at |supp| steps with no index computed.
+    stabilizer index d (stabilizer_index).  With d = N the quotient is
+    Z(N) itself and this is the double loop over the two supports, which a
+    point-mass operand takes with no index computed: its product is a
+    translate, at |supp| steps.
 
     Let mu be invariant under H = dZ(N), d | N, with numerator a_x at x.
     Its support is a union of H-cosets, the classes r mod d, and a_x is one
@@ -180,29 +182,36 @@ def convolve(mu: Distribution, nu: Distribution) -> Distribution:
         if stabilizer_index(nu) < stabilizer_index(mu):
             mu, nu = nu, mu
         d = stabilizer_index(mu)
-    if d == n:
-        acc: dict[int, int] = {}
-        for x, a in mu.points:
-            for y, b in nu.points:
-                z = (x + y) % n
-                acc[z] = acc.get(z, 0) + a * b
-        return _canonical(spec, den, acc)
-    classes = {x % d: a for x, a in mu.points}  # r -> m(r), for each class that meets mu
-    pushed: dict[int, int] = {}  # P on Z(d)
-    for y, b in nu.points:
-        s = y % d
-        pushed[s] = pushed.get(s, 0) + b
+    classes = mu.points  # (r, m(r)) for each class of Z(d) that meets mu
+    pushed = nu.points  # (s, P(s)) for each class of Z(d) that P meets
+    if d < n:  # at d = N both are the operands' own points
+        classes = {x % d: a for x, a in mu.points}.items()
+        sums: dict[int, int] = {}
+        for y, b in nu.points:
+            s = y % d
+            sums[s] = sums.get(s, 0) + b
+        pushed = sums.items()
     quotient: dict[int, int] = {}
-    for r, a in classes.items():
-        for s, b in pushed.items():
+    for r, a in classes:
+        for s, b in pushed:
             c = (r + s) % d
             quotient[c] = quotient.get(c, 0) + a * b
-    return _canonical(spec, den, ((c + i, v) for c, v in quotient.items() for i in range(0, n, d)))
+    if d < n:  # each class of Z(d) to its N / d codes
+        quotient = {c + i: v for i in range(0, n, d) for c, v in quotient.items()}
+    return _canonical(spec, den, quotient)
 
 
 def reflect(mu: Distribution) -> Distribution:
+    """x -> mu(-x), carrying mu's filled stabilizer and zero-class memos.
+
+    nu(r + h) = mu(-r - h) equals nu(r) = mu(-r) at every r exactly when
+    mu is invariant under -h, that is under h, as the stabilizer is a
+    subgroup.  The character sum of nu at y is the complex conjugate of
+    mu's, the masses being real, so it vanishes exactly where mu's does.
+    So both memos hold for nu as they stand (_carry_memos).
+    """
     n = mu.spec.exponent
-    return _canonical(mu.spec, mu.den, (((n - r) % n, a) for r, a in mu.points))
+    return _carry_memos(mu, _canonical(mu.spec, mu.den, (((n - r) % n, a) for r, a in mu.points)))
 
 
 def shift(mu: Distribution, x: Element) -> Distribution:
@@ -218,12 +227,17 @@ def _translate(mu: Distribution, c: int) -> Distribution:
     when mu(r + h) = mu(r) at every r.  Its character sum is
     zeta**(s c y) times mu's at each y, a unit factor, so it has the same
     zeros and the same zero classes.  So both memos hold for the translate
-    as they stand, and the zero-class dict, which callers only read, is
-    shared.
+    as they stand (_carry_memos).
     """
     spec = mu.spec
     n = spec.exponent
-    nu = _canonical(spec, mu.den, (((r + c) % n, a) for r, a in mu.points))
+    return _carry_memos(mu, _canonical(spec, mu.den, (((r + c) % n, a) for r, a in mu.points)))
+
+
+def _carry_memos(mu: Distribution, nu: Distribution) -> Distribution:
+    """nu, given mu's filled stabilizer and zero-class memos, for an nu that
+    has both the stabilizer and the zero classes of mu (a translate or the
+    reflection); the zero-class dict, which callers only read, is shared."""
     for name in ("_stabilizer", "_zero_classes"):
         value = getattr(mu, name)
         if value is not None:
@@ -254,30 +268,39 @@ class DualFunction:
     distribution is the distribution whose character table this is, set by
     char_fn_table and lemmas.squared_modulus_table; a table built from
     values (dual_function, with_value) has none.  margin is the mu whose
-    |char_fn(mu)|**2 the table is, set by lemmas.squared_modulus_table
-    alone, with distribution mu * reflect(mu).  Such a table is made with
-    values None and builds them, char_fn_table(distribution).values, on
-    first read.  Neither field is part of ==, hash or repr, so a table
-    compares by its values, and reading those builds them.  The lemma
-    verifiers decide the identities of two tables that carry their
-    distributions on residues, and what a margin settles on integers
-    (lemmas), arguments that hold for such tables only.
+    |char_fn(mu)|**2 the table is, with distribution mu * reflect(mu).  It
+    is not a constructor argument: only _squared_modulus sets it, for
+    lemmas.squared_modulus_table, and that table builds its values,
+    char_fn_table(distribution).values, on first read.  Neither field is
+    part of ==, hash or repr, so a table compares by its values, and
+    reading those builds them.  The lemma verifiers decide the identities
+    of two tables that carry their distributions on residues, and take
+    what a margin settles on integers without checking it against the
+    values (lemmas), arguments that hold for such tables only.
     """
 
     spec: GroupSpec
     values: tuple
     distribution: Distribution | None = field(default=None, compare=False, repr=False)
-    margin: Distribution | None = field(default=None, compare=False, repr=False)
+    margin: Distribution | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.values is None and self.margin is not None:
-            object.__delattr__(self, "values")  # built by __getattr__ on first read
-        elif len(self.values) != self.spec.exponent:
+        if len(self.values) != self.spec.exponent:
             raise ValueError("table must cover every dual element")
+
+    @classmethod
+    def _squared_modulus(cls, margin: Distribution, distribution: Distribution) -> "DualFunction":
+        """The table of |char_fn(margin)|**2, whose distribution is
+        margin * reflect(margin), with its values not yet built."""
+        table = object.__new__(cls)
+        object.__setattr__(table, "spec", margin.spec)
+        object.__setattr__(table, "distribution", distribution)
+        object.__setattr__(table, "margin", margin)
+        return table
 
     def __getattr__(self, name: str):
         # Reached only for attributes the instance lacks: the values of a
-        # table of squared_modulus_table before their first read.
+        # table of _squared_modulus before their first read.
         if name != "values" or self.margin is None:
             raise AttributeError(name)
         values = char_fn_table(self.distribution).values
@@ -595,14 +618,18 @@ def stabilizer_index(mu: Distribution) -> int:
     of d while d / p still passes, which leaves its exponent in d at its
     exponent in the index.  The support is a union of H-cosets, so a
     candidate whose order does not divide the support size fails untested.
+    Every candidate order is a multiple of a prime of N, so with the size
+    prime to N none is tested: d = N, with no numerator map built.
     """
     d = mu._stabilizer
     if d is not None:
         return d
     n = mu.spec.exponent
     points = mu.points
-    get = numerator_map(mu).get
     size = len(points)
+    if gcd(size, n) == 1:
+        return _memo(mu, "_stabilizer", n)
+    get = numerator_map(mu).get
     d = n
     for comp in mu.spec.components:
         p = comp.p

@@ -68,7 +68,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .cyclotomic import CycloElement, from_rational, modular_field
-from .distributions import Distribution, DualFunction, char_fn_zero_classes, char_residues, convolve, reflect
+from .distributions import (
+    Distribution,
+    DualFunction,
+    char_fn_zero_classes,
+    char_residues,
+    convolve,
+    reflect,
+    stabilizer_index,
+)
 from .engine import _residue_equation_holds, first_equation_violation
 from .morphisms import Endomorphism, identity, kappa_of
 
@@ -101,7 +109,8 @@ def squared_modulus_table(mu: Distribution) -> DualFunction:
     states of them (_log_residual) or for the interned route after a
     residue failure.
     """
-    return DualFunction(mu.spec, None, convolve(mu, reflect(mu)), mu)
+    stabilizer_index(mu)  # filled on mu, so that its reflection starts with it
+    return DualFunction._squared_modulus(mu, convolve(mu, reflect(mu)))
 
 
 def _margins(*fns: DualFunction) -> tuple | None:

@@ -24,7 +24,13 @@ from heyde import (
 )
 from heyde import serialize
 from heyde.cyclotomic import from_terms
-from heyde.distributions import Distribution, _is_haar_fixed_point, stabilizer_index
+from heyde.distributions import (
+    Distribution,
+    DualFunction,
+    _is_haar_fixed_point,
+    char_fn_zero_classes,
+    stabilizer_index,
+)
 from heyde.engine import _canonical_shift
 from heyde.groups import Subgroup
 
@@ -306,3 +312,42 @@ def test_convolve_on_the_stabilizer_quotient_matches_the_double_loop(spec):
             assert_canonical(product)
             # invariant under both operands' stabilizers
             assert gcd(stabilizer_index(mu), stabilizer_index(nu)) % stabilizer_index(product) == 0
+
+
+def test_reflect_and_shift_carry_the_stabilizer_and_zero_classes():
+    # Margins with and without a Haar factor: a reflection or a translate
+    # built after both memos are filled starts with them, and they equal
+    # what a fresh copy computes.
+    spec = Z9xZ5
+    stream = DeterministicStream(31, label="carry")
+    subs = [sub for sub in enumerate_subgroups(spec) if 1 < sub.order < spec.exponent]
+    for i, sub in enumerate(subs):
+        mu = convolve(random_distribution(spec, 5, stream.derive(str(i))), haar(sub))
+        for lam in (mu, random_distribution(spec, 6, stream.derive(f"plain {i}"))):
+            stabilizer_index(lam)
+            char_fn_zero_classes(lam)
+            for built in (reflect(lam), shift(lam, (4, 3))):
+                assert {"_stabilizer", "_zero_classes"} <= vars(built).keys()
+                fresh = Distribution(spec, built.den, built.points)
+                assert stabilizer_index(built) == oracles.brute_stabilizer_index(fresh)
+                assert char_fn_zero_classes(built) == char_fn_zero_classes(fresh)
+
+
+def test_a_support_size_prime_to_n_has_index_n_with_no_numerator_map():
+    stream = DeterministicStream(37, label="coprime")
+    for size in (1, 2, 4, 7, 8, 16):
+        codes = stream.distinct(Z9xZ5.exponent, size)
+        mu = from_pmf(Z9xZ5, {Z9xZ5.element(c): Fraction(1, size) for c in codes})
+        assert len(mu.points) == size
+        assert stabilizer_index(mu) == Z9xZ5.exponent == oracles.brute_stabilizer_index(mu)
+        assert "_numerators" not in vars(mu)
+
+
+def test_a_margin_is_not_a_constructor_argument():
+    mu = from_pmf(Z9, {(0,): Fraction(1, 4), (5,): Fraction(3, 4)})
+    table = char_fn_table(mu)
+    assert table.margin is None
+    with pytest.raises(TypeError):
+        DualFunction(Z9, table.values, mu, mu)
+    with pytest.raises(TypeError):
+        DualFunction(Z9, table.values, mu, margin=mu)
