@@ -256,7 +256,7 @@ class _ModField:
     D(u, -v) = -D(u, v).  On the residues D(u + k, v) is a power of omega
     times D(u, v) for k in the unit-modulus set K, and D(u, v + k) = D(u, v)
     for k in its subgroup K' (engine._equation_quotient), and a power of
-    omega is a unit mod M; so the pairs first_equation_violation visits
+    omega is a unit mod M; so the pairs engine._quotient_loop_holds visits
     stand for every pair, every unit multiple of it and every K x K'
     translate of it.  The pairs it skips have both products = 0 (mod M),
     so D(u, v) = 0 (mod M) holds there too.  So with M > 2 * D1 * D2 its
@@ -348,9 +348,6 @@ class CycloElement:
 
     def is_one(self) -> bool:
         return self.den == 1 and self.num[0] == 1 and not any(self.num[1:])
-
-    def is_rational(self) -> bool:
-        return not any(self.num[1:])
 
     def is_unit_modulus(self) -> bool:
         return (self * self.conj()).is_one()

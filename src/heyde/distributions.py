@@ -360,7 +360,10 @@ def char_residues(mu: Distribution, field) -> Callable[[int], int]:
     margins are, keeps the window of sum(q_j) codes with no stabilizer
     computed before its end, any margin reads its first code with none,
     and one on a Haar factor of small index fills its table after a few
-    codes.  char_residue_table gives the list itself.
+    codes.  On one CRT axis sum(q_j) = N, and a window read at every code
+    becomes the list itself, with no transform, so a margin read in full
+    is read as a list from then on.  char_residue_table gives the list
+    itself.
     """
     memo = mu._residues
     if memo is None:
@@ -408,6 +411,10 @@ def _residue_function(mu: Distribution, field) -> Callable[[int], int]:
                     lazy.clear()
                     return table[y]
             value = lazy[y] = sum(a * powers[t * y % n] for t, a in terms) % modulus
+            if len(lazy) == n:  # a window of every code: keep them as the memo's list
+                table = [lazy[c] for c in range(n)]
+                mu._residues[field] = table.__getitem__
+                lazy.clear()
         return value
 
     return residue

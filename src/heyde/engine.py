@@ -41,32 +41,33 @@ the margin's translation stabilizer, among its points of least mass, in
 place of one per support point.
 
 The dual equation has two routes, and _residue_equation_holds takes the
-one its estimate prices lower.  The loop compares the two products of
-each pair (u, v) as the caller's multiplication returns them: residues
-mod M here and for the lemma verifiers' character tables; on their
-interned route, the only one whose values are costly to multiply, ids of
-cyclotomic values with a memoized product of ids.  It visits every u at
-its first v, reading the character tables lazily, and at every later v
-only the u at which a side can be nonzero (a falsy value is zero).  For a
-verdict it runs on a quotient from the first pair on: the character sums
-are quasi-periodic under the unit-modulus set K = eZ(N), so u runs over
-Z(N)/K and v over Z(N)/K', K' = e'Z(N) the part of K that also
-annihilates x1 + alpha x2 (_equation_quotient, whose proof needs no pair
-visited first).  The first v, v = 1, then visits e values of u, a
-quotient with e' <= 3 has no later v and fills no table, and the later v
-cost at most (e' / 2) * min(e, 2 |S| / (N / e)) pairs in all, with S the
-nonzero codes, in place of N**2 / 2.  For two point masses K = Z(N) is
-known at once: u = 0 alone, no residue table, and no pair at all when the
-pair is symmetric (e' = 1).  The support-pair route (_support_pairs_hold)
-checks the identity only where its left side is nonzero: there u + v and
-u + beta v are nonzero codes s and t of the two residue tables, and
-(beta - 1) v = t - s has gcd(beta - 1, N) solutions or none.  A residue
-table costs |supp| + d * sum(q_j) at most, from the pushforward of the
-margin to Z(d), d the index of its translation stabilizer, and is nonzero
-on at most d codes (distributions._residue_table), so a pair with Haar
-factors is decided on a few codes.  The lemma verifiers take either route
-for a verdict only, and rerun every pair in element order to report the
-first violation.
+one its estimate prices lower.  The loop (_quotient_loop_holds) runs on a
+quotient from the first pair on: the character sums are quasi-periodic
+under the unit-modulus set K = eZ(N), so u runs over Z(N)/K and v over
+Z(N)/K', K' = e'Z(N) the part of K that also annihilates
+x1 + alpha x2 (_equation_quotient, whose proof needs no pair visited
+first).  The first v, v = 1, visits e values of u, reading the residues
+lazily, and a quotient with e' <= 3 has no later v.  Each later v visits
+only the u = v and u = -v modulo N / d1, d1 the stabilizer index of mu1,
+off which the residues of mu1 vanish: at most 2 e d1 / N values of u,
+in place of N, and the later v fill no table, reading each margin's
+memo.  For two point masses K = Z(N) is known at once: u = 0 alone, and
+no pair at all when the pair is symmetric (e' = 1).  The support-pair
+route (_support_pairs_hold) checks the identity only where its left side
+is nonzero: there u + v and u + beta v are nonzero codes s and t of the
+two residue tables, and (beta - 1) v = t - s has gcd(beta - 1, N)
+solutions or none.  A residue table costs |supp| + d * sum(q_j) at most,
+from the pushforward of the margin to Z(d), d the index of its
+translation stabilizer, and is nonzero on at most d codes
+(distributions._residue_table), so a pair with Haar factors is decided
+on a few codes.  The lemma verifiers take either route
+for a verdict only, and rerun first_equation_violation, the reference
+loop over every pair in element order, to report the first violation.
+It compares the two products of each pair as the caller's multiplication
+returns them, on the lemma verifiers' interned route ids of cyclotomic
+values with a memoized product of ids, and visits every u at its first
+v and at every later v only the u at which a side can be nonzero (a
+falsy value is zero).
 
 Each predicate is decided in one place: symmetry by _joint_symmetric,
 and the residue equation by _residue_equation_holds, so
@@ -282,7 +283,6 @@ def first_equation_violation(
     g: Callable[[int], object],
     beta: Endomorphism,
     mul: Callable[[object, object], object] = operator.mul,
-    quotient: tuple[int, int] | None = None,
 ) -> tuple[Element, Element] | None:
     """First (u, v) with f(u + v) g(u + beta v) != f(u - v) g(u - beta v), or None.
 
@@ -312,60 +312,34 @@ def first_equation_violation(
     fewer nonzero codes.  That is at most 2 |S| pairs per v in place of N.
     When 2 |S| >= N, as for point masses, every v stays dense.  A skipped
     pair holds exactly, so the (u, v) reported is the one the dense loop
-    reports.
-
-    A caller that only needs the verdict may pass quotient, the indices
-    (e, e') of subgroups K = eZ(N) and K' = e'Z(N) with this property: the
-    identity holds at (u + k, v) exactly when at (u, v) for k in K, and at
-    (u, v + k) exactly when at (u, v) for k in K' (_equation_quotient
-    proves it for character sums).  v then runs over the representatives
-    1 .. e' - 1 of Z(N)/K' with v < e' - v, since v and -v state the same
-    identity and no v but 0 is its own negative mod the odd e', and e' = 1
-    leaves no v.  u runs over the representatives 0 .. e - 1 of Z(N)/K:
-    all of them at the first v, v = 1, where f and g are read lazily as
-    above, and at each later v only those in (S - v) | (S + v) mod e, when
-    f and g are zero on whole K-cosets, as the unit factor of the
-    translation makes them, in no set order.  The pair then reported is a
-    representative of a violation, not the first in element order.  With
-    e' <= 3 the first v is the only one, and no table is filled.  With
-    e = 1, as for two point masses, u = 0 stands for every u, so f and g
-    are read at the codes of the visited v alone and no table is filled.
+    reports.  A caller that needs only the verdict on residues runs
+    _quotient_loop_holds instead.
     """
     n = spec.exponent
     b = beta.code
-    if quotient is None:  # u runs over Z(N) / mZ(N)
-        m, every_u, vs = n, spec.crt_codes, _equation_vs(spec)
-    else:
-        m, m_v = quotient
-        every_u, vs = range(m), iter(range(1, (m_v + 1) // 2))
+    vs = _equation_vs(spec)
     v = next(vs, None)  # the first v visits every u, reading f and g lazily
     if v is not None:
-        u = _first_violation(f, g, every_u, v, b * v % n, n, mul)
+        u = _first_violation(f, g, spec.crt_codes, v, b * v % n, n, mul)
         if u is not None:
             return spec.element(u), spec.element(v)
         v = next(vs, None)
     if v is None:  # no later v, so no table to fill
         return None
-    if m == 1:
-        support = every_u  # u = 0 alone: f and g are read where visited
-    else:
-        f_values = [f(i) for i in range(n)]
-        g_values = [g(i) for i in range(n)]
-        f, g = f_values.__getitem__, g_values.__getitem__
-        nonzero_f = [i for i, value in enumerate(f_values) if value]
-        nonzero_g = [i for i, value in enumerate(g_values) if value]
-        on_g = len(nonzero_g) < len(nonzero_f)
-        support = nonzero_g if on_g else nonzero_f
-        if quotient is not None:
-            support = {i % m for i in support}
+    f_values = [f(i) for i in range(n)]
+    g_values = [g(i) for i in range(n)]
+    f, g = f_values.__getitem__, g_values.__getitem__
+    nonzero_f = [i for i, value in enumerate(f_values) if value]
+    nonzero_g = [i for i, value in enumerate(g_values) if value]
+    on_g = len(nonzero_g) < len(nonzero_f)
+    support = nonzero_g if on_g else nonzero_f
     for v in itertools.chain((v,), vs):
         bv = b * v % n
-        us = every_u
-        if 2 * len(support) < m:
+        us = spec.crt_codes
+        if 2 * len(support) < n:
             d = bv if on_g else v
-            us = {(s + d) % m for s in support}.union((s - d) % m for s in support)
-            if quotient is None:  # the first violation in element order
-                us = sorted(us, key=spec.crt_rank.__getitem__)
+            us = {(s + d) % n for s in support}.union((s - d) % n for s in support)
+            us = sorted(us, key=spec.crt_rank.__getitem__)  # the first violation in element order
         u = _first_violation(f, g, us, v, bv, n, mul)
         if u is not None:
             return spec.element(u), spec.element(v)
@@ -373,7 +347,7 @@ def first_equation_violation(
 
 
 def _equation_vs(spec: GroupSpec):
-    """The v of first_equation_violation without a quotient, in its order:
+    """The v of first_equation_violation, in its order:
     every nonzero code, in element order, whose negation comes later."""
     n = spec.exponent
     rank = spec.crt_rank
@@ -382,7 +356,8 @@ def _equation_vs(spec: GroupSpec):
 
 def _first_violation(f, g, us, v: int, bv: int, n: int, mul) -> int | None:
     """The first u of us at which the identity at (u, v) fails, bv = beta v:
-    the loop of every v of first_equation_violation."""
+    the loop of every v of first_equation_violation and of
+    _quotient_loop_holds."""
     for u in us:
         f1, g1 = f((u + v) % n), g((u + bv) % n)
         f2, g2 = f((u - v) % n), g((u - bv) % n)
@@ -418,9 +393,13 @@ def _residue_equation_holds(mu1: Distribution, mu2: Distribution, beta: Endomorp
     place where its route is chosen, by estimated cost in residue terms.
 
     With s = |supp1| + |supp2| and (e, e') = _equation_quotient, computed
-    once, the loop of first_equation_violation on that quotient reads about
-    4e residues at s terms each at its first v, and visits at most
-    (e' / 2) * min(e, 2 s) pairs at the later v.  The support-pair route
+    once, the loop on that quotient (_quotient_loop_holds) reads about 4e
+    residues at s terms each at its first v, and its later v are priced at
+    (e' / 2) * min(e, 2 s) pairs.  That price counts pairs alone, as the
+    loop fills no table of its own: a later v visits the u = v and
+    u = -v (mod N / d1), min(e, 2 e d1 / N) of them at most, and a margin
+    read past its lazy window fills its table at the memo's own price
+    (char_residues).  The support-pair route
     (_support_pairs_hold) fills both residue tables, at |supp_i| +
     d_i * sum(gcd(q_j, d_i)) terms at most, d_i the stabilizer index of
     mu_i (distributions._table_cost), and checks at most d1 * d2 * h pairs,
@@ -450,16 +429,57 @@ def _residue_equation_holds(mu1: Distribution, mu2: Distribution, beta: Endomorp
     if support_pairs(n // gcd(size1, n), n // gcd(size2, n)) < loop:
         if support_pairs(stabilizer_index(mu1), stabilizer_index(mu2)) < loop:
             return _support_pairs_hold(mu1, mu2, beta, field)
+    return _quotient_loop_holds(mu1, mu2, beta, field, quotient)
+
+
+def _quotient_loop_holds(
+    mu1: Distribution, mu2: Distribution, beta: Endomorphism, field, quotient: tuple[int, int]
+) -> bool:
+    """The residue equation of _residue_equation_holds, decided by the loop
+    on its quotient, (e, e') = _equation_quotient(mu1, mu2, beta).
+
+    The identity holds at (u + k, v) exactly when at (u, v) for k in
+    K = eZ(N), and at (u, v + k) exactly when at (u, v) for k in
+    K' = e'Z(N) (_equation_quotient).  So v runs over the representatives
+    1 .. e' - 1 of Z(N)/K' with v < e' - v, since v and -v state the same
+    identity and no v but 0 is its own negative mod the odd e', and e' = 1
+    leaves no v; u runs over the representatives 0 .. e - 1 of Z(N)/K.
+    The first v, v = 1, visits all of them and reads the residues R1 and
+    R2 of the two margins lazily (char_residues), so a pair refuted there,
+    or with e' <= 3 and so no later v, reads only what it needs.  With
+    e = 1, as for two point masses, u = 0 stands for every u.
+
+    Each later v visits only the u = v and the u = -v (mod N / d1),
+    d1 = stabilizer_index(mu1).  R1 = 0 (mod M) off the multiples of
+    N / d1 (_residue_table), so at any other u both R1(u + v) and R1(u - v)
+    are zero and both products are zero: the identity holds there with no
+    residue read.  Mu1's step alone is exact whatever mu2 is, and mu2's
+    would save little: a pair whose equation holds is symmetric, so its
+    margins are shifts of one lambda and d1 = d2, and a pair that fails
+    stops at its first violation.  K
+    annihilates the difference subgroup of mu1, which contains d1 Z(N), so
+    N / d1 divides e, and a later v visits 2 e d1 / N codes u at most.  The
+    loop fills no table of its own: R1 and R2 are read from their memos
+    again at each v, and a memo read past its window fills its table at
+    its own price (char_residues), which later v then read as a list.
+    Every product is reduced mod M and zero means zero mod M, so the
+    certification of cyclotomic._ModField holds for every pair visited,
+    and the pairs skipped or stood for hold with them.
+    """
+    n = mu1.spec.exponent
+    b = beta.code
     modulus = field.modulus
-    violation = first_equation_violation(
-        mu1.spec,
-        char_residues(mu1, field),
-        char_residues(mu2, field),
-        beta,
-        lambda a, b: a * b % modulus,
-        quotient,
-    )
-    return violation is None
+    mul = lambda x, y: x * y % modulus
+    e, e_v = quotient
+    step = 1  # v = 1 visits every u
+    for v in range(1, (e_v + 1) // 2):
+        if v == 2:
+            step = n // stabilizer_index(mu1)
+        f, g = char_residues(mu1, field), char_residues(mu2, field)
+        for start in {v % step, -v % step}:
+            if _first_violation(f, g, range(start, e, step), v, b * v % n, n, mul) is not None:
+                return False
+    return True
 
 
 def _support_pairs_hold(mu1: Distribution, mu2: Distribution, beta: Endomorphism, field) -> bool:
@@ -485,7 +505,7 @@ def _support_pairs_hold(mu1: Distribution, mu2: Distribution, beta: Endomorphism
     _residue_table proves the table vanishes elsewhere, so |S_i| <= d_i.
     Zero means zero mod M, as in the loop, and every product is reduced
     mod M, so the certification of cyclotomic._ModField holds as it does
-    for first_equation_violation.
+    for _quotient_loop_holds.
     """
     n = mu1.spec.exponent
     modulus = field.modulus
@@ -538,7 +558,7 @@ def _equation_quotient(mu1: Distribution, mu2: Distribution, beta: Endomorphism)
     order of x1 + a x2.  The same identities hold
     for the residues at omega, with omega**N = 1 (mod M), and a power of
     omega is a unit mod M, so each translate of a pair is zero mod M
-    exactly when the pair is: the pairs first_equation_violation visits on
+    exactly when the pair is: the pairs _quotient_loop_holds visits on
     this quotient stand for every pair.  This is the quasi-periodicity of
     the transform of a coset-supported measure (Hewitt and Ross, Abstract
     Harmonic Analysis I, sec. 23-24).
@@ -557,10 +577,12 @@ class AutomorphismRow:
     that symmetric(mu1, mu2, terms) passes to _joint_symmetric, the very
     test is_conditionally_symmetric runs, a field certified for every pair
     of margins whose denominators are at most top, its modulus M and
-    product mod M (mul), and the first v of the equation loop in element
-    order (first_equation_violation with no quotient) with beta v
+    product mod M (mul), and the first v of the reference loop in element
+    order (first_equation_violation) with beta v
     (first_v = (v, beta v, N)).  A row holds nothing N-sized: the u of the
-    first v are spec.crt_codes itself.
+    first v are spec.crt_codes itself.  A pair that holds there goes to
+    check_instance, whose satisfies_heyde_equation decides the later v on
+    the quotient (_quotient_loop_holds) or by the support pairs.
 
     Per margin, first(mu) and second(mu) give what depends on alpha and mu
     in that role: its residue function (char_residues, memoized on mu) and

@@ -72,7 +72,7 @@ from .distributions import (
     Distribution,
     DualFunction,
     char_fn_zero_classes,
-    char_residues,
+    char_residue_table,
     convolve,
     reflect,
     stabilizer_index,
@@ -204,12 +204,6 @@ def _residue_field(f: DualFunction, g: DualFunction):
     return modular_field(f.spec.exponent, max(2 * d1 * d2, 2 * d1**4, 2 * d2**4))
 
 
-def _residues(fn: DualFunction, field) -> list[int]:
-    """D * fn(y) at zeta = field.root, mod field.modulus, at every code y,
-    for a table that carries its distribution (distributions.char_residues)."""
-    return list(map(char_residues(fn.distribution, field), range(fn.spec.exponent)))
-
-
 # engine._residue_equation_holds, kept for the last arguments:
 # verify-lemmas runs both verifiers on the same tables.
 _residue_equation = lru_cache(maxsize=1)(_residue_equation_holds)
@@ -311,7 +305,7 @@ def _generator_triple_violation(fn: DualFunction, step_endos, field) -> tuple[in
     values = product = None
     if field is not None:
         modulus = field.modulus
-        residues = _residues(fn, field)
+        residues = char_residue_table(fn.distribution, field)
         if all(math.gcd(r, modulus) == 1 for r in residues):
             values, product = residues, lambda a, b: a * b % modulus
     if values is None:
@@ -473,7 +467,7 @@ def _fixed_point_residues_hold(f: DualFunction, g: DualFunction, field, r: int, 
     n = f.spec.exponent
     m = field.modulus
     d1, d2 = f.distribution.den, g.distribution.den
-    rf, rg = _residues(f, field), _residues(g, field)
+    rf, rg = char_residue_table(f.distribution, field), char_residue_table(g.distribution, field)
     return all(
         d2 * rf[y] % m == rf[-r * y % n] * rg[mg * y % n] % m == d1 * rg[mg * y % n] % m
         and d1 * rg[y] % m == rg[r * y % n] * rf[mf * y % n] % m == d2 * rf[mf * y % n] % m

@@ -814,9 +814,14 @@ def subgroup_generated(spec, xs):
     return generated_by_codes(spec, [spec.crt(x) for x in xs])
 
 
+def is_rational(value):
+    """Whether a CycloElement has no coordinate but the constant one."""
+    return not any(value.num[1:])
+
+
 def rational_value(value):
     """The rational number a CycloElement with no irrational coordinate is."""
-    assert value.is_rational()
+    assert is_rational(value)
     return Fraction(value.num[0], value.den)
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from heyde import cli, engine, lemmas, serialize, validate_spec
 from heyde.cli import main
-from heyde.engine import first_equation_violation
 from limits import TimeLimitExceeded, time_limit
 
 Z5_SPEC = {"components": [{"p": 5, "k": 1, "kind": "finite"}]}
@@ -576,12 +575,14 @@ def test_verify_lemmas_on_two_point_masses_matches_the_interned_route(tmp_path, 
     quotients = []
     lemmas._residue_equation.cache_clear()
 
+    loop = engine._quotient_loop_holds
+
     def spy(*args):
-        quotients.append(args[5])
-        return first_equation_violation(*args)
+        quotients.append(args[4])
+        return loop(*args)
 
     with monkeypatch.context() as patched:
-        patched.setattr(engine, "first_equation_violation", spy)
+        patched.setattr(engine, "_quotient_loop_holds", spy)
         assert main(["verify-lemmas", "--input", path]) == 0
     residue = capsys.readouterr().out
     assert quotients == [(1, 1)]

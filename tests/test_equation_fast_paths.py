@@ -135,6 +135,26 @@ def test_residues_switch_to_the_transform_after_sum_of_orders_codes(monkeypatch)
     assert filled == [mu]
 
 
+def test_a_window_of_every_code_becomes_the_memos_list(monkeypatch):
+    # Z(3^5) has one CRT axis, so sum(q_j) = N, and three adjacent points
+    # have d = N, whose table costs more than reading every code: the
+    # window is all N codes.  Once each is read the memo keeps them as one
+    # list, with no transform, and char_residues returns its getter.
+    def refuse(*args):
+        raise AssertionError("a residue table was transformed")
+
+    monkeypatch.setattr(distributions, "_residue_table", refuse)
+    spec = validate_spec([(3, 5)])
+    n = spec.exponent
+    mu = from_pmf(spec, {(0,): Fraction(1, 3), (1,): Fraction(1, 3), (2,): Fraction(1, 3)})
+    field = _fields(n)[0]
+    expected = oracles.per_code_residues(mu, field)
+    residue = char_residues(mu, field)
+    assert [residue(y) for y in reversed(range(n))] == expected[::-1]
+    assert char_residues(mu, field).__self__ == expected
+    assert [residue(y) for y in range(n)] == expected
+
+
 def test_the_lazy_window_ends_once_its_codes_cost_as_much_as_the_table(monkeypatch):
     # Z(27) x Z(5): sum(q_j) = 32.  Haar on the subgroup of index 5 has 27
     # points and d = 5, so 2 codes at 27 terms cost about its table
@@ -655,25 +675,24 @@ def _route_cases(spec, rng, count):
     return cases[:count]
 
 
+ROUTE_COUNTS = {9: 250, 45: 250, 135: 100, 315: 40, 945: 10}
+
+
 @pytest.mark.parametrize("spec", LADDER, ids=_describe)
 def test_each_equation_route_matches_the_dense_reference(spec):
     # Both routes of engine._residue_equation_holds, each forced in turn,
     # and the route its estimate picks, against the dense loop on per-code
     # residues, which shares neither the tables nor the quotient.
     n = spec.exponent
-    count = {9: 250, 45: 250, 135: 100, 315: 40, 945: 10}[n]
     seen = collections.Counter()
-    for inst in _route_cases(spec, random.Random(f"routes {spec.describe()}"), count):
+    for inst in _route_cases(spec, random.Random(f"routes {spec.describe()}"), ROUTE_COUNTS[n]):
         mu1, mu2, beta = inst.mu1, inst.mu2, inst.alpha.adjoint()
         field = modular_field(n, 2 * mu1.den * mu2.den)
         modulus = field.modulus
         f, g = (oracles.per_code_residues(mu, field).__getitem__ for mu in (mu1, mu2))
         holds = oracles.dense_equation_violation(spec, f, g, beta, modulus) is None
-        loop = first_equation_violation(
-            spec, char_residues(mu1, field), char_residues(mu2, field), beta,
-            lambda a, b: a * b % modulus, _equation_quotient(mu1, mu2, beta),
-        )
-        assert (loop is None) == holds
+        loop = engine._quotient_loop_holds(mu1, mu2, beta, field, _equation_quotient(mu1, mu2, beta))
+        assert loop == holds
         assert engine._support_pairs_hold(mu1, mu2, beta, field) == holds
         assert satisfies_heyde_equation(inst) == holds
         h = gcd(beta.code - 1, n)
@@ -681,12 +700,55 @@ def test_each_equation_route_matches_the_dense_reference(spec):
     assert len(seen) == 4, seen
 
 
+@pytest.mark.parametrize("spec", LADDER, ids=_describe)
+def test_the_quotient_loop_skips_only_pairs_with_both_first_factors_zero(spec, monkeypatch):
+    # Each later v of engine._quotient_loop_holds visits only u = v and
+    # u = -v (mod N / d1).  Every u of Z(N)/K it skips at a v it finishes
+    # must have R1(u + v) = R1(u - v) = 0 (mod M), read from the per-code
+    # reference, so that both products vanish there.  The v at which a
+    # pair fails is left out: the loop stops at its violation, and the
+    # codes after it are not skips.
+    n = spec.exponent
+    real = engine._first_violation
+    calls = []
+
+    def spy(f, g, us, v, *rest):
+        calls.append((v, list(us)))
+        return real(f, g, us, v, *rest)
+
+    monkeypatch.setattr(engine, "_first_violation", spy)
+    seen = collections.Counter()
+    for inst in _route_cases(spec, random.Random(f"routes {spec.describe()}"), ROUTE_COUNTS[n]):
+        mu1, mu2, beta = inst.mu1, inst.mu2, inst.alpha.adjoint()
+        field = modular_field(n, 2 * mu1.den * mu2.den)
+        f, g = (oracles.per_code_residues(mu, field) for mu in (mu1, mu2))
+        found = oracles.dense_equation_violation(spec, f.__getitem__, g.__getitem__, beta, field.modulus)
+        holds = found is None
+        e, _ = quotient = _equation_quotient(mu1, mu2, beta)
+        calls.clear()
+        assert engine._quotient_loop_holds(mu1, mu2, beta, field, quotient) == holds
+        if not holds:  # the failing v stops early
+            failed = calls[-1][0]
+            calls[:] = [call for call in calls if call[0] != failed]
+        visited = collections.defaultdict(set)
+        for v, us in calls:
+            visited[v].update(us)
+        for v, us in visited.items():
+            if v == 1:
+                assert us == set(range(e))
+                continue
+            skipped = set(range(e)) - us
+            assert all(f[(u + v) % n] == f[(u - v) % n] == 0 for u in skipped), (inst, v)
+            seen["holds" if holds else "fails later"] += bool(skipped)
+    assert seen["holds"] and seen["fails later"], seen
+
+
 def _routes_taken(monkeypatch):
     """Patch both routes of the residue equation to record their name."""
     taken = []
-    loop, pairs = engine.first_equation_violation, engine._support_pairs_hold
+    loop, pairs = engine._quotient_loop_holds, engine._support_pairs_hold
     monkeypatch.setattr(
-        engine, "first_equation_violation", lambda *args: taken.append("loop") or loop(*args)
+        engine, "_quotient_loop_holds", lambda *args: taken.append("loop") or loop(*args)
     )
     monkeypatch.setattr(
         engine, "_support_pairs_hold", lambda *args: taken.append("support pairs") or pairs(*args)
@@ -735,6 +797,41 @@ def test_the_order_3_pair_on_3_to_the_12_within_half_a_second():
     mu = haar(subgroup_of_index(spec, spec.exponent // 3))
     inst = HeydeInstance(spec, mu, mu, make_endo(spec, (2,)))
     modular_field(spec.exponent, 2 * mu.den * mu.den)
+    with time_limit(0.5):
+        assert satisfies_heyde_equation(inst)
+
+
+def test_the_9_point_pair_on_3_to_the_12_fills_no_table_within_half_a_second(monkeypatch):
+    # Z(3^12), G of order 27, alpha = 2, rho = delta_0: 9-point margins
+    # with (e, e') = (9, 9), so the loop has later v.  They visit the
+    # u = +-v (mod N / d1) alone and read the lazy residues, so no residue
+    # table is filled.  The field is built first.
+    spec = validate_spec([(3, 12)])
+    alpha = make_endo(spec, (2,))
+    sub = subgroup_of_index(spec, spec.exponent // 27)
+    inst = construct_instance(sub, alpha, degenerate(spec, (0,)), (5,)).instance
+    mu1, mu2, beta = inst.mu1, inst.mu2, alpha.adjoint()
+    assert len(mu1.points) == 9 and _equation_quotient(mu1, mu2, beta) == (9, 9)
+    modular_field(spec.exponent, 2 * mu1.den * mu2.den)
+
+    def refuse(*args):
+        raise AssertionError("a residue table was filled")
+
+    monkeypatch.setattr(distributions, "_residue_table", refuse)
+    with time_limit(0.5):
+        assert satisfies_heyde_equation(inst)
+
+
+def test_the_index_243_pair_on_3_to_the_10_within_half_a_second():
+    # Z(3^10), G of index 243, alpha = 2, rho = delta_0: 81-point margins
+    # with (e, e') = (81, 81), on the loop route.  The field is built first.
+    spec = validate_spec([(3, 10)])
+    alpha = make_endo(spec, (2,))
+    sub = subgroup_of_index(spec, 243)
+    inst = construct_instance(sub, alpha, degenerate(spec, (0,)), (5,)).instance
+    mu1, mu2, beta = inst.mu1, inst.mu2, alpha.adjoint()
+    assert len(mu1.points) == 81 and _equation_quotient(mu1, mu2, beta) == (81, 81)
+    modular_field(spec.exponent, 2 * mu1.den * mu2.den)
     with time_limit(0.5):
         assert satisfies_heyde_equation(inst)
 

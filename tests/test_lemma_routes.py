@@ -238,9 +238,9 @@ def test_a_residue_that_is_not_a_unit_sends_the_triples_to_the_interned_route(mo
     _, mu1, mu2, beta = next(lemma_cases(spec))
     f, g = squared_modulus_table(mu1), squared_modulus_table(mu2)
     field = lemmas._residue_field(f, g)
-    residues = lemmas._residues(f, field)
-    real = lemmas._residues
-    monkeypatch.setattr(lemmas, "_residues", lambda fn, fld: [0] + real(fn, fld)[1:])
+    residues = lemmas.char_residue_table(f.distribution, field)
+    real = lemmas.char_residue_table
+    monkeypatch.setattr(lemmas, "char_residue_table", lambda nu, fld: [0] + real(nu, fld)[1:])
     interned = []
     real_interned = lemmas._interned
     monkeypatch.setattr(lemmas, "_interned", lambda fn: interned.append(fn) or real_interned(fn))
