@@ -363,7 +363,11 @@ def char_residues(mu: Distribution, field) -> Callable[[int], int]:
     codes.  On one CRT axis sum(q_j) = N, and a window read at every code
     becomes the list itself, with no transform, so a margin read in full
     is read as a list from then on.  char_residue_table gives the list
-    itself.
+    itself.  Building the memo costs more than a few residues: a sweep
+    pair is mostly refuted by the two residues of each margin at u = 0 of
+    its first v, so it reads those through char_residues_at, which uses a
+    memo only if mu already has one, and asks for this function only for
+    a pair that holds there.
     """
     memo = mu._residues
     if memo is None:
@@ -376,26 +380,38 @@ def char_residues(mu: Distribution, field) -> Callable[[int], int]:
 
 def char_residue_table(mu: Distribution, field) -> list[int]:
     """Every residue of char_residues(mu, field), as one code-indexed list,
-    filled by _residue_table once per field.  It is zero off the multiples
-    of N / stabilizer_index(mu) (_residue_table).  Once filled, the memo
-    holds the list's __getitem__ as the residue function, and any earlier
-    residue function of the memo reads the same list once it leaves its
-    window."""
+    filled once per field.  It is zero off the multiples of
+    N / stabilizer_index(mu) (_residue_table).  A margin whose lazy window
+    covers every code even at the least stabilizer index its support
+    allows (_least_window >= N, on one CRT axis only) is read at every
+    code through the memo, which then keeps its list: that costs
+    N * |supp| terms, no more than the window's price of the transform,
+    and needs no stabilizer.  Any other margin fills the list by the
+    transform, _residue_table.  Once filled, the memo holds the list's
+    __getitem__ as the residue function, and any earlier residue function
+    of the memo reads the same list once it leaves its window."""
     residue = char_residues(mu, field)
     table = getattr(residue, "__self__", None)  # a filled memo is table.__getitem__
     if table is None:
-        table = _residue_table(mu, field)
-        mu._residues[field] = table.__getitem__
+        spec = mu.spec
+        n = spec.exponent
+        if _least_window(spec.orders, len(mu.points)) >= n:
+            for y in range(n):  # the memo keeps its list at the last code
+                residue(y)
+            table = mu._residues[field].__self__
+        else:
+            table = _residue_table(mu, field)
+            mu._residues[field] = table.__getitem__
     return table
 
 
 def _residue_function(mu: Distribution, field) -> Callable[[int], int]:
     spec = mu.spec
     n = spec.exponent
-    terms = _pair_terms(mu)
+    points, s = mu.points, spec.crt_pair_unit
     powers, modulus = field.powers, field.modulus
     lazy: dict[int, int] = {}  # the codes computed one at a time
-    window = _least_window(spec.orders, len(terms))
+    window = _least_window(spec.orders, len(points))
     table = None
 
     def residue(y: int) -> int:
@@ -405,12 +421,12 @@ def _residue_function(mu: Distribution, field) -> Callable[[int], int]:
         value = lazy.get(y)
         if value is None:
             if len(lazy) >= window:  # the window ends here: price it at the true d
-                window = _lazy_window(mu.spec.orders, len(terms), stabilizer_index(mu))
+                window = _lazy_window(mu.spec.orders, len(points), stabilizer_index(mu))
                 if len(lazy) >= window:
                     table = char_residue_table(mu, field)
                     lazy.clear()
                     return table[y]
-            value = lazy[y] = sum(a * powers[t * y % n] for t, a in terms) % modulus
+            value = lazy[y] = _residue(points, s * y % n, n, powers, modulus)
             if len(lazy) == n:  # a window of every code: keep them as the memo's list
                 table = [lazy[c] for c in range(n)]
                 mu._residues[field] = table.__getitem__
@@ -418,6 +434,30 @@ def _residue_function(mu: Distribution, field) -> Callable[[int], int]:
         return value
 
     return residue
+
+
+def _residue(points, c: int, n: int, powers: list[int], modulus: int) -> int:
+    """The sum of a * omega**(x * c mod N) over the (x, a) of points, mod M:
+    the residue of char_residues at the dual code y for c = s * y mod N,
+    as the memo computes each code it reads one at a time."""
+    return sum(a * powers[x * c % n] for x, a in points) % modulus
+
+
+def char_residues_at(mu: Distribution, field, y: int) -> tuple[int, int]:
+    """char_residues(mu, field) at the dual codes y and -y, y nonzero.
+
+    They come from mu's memo when it has one for field, and otherwise from
+    mu.points by the memo's own formula (_residue), with no memo built: a
+    margin read at these two codes alone costs 2 |supp| terms, and one read
+    further builds its memo then (char_residues)."""
+    memo = mu._residues
+    residue = memo.get(field) if memo else None
+    n = mu.spec.exponent
+    if residue is not None:
+        return residue(y), residue(n - y)
+    c = mu.spec.crt_pair_unit * y % n
+    points, powers, modulus = mu.points, field.powers, field.modulus
+    return _residue(points, c, n, powers, modulus), _residue(points, n - c, n, powers, modulus)
 
 
 @lru_cache(maxsize=None)

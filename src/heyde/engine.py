@@ -109,6 +109,7 @@ from .distributions import (
     char_fn_zero_classes,
     char_residue_table,
     char_residues,
+    char_residues_at,
     difference_subgroup,
     from_pmf,
     haar,
@@ -569,34 +570,55 @@ def _equation_quotient(mu1: Distribution, mu2: Distribution, beta: Endomorphism)
     return e, lcm(e, n // gcd(c, n))
 
 
-class AutomorphismRow:
-    """The state of both predicates that depends on one automorphism alpha
-    alone, computed once for every pair a sweep decides under alpha.
+class _RowField:
+    """What every row on one spec shares at one top: a field certified for
+    every pair of margins whose denominators are at most top, its product
+    mod M (mul), and the first v of the reference loop in element order
+    (first_equation_violation), with N.  None of it depends on alpha."""
 
-    Per alpha: the automorphism check of HeydeInstance, the multiplier
-    that symmetric(mu1, mu2, terms) passes to _joint_symmetric, the very
-    test is_conditionally_symmetric runs, a field certified for every pair
-    of margins whose denominators are at most top, its modulus M and
-    product mod M (mul), and the first v of the reference loop in element
-    order (first_equation_violation) with beta v
-    (first_v = (v, beta v, N)).  A row holds nothing N-sized: the u of the
-    first v are spec.crt_codes itself.  A pair that holds there goes to
-    check_instance, whose satisfies_heyde_equation decides the later v on
-    the quotient (_quotient_loop_holds) or by the support pairs.
+    __slots__ = ("field", "mul", "v", "n")
+
+    def __init__(self, spec: GroupSpec, top: int):
+        n = self.n = spec.exponent
+        field = self.field = modular_field(n, 2 * top * top)
+        modulus = field.modulus
+        self.mul = lambda x, y: x * y % modulus
+        self.v = next(_equation_vs(spec))
+
+
+class AutomorphismRow:
+    """The state of both predicates that depends on one automorphism alpha,
+    for every pair a sweep decides under alpha.
+
+    A row holds alpha and beta v alone; the field (modulus M), its product
+    mod M (mul), and the first v with N are shared by every row of one
+    spec and top (_RowField): AutomorphismRow(alpha, top) builds them,
+    and row.with_alpha(other) gives the row of another automorphism of the
+    spec that shares them.  The field is certified for every pair of
+    margins whose denominators are at most top.  symmetric(mu1, mu2, terms)
+    passes alpha's multiplier to _joint_symmetric, the very test
+    is_conditionally_symmetric runs.  A row holds nothing N-sized: the u
+    of the first v are spec.crt_codes itself.  A pair that holds there
+    goes to check_instance, whose satisfies_heyde_equation decides the
+    later v on the quotient (_quotient_loop_holds) or by the support
+    pairs.
 
     Per margin, first(mu) and second(mu) give what depends on alpha and mu
-    in that role: its residue function (char_residues, memoized on mu) and
-    the two residues a pair reads from it at u = 0 of the first v, f(v) and
-    f(-v) for the first margin, g(beta v) and g(-beta v) for the second,
-    and for the second its terms under alpha (_joint_terms).  An
-    exhaustive sweep computes both once per margin of its list and keeps
-    them for the row; a random sweep computes them on the spot for its
-    fresh margins.
+    in that role: the two residues a pair reads from it at u = 0 of the
+    first v, f(v) and f(-v) for the first margin, g(beta v) and
+    g(-beta v) for the second, and for the second its terms under alpha
+    (_joint_terms).  f and g are char_residues(mu, row.field), and the two
+    residues come from mu's memo when it has one and are otherwise
+    computed from its points with no memo built
+    (distributions.char_residues_at), so a fresh margin of a pair refuted
+    at u = 0 costs 2 |supp| terms.  An exhaustive sweep computes first and
+    second once per margin of its list and keeps them for the row; a
+    random sweep computes them for its two fresh margins.
 
-    With (mu1, f, f(v), f(-v)) = first(mu1) and
-    (mu2, terms, g, g(beta v), g(-beta v)) = second(mu2), the identity
-    holds at (0, v) exactly when f(v) g(beta v) = f(-v) g(-beta v)
-    (mod M), and at the first v exactly when it also holds at
+    With (mu1, f(v), f(-v)) = first(mu1) and
+    (mu2, terms, g(beta v), g(-beta v)) = second(mu2), the identity holds
+    at (0, v) exactly when f(v) g(beta v) = f(-v) g(-beta v) (mod M), and
+    at the first v exactly when it also holds at
     _first_violation(f, g, spec.crt_codes, *first_v, mul), where u = 0
     holds again, or for two point masses already at u = 0: K = Z(N) then
     (_equation_quotient), so the identity holds at (u, v) exactly when at
@@ -606,40 +628,57 @@ class AutomorphismRow:
     certified field it is given.
     """
 
+    __slots__ = ("alpha", "bv", "_shared")
+
     def __init__(self, alpha: Endomorphism, top: int):
+        self._set(alpha, _RowField(alpha.spec, top))
+
+    def with_alpha(self, alpha: Endomorphism) -> "AutomorphismRow":
+        """The row of alpha, an automorphism of the same spec, sharing this
+        row's field and first v."""
+        row = object.__new__(AutomorphismRow)
+        row._set(alpha, self._shared)
+        return row
+
+    def _set(self, alpha: Endomorphism, shared: _RowField) -> None:
         if not alpha.is_automorphism():
             raise ValueError("alpha is not an automorphism")
-        spec = alpha.spec
-        n = spec.exponent
         self.alpha = alpha
-        field = self._field = modular_field(n, 2 * top * top)
-        modulus = self.modulus = field.modulus
-        self.mul = lambda x, y: x * y % modulus
-        v = next(_equation_vs(spec))
-        bv = alpha.adjoint().code * v % n
-        self.first_v = (v, bv, n)
+        self._shared = shared
+        self.bv = alpha.adjoint().code * shared.v % shared.n
+
+    @property
+    def field(self):
+        return self._shared.field
+
+    @property
+    def mul(self):
+        return self._shared.mul
+
+    @property
+    def first_v(self) -> tuple[int, int, int]:
+        """(v, beta v, N) for the first v."""
+        return self._shared.v, self.bv, self._shared.n
 
     def first(self, mu: Distribution) -> tuple:
-        """(mu, f, f(v), f(-v)), f its residue function: mu as the first
+        """(mu, f(v), f(-v)), f = char_residues(mu, field): mu as the first
         margin of a pair under alpha.  mu.den must be at most top."""
-        f = char_residues(mu, self._field)
-        v, _, n = self.first_v
-        return mu, f, f(v), f(n - v)
+        shared = self._shared
+        return (mu, *char_residues_at(mu, shared.field, shared.v))
 
     def second(self, mu: Distribution) -> tuple:
-        """(mu, its terms on the route, g, g(beta v), g(-beta v)), g its
-        residue function: mu as the second margin of a pair under alpha.
-        mu.den must be at most top."""
-        g = char_residues(mu, self._field)
-        _, bv, n = self.first_v
-        return mu, _joint_terms(mu.points, self.alpha.code), g, g(bv), g(n - bv)  # beta v is nonzero
+        """(mu, its terms on the route, g(beta v), g(-beta v)),
+        g = char_residues(mu, field): mu as the second margin of a pair
+        under alpha.  mu.den must be at most top."""
+        terms = _joint_terms(mu.points, self.alpha.code)
+        return (mu, terms, *char_residues_at(mu, self._shared.field, self.bv))  # beta v is nonzero
 
     def symmetric(self, mu1: Distribution, mu2: Distribution, terms: list) -> bool:
         """is_conditionally_symmetric on (mu1, mu2) under alpha, with terms
         the terms of mu2 that second(mu2) gives.  _joint_symmetric is read
         from the module at each call, so a helper patched there is the one
         both rows and instances run."""
-        return _joint_symmetric(mu1, mu2, terms, self.alpha.code, self.first_v[2])
+        return _joint_symmetric(mu1, mu2, terms, self.alpha.code, self._shared.n)
 
 
 @dataclass(frozen=True)

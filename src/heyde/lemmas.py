@@ -66,6 +66,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, itemgetter, sub
 
 from .cyclotomic import CycloElement, from_rational, modular_field
 from .distributions import (
@@ -408,22 +409,30 @@ def verify_difference_lemma(
 
 
 def _log_residual(f1: DualFunction, f2: DualFunction, beta: Endomorphism) -> float:
-    """Float cross-check: worst additive residual of the log-table equation."""
+    """Float cross-check: worst additive residual of the log-table equation,
+    |log f1(u + v) + log f2(u + beta v) - log f1(u - v) - log f2(u - beta v)|
+    over every (u, v), summed in that order.
+
+    Each u is one pass over v on slices: with both log tables doubled,
+    u + v runs over logs1[u:u + N] and u - v over the reverse slice from
+    u + N down to u + 1, and logs2[u:u + N] is read at beta v and at
+    -beta v through two getters of N indices formed once.  Every residual
+    is the same sum of the same floats in the same order as the
+    pair-by-pair loop, and the maximum does not depend on the order, so
+    the value is the same float.
+    """
     n = f1.spec.exponent
     b = beta.code
-    logs1 = [math.log(abs(v.to_complex())) for v in f1.values]
-    logs2 = [math.log(abs(v.to_complex())) for v in f2.values]
+    logs1 = [math.log(abs(v.to_complex())) for v in f1.values] * 2
+    logs2 = [math.log(abs(v.to_complex())) for v in f2.values] * 2
+    plus = itemgetter(*[b * v % n for v in range(n)])  # N >= 3, so each gives a tuple
+    minus = itemgetter(*[-b * v % n for v in range(n)])
     worst = 0.0
     for u in range(n):
-        for v in range(n):
-            bv = b * v
-            residual = abs(
-                logs1[(u + v) % n]
-                + logs2[(u + bv) % n]
-                - logs1[(u - v) % n]
-                - logs2[(u - bv) % n]
-            )
-            worst = max(worst, residual)
+        at = logs2[u : u + n]
+        left = map(add, logs1[u : u + n], plus(at))
+        residuals = map(sub, map(sub, left, logs1[u + n : u : -1]), minus(at))
+        worst = max(worst, max(map(abs, residuals)))
     return worst
 
 

@@ -7,22 +7,27 @@ flag, and any failed applicable corollary is a violation; the first
 violating instance is kept in full so it can be replayed.
 
 Both modes decide their pairs on automorphism rows (engine.AutomorphismRow)
-in one loop (_run_row).  A row computes once what depends on alpha alone,
-and its first() and second() give what depends on alpha and one margin in
-that role, with the two residues a pair reads from it at u = 0 of the
-first v of its dual equation.  Each pair is decided there by one
-comparison of two products mod M; only a pair that holds there reads the
-other u of that v, and only a pair refuted at that v runs the row's
+in one loop (_run_row).  A row holds alpha and beta v; the field and the
+first v of the dual equation, which do not depend on alpha, are shared by
+the rows of one spec (_rows).  Its first() and second() give what depends
+on alpha and one margin in that role, with the two residues a pair reads
+from it at u = 0 of the first v, read from the margin's residue memo when
+it has one and otherwise computed from its points, building none.  Each
+pair is decided there by one comparison of two products mod M; only a
+pair that holds there asks for the residue memos of its margins and reads
+the other u of that v, and only a pair refuted at that v runs the row's
 symmetry route, building no HeydeInstance.  A pair that is refuted at
 its first v and is not symmetric, as nearly every pair is, has both
 predicates false: it only adds 1 to the instance count, which is all that
 check_instance would record for it.  Every other pair goes through
-check_instance, in the order the pairs come.  An exhaustive
-sweep runs every ordered pair of margins under one alpha at a time, with
-first() and second() computed once per margin of the row.  A random sweep
-builds the rows of the automorphisms it uses, min(budget, |Aut|), draws
-each instance through fixtures.random_instance as before, and runs the
-loop on its two fresh margins, [first(mu1)] x [second(mu2)].
+check_instance, in the order the pairs come.  An exhaustive sweep runs
+every ordered pair of margins under one alpha at a time, with first() and
+second() computed once per margin of the row.  A random sweep builds the
+row of instance i when it draws it, under the (i mod min(budget, |Aut|))-th
+automorphism (_instance_alphas), draws the instance through
+fixtures.random_instance as before, and runs the loop on its two fresh
+margins, [first(mu1)] x [second(mu2)]: it pays for its draws, four
+residues and one comparison, and holds no list of rows or automorphisms.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from .engine import (
     is_conditionally_symmetric,
     satisfies_heyde_equation,
 )
+from .distributions import char_residues
 from .errors import VerificationFailure
 from .fixtures import _automorphisms, enumerate_distributions, random_instance
 from .groups import GroupSpec
@@ -174,9 +180,11 @@ def _run_row(row: AutomorphismRow, firsts: list, seconds: list, report: SweepRep
 
     The equation goes first.  Its first v is decided at u = 0 by one
     comparison of two products mod M, from the residues the row read, and
-    only a pair that holds there runs _first_violation over every u of
+    only a pair that holds there asks char_residues for the residue
+    functions of its margins and runs _first_violation over every u of
     spec.crt_codes, where u = 0 holds again (none for two point masses).
-    A pair that holds at its first v goes to check_instance.  A pair
+    So a margin whose pairs are all refuted at u = 0 builds no residue
+    memo.  A pair that holds at its first v goes to check_instance.  A pair
     refuted there fails satisfies_heyde_equation, and the row's symmetry
     test (engine._joint_symmetric) decides it: symmetric, a disagreement
     that check_instance records, or not symmetric, both predicates false,
@@ -184,16 +192,19 @@ def _run_row(row: AutomorphismRow, firsts: list, seconds: list, report: SweepRep
     """
     alpha = row.alpha
     spec = alpha.spec
-    codes, modulus, mul = spec.crt_codes, row.modulus, row.mul
+    codes, field, mul = spec.crt_codes, row.field, row.mul
+    modulus = field.modulus
     v, bv, n = row.first_v
     symmetric = row.symmetric
     refuted = 0
-    for mu1, f, f_v, f_minus_v in firsts:
+    for mu1, f_v, f_minus_v in firsts:
         single = len(mu1.points) == 1
-        for mu2, terms, g, g_bv, g_minus_bv in seconds:
+        for mu2, terms, g_bv, g_minus_bv in seconds:
             holds = f_v * g_bv % modulus == f_minus_v * g_minus_bv % modulus and (
                 single and len(mu2.points) == 1
-                or _first_violation(f, g, codes, v, bv, n, mul) is None
+                or _first_violation(
+                    char_residues(mu1, field), char_residues(mu2, field), codes, v, bv, n, mul
+                ) is None
             )
             if holds or symmetric(mu1, mu2, terms):
                 check_instance(HeydeInstance(spec, mu1, mu2, alpha), report)
@@ -202,25 +213,39 @@ def _run_row(row: AutomorphismRow, firsts: list, seconds: list, report: SweepRep
     report.instances += refuted
 
 
+def _instance_alphas(spec: GroupSpec, config: SweepConfig) -> Iterator[Endomorphism]:
+    """The automorphism of each instance of a random sweep, in order: instance
+    i runs under the (i mod min(budget, |Aut|))-th of _alphas_for.  Each
+    cycle enumerates them again, so none is kept between instances.  It
+    never ends, so run_sweep reads it once per instance, and not at all at
+    budget 0."""
+    while True:
+        yield from itertools.islice(_alphas_for(spec, config), config.budget)
+
+
+def _rows(alphas: Iterator[Endomorphism], top: int) -> Iterator[AutomorphismRow]:
+    """The row of each alpha in turn, built when it is read; all share the
+    field and first v of the first (AutomorphismRow.with_alpha)."""
+    row = None
+    for alpha in alphas:
+        row = AutomorphismRow(alpha, top) if row is None else row.with_alpha(alpha)
+        yield row
+
+
 def run_sweep(config: SweepConfig) -> SweepReport:
     report = SweepReport(seed=config.seed)
     for spec_index, spec in enumerate(config.specs):
-        alphas = _alphas_for(spec, config)
         if config.mode == "exhaustive":
             pmfs = list(enumerate_distributions(spec, config.denominator))
-            for alpha in alphas:
-                # every margin's den divides the denominator
-                row = AutomorphismRow(alpha, config.denominator)
+            # every margin's den divides the denominator
+            for row in _rows(_alphas_for(spec, config), config.denominator):
                 firsts = [row.first(mu) for mu in pmfs]
                 _run_row(row, firsts, [row.second(mu) for mu in pmfs], report)
         else:
-            # instance i runs under alphas[i % |Aut|]: the first budget rows at most
             top = config.max_denominator
-            used = itertools.islice(alphas, config.budget)
-            rows = [AutomorphismRow(alpha, top) for alpha in used]
+            rows = _rows(_instance_alphas(spec, config), top)
             stream = DeterministicStream(config.seed, label=f"sweep:{spec_index}")
-            for i in range(config.budget):
-                row = rows[i % len(rows)]
+            for i, row in zip(range(config.budget), rows):
                 inst = random_instance(spec, top, stream.derive(str(i)), row.alpha)
                 _run_row(row, [row.first(inst.mu1)], [row.second(inst.mu2)], report)
     return report

@@ -9,6 +9,7 @@ import cmath
 import functools
 import hashlib
 import itertools
+import math
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -566,6 +567,28 @@ def brute_triple_violation(orders, f, step_multipliers):
                     if lhs != rhs:
                         return checks, (a, b, c, y)
     return checks, None
+
+
+def log_residual(f1, f2, beta):
+    """lemmas._log_residual as the pair-by-pair loop it replaced: the worst
+    |log f1(u + v) + log f2(u + beta v) - log f1(u - v) - log f2(u - beta v)|
+    over every (u, v), summed left to right."""
+    n = f1.spec.exponent
+    b = beta.code
+    logs1 = [math.log(abs(v.to_complex())) for v in f1.values]
+    logs2 = [math.log(abs(v.to_complex())) for v in f2.values]
+    worst = 0.0
+    for u in range(n):
+        for v in range(n):
+            bv = b * v
+            residual = abs(
+                logs1[(u + v) % n]
+                + logs2[(u + bv) % n]
+                - logs1[(u - v) % n]
+                - logs2[(u - bv) % n]
+            )
+            worst = max(worst, residual)
+    return worst
 
 
 # -- subgroups as exponent vectors -------------------------------------------

@@ -232,6 +232,58 @@ def test_the_residue_memo_holds_only_the_values_it_has_read():
     assert held < 8 * n
 
 
+def test_a_table_whose_window_covers_every_code_is_read_through_the_memo(monkeypatch):
+    # Four points on Z(9) allow only d = 9, where the transform costs more
+    # than reading every code: the window is all N codes, so the table is
+    # the memo's own list and no transform runs.  Three points of a coset
+    # of 3Z(9) allow d = 3, a window of 4 codes, and keep the transform.
+    spec = validate_spec([(3, 2)])
+    n = spec.exponent
+    field = _fields(n)[0]
+    four = from_pmf(spec, {(x,): Fraction(m, 10) for x, m in ((0, 1), (2, 2), (3, 3), (7, 4))})
+    coset = haar(subgroup_of_index(spec, 3))
+    assert distributions._least_window(spec.orders, 4) == n
+    assert distributions._least_window(spec.orders, 3) < n
+    expected = [_residue_table(mu, field) for mu in (four, coset)]
+    assert expected == [oracles.per_code_residues(mu, field) for mu in (four, coset)]
+
+    def refuse(*args):
+        raise AssertionError("a residue table was transformed")
+
+    monkeypatch.setattr(distributions, "_residue_table", refuse)
+    fresh = distributions.Distribution(spec, four.den, four.points)
+    assert distributions.char_residue_table(fresh, field) == expected[0]
+    assert char_residues(fresh, field).__self__ is distributions.char_residue_table(fresh, field)
+    assert "_stabilizer" not in vars(fresh)
+    with pytest.raises(AssertionError, match="transformed"):
+        distributions.char_residue_table(distributions.Distribution(spec, 3, coset.points), field)
+
+
+@pytest.mark.parametrize("spec", LADDER, ids=_describe)
+def test_first_v_residues_are_the_memos_with_or_without_one(spec):
+    # a row reads the two residues of a margin at +-v (first) or +-beta v
+    # (second) from its memo when it has one, and otherwise from its points
+    # without building one
+    n = spec.exponent
+    stream = DeterministicStream(71, label=f"first v {spec.describe()}")
+    margins = _margins(spec, f"first v {spec.describe()}")
+    margins += [random_distribution(spec, 32, stream.derive(str(i))) for i in range(6)]
+    alphas = enumerate_automorphisms(spec)
+    for i, mu in enumerate(margins):
+        alpha = alphas[i * 7 % len(alphas)]
+        row = engine.AutomorphismRow(alpha, max(m.den for m in margins))
+        v, bv, _ = row.first_v
+        fresh = distributions.Distribution(spec, mu.den, mu.points)
+        direct = row.first(fresh), row.second(fresh)
+        assert fresh._residues is None
+        residue = char_residues(fresh, row.field)
+        wanted = [residue(y) for y in (v, n - v, bv, n - bv)]
+        assert [*direct[0][1:], *direct[1][2:]] == wanted
+        assert fresh._residues is not None
+        memo = row.first(fresh), row.second(fresh)
+        assert memo == direct
+
+
 @pytest.mark.parametrize("spec", LADDER[:4], ids=_describe)
 def test_zero_classes_are_memoized_and_match_char_fn(spec):
     n = spec.exponent

@@ -260,6 +260,59 @@ def test_generator_route_counts_every_quadruple_it_certifies():
         assert report.ok and report.checks == 2 * n**3
 
 
+# -- the float log residual --------------------------------------------------------
+
+
+def _log_residuals(f1, f2, beta):
+    """(lemmas._log_residual, oracles.log_residual) on the tables, each the
+    float or the name of the error it raised (a zero value has no log)."""
+    outcomes = []
+    for route in (lemmas._log_residual, oracles.log_residual):
+        try:
+            outcomes.append(route(f1, f2, beta))
+        except ValueError as exc:
+            outcomes.append(repr(exc))
+    return outcomes
+
+
+def test_the_log_residual_equals_the_pair_loop_on_the_verify_lemmas_corpus():
+    fixtures = corpus.fixed_point_fixtures() + corpus.nonvanishing_difference_fixtures(50)
+    assert len(fixtures) == 150
+    evaluated = 0
+    for fixture in fixtures:
+        inst = fixture.instance
+        f1, f2 = squared_modulus_table(inst.mu1), squared_modulus_table(inst.mu2)
+        new, old = _log_residuals(f1, f2, inst.alpha.adjoint())
+        assert new == old
+        evaluated += isinstance(new, float)
+    assert evaluated >= 50
+
+
+def test_the_log_residual_equals_the_pair_loop_on_random_tables():
+    # values of every sign pattern of their logs, spread over many binades,
+    # under every endomorphism, units or not, on one, two and three axes
+    rng = random.Random(945)
+    for spec in (Z9, Z27, Z3xZ5, Z9xZ5, validate_spec([(3, 1), (5, 1), (7, 1)])):
+        n = spec.exponent
+        for trial in range(3):
+            f1, f2 = (
+                dual_function(
+                    spec,
+                    {
+                        spec.element(y): from_rational(
+                            n, Fraction(rng.randint(1, 10**rng.randint(1, 9)), rng.randint(1, 10**6))
+                        )
+                        for y in range(n)
+                    },
+                )
+                for _ in range(2)
+            )
+            codes = range(n) if n <= 27 else rng.sample(range(n), 12)
+            for b in codes:
+                new, old = _log_residuals(f1, f2, make_endo(spec, spec.element(b)))
+                assert new == old and isinstance(new, float)
+
+
 # -- Fourier inversion -------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 from math import comb, gcd
 
@@ -6,12 +7,13 @@ import pytest
 from heyde import DeterministicStream, SweepConfig, run_sweep, validate_spec
 from heyde.sweep import SweepReport, check_instance, exhaustive_instances
 from heyde import HeydeInstance, degenerate, enumerate_automorphisms, enumerate_distributions, make_endo
-from heyde import engine, sweep
+from heyde import distributions, engine, sweep
 from heyde.cyclotomic import modular_field
 from heyde.fixtures import random_instance
 from heyde.serialize import dumps_canonical, sweep_report_to_obj
 
 import oracles
+from limits import time_limit
 
 Z3 = validate_spec([(3, 1)])
 Z5 = validate_spec([(5, 1)])
@@ -416,28 +418,67 @@ def test_pairs_that_pass_the_first_v_reach_check_instance_in_random_mode(monkeyp
     assert any(len(mu1.points) == len(mu2.points) == 1 for _, mu1, mu2, _ in pairs)
 
 
-def test_a_random_sweep_row_keeps_no_copy_of_the_codes(monkeypatch):
+def test_a_random_sweep_row_keeps_no_copy_of_the_codes():
     # each row kept crt_codes[1:] for the whole sweep: on Z(3^12) a random
-    # sweep grew by about 4.3 MB per automorphism row.  The rows are all
-    # built before the first draw, so the memory held then is theirs.
+    # sweep grew by about 4.3 MB per automorphism row.  Rows of one spec and
+    # top share their field and first v, so 58 more rows built from a first
+    # one hold less than one N-sized list of pointers between them.
     spec = validate_spec([(3, 9)])
-    run_sweep(SweepConfig((spec,), mode="random", budget=2, seed=0))  # the spec's tables, untraced
-    draw = sweep.random_instance
+    alphas = enumerate_automorphisms(spec)[:60]
+    first = engine.AutomorphismRow(alphas[0], 8)  # the spec's tables and the field, untraced
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rows = [first.with_alpha(alpha) for alpha in alphas[2:]]
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert [row.alpha for row in rows] == alphas[2:]
+    assert {row.field for row in rows} == {first.field}
+    assert held < 8 * spec.exponent
 
-    def held_at_first_draw(budget):
-        held = []
 
-        def recording(*args):
-            held.append(tracemalloc.get_traced_memory()[0])
-            return draw(*args)
-
-        monkeypatch.setattr(sweep, "random_instance", recording)
+def test_a_random_sweep_builds_each_row_as_it_draws_its_instance():
+    # built before the first draw, min(budget, |Aut|) rows took about 0.7 KB
+    # each: on Z(3^12) (|Aut| = 354,294) this sweep peaked at about 800 KB
+    # of traced memory, against about 140 KB with a row per draw
+    spec = validate_spec([(3, 12)])
+    with time_limit(30):
+        run_sweep(SweepConfig((spec,), mode="random", budget=2, seed=0))  # the spec's tables and field
+        gc.collect()
         tracemalloc.start()
         try:
-            run_sweep(SweepConfig((spec,), mode="random", budget=budget, seed=0))
+            report = run_sweep(SweepConfig((spec,), mode="random", budget=1000, seed=0))
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return held[0]
+    assert report.instances == 1000
+    assert peak < 1 << 19
 
-    # 58 more rows hold less than one N-sized list of pointers between them
-    assert held_at_first_draw(60) - held_at_first_draw(2) < 8 * spec.exponent
+
+def test_a_random_sweep_builds_residue_memos_only_for_pairs_that_hold_at_u_0(monkeypatch):
+    config = _random_config([(3, 2), (5, 1)], 13, 8, 400)
+    spec = config.specs[0]
+    n = spec.exponent
+    drawn = []
+    draw = sweep.random_instance
+    monkeypatch.setattr(sweep, "random_instance", lambda *args: drawn.append(draw(*args)) or drawn[-1])
+    built = []
+    memo = distributions._residue_function
+    monkeypatch.setattr(
+        distributions, "_residue_function", lambda mu, field: built.append(mu) or memo(mu, field)
+    )
+    run_sweep(config)
+    field = modular_field(n, 2 * 8 * 8)
+    modulus = field.modulus
+    v = spec.crt_codes[1]  # the first v
+    holding, read = set(), set()
+    for inst in drawn:
+        f, g = (oracles.per_code_residues(mu, field) for mu in (inst.mu1, inst.mu2))
+        bv = inst.alpha.code * v % n
+        if f[v] * g[bv] % modulus == f[-v] * g[-bv] % modulus:
+            holding.update((id(inst.mu1), id(inst.mu2)))
+            if len(inst.mu1.points) > 1 or len(inst.mu2.points) > 1:
+                read.update((id(inst.mu1), id(inst.mu2)))
+    assert len(drawn) == 400 and 0 < len(read) and len(holding) < 400
+    assert read <= {id(mu) for mu in built} <= holding
