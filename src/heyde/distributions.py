@@ -629,27 +629,21 @@ def min_support_subgroup(mu: Distribution) -> Subgroup:
 
 
 def _is_haar_fixed_point(lam: Distribution, sub: Subgroup) -> bool:
-    """Whether lam == lam * haar(sub), on integer numerators.
+    """Whether lam == lam * haar(sub), read from lam's translation stabilizer.
 
     (lam * haar(sub))(r) = (1/|sub|) sum_{s in sub} lam(r - s) is the mean
-    of lam over the coset r + sub.  So lam is a fixed point exactly when
-    lam is constant on every coset: if it is, each mean is that constant;
-    if lam equals its coset mean at every point of a coset, it takes one
-    value there.  On CRT codes sub is the multiples of its index d, and
-    its cosets are the residue classes r mod d.  A class that meets the
-    support must then lie wholly in it, |sub| points with one numerator
-    over the common denominator D; a class that misses it is zero.
+    of lam over the coset r + sub, so lam * haar(sub) is invariant under
+    translation by sub.  So lam is a fixed point exactly when lam is
+    invariant under sub: if it is a fixed point, it is invariant; if it is
+    invariant, it is constant on each coset, and each mean is that
+    constant.  lam is invariant under sub exactly when sub lies in its
+    stabilizer H = dZ(N), d = stabilizer_index(lam), and on CRT codes sub
+    is the multiples of its index, which lie in dZ(N) exactly when d
+    divides that index.
     """
     if lam.spec != sub.spec:
         raise ValueError("spec mismatch")
-    d = sub.index
-    classes: dict[int, list[int]] = {}
-    for r, a in lam.points:
-        seen = classes.setdefault(r % d, [a, 0])
-        if seen[0] != a:
-            return False
-        seen[1] += 1
-    return all(count == sub.order for _, count in classes.values())
+    return sub.index % stabilizer_index(lam) == 0
 
 
 def stabilizer_index(mu: Distribution) -> int:
@@ -657,13 +651,11 @@ def stabilizer_index(mu: Distribution) -> int:
 
     H is a subgroup of the cyclic Z(N), so it is dZ(N) for one d | N, and
     d'Z(N) lies in H exactly when d' is a multiple of d.  d'Z(N) lies in H
-    when its classes r mod d' are constant and full on mu, the identity of
-    _is_haar_fixed_point; here it is tested on codes as mu(r + d') = mu(r)
-    at every support point r, which says the same: translation by d' then
-    maps the support into itself, so onto it, and fixes mu, as does every
-    multiple of d'.  Starting from d = N, each prime p of N is divided out
-    of d while d / p still passes, which leaves its exponent in d at its
-    exponent in the index.  The support is a union of H-cosets, so a
+    when mu(r + d') = mu(r) at every support point r: translation by d'
+    then maps the support into itself, so onto it, and fixes mu, as does
+    every multiple of d'.  Starting from d = N, each prime p of N is
+    divided out of d while d / p still passes, which leaves its exponent
+    in d at its exponent in the index.  The support is a union of H-cosets, so a
     candidate whose order does not divide the support size fails untested.
     Every candidate order is a multiple of a prime of N, so with the size
     prime to N none is tested: d = N, with no numerator map built.
@@ -692,13 +684,13 @@ def has_haar_factor(lam: Distribution, sub: Subgroup) -> bool:
     """Whether the uniform distribution on sub is a convolution factor of lam.
 
     Decided along two independent routes that must agree: the fixed-point
-    identity lam == lam * haar(sub) on integer numerators
-    (_is_haar_fixed_point), and vanishing of the character sum off the
-    annihilator of sub, read from the zero classes of the axis fold
-    (char_fn_zero_classes), which use neither residues nor the translation
-    stabilizer.  The annihilator's codes are the multiples of its index,
-    so its complement is the union of the gcd classes that index does not
-    divide.
+    identity lam == lam * haar(sub), which holds exactly when sub lies in
+    lam's translation stabilizer (_is_haar_fixed_point), and vanishing of
+    the character sum off the annihilator of sub, read from the zero
+    classes of the axis fold (char_fn_zero_classes), which use neither
+    residues nor the translation stabilizer.  The annihilator's codes are
+    the multiples of its index, so its complement is the union of the gcd
+    classes that index does not divide.
     """
     fixed_point = _is_haar_fixed_point(lam, sub)
     step = sub.annihilator().index

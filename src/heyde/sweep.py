@@ -6,28 +6,35 @@ Any disagreement between the two equivalent tests, any false decomposition
 flag, and any failed applicable corollary is a violation; the first
 violating instance is kept in full so it can be replayed.
 
-Both modes decide their pairs on automorphism rows (engine.AutomorphismRow)
-in one loop (_run_row).  A row holds alpha and beta v; the field and the
-first v of the dual equation, which do not depend on alpha, are shared by
-the rows of one spec (_rows).  Its first() and second() give what depends
-on alpha and one margin in that role, with the two residues a pair reads
-from it at u = 0 of the first v, read from the margin's residue memo when
-it has one and otherwise computed from its points, building none.  Each
-pair is decided there by one comparison of two products mod M; only a
-pair that holds there asks for the residue memos of its margins and reads
-the other u of that v, and only a pair refuted at that v runs the row's
-symmetry route, building no HeydeInstance.  A pair that is refuted at
-its first v and is not symmetric, as nearly every pair is, has both
-predicates false: it only adds 1 to the instance count, which is all that
-check_instance would record for it.  Every other pair goes through
-check_instance, in the order the pairs come.  An exhaustive sweep runs
-every ordered pair of margins under one alpha at a time, with first() and
-second() computed once per margin of the row.  A random sweep builds the
-row of instance i when it draws it, under the (i mod min(budget, |Aut|))-th
-automorphism (_instance_alphas), draws the instance through
-fixtures.random_instance as before, and runs the loop on its two fresh
-margins, [first(mu1)] x [second(mu2)]: it pays for its draws, four
-residues and one comparison, and holds no list of rows or automorphisms.
+Both modes decide their pairs under one automorphism alpha at a time, in
+one loop (_run_row).  What does not depend on alpha is built once per spec,
+and only for a spec with an instance to decide: a field certified for
+every pair of its margins, whose denominators are at most top
+(2 * top * top < M, cyclotomic._ModField), and the first v of the dual
+equation in element order (engine._equation_vs).  Under alpha a sweep
+keeps alpha and beta v = alpha.code * v mod N, as beta = adjoint(alpha)
+has alpha's multiplier.  Each margin enters the loop with the two
+residues a pair reads from it at u = 0 of the first v, f(v) and f(-v) as
+a first margin, which do not depend on alpha, and g(beta v) and
+g(-beta v) as a second, with its terms under alpha (engine._joint_terms).
+They come from the margin's residue memo when it has one and are
+otherwise computed from its points, building none
+(distributions.char_residues_at).  Each pair is decided there by one
+comparison of two products mod M; only a pair that holds there asks for
+the residue memos of its margins and reads the other u of that v, and
+only a pair refuted at that v runs the symmetry test
+(engine._joint_symmetric), building no HeydeInstance.  A pair that is
+refuted at its first v and is not symmetric, as nearly every pair is, has
+both predicates false: it only adds 1 to the instance count, which is all
+that check_instance would record for it.  Every other pair goes through
+check_instance, in the order the pairs come.  An exhaustive sweep reads
+the first residues of each margin once per spec and the second ones once
+per automorphism, and runs every ordered pair of margins under one alpha
+at a time.  A random sweep draws instance i under the
+(i mod min(budget, |Aut|))-th automorphism (_instance_alphas) through
+fixtures.random_instance, and runs the loop on its two fresh margins: it
+pays for its draws, four residues and one comparison, and holds no list
+of automorphisms.
 """
 
 from __future__ import annotations
@@ -37,16 +44,19 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from math import prod
 
+from . import engine
+from .cyclotomic import modular_field
 from .engine import (
     _decompose,
+    _equation_vs,
     _first_violation,
-    AutomorphismRow,
+    _joint_terms,
     HeydeInstance,
     classify_corollary,
     is_conditionally_symmetric,
     satisfies_heyde_equation,
 )
-from .distributions import char_residues
+from .distributions import char_residues, char_residues_at
 from .errors import VerificationFailure
 from .fixtures import _automorphisms, enumerate_distributions, random_instance
 from .groups import GroupSpec
@@ -172,30 +182,37 @@ def check_instance(inst: HeydeInstance, report: SweepReport) -> None:
                 _record(report, inst, f"corollary {check.name} failed: {check.detail}")
 
 
-def _run_row(row: AutomorphismRow, firsts: list, seconds: list, report: SweepReport) -> None:
-    """Decide every pair of firsts x seconds (margins as row.first and
-    row.second give them), first-major, under row.alpha: count each pair on
-    which both predicates are false, and run check_instance on every other
-    one.
+def _run_row(
+    alpha: Endomorphism, field, v: int, firsts: list, seconds: list, report: SweepReport
+) -> None:
+    """Decide every pair of firsts x seconds, first-major, under alpha:
+    count each pair on which both predicates are false, and run
+    check_instance on every other one.  firsts holds (mu, f(v), f(-v)) and
+    seconds the margins themselves, f = char_residues(mu, field) and v the
+    first v; the seconds' residues at +-beta v and terms are read here,
+    once per call.
 
     The equation goes first.  Its first v is decided at u = 0 by one
-    comparison of two products mod M, from the residues the row read, and
-    only a pair that holds there asks char_residues for the residue
-    functions of its margins and runs _first_violation over every u of
-    spec.crt_codes, where u = 0 holds again (none for two point masses).
-    So a margin whose pairs are all refuted at u = 0 builds no residue
-    memo.  A pair that holds at its first v goes to check_instance.  A pair
-    refuted there fails satisfies_heyde_equation, and the row's symmetry
-    test (engine._joint_symmetric) decides it: symmetric, a disagreement
-    that check_instance records, or not symmetric, both predicates false,
-    which check_instance would only count.
+    comparison of two products mod M, and only a pair that holds there
+    asks char_residues for the residue functions of its margins and runs
+    _first_violation over every u of spec.crt_codes, where u = 0 holds
+    again; for two point masses K = Z(N) (engine._equation_quotient), so
+    u = 0 decides every u.  So a margin whose pairs are all refuted at
+    u = 0 builds no residue memo.  A pair that holds at its first v goes
+    to check_instance, whose satisfies_heyde_equation decides the later v
+    in whichever certified field it builds.  A pair refuted there fails
+    satisfies_heyde_equation, and engine._joint_symmetric, the test of
+    is_conditionally_symmetric, read from the module at each call, decides
+    it: symmetric, a disagreement that check_instance records, or not
+    symmetric, both predicates false, which check_instance would only
+    count.
     """
-    alpha = row.alpha
     spec = alpha.spec
-    codes, field, mul = spec.crt_codes, row.field, row.mul
+    codes, n, a = spec.crt_codes, spec.exponent, alpha.code
+    bv = a * v % n  # nonzero, as alpha is a unit
     modulus = field.modulus
-    v, bv, n = row.first_v
-    symmetric = row.symmetric
+    mul = lambda x, y: x * y % modulus
+    seconds = [(mu, _joint_terms(mu.points, a), *char_residues_at(mu, field, bv)) for mu in seconds]
     refuted = 0
     for mu1, f_v, f_minus_v in firsts:
         single = len(mu1.points) == 1
@@ -206,7 +223,7 @@ def _run_row(row: AutomorphismRow, firsts: list, seconds: list, report: SweepRep
                     char_residues(mu1, field), char_residues(mu2, field), codes, v, bv, n, mul
                 ) is None
             )
-            if holds or symmetric(mu1, mu2, terms):
+            if holds or engine._joint_symmetric(mu1, mu2, terms, a, n):
                 check_instance(HeydeInstance(spec, mu1, mu2, alpha), report)
             else:
                 refuted += 1
@@ -223,29 +240,26 @@ def _instance_alphas(spec: GroupSpec, config: SweepConfig) -> Iterator[Endomorph
         yield from itertools.islice(_alphas_for(spec, config), config.budget)
 
 
-def _rows(alphas: Iterator[Endomorphism], top: int) -> Iterator[AutomorphismRow]:
-    """The row of each alpha in turn, built when it is read; all share the
-    field and first v of the first (AutomorphismRow.with_alpha)."""
-    row = None
-    for alpha in alphas:
-        row = AutomorphismRow(alpha, top) if row is None else row.with_alpha(alpha)
-        yield row
-
-
 def run_sweep(config: SweepConfig) -> SweepReport:
     report = SweepReport(seed=config.seed)
+    exhaustive = config.mode == "exhaustive"
+    top = config.denominator if exhaustive else config.max_denominator  # bounds every den
     for spec_index, spec in enumerate(config.specs):
-        if config.mode == "exhaustive":
+        if not exhaustive and not config.budget:
+            continue  # no instance, so nothing N-sized is built
+        # the first v builds the codes and ranks, before the field: in the
+        # other order the field's transients overlap theirs, 4 MB more peak
+        # on Z(3^12)
+        v, field = next(_equation_vs(spec)), modular_field(spec.exponent, 2 * top * top)
+        if exhaustive:
             pmfs = list(enumerate_distributions(spec, config.denominator))
-            # every margin's den divides the denominator
-            for row in _rows(_alphas_for(spec, config), config.denominator):
-                firsts = [row.first(mu) for mu in pmfs]
-                _run_row(row, firsts, [row.second(mu) for mu in pmfs], report)
+            firsts = [(mu, *char_residues_at(mu, field, v)) for mu in pmfs]
+            for alpha in _alphas_for(spec, config):
+                _run_row(alpha, field, v, firsts, pmfs, report)
         else:
-            top = config.max_denominator
-            rows = _rows(_instance_alphas(spec, config), top)
             stream = DeterministicStream(config.seed, label=f"sweep:{spec_index}")
-            for i, row in zip(range(config.budget), rows):
-                inst = random_instance(spec, top, stream.derive(str(i)), row.alpha)
-                _run_row(row, [row.first(inst.mu1)], [row.second(inst.mu2)], report)
+            for i, alpha in zip(range(config.budget), _instance_alphas(spec, config)):
+                inst = random_instance(spec, top, stream.derive(str(i)), alpha)
+                first = (inst.mu1, *char_residues_at(inst.mu1, field, v))
+                _run_row(alpha, field, v, [first], [inst.mu2], report)
     return report

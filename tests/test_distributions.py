@@ -177,9 +177,11 @@ def _corpus_distributions():
 
 
 def test_integer_fixed_point_route_matches_convolution():
-    # the integer coset test of has_haar_factor against the identity
-    # lam == lam * haar(sub) computed by convolve, on every subgroup of each corpus distribution's
-    # group (all six of Z(9) x Z(5) for most), plus shifted Haar measures
+    # the stabilizer test of has_haar_factor against the identity
+    # lam == lam * haar(sub) computed by convolve and by the double loop,
+    # which reads no stabilizer, on every subgroup of each corpus
+    # distribution's group (all six of Z(9) x Z(5) for most), plus shifted
+    # Haar measures
     dists = _corpus_distributions()
     dists |= {
         shift(haar(sub), x)
@@ -191,6 +193,7 @@ def test_integer_fixed_point_route_matches_convolution():
     for mu in dists:
         for sub in enumerate_subgroups(mu.spec):
             expected = mu == convolve(mu, haar(sub))
+            assert expected == (mu == oracles.double_loop_convolve(mu, haar(sub)))
             assert _is_haar_fixed_point(mu, sub) == expected
             found[expected] += 1
             if mu.spec == Z9xZ5 and not sub.is_trivial:

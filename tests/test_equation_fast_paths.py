@@ -44,9 +44,9 @@ from heyde import (
     squared_modulus_table,
     validate_spec,
 )
-from heyde import distributions, engine, lemmas
+from heyde import SweepConfig, distributions, engine, lemmas, run_sweep, sweep
 from heyde.cyclotomic import _ModField, _prime_below, from_rational, from_terms, modular_field
-from heyde.distributions import _residue_table, char_residues
+from heyde.distributions import _residue_table, char_residues, char_residues_at
 from heyde.engine import _equation_quotient, first_equation_violation
 from heyde.fixtures import construction_admissible
 from heyde.groups import subgroup_of_index
@@ -260,28 +260,48 @@ def test_a_table_whose_window_covers_every_code_is_read_through_the_memo(monkeyp
 
 
 @pytest.mark.parametrize("spec", LADDER, ids=_describe)
-def test_first_v_residues_are_the_memos_with_or_without_one(spec):
-    # a row reads the two residues of a margin at +-v (first) or +-beta v
-    # (second) from its memo when it has one, and otherwise from its points
-    # without building one
+def test_first_v_residues_are_the_memos_with_or_without_one(spec, monkeypatch):
+    # char_residues_at reads the two residues of a margin at +-v (as a
+    # first margin) or +-beta v (as a second) from its memo when it has
+    # one, and otherwise from its points without building one; a random
+    # sweep's margin tuples hold exactly those residues
     n = spec.exponent
     stream = DeterministicStream(71, label=f"first v {spec.describe()}")
     margins = _margins(spec, f"first v {spec.describe()}")
     margins += [random_distribution(spec, 32, stream.derive(str(i))) for i in range(6)]
     alphas = enumerate_automorphisms(spec)
+    top = max(m.den for m in margins)
+    field = modular_field(n, 2 * top * top)
+    v = next(engine._equation_vs(spec))
     for i, mu in enumerate(margins):
-        alpha = alphas[i * 7 % len(alphas)]
-        row = engine.AutomorphismRow(alpha, max(m.den for m in margins))
-        v, bv, _ = row.first_v
+        bv = alphas[i * 7 % len(alphas)].code * v % n
         fresh = distributions.Distribution(spec, mu.den, mu.points)
-        direct = row.first(fresh), row.second(fresh)
+        direct = [*char_residues_at(fresh, field, v), *char_residues_at(fresh, field, bv)]
         assert fresh._residues is None
-        residue = char_residues(fresh, row.field)
-        wanted = [residue(y) for y in (v, n - v, bv, n - bv)]
-        assert [*direct[0][1:], *direct[1][2:]] == wanted
+        residue = char_residues(fresh, field)
+        assert direct == [residue(y) for y in (v, n - v, bv, n - bv)]
         assert fresh._residues is not None
-        memo = row.first(fresh), row.second(fresh)
-        assert memo == direct
+        assert [*char_residues_at(fresh, field, v), *char_residues_at(fresh, field, bv)] == direct
+
+    drawn, read = [], []
+    draw, at = sweep.random_instance, sweep.char_residues_at
+    monkeypatch.setattr(
+        sweep, "random_instance", lambda *args: drawn.append(draw(*args)) or drawn[-1]
+    )
+    monkeypatch.setattr(
+        sweep, "char_residues_at", lambda *args: read.append((*args, at(*args))) or read[-1][3]
+    )
+    run_sweep(SweepConfig((spec,), mode="random", budget=12, max_denominator=32, seed=71))
+    field = modular_field(n, 2 * 32 * 32)
+    assert [(mu, f, y) for mu, f, y, _ in read] == [
+        entry
+        for inst in drawn
+        for entry in ((inst.mu1, field, v), (inst.mu2, field, inst.alpha.code * v % n))
+    ]
+    assert len(drawn) == 12
+    for mu, _, y, pair in read:
+        residue = char_residues(mu, field)
+        assert pair == (residue(y), residue(n - y))
 
 
 @pytest.mark.parametrize("spec", LADDER[:4], ids=_describe)

@@ -418,24 +418,44 @@ def test_pairs_that_pass_the_first_v_reach_check_instance_in_random_mode(monkeyp
     assert any(len(mu1.points) == len(mu2.points) == 1 for _, mu1, mu2, _ in pairs)
 
 
-def test_a_random_sweep_row_keeps_no_copy_of_the_codes():
-    # each row kept crt_codes[1:] for the whole sweep: on Z(3^12) a random
-    # sweep grew by about 4.3 MB per automorphism row.  Rows of one spec and
-    # top share their field and first v, so 58 more rows built from a first
-    # one hold less than one N-sized list of pointers between them.
-    spec = validate_spec([(3, 9)])
-    alphas = enumerate_automorphisms(spec)[:60]
-    first = engine.AutomorphismRow(alphas[0], 8)  # the spec's tables and the field, untraced
-    gc.collect()
-    tracemalloc.start()
-    try:
-        rows = [first.with_alpha(alpha) for alpha in alphas[2:]]
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert [row.alpha for row in rows] == alphas[2:]
-    assert {row.field for row in rows} == {first.field}
-    assert held < 8 * spec.exponent
+def test_a_sweep_builds_one_field_per_spec_and_none_at_budget_0(monkeypatch):
+    # the field and the first v do not depend on alpha: a sweep builds them
+    # once per spec over every automorphism, and not at all for a spec with
+    # no instance to decide
+    built = []
+    real = sweep.modular_field
+    monkeypatch.setattr(sweep, "modular_field", lambda *args: built.append(args) or real(*args))
+    z9 = validate_spec([(3, 2)])
+    assert len(enumerate_automorphisms(z9)) == 6
+    report = run_sweep(SweepConfig((z9, Z5), mode="exhaustive", denominator=2, seed=0))
+    assert report.instances == 6 * 45**2 + 4 * 15**2
+    assert built == [(9, 8), (5, 8)]
+    built.clear()
+    run_sweep(SweepConfig((z9, Z5), mode="random", budget=7, max_denominator=4, seed=0))
+    assert built == [(9, 32), (5, 32)]
+    built.clear()
+    big = validate_spec([(3, 12)])
+    with time_limit(5):
+        report = run_sweep(SweepConfig((big,), mode="random", budget=0, seed=0))
+    assert report.instances == 0 and built == []
+
+
+def test_an_exhaustive_sweep_reads_each_first_margin_once_per_spec(monkeypatch):
+    # f(+-v) of a first margin does not depend on alpha, so it is read once
+    # per spec; g(+-beta v) of a second margin once per automorphism
+    reads = []
+    real = sweep.char_residues_at
+    monkeypatch.setattr(
+        sweep, "char_residues_at", lambda mu, f, y: reads.append(y) or real(mu, f, y)
+    )
+    spec = validate_spec([(3, 2)])
+    margins = list(enumerate_distributions(spec, 3))
+    alphas = enumerate_automorphisms(spec)
+    report = run_sweep(SweepConfig((spec,), mode="exhaustive", denominator=3, seed=0))
+    assert report.instances == len(alphas) * len(margins) ** 2
+    v = next(engine._equation_vs(spec))
+    assert len(reads) == len(margins) * (1 + len(alphas))
+    assert reads == [v] * len(margins) + [alpha.code * v % 9 for alpha in alphas for _ in margins]
 
 
 def test_a_random_sweep_builds_each_row_as_it_draws_its_instance():

@@ -36,11 +36,13 @@ from heyde import (
     shift,
     validate_spec,
 )
-from heyde import classify_corollary, degenerate, distributions, engine, serialize
-from heyde.distributions import Distribution, _canonical
-from heyde.engine import AutomorphismRow, _decompose
+from heyde import classify_corollary, degenerate, distributions, engine, serialize, sweep
+from heyde.cyclotomic import modular_field
+from heyde.distributions import Distribution, _canonical, char_residues_at
+from heyde.engine import _decompose
 from heyde.fixtures import construction_admissible
 from heyde.groups import subgroup_of_index
+from heyde.sweep import SweepReport
 from limits import time_limit
 
 import oracles
@@ -160,9 +162,11 @@ def test_involution_route_on_constructed_and_near_symmetric_pairs(name, monkeypa
 
 @pytest.mark.parametrize("name", ["Z9xZ5", "Z27xZ5"])
 def test_rows_and_instances_take_the_same_route(name, monkeypatch):
-    # AutomorphismRow and is_conditionally_symmetric each call
-    # engine._joint_symmetric once, with the same arguments, under every
-    # alpha, with alpha - 1 a unit or not
+    # the sweep's pair loop, directly on a pair refuted at its first v or
+    # through check_instance on one that holds there, and
+    # is_conditionally_symmetric each call engine._joint_symmetric first
+    # with the same arguments, under every alpha, with alpha - 1 a unit or
+    # not
     spec = validate_spec(LADDER[name])
     n = spec.exponent
     rng = random.Random(f"row routes:{name}")
@@ -170,18 +174,29 @@ def test_rows_and_instances_take_the_same_route(name, monkeypatch):
     real = engine._joint_symmetric
     monkeypatch.setattr(engine, "_joint_symmetric", lambda *args: calls.append(args) or real(*args))
     mu1 = _coset_blocks(spec, rng)
-    units = set()
+    subs = enumerate_subgroups(spec)
+    v = next(engine._equation_vs(spec))
+    units, routes = set(), collections.Counter()
     for alpha in enumerate_automorphisms(spec):
-        mu2 = shift(mu1, spec.element(rng.randrange(n)))
-        inst = HeydeInstance(spec, mu1, mu2, alpha)
-        calls.clear()
-        verdict = is_conditionally_symmetric(inst)
-        row = AutomorphismRow(alpha, mu2.den)
-        _, terms, *_ = row.second(mu2)
-        assert row.symmetric(mu1, mu2, terms) == verdict == _brute(inst)
-        assert len(calls) == 2 and calls[0] == calls[1]
-        units.add(gcd(alpha.code - 1, n) == 1)
+        unit = gcd(alpha.code - 1, n) == 1
+        h = haar(rng.choice(subs))
+        symmetric = _constructed(spec, alpha, rng) if unit else HeydeInstance(spec, h, h, alpha)
+        shifted = HeydeInstance(spec, mu1, shift(mu1, spec.element(rng.randrange(n))), alpha)
+        for inst in (shifted, symmetric):
+            calls.clear()
+            verdict = is_conditionally_symmetric(inst)
+            field = modular_field(n, 2 * inst.mu1.den * inst.mu2.den)
+            firsts = [(inst.mu1, *char_residues_at(inst.mu1, field, v))]
+            report = SweepReport(seed=0)
+            sweep._run_row(alpha, field, v, firsts, [inst.mu2], report)
+            assert report.instances == 1 and bool(report.symmetric) == verdict == _brute(inst)
+            assert len(calls) >= 2 and calls[0] == calls[1]
+            routes[verdict, satisfies_heyde_equation(inst), len(calls) == 2] += 1
+        units.add(unit)
     assert units == {True, False}
+    # each asymmetric pair is refuted at its first v, and the loop calls
+    # the test once itself; each symmetric one reaches check_instance
+    assert set(routes) == {(False, False, True), (True, True, False)}
 
 
 # -- the coset stage -------------------------------------------------------------
