@@ -295,10 +295,11 @@ def modular_field(order: int, weight: int) -> _ModField:
     field = _field_cache.get(order)
     if field is None:
         _check_order(order)
-        field = _ModField(order, (_prime_below(order, _PRIME_CEILING),))
-    while field.modulus <= weight:
-        field = _ModField(order, field.primes + (_prime_below(order, field.primes[-1]),))
-    _field_cache[order] = field
+    primes = (_prime_below(order, _PRIME_CEILING),) if field is None else field.primes
+    while prod(primes) <= weight:  # the primes first, then one field of them
+        primes += (_prime_below(order, primes[-1]),)
+    if field is None or field.primes != primes:
+        field = _field_cache[order] = _ModField(order, primes)
     return field
 
 

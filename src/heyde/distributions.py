@@ -43,7 +43,7 @@ from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from . import cyclotomic
 from .cyclotomic import CycloElement
@@ -349,18 +349,15 @@ def char_residues(mu: Distribution, field) -> Callable[[int], int]:
     _residue_table, the only N-sized allocation of the memo, at
     |supp| + d * sum(gcd(q_j, d)) terms at most, d = stabilizer_index(mu)
     (_table_cost).  The window is sum(q_j) codes, or fewer once the codes
-    read cost as much as that table (_lazy_window): a margin
-    read widely then pays at most about twice the cheaper of the two, and
-    one read at a few codes pays for those codes alone.  The window is
-    first priced at the least d the support allows, with no stabilizer
-    computed: dZ(N) has order N / d, and the support is a union of its
-    cosets, so N / d divides gcd(|supp|, N).  Where it ends, d is
-    computed, as the table needs it, and the window is priced again at
-    the true d.  So a margin whose size is prime to N, as most sweep
-    margins are, keeps the window of sum(q_j) codes with no stabilizer
-    computed before its end, any margin reads its first code with none,
-    and one on a Haar factor of small index fills its table after a few
-    codes.  On one CRT axis sum(q_j) = N, and a window read at every code
+    read cost as much as that table (_lazy_window), priced once, when the
+    memo is made, at the true d: a margin read widely then pays at most
+    about twice the cheaper of the two, and one read at a few codes pays
+    for those codes alone.  d costs little next to the memo: it is N at
+    once when |supp| is prime to N, as for most sweep margins, and
+    otherwise one numerator map and at most one pass over the support per
+    candidate index (stabilizer_index).  A margin on a Haar factor of
+    small index fills its table after a few codes.  On one CRT axis
+    sum(q_j) = N, and a window read at every code
     becomes the list itself, with no transform, so a margin read in full
     is read as a list from then on.  char_residue_table gives the list
     itself.  Building the memo costs more than a few residues: a sweep
@@ -382,20 +379,19 @@ def char_residue_table(mu: Distribution, field) -> list[int]:
     """Every residue of char_residues(mu, field), as one code-indexed list,
     filled once per field.  It is zero off the multiples of
     N / stabilizer_index(mu) (_residue_table).  A margin whose lazy window
-    covers every code even at the least stabilizer index its support
-    allows (_least_window >= N, on one CRT axis only) is read at every
-    code through the memo, which then keeps its list: that costs
-    N * |supp| terms, no more than the window's price of the transform,
-    and needs no stabilizer.  Any other margin fills the list by the
-    transform, _residue_table.  Once filled, the memo holds the list's
-    __getitem__ as the residue function, and any earlier residue function
-    of the memo reads the same list once it leaves its window."""
+    covers every code (_lazy_window >= N, on one CRT axis only) is read
+    at every code through the memo, which then keeps its list: that costs
+    N * |supp| terms, no more than the window's price of the transform.
+    Any other margin fills the list by the transform, _residue_table.
+    Once filled, the memo holds the list's __getitem__ as the residue
+    function, and any earlier residue function of the memo reads the same
+    list once it leaves its window."""
     residue = char_residues(mu, field)
     table = getattr(residue, "__self__", None)  # a filled memo is table.__getitem__
     if table is None:
         spec = mu.spec
         n = spec.exponent
-        if _least_window(spec.orders, len(mu.points)) >= n:
+        if _lazy_window(spec.orders, len(mu.points), stabilizer_index(mu)) >= n:
             for y in range(n):  # the memo keeps its list at the last code
                 residue(y)
             table = mu._residues[field].__self__
@@ -411,21 +407,19 @@ def _residue_function(mu: Distribution, field) -> Callable[[int], int]:
     points, s = mu.points, spec.crt_pair_unit
     powers, modulus = field.powers, field.modulus
     lazy: dict[int, int] = {}  # the codes computed one at a time
-    window = _least_window(spec.orders, len(points))
+    window = _lazy_window(spec.orders, len(points), stabilizer_index(mu))
     table = None
 
     def residue(y: int) -> int:
-        nonlocal table, window
+        nonlocal table
         if table is not None:
             return table[y]
         value = lazy.get(y)
         if value is None:
-            if len(lazy) >= window:  # the window ends here: price it at the true d
-                window = _lazy_window(mu.spec.orders, len(points), stabilizer_index(mu))
-                if len(lazy) >= window:
-                    table = char_residue_table(mu, field)
-                    lazy.clear()
-                    return table[y]
+            if len(lazy) >= window:  # the window ends here
+                table = char_residue_table(mu, field)
+                lazy.clear()
+                return table[y]
             value = lazy[y] = _residue(points, s * y % n, n, powers, modulus)
             if len(lazy) == n:  # a window of every code: keep them as the memo's list
                 table = [lazy[c] for c in range(n)]
@@ -460,17 +454,6 @@ def char_residues_at(mu: Distribution, field, y: int) -> tuple[int, int]:
     return _residue(points, c, n, powers, modulus), _residue(points, n - c, n, powers, modulus)
 
 
-@lru_cache(maxsize=None)
-def _least_window(orders: tuple[int, ...], size: int) -> int:
-    """_lazy_window at the least stabilizer index a support of size points
-    allows, N / gcd(size, N), N the product of the component orders: it
-    depends on the group and the size alone, so it is formed once for
-    each.  With gcd(size, N) = 1 that index is N, the table costs
-    size + N * sum(q_j), and the window is sum(q_j)."""
-    n = prod(orders)
-    return _lazy_window(orders, size, n // gcd(size, n))
-
-
 def _lazy_window(orders: tuple[int, ...], size: int, d: int) -> int:
     """The codes a residue memo of a margin of size points computes one at a
     time, for a stabilizer index d and component orders q_j: sum(q_j), or
@@ -481,9 +464,7 @@ def _lazy_window(orders: tuple[int, ...], size: int, d: int) -> int:
 def _table_cost(spec: GroupSpec, size: int, d: int) -> int:
     """The terms _residue_table spends at most on a margin of size points
     with stabilizer index d: size for the pushforward to Z(d), and
-    d * gcd(q_j, d) for the pass of axis j (_pass_cost).  It only grows as
-    d grows by multiples, so at the least d a support allows it bounds the
-    cost from below."""
+    d * gcd(q_j, d) for the pass of axis j (_pass_cost)."""
     return size + _pass_cost(spec.orders, d)
 
 

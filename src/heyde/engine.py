@@ -46,17 +46,16 @@ quotient from the first pair on: the character sums are quasi-periodic
 under the unit-modulus set K = eZ(N), so u runs over Z(N)/K and v over
 Z(N)/K', K' = e'Z(N) the part of K that also annihilates
 x1 + alpha x2 (_equation_quotient, whose proof needs no pair visited
-first).  The first v, v = 1, visits e values of u, reading the residues
-lazily, and a quotient with e' <= 3 has no later v.  Each later v visits
-only the u = v and u = -v modulo N / d1, d1 the stabilizer index of mu1,
-off which the residues of mu1 vanish: at most 2 e d1 / N values of u,
-in place of N, and the later v fill no table, reading each margin's
-memo.  For two point masses K = Z(N) is known at once: u = 0 alone, and
-no pair at all when the pair is symmetric (e' = 1).  The support-pair
-route (_support_pairs_hold) checks the identity only where its left side
-is nonzero: there u + v and u + beta v are nonzero codes s and t of the
-two residue tables, and (beta - 1) v = t - s has gcd(beta - 1, N)
-solutions or none.  A residue table costs |supp| + d * sum(q_j) at most,
+first).  Every v, v = 1 included, visits only the u = v and u = -v
+modulo N / d1, d1 the stabilizer index of mu1, off which the residues of
+mu1 vanish: at most 2 e d1 / N values of u, in place of N, and the loop
+fills no table, reading each margin's memo; a quotient with e' <= 3 has
+no v but v = 1.  For two point masses K = Z(N): u = 0 alone, and no pair
+at all when the pair is symmetric (e' = 1).  The support-pair route
+(_support_pairs_hold) checks the identity only where its left side is
+nonzero: there u + v and u + beta v are nonzero codes s and t of the two
+residue tables, and (beta - 1) v = t - s has gcd(beta - 1, N) solutions
+or none.  A residue table costs |supp| + d * sum(q_j) at most,
 from the pushforward of the margin to Z(d), d the index of its
 translation stabilizer, and is nonzero on at most d codes
 (distributions._residue_table), so a pair with Haar factors is decided
@@ -65,9 +64,8 @@ for a verdict only, and rerun first_equation_violation, the reference
 loop over every pair in element order, to report the first violation.
 It compares the two products of each pair as the caller's multiplication
 returns them, on the lemma verifiers' interned route ids of cyclotomic
-values with a memoized product of ids, and visits every u at its first
-v and at every later v only the u at which a side can be nonzero (a
-falsy value is zero).
+values with a memoized product of ids, and at every v visits only the u
+at which a side can be nonzero (a falsy value is zero).
 
 Each predicate is decided in one place: symmetry by _joint_symmetric,
 and the residue equation by _residue_equation_holds, so
@@ -94,7 +92,6 @@ cost one addition mod N each.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -301,32 +298,19 @@ def first_equation_violation(
     must hold for every x and y; a caller whose zero is truthy only loses
     the sparse visits below.
 
-    The first v is dense: it visits every u, calling f and g four times
-    per u, so they should be cheap or memoized (char_residues is).  A pair
-    refuted there, or with no later v, has read only the values it needed.
-    Otherwise f and g are read at every code, and every later v reads one
-    table of each, filled once.  Each later v visits only the candidate
-    pairs.  A pair with f(u + v) = f(u - v) = 0 has both products zero, so
-    with S the codes where f is nonzero only u in (S - v) | (S + v) is
-    visited, in
-    element order; with g, u in (S - beta v) | (S + beta v), when g has
-    fewer nonzero codes.  That is at most 2 |S| pairs per v in place of N.
-    When 2 |S| >= N, as for point masses, every v stays dense.  A skipped
+    f and g are read once at every code, into one table each, and every
+    v, the first included, visits only the candidate pairs.  A pair with
+    f(u + v) = f(u - v) = 0 has both products zero, so with S the codes
+    where f is nonzero only u in (S - v) | (S + v) is visited, in element
+    order; with g, u in (S - beta v) | (S + beta v), when g has fewer
+    nonzero codes.  That is at most 2 |S| pairs per v in place of N.  When
+    2 |S| >= N, as for point masses, every v visits every u.  A skipped
     pair holds exactly, so the (u, v) reported is the one the dense loop
     reports.  A caller that needs only the verdict on residues runs
     _quotient_loop_holds instead.
     """
     n = spec.exponent
     b = beta.code
-    vs = _equation_vs(spec)
-    v = next(vs, None)  # the first v visits every u, reading f and g lazily
-    if v is not None:
-        u = _first_violation(f, g, spec.crt_codes, v, b * v % n, n, mul)
-        if u is not None:
-            return spec.element(u), spec.element(v)
-        v = next(vs, None)
-    if v is None:  # no later v, so no table to fill
-        return None
     f_values = [f(i) for i in range(n)]
     g_values = [g(i) for i in range(n)]
     f, g = f_values.__getitem__, g_values.__getitem__
@@ -334,7 +318,7 @@ def first_equation_violation(
     nonzero_g = [i for i, value in enumerate(g_values) if value]
     on_g = len(nonzero_g) < len(nonzero_f)
     support = nonzero_g if on_g else nonzero_f
-    for v in itertools.chain((v,), vs):
+    for v in _equation_vs(spec):
         bv = b * v % n
         us = spec.crt_codes
         if 2 * len(support) < n:
@@ -394,26 +378,22 @@ def _residue_equation_holds(mu1: Distribution, mu2: Distribution, beta: Endomorp
     place where its route is chosen, by estimated cost in residue terms.
 
     With s = |supp1| + |supp2| and (e, e') = _equation_quotient, computed
-    once, the loop on that quotient (_quotient_loop_holds) reads about 4e
+    once, the loop on that quotient (_quotient_loop_holds) reads at most 4e
     residues at s terms each at its first v, and its later v are priced at
     (e' / 2) * min(e, 2 s) pairs.  That price counts pairs alone, as the
-    loop fills no table of its own: a later v visits the u = v and
+    loop fills no table of its own: a v visits the u = v and
     u = -v (mod N / d1), min(e, 2 e d1 / N) of them at most, and a margin
     read past its lazy window fills its table at the memo's own price
     (char_residues).  The support-pair route
     (_support_pairs_hold) fills both residue tables, at |supp_i| +
     d_i * sum(gcd(q_j, d_i)) terms at most, d_i the stabilizer index of
     mu_i (distributions._table_cost), and checks at most d1 * d2 * h pairs,
-    h = gcd(b - 1, N).  The support pairs are priced first at the least
-    d_i the supports allow, N / gcd(|supp_i|, N), as the support of mu_i is
-    a union of cosets of d_i Z(N) (distributions.char_residues), and that
-    price only grows with d_i; only when it beats the loop are the
-    stabilizers computed, and the support pairs are taken when their true
-    price beats it too.  So a pair whose support sizes are prime to N,
-    whose least d_i are N, computes no stabilizer, and a pair whose
-    margins have Haar factors, whose tables are nonzero on few codes, is
-    decided on those codes.  Both routes decide the residue identity at
-    every pair exactly, so the verdict does not depend on the route.
+    h = gcd(b - 1, N).  Each d_i is memoized on its margin, and is N at
+    once when |supp_i| is prime to N (distributions.stabilizer_index).  So
+    a pair whose margins have Haar factors, whose tables are nonzero on
+    few codes, is decided on those codes.  Both routes decide the residue
+    identity at every pair exactly, so the verdict does not depend on the
+    route.
     """
     spec = mu1.spec
     n = spec.exponent
@@ -421,15 +401,10 @@ def _residue_equation_holds(mu1: Distribution, mu2: Distribution, beta: Endomorp
     size1, size2 = len(mu1.points), len(mu2.points)
     size = size1 + size2
     loop = 4 * e * size + e_v // 2 * min(e, 2 * size)
-    h = gcd(beta.code - 1, n)
-
-    def support_pairs(d1: int, d2: int) -> int:
-        return _table_cost(spec, size1, d1) + _table_cost(spec, size2, d2) + d1 * d2 * h
-
-    # priced first at the least indices the supports allow
-    if support_pairs(n // gcd(size1, n), n // gcd(size2, n)) < loop:
-        if support_pairs(stabilizer_index(mu1), stabilizer_index(mu2)) < loop:
-            return _support_pairs_hold(mu1, mu2, beta, field)
+    d1, d2 = stabilizer_index(mu1), stabilizer_index(mu2)
+    tables = _table_cost(spec, size1, d1) + _table_cost(spec, size2, d2)
+    if tables + d1 * d2 * gcd(beta.code - 1, n) < loop:
+        return _support_pairs_hold(mu1, mu2, beta, field)
     return _quotient_loop_holds(mu1, mu2, beta, field, quotient)
 
 
@@ -445,21 +420,20 @@ def _quotient_loop_holds(
     1 .. e' - 1 of Z(N)/K' with v < e' - v, since v and -v state the same
     identity and no v but 0 is its own negative mod the odd e', and e' = 1
     leaves no v; u runs over the representatives 0 .. e - 1 of Z(N)/K.
-    The first v, v = 1, visits all of them and reads the residues R1 and
-    R2 of the two margins lazily (char_residues), so a pair refuted there,
-    or with e' <= 3 and so no later v, reads only what it needs.  With
-    e = 1, as for two point masses, u = 0 stands for every u.
+    With e = 1, as for two point masses, u = 0 stands for every u.
 
-    Each later v visits only the u = v and the u = -v (mod N / d1),
-    d1 = stabilizer_index(mu1).  R1 = 0 (mod M) off the multiples of
-    N / d1 (_residue_table), so at any other u both R1(u + v) and R1(u - v)
-    are zero and both products are zero: the identity holds there with no
-    residue read.  Mu1's step alone is exact whatever mu2 is, and mu2's
+    Every v, v = 1 included, visits only the u = v and the u = -v
+    (mod N / d1), d1 = stabilizer_index(mu1), and reads the residues R1
+    and R2 of the two margins lazily (char_residues), so a pair refuted at
+    its first v, or with e' <= 3 and so no later v, reads only what it
+    needs.  R1 = 0 (mod M) off the multiples of N / d1 (_residue_table), so
+    at any other u both R1(u + v) and R1(u - v) are zero and both products
+    are zero: the identity holds there with no residue read.  Mu1's step alone is exact whatever mu2 is, and mu2's
     would save little: a pair whose equation holds is symmetric, so its
     margins are shifts of one lambda and d1 = d2, and a pair that fails
     stops at its first violation.  K
     annihilates the difference subgroup of mu1, which contains d1 Z(N), so
-    N / d1 divides e, and a later v visits 2 e d1 / N codes u at most.  The
+    N / d1 divides e, and a v visits 2 e d1 / N codes u at most.  The
     loop fills no table of its own: R1 and R2 are read from their memos
     again at each v, and a memo read past its window fills its table at
     its own price (char_residues), which later v then read as a list.
@@ -472,10 +446,8 @@ def _quotient_loop_holds(
     modulus = field.modulus
     mul = lambda x, y: x * y % modulus
     e, e_v = quotient
-    step = 1  # v = 1 visits every u
+    step = n // stabilizer_index(mu1)
     for v in range(1, (e_v + 1) // 2):
-        if v == 2:
-            step = n // stabilizer_index(mu1)
         f, g = char_residues(mu1, field), char_residues(mu2, field)
         for start in {v % step, -v % step}:
             if _first_violation(f, g, range(start, e, step), v, b * v % n, n, mul) is not None:
@@ -565,7 +537,7 @@ def _equation_quotient(mu1: Distribution, mu2: Distribution, beta: Endomorphism)
     Harmonic Analysis I, sec. 23-24).
     """
     n = mu1.spec.exponent
-    e = 1 if len(mu1.points) == len(mu2.points) == 1 else unit_modulus_set(mu1, mu2).index
+    e = unit_modulus_set(mu1, mu2).index
     c = mu1.points[0][0] + beta.code * mu2.points[0][0]
     return e, lcm(e, n // gcd(c, n))
 

@@ -68,10 +68,10 @@ class GroupSpec:
         for comp in self.components:
             if comp.p == 2:
                 raise ValueError("contains 2-torsion")
+            if comp.k <= 0:  # before the trial division, which a large p makes slow
+                raise ValueError("component exponent must be positive")
             if not is_odd_prime(comp.p):
                 raise ValueError(f"{comp.p} is not an odd prime")
-            if comp.k <= 0:
-                raise ValueError("component exponent must be positive")
             primes.append(comp.p)
         if len(set(primes)) != len(primes):
             raise ValueError("primes must be pairwise distinct")

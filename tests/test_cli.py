@@ -312,9 +312,18 @@ def test_spec_reader_cap_leaves_the_groupspec_messages():
             ({"p": 1, "k": 10**20}, "not an odd prime"),
             ({"p": 3, "k": 0}, "exponent must be positive"),
             ({"p": 3, "k": -(10**20)}, "exponent must be positive"),
+            ({"p": 2**89 - 1, "k": 0}, "exponent must be positive"),
         ):
             with pytest.raises(ValueError, match=message):
                 serialize.spec_from_obj({"components": [component]})
+
+
+def test_a_large_prime_with_exponent_0_exits_2(tmp_path, capsys):
+    # the exponent is checked before the trial division of p, which ran
+    # past this limit when k <= 0 skipped the cap
+    path = write(tmp_path, "input.json", _input_on("check", {"components": [{"p": 2**89 - 1, "k": 0}]}))
+    with time_limit(10):
+        _exit_2_with(capsys, ["check", "--input", path], "exponent must be positive")
 
 
 def test_random_sweep_budget_above_the_limit_exits_2(tmp_path, capsys):

@@ -1,16 +1,16 @@
 """The sparse dual-equation loop and the residue transform against the
 dense references kept in oracles.py.
 
-engine.first_equation_violation visits every u at its first v only, and
-afterwards only the u at which one side can be nonzero;
+engine.first_equation_violation visits, at every v, only the u at which
+one side can be nonzero;
 distributions._residue_table fills a residue table from the pushforward
 to the translation stabilizer's quotient, by one pass per CRT axis.  Each
 must agree exactly with its reference: the same (u, v) or None from the
 loop, the same residue at every code from the transform.
 satisfies_heyde_equation runs the loop on the quotient by the
-unit-modulus set from its first pair on, so that its first v visits one u
-per coset; there the loop reports only a verdict, which must be the dense
-loop's.
+unit-modulus set from its first pair on, so that each v visits at most one
+u per coset; there the loop reports only a verdict, which must be the
+dense loop's.
 """
 
 import collections
@@ -156,13 +156,12 @@ def test_a_window_of_every_code_becomes_the_memos_list(monkeypatch):
 
 
 def test_the_lazy_window_ends_once_its_codes_cost_as_much_as_the_table(monkeypatch):
-    # Z(27) x Z(5): sum(q_j) = 32.  Haar on the subgroup of index 5 has 27
-    # points and d = 5, so 2 codes at 27 terms cost about its table
-    # (27 + 5 * (1 + 5)): the third code read computes d and fills the
-    # table.  27 points at random have d = N: at the third code they
-    # compute d (27 points allow d = 5) and then keep the window of 32
-    # codes.  A margin of at most 8 points on this group allows no d that
-    # would end its window early, and computes none.
+    # Z(27) x Z(5): sum(q_j) = 32.  The memo computes d when it is made.
+    # Haar on the subgroup of index 5 has 27 points and d = 5, so 2 codes
+    # at 27 terms cost about its table (27 + 5 * (1 + 5)): the third code
+    # read fills the table.  27 points at random have d = N and keep the
+    # window of 32 codes, as does a margin of 8 points, whose size is
+    # prime to N.
     spec = Z27xZ5
     n = spec.exponent
     window = sum(spec.orders)
@@ -179,25 +178,23 @@ def test_the_lazy_window_ends_once_its_codes_cost_as_much_as_the_table(monkeypat
     for mu, stays in ((blocks, 2), (scattered, window)):
         expected = oracles.per_code_residues(mu, field)
         residue = char_residues(mu, field)
-        assert [residue(y) for y in range(2)] == expected[:2]
-        assert "_stabilizer" not in vars(mu) and not filled
+        assert vars(mu)["_stabilizer"] == oracles.brute_stabilizer_index(mu)
         assert [residue(y) for y in range(stays)] == expected[:stays]
         assert not filled
         assert residue(stays) == expected[stays]
-        assert vars(mu)["_stabilizer"] == oracles.brute_stabilizer_index(mu)
         assert filled == [mu]
         assert [residue(y) for y in range(n)] == expected
         filled.clear()
 
-    def refuse(mu):
-        raise AssertionError("a stabilizer was computed for a margin of a few points")
-
-    monkeypatch.setattr(distributions, "stabilizer_index", refuse)
     for i in range(20):
         mu = random_distribution(spec, 8, stream.derive(str(i)))
+        expected = oracles.per_code_residues(mu, field)
         residue = char_residues(mu, field)
-        assert [residue(y) for y in range(window)] == oracles.per_code_residues(mu, field)[:window]
-    assert not filled
+        assert [residue(y) for y in range(window)] == expected[:window]
+        assert not filled
+        assert residue(window) == expected[window]
+        assert filled == [mu]
+        filled.clear()
 
 
 def _canonical_margin(spec, codes, size):
@@ -233,17 +230,18 @@ def test_the_residue_memo_holds_only_the_values_it_has_read():
 
 
 def test_a_table_whose_window_covers_every_code_is_read_through_the_memo(monkeypatch):
-    # Four points on Z(9) allow only d = 9, where the transform costs more
-    # than reading every code: the window is all N codes, so the table is
-    # the memo's own list and no transform runs.  Three points of a coset
-    # of 3Z(9) allow d = 3, a window of 4 codes, and keep the transform.
+    # Four points on Z(9) have d = 9, where the transform costs more than
+    # reading every code: the window is all N codes, so the table is the
+    # memo's own list and no transform runs.  Three points of a coset of
+    # 3Z(9) have d = 3, a window of 4 codes, and keep the transform.
     spec = validate_spec([(3, 2)])
     n = spec.exponent
     field = _fields(n)[0]
     four = from_pmf(spec, {(x,): Fraction(m, 10) for x, m in ((0, 1), (2, 2), (3, 3), (7, 4))})
     coset = haar(subgroup_of_index(spec, 3))
-    assert distributions._least_window(spec.orders, 4) == n
-    assert distributions._least_window(spec.orders, 3) < n
+    for mu, covers in ((four, True), (coset, False)):
+        d = oracles.brute_stabilizer_index(mu)
+        assert (distributions._lazy_window(spec.orders, len(mu.points), d) >= n) == covers
     expected = [_residue_table(mu, field) for mu in (four, coset)]
     assert expected == [oracles.per_code_residues(mu, field) for mu in (four, coset)]
 
@@ -254,7 +252,6 @@ def test_a_table_whose_window_covers_every_code_is_read_through_the_memo(monkeyp
     fresh = distributions.Distribution(spec, four.den, four.points)
     assert distributions.char_residue_table(fresh, field) == expected[0]
     assert char_residues(fresh, field).__self__ is distributions.char_residue_table(fresh, field)
-    assert "_stabilizer" not in vars(fresh)
     with pytest.raises(AssertionError, match="transformed"):
         distributions.char_residue_table(distributions.Distribution(spec, 3, coset.points), field)
 
@@ -373,14 +370,15 @@ def test_point_mass_pairs_keep_the_dense_loop():
 
 def test_seeded_asymmetric_pairs_with_haar_factors():
     # Margins with Haar factors vanish off a subgroup, so the first v often
-    # holds at every u and the violation comes at a later v.
+    # holds at every u and the violation comes at a later v.  Others fail
+    # at the first v, which visits only the candidate u as well.
     spec = Z9xZ5
     n = spec.exponent
     first_v = oracles.element_list(spec)[1]
     stream = DeterministicStream(7, label="asymmetric")
     subs = enumerate_subgroups(spec)
     alphas = enumerate_automorphisms(spec)
-    later = 0
+    first = later = 0
     for i in range(30):
         s = stream.derive(str(i))
         sub = subs[s.randint(0, len(subs) - 1)]
@@ -393,8 +391,9 @@ def test_seeded_asymmetric_pairs_with_haar_factors():
         ]
         inst = HeydeInstance(spec, mus[0], mus[1], alphas[s.randint(0, len(alphas) - 1)])
         found, sparse = _on_residues(inst)
+        first += found is not None and found[1] == first_v and sparse
         later += found is not None and found[1] != first_v and sparse
-    assert later >= 5
+    assert first >= 5 and later >= 5
 
 
 def test_violation_past_the_first_v_is_pinned():
@@ -455,22 +454,25 @@ def _sparse_table(n, size, stream, cyclotomic):
 
 @pytest.mark.parametrize("cyclotomic", [False, True], ids=["ints", "cyclotomic"])
 def test_arbitrary_sparse_tables_and_endomorphisms(cyclotomic):
-    # The loop takes the smaller support, here g's, and steps it by beta v;
-    # the tables are not Galois-equivariant, as the lemma verifiers allow.
+    # The loop takes the smaller support, here g's, and steps it by beta v,
+    # at the first v as at every later one: with 2 |S| < N throughout, some
+    # pairs fail at the first v and some past it.  The tables are not
+    # Galois-equivariant, as the lemma verifiers allow.
     spec = Z9xZ5
     n = spec.exponent
     first_v = oracles.element_list(spec)[1]
     betas = enumerate_automorphisms(spec)[::3] + [make_endo(spec, (3, 0)), make_endo(spec, (0, 2))]
     stream = DeterministicStream(17, label=f"tables {cyclotomic}")
-    later = 0
+    first = later = 0
     for i, beta in enumerate(betas * 3):
         s = stream.derive(str(i))
         f = _sparse_table(n, 4 + i % 2, s.derive("f"), cyclotomic)
         g = _sparse_table(n, 2 + i % 2, s.derive("g"), cyclotomic)
         for modulus in (None,) if cyclotomic else (None, 7):
             found = _same_as_dense(spec, f, g, beta, modulus)
+            first += found is not None and found[1] == first_v
             later += found is not None and found[1] != first_v
-    assert later >= 5
+    assert first >= 5 and later >= 5
 
 
 # -- the quotient by the unit-modulus set ------------------------------------------
@@ -561,13 +563,12 @@ def test_shifted_haar_pair_fails_only_off_the_unit_modulus_set():
 
 def test_a_pair_refuted_at_its_first_v_computes_no_quotient(monkeypatch):
     # Random pairs, as a sweep draws them, are refuted within the first few
-    # u of their first v: before either residue table is filled, so no
-    # translation stabilizer may be computed.  Their quotient comes first,
-    # by design, and costs O(|supp|) gcds.
+    # u of their first v: before either residue table is filled.  Their
+    # quotient comes first, by design, at O(|supp|) gcds, and so do their
+    # stabilizers, N at once for 8 points on these odd N.
     def refuse(*args):
-        raise AssertionError("a subgroup was computed before the first v held")
+        raise AssertionError("a residue table was filled before the first v held")
 
-    monkeypatch.setattr(distributions, "stabilizer_index", refuse)
     monkeypatch.setattr(distributions, "_residue_table", refuse)
     refuted = 0
     for spec in (Z9xZ5, LADDER[3]):
@@ -584,28 +585,38 @@ def test_a_pair_refuted_at_its_first_v_computes_no_quotient(monkeypatch):
                 assert not satisfies_heyde_equation(inst)
                 refuted += 1
     assert refuted >= 100
-    # a pair whose first v holds does reach the quotient, unless both
-    # margins are point masses: their quotient (1, e') needs no subgroup
-    monkeypatch.setattr(engine, "unit_modulus_set", refuse)
+    # two point masses: K = Z(N), and e' is the order of x1 + beta x2
     spec = Z9xZ5
+    n = spec.exponent
     alpha = make_endo(spec, (2, 2))
-    inst = HeydeInstance(spec, degenerate(spec, (7, 3)), degenerate(spec, (1, 1)), alpha)
-    assert satisfies_heyde_equation(inst)
-    mu = from_pmf(spec, {(0, 0): Fraction(1, 3), (1, 2): Fraction(2, 3)})
-    inst = HeydeInstance(spec, mu, mu, minus_identity(spec))
-    with pytest.raises(AssertionError, match="before the first v held"):
-        satisfies_heyde_equation(inst)
+    for x1, x2, symmetric in (((7, 3), (1, 1), True), ((1, 0), (1, 1), False)):
+        inst = HeydeInstance(spec, degenerate(spec, x1), degenerate(spec, x2), alpha)
+        c = spec.crt(x1) + alpha.code * spec.crt(x2)
+        assert _equation_quotient(inst.mu1, inst.mu2, alpha) == (1, n // gcd(c, n))
+        assert satisfies_heyde_equation(inst) == symmetric
 
 
 def test_the_first_v_on_the_quotient_visits_e_codes(monkeypatch):
-    # A constructed pair with 1 < e < N: satisfies_heyde_equation starts on
-    # the quotient, so its first v visits the e representatives of Z(N)/K,
-    # not every code of Z(N).
+    # Constructed pairs with 1 < e < N: the loop runs on the quotient, so
+    # its first v, v = 1, visits the u = 1 and u = -1 (mod N / d1) among
+    # the e representatives of Z(N)/K, as every later v does: fewer than e
+    # codes when d1 < N, and all e when d1 = N.
     spec = LADDER[3]
     n = spec.exponent
     stream = DeterministicStream(43, label="first v on the quotient")
     alphas = enumerate_automorphisms(spec)
     subs = enumerate_subgroups(spec)
+    visited = []
+    real = engine._first_violation
+
+    def counted(f, g, us, v, *rest):
+        us = list(us)
+        if v == 1:
+            visited.extend(us)
+        return real(f, g, us, v, *rest)
+
+    monkeypatch.setattr(engine, "_first_violation", counted)
+    seen = collections.Counter()
     for i in range(50):
         s = stream.derive(str(i))
         sub, alpha = s.choice(subs), s.choice(alphas)
@@ -613,22 +624,18 @@ def test_the_first_v_on_the_quotient_visits_e_codes(monkeypatch):
             continue
         rho = random_distribution(spec, 3, s.derive("rho"), support=sub)
         inst = construct_instance(sub, alpha, rho, spec.element(s.randint(0, n - 1))).instance
-        e, _ = _equation_quotient(inst.mu1, inst.mu2, inst.alpha.adjoint())
-        if 1 < e < n:
-            break
-    else:
-        pytest.fail("no constructed pair with 1 < e < N")
-    visited = []
-    real = engine._first_violation
-
-    def counted(f, g, us, *rest):
-        us = list(us)
-        visited.append(len(us))
-        return real(f, g, us, *rest)
-
-    monkeypatch.setattr(engine, "_first_violation", counted)
-    assert satisfies_heyde_equation(inst)
-    assert visited[0] == e
+        mu1, mu2, beta = inst.mu1, inst.mu2, inst.alpha.adjoint()
+        e, e_v = quotient = _equation_quotient(mu1, mu2, beta)
+        if not 1 < e < n or e_v < 3:
+            continue
+        step = n // oracles.brute_stabilizer_index(mu1)
+        field = modular_field(n, 2 * mu1.den * mu2.den)
+        visited.clear()
+        assert engine._quotient_loop_holds(mu1, mu2, beta, field, quotient)
+        assert sorted(visited) == [u for u in range(e) if u % step in (1 % step, -1 % step)]
+        seen["fewer than e" if len(visited) < e else "all e"] += 1
+        assert (len(visited) < e) == (step > 1)
+    assert seen["fewer than e"] and seen["all e"], seen
 
 
 @pytest.mark.parametrize(
@@ -774,10 +781,10 @@ def test_each_equation_route_matches_the_dense_reference(spec):
 
 @pytest.mark.parametrize("spec", LADDER, ids=_describe)
 def test_the_quotient_loop_skips_only_pairs_with_both_first_factors_zero(spec, monkeypatch):
-    # Each later v of engine._quotient_loop_holds visits only u = v and
-    # u = -v (mod N / d1).  Every u of Z(N)/K it skips at a v it finishes
-    # must have R1(u + v) = R1(u - v) = 0 (mod M), read from the per-code
-    # reference, so that both products vanish there.  The v at which a
+    # Every v of engine._quotient_loop_holds, v = 1 included, visits only
+    # u = v and u = -v (mod N / d1).  Every u of Z(N)/K it skips at a v it
+    # finishes must have R1(u + v) = R1(u - v) = 0 (mod M), read from the
+    # per-code reference, so that both products vanish there.  The v at which a
     # pair fails is left out: the loop stops at its violation, and the
     # codes after it are not skips.
     n = spec.exponent
@@ -806,9 +813,6 @@ def test_the_quotient_loop_skips_only_pairs_with_both_first_factors_zero(spec, m
         for v, us in calls:
             visited[v].update(us)
         for v, us in visited.items():
-            if v == 1:
-                assert us == set(range(e))
-                continue
             skipped = set(range(e)) - us
             assert all(f[(u + v) % n] == f[(u - v) % n] == 0 for u in skipped), (inst, v)
             seen["holds" if holds else "fails later"] += bool(skipped)

@@ -188,6 +188,27 @@ def test_modulus_must_exceed_the_weight(monkeypatch):
     assert not any(check_zero_classes(mu).values())
 
 
+def test_a_field_grown_by_several_primes_is_built_once(monkeypatch):
+    # The primes are found first and one field is built from them, so its
+    # N powers are filled once per growth, not once per prime added.
+    monkeypatch.setattr(cyclotomic, "_field_cache", {})
+    built = []
+    init = cyclotomic._ModField.__init__
+    monkeypatch.setattr(
+        cyclotomic._ModField, "__init__", lambda self, *args: built.append(args) or init(self, *args)
+    )
+    field = modular_field(45, 2**130)  # a fresh order, a weight that needs 3 primes
+    assert len(field.primes) == 3 and built == [(45, field.primes)]
+    assert field.modulus > 2**130 and prod(field.primes[:2]) <= 2**130
+    for below, p in zip(field.primes, field.primes[1:]):
+        assert p == cyclotomic._prime_below(45, below)
+    assert modular_field(45, 2**130) is field and modular_field(45, 1) is field
+    one = modular_field(63, 1)
+    assert len(built) == 2
+    grown = modular_field(63, 2**130)  # a cached field grown by 2 primes
+    assert len(built) == 3 and grown.primes[:1] == one.primes and len(grown.primes) == 3
+
+
 @pytest.mark.parametrize("order", [0, -3, 10])
 def test_field_rejects_bad_orders(order):
     with pytest.raises(ValueError, match="order must be"):
