@@ -42,7 +42,7 @@ import struct
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd, lcm
 
 from . import cyclotomic
@@ -347,12 +347,13 @@ def char_residues(mu: Distribution, field) -> Callable[[int], int]:
     that a pair refuted at its first few values needs.  Past that window
     the next code asked for fills the whole code-indexed list by
     _residue_table, the only N-sized allocation of the memo, at
-    |supp| + d * sum(gcd(q_j, d)) terms at most, d = stabilizer_index(mu)
-    (_table_cost).  The window is sum(q_j) codes, or fewer once the codes
-    read cost as much as that table (_lazy_window), priced once, when the
-    memo is made, at the true d: a margin read widely then pays at most
-    about twice the cheaper of the two, and one read at a few codes pays
-    for those codes alone.  d costs little next to the memo: it is N at
+    |supp| + d * sum(gcd(q_j, d)) terms at most, d = stabilizer_index(mu).
+    The window is sum(q_j) codes, or fewer once the codes read cost as
+    much as that table, and none when that is one code (_lazy_window),
+    priced once, when the memo is made, at the true d: a margin read
+    widely then pays at most about twice the cheaper of the two, and one
+    read at a few codes pays for those codes alone.  d costs little next
+    to the memo: it is N at
     once when |supp| is prime to N, as for most sweep margins, and
     otherwise one numerator map and at most one pass over the support per
     candidate index (stabilizer_index).  A margin on a Haar factor of
@@ -457,22 +458,14 @@ def char_residues_at(mu: Distribution, field, y: int) -> tuple[int, int]:
 def _lazy_window(orders: tuple[int, ...], size: int, d: int) -> int:
     """The codes a residue memo of a margin of size points computes one at a
     time, for a stabilizer index d and component orders q_j: sum(q_j), or
-    fewer once they cost as much as its table (_table_cost)."""
-    return min(sum(orders), (size + _pass_cost(orders, d)) // size)
-
-
-def _table_cost(spec: GroupSpec, size: int, d: int) -> int:
-    """The terms _residue_table spends at most on a margin of size points
-    with stabilizer index d: size for the pushforward to Z(d), and
-    d * gcd(q_j, d) for the pass of axis j (_pass_cost)."""
-    return size + _pass_cost(spec.orders, d)
-
-
-@lru_cache(maxsize=None)
-def _pass_cost(orders: tuple[int, ...], d: int) -> int:
-    """d * sum(gcd(q_j, d)) over the component orders q_j, for a divisor d
-    of their product: formed once per group and d."""
-    return d * sum(gcd(q, d) for q in orders)
+    fewer once they cost as much as its table, whose transform
+    (_residue_table) spends at most size terms on the pushforward to Z(d)
+    and d * gcd(q_j, d) on the pass of axis j.  A window of one code is
+    none: the memo's readers read two codes at a time (y and -y in
+    char_residues_at, u + v and u - v in the equation loop), and two codes
+    cost more than the table whenever one code is all it buys."""
+    window = (size + d * sum(gcd(q, d) for q in orders)) // size
+    return min(sum(orders), window if window > 1 else 0)
 
 
 def _residue_table(mu: Distribution, field) -> list[int]:

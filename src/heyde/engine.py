@@ -40,32 +40,29 @@ on a Haar factor costs one product per pair of cosets in place of
 the margin's translation stabilizer, among its points of least mass, in
 place of one per support point.
 
-The dual equation has two routes, and _residue_equation_holds takes the
-one its estimate prices lower.  The loop (_quotient_loop_holds) runs on a
+The dual equation is decided by one loop, _residue_equation_holds, on a
 quotient from the first pair on: the character sums are quasi-periodic
 under the unit-modulus set K = eZ(N), so u runs over Z(N)/K and v over
 Z(N)/K', K' = e'Z(N) the part of K that also annihilates
 x1 + alpha x2 (_equation_quotient, whose proof needs no pair visited
-first).  Every v, v = 1 included, visits only the u = v and u = -v
-modulo N / d1, d1 the stabilizer index of mu1, off which the residues of
-mu1 vanish: at most 2 e d1 / N values of u, in place of N, and the loop
-fills no table, reading each margin's memo; a quotient with e' <= 3 has
-no v but v = 1.  For two point masses K = Z(N): u = 0 alone, and no pair
-at all when the pair is symmetric (e' = 1).  The support-pair route
-(_support_pairs_hold) checks the identity only where its left side is
-nonzero: there u + v and u + beta v are nonzero codes s and t of the two
-residue tables, and (beta - 1) v = t - s has gcd(beta - 1, N) solutions
-or none.  A residue table costs |supp| + d * sum(q_j) at most,
-from the pushforward of the margin to Z(d), d the index of its
-translation stabilizer, and is nonzero on at most d codes
-(distributions._residue_table), so a pair with Haar factors is decided
-on a few codes.  The lemma verifiers take either route
-for a verdict only, and rerun first_equation_violation, the reference
-loop over every pair in element order, to report the first violation.
-It compares the two products of each pair as the caller's multiplication
-returns them, on the lemma verifiers' interned route ids of cyclotomic
-values with a memoized product of ids, and at every v visits only the u
-at which a side can be nonzero (a falsy value is zero).
+first).  The residues of mu_i vanish off the multiples of
+L_i = N / d_i, d_i the index of its translation stabilizer
+(distributions._residue_table), so a side of the identity at (u, v) is
+nonzero only where u + v or u - v is a multiple of L1 and u + beta v or
+u - beta v, with the same sign, one of L2.  Both systems are solvable
+only for v a multiple of vs = c / gcd(beta - 1, c), c = gcd(L1, L2), and
+then their u are two classes modulo l = lcm(L1, L2): the loop visits
+those alone, at most d1 d2 gcd(beta - 1, c) pairs, and fills no table,
+reading each margin's memo.  For two point masses K = Z(N): u = 0
+alone, and no pair at all when the pair is symmetric (e' = 1).  A margin
+with a Haar factor has a small d, so its pair is decided on a few codes.
+The lemma verifiers take that loop for a verdict only, and rerun
+first_equation_violation, the reference loop over every pair in element
+order, to report the first violation.  It compares the two products of
+each pair as the caller's multiplication returns them, on the lemma
+verifiers' interned route ids of cyclotomic values with a memoized
+product of ids, and at every v visits only the u at which a side can be
+nonzero (a falsy value is zero).
 
 Each predicate is decided in one place: symmetry by _joint_symmetric,
 and the residue equation by _residue_equation_holds, so
@@ -102,10 +99,8 @@ from .cyclotomic import modular_field
 from .distributions import (
     Distribution,
     _memo,
-    _table_cost,
     _translate,
     char_fn_zero_classes,
-    char_residue_table,
     char_residues,
     difference_subgroup,
     from_pmf,
@@ -307,7 +302,7 @@ def first_equation_violation(
     2 |S| >= N, as for point masses, every v visits every u.  A skipped
     pair holds exactly, so the (u, v) reported is the one the dense loop
     reports.  A caller that needs only the verdict on residues runs
-    _quotient_loop_holds instead.
+    _residue_equation_holds instead.
     """
     n = spec.exponent
     b = beta.code
@@ -342,7 +337,7 @@ def _equation_vs(spec: GroupSpec):
 def _first_violation(f, g, us, v: int, bv: int, n: int, mul) -> int | None:
     """The first u of us at which the identity at (u, v) fails, bv = beta v:
     the loop of every v of first_equation_violation and of
-    _quotient_loop_holds."""
+    _residue_equation_holds."""
     for u in us:
         f1, g1 = f((u + v) % n), g((u + bv) % n)
         f2, g2 = f((u - v) % n), g((u - bv) % n)
@@ -372,134 +367,62 @@ def satisfies_heyde_equation(inst: HeydeInstance) -> bool:
 
 def _residue_equation_holds(mu1: Distribution, mu2: Distribution, beta: Endomorphism, field) -> bool:
     """Whether the dual equation of the character sums of mu1 and mu2 under
-    beta holds, decided on their residues in field, a field certified for
-    2 * mu1.den * mu2.den (cyclotomic._ModField): the one residue equation
-    of satisfies_heyde_equation and of the lemma verifiers, and the one
-    place where its route is chosen, by estimated cost in residue terms.
+    beta holds, decided on their residues R1, R2 in field, a field
+    certified for 2 * mu1.den * mu2.den (cyclotomic._ModField): the one
+    residue equation of satisfies_heyde_equation and of the lemma
+    verifiers.
 
-    With s = |supp1| + |supp2| and (e, e') = _equation_quotient, computed
-    once, the loop on that quotient (_quotient_loop_holds) reads at most 4e
-    residues at s terms each at its first v, and its later v are priced at
-    (e' / 2) * min(e, 2 s) pairs.  That price counts pairs alone, as the
-    loop fills no table of its own: a v visits the u = v and
-    u = -v (mod N / d1), min(e, 2 e d1 / N) of them at most, and a margin
-    read past its lazy window fills its table at the memo's own price
-    (char_residues).  The support-pair route
-    (_support_pairs_hold) fills both residue tables, at |supp_i| +
-    d_i * sum(gcd(q_j, d_i)) terms at most, d_i the stabilizer index of
-    mu_i (distributions._table_cost), and checks at most d1 * d2 * h pairs,
-    h = gcd(b - 1, N).  Each d_i is memoized on its margin, and is N at
-    once when |supp_i| is prime to N (distributions.stabilizer_index).  So
-    a pair whose margins have Haar factors, whose tables are nonzero on
-    few codes, is decided on those codes.  Both routes decide the residue
-    identity at every pair exactly, so the verdict does not depend on the
-    route.
-    """
-    spec = mu1.spec
-    n = spec.exponent
-    quotient = e, e_v = _equation_quotient(mu1, mu2, beta)
-    size1, size2 = len(mu1.points), len(mu2.points)
-    size = size1 + size2
-    loop = 4 * e * size + e_v // 2 * min(e, 2 * size)
-    d1, d2 = stabilizer_index(mu1), stabilizer_index(mu2)
-    tables = _table_cost(spec, size1, d1) + _table_cost(spec, size2, d2)
-    if tables + d1 * d2 * gcd(beta.code - 1, n) < loop:
-        return _support_pairs_hold(mu1, mu2, beta, field)
-    return _quotient_loop_holds(mu1, mu2, beta, field, quotient)
-
-
-def _quotient_loop_holds(
-    mu1: Distribution, mu2: Distribution, beta: Endomorphism, field, quotient: tuple[int, int]
-) -> bool:
-    """The residue equation of _residue_equation_holds, decided by the loop
-    on its quotient, (e, e') = _equation_quotient(mu1, mu2, beta).
-
-    The identity holds at (u + k, v) exactly when at (u, v) for k in
-    K = eZ(N), and at (u, v + k) exactly when at (u, v) for k in
-    K' = e'Z(N) (_equation_quotient).  So v runs over the representatives
+    With b the multiplier of beta, the identity at (u, v) is
+    R1(u + v) R2(u + b v) = R1(u - v) R2(u - b v) (mod M).  It holds at
+    (u + k, v) exactly when at (u, v) for k in K = eZ(N), and at (u, v + k)
+    exactly when at (u, v) for k in K' = e'Z(N), with (e, e') =
+    _equation_quotient(mu1, mu2, beta).  So v runs over the representatives
     1 .. e' - 1 of Z(N)/K' with v < e' - v, since v and -v state the same
     identity and no v but 0 is its own negative mod the odd e', and e' = 1
     leaves no v; u runs over the representatives 0 .. e - 1 of Z(N)/K.
     With e = 1, as for two point masses, u = 0 stands for every u.
 
-    Every v, v = 1 included, visits only the u = v and the u = -v
-    (mod N / d1), d1 = stabilizer_index(mu1), and reads the residues R1
-    and R2 of the two margins lazily (char_residues), so a pair refuted at
-    its first v, or with e' <= 3 and so no later v, reads only what it
-    needs.  R1 = 0 (mod M) off the multiples of N / d1 (_residue_table), so
-    at any other u both R1(u + v) and R1(u - v) are zero and both products
-    are zero: the identity holds there with no residue read.  Mu1's step alone is exact whatever mu2 is, and mu2's
-    would save little: a pair whose equation holds is symmetric, so its
-    margins are shifts of one lambda and d1 = d2, and a pair that fails
-    stops at its first violation.  K
-    annihilates the difference subgroup of mu1, which contains d1 Z(N), so
-    N / d1 divides e, and a v visits 2 e d1 / N codes u at most.  The
-    loop fills no table of its own: R1 and R2 are read from their memos
-    again at each v, and a memo read past its window fills its table at
-    its own price (char_residues), which later v then read as a list.
-    Every product is reduced mod M and zero means zero mod M, so the
-    certification of cyclotomic._ModField holds for every pair visited,
-    and the pairs skipped or stood for hold with them.
+    Of these pairs only those where a side can be nonzero are visited.
+    With L_i = N / stabilizer_index(mu_i), R_i = 0 (mod M) off the
+    multiples of L_i (_residue_table).  So the left side is nonzero only
+    where u = -v (mod L1) and u = -b v (mod L2), and the right side only
+    where u = v (mod L1) and u = b v (mod L2); at every other pair both
+    products are zero and the identity holds with no residue read.  With
+    c = gcd(L1, L2), each system is solvable exactly when v = b v (mod c),
+    that is when c divides (b - 1) v, or equivalently when v is a multiple
+    of vs = c / gcd(b - 1, c); any other v is skipped whole.  Then
+    u = v + L1 t solves the right-hand system exactly when
+    (L1 / c) t = (b - 1) v / c (mod L2 / c), and L1 / c is a unit mod
+    L2 / c, so its solutions are one class u0 modulo l = lcm(L1, L2), and
+    those of the left-hand system are -u0.  A v visits the u = u0 and the
+    u = -u0 (mod l) of range(e), at most 2 e / l codes: K annihilates the
+    difference subgroup of each mu_i, which contains its stabilizer
+    d_i Z(N), so L1 and L2, and with them l, divide e, and so c divides e'.
+    In all that is at most d1 d2 gcd(b - 1, c) pairs, as e <= e' <= N.
+
+    The loop fills no table of its own: R1 and R2 are read from their memos
+    (char_residues) again at each v, and a memo read past its window fills
+    its table at its own price, which later v then read as a list.  So a
+    pair refuted at its first v, or with no v to visit, reads only what it
+    needs.  Every product is reduced mod M and zero means zero mod M, so
+    the certification of cyclotomic._ModField holds for every pair
+    visited, and the pairs skipped or stood for hold with them.
     """
     n = mu1.spec.exponent
     b = beta.code
     modulus = field.modulus
     mul = lambda x, y: x * y % modulus
-    e, e_v = quotient
-    step = n // stabilizer_index(mu1)
-    for v in range(1, (e_v + 1) // 2):
+    e, e_v = _equation_quotient(mu1, mu2, beta)
+    l1, l2 = n // stabilizer_index(mu1), n // stabilizer_index(mu2)
+    c = gcd(l1, l2)
+    step, v_step = l1 * l2 // c, c // gcd(b - 1, c)
+    inverse = pow(l1 // c, -1, l2 // c)
+    for v in range(v_step, (e_v + 1) // 2, v_step):
         f, g = char_residues(mu1, field), char_residues(mu2, field)
-        for start in {v % step, -v % step}:
+        u0 = (v + l1 * ((b - 1) * v // c * inverse % (l2 // c))) % step
+        for start in {u0, -u0 % step}:
             if _first_violation(f, g, range(start, e, step), v, b * v % n, n, mul) is not None:
                 return False
-    return True
-
-
-def _support_pairs_hold(mu1: Distribution, mu2: Distribution, beta: Endomorphism, field) -> bool:
-    """The residue equation of _residue_equation_holds, decided at the pairs
-    (u, v) where its left side can be nonzero: over the nonzero codes of
-    the two residue tables (distributions.char_residue_table, read through
-    the memo of each margin).
-
-    Write R1, R2 for the tables and b for the multiplier of beta, and
-    P1(u, v) = R1(u + v) R2(u + b v), P2(u, v) = R1(u - v) R2(u - b v), all
-    mod M.  Then P2(u, v) = P1(u, -v).  The equation is P1 = P2 at every
-    (u, v), and it suffices to check it where P1 != 0: where P1(u, v) = 0,
-    P2(u, v) = P1(u, -v) is nonzero only if (u, -v) is a pair with
-    P1 != 0, and there P2(u, -v) = P1(u, v) = 0 != P1(u, -v), which that
-    check refutes.  P1(u, v) != 0 (mod M) needs both factors nonzero, in
-    any ring: u + v = s in S1 and u + b v = t in S2, the nonzero codes of
-    the tables.  So (b - 1) v = t - s (mod N).  With h = gcd(b - 1, N),
-    that has no solution unless h divides t - s, and then exactly h,
-    v0 + k N / h for k < h, v0 = ((t - s) / h) * ((b - 1) / h)**-1 mod N / h;
-    each gives u = s - v.  So one check per solution, over S1 x S2,
-    decides the equation: at most |S1| |S2| h checks.  S_i lies in the
-    multiples of N / d_i, d_i = stabilizer_index(mu_i), where
-    _residue_table proves the table vanishes elsewhere, so |S_i| <= d_i.
-    Zero means zero mod M, as in the loop, and every product is reduced
-    mod M, so the certification of cyclotomic._ModField holds as it does
-    for _quotient_loop_holds.
-    """
-    n = mu1.spec.exponent
-    modulus = field.modulus
-    f, g = char_residue_table(mu1, field), char_residue_table(mu2, field)
-    b = beta.code
-    h = gcd(b - 1, n)
-    step = n // h  # the solutions v of (b - 1) v = c differ by multiples of N / h
-    inverse = pow((b - 1) // h, -1, step)
-    by_class: dict[int, list[int]] = {}  # the t of S2 by their class mod h
-    for t in range(0, n, n // stabilizer_index(mu2)):
-        if g[t]:
-            by_class.setdefault(t % h, []).append(t)
-    for s in range(0, n, n // stabilizer_index(mu1)):
-        if not f[s]:
-            continue
-        for t in by_class.get(s % h, ()):
-            left = f[s] * g[t] % modulus
-            for v in range((t - s) // h * inverse % step, n, step):
-                u = s - v
-                if left != f[(u - v) % n] * g[(u - b * v) % n] % modulus:
-                    return False
     return True
 
 
@@ -531,7 +454,7 @@ def _equation_quotient(mu1: Distribution, mu2: Distribution, beta: Endomorphism)
     order of x1 + a x2.  The same identities hold
     for the residues at omega, with omega**N = 1 (mod M), and a power of
     omega is a unit mod M, so each translate of a pair is zero mod M
-    exactly when the pair is: the pairs _quotient_loop_holds visits on
+    exactly when the pair is: the pairs _residue_equation_holds visits on
     this quotient stand for every pair.  This is the quasi-periodicity of
     the transform of a coset-supported measure (Hewitt and Ross, Abstract
     Harmonic Analysis I, sec. 23-24).

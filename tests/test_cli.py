@@ -553,8 +553,8 @@ def test_verify_lemmas_hypothesis_failure_is_a_result(tmp_path, capsys):
 def test_verify_lemmas_decides_the_equation_hypothesis_once(tmp_path, capsys, monkeypatch):
     # |char|**2 of (3/4, 1/4) on Z(7) is strictly positive and at most one,
     # and I - beta = 2 is invertible, so both lemmas need the hypothesis.
-    # Each residue equation computes its quotient once, whichever route
-    # engine._residue_equation_holds then takes.
+    # The residue equation, engine._residue_equation_holds, computes its
+    # quotient once.
     calls = []
     real = engine._equation_quotient
 
@@ -584,14 +584,14 @@ def test_verify_lemmas_on_two_point_masses_matches_the_interned_route(tmp_path, 
     quotients = []
     lemmas._residue_equation.cache_clear()
 
-    loop = engine._quotient_loop_holds
+    real = engine._equation_quotient
 
     def spy(*args):
-        quotients.append(args[4])
-        return loop(*args)
+        quotients.append(real(*args))
+        return quotients[-1]
 
     with monkeypatch.context() as patched:
-        patched.setattr(engine, "_quotient_loop_holds", spy)
+        patched.setattr(engine, "_equation_quotient", spy)
         assert main(["verify-lemmas", "--input", path]) == 0
     residue = capsys.readouterr().out
     assert quotients == [(1, 1)]

@@ -197,6 +197,30 @@ def test_the_lazy_window_ends_once_its_codes_cost_as_much_as_the_table(monkeypat
         filled.clear()
 
 
+def test_a_one_code_window_fills_the_table_at_the_first_read(monkeypatch):
+    # Haar on the subgroup of index 3 of Z(27) x Z(5): 45 points and d = 3,
+    # so its table costs 45 + 3 * (3 + 1) = 57 terms, less than two codes
+    # at 45 terms.  Every reader asks for two codes, so the memo keeps no
+    # window and its first read fills the table.
+    spec = Z27xZ5
+    n = spec.exponent
+    field = _fields(n)[0]
+    mu = haar(subgroup_of_index(spec, 3))
+    assert len(mu.points) == 45 and oracles.brute_stabilizer_index(mu) == 3
+    assert distributions._lazy_window(spec.orders, 45, 3) == 0
+    filled = []
+    transform = distributions._residue_table
+    monkeypatch.setattr(
+        distributions, "_residue_table", lambda mu, field: filled.append(mu) or transform(mu, field)
+    )
+    expected = oracles.per_code_residues(mu, field)
+    residue = char_residues(mu, field)
+    assert residue(1) == expected[1]
+    assert filled == [mu]
+    assert [residue(y) for y in range(n)] == expected
+    assert filled == [mu]
+
+
 def _canonical_margin(spec, codes, size):
     """Mass 1 at each of the first size distinct codes."""
     chosen = list(dict.fromkeys(codes))[:size]
@@ -596,46 +620,71 @@ def test_a_pair_refuted_at_its_first_v_computes_no_quotient(monkeypatch):
         assert satisfies_heyde_equation(inst) == symmetric
 
 
-def test_the_first_v_on_the_quotient_visits_e_codes(monkeypatch):
-    # Constructed pairs with 1 < e < N: the loop runs on the quotient, so
-    # its first v, v = 1, visits the u = 1 and u = -1 (mod N / d1) among
-    # the e representatives of Z(N)/K, as every later v does: fewer than e
-    # codes when d1 < N, and all e when d1 = N.
-    spec = LADDER[3]
-    n = spec.exponent
-    stream = DeterministicStream(43, label="first v on the quotient")
-    alphas = enumerate_automorphisms(spec)
-    subs = enumerate_subgroups(spec)
-    visited = []
+def _visit_rule(mu1, mu2, beta):
+    """The u of range(e) that engine._residue_equation_holds must visit at
+    each v of its quotient, by brute force over the two congruence systems:
+    a side of the identity can be nonzero only where u + v (or u - v) is a
+    multiple of L1 = N / d1 and u + b v (or u - b v) one of L2 = N / d2.
+    A v with no such u is left out."""
+    n = mu1.spec.exponent
+    b = beta.code
+    l1, l2 = (n // oracles.brute_stabilizer_index(mu) for mu in (mu1, mu2))
+    e, e_v = _equation_quotient(mu1, mu2, beta)
+    rule = {}
+    for v in range(1, (e_v + 1) // 2):
+        us = {
+            u
+            for u in range(e)
+            if any((u + sign * v) % l1 == 0 and (u + sign * b * v) % l2 == 0 for sign in (1, -1))
+        }
+        if us:
+            rule[v] = us
+    return rule
+
+
+def _visits(monkeypatch):
+    """Patch engine._first_violation to record the (v, us) of every call."""
+    calls = []
     real = engine._first_violation
 
-    def counted(f, g, us, v, *rest):
+    def spy(f, g, us, v, *rest):
         us = list(us)
-        if v == 1:
-            visited.extend(us)
+        calls.append((v, us))
         return real(f, g, us, v, *rest)
 
-    monkeypatch.setattr(engine, "_first_violation", counted)
+    monkeypatch.setattr(engine, "_first_violation", spy)
+    return calls
+
+
+@pytest.mark.parametrize("spec", LADDER[:4], ids=_describe)
+def test_each_v_on_the_quotient_visits_two_classes_mod_l(spec, monkeypatch):
+    # At each v the loop visits exactly the u = u0 and u = -u0 (mod l) of
+    # range(e), l = lcm(L1, L2): the u at which a side can be nonzero.  A v
+    # with no such u, one with (b - 1) v not a multiple of c = gcd(L1, L2),
+    # is not visited at all.  A failing pair stops at its violation, so its
+    # last v may visit a prefix of its codes only.
+    n = spec.exponent
+    calls = _visits(monkeypatch)
     seen = collections.Counter()
-    for i in range(50):
-        s = stream.derive(str(i))
-        sub, alpha = s.choice(subs), s.choice(alphas)
-        if not construction_admissible(sub, alpha):
-            continue
-        rho = random_distribution(spec, 3, s.derive("rho"), support=sub)
-        inst = construct_instance(sub, alpha, rho, spec.element(s.randint(0, n - 1))).instance
+    for inst in _route_cases(spec, random.Random(f"visits {spec.describe()}"), ROUTE_COUNTS[n] // 2):
         mu1, mu2, beta = inst.mu1, inst.mu2, inst.alpha.adjoint()
-        e, e_v = quotient = _equation_quotient(mu1, mu2, beta)
-        if not 1 < e < n or e_v < 3:
-            continue
-        step = n // oracles.brute_stabilizer_index(mu1)
         field = modular_field(n, 2 * mu1.den * mu2.den)
-        visited.clear()
-        assert engine._quotient_loop_holds(mu1, mu2, beta, field, quotient)
-        assert sorted(visited) == [u for u in range(e) if u % step in (1 % step, -1 % step)]
-        seen["fewer than e" if len(visited) < e else "all e"] += 1
-        assert (len(visited) < e) == (step > 1)
-    assert seen["fewer than e"] and seen["all e"], seen
+        rule = _visit_rule(mu1, mu2, beta)
+        calls.clear()
+        holds = engine._residue_equation_holds(mu1, mu2, beta, field)
+        visited = collections.defaultdict(set)
+        for v, us in calls:
+            assert len(us) == len(set(us)) and not visited[v] & set(us), (inst, v)
+            visited[v].update(us)
+        e, e_v = _equation_quotient(mu1, mu2, beta)
+        seen["skipped v"] += len(rule) < (e_v - 1) // 2
+        seen["fewer than e"] += any(len(us) < e for us in rule.values())
+        if not holds:
+            last = calls[-1][0]
+            assert visited.pop(last) <= rule.pop(last), inst
+            rule = {v: us for v, us in rule.items() if v < last}
+        assert visited == rule, inst
+    assert seen["skipped v"] and seen["fewer than e"], seen
 
 
 @pytest.mark.parametrize(
@@ -689,8 +738,9 @@ def test_point_mass_pairs_fill_no_residue_table(monkeypatch):
 
 def test_a_quotient_with_no_later_v_reads_only_its_first_v(monkeypatch):
     # Z(3^12), alpha = 2, mu1 = mu2 uniform on the subgroup of order 3:
-    # (e, e') = (3, 3), so v = 1 is the only v, and its e = 3 values of u
-    # read at most 4e residues; no table is filled after it.
+    # (e, e') = (3, 3), so v = 1 is the only v of the quotient.  With
+    # L1 = L2 = c = 3 and b - 1 = 1, c does not divide (b - 1) * 1, so
+    # neither side is nonzero at any u of v = 1, and no residue is read.
     spec = validate_spec([(3, 12)])
     mu = haar(subgroup_of_index(spec, spec.exponent // 3))
     inst = HeydeInstance(spec, mu, mu, make_endo(spec, (2,)))
@@ -704,10 +754,10 @@ def test_a_quotient_with_no_later_v_reads_only_its_first_v(monkeypatch):
 
     monkeypatch.setattr(engine, "char_residues", counted)
     assert satisfies_heyde_equation(inst)
-    assert 0 < sum(reads.values()) <= 12
+    assert sum(reads.values()) == 0
 
 
-# -- the support-pair route ----------------------------------------------------------
+# -- the visit rule of the residue equation -----------------------------------------
 
 
 def _coset_blocks(spec, rng):
@@ -754,14 +804,25 @@ def _route_cases(spec, rng, count):
     return cases[:count]
 
 
-ROUTE_COUNTS = {9: 250, 45: 250, 135: 100, 315: 40, 945: 10}
+ROUTE_COUNTS = {9: 250, 45: 250, 135: 100, 315: 40, 945: 30}
+
+
+def _steps(mu1, mu2, beta):
+    """(vs, l, L1) of the visit rule of engine._residue_equation_holds, from
+    the brute-force stabilizer indices."""
+    n = mu1.spec.exponent
+    l1, l2 = (n // oracles.brute_stabilizer_index(mu) for mu in (mu1, mu2))
+    c = gcd(l1, l2)
+    return c // gcd(beta.code - 1, c), l1 * l2 // c, l1
 
 
 @pytest.mark.parametrize("spec", LADDER, ids=_describe)
 def test_each_equation_route_matches_the_dense_reference(spec):
-    # Both routes of engine._residue_equation_holds, each forced in turn,
-    # and the route its estimate picks, against the dense loop on per-code
-    # residues, which shares neither the tables nor the quotient.
+    # engine._residue_equation_holds, alone and through
+    # satisfies_heyde_equation, against the dense loop on per-code
+    # residues, which shares neither the quotient nor the visit rule.  The
+    # cases must step v by vs > 1 on both verdicts, and step u by
+    # l > L1 on a failing pair (a symmetric pair has d1 = d2, so l = L1).
     n = spec.exponent
     seen = collections.Counter()
     for inst in _route_cases(spec, random.Random(f"routes {spec.describe()}"), ROUTE_COUNTS[n]):
@@ -770,84 +831,54 @@ def test_each_equation_route_matches_the_dense_reference(spec):
         modulus = field.modulus
         f, g = (oracles.per_code_residues(mu, field).__getitem__ for mu in (mu1, mu2))
         holds = oracles.dense_equation_violation(spec, f, g, beta, modulus) is None
-        loop = engine._quotient_loop_holds(mu1, mu2, beta, field, _equation_quotient(mu1, mu2, beta))
-        assert loop == holds
-        assert engine._support_pairs_hold(mu1, mu2, beta, field) == holds
+        assert engine._residue_equation_holds(mu1, mu2, beta, field) == holds
         assert satisfies_heyde_equation(inst) == holds
-        h = gcd(beta.code - 1, n)
-        seen[("holds" if holds else "fails", "h > 1" if h > 1 else "h = 1")] += 1
-    assert len(seen) == 4, seen
+        verdict = "holds" if holds else "fails"
+        v_step, step, l1 = _steps(mu1, mu2, beta)
+        seen[verdict] += 1
+        seen[(verdict, "vs > 1")] += v_step > 1
+        seen[(verdict, "l > L1")] += step > l1
+    assert seen["holds"] and seen["fails"], seen
+    assert seen[("holds", "vs > 1")] and seen[("fails", "vs > 1")], seen
+    assert seen[("fails", "l > L1")], seen
 
 
 @pytest.mark.parametrize("spec", LADDER, ids=_describe)
-def test_the_quotient_loop_skips_only_pairs_with_both_first_factors_zero(spec, monkeypatch):
-    # Every v of engine._quotient_loop_holds, v = 1 included, visits only
-    # u = v and u = -v (mod N / d1).  Every u of Z(N)/K it skips at a v it
-    # finishes must have R1(u + v) = R1(u - v) = 0 (mod M), read from the
-    # per-code reference, so that both products vanish there.  The v at which a
-    # pair fails is left out: the loop stops at its violation, and the
-    # codes after it are not skips.
+def test_the_loop_skips_only_pairs_with_both_products_zero(spec, monkeypatch):
+    # Every (u, v) of the quotient that engine._residue_equation_holds does
+    # not visit, the v it skips whole included, must have
+    # R1(u + v) R2(u + b v) = R1(u - v) R2(u - b v) = 0 (mod M), read from
+    # the per-code reference, so that the identity holds there.  The v at
+    # which a pair fails is left out: the loop stops at its violation, and
+    # the codes after it are not skips.
     n = spec.exponent
-    real = engine._first_violation
-    calls = []
-
-    def spy(f, g, us, v, *rest):
-        calls.append((v, list(us)))
-        return real(f, g, us, v, *rest)
-
-    monkeypatch.setattr(engine, "_first_violation", spy)
+    calls = _visits(monkeypatch)
     seen = collections.Counter()
     for inst in _route_cases(spec, random.Random(f"routes {spec.describe()}"), ROUTE_COUNTS[n]):
         mu1, mu2, beta = inst.mu1, inst.mu2, inst.alpha.adjoint()
+        b = beta.code
         field = modular_field(n, 2 * mu1.den * mu2.den)
+        modulus = field.modulus
         f, g = (oracles.per_code_residues(mu, field) for mu in (mu1, mu2))
-        found = oracles.dense_equation_violation(spec, f.__getitem__, g.__getitem__, beta, field.modulus)
+        found = oracles.dense_equation_violation(spec, f.__getitem__, g.__getitem__, beta, modulus)
         holds = found is None
-        e, _ = quotient = _equation_quotient(mu1, mu2, beta)
+        e, e_v = _equation_quotient(mu1, mu2, beta)
         calls.clear()
-        assert engine._quotient_loop_holds(mu1, mu2, beta, field, quotient) == holds
+        assert engine._residue_equation_holds(mu1, mu2, beta, field) == holds
+        vs = range(1, (e_v + 1) // 2)
         if not holds:  # the failing v stops early
-            failed = calls[-1][0]
-            calls[:] = [call for call in calls if call[0] != failed]
+            vs = range(1, calls[-1][0])
         visited = collections.defaultdict(set)
         for v, us in calls:
             visited[v].update(us)
-        for v, us in visited.items():
-            skipped = set(range(e)) - us
-            assert all(f[(u + v) % n] == f[(u - v) % n] == 0 for u in skipped), (inst, v)
-            seen["holds" if holds else "fails later"] += bool(skipped)
-    assert seen["holds"] and seen["fails later"], seen
-
-
-def _routes_taken(monkeypatch):
-    """Patch both routes of the residue equation to record their name."""
-    taken = []
-    loop, pairs = engine._quotient_loop_holds, engine._support_pairs_hold
-    monkeypatch.setattr(
-        engine, "_quotient_loop_holds", lambda *args: taken.append("loop") or loop(*args)
-    )
-    monkeypatch.setattr(
-        engine, "_support_pairs_hold", lambda *args: taken.append("support pairs") or pairs(*args)
-    )
-    return taken
-
-
-def test_the_route_follows_the_estimate(monkeypatch):
-    # A constructed pair on a Haar factor of index 3 has tables on 3 codes
-    # and takes the support pairs; two point masses, and random pairs, whose
-    # first v settles them in a few reads, take the loop.
-    taken = _routes_taken(monkeypatch)
-    spec = LADDER[3]
-    alpha = make_endo(spec, (2, 2, 2))
-    rho = degenerate(spec, (0, 0, 0))
-    inst = construct_instance(oracles.full_subgroup(spec), alpha, rho, (1, 2, 3)).instance
-    assert satisfies_heyde_equation(inst)
-    point = HeydeInstance(spec, degenerate(spec, (1, 0, 0)), degenerate(spec, (0, 1, 0)), alpha)
-    satisfies_heyde_equation(point)
-    stream = DeterministicStream(59, label="estimate")
-    for i in range(10):
-        satisfies_heyde_equation(random_instance(spec, 8, stream.derive(str(i)), alpha))
-    assert taken == ["support pairs"] + ["loop"] * 11
+        for v in vs:
+            bv = b * v
+            for u in set(range(e)) - visited[v]:
+                assert f[(u + v) % n] * g[(u + bv) % n] % modulus == 0, (inst, u, v)
+                assert f[(u - v) % n] * g[(u - bv) % n] % modulus == 0, (inst, u, v)
+            seen["holds" if holds else "fails later"] += len(visited[v]) < e
+            seen["whole v"] += not visited[v]
+    assert seen["holds"] and seen["fails later"] and seen["whole v"], seen
 
 
 def test_check_on_the_alpha_2_pair_at_45045_within_a_second():
@@ -864,6 +895,21 @@ def test_check_on_the_alpha_2_pair_at_45045_within_a_second():
     assert len(mu1.points) == 15015
     with time_limit(1):
         assert is_conditionally_symmetric(inst) and satisfies_heyde_equation(inst)
+
+
+def test_check_on_the_shifted_alpha_2_pair_at_45045_within_a_second():
+    # The pair above with mu2 shifted by one code: the refuted side of the
+    # same margins, as fresh objects.  Its stabilizers are those of the
+    # symmetric pair, so the loop visits the same few codes per v.
+    spec = validate_spec([(3, 2), (5, 1), (7, 1), (11, 1), (13, 1)])
+    alpha = make_endo(spec, (2,) * 5)
+    rho = degenerate(spec, oracles.zero(spec))
+    built = construct_instance(oracles.full_subgroup(spec), alpha, rho, (1, 2, 3, 4, 5)).instance
+    moved = shift(built.mu2, spec.element(1))
+    mu1, mu2 = (distributions.Distribution(spec, mu.den, mu.points) for mu in (built.mu1, moved))
+    inst = HeydeInstance(spec, mu1, mu2, alpha)
+    with time_limit(1):
+        assert not satisfies_heyde_equation(inst)
 
 
 def test_the_order_3_pair_on_3_to_the_12_within_half_a_second():

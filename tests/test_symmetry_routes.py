@@ -38,7 +38,7 @@ from heyde import (
 )
 from heyde import classify_corollary, degenerate, distributions, engine, serialize, sweep
 from heyde.cyclotomic import modular_field
-from heyde.distributions import Distribution, _canonical, char_residues_at
+from heyde.distributions import Distribution, _canonical, char_residues, char_residues_at
 from heyde.engine import _decompose
 from heyde.fixtures import construction_admissible
 from heyde.groups import subgroup_of_index
@@ -651,6 +651,7 @@ def test_filled_memos_leave_equality_hash_and_fields_alone():
     assert is_conditionally_symmetric(inst) and satisfies_heyde_equation(inst)
     distributions.stabilizer_index(mu)
     distributions.char_fn_zero_classes(mu)
+    char_residues(mu, modular_field(spec.exponent, 2 * mu.den * mu.den))
     _decompose(inst)
     for memo in ("_numerators", "_residues", "_zero_classes", "_stabilizer", "_shifts"):
         assert memo in vars(mu) and memo not in vars(fresh)
